@@ -1,5 +1,9 @@
 """Exact tree solver: frozen small cases, case dispatch, and dual reporting."""
 
+import hashlib
+
+import pytest
+
 from graphcover import (
     INF,
     EdsInstance,
@@ -14,6 +18,7 @@ from graphcover import (
     solve_eds_tree,
     verify_eds_optimality,
 )
+from graphcover import cli
 from graphcover.rationals import ZERO
 
 from _support import two_leaf_star
@@ -154,3 +159,93 @@ def test_verify_zero_instance():
     sol, dual = solve_eds_tree(inst)
     report = verify_eds_optimality(inst, sol, dual.xi)
     assert report.passed
+
+
+# -- pinned outputs ---------------------------------------------------------
+
+
+def _deep_tree_text(n):
+    """A deep, narrow eds-tree: node v hangs off one of the three nodes made
+    just before it, so the depth grows like n / 2."""
+    lines = ["problem eds-tree", f"nodes {n}", "root 0"]
+    lines += [f"node {v} {v * 37 % 11}" for v in range(n)]
+    for v in range(1, n):
+        pen = "inf" if v % 4 == 1 else str(v * 13 % 11)
+        lines.append(f"edge {max(0, v - 1 - v * 7 % 3)} {v} {v * 5 % 11} {pen}")
+    return "\n".join(lines) + "\n"
+
+
+# sha256 of (`solve --certificate` stdout, certificate bytes).  The n=40
+# seed 4 instance is the one whose dual `verify` cannot complete; its output
+# is pinned as it is.
+GOLDEN = {
+    "random-n7-s0": (
+        "da0e71f81bee220dff66d84c6bbeb2855066ab550e4804c6f07220b355af784a",
+        "bfb87b943bdcbc91b7c699c03f3619bf7b072661f109fc106b79a62cc113681e",
+    ),
+    "random-n7-s1": (
+        "6ff405289e54cbf9b9e0e81d8539bb2a0e1d2ee652ace5fbe88513fa453388f4",
+        "6a6b586394bf5b632c2fdfd26136618d934833dabf176c38279aba86c9f12554",
+    ),
+    "random-n7-s2": (
+        "cfed4856e560a467ffa928aff9da269fbcb7164e7346f0c46f3c3db80331fd1d",
+        "18dbf0cd18e4e8db3fc2986b3834ee131a7edfd126c815b6ab3acc4b46ffbdcb",
+    ),
+    "random-n7-s3": (
+        "fe59bff4768e64206917b155819b73e73c89d091d9ef171877f88eb4d00f8598",
+        "aa03fa0ff12b522fb9429be8e6ac7a7a099b95c4776bd6fdb4e97050d950662f",
+    ),
+    "random-n40-s0": (
+        "8bbe6345cab589bd4042480ad82031c214485b0883b6732a2fcb771370ef1d99",
+        "75e8d00a61d0f780a54b3d6b84fd79f663988a02f81428de1ff1a4798ff9ada9",
+    ),
+    "random-n40-s1": (
+        "c200883f6a4bf1f3f9a7bd5b915dd520ddc3788e83f0b2a5c637eb76969c1a51",
+        "5fb88ce379cd8b63bd568527b4c211f3bb75822e3c62800231bb13dccf65c4ee",
+    ),
+    "random-n40-s4": (
+        "890d66eca53664ebf9de58cbbe4448ec0447f98563d929059159d5eef3a56856",
+        "01f2547d40f2aaedafe0f4cab55acd5d998846add3f53580a570b02afe30f0e7",
+    ),
+    "random-n60-s0": (
+        "6ffe4bff271e9088558d7d8e953b91a9c2a205fb59d2440703275a1a188e0422",
+        "e6604297d23b6eb27ae9654075a7395445835b43df2373354f038aa7464f4659",
+    ),
+    "random-n60-s1": (
+        "c86be3b9725f2e424aabfc9817b1571bcabb05f018fbf3cdab88c3ecd1457a8f",
+        "ac5ad5049c631454bb2b64d7b8787fdb158c7067f376771f3a01e91d01c54642",
+    ),
+    "random-n60-s2": (
+        "2a52c2b709771510a6ff31b2de2e67d128b058cd04d70a6bcc1c8a04bb7d5dc0",
+        "cfd00f3e56a88495c3ba1d9495dae773ebb3f948f048f10a78f5f8ef5fb0ed51",
+    ),
+    "random-n250-s1": (
+        "80616b79c2cbbbaec497baa313b1ae91428133f28713c5c34bdc43c7fc53be07",
+        "8a764715a562cad2a59ac58934aa4450a32a204ff2bb6a236bea07954341bbfa",
+    ),
+    "random-n250-s2": (
+        "aa1c12a5208e09d24743ff53a36dc4e7736711db187f0ecf78e942461b6e73fe",
+        "3d51bf3be46bdd1b79c37e89c091e61f4debf1aa3f6a9bff1c3912c30173bb88",
+    ),
+    "deep-300": (
+        "4db02e76d8c55a709ac43681c8874dcdd9230f0dd8e75d88e5e211ce015a9406",
+        "2dadf11f710fb9812b6abae6acface1582c79ff0330393f3925320c15568780b",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_solve_outputs_are_pinned(name, tmp_path, capsys):
+    inst = tmp_path / "inst.eds"
+    if name.startswith("deep-"):
+        inst.write_text(_deep_tree_text(int(name.split("-")[1])))
+    else:
+        n, seed = (part[1:] for part in name.split("-")[1:])
+        argv = ["gen", "random-tree-eds", "--n", n, "--seed", seed, "-o", str(inst)]
+        assert cli.run(argv) == 0
+    cert = tmp_path / "out.cert"
+    capsys.readouterr()
+    assert cli.run(["solve", str(inst), "--certificate", str(cert)]) == 0
+    stdout = capsys.readouterr().out.encode()
+    got = (hashlib.sha256(stdout).hexdigest(), hashlib.sha256(cert.read_bytes()).hexdigest())
+    assert got == GOLDEN[name]
