@@ -35,9 +35,6 @@ from .eds_general import (
 )
 from .eds_tree import (
     EdsDual,
-    base_case,
-    case_a_reduce_and_lift,
-    case_b_reduce_and_lift,
     solve_eds_tree,
     verify_eds_optimality,
 )
@@ -127,7 +124,6 @@ __all__ = [
     "Solution",
     "Star",
     "UNBOUNDED",
-    "base_case",
     "brute_force_cover",
     "brute_force_eds",
     "brute_force_facility_location",
@@ -136,8 +132,6 @@ __all__ = [
     "build_eds_dual",
     "build_multicut_dual",
     "build_relaxation",
-    "case_a_reduce_and_lift",
-    "case_b_reduce_and_lift",
     "complete_eds_dual",
     "deletion_phase",
     "edge_cover_solution",

@@ -170,6 +170,20 @@ def _do_gen(args) -> int:
     return EXIT_OK
 
 
+def _batch_optimum(inst):
+    """Brute-force optimum for a batch row, or None above the oracle's cap."""
+    try:
+        if isinstance(inst, EdsInstance):
+            return brute_force_eds(inst).total
+        if isinstance(inst, MulticutInstance):
+            return brute_force_multicut(inst).total
+        if problem_kind(inst) == "set-cover":
+            return brute_force_cover(inst)
+        return brute_force_facility_location(inst)
+    except OracleCapError:
+        return None
+
+
 def _do_batch(args) -> int:
     directory = Path(args.directory)
     if not directory.is_dir():
@@ -183,7 +197,8 @@ def _do_batch(args) -> int:
     all_pass = True
     for path in sorted(p for p in directory.iterdir() if p.is_file()):
         inst = parse_instance(path.read_text())
-        kind = problem_kind(inst)
+        opt = _batch_optimum(inst)
+        shown = "-" if opt is None else fmt_rat(opt)
         if isinstance(inst, (EdsInstance, MulticutInstance)):
             natural = relaxation_value(inst, "natural")
             strengthened = relaxation_value(inst, "strengthened")
@@ -195,12 +210,9 @@ def _do_batch(args) -> int:
             verdict = "pass" if verify_certificate(inst, cert).passed else "fail"
             all_pass &= verdict == "pass"
             objective = cert.objective
-            opt = (
-                brute_force_eds(inst)
-                if isinstance(inst, EdsInstance)
-                else brute_force_multicut(inst)
-            ).total
-            if opt > 0:
+            if opt is None:
+                ovr = "-"
+            elif opt > 0:
                 ovr = fmt_rat(objective / opt) if not is_inf(objective) else "inf"
             else:
                 ovr = "1" if objective == ZERO else "inf"
@@ -211,21 +223,14 @@ def _do_batch(args) -> int:
                         fmt_rat(natural),
                         fmt_rat(strengthened),
                         fmt_rat(objective),
-                        fmt_rat(opt),
+                        shown,
                         ovr,
                         verdict,
                     ]
                 )
             )
         else:
-            value = (
-                brute_force_cover(inst)
-                if kind == "set-cover"
-                else brute_force_facility_location(inst)
-            )
-            rows.append(
-                "\t".join([path.name, "-", "-", "-", fmt_rat(value), "-", "-"])
-            )
+            rows.append("\t".join([path.name, "-", "-", "-", shown, "-", "-"]))
     report = "\n".join(rows) + "\n"
     if args.report:
         Path(args.report).write_text(report)

@@ -12,6 +12,25 @@ penalty (local star around its upper end u with parent v0); "B" applies
 when all deepest leaf edges have zero penalty (local two-level structure
 around the grandparent s).  Each case either keeps the graph and zeroes
 penalties ("keep"/"trim") or deletes the local leaves ("delete"/"drop").
+
+Cost: O(n log n) time, counting each rational operation as one step, and
+O(n) memory.  All levels share one mutable store of the live tree and its
+weights.  A reduction writes in place and logs the values it overwrites
+and the nodes it deletes; lifting undoes the log step by step and edits
+F and xi in place.  Per-depth buckets of live nodes and of live nodes with
+positive penalty, under a maximum-depth pointer that only falls, pick each
+case and evaluate the termination measure without scanning the tree.
+
+Checks: every level's invariants are asserted at every level, in exact
+arithmetic, at the cost of the step.  Reductions check that the measure
+strictly decreases and that every weight they write is nonnegative.  Each
+lift checks that xi covers exactly the live edges (by count, as xi only
+gains keys of live edges), that 0 <= xi <= penalty on every edge whose
+value or penalty moved, and that the objective equals the dual total; both
+sides are running sums, kept up to date by per-node counts of chosen edges
+so that a change of F costs O(1).  The base level and the top level are
+also checked from scratch, including that the running sums have not
+drifted, and the final solution is re-evaluated against the dual total.
 """
 
 from __future__ import annotations
@@ -20,7 +39,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .instances import EdsInstance, InstanceError, Solution, eds_solution
-from .rationals import ExtRat, Rat, ZERO, clamp_nonneg, ext_min, ext_sum, is_inf
+from .rationals import INF, ExtRat, Rat, ZERO, clamp_nonneg, ext_min, ext_sum, is_inf
 from .relaxations import complete_eds_dual
 from .reporting import CheckReport
 
@@ -67,79 +86,114 @@ class CaseContext:
         return self.parent_edge if idx == 0 else self.arms[idx - 1]
 
 
-class _TreeView:
-    """A live sub-tree of the original instance with its own weights.
+class _LiveTree:
+    """The live sub-tree of the instance, one mutable store for every level.
 
     Nodes keep their original ids; the edge to a node's parent is
     identified by the child id.  Deletions only ever remove whole
     subtrees, so parent/child/depth relations of surviving nodes are
-    those of the original tree.
+    those of the original tree.  Reductions write through `set`,
+    `zero_penalty` and `kill`, which append what they overwrite to `log`
+    (array, index, old value; array None marks a deleted node), so lifting
+    can restore each level by undoing the log back to the step's mark.
+
+    Per-depth buckets list the nodes by ascending id; `live` and `hot`
+    count the live nodes and the live nodes with positive penalty at each
+    depth.  Nodes never come back to life and penalties only ever drop to
+    zero while reducing, so the deepest non-empty depth and the first live
+    (or hot) entry of each bucket only move one way.  The bucket counters
+    serve the reduction phase only; `edges` stays exact throughout.
     """
 
-    __slots__ = ("tree", "alive", "wn", "we", "pen")
-
-    def __init__(self, tree, alive, wn, we, pen):
-        self.tree = tree
-        self.alive = alive
-        self.wn = wn
-        self.we = we
-        self.pen = pen
-
-    @classmethod
-    def from_instance(cls, inst: EdsInstance) -> "_TreeView":
+    def __init__(self, inst: EdsInstance):
         tree = inst.graph
-        return cls(
-            tree,
-            frozenset(range(tree.n)),
-            dict(inst.node_weight),
-            dict(inst.edge_weight),
-            dict(inst.penalty),
-        )
+        n = tree.n
+        self.root = tree.root
+        self.parent = tree.parent
+        self.children = tree.children
+        self.depth = tree.depth
+        self.alive = [True] * n
+        self.wn = [inst.node_weight[v] for v in range(n)]
+        self.we = [inst.edge_weight.get(v, ZERO) for v in range(n)]
+        self.pen = [inst.penalty.get(v, ZERO) for v in range(n)]
+        self.edges = n - 1
+        self.log: List[tuple] = []
+        self.bucket: List[List[int]] = [[] for _ in range(max(self.depth) + 1)]
+        for v in range(n):
+            self.bucket[self.depth[v]].append(v)
+        self.live = [len(b) for b in self.bucket]
+        self.hot = [sum(1 for v in b if self.pen[v] > 0) for b in self.bucket]
+        self.first_live = [0] * len(self.bucket)
+        self.first_hot = [0] * len(self.bucket)
+        self.maxd = len(self.bucket) - 1
+        self.deep = sum(self.live[2:])
 
-    def edge_ids(self) -> List[int]:
-        return sorted(v for v in self.alive if v != self.tree.root)
+    def live_children(self, v: int) -> List[int]:
+        alive = self.alive
+        return [c for c in self.children[v] if alive[c]]
 
-    def children(self, v: int) -> List[int]:
-        return [c for c in self.tree.children[v] if c in self.alive]
+    def set(self, arr: list, v: int, value) -> None:
+        self.log.append((arr, v, arr[v]))
+        arr[v] = value
 
-    def incident(self, v: int) -> List[int]:
-        own = [v] if v != self.tree.root else []
-        return sorted(own + self.children(v))
+    def zero_penalty(self, v: int) -> None:
+        if self.pen[v] > 0:
+            self.hot[self.depth[v]] -= 1
+        self.set(self.pen, v, ZERO)
+
+    def kill(self, v: int) -> None:
+        d = self.depth[v]
+        self.alive[v] = False
+        self.live[d] -= 1
+        if self.pen[v] > 0:
+            self.hot[d] -= 1
+        if d > 1:
+            self.deep -= 1
+        self.edges -= 1
+        self.log.append((None, v, None))
 
     def max_depth(self) -> int:
-        return max(self.tree.depth[v] for v in self.alive)
+        while not self.live[self.maxd]:
+            self.maxd -= 1
+        return self.maxd
 
     def measure(self) -> Tuple[int, int]:
         """(#nodes deeper than one, #deepest leaf edges with positive penalty);
         strictly lexicographically decreasing across reductions."""
-        deep = sum(1 for v in self.alive if self.tree.depth[v] > 1)
-        maxd = self.max_depth()
-        hot = sum(
-            1
-            for v in self.alive
-            if v != self.tree.root
-            and self.tree.depth[v] == maxd
-            and not self.children(v)
-            and self.pen[v] > 0
-        )
-        return (deep, hot)
+        return (self.deep, self.hot[self.max_depth()])
+
+    def deepest_hot(self) -> Optional[int]:
+        """Deepest leaf edge with positive penalty (lowest id), or None."""
+        d = self.max_depth()
+        if not self.hot[d]:
+            return None
+        b, i = self.bucket[d], self.first_hot[d]
+        while not (self.alive[b[i]] and self.pen[b[i]] > 0):
+            i += 1
+        self.first_hot[d] = i
+        return b[i]
+
+    def deepest_leaf(self) -> int:
+        """Lowest-id live node of maximum depth."""
+        d = self.max_depth()
+        b, i = self.bucket[d], self.first_live[d]
+        while not self.alive[b[i]]:
+            i += 1
+        self.first_live[d] = i
+        return b[i]
 
     def objective(self, edges) -> ExtRat:
-        chosen = set(edges)
-        cost = ZERO
-        nodes = set()
-        covered = set()
-        for e in chosen:
-            cost += self.we[e]
-            u = self.tree.parent[e]
-            nodes.add(u)
-            nodes.add(e)
-            covered.update(self.incident(u))
-            covered.update(self.incident(e))
-        for v in nodes:
-            cost += self.wn[v]
+        """Objective of an edge set at this level, computed from scratch."""
+        touched = {v for e in edges for v in (e, self.parent[e])}
+        cost = sum((self.we[e] for e in edges), ZERO)
+        cost += sum((self.wn[v] for v in touched), ZERO)
         return cost + ext_sum(
-            self.pen[e] for e in self.edge_ids() if e not in covered
+            self.pen[e]
+            for e in range(len(self.alive))
+            if self.alive[e]
+            and e != self.root
+            and e not in touched
+            and self.parent[e] not in touched
         )
 
 
@@ -147,36 +201,22 @@ class _TreeView:
 # case identification and reduction
 
 
-def _deep_hot_edge(view: _TreeView) -> Optional[int]:
-    """Deepest leaf edge with positive penalty (lowest id), or None."""
-    maxd = view.max_depth()
-    cands = [
-        v
-        for v in view.alive
-        if v != view.tree.root
-        and view.tree.depth[v] == maxd
-        and not view.children(v)
-        and view.pen[v] > 0
-    ]
-    return min(cands) if cands else None
-
-
-def _reduce_a(view: _TreeView, leaf_edge: int) -> Tuple[CaseContext, _TreeView]:
-    tree = view.tree
-    u = tree.parent[leaf_edge]
-    assert u != tree.root, "the deepest leaf has depth above one"
-    v0 = tree.parent[u]
+def _reduce_a(t: _LiveTree, leaf_edge: int) -> CaseContext:
+    parent, wn, we, pen = t.parent, t.wn, t.we, t.pen
+    u = parent[leaf_edge]
+    assert u != t.root, "the deepest leaf has depth above one"
+    v0 = parent[u]
     e0 = u
-    arms = view.children(u)
+    arms = t.live_children(u)
     assert arms and leaf_edge in arms
     for v in arms:
-        assert not view.children(v), "arms of the deepest star are leaves"
-    wu = view.wn[u]
-    cand = [(view.we[e0] + wu + view.wn[v0], 0)]
-    cand += [(view.we[v] + wu + view.wn[v], i + 1) for i, v in enumerate(arms)]
+        assert not t.live_children(v), "arms of the deepest star are leaves"
+    wu = wn[u]
+    cand = [(we[e0] + wu + wn[v0], 0)]
+    cand += [(we[v] + wu + wn[v], i + 1) for i, v in enumerate(arms)]
     bound1 = min(c for c, _ in cand)
     i_star = min(i for c, i in cand if c == bound1)
-    bound2 = ext_sum(view.pen[v] for v in arms)
+    bound2 = ext_sum(pen[v] for v in arms)
     bound = ext_min(bound1, bound2)
     branch = "keep" if bound1 > bound2 else "delete"
     ctx = CaseContext(
@@ -185,119 +225,106 @@ def _reduce_a(view: _TreeView, leaf_edge: int) -> Tuple[CaseContext, _TreeView]:
         center=u,
         parent=v0,
         parent_edge=e0,
-        arms=list(arms),
+        arms=arms,
         bound1=bound1,
         bound2=bound2,
         bound=bound,
         i_star=i_star,
-        caps=[view.pen[v] for v in arms],
+        caps=[pen[v] for v in arms],
         center_w=wu,
-        parent_edge_w=view.we[e0],
+        parent_edge_w=we[e0],
     )
 
-    wn, we, pen = dict(view.wn), dict(view.we), dict(view.pen)
     shift_edge = clamp_nonneg(bound - wu)
     if branch == "keep":
-        alive = view.alive
         for v in arms:
-            we[v] = clamp_nonneg(view.we[v] - shift_edge)
-            wn[v] = view.wn[v] - clamp_nonneg(bound - wu - view.we[v])
-            pen[v] = ZERO
+            t.set(wn, v, wn[v] - clamp_nonneg(bound - wu - we[v]))
+            t.set(we, v, clamp_nonneg(we[v] - shift_edge))
+            t.zero_penalty(v)
     else:
-        alive = view.alive - set(arms)
         for v in arms:
-            del wn[v], we[v], pen[v]
-        pen[e0] = ZERO
-    we[e0] = clamp_nonneg(view.we[e0] - shift_edge)
-    wn[v0] = view.wn[v0] - clamp_nonneg(bound - wu - view.we[e0])
-    wn[u] = clamp_nonneg(wu - bound)
-    out = _TreeView(tree, alive, wn, we, pen)
-    assert all(w >= 0 for w in wn.values()) and all(w >= 0 for w in we.values())
-    return ctx, out
+            t.kill(v)
+        t.zero_penalty(e0)
+    t.set(wn, v0, wn[v0] - clamp_nonneg(bound - wu - we[e0]))
+    t.set(we, e0, clamp_nonneg(we[e0] - shift_edge))
+    t.set(wn, u, clamp_nonneg(wu - bound))
+    return ctx
 
 
-def _reduce_b(view: _TreeView) -> Tuple[CaseContext, _TreeView]:
-    tree = view.tree
-    maxd = view.max_depth()
-    leaf = min(v for v in view.alive if tree.depth[v] == maxd)
-    s = tree.parent[tree.parent[leaf]]
-    u0 = tree.parent[s] if s != tree.root else None
+def _reduce_b(t: _LiveTree) -> CaseContext:
+    parent, wn, we, pen = t.parent, t.wn, t.we, t.pen
+    s = parent[parent[t.deepest_leaf()]]
+    u0 = parent[s] if s != t.root else None
     e0 = s if u0 is not None else None
-    arms = view.children(s)
+    arms = t.live_children(s)
     assert arms
-    grand = {ui: view.children(ui) for ui in arms}
-    for ui in arms:
-        for v in grand[ui]:
-            assert not view.children(v), "grandchildren of s are leaves"
-    ws = view.wn[s]
+    grand = [t.live_children(ui) for ui in arms]
+    for hs in grand:
+        for v in hs:
+            assert not t.live_children(v), "grandchildren of s are leaves"
+    ws = wn[s]
     cand = []
     if e0 is not None:
-        cand.append((view.we[e0] + view.wn[u0] + ws, 0))
-    cand += [(view.we[ui] + view.wn[ui] + ws, i + 1) for i, ui in enumerate(arms)]
+        cand.append((we[e0] + wn[u0] + ws, 0))
+    cand += [(we[ui] + wn[ui] + ws, i + 1) for i, ui in enumerate(arms)]
     bound1 = min(c for c, _ in cand)
     i_star = min(i for c, i in cand if c == bound1)
     caps: List[ExtRat] = []
     best_grand: Dict[int, int] = {}
     keep_idx: List[int] = []
     for i, ui in enumerate(arms):
-        if grand[ui]:
-            hv, hid = min((view.we[h] + view.wn[h], h) for h in grand[ui])
+        if grand[i]:
+            hv, hid = min((we[h] + wn[h], h) for h in grand[i])
             best_grand[i + 1] = hid
-            inner = view.wn[ui] + hv
-            caps.append(ext_min(inner, view.pen[ui]))
-            if inner <= view.pen[ui]:
+            inner = wn[ui] + hv
+            caps.append(ext_min(inner, pen[ui]))
+            if inner <= pen[ui]:
                 keep_idx.append(i + 1)
         else:
-            caps.append(view.pen[ui])
+            caps.append(pen[ui])
     bound2 = ext_sum(caps)
     bound = ext_min(bound1, bound2)
     branch = "trim" if bound1 >= bound2 else "drop"
+    grand_edges = [h for hs in grand for h in hs]
     ctx = CaseContext(
         tag="B",
         branch=branch,
         center=s,
         parent=u0,
         parent_edge=e0,
-        arms=list(arms),
+        arms=arms,
         bound1=bound1,
         bound2=bound2,
         bound=bound,
         i_star=i_star,
         caps=caps,
         center_w=ws,
-        parent_edge_w=view.we[e0] if e0 is not None else None,
-        grand_edges=sorted(h for ui in arms for h in grand[ui]),
+        parent_edge_w=we[e0] if e0 is not None else None,
+        grand_edges=sorted(grand_edges),
         best_grand=best_grand,
         keep_idx=keep_idx,
     )
 
-    wn, we, pen = dict(view.wn), dict(view.we), dict(view.pen)
     if branch == "trim":
-        removed = {v for ui in arms for v in grand[ui]}
         for ui in arms:
-            pen[ui] = ZERO
-        survivors = list(range(len(arms) + 1)) if e0 is not None else list(
-            range(1, len(arms) + 1)
-        )
+            t.zero_penalty(ui)
+        removed, kept = grand_edges, arms
     else:
-        removed = set(arms) | {v for ui in arms for v in grand[ui]}
         if e0 is not None:
-            pen[e0] = ZERO
-        survivors = [0] if e0 is not None else []
+            t.zero_penalty(e0)
+        removed, kept = arms + grand_edges, []
     for v in removed:
-        del wn[v], we[v], pen[v]
+        t.kill(v)
+    # surviving (edge, node) pairs absorb the charge: e0 with its upper end
+    # u0, each kept arm with itself
+    survivors = [(e0, u0)] if e0 is not None else []
+    survivors += [(ui, ui) for ui in kept]
     shift_edge = clamp_nonneg(bound - ws)
-    for i in survivors:
-        if i == 0:
-            edge, node = e0, u0
-        else:
-            edge = node = arms[i - 1]
-        we[edge] = clamp_nonneg(view.we[edge] - shift_edge)
-        wn[node] = view.wn[node] - clamp_nonneg(bound - ws - view.we[edge])
-    wn[s] = clamp_nonneg(ws - bound)
-    out = _TreeView(tree, view.alive - removed, wn, we, pen)
-    assert all(w >= 0 for w in wn.values()) and all(w >= 0 for w in we.values())
-    return ctx, out
+    for edge, node in survivors:
+        t.set(wn, node, wn[node] - clamp_nonneg(bound - ws - we[edge]))
+        t.set(we, edge, clamp_nonneg(we[edge] - shift_edge))
+    t.set(wn, s, clamp_nonneg(ws - bound))
+    return ctx
 
 
 # ---------------------------------------------------------------------------
@@ -316,23 +343,149 @@ def _greedy_fill(caps: List[ExtRat], target: Rat) -> List[Rat]:
     return out
 
 
-def _lift_a(
-    ctx: CaseContext, post: _TreeView, F: set, xi: Dict[int, Rat]
-) -> Tuple[set, Dict[int, Rat]]:
-    F = set(F)
-    xi = dict(xi)
+class _Lift:
+    """The solution F and dual xi of the current level, edited in place.
+
+    The objective of F and the dual total are kept as running sums that
+    follow every change of F, xi, the weights and the live edges, so each
+    level's check costs only the size of its step.  `touch[v]` counts the
+    edges of F at node v; an edge is covered when either end is touched.
+    `open_fin[p]`/`open_inf[p]` hold the finite part and the number of
+    infinite penalties of the live edges below p whose lower end is
+    untouched, and they count towards the uncovered penalty while p is
+    untouched too.
+    """
+
+    def __init__(self, t: _LiveTree, F, xi: Dict[int, Rat]):
+        n = len(t.alive)
+        self.t = t
+        self.F: set = set()
+        self.xi: Dict[int, Rat] = {}
+        self.touch = [0] * n
+        self.open_fin = [ZERO] * n
+        self.open_inf = [0] * n
+        self.edge_w = self.node_w = self.pen_fin = self.total = ZERO
+        self.pen_inf = 0
+        for v in range(n):
+            if t.alive[v] and v != t.root:
+                self._edge(v, 1)
+        for e in F:
+            self.add(e)
+        for e, value in xi.items():
+            self.set_xi(e, value)
+
+    def objective(self) -> ExtRat:
+        return INF if self.pen_inf else self.edge_w + self.node_w + self.pen_fin
+
+    def _open(self, p: int, value: ExtRat, sign: int) -> None:
+        """Add (sign 1) or remove (sign -1) an uncovered penalty below p."""
+        if is_inf(value):
+            self.open_inf[p] += sign
+            if not self.touch[p]:
+                self.pen_inf += sign
+        elif value:
+            if sign < 0:
+                value = -value
+            self.open_fin[p] += value
+            if not self.touch[p]:
+                self.pen_fin += value
+
+    def _edge(self, e: int, sign: int) -> None:
+        """Count live edge e's penalty in (1) or out of (-1) the open sums."""
+        if not self.touch[e]:
+            self._open(self.t.parent[e], self.t.pen[e], sign)
+
+    def _touch(self, v: int, step: int) -> None:
+        before = self.touch[v]
+        self.touch[v] = before + step
+        if before and self.touch[v]:
+            return
+        t = self.t
+        sign = 1 if before else -1  # 1: v becomes untouched, its edges reopen
+        if sign > 0:
+            self.node_w -= t.wn[v]
+            self.pen_fin += self.open_fin[v]
+        else:
+            self.node_w += t.wn[v]
+            self.pen_fin -= self.open_fin[v]
+        self.pen_inf += sign * self.open_inf[v]
+        if v != t.root:
+            self._open(t.parent[v], t.pen[v], sign)
+
+    def add(self, e: int) -> None:
+        if e not in self.F:
+            self.F.add(e)
+            self.edge_w += self.t.we[e]
+            self._touch(e, 1)
+            self._touch(self.t.parent[e], 1)
+
+    def remove(self, e: int) -> None:
+        self.F.remove(e)
+        self.edge_w -= self.t.we[e]
+        self._touch(e, -1)
+        self._touch(self.t.parent[e], -1)
+
+    def set_xi(self, e: int, value: Rat) -> None:
+        self.total += value - self.xi.get(e, ZERO)
+        self.xi[e] = value
+
+    def undo(self, entries: List[tuple]) -> None:
+        """Restore the weights and live nodes a reduction step overwrote."""
+        t = self.t
+        for arr, v, old in reversed(entries):
+            if arr is None:
+                t.alive[v] = True
+                t.edges += 1
+                self._edge(v, 1)
+            elif arr is t.pen:
+                self._edge(v, -1)
+                arr[v] = old
+                self._edge(v, 1)
+            else:
+                if arr is t.wn and self.touch[v]:
+                    self.node_w += old - arr[v]
+                elif arr is t.we and v in self.F:
+                    self.edge_w += old - arr[v]
+                arr[v] = old
+
+    def check_level(self, edges: List[int]) -> None:
+        """Per-level invariants, given the edges whose xi or penalty moved."""
+        t, xi = self.t, self.xi
+        assert len(xi) == t.edges, "dual values cover exactly the live edges"
+        assert all(xi[e] >= 0 and xi[e] <= t.pen[e] for e in edges)
+        obj = self.objective()
+        assert not is_inf(obj) and obj == self.total, (
+            f"objective {obj} != dual total {self.total}"
+        )
+
+    def check_full(self) -> None:
+        """The per-level invariants recomputed from scratch."""
+        t, xi = self.t, self.xi
+        live = [v for v in range(len(t.alive)) if t.alive[v] and v != t.root]
+        assert set(xi) == set(live) and len(live) == t.edges
+        assert all(v >= 0 and v <= t.pen[e] for e, v in xi.items())
+        obj = t.objective(self.F)
+        total = sum(xi.values(), ZERO)
+        assert not is_inf(obj) and obj == total, f"objective {obj} != dual total {total}"
+        assert obj == self.objective() and total == self.total, "running sums drifted"
+
+
+def _lift_a(ctx: CaseContext, lift: _Lift) -> None:
+    F, touch = lift.F, lift.touch
     u, v0, e0 = ctx.center, ctx.parent, ctx.parent_edge
-    star = set(post.incident(u)) | {e0} | set(ctx.arms)
-    for a in sorted(ctx.arms, reverse=True):
-        if len(F & star) <= 1:
+    # the star around u is e0 plus the arms
+    count = (e0 in F) + sum(1 for a in ctx.arms if a in F)
+    for a in reversed(ctx.arms):
+        if count <= 1:
             break
         if a in F:
-            F.remove(a)
-    assert len(F & star) <= 1
+            lift.remove(a)
+            count -= 1
+    assert count <= 1
 
-    if F & set(post.incident(v0)) and ctx.bound > ctx.center_w + ctx.parent_edge_w:
-        F.add(e0)
-    elif F & set(post.incident(u)):
+    if touch[v0] and ctx.bound > ctx.center_w + ctx.parent_edge_w:
+        lift.add(e0)
+    elif touch[u]:
         # The center is already touched, so the arms are already dominated;
         # the weight restored on the touching edge absorbs the whole charge,
         # and adding anything would overshoot the dual total.
@@ -340,88 +493,72 @@ def _lift_a(
     elif ctx.branch == "keep":
         pass
     else:
-        F.add(ctx.edge_of(ctx.i_star))
+        lift.add(ctx.edge_of(ctx.i_star))
 
+    xi = lift.xi
     if ctx.branch == "keep":
         for a, cap in zip(ctx.arms, ctx.caps):
             assert xi.get(a, ZERO) == 0 and not is_inf(cap)
-            xi[a] = cap
+            lift.set_xi(a, cap)
     else:
         assert xi.get(e0, ZERO) == 0
         for a, val in zip(ctx.arms, _greedy_fill(ctx.caps, ctx.bound1)):
             assert a not in xi
-            xi[a] = val
-    return F, xi
+            lift.set_xi(a, val)
 
 
-def _lift_b(
-    ctx: CaseContext, post: _TreeView, F: set, xi: Dict[int, Rat]
-) -> Tuple[set, Dict[int, Rat]]:
-    F = set(F)
-    xi = dict(xi)
+def _lift_b(ctx: CaseContext, lift: _Lift) -> None:
+    F, touch = lift.F, lift.touch
     s, u0, e0 = ctx.center, ctx.parent, ctx.parent_edge
     if e0 is not None:
-        near = set(post.incident(u0)) | set(post.incident(s))
-        for a in sorted(ctx.arms, reverse=True) + [e0]:
-            if len(F & near) <= 1:
+        # edges of F at u0 or s; e0 joins them and is counted at both ends
+        for a in list(reversed(ctx.arms)) + [e0]:
+            if touch[u0] + touch[s] - (e0 in F) <= 1:
                 break
             if a in F:
-                F.remove(a)
+                lift.remove(a)
 
-    first = (
-        e0 is not None
-        and bool(F & set(post.incident(u0)))
-        and ctx.bound > ctx.center_w + ctx.parent_edge_w
-    )
-    if first:
-        F.add(e0)
-    elif F & set(post.incident(s)):
+    if e0 is not None and touch[u0] and ctx.bound > ctx.center_w + ctx.parent_edge_w:
+        lift.add(e0)
+    elif touch[s]:
         pass
     elif ctx.branch == "trim":
         for i in ctx.keep_idx:
-            F.add(ctx.best_grand[i])
+            lift.add(ctx.best_grand[i])
     else:
-        F.add(ctx.edge_of(ctx.i_star))
+        lift.add(ctx.edge_of(ctx.i_star))
 
+    xi = lift.xi
     if ctx.branch == "trim":
         for a in ctx.arms:
             assert xi.get(a, ZERO) == 0
     elif e0 is not None:
         assert xi.get(e0, ZERO) == 0
     for a, val in zip(ctx.arms, _greedy_fill(ctx.caps, ctx.bound)):
-        xi[a] = val
+        lift.set_xi(a, val)
     for h in ctx.grand_edges:
         assert h not in xi
-        xi[h] = ZERO
-    return F, xi
+        lift.set_xi(h, ZERO)
 
 
 # ---------------------------------------------------------------------------
 # base case and driver
 
 
-def _base_star(view: _TreeView) -> Tuple[FrozenSet[int], Dict[int, Rat]]:
-    assert view.max_depth() <= 1
-    edges = view.edge_ids()
+def _base_star(t: _LiveTree) -> Tuple[FrozenSet[int], Dict[int, Rat]]:
+    assert t.max_depth() <= 1
+    edges = t.live_children(t.root)
     if not edges:
         return frozenset(), {}
-    r = view.tree.root
-    cand = [(view.we[v] + view.wn[r] + view.wn[v], v) for v in edges]
+    wr = t.wn[t.root]
+    cand = [(t.we[v] + wr + t.wn[v], v) for v in edges]
     alpha1 = min(c for c, _ in cand)
     e_star = min(v for c, v in cand if c == alpha1)
-    alpha2 = ext_sum(view.pen[v] for v in edges)
+    alpha2 = ext_sum(t.pen[v] for v in edges)
     if alpha1 >= alpha2:
-        return frozenset(), {e: view.pen[e] for e in edges}
-    fill = _greedy_fill([view.pen[e] for e in edges], alpha1)
+        return frozenset(), {e: t.pen[e] for e in edges}
+    fill = _greedy_fill([t.pen[e] for e in edges], alpha1)
     return frozenset({e_star}), dict(zip(edges, fill))
-
-
-def _assert_level(view: _TreeView, F, xi: Dict[int, Rat]) -> None:
-    assert set(xi) == set(view.edge_ids())
-    assert all(v >= 0 and v <= view.pen[e] for e, v in xi.items())
-    obj = view.objective(F)
-    total = sum(xi.values(), ZERO)
-    assert not is_inf(obj) and obj == total, f"objective {obj} != dual total {total}"
 
 
 def solve_eds_tree_trace(
@@ -430,34 +567,34 @@ def solve_eds_tree_trace(
     """Like solve_eds_tree but also returns the per-step case contexts."""
     if not isinstance(inst, EdsInstance) or not inst.is_tree:
         raise InstanceError("the exact solver needs a rooted-tree instance")
-    view = _TreeView.from_instance(inst)
-    views = [view]
+    t = _LiveTree(inst)
     ctxs: List[CaseContext] = []
-    measure = view.measure()
-    while view.max_depth() > 1:
-        hot = _deep_hot_edge(view)
-        if hot is not None:
-            ctx, view = _reduce_a(view, hot)
-        else:
-            ctx, view = _reduce_b(view)
-        new_measure = view.measure()
+    marks: List[int] = []  # where each step's entries start in t.log
+    measure = t.measure()
+    while t.max_depth() > 1:
+        marks.append(len(t.log))
+        hot = t.deepest_hot()
+        ctxs.append(_reduce_a(t, hot) if hot is not None else _reduce_b(t))
+        assert all(
+            arr[v] >= 0 for arr, v, _ in t.log[marks[-1]:] if arr is not None
+        ), "reduced weights stay nonnegative"
+        new_measure = t.measure()
         assert new_measure < measure, "reduction measure must strictly decrease"
         measure = new_measure
-        views.append(view)
-        ctxs.append(ctx)
 
-    F, xi = _base_star(view)
-    _assert_level(view, F, xi)
-    F = set(F)
-    for level in range(len(ctxs) - 1, -1, -1):
-        ctx, pre, post = ctxs[level], views[level], views[level + 1]
-        if ctx.tag == "A":
-            F, xi = _lift_a(ctx, post, F, xi)
-        else:
-            F, xi = _lift_b(ctx, post, F, xi)
-        _assert_level(pre, F, xi)
+    lift = _Lift(t, *_base_star(t))
+    lift.check_full()
+    for ctx, mark in zip(reversed(ctxs), reversed(marks)):
+        entries = t.log[mark:]
+        del t.log[mark:]
+        lift.undo(entries)
+        (_lift_a if ctx.tag == "A" else _lift_b)(ctx, lift)
+        moved = [v for arr, v, _ in entries if arr is t.pen]
+        lift.check_level(ctx.arms + ctx.grand_edges + moved)
+    lift.check_full()
 
-    sol = eds_solution(inst, sorted(F))
+    xi = lift.xi
+    sol = eds_solution(inst, sorted(lift.F))
     dual = EdsDual({e: xi[e] for e in sorted(xi)})
     assert sol.total == dual.total
     return sol, dual, ctxs
@@ -468,34 +605,6 @@ def solve_eds_tree(inst: EdsInstance) -> Tuple[Solution, EdsDual]:
     objective exactly)."""
     sol, dual, _ = solve_eds_tree_trace(inst)
     return sol, dual
-
-
-def base_case(inst: EdsInstance) -> Tuple[FrozenSet[int], Dict[int, Rat]]:
-    """Solve a depth-one (star) instance directly."""
-    if not isinstance(inst, EdsInstance) or not inst.is_tree:
-        raise InstanceError("base case needs a rooted-tree instance")
-    view = _TreeView.from_instance(inst)
-    if view.max_depth() > 1:
-        raise InstanceError("base case applies only to depth-one trees")
-    return _base_star(view)
-
-
-def case_a_reduce_and_lift(inst: EdsInstance) -> Tuple[Solution, EdsDual]:
-    """Solve an instance whose first reduction is the positive-penalty
-    deep-leaf case; errors when that case does not apply."""
-    view = _TreeView.from_instance(inst)
-    if view.max_depth() <= 1 or _deep_hot_edge(view) is None:
-        raise InstanceError("the positive-penalty deep-leaf case does not apply")
-    return solve_eds_tree(inst)
-
-
-def case_b_reduce_and_lift(inst: EdsInstance) -> Tuple[Solution, EdsDual]:
-    """Solve an instance whose first reduction is the zero-penalty
-    deep-leaf case; errors when that case does not apply."""
-    view = _TreeView.from_instance(inst)
-    if view.max_depth() <= 1 or _deep_hot_edge(view) is not None:
-        raise InstanceError("the zero-penalty deep-leaf case does not apply")
-    return solve_eds_tree(inst)
 
 
 def verify_eds_optimality(inst: EdsInstance, sol: Solution, xi: Dict[int, Rat]) -> CheckReport:

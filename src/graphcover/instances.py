@@ -8,6 +8,9 @@ nonnegative rationals or infinite.
 Edge identity: in a rooted tree every non-root node identifies the edge to
 its parent, so edge ids are child node ids.  In a general graph edges are
 numbered in input order.
+
+A ``nodes N`` line may ask for at most ``MAX_NODES`` nodes; larger counts are
+rejected with a ParseError before anything of size N is allocated.
 """
 
 from __future__ import annotations
@@ -18,6 +21,10 @@ from random import Random
 from typing import Dict, FrozenSet, List, Optional, Tuple, Union
 
 from .rationals import INF, ExtRat, Rat, ZERO, ext_sum, fmt_rat, is_inf, parse_rat
+
+
+#: Largest node count an instance file may declare.
+MAX_NODES = 10**6
 
 
 class InstanceError(ValueError):
@@ -495,6 +502,8 @@ def parse_instance(text: str) -> AnyInstance:
             n_nodes = want_int(lineno, args[0])
             if n_nodes < 1:
                 fail(lineno, "node count must be positive")
+            if n_nodes > MAX_NODES:
+                fail(lineno, f"node count {n_nodes} exceeds the limit of {MAX_NODES}")
         elif head == "root":
             if kind not in ("eds-tree", "multicut-tree"):
                 fail(lineno, f"'root' is not valid for {kind}")

@@ -101,6 +101,15 @@ def test_solve_missing_file(capsys):
     assert "error:" in err
 
 
+def test_solve_rejects_huge_node_count(tmp_path, capsys):
+    path = tmp_path / "huge.eds"
+    path.write_text("problem eds-tree\nnodes 99999999999\nroot 0\n")
+    code, out, err = run_cli(capsys, "solve", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == "error: line 2: node count 99999999999 exceeds the limit of 1000000\n"
+
+
 # -- solve + verify loop -----------------------------------------------------
 
 
@@ -221,6 +230,20 @@ def test_batch_report(tmp_path, capsys):
             assert cells[1:4] == ["-", "-", "-"]
     made = sorted(p.name for p in certs.iterdir())
     assert made == ["a_star.eds.cert", "b_tree.eds.cert", "c_cut.tree.cert", "d_gen.eds.cert"]
+
+
+def test_batch_reports_dash_above_the_oracle_cap(tmp_path, capsys):
+    suite = tmp_path / "suite"
+    suite.mkdir()
+    args = ["gen", "random-tree-eds", "--n", "30", "--seed", "1"]
+    assert cli.run(args + ["-o", str(suite / "big.eds")]) == 0
+    report = tmp_path / "report.tsv"
+    code = cli.run(["batch", str(suite), "--report", str(report)])
+    capsys.readouterr()
+    assert code == 0
+    row = report.read_text().splitlines()[1].split("\t")
+    assert row[0] == "big.eds"
+    assert row[4:] == ["-", "-", "pass"]
 
 
 def test_batch_missing_directory(capsys, tmp_path):

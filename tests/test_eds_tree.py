@@ -1,24 +1,25 @@
 """Exact tree solver: frozen small cases, case dispatch, and dual reporting."""
 
 import hashlib
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphcover import (
     INF,
     EdsInstance,
     Rat,
     RootedTree,
-    base_case,
     brute_force_eds,
-    case_a_reduce_and_lift,
-    case_b_reduce_and_lift,
-    ext_sum,
     gen_instance,
+    parse_instance,
     solve_eds_tree,
     verify_eds_optimality,
 )
-from graphcover import cli
+from graphcover import cli, eds_tree
+from graphcover.eds_tree import solve_eds_tree_trace
 from graphcover.rationals import ZERO
 
 from _support import two_leaf_star
@@ -62,27 +63,33 @@ def test_zero_penalties_mean_empty_solution():
         assert all(x == 0 for x in dual.xi.values())
 
 
-# -- base case --------------------------------------------------------------
+# -- base case: a depth-one star takes no reduction step -------------------
+
+
+def _base(inst):
+    sol, dual, ctxs = solve_eds_tree_trace(inst)
+    assert ctxs == []
+    return frozenset(sol.edges), dual.xi
 
 
 def test_base_zero_weight_edge_always_taken():
     tree = RootedTree([0, 0], 0)
     inst = EdsInstance(tree, {0: ZERO, 1: ZERO}, {1: ZERO}, {1: Rat(5)})
-    F, xi = base_case(inst)
+    F, xi = _base(inst)
     assert F == frozenset({1})
-    assert ext_sum(xi.values()) == 0
+    assert xi == {1: ZERO}
 
 
 def test_base_penalties_win():
-    F, xi = base_case(two_leaf_star(Rat(2), Rat(1)))
+    F, xi = _base(two_leaf_star(Rat(2), Rat(1)))
     assert F == frozenset()
     assert xi == {1: Rat(2), 2: Rat(1)}
 
 
 def test_base_infinite_penalty_forces_coverage():
-    F, xi = base_case(two_leaf_star(INF, ZERO))
+    F, xi = _base(two_leaf_star(INF, ZERO))
     assert F == frozenset({1})  # cheapest star edge
-    assert ext_sum(xi.values()) == 4  # alpha_1 = w(e1) + w(r)
+    assert xi == {1: Rat(4), 2: ZERO}  # alpha_1 = w(e1) + w(r), filled front to back
 
 
 # -- deeper reductions ------------------------------------------------------
@@ -96,17 +103,27 @@ def test_free_path_costs_nothing():
     assert brute_force_eds(inst).total == 0
 
 
-def test_reduce_entry_points_agree_with_full_solver():
-    # depth-2 instance with positive penalty on the deep leaf edge
+def test_first_step_case_tags():
+    # depth-2 instance with positive penalty on the deep leaf edge: case A
     inst = _path([1, 2, 1], [3, 1], [Rat(2), Rat(4)])
-    via_a = case_a_reduce_and_lift(inst)
-    full = solve_eds_tree(inst)
-    assert via_a[0].total == full[0].total == brute_force_eds(inst).total
+    sol, dual, ctxs = solve_eds_tree_trace(inst)
+    assert [ctx.tag for ctx in ctxs] == ["A"]
+    assert sol.total == dual.total == brute_force_eds(inst).total
 
-    # zero penalty on every deepest leaf edge routes through the other case
+    # zero penalty on every deepest leaf edge routes through case B
     inst_b = _path([1, 1, 1, 1], [1, 1, 1], [Rat(3), Rat(2), ZERO])
-    via_b = case_b_reduce_and_lift(inst_b)
-    assert via_b[0].total == brute_force_eds(inst_b).total
+    sol, dual, ctxs = solve_eds_tree_trace(inst_b)
+    assert ctxs[0].tag == "B"
+    assert sol.total == dual.total == brute_force_eds(inst_b).total
+
+
+def test_trace_branches_cover_every_case():
+    seen = set()
+    for seed in range(40):
+        inst = gen_instance("random-tree-eds", n=12, seed=seed)
+        _, _, ctxs = solve_eds_tree_trace(inst)
+        seen.update(f"{ctx.tag}-{ctx.branch}" for ctx in ctxs)
+    assert seen == {"A-keep", "A-delete", "B-trim", "B-drop"}
 
 
 def test_caterpillar_heavy_center():
@@ -132,6 +149,88 @@ def test_dual_matches_objective_on_random_trees():
         for e, x in dual.xi.items():
             assert 0 <= x
             assert x <= inst.penalty[e] or inst.penalty[e] == INF
+
+
+def test_corrupted_dual_caught_at_its_own_level(monkeypatch):
+    inst = gen_instance("random-tree-eds", n=40, seed=0)
+    levels = len(solve_eds_tree_trace(inst)[2])
+    assert levels >= 6
+    bad_call = levels // 2
+    calls = []
+
+    def corrupting(lift_fn):
+        def lift(ctx, state):
+            lift_fn(ctx, state)
+            calls.append(ctx)
+            if len(calls) == bad_call:
+                e = ctx.arms[0]
+                state.set_xi(e, state.xi[e] + 1)
+
+        return lift
+
+    monkeypatch.setattr(eds_tree, "_lift_a", corrupting(eds_tree._lift_a))
+    monkeypatch.setattr(eds_tree, "_lift_b", corrupting(eds_tree._lift_b))
+    with pytest.raises(AssertionError):
+        solve_eds_tree(inst)
+    # the check of the corrupted level fired: no later level was lifted
+    assert len(calls) == bad_call
+
+
+def test_memory_is_linear_on_a_deep_tree():
+    inst = parse_instance(_deep_tree_text(5000))
+    tracemalloc.start()
+    try:
+        sol, dual, ctxs = solve_eds_tree_trace(inst)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(ctxs) > 1000
+    assert sol.total == dual.total
+    assert peak < 50 * 2**20
+
+
+# -- properties on small trees ----------------------------------------------
+
+_WEIGHTS = st.sampled_from([Rat(0), Rat(0), Rat(1), Rat(2), Rat(3), Rat(7, 2)])
+_PENALTIES = st.sampled_from([ZERO, ZERO, Rat(1), Rat(2), Rat(5), Rat(9, 2), INF, INF])
+
+
+@st.composite
+def small_trees(draw):
+    n = draw(st.integers(1, 13))  # at most 12 edges
+    parent = [0] + [draw(st.integers(0, v - 1)) for v in range(1, n)]
+    tree = RootedTree(parent, 0)
+    return EdsInstance(
+        tree,
+        {v: draw(_WEIGHTS) for v in range(n)},
+        {e: draw(_WEIGHTS) for e in tree.edge_ids()},
+        {e: draw(_PENALTIES) for e in tree.edge_ids()},
+    )
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(small_trees())
+def test_solver_matches_brute_force(inst):
+    sol, dual = solve_eds_tree(inst)
+    assert sol.total == dual.total == brute_force_eds(inst).total
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(small_trees(), st.randoms(use_true_random=False))
+def test_relabelling_preserves_the_optimum(inst, rnd):
+    tree = inst.graph
+    perm = list(range(tree.n))
+    rnd.shuffle(perm)
+    parent = [0] * tree.n
+    for v in range(tree.n):
+        parent[perm[v]] = perm[tree.parent[v]]
+    relabelled = EdsInstance(
+        RootedTree(parent, perm[tree.root]),
+        {perm[v]: w for v, w in inst.node_weight.items()},
+        {perm[e]: w for e, w in inst.edge_weight.items()},
+        {perm[e]: p for e, p in inst.penalty.items()},
+    )
+    assert solve_eds_tree(relabelled)[0].total == solve_eds_tree(inst)[0].total
 
 
 # -- optimality report ------------------------------------------------------
