@@ -1,0 +1,126 @@
+"""CLI outputs that depend on the exact simplex, pinned by sha256 digests.
+
+The eds-general rounding reads the primal LP vertex, the multicut pipeline
+and the eds-tree verifier solve LPs, and `batch` prints both relaxation
+values.  A change to the simplex that moves a vertex changes these bytes.
+"""
+
+import hashlib
+
+import pytest
+
+from graphcover import cli
+
+
+def _sha(data: str) -> str:
+    return hashlib.sha256(data.encode()).hexdigest()
+
+
+def _gen(tmp_path, name, args):
+    path = tmp_path / name
+    assert cli.run(["gen"] + args + ["-o", str(path)]) == 0
+    return path
+
+
+# sha256 of (`solve --certificate` stdout, certificate bytes).
+GOLDEN_SOLVE = {
+    "random-eds-general --n 6 --m 6 --seed 0": (
+        "92eb31b4d72f322c3e9a2aac6bc1d17f0ed1bee9f946ef16e7ae33268985283e",
+        "2f79c3e41b473a4f9ce96b267635122a31155f056cf219bd6d02a2224e231130",
+    ),
+    "random-eds-general --n 6 --m 6 --seed 1": (
+        "b44b1232dee8d73eaf056e2a5ad7562b804894c699832c64cca9a3bdff2025b1",
+        "59de335ade6ce88416bdb2cd0702224d8b3385f15c126129cf1d7590c7700f33",
+    ),
+    "random-eds-general --n 6 --m 6 --seed 2": (
+        "bb3f63d6d6cd958d7a0efaf60ae3d316cf124e3f589eddc552b3a09ccdb115e4",
+        "f8c2058cd8423619d44821090c54c590c1c2813081223dff2c0c8bdaaeb5432e",
+    ),
+    "random-eds-general --n 8 --m 10 --seed 0": (
+        "32bd2c2d25f026d3c487cb2dc3bbf63155ff9dc78329367b1a6fbdc9d64f6241",
+        "2fd5b475b3aee4794358c5395b9b1bb3f54eae4d03f6fd8d89eedaacb1ce740c",
+    ),
+    "random-eds-general --n 8 --m 10 --seed 1": (
+        "72a03f6e6a149c584a7ca734429121c67de44b0251cf1aebdc2669173496f2ee",
+        "149347985d6ba4d862cae0179f43a2b3899781336003b8bb75dfa90495a0aeab",
+    ),
+    "random-eds-general --n 8 --m 10 --seed 2": (
+        "7114df0dc03d0c361d9f9359c2fd4f701425fa22ab2260e2f8c08a3fec8ab581",
+        "35571bb115c0b9d7d334d12a935b285421e2d3ef7f56c0cb1034aa97dec846f0",
+    ),
+    "random-tree-multicut --n 40 --k 10 --seed 0": (
+        "95b4eb755e361f30197731b60c1a6c637702244996ecb2eb524c52907ce03dd5",
+        "b420d5ab23b812759ba26f0093998e897c2f6e791c24f1c49fa14718eb319720",
+    ),
+    "random-tree-multicut --n 40 --k 10 --seed 1": (
+        "3f5fa072fd14991762c13941622e4ce63d7f55d29fb941e56f5b0142d2807504",
+        "fc3b2638682da97e5793fb2ccf3821995c3939f5588a2d72ee39c771ffab7888",
+    ),
+    "random-tree-multicut --n 40 --k 10 --seed 2": (
+        "2ad7ac06c2555a91a1ababf621a871e3da5b1a39739566ba47554a42deb45a02",
+        "3ea64a7313069f24577cf4ba5b6343f984ec6d35de6370475ab0d39c1f4329a9",
+    ),
+    "random-tree-multicut --n 40 --k 10 --seed 3": (
+        "ef3a30eab4530d3688240e067c82e2c1eba74925fd77dcc6d230b4cf16309353",
+        "eb6381d5359abe1718f5b4eed0a334d5852fb71209f231521999fe6c5a976153",
+    ),
+}
+
+
+@pytest.mark.parametrize("spec", sorted(GOLDEN_SOLVE))
+def test_solve_outputs_are_pinned(spec, tmp_path, capsys):
+    inst = _gen(tmp_path, "inst", spec.split())
+    cert = tmp_path / "out.cert"
+    capsys.readouterr()
+    assert cli.run(["solve", str(inst), "--certificate", str(cert)]) == 0
+    got = (_sha(capsys.readouterr().out), _sha(cert.read_text()))
+    assert got == GOLDEN_SOLVE[spec]
+
+
+# sha256 of `verify` stdout and its exit code.  Seed 23 is an instance whose
+# dual the verifier cannot complete (the dual-completion LP is infeasible).
+GOLDEN_VERIFY = {
+    "random-tree-eds --n 60 --seed 0": (
+        "f5d347d4c0768a4f42037f8bc9015c6f1f4bc85a332d1d99e68f1f646c3b7b45",
+        0,
+    ),
+    "random-tree-eds --n 60 --seed 23": (
+        "c79faa9f0d0c5b633ddfe6d86e28dd0dc33531376cedb7e0a3e99c491fd3cc4a",
+        1,
+    ),
+}
+
+
+@pytest.mark.parametrize("spec", sorted(GOLDEN_VERIFY))
+def test_verify_outputs_are_pinned(spec, tmp_path, capsys):
+    inst = _gen(tmp_path, "inst", spec.split())
+    cert = tmp_path / "out.cert"
+    assert cli.run(["solve", str(inst), "--certificate", str(cert)]) == 0
+    capsys.readouterr()
+    code = cli.run(["verify", str(inst), str(cert)])
+    assert (_sha(capsys.readouterr().out), code) == GOLDEN_VERIFY[spec]
+
+
+BATCH_SUITE = [
+    ("eds7.eds", ["random-tree-eds", "--n", "7", "--seed", "3"]),
+    ("eds10.eds", ["random-tree-eds", "--n", "10", "--seed", "5"]),
+    ("cut6.tree", ["random-tree-multicut", "--n", "6", "--k", "3", "--seed", "1"]),
+    ("cut8.tree", ["random-tree-multicut", "--n", "8", "--k", "3", "--seed", "2"]),
+    ("gen5.eds", ["random-eds-general", "--n", "5", "--m", "5", "--seed", "4"]),
+    ("sets.cov", ["random-set-cover", "--m", "6", "--n", "5", "--seed", "6"]),
+    ("fac.fl", ["random-facility-location", "--clients", "4", "--facilities", "5",
+                "--seed", "7"]),
+]
+
+GOLDEN_BATCH = "8a1fee760311385563fc0478d6194fa87deee2cad1cc72ea42ee6854d2cd3f18"
+
+
+def test_batch_report_is_pinned(tmp_path, capsys):
+    suite = tmp_path / "suite"
+    suite.mkdir()
+    for name, args in BATCH_SUITE:
+        _gen(suite, name, args)
+    report = tmp_path / "report.tsv"
+    assert cli.run(["batch", str(suite), "--report", str(report)]) == 0
+    capsys.readouterr()
+    assert _sha(report.read_text()) == GOLDEN_BATCH

@@ -1,5 +1,7 @@
 """Fractional relaxations: gap values, point extraction, and dual completion."""
 
+import hashlib
+
 import pytest
 
 from graphcover import (
@@ -124,3 +126,45 @@ def test_completion_supports_infinite_penalties():
     # edge 1 alone dominates both edges: alpha_1 = w(e1)+w(r)+w(v1) = 4
     got = complete_eds_dual(inst, {1: Rat(4), 2: ZERO})
     assert got is not None
+
+
+# -- pinned vertices ----------------------------------------------------------
+
+
+def _assignment_digest(res):
+    text = "".join(f"{var} {value}\n" for var, value in res.assignment.items())
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# (relaxation_value, sha256 of the full simplex assignment, one
+# "var value" line per variable in model order).  The eds-general rounding
+# reads this vertex, so it must not move.
+PINNED_VERTICES = {
+    ("random-tree-eds", (("n", 7), ("seed", 2)), "natural"): (
+        Rat(73, 3),
+        "9cbbffb61ebdce78b0e35ed17b9a7d58ded2caa4a999aeaf066f8d4471431910",
+    ),
+    ("random-tree-eds", (("n", 7), ("seed", 2)), "strengthened"): (
+        Rat(28),
+        "4bc50d0576a954487bb49575fd9053b77a66696b5dfc7800091e6f17f9ee90db",
+    ),
+    ("random-tree-multicut", (("k", 4), ("n", 8), ("seed", 10)), "natural"): (
+        Rat(43, 3),
+        "36bfc22db3ad484b6e618ba31a2f3907a7128ea57523a39ca746e67fd9416da9",
+    ),
+    ("random-tree-multicut", (("k", 4), ("n", 8), ("seed", 10)), "strengthened"): (
+        Rat(17),
+        "67ce0062b98ddd270d097ba2db6341b6feb9713d15c580a31cee405d3a5a4da7",
+    ),
+}
+
+
+@pytest.mark.parametrize("key", sorted(PINNED_VERTICES, key=repr))
+def test_relaxation_vertices_are_pinned(key):
+    kind, params, relaxation = key
+    inst = gen_instance(kind, **dict(params))
+    res = simplex_solve(build_relaxation(inst, relaxation))
+    assert all(isinstance(x, Rat) for x in res.assignment.values())
+    assert (relaxation_value(inst, relaxation), _assignment_digest(res)) == (
+        PINNED_VERTICES[key]
+    )
