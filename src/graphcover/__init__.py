@@ -50,7 +50,6 @@ from .instances import (
     RootedTree,
     SetCoverInstance,
     Solution,
-    edge_cover_solution,
     edge_neighborhoods,
     eds_solution,
     gen_instance,
@@ -134,7 +133,6 @@ __all__ = [
     "build_relaxation",
     "complete_eds_dual",
     "deletion_phase",
-    "edge_cover_solution",
     "edge_cover_to_facility_location",
     "edge_neighborhoods",
     "eds_general_certificate",

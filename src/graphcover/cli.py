@@ -184,7 +184,27 @@ def _batch_optimum(inst):
         return None
 
 
+def _batch_cells(inst, opt, shown: str, cert_path: Optional[Path]) -> List[str]:
+    """Report cells after the name for an EDS or multicut instance."""
+    natural = relaxation_value(inst, "natural")
+    strengthened = relaxation_value(inst, "strengthened")
+    _, cert = _solve(inst)
+    if cert_path:
+        cert_path.write_text(serialize_certificate(cert))
+    verdict = "pass" if verify_certificate(inst, cert).passed else "fail"
+    objective = cert.objective
+    if opt is None:
+        ovr = "-"
+    elif opt > 0:
+        ovr = fmt_rat(objective / opt) if not is_inf(objective) else "inf"
+    else:
+        ovr = "1" if objective == ZERO else "inf"
+    return [fmt_rat(natural), fmt_rat(strengthened), fmt_rat(objective), shown, ovr, verdict]
+
+
 def _do_batch(args) -> int:
+    """One report row per instance.  A row whose solve trips an internal
+    check gets the verdict ``error``; the batch goes on and exits 3."""
     directory = Path(args.directory)
     if not directory.is_dir():
         raise _CliError(f"{args.directory} is not a directory")
@@ -194,49 +214,30 @@ def _do_batch(args) -> int:
     rows = [
         "instance\tnatural-lp\tstrengthened-lp\tobjective\toptimum\tratio\tverdict"
     ]
-    all_pass = True
+    verdicts = set()
     for path in sorted(p for p in directory.iterdir() if p.is_file()):
         inst = parse_instance(path.read_text())
         opt = _batch_optimum(inst)
         shown = "-" if opt is None else fmt_rat(opt)
         if isinstance(inst, (EdsInstance, MulticutInstance)):
-            natural = relaxation_value(inst, "natural")
-            strengthened = relaxation_value(inst, "strengthened")
-            _, cert = _solve(inst)
-            if cert_dir:
-                (cert_dir / (path.name + ".cert")).write_text(
-                    serialize_certificate(cert)
-                )
-            verdict = "pass" if verify_certificate(inst, cert).passed else "fail"
-            all_pass &= verdict == "pass"
-            objective = cert.objective
-            if opt is None:
-                ovr = "-"
-            elif opt > 0:
-                ovr = fmt_rat(objective / opt) if not is_inf(objective) else "inf"
-            else:
-                ovr = "1" if objective == ZERO else "inf"
-            rows.append(
-                "\t".join(
-                    [
-                        path.name,
-                        fmt_rat(natural),
-                        fmt_rat(strengthened),
-                        fmt_rat(objective),
-                        shown,
-                        ovr,
-                        verdict,
-                    ]
-                )
-            )
+            cert_path = cert_dir / (path.name + ".cert") if cert_dir else None
+            try:
+                cells = _batch_cells(inst, opt, shown, cert_path)
+            except AssertionError as exc:
+                sys.stderr.write(f"internal check failed on {path.name}: {exc}\n")
+                cells = ["-", "-", "-", shown, "-", "error"]
+            verdicts.add(cells[-1])
         else:
-            rows.append("\t".join([path.name, "-", "-", "-", shown, "-", "-"]))
+            cells = ["-", "-", "-", shown, "-", "-"]
+        rows.append("\t".join([path.name, *cells]))
     report = "\n".join(rows) + "\n"
     if args.report:
         Path(args.report).write_text(report)
     else:
         sys.stdout.write(report)
-    return EXIT_OK if all_pass else EXIT_VERIFY
+    if "error" in verdicts:
+        return EXIT_INTERNAL
+    return EXIT_VERIFY if "fail" in verdicts else EXIT_OK
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -411,17 +411,6 @@ def multicut_solution(inst: MulticutInstance, edges) -> Solution:
     return Solution(edges, ew, nw, pen)
 
 
-def edge_cover_solution(inst: EdgeCoverInstance, edges) -> Solution:
-    edges = tuple(sorted(set(edges)))
-    g = inst.graph
-    ew = sum((inst.edge_weight[e] for e in edges), ZERO)
-    nw = sum((inst.node_weight[v] for v in selected_nodes(g, edges)), ZERO)
-    hit = set(selected_nodes(g, edges))
-    if any(v not in hit for v in inst.cover_nodes):
-        return Solution(edges, ew, nw, INF)
-    return Solution(edges, ew, nw, ZERO)
-
-
 AnyInstance = Union[
     EdsInstance, MulticutInstance, SetCoverInstance, FacilityLocationInstance
 ]

@@ -1,8 +1,21 @@
 """Exact linear programming on rationals.
 
-A small dense-tableau two-phase simplex.  Everything is computed in exact
-rational arithmetic with zero tolerances; a Bland's-rule fallback guarantees
-termination, and the fixed variable order makes every solve deterministic.
+A small sparse two-phase simplex with fraction-free integer rows.  Each
+tableau row, the cost row included, holds the integer numerators of its
+nonzero cells in a ``{column: int}`` dict, an integer rhs numerator and one
+positive denominator shared by the whole row, so the row is ``num / den``.
+Rows are scaled to integers once, when the model is built; a pivot touches
+only the rows with a nonzero in the entering column, and only at the pivot
+row's nonzero columns, and takes one gcd per updated row instead of one per
+cell.  Values go back to ``Rat`` only at the end.
+
+Every comparison is exact (ratios are compared by cross-multiplying
+integers) and the pivot rules are fixed: most negative reduced cost, lowest
+basis index on equal ratios, Bland's least-index rule after a run of
+degenerate pivots, and the least nonzero column when driving artificials
+out.  So every solve is deterministic and returns the same vertex as a
+dense rational tableau with the same rules, with zero tolerances; Bland's
+rule guarantees termination.
 
 Infinite data never enters a model: callers eliminate infinities before
 building (for example by fixing a variable to zero or omitting a bound).
@@ -11,9 +24,10 @@ building (for example by fixing a variable to zero or omitting a bound).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import gcd, lcm
 from typing import Dict, List, Optional
 
-from .rationals import Rat, ZERO, ONE, fmt_rat, is_inf
+from .rationals import Rat, ZERO, is_inf
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -76,33 +90,6 @@ class LpModel:
                 clean[var] = Rat(c)
         self.constraints.append(LinearConstraint(name, clean, relation, Rat(rhs)))
 
-    def to_text(self) -> str:
-        """Plain-text listing, mainly for debugging and logs."""
-        lines = [f"lp {self.name}", f"{self.sense} " + _expr_text(self.objective)]
-        lines.append("subject to")
-        for c in self.constraints:
-            lines.append(f"  {c.name}: " + _expr_text(c.coeffs) + f" {c.relation} {fmt_rat(c.rhs)}")
-        frees = [v for v in self.variables if not self.nonneg[v]]
-        lines.append("variables " + " ".join(self.variables) if self.variables else "variables (none)")
-        if frees:
-            lines.append("free " + " ".join(frees))
-        return "\n".join(lines) + "\n"
-
-
-def _expr_text(coeffs: Dict[str, object]) -> str:
-    if not coeffs:
-        return "0"
-    parts = []
-    for var, c in coeffs.items():
-        if c == 1:
-            parts.append(var)
-        elif c == -1:
-            parts.append(f"- {var}" if parts else f"-{var}")
-            continue
-        else:
-            parts.append(f"{fmt_rat(c)} {var}")
-    return " + ".join(parts).replace("+ - ", "- ")
-
 
 def _check_finite(value, what: str) -> None:
     if is_inf(value):
@@ -130,108 +117,84 @@ def simplex_solve(model: LpModel) -> LpResult:
             neg_col_of[v] = ncols
             ncols += 1
 
-    rows: List[List] = []  # coefficient rows, rhs kept separately
-    rhs: List = []
+    tab: List[_Row] = []
     kinds: List[str] = []
     for con in model.constraints:
-        row = [ZERO] * ncols
+        cells = {}
         for var, c in con.coeffs.items():
-            row[col_of[var]] = row[col_of[var]] + c
+            cells[col_of[var]] = c
             if var in neg_col_of:
-                row[neg_col_of[var]] = row[neg_col_of[var]] - c
-        b = con.rhs
+                cells[neg_col_of[var]] = -c
+        row = _integer_row(cells, con.rhs)
         rel = con.relation
-        if b < 0:
-            row = [-x for x in row]
-            b = -b
+        if row.b < 0:
+            _negate(row)
             rel = {"<=": ">=", ">=": "<=", "==": "=="}[rel]
-        if rel == ">=" and b == 0:
-            row = [-x for x in row]
+        if rel == ">=" and row.b == 0:
+            _negate(row)
             rel = "<="
-        rows.append(row)
-        rhs.append(b)
+        tab.append(row)
         kinds.append(rel)
 
-    m = len(rows)
-    # slack / surplus columns
-    slack_col = ncols
-    for i, rel in enumerate(kinds):
-        if rel in ("<=", ">="):
-            ncols += 1
-    art_start = ncols
-    artificial_rows = [i for i, rel in enumerate(kinds) if rel in (">=", "==")]
-    ncols += len(artificial_rows)
-
-    tab: List[List] = []
-    basis: List[int] = [0] * m
-    c = slack_col
+    art_start = ncols + sum(rel != "==" for rel in kinds)
+    basis: List[int] = []
+    c = ncols
     a = art_start
-    for i in range(m):
-        row = rows[i] + [ZERO] * (ncols - len(rows[i]))
-        if kinds[i] == "<=":
-            row[c] = ONE
-            basis[i] = c
+    for row, rel in zip(tab, kinds):
+        if rel == "<=":
+            row.a[c] = row.d
+            basis.append(c)
             c += 1
-        elif kinds[i] == ">=":
-            row[c] = -ONE
-            c += 1
-            row[a] = ONE
-            basis[i] = a
-            a += 1
         else:
-            row[a] = ONE
-            basis[i] = a
+            if rel == ">=":
+                row.a[c] = -row.d
+                c += 1
+            row.a[a] = row.d
+            basis.append(a)
             a += 1
-        tab.append(row)
 
     # ---- phase I ----
-    if artificial_rows:
-        cost = [ZERO] * ncols
-        for j in range(art_start, ncols):
-            cost[j] = ONE
-        for i in range(m):
-            if basis[i] >= art_start:
-                row = tab[i]
-                cost = [cj - rj for cj, rj in zip(cost, row)]
-        status = _pivot_until_optimal(tab, rhs, basis, cost, ncols, banned_from=ncols)
+    if a > art_start:
+        cost = _Row({j: 1 for j in range(art_start, a)})
+        for row, col in zip(tab, basis):
+            if col >= art_start:
+                _eliminate(cost, row, col)
+        status = _pivot_until_optimal(tab, basis, cost)
         if status == UNBOUNDED:  # cannot happen for a bounded-below phase-I objective
             raise AssertionError("phase I unbounded")
-        phase1 = sum((rhs[i] for i in range(m) if basis[i] >= art_start), ZERO)
-        if phase1 != 0:
+        # The phase-I optimum is the sum of these rhs, all nonnegative.
+        if any(row.b for row, col in zip(tab, basis) if col >= art_start):
             return LpResult(INFEASIBLE)
-        _drive_out_artificials(tab, rhs, basis, art_start)
-        # Drop rows that stayed artificial-basic (redundant constraints).
-        keep = [i for i in range(m) if basis[i] < art_start]
+        _drive_out_artificials(tab, basis, art_start)
+        # Drop rows that stayed artificial-basic (redundant constraints), and
+        # the artificial columns, which never enter again.
+        keep = [i for i, col in enumerate(basis) if col < art_start]
         tab = [tab[i] for i in keep]
-        rhs = [rhs[i] for i in keep]
         basis = [basis[i] for i in keep]
-        m = len(keep)
+        for row in tab:
+            row.a = {j: x for j, x in row.a.items() if j < art_start}
 
     # ---- phase II ----
-    sign = ONE if model.sense == "min" else -ONE
-    cost = [ZERO] * ncols
+    sign = 1 if model.sense == "min" else -1
+    cells = {}
     for var, coef in model.objective.items():
-        cost[col_of[var]] = cost[col_of[var]] + sign * coef
+        cells[col_of[var]] = sign * coef
         if var in neg_col_of:
-            cost[neg_col_of[var]] = cost[neg_col_of[var]] - sign * coef
-    for i in range(m):
-        f = cost[basis[i]]
-        if f != 0:
-            row = tab[i]
-            cost = [cj - f * rj if rj else cj for cj, rj in zip(cost, row)]
-    status = _pivot_until_optimal(tab, rhs, basis, cost, art_start, banned_from=art_start)
-    if status == UNBOUNDED:
+            cells[neg_col_of[var]] = -sign * coef
+    cost = _integer_row(cells)
+    for row, col in zip(tab, basis):
+        if col in cost.a:
+            _eliminate(cost, row, col)
+    if _pivot_until_optimal(tab, basis, cost) == UNBOUNDED:
         return LpResult(UNBOUNDED)
 
+    vals = {col: Rat(row.b, row.d) for row, col in zip(tab, basis)}
     assignment = {}
-    vals = [ZERO] * ncols
-    for i in range(m):
-        vals[basis[i]] = rhs[i]
     objective_value = ZERO
     for var in model.variables:
-        x = vals[col_of[var]]
+        x = vals.get(col_of[var], ZERO)
         if var in neg_col_of:
-            x = x - vals[neg_col_of[var]]
+            x = x - vals.get(neg_col_of[var], ZERO)
         assignment[var] = x
         coef = model.objective.get(var)
         if coef is not None:
@@ -239,51 +202,101 @@ def simplex_solve(model: LpModel) -> LpResult:
     return LpResult(OPTIMAL, objective_value, assignment)
 
 
-def _pivot_until_optimal(tab, rhs, basis, cost, ncols, banned_from) -> str:
-    """Minimise the cost row.  Columns >= banned_from never enter.
+class _Row:
+    """A tableau row ``a / d`` with right-hand side ``b / d``: ``a`` maps the
+    columns of the nonzero cells to integer numerators, ``b`` is an integer
+    and ``d`` a positive integer.  The cost row leaves ``b`` at zero."""
+
+    __slots__ = ("a", "b", "d")
+
+    def __init__(self, a: Dict[int, int], b: int = 0, d: int = 1):
+        self.a = a
+        self.b = b
+        self.d = d
+
+
+def _integer_row(cells: Dict[int, object], rhs=ZERO) -> _Row:
+    """Rational cells and rhs scaled by the lcm of their denominators."""
+    d = lcm(int(rhs.denominator), *(int(x.denominator) for x in cells.values()))
+    return _Row(
+        {j: int(x.numerator) * (d // int(x.denominator)) for j, x in cells.items()},
+        int(rhs.numerator) * (d // int(rhs.denominator)),
+        d,
+    )
+
+
+def _negate(row: _Row) -> None:
+    row.a = {j: -x for j, x in row.a.items()}
+    row.b = -row.b
+
+
+def _reduce(row: _Row) -> None:
+    """Divide the row by the gcd of all its integers."""
+    g = gcd(row.d, row.b, *row.a.values())
+    if g != 1:
+        row.a = {j: x // g for j, x in row.a.items()}
+        row.b //= g
+        row.d //= g
+
+
+def _eliminate(row: _Row, prow: _Row, c: int) -> None:
+    """Subtract the multiple of ``prow`` that zeroes ``row`` at column c.
+
+    With f = row[c] and p = prow[c] > 0 (numerators), the new row is
+    ``row * p - f * prow`` over the denominator ``row.d * p``: only the
+    columns of ``prow`` change besides the common factor p.
+    """
+    f = row.a[c]
+    p = prow.a[c]
+    a = row.a if p == 1 else {j: x * p for j, x in row.a.items()}
+    for j, x in prow.a.items():
+        v = a.get(j, 0) - f * x
+        if v:
+            a[j] = v
+        else:
+            del a[j]
+    row.a = a
+    row.b = row.b * p - f * prow.b
+    row.d *= p
+    if row.d != 1:
+        _reduce(row)
+
+
+def _pivot_until_optimal(tab: List[_Row], basis: List[int], cost: _Row) -> str:
+    """Minimise the cost row over every column it holds.
 
     Pivots choose the most negative reduced cost (fast in practice) and fall
     back to Bland's least-index rule after a run of degenerate pivots, which
-    restores the termination guarantee without giving up determinism.
+    restores the termination guarantee without giving up determinism.  The
+    cost numerators share one positive denominator, so they compare as
+    integers; the ratio test compares ``b_i / a_i`` by cross-multiplying,
+    the row denominator cancelling.
     """
-    m = len(tab)
-    width = min(ncols, banned_from)
     stalled = 0
     bland = False
     while True:
-        enter = -1
-        if bland:
-            for j in range(width):
-                if cost[j] < 0:
-                    enter = j
-                    break
-        else:
-            best = ZERO
-            for j in range(width):
-                cj = cost[j]
-                if cj < best:
-                    best = cj
-                    enter = j
-        if enter < 0:
+        negative = [(x, j) for j, x in cost.a.items() if x < 0]
+        if not negative:
             return OPTIMAL
+        enter = min(j for _, j in negative) if bland else min(negative)[1]
         leave = -1
-        best_ratio = None
-        for i in range(m):
-            a = tab[i][enter]
+        best_b = best_a = 0
+        for i, row in enumerate(tab):
+            a = row.a.get(enter, 0)
             if a > 0:
-                ratio = rhs[i] / a
-                if (
-                    best_ratio is None
-                    or ratio < best_ratio
-                    or (ratio == best_ratio and basis[i] < basis[leave])
-                ):
-                    best_ratio = ratio
-                    leave = i
+                if leave >= 0:
+                    lhs = row.b * best_a
+                    rhs = best_b * a
+                    if lhs > rhs or (lhs == rhs and basis[i] > basis[leave]):
+                        continue
+                leave = i
+                best_b = row.b
+                best_a = a
         if leave < 0:
             return UNBOUNDED
-        _pivot(tab, rhs, basis, cost, leave, enter)
+        _pivot(tab, basis, cost, leave, enter)
         if not bland:
-            if best_ratio == 0:
+            if best_b == 0:
                 stalled += 1
                 if stalled > 40:
                     bland = True
@@ -291,34 +304,31 @@ def _pivot_until_optimal(tab, rhs, basis, cost, ncols, banned_from) -> str:
                 stalled = 0
 
 
-def _pivot(tab, rhs, basis, cost, r, c) -> None:
+def _pivot(tab: List[_Row], basis: List[int], cost: _Row, r: int, c: int) -> None:
+    """Make column c basic in row r: the pivot row takes its pivot numerator
+    (sign-fixed) as its denominator, and every other row holding column c,
+    the cost row included, eliminates it."""
     prow = tab[r]
-    piv = prow[c]
-    if piv != 1:
-        inv = 1 / piv
-        prow = [x * inv if x else x for x in prow]
-        tab[r] = prow
-        rhs[r] = rhs[r] * inv
-    br = rhs[r]
+    p = prow.a[c]
+    if p < 0:
+        _negate(prow)
+        p = -p
+    if prow.d != p:
+        prow.d = p
+        _reduce(prow)
     for i, row in enumerate(tab):
-        if i == r:
-            continue
-        f = row[c]
-        if f:
-            tab[i] = [x - f * p if p else x for x, p in zip(row, prow)]
-            rhs[i] = rhs[i] - f * br
-    f = cost[c]
-    if f:
-        cost[:] = [x - f * p if p else x for x, p in zip(cost, prow)]
+        if i != r and c in row.a:
+            _eliminate(row, prow, c)
+    if c in cost.a:
+        _eliminate(cost, prow, c)
     basis[r] = c
 
 
-def _drive_out_artificials(tab, rhs, basis, art_start) -> None:
-    m = len(tab)
-    for i in range(m):
+def _drive_out_artificials(tab: List[_Row], basis: List[int], art_start: int) -> None:
+    """Pivot each artificial-basic row on its least nonzero real column."""
+    no_cost = _Row({})
+    for i, row in enumerate(tab):
         if basis[i] >= art_start:
-            row = tab[i]
-            piv_col = next((j for j in range(art_start) if row[j] != 0), None)
-            if piv_col is not None:
-                dummy_cost = [ZERO] * len(row)
-                _pivot(tab, rhs, basis, dummy_cost, i, piv_col)
+            cols = [j for j in row.a if j < art_start]
+            if cols:
+                _pivot(tab, basis, no_cost, i, min(cols))

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from graphcover import cli, parse_instance
+from graphcover.oracle import OracleCapError
 
 
 def run_cli(capsys, *argv):
@@ -244,6 +245,35 @@ def test_batch_reports_dash_above_the_oracle_cap(tmp_path, capsys):
     row = report.read_text().splitlines()[1].split("\t")
     assert row[0] == "big.eds"
     assert row[4:] == ["-", "-", "pass"]
+
+
+def test_batch_reports_error_rows_and_goes_on(tmp_path, capsys, monkeypatch):
+    # The multicut instance trips an assertion in the deletion phase.  Its
+    # exhaustive oracle (19 edges) takes half a minute, so it is skipped as
+    # if over the cap; the row's optimum is then "-".
+    def over_cap(inst):
+        raise OracleCapError("skipped")
+
+    monkeypatch.setattr(cli, "brute_force_multicut", over_cap)
+    suite = tmp_path / "suite"
+    suite.mkdir()
+    cases = [
+        ("a_cut.tree", ["random-tree-multicut", "--n", "20", "--k", "8", "--seed", "7"]),
+        ("b_tree.eds", ["random-tree-eds", "--n", "7", "--seed", "1"]),
+    ]
+    for name, args in cases:
+        assert cli.run(["gen"] + args + ["-o", str(suite / name)]) == 0
+    report = tmp_path / "report.tsv"
+    certs = tmp_path / "certs"
+    code, _, err = run_cli(capsys, "batch", str(suite), "--report", str(report),
+                           "--certificates", str(certs))
+    assert code == 3
+    assert "internal check failed on a_cut.tree" in err
+    bad, good = (row.split("\t") for row in report.read_text().splitlines()[1:])
+    assert bad[0] == "a_cut.tree"
+    assert bad[1:] == ["-", "-", "-", "-", "-", "error"]
+    assert good[0] == "b_tree.eds" and good[-1] == "pass"
+    assert sorted(p.name for p in certs.iterdir()) == ["b_tree.eds.cert"]
 
 
 def test_batch_missing_directory(capsys, tmp_path):

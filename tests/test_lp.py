@@ -1,8 +1,11 @@
 """Exact simplex: optima, infeasibility, unboundedness, and model validation."""
 
 import random
+from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from graphcover import (
     INFEASIBLE,
@@ -13,6 +16,7 @@ from graphcover import (
     Rat,
     simplex_solve,
 )
+from graphcover import lp
 from graphcover.rationals import ZERO
 
 
@@ -148,3 +152,129 @@ def test_bad_relation_rejected():
     m.add_var("x")
     with pytest.raises(LpFormatError):
         m.add_constraint("c", {"x": Rat(1)}, ">", ZERO)
+
+
+# -- against exhaustive vertex enumeration ------------------------------------
+
+
+def _standard_form(model):
+    """``A y = b, y >= 0, minimise c.y``: a (+, -) column pair per free
+    variable, then one slack column per inequality row, all in Fraction."""
+    cols = [(v, 1) for v in model.variables]
+    cols += [(v, -1) for v in model.variables if not model.nonneg[v]]
+    slacks = [c for c in model.constraints if c.relation != "=="]
+    width = len(cols) + len(slacks)
+    a_rows, b = [], []
+    for con in model.constraints:
+        row = [s * Fraction(con.coeffs.get(v, 0)) for v, s in cols] + [Fraction(0)] * len(slacks)
+        if con.relation != "==":
+            row[len(cols) + slacks.index(con)] = Fraction(1 if con.relation == "<=" else -1)
+        a_rows.append(row)
+        b.append(Fraction(con.rhs))
+    sign = 1 if model.sense == "min" else -1
+    c = [sign * s * Fraction(model.objective.get(v, 0)) for v, s in cols]
+    return a_rows, b, c + [Fraction(0)] * len(slacks), width
+
+
+def _unique_solution(a_rows, b, cols):
+    """The unique y with ``A[:, cols] y = b``, or None."""
+    rows = [[row[j] for j in cols] + [bi] for row, bi in zip(a_rows, b)]
+    k = len(cols)
+    for j in range(k):
+        piv = next((i for i in range(j, len(rows)) if rows[i][j] != 0), None)
+        if piv is None:
+            return None
+        rows[j], rows[piv] = rows[piv], rows[j]
+        rows[j] = [x / rows[j][j] for x in rows[j]]
+        for i, row in enumerate(rows):
+            if i != j and row[j] != 0:
+                rows[i] = [x - row[j] * y for x, y in zip(row, rows[j])]
+    if any(row[k] != 0 for row in rows[k:]):
+        return None
+    return [row[k] for row in rows[:k]]
+
+
+def _basic_feasible_solutions(a_rows, b, width):
+    for k in range(min(len(a_rows), width) + 1):
+        for cols in combinations(range(width), k):
+            y = _unique_solution(a_rows, b, cols)
+            if y is not None and all(x >= 0 for x in y):
+                full = [Fraction(0)] * width
+                for j, x in zip(cols, y):
+                    full[j] = x
+                yield full
+
+
+def _vertex_enumeration(model):
+    """(status, optimal value) from every basic feasible solution, and from
+    every extreme ray ``d >= 0, A d = 0, sum d = 1`` for unboundedness."""
+    a_rows, b, c, width = _standard_form(model)
+    dot = lambda y: sum((ci * yi for ci, yi in zip(c, y)), Fraction(0))
+    values = [dot(y) for y in _basic_feasible_solutions(a_rows, b, width)]
+    if not values:
+        return INFEASIBLE, None
+    rays = _basic_feasible_solutions(
+        a_rows + [[Fraction(1)] * width], [Fraction(0)] * len(b) + [Fraction(1)], width
+    )
+    if any(dot(d) < 0 for d in rays):
+        return UNBOUNDED, None
+    return OPTIMAL, min(values) if model.sense == "min" else -min(values)
+
+
+_rationals = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(-3, 3).map(Fraction),
+    st.fractions(-3, 3, max_denominator=7),
+).map(lambda q: Rat(q.numerator, q.denominator))
+
+
+@st.composite
+def _small_models(draw):
+    """At most 3 variables (some free) and 5 rows of every relation; zero
+    and negative right-hand sides are common."""
+    nv = draw(st.integers(1, 3))
+    model = LpModel("prop", sense=draw(st.sampled_from(["min", "max"])))
+    for i in range(nv):
+        model.add_var(f"x{i}", nonneg=draw(st.booleans()), obj=draw(_rationals))
+    for j in range(draw(st.integers(1, 5))):
+        coeffs = {f"x{i}": draw(_rationals) for i in range(nv)}
+        relation = draw(st.sampled_from(["<=", ">=", "=="]))
+        model.add_constraint(f"c{j}", coeffs, relation, draw(st.one_of(st.just(ZERO), _rationals)))
+    return model
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(_small_models())
+def test_simplex_matches_vertex_enumeration(model):
+    res = simplex_solve(model)
+    status, value = _vertex_enumeration(model)
+    assert res.status == status
+    if status == OPTIMAL:
+        assert res.value == value
+        assert isinstance(res.value, Rat)
+        assert all(isinstance(x, Rat) for x in res.assignment.values())
+        _check_assignment(model, res)
+
+
+def test_beale_cycling_example_reaches_blands_rule(monkeypatch):
+    """Beale's example cycles under the most-negative-cost rule; after more
+    than 40 degenerate pivots in a row Bland's rule breaks the cycle."""
+    degenerate = []
+    pivot = lp._pivot
+
+    def counting(tab, basis, cost, r, c):
+        degenerate.append(tab[r].b == 0)
+        pivot(tab, basis, cost, r, c)
+
+    monkeypatch.setattr(lp, "_pivot", counting)
+    m = LpModel("beale")
+    for var, cost in zip("abcd", (Rat(-3, 4), Rat(20), Rat(-1, 2), Rat(6))):
+        m.add_var(var, obj=cost)
+    m.add_constraint("r1", {"a": Rat(1, 4), "b": Rat(-8), "c": Rat(-1), "d": Rat(9)}, "<=", ZERO)
+    m.add_constraint("r2", {"a": Rat(1, 2), "b": Rat(-12), "c": Rat(-1, 2), "d": Rat(3)}, "<=", ZERO)
+    m.add_constraint("r3", {"c": Rat(1)}, "<=", Rat(1))
+    res = simplex_solve(m)
+    assert (res.status, res.value) == (OPTIMAL, Rat(-5, 4)) == _vertex_enumeration(m)
+    assert degenerate[:41] == [True] * 41
+    assert len(degenerate) < 50
+    _check_assignment(m, res)
