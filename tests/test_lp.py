@@ -162,18 +162,20 @@ def _standard_form(model):
     variable, then one slack column per inequality row, all in Fraction."""
     cols = [(v, 1) for v in model.variables]
     cols += [(v, -1) for v in model.variables if not model.nonneg[v]]
-    slacks = [c for c in model.constraints if c.relation != "=="]
-    width = len(cols) + len(slacks)
+    width = len(cols) + sum(con.relation != "==" for con in model.constraints)
     a_rows, b = [], []
+    slack = len(cols)
     for con in model.constraints:
-        row = [s * Fraction(con.coeffs.get(v, 0)) for v, s in cols] + [Fraction(0)] * len(slacks)
+        row = [s * Fraction(con.coeffs.get(v, 0)) for v, s in cols]
+        row += [Fraction(0)] * (width - len(cols))
         if con.relation != "==":
-            row[len(cols) + slacks.index(con)] = Fraction(1 if con.relation == "<=" else -1)
+            row[slack] = Fraction(1 if con.relation == "<=" else -1)
+            slack += 1
         a_rows.append(row)
         b.append(Fraction(con.rhs))
     sign = 1 if model.sense == "min" else -1
     c = [sign * s * Fraction(model.objective.get(v, 0)) for v, s in cols]
-    return a_rows, b, c + [Fraction(0)] * len(slacks), width
+    return a_rows, b, c + [Fraction(0)] * (width - len(cols)), width
 
 
 def _unique_solution(a_rows, b, cols):
