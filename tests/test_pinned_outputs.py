@@ -64,6 +64,18 @@ GOLDEN_SOLVE = {
         "ef3a30eab4530d3688240e067c82e2c1eba74925fd77dcc6d230b4cf16309353",
         "eb6381d5359abe1718f5b4eed0a334d5852fb71209f231521999fe6c5a976153",
     ),
+    "random-tree-multicut --n 100 --k 25 --seed 0": (
+        "1434e2e0710f7f337eb6a44ee728c584472f3bca1fd715ec94bad06aef2ed650",
+        "00fc11d0b770278d18b77b69d6117282d2a25da50dcee178fb8287f8937ae702",
+    ),
+    "random-tree-multicut --n 100 --k 25 --seed 1": (
+        "bb97318f22fb2f7c23b6f0e2ae40d67bfa5dcc00f2109251b3e9f735f762d31f",
+        "c12946f36f4d83a18a4f483da3e1cd4238a34a406c234fbcfa308c772a29bdb1",
+    ),
+    "random-tree-multicut --n 100 --k 25 --seed 2": (
+        "2a476a4e4e984d26265150f45b5c74a054d6c5e6f8cff5cc4fd5a88076bd007d",
+        "2bd45e505e43c917d4dc3afd3c2537597de34ee125a2003675e18712024bceb4",
+    ),
 }
 
 
@@ -75,6 +87,24 @@ def test_solve_outputs_are_pinned(spec, tmp_path, capsys):
     assert cli.run(["solve", str(inst), "--certificate", str(cert)]) == 0
     got = (_sha(capsys.readouterr().out), _sha(cert.read_text()))
     assert got == GOLDEN_SOLVE[spec]
+
+
+# Multicut instances whose deletion phase trips one of its own assertions:
+# `solve` exits 3 with this line on stderr and prints nothing.
+FAILING_MULTICUT = {
+    "random-tree-multicut --n 20 --k 8 --seed 7":
+        "internal check failed: no pinned replacement edge at node 0 for 1\n",
+    "random-tree-multicut --n 40 --k 10 --seed 10":
+        "internal check failed: demand 3 left uncovered\n",
+}
+
+
+@pytest.mark.parametrize("spec", sorted(FAILING_MULTICUT))
+def test_failing_multicut_exits_3_with_its_message(spec, tmp_path, capsys):
+    inst = _gen(tmp_path, "inst", spec.split())
+    capsys.readouterr()
+    assert cli.run(["solve", str(inst)]) == 3
+    assert capsys.readouterr() == ("", FAILING_MULTICUT[spec])
 
 
 # sha256 of `verify` stdout and its exit code.  Seed 23 is an instance whose
