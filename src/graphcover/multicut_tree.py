@@ -13,6 +13,22 @@ bound objective <= 2 * (sum of dual values) certified in the output.
 All arithmetic is exact; each dual adjustment step is sized by a small
 rational LP (maximize the step, then minimize the total perturbation for
 determinism) over exactly the moves the relaxation rules allow.
+
+The increase phase keeps its state incrementally.  Every dual write goes
+through the setters of :class:`IncreaseState`, which keep the demands
+holding mass at each node, the running capacity sums, and the keys written
+since the last snapshot and since the last check.  A snapshot re-derives
+tightness only for the rows of written demands, saturation only at written
+edges and nodes, and bottleneck rows only where one of those changed; the
+non-relaxable pairs, the least fixed point of a monotone rule, come from a
+worklist of per-node pointers into the sorted holders.  Each step LP gets
+rows only for the moved demands and capacities, and each step checks
+exactly, with zero tolerance, the nonnegativity, capacity and support rows
+its writes touched; the end of the phase checks the whole dual from
+scratch, and the running sums and holders against it.  A step thus costs
+time in the paths of the demands it writes and the dual mass held, plus a
+flat copy of the classification sets, instead of a rescan of every demand
+and of every earlier demand's mass at each node.
 """
 
 from __future__ import annotations
@@ -105,79 +121,62 @@ def big_m_edges(inst0: MulticutInstance, mapping: Dict[int, int]) -> FrozenSet[i
 # increase-phase state
 
 
+class _Nonrelax:
+    """Membership test for the non-relaxable (node, demand) pairs.
+
+    (v, d) with v on d's path is non-relaxable when every demand processed
+    before d that holds dual mass at v is pinned there, i.e. when d comes no
+    later than the first unpinned holder at v.  ``limit[v]`` is that
+    holder's position; a node whose holders are all pinned has no entry."""
+
+    __slots__ = ("limit", "position", "node_set")
+
+    def __init__(self, position: Dict[int, int], node_set: List[FrozenSet[int]]):
+        self.limit: Dict[int, int] = {}
+        self.position = position
+        self.node_set = node_set
+
+    def __contains__(self, pair: Tuple[int, int]) -> bool:
+        v, d = pair
+        return v in self.node_set[d] and self.position[d] <= self.limit.get(
+            v, len(self.position)
+        )
+
+
+@dataclass(frozen=True)
 class _Snapshot:
-    """Classification of the current dual: which (edge, demand) rows are
-    tight, which capacities are saturated, which path-edge rows are fully
-    pinned ("bottleneck"), and which (node, demand) dual mass is immovable
-    ("non-relaxable" per the fixed-point rule)."""
+    """Classification of the dual at one moment: which (edge, demand) rows
+    are tight, which capacities are saturated, which path-edge rows are
+    fully pinned ("bottleneck"), and which (node, demand) dual mass is
+    immovable ("non-relaxable" per the fixed-point rule)."""
 
-    __slots__ = ("tight", "sat_edge", "sat_node", "bottleneck", "nonrelax",
-                 "nu_sum", "mu_sum")
+    tight: FrozenSet[Tuple[int, int]]
+    sat_edge: FrozenSet[int]
+    sat_node: FrozenSet[int]
+    bottleneck: FrozenSet[Tuple[int, int]]
+    nonrelax: _Nonrelax
 
-    def __init__(self, state: "IncreaseState"):
-        inst = state.instance
-        nu_sum: Dict[int, Rat] = {e: ZERO for e in inst.tree.edge_ids()}
-        mu_sum: Dict[int, Rat] = {v: ZERO for v in range(inst.tree.n)}
-        for (e, _), val in state.nu.items():
-            nu_sum[e] += val
-        for (v, _), val in state.mu.items():
-            mu_sum[v] += val
-        self.nu_sum = nu_sum
-        self.mu_sum = mu_sum
-        self.sat_edge = {e for e in nu_sum if nu_sum[e] == inst.edge_weight[e]}
-        self.sat_node = {v for v in mu_sum if mu_sum[v] == inst.node_weight[v]}
-        tight = set()
-        for d in range(len(inst.demands)):
-            for e in state.path_edges[d]:
-                lhs = (
-                    state.nu.get((e, d), ZERO)
-                    + state.mu.get((inst.tree.parent[e], d), ZERO)
-                    + state.mu.get((e, d), ZERO)
-                )
-                if lhs == state.xi.get(d, ZERO):
-                    tight.add((e, d))
-        self.tight = tight
-        self.bottleneck = {
-            (e, d)
-            for (e, d) in tight
-            if e in self.sat_edge
-            and inst.tree.parent[e] in self.sat_node
-            and e in self.sat_node
-        }
-        self.nonrelax = self._nonrelax_fixed_point(state)
 
-    def _nonrelax_fixed_point(self, state: "IncreaseState") -> Set[Tuple[int, int]]:
-        nonrelax: Set[Tuple[int, int]] = set()
-        pairs = [
-            (v, d)
-            for d in range(len(state.instance.demands))
-            for v in state.path_nodes[d]
-        ]
-        changed = True
-        while changed:
-            changed = False
-            for v, d in pairs:
-                if (v, d) in nonrelax:
-                    continue
-                blocked = True
-                for j in state.decrease_targets(d, v):
-                    if not any(
-                        (f, j) in self.bottleneck
-                        and (state.far_end(f, v), j) in nonrelax
-                        for f in state.edges_at[j].get(v, ())
-                    ):
-                        blocked = False
-                        break
-                if blocked:
-                    nonrelax.add((v, d))
-                    changed = True
-        return nonrelax
+def _toggle(items: Set, item, member: bool) -> bool:
+    """Make item's membership equal member; True when that changed it."""
+    if member == (item in items):
+        return False
+    if member:
+        items.add(item)
+    else:
+        items.discard(item)
+    return True
 
 
 class IncreaseState:
     """Mutable state of the increase phase on an all-infinite-penalty
     instance: the growing edge set F, sparse duals, the witness edge per
-    processed demand, and the processed list in processing order."""
+    processed demand, and the processed list in processing order.
+
+    Every dual write goes through :meth:`set_xi`, :meth:`set_nu` and
+    :meth:`set_mu`, which keep the holders of each node, the running
+    capacity sums, and the written keys that :meth:`snapshot` re-derives
+    and :meth:`check_step` checks."""
 
     def __init__(self, inst: MulticutInstance):
         if not isinstance(inst, MulticutInstance):
@@ -228,19 +227,85 @@ class IncreaseState:
         # first covered by a chased edge stay covered
         self.cascade_edge: Dict[Tuple[int, int], int] = {}
 
+        tree = inst.tree
+        # kept by the setters: node -> demands with mu > 0 there, and the
+        # running capacity sums
+        self.holders: Dict[int, Set[int]] = {}
+        self.nu_sum: Dict[int, Rat] = {e: ZERO for e in tree.edge_ids()}
+        self.mu_sum: Dict[int, Rat] = {v: ZERO for v in range(tree.n)}
+        # the classification, re-derived by snapshot() for dirty items only;
+        # a write to xi[j], nu[(e, j)] or mu[(v, j)] changes only j's rows
+        self._tight: Set[Tuple[int, int]] = set()
+        self._tight_at: Dict[int, Set[int]] = {e: set() for e in tree.edge_ids()}
+        self._sat_edge: Set[int] = set()
+        self._sat_node: Set[int] = set()
+        self._bottleneck: Set[Tuple[int, int]] = set()
+        self._dirty_demands: Set[int] = set(range(k))
+        self._dirty_edges: Set[int] = set(tree.edge_ids())
+        self._dirty_nodes: Set[int] = set(range(tree.n))
+        # keys written since the last check_step()
+        self._unchecked_xi: Set[int] = set()
+        self._unchecked_nu: Set[Tuple[int, int]] = set()
+        self._unchecked_mu: Set[Tuple[int, int]] = set()
+
+    # -- the only dual writers --------------------------------------------
+
+    def set_xi(self, d: int, val: Rat) -> None:
+        self.xi[d] = val
+        self._dirty_demands.add(d)
+        self._unchecked_xi.add(d)
+
+    def set_nu(self, key: Tuple[int, int], val: Rat) -> None:
+        """Write nu[key]; a zero value removes the entry."""
+        e, j = key
+        self.nu_sum[e] += val - self.nu.get(key, ZERO)
+        _store(self.nu, key, val)
+        self._dirty_demands.add(j)
+        self._dirty_edges.add(e)
+        self._unchecked_nu.add(key)
+
+    def set_mu(self, key: Tuple[int, int], val: Rat) -> None:
+        """Write mu[key]; a zero value removes the entry."""
+        v, j = key
+        self.mu_sum[v] += val - self.mu.get(key, ZERO)
+        _store(self.mu, key, val)
+        here = self.holders.setdefault(v, set())
+        _toggle(here, j, val > 0)
+        if not here:
+            del self.holders[v]
+        self._dirty_demands.add(j)
+        self._dirty_nodes.add(v)
+        self._unchecked_mu.add(key)
+
     # -- small helpers -----------------------------------------------------
 
     def far_end(self, e: int, v: int) -> int:
         upper = self.instance.tree.parent[e]
         return e if v == upper else upper
 
+    def support_lhs(self, e: int, j: int) -> Rat:
+        """nu + mu at both ends: the left side of j's support row at e."""
+        return (
+            self.nu.get((e, j), ZERO)
+            + self.mu.get((self.instance.tree.parent[e], j), ZERO)
+            + self.mu.get((e, j), ZERO)
+        )
+
     def decrease_targets(self, d: int, v: int) -> List[int]:
-        """Demands processed before d holding positive dual mass at v."""
-        p = self.position[d]
+        """Demands processed before d holding positive dual mass at v, in
+        processing order."""
+        p, pos = self.position[d], self.position
+        return sorted(
+            (j for j in self.holders.get(v, ()) if pos[j] < p), key=pos.__getitem__
+        )
+
+    def pinning_edges(self, snap: _Snapshot, j: int, v: int) -> List[int]:
+        """Bottleneck edges of j at v whose far end is non-relaxable for j:
+        they pin j's dual mass at v."""
         return [
-            j
-            for j in self.order[:p]
-            if self.mu.get((v, j), ZERO) > 0
+            f
+            for f in self.edges_at[j].get(v, ())
+            if (f, j) in snap.bottleneck and (self.far_end(f, v), j) in snap.nonrelax
         ]
 
     def uncovered(self) -> Optional[int]:
@@ -257,10 +322,106 @@ class IncreaseState:
             mu={key: v for key, v in sorted(self.mu.items()) if v > 0},
         )
 
+    # -- classification ----------------------------------------------------
+
     def snapshot(self) -> _Snapshot:
-        return _Snapshot(self)
+        """Classify the current dual, re-deriving only what the writes since
+        the last snapshot can have changed.  The result is immutable."""
+        inst = self.instance
+        tree = inst.tree
+        # edges whose own and both end capacities' saturation may have changed
+        recheck: Set[int] = set()
+        for e in self._dirty_edges:
+            if _toggle(self._sat_edge, e, self.nu_sum[e] == inst.edge_weight[e]):
+                recheck.add(e)
+        for v in self._dirty_nodes:
+            if _toggle(self._sat_node, v, self.mu_sum[v] == inst.node_weight[v]):
+                recheck.update(tree.incident(v))
+        for j in self._dirty_demands:
+            xi = self.xi.get(j, ZERO)
+            for e in self.path_edges[j]:
+                tight = self.support_lhs(e, j) == xi
+                if _toggle(self._tight, (e, j), tight):
+                    _toggle(self._tight_at[e], j, tight)
+                    _toggle(self._bottleneck, (e, j), tight and self._saturated_around(e))
+        for e in recheck:
+            rows = {(e, j) for j in self._tight_at[e]}
+            if self._saturated_around(e):
+                self._bottleneck |= rows
+            else:
+                self._bottleneck -= rows
+        self._dirty_demands.clear()
+        self._dirty_edges.clear()
+        self._dirty_nodes.clear()
+
+        snap = _Snapshot(
+            frozenset(self._tight),
+            frozenset(self._sat_edge),
+            frozenset(self._sat_node),
+            frozenset(self._bottleneck),
+            _Nonrelax(self.position, self.node_set),
+        )
+        self._settle_nonrelax(snap)
+        return snap
+
+    def _saturated_around(self, e: int) -> bool:
+        upper = self.instance.tree.parent[e]
+        return e in self._sat_edge and upper in self._sat_node and e in self._sat_node
+
+    def _settle_nonrelax(self, snap: _Snapshot) -> None:
+        """Least fixed point of the non-relaxable rule.  Whether holder j is
+        pinned at v depends only on the pairs (u, j) at v's neighbours u, so
+        each node's first-unpinned-holder pointer only moves forward, and a
+        node is revisited only when a neighbour's pointer moved."""
+        tree, pos = self.instance.tree, self.position
+        limit = snap.nonrelax.limit
+        seqs = {v: sorted(hs, key=pos.__getitem__) for v, hs in self.holders.items()}
+        first = dict.fromkeys(seqs, 0)
+        for v, seq in seqs.items():
+            limit[v] = pos[seq[0]]
+        queue = sorted(seqs)
+        while queue:
+            v = queue.pop()
+            seq, i = seqs[v], first[v]
+            while i < len(seq) and self.pinning_edges(snap, seq[i], v):
+                i += 1
+            if i == first[v]:
+                continue
+            first[v] = i
+            if i < len(seq):
+                limit[v] = pos[seq[i]]
+            else:
+                del limit[v]
+            near = tree.children[v] + ((tree.parent[v],) if v != tree.root else ())
+            queue.extend(u for u in near if u in limit)
+
+    # -- feasibility checks ------------------------------------------------
+
+    def check_step(self) -> None:
+        """Exact check of every nonnegativity, capacity and support row
+        whose inputs were written since the last check."""
+        inst = self.instance
+        rows = {(e, j) for j in self._unchecked_xi for e in self.path_edges[j]}
+        for key in self._unchecked_nu:
+            e = key[0]
+            assert self.nu.get(key, ZERO) >= 0
+            assert self.nu_sum[e] <= inst.edge_weight[e], f"edge capacity violated at {e}"
+            rows.add(key)
+        for v, j in self._unchecked_mu:
+            assert self.mu.get((v, j), ZERO) >= 0
+            assert self.mu_sum[v] <= inst.node_weight[v], f"node capacity violated at {v}"
+            rows.update((f, j) for f in self.edges_at[j].get(v, ()))
+        for e, j in rows:
+            assert self.xi.get(j, ZERO) <= self.support_lhs(e, j), (
+                f"support row violated ({e},{j})"
+            )
+        self._unchecked_xi.clear()
+        self._unchecked_nu.clear()
+        self._unchecked_mu.clear()
 
     def assert_feasible(self) -> None:
+        """From-scratch check of the whole dual, and of the running sums and
+        holder index against it."""
         inst = self.instance
         snap_nu: Dict[int, Rat] = {}
         for (e, _), val in self.nu.items():
@@ -269,19 +430,29 @@ class IncreaseState:
         for e, tot in snap_nu.items():
             assert tot <= inst.edge_weight[e], f"edge capacity violated at {e}"
         snap_mu: Dict[int, Rat] = {}
-        for (v, _), val in self.mu.items():
+        holders: Dict[int, Set[int]] = {}
+        for (v, j), val in self.mu.items():
             assert val >= 0
             snap_mu[v] = snap_mu.get(v, ZERO) + val
+            if val > 0:
+                holders.setdefault(v, set()).add(j)
         for v, tot in snap_mu.items():
             assert tot <= inst.node_weight[v], f"node capacity violated at {v}"
         for d in range(len(inst.demands)):
             for e in self.path_edges[d]:
-                lhs = (
-                    self.nu.get((e, d), ZERO)
-                    + self.mu.get((inst.tree.parent[e], d), ZERO)
-                    + self.mu.get((e, d), ZERO)
+                assert self.xi.get(d, ZERO) <= self.support_lhs(e, d), (
+                    f"support row violated ({e},{d})"
                 )
-                assert self.xi.get(d, ZERO) <= lhs, f"support row violated ({e},{d})"
+        assert all(tot == snap_nu.get(e, ZERO) for e, tot in self.nu_sum.items())
+        assert all(tot == snap_mu.get(v, ZERO) for v, tot in self.mu_sum.items())
+        assert holders == self.holders
+
+
+def _store(table: Dict, key, val: Rat) -> None:
+    if val:
+        table[key] = val
+    else:
+        table.pop(key, None)
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +461,8 @@ class IncreaseState:
 
 def _minimize_nu(state: IncreaseState) -> None:
     """Lower every nu value to the least amount its support row needs."""
-    for e, d in sorted(state.nu, reverse=True):
+    for key in sorted(state.nu, reverse=True):
+        e, d = key
         upper = state.instance.tree.parent[e]
         needed = (
             state.xi.get(d, ZERO)
@@ -299,11 +471,9 @@ def _minimize_nu(state: IncreaseState) -> None:
         )
         if needed < 0:
             needed = ZERO
-        assert needed <= state.nu[(e, d)]
-        if needed > 0:
-            state.nu[(e, d)] = needed
-        else:
-            del state.nu[(e, d)]
+        assert needed <= state.nu[key]
+        if needed != state.nu[key]:
+            state.set_nu(key, needed)
 
 
 def _select_cover(
@@ -346,21 +516,12 @@ def _sanction_moves(
     inc_mu: Set[Tuple[int, int]] = set()
     visited: Set[Tuple[int, int]] = set()
 
-    def dec_allowed(v: int, j: int) -> bool:
-        return all(
-            not (
-                (f, j) in snap.bottleneck
-                and (state.far_end(f, v), j) in snap.nonrelax
-            )
-            for f in state.edges_at[j].get(v, ())
-        )
-
     def expand(v: int, m: int) -> None:
         if (v, m) in visited:
             return
         visited.add((v, m))
         for j in state.decrease_targets(m, v):
-            if not dec_allowed(v, j) or (v, j) in dec:
+            if state.pinning_edges(snap, j, v) or (v, j) in dec:
                 continue
             dec.add((v, j))
             for f in state.edges_at[j].get(v, ()):
@@ -386,7 +547,6 @@ def _step_lp(
     U: List[int],
     R: List[int],
     moves: Tuple[Set[Tuple[int, int]], Set[Tuple[int, int]], Set[Tuple[int, int]]],
-    snap: _Snapshot,
 ) -> Rat:
     """Largest feasible simultaneous step, then the least total
     perturbation achieving it; applies the update and returns the step."""
@@ -406,68 +566,74 @@ def _step_lp(
     for key in dec:
         model.add_var(dm_names[key])
 
-    def nu_delta(e: int, j: int) -> Dict[str, Rat]:
-        out: Dict[str, Rat] = {}
+    # coefficients are small integers until add_constraint makes them Rat
+    def nu_delta(e: int, j: int) -> Dict[str, int]:
+        out: Dict[str, int] = {}
         if j == d and e in H:
-            out["eps"] = out.get("eps", ZERO) + ONE
+            out["eps"] = 1
         if (e, j) in dn_names:
-            out[dn_names[(e, j)]] = ONE
+            out[dn_names[(e, j)]] = 1
         return out
 
-    def mu_delta(v: int, j: int) -> Dict[str, Rat]:
-        out: Dict[str, Rat] = {}
+    def mu_delta(v: int, j: int) -> Dict[str, int]:
+        out: Dict[str, int] = {}
         if j == d and v in raised:
-            out["eps"] = out.get("eps", ZERO) + ONE
+            out["eps"] = 1
         if (v, j) in dp_names:
-            out[dp_names[(v, j)]] = out.get(dp_names[(v, j)], ZERO) + ONE
+            out[dp_names[(v, j)]] = 1
         if (v, j) in dm_names:
-            out[dm_names[(v, j)]] = out.get(dm_names[(v, j)], ZERO) - ONE
+            out[dm_names[(v, j)]] = -1
         return out
 
-    def merge(target: Dict[str, Rat], part: Dict[str, Rat], scale: Rat) -> None:
+    def merge(target: Dict[str, int], part: Dict[str, int]) -> None:
         for name, coeff in part.items():
-            target[name] = target.get(name, ZERO) + scale * coeff
+            target[name] = target.get(name, 0) + coeff
 
+    # Only d and the demands named by a move have nonzero rows, and only the
+    # edges and nodes they raise or lower have nonzero capacity rows; all
+    # other rows would be empty and are skipped, so the model is unchanged.
+    moved = [inc_nu, inc_mu, dec]
     # support rows: current slack + change(nu + mu_upper + mu_lower - xi) >= 0
-    for j in range(len(inst.demands)):
+    for j in sorted({d}.union(*({key[1] for key in m} for m in moved))):
         for e in state.path_edges[j]:
             upper = inst.tree.parent[e]
-            coeffs: Dict[str, Rat] = {}
-            merge(coeffs, nu_delta(e, j), ONE)
-            merge(coeffs, mu_delta(upper, j), ONE)
-            merge(coeffs, mu_delta(e, j), ONE)
+            coeffs: Dict[str, int] = {}
+            merge(coeffs, nu_delta(e, j))
+            merge(coeffs, mu_delta(upper, j))
+            merge(coeffs, mu_delta(e, j))
             if j == d:
-                coeffs["eps"] = coeffs.get("eps", ZERO) - ONE
+                coeffs["eps"] = coeffs.get("eps", 0) - 1
             coeffs = {n: c for n, c in coeffs.items() if c != 0}
             if not coeffs:
                 continue
-            slack = (
-                state.nu.get((e, j), ZERO)
-                + state.mu.get((upper, j), ZERO)
-                + state.mu.get((e, j), ZERO)
-                - state.xi.get(j, ZERO)
-            )
+            slack = state.support_lhs(e, j) - state.xi.get(j, ZERO)
             model.add_constraint(f"support_e{e}_d{j}", coeffs, ">=", -slack)
     # capacity rows
-    for e in inst.tree.edge_ids():
+    edge_rows: Dict[int, Set[int]] = {e: {d} for e in H}
+    for e, j in inc_nu:
+        edge_rows.setdefault(e, set()).add(j)
+    for e in sorted(edge_rows):
         coeffs = {}
-        for j in range(len(inst.demands)):
+        for j in sorted(edge_rows[e]):
             if e in state.edge_set[j]:
-                merge(coeffs, nu_delta(e, j), ONE)
+                merge(coeffs, nu_delta(e, j))
         coeffs = {n: c for n, c in coeffs.items() if c != 0}
         if coeffs:
             model.add_constraint(
-                f"edgecap_e{e}", coeffs, "<=", inst.edge_weight[e] - snap.nu_sum[e]
+                f"edgecap_e{e}", coeffs, "<=", inst.edge_weight[e] - state.nu_sum[e]
             )
-    for v in range(inst.tree.n):
+    node_rows: Dict[int, Set[int]] = {v: {d} for v in raised}
+    for v, j in inc_mu + dec:
+        node_rows.setdefault(v, set()).add(j)
+    for v in sorted(node_rows):
         coeffs = {}
-        for j in range(len(inst.demands)):
+        for j in sorted(node_rows[v]):
             if v in state.node_set[j]:
-                merge(coeffs, mu_delta(v, j), ONE)
+                merge(coeffs, mu_delta(v, j))
         coeffs = {n: c for n, c in coeffs.items() if c != 0}
         if coeffs:
             model.add_constraint(
-                f"nodecap_v{v}", coeffs, "<=", inst.node_weight[v] - snap.mu_sum[v]
+                f"nodecap_v{v}", coeffs, "<=", inst.node_weight[v] - state.mu_sum[v]
             )
     for key in dec:
         model.add_constraint(
@@ -490,29 +656,25 @@ def _step_lp(
     second = simplex_solve(refine)
     assert second.status == OPTIMAL
 
-    state.xi[d] = state.xi.get(d, ZERO) + eps
+    nu, mu = state.nu, state.mu
+    state.set_xi(d, state.xi.get(d, ZERO) + eps)
     for e in H:
-        state.nu[(e, d)] = state.nu.get((e, d), ZERO) + eps
+        state.set_nu((e, d), nu.get((e, d), ZERO) + eps)
     for v in raised:
-        state.mu[(v, d)] = state.mu.get((v, d), ZERO) + eps
+        state.set_mu((v, d), mu.get((v, d), ZERO) + eps)
     for key in inc_nu:
         val = second[dn_names[key]]
         if val > 0:
-            state.nu[key] = state.nu.get(key, ZERO) + val
+            state.set_nu(key, nu.get(key, ZERO) + val)
     for key in inc_mu:
         val = second[dp_names[key]]
         if val > 0:
-            state.mu[key] = state.mu.get(key, ZERO) + val
+            state.set_mu(key, mu.get(key, ZERO) + val)
     for key in dec:
         val = second[dm_names[key]]
         if val > 0:
-            left = state.mu[key] - val
-            if left > 0:
-                state.mu[key] = left
-            else:
-                assert left == 0
-                del state.mu[key]
-    state.assert_feasible()
+            state.set_mu(key, mu[key] - val)
+    state.check_step()
     return eps
 
 
@@ -529,12 +691,7 @@ def _fact5_additions(state: IncreaseState, wit: int, d: int, snap: _Snapshot) ->
             if g in state.edge_set[j]:
                 state.cascade_edge.setdefault((j, v), g)
                 continue
-            cands = [
-                f
-                for f in state.edges_at[j].get(v, ())
-                if (f, j) in snap.bottleneck
-                and (state.far_end(f, v), j) in snap.nonrelax
-            ]
+            cands = state.pinning_edges(snap, j, v)
             assert cands, "immovable mass must be pinned by a bottleneck edge"
             f = min(cands)
             state.cascade_edge.setdefault((j, v), f)
@@ -566,7 +723,7 @@ def increase_iteration(state: IncreaseState, i: int) -> IncreaseState:
             break
         H, U, R = _select_cover(state, i, snap)
         moves = _sanction_moves(state, i, R, snap)
-        eps = _step_lp(state, i, H, U, R, moves, snap)
+        eps = _step_lp(state, i, H, U, R, moves)
         assert eps > 0, "no progress without a terminal bottleneck"
         steps += 1
         assert steps <= cap, (
@@ -688,13 +845,7 @@ def deletion_phase(state: IncreaseState) -> FrozenSet[int]:
         ]
         assert len(maximal) <= 2, f"more than two maximal charged nodes for {d}"
         for v in sorted(maximal):
-            cands = [
-                f
-                for f in state.edges_at[d].get(v, ())
-                if f in state.F
-                and (f, d) in snap.bottleneck
-                and (state.far_end(f, v), d) in snap.nonrelax
-            ]
+            cands = [f for f in state.pinning_edges(snap, d, v) if f in state.F]
             assert cands, f"no pinned replacement edge at node {v} for {d}"
             # demands still to be handled that hold dual mass here will be
             # served by their own chased edge; aligning on it now avoids
@@ -761,6 +912,8 @@ def verify_multicut(
         )
     )
     feasible = ok_domain
+    nu_sum: Dict[int, Rat] = {}
+    mu_sum: Dict[int, Rat] = {}
     if ok_domain:
         for i in range(k):
             for e in paths[i]:
@@ -771,10 +924,8 @@ def verify_multicut(
                 )
                 if dual.xi.get(i, ZERO) > lhs:
                     feasible = False
-        nu_sum: Dict[int, Rat] = {}
         for (e, _), val in dual.nu.items():
             nu_sum[e] = nu_sum.get(e, ZERO) + val
-        mu_sum: Dict[int, Rat] = {}
         for (v, _), val in dual.mu.items():
             mu_sum[v] = mu_sum.get(v, ZERO) + val
         if any(tot > inst.edge_weight[e] for e, tot in nu_sum.items()):
@@ -794,18 +945,13 @@ def verify_multicut(
         "within-twice-dual", cost <= 2 * total, f"cost {cost}, dual total {total}"
     )
 
-    saturated = True
-    if ok_domain:
-        for e in chosen:
-            got = sum((dual.nu.get((e, i), ZERO) for i in range(k)), ZERO)
-            if got != inst.edge_weight[e]:
-                saturated = False
-        for v in touched:
-            got = sum((dual.mu.get((v, i), ZERO) for i in range(k)), ZERO)
-            if got != inst.node_weight[v]:
-                saturated = False
-    else:
-        saturated = False
+    # with the domain checked, every dual key names a demand in range(k),
+    # so the sums are the totals over all demands
+    saturated = (
+        ok_domain
+        and all(nu_sum.get(e, ZERO) == inst.edge_weight[e] for e in chosen)
+        and all(mu_sum.get(v, ZERO) == inst.node_weight[v] for v in touched)
+    )
     report.add("kept-capacities-saturated", saturated)
     return report
 

@@ -3,11 +3,12 @@
 These enumerate every candidate solution and are the ground truth the fast
 solvers and relaxations are tested against.  All of them refuse instances
 above a size cap, break objective ties by the lexicographically smallest
-chosen index tuple, and use exact rational arithmetic throughout.
+chosen index tuple, and use exact arithmetic throughout.
 """
 
 from __future__ import annotations
 
+from math import lcm
 from typing import Tuple, Union
 
 from .instances import (
@@ -137,47 +138,71 @@ def brute_force_eds(inst: EdsInstance, cap: int = DEFAULT_CAP) -> Solution:
 
 
 def brute_force_multicut(inst: MulticutInstance, cap: int = DEFAULT_CAP) -> Solution:
-    """Minimize w(F) + w(V(F)) + sum of penalties of demands not cut by F."""
-    edges = sorted(inst.tree.edge_ids())
-    _check_cap(len(edges), cap, "edges")
-    m = len(edges)
-    pos = {e: i for i, e in enumerate(edges)}
-    node_mask = [0] * m
-    for e in edges:
-        u, v = inst.tree.ends(e)
-        node_mask[pos[e]] |= (1 << u) | (1 << v)
-    ew = [inst.edge_weight[e] for e in edges]
-    nw = [inst.node_weight[v] for v in range(inst.tree.n)]
-    path_mask = []
-    for i in range(len(inst.demands)):
-        path_mask.append(sum(1 << pos[e] for e in inst.path_edges(i)))
-    pens = [d.penalty for d in inst.demands]
+    """Minimize w(F) + w(V(F)) + sum of penalties of demands not cut by F.
 
-    best_key = None
-    for fmask in range(1 << m):
-        nodes = 0
-        cost = ZERO
-        for i in _bits(fmask):
-            nodes |= node_mask[i]
-            cost += ew[i]
-        skip = False
-        extra = ZERO
-        for pm, p in zip(path_mask, pens):
-            if not (fmask & pm):
-                if is_inf(p):
-                    skip = True  # cutting everything is finite, so skip
-                    break
-                extra += p
-        if skip:
-            continue
-        cost += extra
-        for v in _bits(nodes):
-            cost += nw[v]
-        key = (cost, tuple(edges[i] for i in _bits(fmask)))
-        if best_key is None or key < best_key:
-            best_key = key
-    assert best_key is not None
-    return multicut_solution(inst, best_key[1])
+    Weights and finite penalties are scaled once to integers over their
+    common denominator.  The edge subsets are then walked in Gray-code
+    order, so each step adds or removes one edge and updates the running
+    cost, the per-node chosen-edge counts and the per-demand cut counts in
+    integers; memory stays linear in the instance.
+    """
+    tree = inst.tree
+    edges = sorted(tree.edge_ids())
+    _check_cap(len(edges), cap, "edges")
+    m, k = len(edges), len(inst.demands)
+    finite = [d.penalty for d in inst.demands if not is_inf(d.penalty)]
+    values = [inst.edge_weight[e] for e in edges] + finite
+    values += [inst.node_weight[v] for v in range(tree.n)]
+    scale = lcm(*(int(x.denominator) for x in values))
+
+    def scaled(x) -> int:
+        return int(x.numerator) * (scale // int(x.denominator))
+
+    ew = [scaled(inst.edge_weight[e]) for e in edges]
+    nw = [scaled(inst.node_weight[v]) for v in range(tree.n)]
+    pen = [None if is_inf(d.penalty) else scaled(d.penalty) for d in inst.demands]
+    pos = {e: i for i, e in enumerate(edges)}
+    through = [[] for _ in range(m)]  # demands whose path holds edge i
+    for j in range(k):
+        for e in inst.path_edges(j):
+            through[pos[e]].append(j)
+
+    fmask = 0
+    edge_cost = node_cost = 0
+    paid = sum(p for p in pen if p is not None)  # penalties of uncut demands
+    blocked = k - len(finite)  # uncut demands with infinite penalty
+    chosen_at = [0] * tree.n
+    cuts = [0] * k
+    best_cost, best_mask = None, 0
+    for step in range(1 << m):
+        if step:
+            i = (step & -step).bit_length() - 1
+            fmask ^= 1 << i
+            added = (fmask >> i) & 1
+            sign = 1 if added else -1
+            edge_cost += sign * ew[i]
+            # a count reaching 1 on an add, or 0 on a removal, flips a node
+            # into or out of V(F) and a demand between cut and uncut
+            for v in tree.ends(edges[i]):
+                chosen_at[v] += sign
+                if chosen_at[v] == added:
+                    node_cost += sign * nw[v]
+            for j in through[i]:
+                cuts[j] += sign
+                if cuts[j] == added:
+                    if pen[j] is None:
+                        blocked -= sign
+                    else:
+                        paid -= sign * pen[j]
+        if blocked:
+            continue  # cutting everything is finite, so skip
+        cost = edge_cost + node_cost + paid
+        if best_cost is None or cost < best_cost or (
+            cost == best_cost and list(_bits(fmask)) < list(_bits(best_mask))
+        ):
+            best_cost, best_mask = cost, fmask
+    assert best_cost is not None
+    return multicut_solution(inst, tuple(edges[i] for i in _bits(best_mask)))
 
 
 def brute_force_cover(

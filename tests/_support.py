@@ -1,6 +1,8 @@
 """Small builders shared across test modules."""
 
-from graphcover import Demand, EdsInstance, MulticutInstance, Rat, RootedTree
+from hypothesis import strategies as st
+
+from graphcover import INF, Demand, EdsInstance, MulticutInstance, Rat, RootedTree
 from graphcover.rationals import ZERO
 
 
@@ -23,4 +25,28 @@ def star_multicut(w1, w2, penalty):
         {v: ZERO for v in range(3)},
         {1: Rat(w1), 2: Rat(w2)},
         [Demand(1, 2, penalty)],
+    )
+
+
+_weights = st.builds(Rat, st.integers(0, 6), st.sampled_from([1, 1, 2, 3]))
+
+
+@st.composite
+def small_multicuts(draw, max_nodes):
+    """Random multicut trees with zero and fractional weights, up to five
+    demands, each with an infinite or a finite (possibly zero) penalty."""
+    n = draw(st.integers(2, max_nodes))
+    parent = [0] + [draw(st.integers(0, v - 1)) for v in range(1, n)]
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+        lambda p: p[0] != p[1]
+    )
+    demands = [
+        Demand(s, t, draw(st.one_of(st.just(INF), _weights)))
+        for s, t in draw(st.lists(pairs, min_size=1, max_size=5))
+    ]
+    return MulticutInstance(
+        RootedTree(parent, 0),
+        {v: draw(_weights) for v in range(n)},
+        {v: draw(_weights) for v in range(1, n)},
+        demands,
     )

@@ -1,5 +1,8 @@
 """Primal-dual tree multicut: reduction gadgets, frozen runs, verification."""
 
+import pytest
+from hypothesis import given, settings
+
 from graphcover import (
     INF,
     Demand,
@@ -16,10 +19,11 @@ from graphcover import (
     solve_multicut_tree,
     verify_multicut,
 )
+from graphcover import multicut_tree
 from graphcover.multicut_tree import IncreaseState, big_m_edges, run_increase_phase
 from graphcover.rationals import ZERO
 
-from _support import star_multicut
+from _support import small_multicuts, star_multicut
 
 
 # -- penalty compilation ----------------------------------------------------
@@ -118,6 +122,137 @@ def test_deletion_keeps_single_witness():
     state = run_increase_phase(IncreaseState(inst0))
     kept = deletion_phase(state)
     assert kept == frozenset({state.witness[0]})
+
+
+# -- incremental increase-phase state ----------------------------------------
+
+
+def _reference_classification(state):
+    """The classification rebuilt from scratch: tight rows, saturated
+    capacities, bottleneck rows, and the non-relaxable pairs by repeated
+    sweeps with targets found by scanning every earlier demand."""
+    inst = state.instance
+    parent = inst.tree.parent
+    k = len(inst.demands)
+    nu_sum = {e: ZERO for e in inst.tree.edge_ids()}
+    mu_sum = {v: ZERO for v in range(inst.tree.n)}
+    for (e, _), val in state.nu.items():
+        nu_sum[e] += val
+    for (v, _), val in state.mu.items():
+        mu_sum[v] += val
+    sat_edge = {e for e in nu_sum if nu_sum[e] == inst.edge_weight[e]}
+    sat_node = {v for v in mu_sum if mu_sum[v] == inst.node_weight[v]}
+    tight = set()
+    for d in range(k):
+        for e in state.path_edges[d]:
+            lhs = (
+                state.nu.get((e, d), ZERO)
+                + state.mu.get((parent[e], d), ZERO)
+                + state.mu.get((e, d), ZERO)
+            )
+            if lhs == state.xi.get(d, ZERO):
+                tight.add((e, d))
+    bottleneck = {
+        (e, d)
+        for (e, d) in tight
+        if e in sat_edge and parent[e] in sat_node and e in sat_node
+    }
+
+    def targets(d, v):
+        earlier = state.order[: state.position[d]]
+        return [j for j in earlier if state.mu.get((v, j), ZERO) > 0]
+
+    nonrelax = set()
+    pairs = [(v, d) for d in range(k) for v in state.path_nodes[d]]
+    changed = True
+    while changed:
+        changed = False
+        for v, d in pairs:
+            if (v, d) in nonrelax:
+                continue
+            if all(
+                any(
+                    (f, j) in bottleneck and (state.far_end(f, v), j) in nonrelax
+                    for f in state.edges_at[j].get(v, ())
+                )
+                for j in targets(d, v)
+            ):
+                nonrelax.add((v, d))
+                changed = True
+    return tight, sat_edge, sat_node, bottleneck, nonrelax
+
+
+def _classification(state, snap):
+    pairs = [(v, d) for d in range(len(state.path_nodes)) for v in state.path_nodes[d]]
+    nonrelax = {pair for pair in pairs if pair in snap.nonrelax}
+    return snap.tight, snap.sat_edge, snap.sat_node, snap.bottleneck, nonrelax
+
+
+@settings(max_examples=120, deadline=None, database=None)
+@given(small_multicuts(max_nodes=9))
+def test_incremental_snapshot_matches_reference(inst):
+    inst0, _ = reduce_prize_collecting(inst)
+    state = IncreaseState(inst0)
+    taken = []
+    real = IncreaseState.snapshot
+
+    def checked(self):
+        snap = real(self)
+        ref = _reference_classification(self)
+        assert _classification(self, snap) == ref
+        taken.append((snap, ref))
+        return snap
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(IncreaseState, "snapshot", checked)
+        run_increase_phase(state)
+        state.snapshot()
+    assert len(taken) > 1
+    # later writes leave every earlier snapshot as it was
+    for snap, ref in taken:
+        assert _classification(state, snap) == ref
+
+
+def _run_with_overfull_edge(mp, at_step):
+    """Run the increase phase, pushing one nu write of step ``at_step`` past
+    its edge's capacity.  Returns the step the AssertionError escaped from
+    (None when no step was running) and its message."""
+    inst0, _ = reduce_prize_collecting(
+        gen_instance("random-tree-multicut", n=20, k=6, seed=1)
+    )
+    state = IncreaseState(inst0)
+    calls = {"started": 0, "returned": 0, "corrupted": False}
+    real_step, real_set_nu = multicut_tree._step_lp, IncreaseState.set_nu
+
+    def step(*args):
+        calls["started"] += 1
+        eps = real_step(*args)
+        calls["returned"] += 1
+        return eps
+
+    def set_nu(self, key, val):
+        if calls["started"] == at_step > calls["returned"] and not calls["corrupted"]:
+            val += self.instance.edge_weight[key[0]] + 1
+            calls["corrupted"] = True
+        real_set_nu(self, key, val)
+
+    mp.setattr(multicut_tree, "_step_lp", step)
+    mp.setattr(IncreaseState, "set_nu", set_nu)
+    with pytest.raises(AssertionError) as caught:
+        run_increase_phase(state)
+    assert calls["corrupted"]
+    running = calls["started"] if calls["started"] > calls["returned"] else None
+    return running, str(caught.value)
+
+
+def test_corrupted_write_caught_at_its_own_step(monkeypatch):
+    step, message = _run_with_overfull_edge(monkeypatch, at_step=3)
+    assert step == 3 and message.startswith("edge capacity violated at")
+    # without the per-step check only the from-scratch check at the end of
+    # the phase sees the fault
+    monkeypatch.setattr(IncreaseState, "check_step", lambda self: None)
+    step, message = _run_with_overfull_edge(monkeypatch, at_step=3)
+    assert step is None and message.startswith("edge capacity violated at")
 
 
 # -- verification -----------------------------------------------------------

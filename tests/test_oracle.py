@@ -1,6 +1,7 @@
 """Brute-force ground-truth solvers: frozen optima, caps, and invariances."""
 
 import pytest
+from hypothesis import given, settings
 
 from graphcover import (
     INF,
@@ -19,10 +20,11 @@ from graphcover import (
     gen_instance,
     is_inf,
 )
-from graphcover.instances import FacilityLocationInstance
+from graphcover.instances import FacilityLocationInstance, multicut_solution
+from graphcover.oracle import _bits
 from graphcover.rationals import ZERO
 
-from _support import star_multicut, two_leaf_star
+from _support import small_multicuts, star_multicut, two_leaf_star
 
 
 # -- edge domination --------------------------------------------------------
@@ -100,6 +102,54 @@ def test_multicut_respects_cap():
     inst = gen_instance("random-tree-multicut", n=22, k=2, seed=0)
     with pytest.raises(OracleCapError):
         brute_force_multicut(inst, cap=20)
+
+
+def _rational_multicut_reference(inst):
+    """The former enumeration: rebuilds each edge subset's cost in rationals."""
+    edges = sorted(inst.tree.edge_ids())
+    m = len(edges)
+    pos = {e: i for i, e in enumerate(edges)}
+    node_mask = [0] * m
+    for e in edges:
+        u, v = inst.tree.ends(e)
+        node_mask[pos[e]] |= (1 << u) | (1 << v)
+    ew = [inst.edge_weight[e] for e in edges]
+    nw = [inst.node_weight[v] for v in range(inst.tree.n)]
+    path_mask = []
+    for i in range(len(inst.demands)):
+        path_mask.append(sum(1 << pos[e] for e in inst.path_edges(i)))
+    pens = [d.penalty for d in inst.demands]
+
+    best_key = None
+    for fmask in range(1 << m):
+        nodes = 0
+        cost = ZERO
+        for i in _bits(fmask):
+            nodes |= node_mask[i]
+            cost += ew[i]
+        skip = False
+        extra = ZERO
+        for pm, p in zip(path_mask, pens):
+            if not (fmask & pm):
+                if is_inf(p):
+                    skip = True
+                    break
+                extra += p
+        if skip:
+            continue
+        cost += extra
+        for v in _bits(nodes):
+            cost += nw[v]
+        key = (cost, tuple(edges[i] for i in _bits(fmask)))
+        if best_key is None or key < best_key:
+            best_key = key
+    return multicut_solution(inst, best_key[1])
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(small_multicuts(max_nodes=11))
+def test_multicut_matches_rational_enumeration(inst):
+    assert brute_force_multicut(inst) == _rational_multicut_reference(inst)
 
 
 # -- set cover / edge cover / facility location -----------------------------
