@@ -25,22 +25,10 @@ from .certificates import (
     serialize_certificate,
     verify_certificate,
 )
-from .eds_general import (
-    Star,
-    build_edge_cover_instance,
-    edge_cover_to_facility_location,
-    greedy_facility_location,
-    harmonic,
-    solve_eds_general,
-)
-from .eds_tree import (
-    EdsDual,
-    solve_eds_tree,
-    verify_eds_optimality,
-)
+from .eds_general import solve_eds_general
+from .eds_tree import solve_eds_tree, verify_eds_optimality
 from .instances import (
     Demand,
-    EdgeCoverInstance,
     EdsInstance,
     FacilityLocationInstance,
     Graph,
@@ -50,34 +38,15 @@ from .instances import (
     RootedTree,
     SetCoverInstance,
     Solution,
-    edge_neighborhoods,
     eds_solution,
     gen_instance,
     multicut_solution,
     parse_instance,
-    problem_kind,
     reduce_to_eds,
     serialize_instance,
 )
-from .lp import (
-    INFEASIBLE,
-    LinearConstraint,
-    LpFormatError,
-    LpModel,
-    LpResult,
-    OPTIMAL,
-    UNBOUNDED,
-    simplex_solve,
-)
-from .multicut_tree import (
-    MulticutDual,
-    deletion_phase,
-    increase_iteration,
-    reduce_prize_collecting,
-    relaxable_set,
-    solve_multicut_tree,
-    verify_multicut,
-)
+from .lp import LpFormatError, LpModel, simplex_solve
+from .multicut_tree import solve_multicut_tree
 from .oracle import (
     OracleCapError,
     brute_force_cover,
@@ -85,77 +54,41 @@ from .oracle import (
     brute_force_facility_location,
     brute_force_multicut,
 )
-from .rationals import INF, Rat, ext_min, ext_sum, fmt_rat, is_inf, parse_rat
-from .relaxations import (
-    build_eds_dual,
-    build_multicut_dual,
-    build_relaxation,
-    complete_eds_dual,
-    extract_relaxation_point,
-    relaxation_value,
-)
-from .reporting import CheckReport
+from .rationals import INF, Rat
+from .relaxations import build_relaxation, complete_eds_dual, relaxation_value
 
 __all__ = [
     "Certificate",
-    "CheckReport",
     "Demand",
-    "EdgeCoverInstance",
-    "EdsDual",
     "EdsInstance",
     "FacilityLocationInstance",
     "Graph",
     "INF",
-    "INFEASIBLE",
     "InstanceError",
-    "LinearConstraint",
     "LpFormatError",
     "LpModel",
-    "LpResult",
-    "MulticutDual",
     "MulticutInstance",
-    "OPTIMAL",
     "OracleCapError",
     "ParseError",
     "Rat",
     "RootedTree",
     "SetCoverInstance",
     "Solution",
-    "Star",
-    "UNBOUNDED",
     "brute_force_cover",
     "brute_force_eds",
     "brute_force_facility_location",
     "brute_force_multicut",
-    "build_edge_cover_instance",
-    "build_eds_dual",
-    "build_multicut_dual",
     "build_relaxation",
     "complete_eds_dual",
-    "deletion_phase",
-    "edge_cover_to_facility_location",
-    "edge_neighborhoods",
     "eds_general_certificate",
     "eds_solution",
     "eds_tree_certificate",
-    "ext_min",
-    "ext_sum",
-    "extract_relaxation_point",
-    "fmt_rat",
     "gen_instance",
-    "greedy_facility_location",
-    "harmonic",
-    "increase_iteration",
-    "is_inf",
     "multicut_certificate",
     "multicut_solution",
     "parse_certificate",
     "parse_instance",
-    "parse_rat",
-    "problem_kind",
-    "reduce_prize_collecting",
     "reduce_to_eds",
-    "relaxable_set",
     "relaxation_value",
     "serialize_certificate",
     "serialize_instance",
@@ -165,5 +98,4 @@ __all__ = [
     "solve_multicut_tree",
     "verify_certificate",
     "verify_eds_optimality",
-    "verify_multicut",
 ]

@@ -3,18 +3,24 @@
 A certificate is a line-based text file in the same style as instance files:
 ``#`` starts a comment and rationals print as ``p/q`` (integers without the
 ``/1``).  The first directive names the certificate kind, which must match
-the instance it is checked against.
+the instance it is checked against.  ``objective`` and the kind's scalar
+directives (:data:`SCALAR_DIRECTIVES`) each appear exactly once; a repeated
+one is a parse error, never a silent overwrite.
 
 * ``eds-tree``: the chosen edges and one dual value per edge.  Verification
   recomputes the objective, requires the dual total to equal it, and
   completes the per-edge values into a full feasible dual.
-* ``multicut-tree``: the kept cut of the penalty-compiled tree plus the full
-  sparse dual, witness map, and processing order.  Verification rebuilds the
-  compiled tree deterministically and re-checks coverage, exact dual
-  feasibility, the factor-2 bound, and saturation.
-* ``eds-general``: the chosen edges, objective, relaxation lower bound, and
-  target factor.  Verification recomputes the objective, re-solves the
-  relaxation, and checks the bound chain ``lower <= objective``.
+* ``multicut-tree``: the kept cut of the penalty-compiled tree, the stated
+  ``ratio``, the full sparse dual, witness map, and processing order.
+  Verification rebuilds the compiled tree deterministically and re-checks
+  coverage, exact dual feasibility, the factor-2 bound, saturation, and
+  the ratio.
+* ``eds-general``: the chosen edges, objective, relaxation ``lower`` bound,
+  and target ``factor``.  Verification recomputes the objective, re-solves
+  the relaxation, and checks the bound chain ``lower <= objective``.
+
+:func:`verify_certificate` checks the kind, then hands over to the kind's
+verifier; every verifier recomputes the objective the same way.
 """
 
 from __future__ import annotations
@@ -30,13 +36,13 @@ from .instances import (
     MulticutInstance,
     ParseError,
     eds_solution,
-    multicut_solution,
     problem_kind,
 )
 from .lp import OPTIMAL, simplex_solve
 from .multicut_tree import (
     MulticutDual,
     big_m_edges,
+    kept_solution,
     reduce_prize_collecting,
     verify_multicut,
 )
@@ -45,6 +51,10 @@ from .relaxations import build_relaxation
 from .reporting import CheckReport
 
 CERTIFICATE_KINDS = ("eds-tree", "multicut-tree", "eds-general")
+
+#: The single-valued directives after ``objective``, in print order, each
+#: with the one certificate kind it belongs to.  Each may appear once.
+SCALAR_DIRECTIVES = {"ratio": "multicut-tree", "lower": "eds-general", "factor": "eds-general"}
 
 
 @dataclass
@@ -105,11 +115,9 @@ def serialize_certificate(cert: Certificate) -> str:
     if cert.kind not in CERTIFICATE_KINDS:
         raise InstanceError(f"unknown certificate kind {cert.kind!r}")
     lines = [f"certificate {cert.kind}", f"objective {fmt_rat(cert.objective)}"]
-    if cert.kind == "multicut-tree":
-        lines.append(f"ratio {fmt_rat(cert.ratio)}")
-    if cert.kind == "eds-general":
-        lines.append(f"lower {fmt_rat(cert.lower)}")
-        lines.append(f"factor {fmt_rat(cert.factor)}")
+    for name, kind in SCALAR_DIRECTIVES.items():
+        if kind == cert.kind:
+            lines.append(f"{name} {fmt_rat(getattr(cert, name))}")
     for e in sorted(cert.edges):
         lines.append(f"edge {e}")
     for key in sorted(cert.xi):
@@ -135,7 +143,7 @@ def parse_certificate(text: str) -> Certificate:
     mu: Dict[Tuple[int, int], Rat] = {}
     witness: Dict[int, int] = {}
     processed = []
-    ratio = lower = factor = None
+    scalars: Dict[str, Rat] = {}
 
     def fail(lineno, msg):
         raise ParseError(f"line {lineno}: {msg}")
@@ -171,18 +179,13 @@ def parse_certificate(text: str) -> Certificate:
             if len(args) != 1 or objective is not None:
                 fail(lineno, "'objective' takes one value, once")
             objective = want_rat(lineno, args[0], allow_inf=True)
-        elif head == "ratio":
-            if len(args) != 1 or kind != "multicut-tree":
-                fail(lineno, "'ratio' takes one value and is multicut-only")
-            ratio = want_rat(lineno, args[0])
-        elif head == "lower":
-            if len(args) != 1 or kind != "eds-general":
-                fail(lineno, "'lower' takes one value and is eds-general-only")
-            lower = want_rat(lineno, args[0])
-        elif head == "factor":
-            if len(args) != 1 or kind != "eds-general":
-                fail(lineno, "'factor' takes one value and is eds-general-only")
-            factor = want_rat(lineno, args[0])
+        elif head in SCALAR_DIRECTIVES:
+            owner = SCALAR_DIRECTIVES[head]
+            if len(args) != 1 or kind != owner:
+                fail(lineno, f"'{head}' takes one value and is {owner.removesuffix('-tree')}-only")
+            if head in scalars:
+                fail(lineno, f"duplicate '{head}' line")
+            scalars[head] = want_rat(lineno, args[0])
         elif head == "edge":
             if len(args) != 1:
                 fail(lineno, "'edge' takes one id")
@@ -237,9 +240,7 @@ def parse_certificate(text: str) -> Certificate:
         mu=mu,
         witness=witness,
         processed=tuple(processed),
-        ratio=ratio,
-        lower=lower,
-        factor=factor,
+        **scalars,
     )
 
 
@@ -251,11 +252,7 @@ def verify_certificate(inst, cert: Certificate) -> CheckReport:
         "kind-matches", kind == cert.kind, f"instance {kind}, certificate {cert.kind}"
     ):
         return report
-    if kind == "eds-tree":
-        return _verify_eds_tree(inst, cert, report)
-    if kind == "multicut-tree":
-        return _verify_multicut_tree(inst, cert, report)
-    return _verify_eds_general(inst, cert, report)
+    return _VERIFIERS[kind](inst, cert, report)
 
 
 def _edges_in_range(report, edge_ids, edges) -> bool:
@@ -264,15 +261,19 @@ def _edges_in_range(report, edge_ids, edges) -> bool:
     return report.add("edges-exist", not stray, f"unknown edges: {stray}")
 
 
-def _verify_eds_tree(inst: EdsInstance, cert: Certificate, report: CheckReport):
-    if not _edges_in_range(report, inst.graph.edge_ids(), cert.edges):
-        return report
-    sol = eds_solution(inst, cert.edges)
+def _objective_recomputed(report, sol, cert: Certificate) -> None:
     report.add(
         "objective-recomputed",
         sol.total == cert.objective,
         f"stated {fmt_rat(cert.objective)}, recomputed {fmt_rat(sol.total)}",
     )
+
+
+def _verify_eds_tree(inst: EdsInstance, cert: Certificate, report: CheckReport):
+    if not _edges_in_range(report, inst.graph.edge_ids(), cert.edges):
+        return report
+    sol = eds_solution(inst, cert.edges)
+    _objective_recomputed(report, sol, cert)
     sub = verify_eds_optimality(inst, sol, cert.xi)
     report.checks.extend(sub.checks)
     return report
@@ -307,13 +308,8 @@ def _verify_multicut_tree(inst: MulticutInstance, cert: Certificate, report: Che
     sub = verify_multicut(inst0, kept, dual)
     report.checks.extend(sub.checks)
 
-    original = sorted(e for e in kept if e < inst.tree.n)
-    sol = multicut_solution(inst, original)
-    report.add(
-        "objective-recomputed",
-        sol.total == cert.objective,
-        f"stated {fmt_rat(cert.objective)}, recomputed {fmt_rat(sol.total)}",
-    )
+    sol = kept_solution(inst, kept)
+    _objective_recomputed(report, sol, cert)
     total = dual.total
     stated = cert.ratio
     if total > 0:
@@ -328,11 +324,7 @@ def _verify_eds_general(inst: EdsInstance, cert: Certificate, report: CheckRepor
     if not _edges_in_range(report, inst.graph.edge_ids(), cert.edges):
         return report
     sol = eds_solution(inst, cert.edges)
-    report.add(
-        "objective-recomputed",
-        sol.total == cert.objective,
-        f"stated {fmt_rat(cert.objective)}, recomputed {fmt_rat(sol.total)}",
-    )
+    _objective_recomputed(report, sol, cert)
     res = simplex_solve(build_relaxation(inst, "strengthened"))
     lower_ok = res.status == OPTIMAL and cert.lower == res.value
     report.add(
@@ -351,3 +343,10 @@ def _verify_eds_general(inst: EdsInstance, cert: Certificate, report: CheckRepor
         "lower bound must not exceed the objective",
     )
     return report
+
+
+_VERIFIERS = {
+    "eds-tree": _verify_eds_tree,
+    "multicut-tree": _verify_multicut_tree,
+    "eds-general": _verify_eds_general,
+}

@@ -11,10 +11,9 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import List, Optional
+from typing import Callable, List, NamedTuple, Optional
 
 from .certificates import (
-    Certificate,
     eds_general_certificate,
     eds_tree_certificate,
     multicut_certificate,
@@ -25,17 +24,14 @@ from .certificates import (
 from .eds_general import solve_eds_general
 from .eds_tree import solve_eds_tree
 from .instances import (
-    EdsInstance,
     InstanceError,
-    MulticutInstance,
     ParseError,
     gen_instance,
-    multicut_solution,
     parse_instance,
     serialize_instance,
     problem_kind,
 )
-from .multicut_tree import run_multicut_pipeline
+from .multicut_tree import kept_solution, multicut_ratio, run_multicut_pipeline
 from .oracle import (
     OracleCapError,
     brute_force_cover,
@@ -43,7 +39,7 @@ from .oracle import (
     brute_force_facility_location,
     brute_force_multicut,
 )
-from .rationals import ONE, Rat, ZERO, fmt_rat, is_inf
+from .rationals import ZERO, fmt_rat, is_inf
 from .relaxations import relaxation_value
 
 EXIT_OK = 0
@@ -81,30 +77,66 @@ def _load_instance(path: str):
     return parse_instance(_read(path))
 
 
+def _solve_eds_tree(inst):
+    sol, dual = solve_eds_tree(inst)
+    cert = eds_tree_certificate(inst, sol, dual.xi)
+    return sol, cert, [f"dual-total {fmt_rat(dual.total)}", "ratio 1"]
+
+
+def _solve_multicut_tree(inst):
+    _, _, state, kept = run_multicut_pipeline(inst)
+    sol = kept_solution(inst, kept)
+    total = state.dual.total
+    ratio = multicut_ratio(sol.total, total)
+    cert = multicut_certificate(
+        inst, sol, ratio, kept, state.dual, state.witness, state.processed
+    )
+    return sol, cert, [f"dual-total {fmt_rat(total)}", f"ratio {fmt_rat(ratio)}"]
+
+
+def _solve_eds_general(inst):
+    sol, lower, factor = solve_eds_general(inst)
+    cert = eds_general_certificate(inst, sol, lower, factor)
+    return sol, cert, [f"lower {fmt_rat(lower)}", f"factor {fmt_rat(factor)}"]
+
+
+def _eds_oracle(inst):
+    sol = brute_force_eds(inst)
+    return sol.total, sol.edges
+
+
+def _multicut_oracle(inst):
+    sol = brute_force_multicut(inst)
+    return sol.total, sol.edges
+
+
+class _Kind(NamedTuple):
+    """One problem kind: ``oracle`` gives the optimum and its edges (None
+    for cover problems); ``solve`` gives the solution, certificate and extra
+    output lines, and is None for oracle-only kinds.  Both reach the library
+    through this module's globals at call time, so a wrapper set on a
+    module attribute sees every call."""
+
+    oracle: Callable
+    solve: Optional[Callable] = None
+
+
+_KINDS = {
+    "eds-tree": _Kind(_eds_oracle, _solve_eds_tree),
+    "eds-general": _Kind(_eds_oracle, _solve_eds_general),
+    "multicut-tree": _Kind(_multicut_oracle, _solve_multicut_tree),
+    "set-cover": _Kind(lambda inst: (brute_force_cover(inst), None)),
+    "facility-location": _Kind(lambda inst: (brute_force_facility_location(inst), None)),
+}
+
+
 def _solve(inst):
-    """Dispatch by problem kind; returns (printable lines, certificate)."""
+    """The printed lines and the certificate of the kind's solver."""
     kind = problem_kind(inst)
-    if kind == "eds-tree":
-        sol, dual = solve_eds_tree(inst)
-        cert = eds_tree_certificate(inst, sol, dual.xi)
-        extra = [f"dual-total {fmt_rat(dual.total)}", "ratio 1"]
-    elif kind == "multicut-tree":
-        inst0, _, state, kept = run_multicut_pipeline(inst)
-        dual = state.dual
-        original = sorted(e for e in kept if e < inst.tree.n)
-        sol = multicut_solution(inst, original)
-        total = dual.total
-        ratio = sol.total / total if total > 0 else ONE
-        cert = multicut_certificate(
-            inst, sol, ratio, kept, dual, state.witness, state.processed
-        )
-        extra = [f"dual-total {fmt_rat(total)}", f"ratio {fmt_rat(ratio)}"]
-    elif kind == "eds-general":
-        sol, lower, factor = solve_eds_general(inst)
-        cert = eds_general_certificate(inst, sol, lower, factor)
-        extra = [f"lower {fmt_rat(lower)}", f"factor {fmt_rat(factor)}"]
-    else:
+    solve = _KINDS[kind].solve
+    if solve is None:
         raise _CliError(f"solve does not support {kind}; use the oracle subcommand")
+    sol, cert, extra = solve(inst)
     lines = [
         f"problem {kind}",
         f"objective {fmt_rat(sol.total)}",
@@ -119,36 +151,27 @@ def _solve(inst):
 
 def _oracle_lines(inst) -> List[str]:
     kind = problem_kind(inst)
-    if isinstance(inst, EdsInstance):
-        sol = brute_force_eds(inst)
-    elif isinstance(inst, MulticutInstance):
-        sol = brute_force_multicut(inst)
-    else:
-        value = (
-            brute_force_cover(inst)
-            if kind == "set-cover"
-            else brute_force_facility_location(inst)
-        )
-        return [f"problem {kind}", f"optimum {fmt_rat(value)}"]
-    return [
-        f"problem {kind}",
-        f"optimum {fmt_rat(sol.total)}",
-        " ".join(["edges"] + [str(e) for e in sol.edges]),
-    ]
+    value, edges = _KINDS[kind].oracle(inst)
+    lines = [f"problem {kind}", f"optimum {fmt_rat(value)}"]
+    if edges is not None:
+        lines.append(" ".join(["edges"] + [str(e) for e in edges]))
+    return lines
+
+
+def _ratio_cell(num, den) -> str:
+    """num / den as gap and batch print it; zero over zero reads 1."""
+    if den > 0:
+        return fmt_rat(num / den) if not is_inf(num) else "inf"
+    return "1" if num == ZERO else "inf"
 
 
 def _gap_line(inst, relaxation: str) -> str:
-    if not isinstance(inst, (EdsInstance, MulticutInstance)):
+    kind = _KINDS[problem_kind(inst)]
+    if kind.solve is None:
         raise _CliError("gap needs an EDS or multicut instance")
     lp = relaxation_value(inst, relaxation)
-    opt = (
-        brute_force_eds(inst) if isinstance(inst, EdsInstance) else brute_force_multicut(inst)
-    ).total
-    if lp > 0:
-        gap = fmt_rat(opt / lp) if not is_inf(opt) else "inf"
-    else:
-        gap = "1" if opt == ZERO else "inf"
-    return f"LP={fmt_rat(lp)}, OPT={fmt_rat(opt)}, gap={gap}"
+    opt, _ = kind.oracle(inst)
+    return f"LP={fmt_rat(lp)}, OPT={fmt_rat(opt)}, gap={_ratio_cell(opt, lp)}"
 
 
 def _do_gen(args) -> int:
@@ -170,22 +193,8 @@ def _do_gen(args) -> int:
     return EXIT_OK
 
 
-def _batch_optimum(inst):
-    """Brute-force optimum for a batch row, or None above the oracle's cap."""
-    try:
-        if isinstance(inst, EdsInstance):
-            return brute_force_eds(inst).total
-        if isinstance(inst, MulticutInstance):
-            return brute_force_multicut(inst).total
-        if problem_kind(inst) == "set-cover":
-            return brute_force_cover(inst)
-        return brute_force_facility_location(inst)
-    except OracleCapError:
-        return None
-
-
 def _batch_cells(inst, opt, shown: str, cert_path: Optional[Path]) -> List[str]:
-    """Report cells after the name for an EDS or multicut instance."""
+    """Report cells after the name for an instance the solver supports."""
     natural = relaxation_value(inst, "natural")
     strengthened = relaxation_value(inst, "strengthened")
     _, cert = _solve(inst)
@@ -193,12 +202,7 @@ def _batch_cells(inst, opt, shown: str, cert_path: Optional[Path]) -> List[str]:
         cert_path.write_text(serialize_certificate(cert))
     verdict = "pass" if verify_certificate(inst, cert).passed else "fail"
     objective = cert.objective
-    if opt is None:
-        ovr = "-"
-    elif opt > 0:
-        ovr = fmt_rat(objective / opt) if not is_inf(objective) else "inf"
-    else:
-        ovr = "1" if objective == ZERO else "inf"
+    ovr = "-" if opt is None else _ratio_cell(objective, opt)
     return [fmt_rat(natural), fmt_rat(strengthened), fmt_rat(objective), shown, ovr, verdict]
 
 
@@ -217,9 +221,13 @@ def _do_batch(args) -> int:
     verdicts = set()
     for path in sorted(p for p in directory.iterdir() if p.is_file()):
         inst = parse_instance(path.read_text())
-        opt = _batch_optimum(inst)
+        kind = _KINDS[problem_kind(inst)]
+        try:
+            opt, _ = kind.oracle(inst)
+        except OracleCapError:
+            opt = None
         shown = "-" if opt is None else fmt_rat(opt)
-        if isinstance(inst, (EdsInstance, MulticutInstance)):
+        if kind.solve is not None:
             cert_path = cert_dir / (path.name + ".cert") if cert_dir else None
             try:
                 cells = _batch_cells(inst, opt, shown, cert_path)

@@ -16,7 +16,7 @@ rejected with a ParseError before anything of size N is allocated.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from random import Random
 from typing import Dict, FrozenSet, List, Optional, Tuple, Union
 
@@ -169,15 +169,6 @@ class RootedTree:
             a = self.parent[a]
             b = self.parent[b]
         return a
-
-    def subtree_nodes(self, v: int) -> List[int]:
-        out = []
-        stack = [v]
-        while stack:
-            x = stack.pop()
-            out.append(x)
-            stack.extend(self.children[x])
-        return sorted(out)
 
     def __eq__(self, other):
         return (

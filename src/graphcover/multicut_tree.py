@@ -45,7 +45,7 @@ from .instances import (
     multicut_solution,
 )
 from .lp import OPTIMAL, LpModel, simplex_solve
-from .rationals import INF, ONE, Rat, ZERO, is_inf
+from .rationals import INF, ONE, ExtRat, Rat, ZERO, is_inf
 from .reporting import CheckReport
 
 
@@ -750,12 +750,6 @@ def increase_iteration(state: IncreaseState, i: int) -> IncreaseState:
     return state
 
 
-def relaxable_set(state: IncreaseState, i: int) -> Set[int]:
-    """Nodes on demand i's path whose dual mass could still be shifted."""
-    snap = state.snapshot()
-    return {v for v in state.node_set[i] if (v, i) not in snap.nonrelax}
-
-
 def run_increase_phase(state: IncreaseState) -> IncreaseState:
     """Iterate until every demand path is covered.  The pinning property
     the deletion phase relies on — a charged node beside a kept edge keeps
@@ -987,14 +981,20 @@ def solve_multicut_tree(
     """Separate or pay for every demand pair; the returned dual total is a
     lower bound on the optimum and the objective is at most twice it."""
     _, _, state, kept = run_multicut_pipeline(inst)
-    dual = state.dual
-    original_edges = sorted(e for e in kept if e < inst.tree.n)
-    sol = multicut_solution(inst, original_edges)
-    total = dual.total
-    assert not is_inf(sol.total) and sol.total <= 2 * total
-    if total > 0:
-        ratio = sol.total / total
-    else:
-        assert sol.total == 0
-        ratio = ONE
-    return sol, dual, ratio
+    sol = kept_solution(inst, kept)
+    return sol, state.dual, multicut_ratio(sol.total, state.dual.total)
+
+
+def kept_solution(inst: MulticutInstance, kept) -> Solution:
+    """The solution on the original tree: the kept cut of the compiled tree
+    without its penalty edges, whose ids start at ``inst.tree.n``."""
+    return multicut_solution(inst, sorted(e for e in kept if e < inst.tree.n))
+
+
+def multicut_ratio(objective: ExtRat, dual_total: Rat) -> Rat:
+    """The stated ratio objective / dual total, asserted to be at most 2.
+    A zero dual total bounds the objective to zero, and the ratio is 1."""
+    assert not is_inf(objective) and objective <= 2 * dual_total, (
+        f"objective {objective} exceeds twice the dual total {dual_total}"
+    )
+    return objective / dual_total if dual_total > 0 else ONE

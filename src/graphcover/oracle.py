@@ -9,7 +9,7 @@ chosen index tuple, and use exact arithmetic throughout.
 from __future__ import annotations
 
 from math import lcm
-from typing import Tuple, Union
+from typing import Union
 
 from .instances import (
     EdgeCoverInstance,
@@ -22,7 +22,7 @@ from .instances import (
     eds_solution,
     multicut_solution,
 )
-from .rationals import ExtRat, INF, Rat, ZERO, ext_min, ext_sum, is_inf
+from .rationals import ExtRat, INF, ZERO, ext_min, is_inf
 
 #: Largest edge/set count the exhaustive solvers accept.
 DEFAULT_CAP = 20

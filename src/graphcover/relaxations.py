@@ -3,8 +3,7 @@
 Builders produce :class:`~graphcover.lp.LpModel` objects with a fixed
 variable and row order (edges by id, nodes by id, demands by index) so that
 solves are reproducible.  Infinite penalties never reach the models: a
-demand with infinite penalty simply has no violation variable ``z``, and
-infinite dual upper bounds are omitted.
+demand with infinite penalty simply has no violation variable ``z``.
 
 Demand families: an edge-dominating instance has one demand per edge e,
 consisting of the edges sharing an end node with e; a multicut instance has
@@ -13,7 +12,7 @@ one demand per terminal pair, consisting of its tree path.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 from .instances import (
     EdgeCoverInstance,
@@ -158,140 +157,6 @@ def extract_relaxation_point(inst, result: LpResult):
 
 
 # ---------------------------------------------------------------------------
-# dual models
-
-
-def build_eds_dual(inst: EdsInstance) -> LpModel:
-    """Dual of the strengthened relaxation for edge-dominating instances.
-
-    maximize sum xi(e) subject to
-      (capacity per edge e')   sum_{e in N[e']} nu(e', e) <= w(e')
-      (capacity per node v)    sum_{e in N'[v]} mu(v, e)  <= w(v)
-      (support, per e and e' in N[e], e'=uv)
-                               xi(e) <= mu(u, e) + mu(v, e) + nu(e', e)
-      (penalty cap)            xi(e) <= pi(e)   [omitted when infinite]
-
-    N[e'] is the closed edge neighborhood of e'; N'[v] collects the
-    neighborhoods of all edges incident to v.
-    """
-    g = inst.graph
-    nbhd = edge_neighborhoods(g)
-    edge_ids = sorted(g.edge_ids())
-    near_node: Dict[int, List[int]] = {}
-    for v in range(g.n):
-        seen = set()
-        for f in g.incident(v):
-            seen.update(nbhd[f])
-        near_node[v] = sorted(seen)
-
-    model = LpModel(name="eds-dual", sense="max")
-    for e in edge_ids:
-        model.add_var(f"xi_{e}", obj=ONE)
-    for ep in edge_ids:
-        for e in nbhd[ep]:
-            model.add_var(f"nu_{ep}_{e}")
-    for v in range(g.n):
-        for e in near_node[v]:
-            model.add_var(f"mu_{v}_{e}")
-
-    for ep in edge_ids:
-        model.add_constraint(
-            f"edge_cap_{ep}",
-            {f"nu_{ep}_{e}": ONE for e in nbhd[ep]},
-            "<=",
-            inst.edge_weight[ep],
-        )
-    for v in range(g.n):
-        if near_node[v]:
-            model.add_constraint(
-                f"node_cap_{v}",
-                {f"mu_{v}_{e}": ONE for e in near_node[v]},
-                "<=",
-                inst.node_weight[v],
-            )
-    for e in edge_ids:
-        for ep in nbhd[e]:
-            u, v = g.ends(ep)
-            coeffs = {f"xi_{e}": ONE, f"nu_{ep}_{e}": -ONE}
-            coeffs[f"mu_{u}_{e}"] = coeffs.get(f"mu_{u}_{e}", ZERO) - ONE
-            coeffs[f"mu_{v}_{e}"] = coeffs.get(f"mu_{v}_{e}", ZERO) - ONE
-            model.add_constraint(f"support_{e}_{ep}", coeffs, "<=", ZERO)
-    for e in edge_ids:
-        if not is_inf(inst.penalty[e]):
-            model.add_constraint(
-                f"pen_cap_{e}", {f"xi_{e}": ONE}, "<=", inst.penalty[e]
-            )
-    return model
-
-
-def build_multicut_dual(inst: MulticutInstance) -> LpModel:
-    """Dual of the strengthened relaxation for multicut instances.
-
-    maximize sum xi(i) subject to
-      (support)  xi(i) <= nu(e, i) + mu(u_e, i) + mu(l_e, i)  for e on path i
-      (edge capacity)  sum_i nu(e, i) <= w(e)
-      (node capacity)  sum_i mu(v, i) <= w(v)
-      (penalty cap)    xi(i) <= pi(i)   [omitted when infinite]
-    """
-    tree = inst.tree
-    k = len(inst.demands)
-    paths = [inst.path_edges(i) for i in range(k)]
-    pnodes = [inst.path_nodes(i) for i in range(k)]
-
-    model = LpModel(name="multicut-dual", sense="max")
-    for i in range(k):
-        model.add_var(f"xi_{i}", obj=ONE)
-    for i in range(k):
-        for e in sorted(paths[i]):
-            model.add_var(f"nu_{e}_{i}")
-    for i in range(k):
-        for v in sorted(pnodes[i]):
-            model.add_var(f"mu_{v}_{i}")
-
-    for i in range(k):
-        for e in sorted(paths[i]):
-            u, l = tree.ends(e)
-            model.add_constraint(
-                f"support_{i}_{e}",
-                {
-                    f"xi_{i}": ONE,
-                    f"nu_{e}_{i}": -ONE,
-                    f"mu_{u}_{i}": -ONE,
-                    f"mu_{l}_{i}": -ONE,
-                },
-                "<=",
-                ZERO,
-            )
-    edge_users: Dict[int, List[int]] = {}
-    node_users: Dict[int, List[int]] = {}
-    for i in range(k):
-        for e in paths[i]:
-            edge_users.setdefault(e, []).append(i)
-        for v in pnodes[i]:
-            node_users.setdefault(v, []).append(i)
-    for e in sorted(edge_users):
-        model.add_constraint(
-            f"edge_cap_{e}",
-            {f"nu_{e}_{i}": ONE for i in edge_users[e]},
-            "<=",
-            inst.edge_weight[e],
-        )
-    for v in sorted(node_users):
-        model.add_constraint(
-            f"node_cap_{v}",
-            {f"mu_{v}_{i}": ONE for i in node_users[v]},
-            "<=",
-            inst.node_weight[v],
-        )
-    for i in range(k):
-        if not is_inf(inst.demands[i].penalty):
-            model.add_constraint(
-                f"pen_cap_{i}", {f"xi_{i}": ONE}, "<=", inst.demands[i].penalty
-            )
-    return model
-
-
-# ---------------------------------------------------------------------------
 # dual completion
 
 
@@ -301,7 +166,12 @@ def complete_eds_dual(
     """Find nu, mu turning xi into a full feasible dual, or None if impossible.
 
     Solved as an exact LP feasibility problem (zero objective) over the
-    capacity and support constraints of :func:`build_eds_dual` with xi fixed.
+    dual of the strengthened relaxation with xi fixed: per edge e', the
+    capacity sum of nu(e', e) over e in N[e'] <= w(e'); per node v, the
+    capacity sum of mu(v, e) over e in N'[v] <= w(v); and per e and each
+    e' = uv in N[e], the support mu(u, e) + mu(v, e) + nu(e', e) >= xi(e).
+    N[e'] is the closed edge neighborhood of e', and N'[v] joins the
+    neighborhoods of the edges at v.
     Pairs involving an edge with xi(e) = 0 are dropped: their support rows
     hold trivially and zero values only relax the capacities, so the
     reduced problem is feasible exactly when the full one is.  Returned maps

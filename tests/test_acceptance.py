@@ -9,7 +9,6 @@ arithmetic, zero tolerance.
 import pytest
 
 from graphcover import (
-    INF,
     Rat,
     brute_force_cover,
     brute_force_eds,
@@ -18,17 +17,15 @@ from graphcover import (
     cli,
     complete_eds_dual,
     gen_instance,
-    harmonic,
-    is_inf,
     multicut_solution,
     reduce_to_eds,
     relaxation_value,
     solve_eds_general,
     solve_eds_tree,
-    verify_multicut,
 )
-from graphcover.multicut_tree import run_multicut_pipeline
-from graphcover.rationals import ZERO
+from graphcover.eds_general import harmonic
+from graphcover.multicut_tree import run_multicut_pipeline, verify_multicut
+from graphcover.rationals import is_inf
 
 TREE_RUNS = 300
 CUT_RUNS = 300

@@ -3,26 +3,18 @@
 import pytest
 
 from graphcover import (
-    INF,
     ParseError,
-    Rat,
     eds_general_certificate,
     eds_tree_certificate,
     gen_instance,
     multicut_certificate,
-    multicut_solution,
     parse_certificate,
     serialize_certificate,
     solve_eds_general,
     solve_eds_tree,
-    solve_multicut_tree,
     verify_certificate,
 )
-from graphcover.cli import _solve
-from graphcover.multicut_tree import run_multicut_pipeline
-from graphcover.rationals import ZERO
-
-from _support import star_multicut, two_leaf_star
+from graphcover.multicut_tree import kept_solution, multicut_ratio, run_multicut_pipeline
 
 
 def _tree_cert(seed=3):
@@ -33,7 +25,12 @@ def _tree_cert(seed=3):
 
 def _multicut_cert(seed=4):
     inst = gen_instance("random-tree-multicut", n=7, k=3, seed=seed)
-    _, cert = _solve(inst)
+    _, _, state, kept = run_multicut_pipeline(inst)
+    sol = kept_solution(inst, kept)
+    ratio = multicut_ratio(sol.total, state.dual.total)
+    cert = multicut_certificate(
+        inst, sol, ratio, kept, state.dual, state.witness, state.processed
+    )
     return inst, cert
 
 
@@ -137,6 +134,20 @@ def test_parse_rejects_duplicates():
     dup = text + text.splitlines()[1] + "\n"
     with pytest.raises(ParseError):
         parse_certificate(dup)
+
+
+@pytest.mark.parametrize(
+    "make, directive",
+    [(_multicut_cert, "ratio"), (_general_cert, "lower"), (_general_cert, "factor")],
+)
+def test_parse_rejects_duplicate_scalar_line(make, directive):
+    _, cert = make()
+    lines = serialize_certificate(cert).splitlines()
+    at = next(i for i, line in enumerate(lines) if line.split()[0] == directive)
+    lines.insert(at, f"{directive} 99")
+    with pytest.raises(ParseError) as err:
+        parse_certificate("\n".join(lines) + "\n")
+    assert str(err.value) == f"line {at + 2}: duplicate '{directive}' line"
 
 
 def test_parse_rejects_wrong_kind_directive():

@@ -5,8 +5,7 @@ import sys
 
 import pytest
 
-from graphcover import cli, parse_instance
-from graphcover.oracle import OracleCapError
+from graphcover import cli, eds_tree, parse_instance
 
 
 def run_cli(capsys, *argv):
@@ -247,14 +246,10 @@ def test_batch_reports_dash_above_the_oracle_cap(tmp_path, capsys):
     assert row[4:] == ["-", "-", "pass"]
 
 
-def test_batch_reports_error_rows_and_goes_on(tmp_path, capsys, monkeypatch):
+def test_batch_reports_error_rows_and_goes_on(tmp_path, capsys):
     # The multicut instance trips an assertion in the deletion phase.  Its
-    # exhaustive oracle (19 edges) takes half a minute, so it is skipped as
-    # if over the cap; the row's optimum is then "-".
-    def over_cap(inst):
-        raise OracleCapError("skipped")
-
-    monkeypatch.setattr(cli, "brute_force_multicut", over_cap)
+    # exhaustive oracle (19 edges) still runs, in under a second, so the
+    # error row shows the true optimum.
     suite = tmp_path / "suite"
     suite.mkdir()
     cases = [
@@ -271,7 +266,7 @@ def test_batch_reports_error_rows_and_goes_on(tmp_path, capsys, monkeypatch):
     assert "internal check failed on a_cut.tree" in err
     bad, good = (row.split("\t") for row in report.read_text().splitlines()[1:])
     assert bad[0] == "a_cut.tree"
-    assert bad[1:] == ["-", "-", "-", "-", "-", "error"]
+    assert bad[1:] == ["-", "-", "-", "53", "-", "error"]
     assert good[0] == "b_tree.eds" and good[-1] == "pass"
     assert sorted(p.name for p in certs.iterdir()) == ["b_tree.eds.cert"]
 
@@ -301,10 +296,11 @@ def test_internal_assertion_maps_to_exit_three(star4, capsys, monkeypatch):
     def boom(inst):
         raise AssertionError("forced for the test")
 
-    monkeypatch.setattr(cli, "_solve", boom)
-    code, _, err = run_cli(capsys, "solve", str(star4))
+    monkeypatch.setattr(eds_tree, "solve_eds_tree_trace", boom)
+    code, out, err = run_cli(capsys, "solve", str(star4))
     assert code == 3
-    assert "internal check failed" in err
+    assert out == ""
+    assert err == "internal check failed: forced for the test\n"
 
 
 def test_module_entry_point(tmp_path):

@@ -10,18 +10,20 @@ from graphcover import (
     Rat,
     brute_force_cover,
     brute_force_eds,
-    build_edge_cover_instance,
     build_relaxation,
-    edge_cover_to_facility_location,
-    extract_relaxation_point,
     gen_instance,
-    greedy_facility_location,
-    harmonic,
     reduce_to_eds,
     simplex_solve,
     solve_eds_general,
 )
-from graphcover.instances import SetCoverInstance
+from graphcover.eds_general import (
+    build_edge_cover_instance,
+    edge_cover_to_facility_location,
+    greedy_facility_location,
+    harmonic,
+)
+from graphcover.instances import EdgeCoverInstance, SetCoverInstance
+from graphcover.relaxations import extract_relaxation_point
 from graphcover.rationals import ZERO
 
 
@@ -77,7 +79,6 @@ def test_star_center_is_heavy():
 
 def test_cover_to_facility_location_shape():
     g = Graph(3, [(0, 1), (1, 2)])
-    from graphcover import EdgeCoverInstance
 
     cov = EdgeCoverInstance(
         g,
@@ -95,7 +96,6 @@ def test_cover_to_facility_location_shape():
 
 def test_isolated_demand_node_is_infeasible():
     g = Graph(2, [(0, 1)])
-    from graphcover import EdgeCoverInstance
 
     cov = EdgeCoverInstance(
         Graph(3, [(0, 1)]),
@@ -109,7 +109,6 @@ def test_isolated_demand_node_is_infeasible():
 
 def test_adjacent_demand_nodes_rejected():
     g = Graph(2, [(0, 1)])
-    from graphcover import EdgeCoverInstance
 
     cov = EdgeCoverInstance(
         g, frozenset({0, 1}), {0: ZERO, 1: ZERO}, {0: Rat(1)}

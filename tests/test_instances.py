@@ -4,7 +4,6 @@ import pytest
 
 from graphcover import (
     INF,
-    Demand,
     EdsInstance,
     FacilityLocationInstance,
     Graph,
@@ -15,15 +14,13 @@ from graphcover import (
     RootedTree,
     SetCoverInstance,
     brute_force_eds,
-    edge_neighborhoods,
     gen_instance,
-    is_inf,
     parse_instance,
-    problem_kind,
     reduce_to_eds,
     serialize_instance,
 )
-from graphcover.rationals import ZERO
+from graphcover.instances import edge_neighborhoods, problem_kind
+from graphcover.rationals import ZERO, is_inf
 
 
 # -- graphs -----------------------------------------------------------------
@@ -61,7 +58,6 @@ def test_rooted_tree_ancestry_and_lca():
     assert tree.is_node_ancestor(1, 4)
     assert not tree.is_node_ancestor(3, 1)
     assert not tree.is_node_ancestor(1, 1)
-    assert tree.subtree_nodes(1) == [1, 3, 4]
 
 
 def test_rooted_tree_rejects_cycles_and_disconnection():

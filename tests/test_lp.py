@@ -7,16 +7,9 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from graphcover import (
-    INFEASIBLE,
-    OPTIMAL,
-    UNBOUNDED,
-    LpFormatError,
-    LpModel,
-    Rat,
-    simplex_solve,
-)
+from graphcover import LpFormatError, LpModel, Rat, simplex_solve
 from graphcover import lp
+from graphcover.lp import INFEASIBLE, OPTIMAL, UNBOUNDED
 from graphcover.rationals import ZERO
 
 

@@ -10,18 +10,20 @@ from graphcover import (
     Rat,
     RootedTree,
     brute_force_multicut,
-    deletion_phase,
     gen_instance,
-    increase_iteration,
-    is_inf,
-    reduce_prize_collecting,
-    relaxable_set,
     solve_multicut_tree,
-    verify_multicut,
 )
 from graphcover import multicut_tree
-from graphcover.multicut_tree import IncreaseState, big_m_edges, run_increase_phase
-from graphcover.rationals import ZERO
+from graphcover.multicut_tree import (
+    IncreaseState,
+    big_m_edges,
+    deletion_phase,
+    increase_iteration,
+    reduce_prize_collecting,
+    run_increase_phase,
+    verify_multicut,
+)
+from graphcover.rationals import ZERO, is_inf
 
 from _support import small_multicuts, star_multicut
 
@@ -114,7 +116,8 @@ def test_single_demand_everything_nonrelaxable():
     inst0, _ = reduce_prize_collecting(star_multicut(1, 2, INF))
     state = increase_iteration(IncreaseState(inst0), 0)
     # with one demand no earlier mu mass exists, so no node is relaxable
-    assert relaxable_set(state, 0) == set()
+    nonrelax = state.snapshot().nonrelax
+    assert {v for v in state.node_set[0] if (v, 0) not in nonrelax} == set()
 
 
 def test_deletion_keeps_single_witness():

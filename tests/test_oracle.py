@@ -18,11 +18,10 @@ from graphcover import (
     brute_force_facility_location,
     brute_force_multicut,
     gen_instance,
-    is_inf,
 )
 from graphcover.instances import FacilityLocationInstance, multicut_solution
 from graphcover.oracle import _bits
-from graphcover.rationals import ZERO
+from graphcover.rationals import ZERO, is_inf
 
 from _support import small_multicuts, star_multicut, two_leaf_star
 

@@ -1,0 +1,51 @@
+"""The package's public names, and no unused imports in its modules."""
+
+import ast
+import re
+from pathlib import Path
+
+import graphcover
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = Path(graphcover.__file__).resolve().parent
+
+
+def _readme_library_names():
+    """Backticked names in the bullet list of README's Library section."""
+    text = (ROOT / "README.md").read_text()
+    section = text.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    bullets = re.search(r"^- .*?(?=\n\n)", section, re.M | re.S).group(0)
+    return re.findall(r"`([A-Za-z_]\w*)`", bullets)
+
+
+def test_all_matches_the_readme_library_section():
+    names = _readme_library_names()
+    assert len(names) == len(set(names))
+    assert sorted(graphcover.__all__) == sorted(names)
+
+
+def test_every_public_name_resolves():
+    for name in graphcover.__all__:
+        assert getattr(graphcover, name) is not None, name
+
+
+def _unused_imports(path):
+    tree = ast.parse(path.read_text())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def test_no_unused_imports_in_the_package():
+    unused = {
+        path.name: _unused_imports(path)
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "__init__.py"
+    }
+    assert {name: found for name, found in unused.items() if found} == {}

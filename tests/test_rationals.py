@@ -2,8 +2,17 @@
 
 import pytest
 
-from graphcover import INF, Rat, fmt_rat, is_inf, parse_rat
-from graphcover.rationals import ONE, ZERO, clamp_nonneg, ext_min, ext_sum
+from graphcover import INF, Rat
+from graphcover.rationals import (
+    ONE,
+    ZERO,
+    clamp_nonneg,
+    ext_min,
+    ext_sum,
+    fmt_rat,
+    is_inf,
+    parse_rat,
+)
 
 
 def test_rat_is_exact():

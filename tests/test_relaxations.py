@@ -12,12 +12,12 @@ from graphcover import (
     brute_force_multicut,
     build_relaxation,
     complete_eds_dual,
-    extract_relaxation_point,
     gen_instance,
     relaxation_value,
     simplex_solve,
 )
 from graphcover.rationals import ZERO
+from graphcover.relaxations import extract_relaxation_point
 
 from _support import two_leaf_star
 
