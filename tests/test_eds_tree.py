@@ -2,6 +2,7 @@
 
 import hashlib
 import tracemalloc
+from random import Random
 
 import pytest
 from hypothesis import given, settings
@@ -15,12 +16,13 @@ from graphcover import (
     brute_force_eds,
     gen_instance,
     parse_instance,
+    serialize_instance,
     solve_eds_tree,
     verify_eds_optimality,
 )
 from graphcover import cli, eds_tree
 from graphcover.eds_tree import solve_eds_tree_trace
-from graphcover.rationals import ZERO
+from graphcover.rationals import ZERO, is_inf
 
 from _support import two_leaf_star
 
@@ -348,3 +350,126 @@ def test_solve_outputs_are_pinned(name, tmp_path, capsys):
     stdout = capsys.readouterr().out.encode()
     got = (hashlib.sha256(stdout).hexdigest(), hashlib.sha256(cert.read_bytes()).hexdigest())
     assert got == GOLDEN[name]
+
+
+# -- fractional weights ------------------------------------------------------
+
+
+def _fractional(n, seed):
+    """`random-tree-eds --n N --seed S` with every finite weight and penalty
+    redrawn as p/q, q from 2 to 9, so the denominators are mixed; the
+    infinite penalties stay."""
+    inst = gen_instance("random-tree-eds", n=n, seed=seed)
+    rng = Random(seed)
+
+    def frac(value):
+        if is_inf(value):
+            return value
+        q = rng.randint(2, 9)
+        return Rat(rng.randint(0, 10 * q), q)
+
+    return EdsInstance(
+        inst.graph,
+        {v: frac(w) for v, w in sorted(inst.node_weight.items())},
+        {e: frac(w) for e, w in sorted(inst.edge_weight.items())},
+        {e: frac(p) for e, p in sorted(inst.penalty.items())},
+    )
+
+
+# sha256 of (`solve --certificate` stdout, certificate bytes) on `_fractional`.
+GOLDEN_FRACTIONAL = {
+    "fractional-n7-s0": (
+        "0db484324e7e433533a7431b2ddd85025580f7c0648a3046c454a11b7a7b2009",
+        "8de79cc502fe16b762a9595fefcd56662ba90727f8df307418ec8e7a943e4b19",
+    ),
+    "fractional-n7-s1": (
+        "4edba8b320bd99181635ed59069c59839fa33b7d157f7c3c7816ab8e9f2dc23f",
+        "e2eb31f2d6b94ff94fe80967d5b9c306c9587288b4e52070966de034b9beafe2",
+    ),
+    "fractional-n7-s2": (
+        "255216727236a7294211d62c2259adb3f017cc3f639cc70d0e2b09b1c2f4aa71",
+        "8fa2cec893a46695e0f0427b96e9ce9604070e68c0801ab8941cdeaca9d51913",
+    ),
+    "fractional-n10-s0": (
+        "19b3f54cc3195a6cebabbc4da3653b8918ec75869c7a9f95ebff25de1c727296",
+        "5911a4d7bd442f3dabfc7b42d0e9895ffdcda3ad2787f5abcd34a2b0345bcfce",
+    ),
+    "fractional-n10-s1": (
+        "d58649199f6cc41ce33e69ca251efed3f56889332ba78c4042946365c7c8b342",
+        "f16872c4f1fa50e0762a062f52e20312f32858eab9603833a8c99a0062495049",
+    ),
+    "fractional-n10-s2": (
+        "d9dd4f29b0c792ae39a69596e7fb88c02b582e67186c63707bbc43f8be7e48cb",
+        "40966572bd6d300db70348c1cbcfe7f67cbb9187879401d98b7cb980bce4734c",
+    ),
+    "fractional-n60-s0": (
+        "6c5df066adbf5241eb7db840ae6de9becbc4b6de722fcb6df569341613fa6f1e",
+        "2af85dd71a11948576fd1b2b081900ec4db9c0cda498360737f97723d460593a",
+    ),
+    "fractional-n60-s1": (
+        "485aecaf85911a8581b26e4ccee302ffb72d1bffac8ded2e11ca9d04048eff5a",
+        "c88c752319ffec0bf5e18218c86993c8f9df3df86bb85a4072f9f156f9fede58",
+    ),
+    "fractional-n60-s2": (
+        "0277c26d6783a8c9086600e7d8c6f3ebf891a024888830a886bdac40c28d8613",
+        "957ba8fdaddf053f31f82d0736b50d735cb975e8111a4182f0fb928ed6b538bf",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_FRACTIONAL))
+def test_fractional_solve_outputs_are_pinned(name, tmp_path, capsys):
+    n, seed = (int(part[1:]) for part in name.split("-")[1:])
+    inst = tmp_path / "inst.eds"
+    inst.write_text(serialize_instance(_fractional(n, seed)))
+    cert = tmp_path / "out.cert"
+    capsys.readouterr()
+    assert cli.run(["solve", str(inst), "--certificate", str(cert)]) == 0
+    stdout = capsys.readouterr().out.encode()
+    got = (hashlib.sha256(stdout).hexdigest(), hashlib.sha256(cert.read_bytes()).hexdigest())
+    assert got == GOLDEN_FRACTIONAL[name]
+
+
+def test_fractional_instances_mix_denominators_and_infinite_penalties():
+    values = [
+        x
+        for n in (7, 10, 60)
+        for inst in [_fractional(n, 0)]
+        for x in [*inst.node_weight.values(), *inst.edge_weight.values(), *inst.penalty.values()]
+    ]
+    assert any(is_inf(x) for x in values)
+    assert {x.denominator for x in values if not is_inf(x)} >= {2, 3, 5, 7}
+
+
+_FRACTIONS = st.builds(Rat, st.integers(0, 12), st.integers(2, 9))
+
+
+@st.composite
+def fractional_trees(draw):
+    n = draw(st.integers(1, 13))  # at most 12 edges
+    parent = [0] + [draw(st.integers(0, v - 1)) for v in range(1, n)]
+    tree = RootedTree(parent, 0)
+    weights = st.one_of(_WEIGHTS, _FRACTIONS)
+    penalties = st.one_of(_PENALTIES, _FRACTIONS)
+    return EdsInstance(
+        tree,
+        {v: draw(weights) for v in range(n)},
+        {e: draw(weights) for e in tree.edge_ids()},
+        {e: draw(penalties) for e in tree.edge_ids()},
+    )
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(fractional_trees(), st.builds(Rat, st.integers(1, 30), st.integers(1, 9)))
+def test_scaling_every_weight_scales_the_dual(inst, k):
+    sol, dual = solve_eds_tree(inst)
+    assert sol.total == dual.total == brute_force_eds(inst).total
+    scaled = EdsInstance(
+        inst.graph,
+        {v: w * k for v, w in inst.node_weight.items()},
+        {e: w * k for e, w in inst.edge_weight.items()},
+        {e: p * k for e, p in inst.penalty.items()},
+    )
+    sol_k, dual_k = solve_eds_tree(scaled)
+    assert sol_k.edges == sol.edges
+    assert dual_k.xi == {e: x * k for e, x in dual.xi.items()}
