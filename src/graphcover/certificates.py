@@ -193,6 +193,8 @@ def parse_certificate(text: str) -> Certificate:
         elif head == "xi":
             if len(args) != 2:
                 fail(lineno, "'xi' takes an id and a value")
+            if kind not in ("eds-tree", "multicut-tree"):
+                fail(lineno, "'xi' belongs to eds-tree and multicut-tree certificates only")
             key = want_int(lineno, args[0])
             if key in xi:
                 fail(lineno, f"duplicate xi entry for {key}")

@@ -9,6 +9,7 @@ byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 from typing import Callable, List, NamedTuple, Optional
@@ -194,13 +195,14 @@ def _do_gen(args) -> int:
 
 
 def _batch_cells(inst, opt, shown: str, cert_path: Optional[Path]) -> List[str]:
-    """Report cells after the name for an instance the solver supports."""
-    natural = relaxation_value(inst, "natural")
-    strengthened = relaxation_value(inst, "strengthened")
+    """Report cells after the name for an instance the solver supports.
+    The LPs are solved last, so a row whose solve fails computes none."""
     _, cert = _solve(inst)
     if cert_path:
         cert_path.write_text(serialize_certificate(cert))
     verdict = "pass" if verify_certificate(inst, cert).passed else "fail"
+    natural = relaxation_value(inst, "natural")
+    strengthened = relaxation_value(inst, "strengthened")
     objective = cert.objective
     ovr = "-" if opt is None else _ratio_cell(objective, opt)
     return [fmt_rat(natural), fmt_rat(strengthened), fmt_rat(objective), shown, ovr, verdict]
@@ -293,11 +295,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: The parser, built on first use and shared by every later call of `run`.
+_parser = functools.cache(_build_parser)
+
+
 def run(argv: List[str]) -> int:
     """Entry point; returns the process exit code instead of raising."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:

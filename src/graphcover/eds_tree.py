@@ -13,7 +13,17 @@ when all deepest leaf edges have zero penalty (local two-level structure
 around the grandparent s).  Each case either keeps the graph and zeroes
 penalties ("keep"/"trim") or deletes the local leaves ("delete"/"drop").
 
-Cost: O(n log n) time, counting each rational operation as one step, and
+Arithmetic: reducing and lifting only add, subtract, compare, take minima
+and clamp at 0; they never multiply or divide.  So the solver runs on
+Python ints: every finite weight and penalty is multiplied by `scale`, the
+lcm of their denominators (1 on an integer instance), and INF stays INF.
+Every intermediate value is then an integer multiple of 1/scale, and
+scaling by a positive constant keeps every comparison and every tie, so
+the steps taken and the edges chosen are those of the same run on the
+rationals.  The dual values are turned back into rationals, xi / scale,
+once at the end.
+
+Cost: O(n log n) time, counting each integer operation as one step, and
 O(n) memory.  All levels share one mutable store of the live tree and its
 weights.  A reduction writes in place and logs the values it overwrites
 and the nodes it deletes; lifting undoes the log step by step and edits
@@ -36,12 +46,17 @@ drifted, and the final solution is re-evaluated against the dual total.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from math import lcm
+from typing import Dict, FrozenSet, List, Optional, Tuple, Union
 
 from .instances import EdsInstance, InstanceError, Solution, eds_solution
-from .rationals import INF, ExtRat, Rat, ZERO, clamp_nonneg, ext_min, ext_sum, is_inf
+from .rationals import INF, Rat, ZERO, clamp_nonneg, ext_min, ext_sum, is_inf
 from .relaxations import complete_eds_dual
 from .reporting import CheckReport
+
+
+#: A weight in the solver's integer units, or INF.
+ExtInt = Union[int, type(INF)]
 
 
 @dataclass(frozen=True)
@@ -62,7 +77,9 @@ class CaseContext:
     For case A the center is u and the arms are u's children; for case B
     the center is s and the arms are s's children.  Arm edge ids equal arm
     node ids.  bound1/bound2/bound are the two candidate charges and their
-    minimum; caps bound the dual values assigned to the arm edges.
+    minimum; caps bound the dual values assigned to the arm edges.  Weights,
+    bounds and caps are in the solver's integer units: the instance's values
+    times its `scale` (see `_LiveTree`).
     """
 
     tag: str  # "A" or "B"
@@ -71,13 +88,13 @@ class CaseContext:
     parent: Optional[int]  # v0 (A) / u0 (B); None when the center is the root
     parent_edge: Optional[int]  # e0
     arms: List[int]  # arm node ids, ascending
-    bound1: Rat
-    bound2: ExtRat
-    bound: Rat
+    bound1: int
+    bound2: ExtInt
+    bound: int
     i_star: int  # 0 refers to the parent edge, i >= 1 to arms[i-1]
-    caps: List[ExtRat]  # dual caps per arm edge
-    center_w: Rat  # center node weight at this level
-    parent_edge_w: Optional[Rat]  # parent edge weight at this level
+    caps: List[ExtInt]  # dual caps per arm edge
+    center_w: int  # center node weight at this level
+    parent_edge_w: Optional[int]  # parent edge weight at this level
     grand_edges: List[int] = field(default_factory=list)  # B: all H_i edges
     best_grand: Dict[int, int] = field(default_factory=dict)  # B: arm index -> h_i
     keep_idx: List[int] = field(default_factory=list)  # B: K as arm indices
@@ -97,6 +114,10 @@ class _LiveTree:
     (array, index, old value; array None marks a deleted node), so lifting
     can restore each level by undoing the log back to the step's mark.
 
+    Weights are held as Python ints: each finite instance value times
+    `scale`, the lcm of the denominators of every finite node weight, edge
+    weight and penalty (1 on an integer instance).  INF stays INF.
+
     Per-depth buckets list the nodes by ascending id; `live` and `hot`
     count the live nodes and the live nodes with positive penalty at each
     depth.  Nodes never come back to life and penalties only ever drop to
@@ -113,9 +134,20 @@ class _LiveTree:
         self.children = tree.children
         self.depth = tree.depth
         self.alive = [True] * n
-        self.wn = [inst.node_weight[v] for v in range(n)]
-        self.we = [inst.edge_weight.get(v, ZERO) for v in range(n)]
-        self.pen = [inst.penalty.get(v, ZERO) for v in range(n)]
+        wn = [inst.node_weight[v] for v in range(n)]
+        we = [inst.edge_weight.get(v, 0) for v in range(n)]
+        pen = [inst.penalty.get(v, 0) for v in range(n)]
+        # int() turns gmpy2's mpz numerators and denominators into ints too
+        self.scale = scale = lcm(
+            *(int(x.denominator) for x in wn + we + pen if not is_inf(x))
+        )
+
+        def units(x):
+            return x if is_inf(x) else int(x.numerator) * (scale // int(x.denominator))
+
+        self.wn = [units(x) for x in wn]
+        self.we = [units(x) for x in we]
+        self.pen = [units(x) for x in pen]
         self.edges = n - 1
         self.log: List[tuple] = []
         self.bucket: List[List[int]] = [[] for _ in range(max(self.depth) + 1)]
@@ -139,7 +171,7 @@ class _LiveTree:
     def zero_penalty(self, v: int) -> None:
         if self.pen[v] > 0:
             self.hot[self.depth[v]] -= 1
-        self.set(self.pen, v, ZERO)
+        self.set(self.pen, v, 0)
 
     def kill(self, v: int) -> None:
         d = self.depth[v]
@@ -182,11 +214,11 @@ class _LiveTree:
         self.first_live[d] = i
         return b[i]
 
-    def objective(self, edges) -> ExtRat:
+    def objective(self, edges) -> ExtInt:
         """Objective of an edge set at this level, computed from scratch."""
         touched = {v for e in edges for v in (e, self.parent[e])}
-        cost = sum((self.we[e] for e in edges), ZERO)
-        cost += sum((self.wn[v] for v in touched), ZERO)
+        cost = sum(self.we[e] for e in edges)
+        cost += sum(self.wn[v] for v in touched)
         return cost + ext_sum(
             self.pen[e]
             for e in range(len(self.alive))
@@ -269,7 +301,7 @@ def _reduce_b(t: _LiveTree) -> CaseContext:
     cand += [(we[ui] + wn[ui] + ws, i + 1) for i, ui in enumerate(arms)]
     bound1 = min(c for c, _ in cand)
     i_star = min(i for c, i in cand if c == bound1)
-    caps: List[ExtRat] = []
+    caps: List[ExtInt] = []
     best_grand: Dict[int, int] = {}
     keep_idx: List[int] = []
     for i, ui in enumerate(arms):
@@ -331,7 +363,7 @@ def _reduce_b(t: _LiveTree) -> CaseContext:
 # lifting
 
 
-def _greedy_fill(caps: List[ExtRat], target: Rat) -> List[Rat]:
+def _greedy_fill(caps: List[ExtInt], target: int) -> List[int]:
     """Values below the caps summing to the target, filled front to back."""
     out = []
     remaining = target
@@ -356,15 +388,15 @@ class _Lift:
     untouched too.
     """
 
-    def __init__(self, t: _LiveTree, F, xi: Dict[int, Rat]):
+    def __init__(self, t: _LiveTree, F, xi: Dict[int, int]):
         n = len(t.alive)
         self.t = t
         self.F: set = set()
-        self.xi: Dict[int, Rat] = {}
+        self.xi: Dict[int, int] = {}
         self.touch = [0] * n
-        self.open_fin = [ZERO] * n
+        self.open_fin = [0] * n
         self.open_inf = [0] * n
-        self.edge_w = self.node_w = self.pen_fin = self.total = ZERO
+        self.edge_w = self.node_w = self.pen_fin = self.total = 0
         self.pen_inf = 0
         for v in range(n):
             if t.alive[v] and v != t.root:
@@ -374,10 +406,10 @@ class _Lift:
         for e, value in xi.items():
             self.set_xi(e, value)
 
-    def objective(self) -> ExtRat:
+    def objective(self) -> ExtInt:
         return INF if self.pen_inf else self.edge_w + self.node_w + self.pen_fin
 
-    def _open(self, p: int, value: ExtRat, sign: int) -> None:
+    def _open(self, p: int, value: ExtInt, sign: int) -> None:
         """Add (sign 1) or remove (sign -1) an uncovered penalty below p."""
         if is_inf(value):
             self.open_inf[p] += sign
@@ -425,8 +457,8 @@ class _Lift:
         self._touch(e, -1)
         self._touch(self.t.parent[e], -1)
 
-    def set_xi(self, e: int, value: Rat) -> None:
-        self.total += value - self.xi.get(e, ZERO)
+    def set_xi(self, e: int, value: int) -> None:
+        self.total += value - self.xi.get(e, 0)
         self.xi[e] = value
 
     def undo(self, entries: List[tuple]) -> None:
@@ -465,7 +497,7 @@ class _Lift:
         assert set(xi) == set(live) and len(live) == t.edges
         assert all(v >= 0 and v <= t.pen[e] for e, v in xi.items())
         obj = t.objective(self.F)
-        total = sum(xi.values(), ZERO)
+        total = sum(xi.values())
         assert not is_inf(obj) and obj == total, f"objective {obj} != dual total {total}"
         assert obj == self.objective() and total == self.total, "running sums drifted"
 
@@ -498,10 +530,10 @@ def _lift_a(ctx: CaseContext, lift: _Lift) -> None:
     xi = lift.xi
     if ctx.branch == "keep":
         for a, cap in zip(ctx.arms, ctx.caps):
-            assert xi.get(a, ZERO) == 0 and not is_inf(cap)
+            assert xi.get(a, 0) == 0 and not is_inf(cap)
             lift.set_xi(a, cap)
     else:
-        assert xi.get(e0, ZERO) == 0
+        assert xi.get(e0, 0) == 0
         for a, val in zip(ctx.arms, _greedy_fill(ctx.caps, ctx.bound1)):
             assert a not in xi
             lift.set_xi(a, val)
@@ -531,21 +563,21 @@ def _lift_b(ctx: CaseContext, lift: _Lift) -> None:
     xi = lift.xi
     if ctx.branch == "trim":
         for a in ctx.arms:
-            assert xi.get(a, ZERO) == 0
+            assert xi.get(a, 0) == 0
     elif e0 is not None:
-        assert xi.get(e0, ZERO) == 0
+        assert xi.get(e0, 0) == 0
     for a, val in zip(ctx.arms, _greedy_fill(ctx.caps, ctx.bound)):
         lift.set_xi(a, val)
     for h in ctx.grand_edges:
         assert h not in xi
-        lift.set_xi(h, ZERO)
+        lift.set_xi(h, 0)
 
 
 # ---------------------------------------------------------------------------
 # base case and driver
 
 
-def _base_star(t: _LiveTree) -> Tuple[FrozenSet[int], Dict[int, Rat]]:
+def _base_star(t: _LiveTree) -> Tuple[FrozenSet[int], Dict[int, int]]:
     assert t.max_depth() <= 1
     edges = t.live_children(t.root)
     if not edges:
@@ -593,9 +625,9 @@ def solve_eds_tree_trace(
         lift.check_level(ctx.arms + ctx.grand_edges + moved)
     lift.check_full()
 
-    xi = lift.xi
+    xi, scale = lift.xi, t.scale
     sol = eds_solution(inst, sorted(lift.F))
-    dual = EdsDual({e: xi[e] for e in sorted(xi)})
+    dual = EdsDual({e: Rat(xi[e], scale) for e in sorted(xi)})
     assert sol.total == dual.total
     return sol, dual, ctxs
 

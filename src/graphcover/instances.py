@@ -203,10 +203,10 @@ def _check_weights(graph: AnyGraph, node_weight, edge_weight) -> None:
     if sorted(edge_weight) != sorted(graph.edge_ids()):
         raise InstanceError("edge weights must cover exactly the edge set")
     for v, w in node_weight.items():
-        if is_inf(w) or w < 0:
+        if is_inf(w) or w.numerator < 0:
             raise InstanceError(f"node weight of {v} must be finite and nonnegative")
     for e, w in edge_weight.items():
-        if is_inf(w) or w < 0:
+        if is_inf(w) or w.numerator < 0:
             raise InstanceError(f"edge weight of {e} must be finite and nonnegative")
 
 
@@ -224,7 +224,7 @@ class EdsInstance:
         if sorted(self.penalty) != sorted(self.graph.edge_ids()):
             raise InstanceError("penalties must cover exactly the edge set")
         for e, p in self.penalty.items():
-            if not is_inf(p) and p < 0:
+            if not is_inf(p) and p.numerator < 0:
                 raise InstanceError(f"penalty of edge {e} must be nonnegative")
 
     @property
@@ -453,7 +453,7 @@ def parse_instance(text: str) -> AnyInstance:
             val = parse_rat(tok, allow_inf=allow_inf)
         except ValueError as exc:
             fail(lineno, str(exc))
-        if not is_inf(val) and val < 0:
+        if not is_inf(val) and val.numerator < 0:
             fail(lineno, f"negative value {tok!r} not allowed here")
         return val
 

@@ -102,10 +102,11 @@ def is_inf(value) -> bool:
 
 
 def ext_sum(values: Iterable[ExtRat]) -> ExtRat:
-    """Sum that absorbs INF.  Empty sum is 0."""
-    total: ExtRat = ZERO
+    """Sum that absorbs INF.  Empty sum is the int 0, so a sum of ints
+    stays an int."""
+    total: ExtRat = 0
     for v in values:
-        if is_inf(v) or is_inf(total):
+        if is_inf(v):
             return INF
         total = total + v
     return total
@@ -120,8 +121,9 @@ def ext_min(*values: ExtRat) -> ExtRat:
 
 
 def clamp_nonneg(value: Rat) -> Rat:
-    """(value)+ : max(value, 0) for finite rationals."""
-    return value if value > 0 else ZERO
+    """(value)+ : max(value, 0) for finite values; the int 0 when value is
+    not positive, so ints stay ints."""
+    return value if value > 0 else 0
 
 
 def parse_rat(token: str, allow_inf: bool = False) -> ExtRat:

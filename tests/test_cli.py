@@ -151,6 +151,21 @@ def test_verify_rejects_unparseable_certificate(star4, tmp_path, capsys):
     assert "error:" in err
 
 
+def test_verify_rejects_xi_in_an_eds_general_certificate(tmp_path, capsys):
+    inst = tmp_path / "g.eds"
+    cert = tmp_path / "g.cert"
+    args = ["random-eds-general", "--n", "5", "--m", "6", "--seed", "2"]
+    assert cli.run(["gen"] + args + ["-o", str(inst)]) == 0
+    assert cli.run(["solve", str(inst), "--certificate", str(cert)]) == 0
+    text = cert.read_text()
+    cert.write_text(text + "xi 7 1/3\n")
+    capsys.readouterr()
+    code, out, err = run_cli(capsys, "verify", str(inst), str(cert))
+    assert code == 2 and out == ""
+    lineno = len(text.splitlines()) + 1
+    assert err == f"error: line {lineno}: 'xi' belongs to eds-tree and multicut-tree certificates only\n"
+
+
 # -- oracle ------------------------------------------------------------------
 
 
@@ -271,6 +286,25 @@ def test_batch_reports_error_rows_and_goes_on(tmp_path, capsys):
     assert sorted(p.name for p in certs.iterdir()) == ["b_tree.eds.cert"]
 
 
+def test_batch_error_row_solves_no_relaxation(tmp_path, capsys, monkeypatch):
+    suite = tmp_path / "suite"
+    suite.mkdir()
+    args = ["random-tree-multicut", "--n", "20", "--k", "8", "--seed", "7"]
+    assert cli.run(["gen"] + args + ["-o", str(suite / "a_cut.tree")]) == 0
+    calls = []
+    relaxation_value = cli.relaxation_value
+
+    def counted(inst, relaxation):
+        calls.append(relaxation)
+        return relaxation_value(inst, relaxation)
+
+    monkeypatch.setattr(cli, "relaxation_value", counted)
+    code, out, _ = run_cli(capsys, "batch", str(suite))
+    assert code == 3
+    assert out.splitlines()[1].split("\t")[-1] == "error"
+    assert calls == []
+
+
 def test_batch_missing_directory(capsys, tmp_path):
     code, _, err = run_cli(capsys, "batch", str(tmp_path / "nope"),
                            "--report", str(tmp_path / "r.tsv"))
@@ -311,3 +345,13 @@ def test_module_entry_point(tmp_path):
     )
     assert out.returncode == 0
     assert out.stdout.startswith("problem eds-tree")
+
+
+def test_reused_parser_prints_what_fresh_parsers_print(capsys, monkeypatch):
+    commands = [["--help"], ["solve"], ["gen", "star-gap-eds", "--n", "2"]]
+    reused = [run_cli(capsys, *argv) for argv in commands + commands]
+    assert cli._parser() is cli._parser()
+    monkeypatch.setattr(cli, "_parser", cli._build_parser)
+    fresh = [run_cli(capsys, *argv) for argv in commands + commands]
+    assert [code for code, _, _ in fresh] == [0, 2, 0] * 2
+    assert reused == fresh

@@ -191,6 +191,34 @@ def test_memory_is_linear_on_a_deep_tree():
     assert peak < 50 * 2**20
 
 
+def test_solver_arithmetic_stays_on_ints(monkeypatch):
+    """Weights, duals and running sums are ints (or INF) at both full checks;
+    one Rat constant in the solver would turn its sums back into Rats."""
+    checked = []
+    check_full = eds_tree._Lift.check_full
+
+    def guarded(lift):
+        t = lift.t
+        running = [lift.edge_w, lift.node_w, lift.pen_fin, lift.total, *lift.open_fin]
+        for name, values in [
+            ("wn", t.wn), ("we", t.we), ("pen", t.pen),
+            ("xi", list(lift.xi.values())), ("running sums", running),
+        ]:
+            bad = [x for x in values if not (type(x) is int or is_inf(x))]
+            assert not bad, f"{name} holds {bad[:3]}"
+        checked.append(name)
+        check_full(lift)
+
+    monkeypatch.setattr(eds_tree._Lift, "check_full", guarded)
+    for inst in (
+        _fractional(60, 0),
+        gen_instance("random-tree-eds", n=60, seed=0),
+        parse_instance(_deep_tree_text(300)),
+    ):
+        solve_eds_tree(inst)
+    assert len(checked) == 6  # the base and the top level of each solve
+
+
 # -- properties on small trees ----------------------------------------------
 
 _WEIGHTS = st.sampled_from([Rat(0), Rat(0), Rat(1), Rat(2), Rat(3), Rat(7, 2)])

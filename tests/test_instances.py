@@ -86,6 +86,25 @@ def test_negative_weight_rejected():
         EdsInstance(tree, {0: Rat(-1), 1: ZERO}, {1: ZERO}, {1: ZERO})
 
 
+def test_negative_fractions_rejected_with_their_messages():
+    tree = RootedTree([0, 0], 0)
+    tiny = Rat(-1, 7)
+    cases = [
+        (({0: tiny, 1: ZERO}, {1: ZERO}, {1: ZERO}), "node weight of 0 must be finite and nonnegative"),
+        (({0: ZERO, 1: ZERO}, {1: tiny}, {1: ZERO}), "edge weight of 1 must be finite and nonnegative"),
+        (({0: ZERO, 1: ZERO}, {1: ZERO}, {1: tiny}), "penalty of edge 1 must be nonnegative"),
+    ]
+    for weights, message in cases:
+        with pytest.raises(InstanceError) as err:
+            EdsInstance(tree, *weights)
+        assert str(err.value) == message
+    EdsInstance(tree, {0: Rat(1, 7), 1: ZERO}, {1: ZERO}, {1: INF})
+    text = "problem eds-tree\nnodes 2\nroot 0\nnode 0 -1/7\nnode 1 0\nedge 0 1 0 inf\n"
+    with pytest.raises(ParseError) as err:
+        parse_instance(text)
+    assert str(err.value) == "line 4: negative value '-1/7' not allowed here"
+
+
 def test_infinite_weight_rejected():
     tree = RootedTree([0, 0], 0)
     with pytest.raises(InstanceError):
