@@ -625,9 +625,9 @@ def solve_eds_tree_trace(
         lift.check_level(ctx.arms + ctx.grand_edges + moved)
     lift.check_full()
 
-    xi, scale = lift.xi, t.scale
+    xi = lift.xi
     sol = eds_solution(inst, sorted(lift.F))
-    dual = EdsDual({e: Rat(xi[e], scale) for e in sorted(xi)})
+    dual = EdsDual({e: Rat(xi[e], t.scale) for e in sorted(xi)})
     assert sol.total == dual.total
     return sol, dual, ctxs
 
