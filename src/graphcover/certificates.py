@@ -17,7 +17,8 @@ one is a parse error, never a silent overwrite.
   the ratio.
 * ``eds-general``: the chosen edges, objective, relaxation ``lower`` bound,
   and target ``factor``.  Verification recomputes the objective, re-solves
-  the relaxation, and checks the bound chain ``lower <= objective``.
+  the relaxation through its LP dual (the same optimal value, with no
+  phase I), and checks the bound chain ``lower <= objective``.
 
 :func:`verify_certificate` checks the kind, then hands over to the kind's
 verifier; every verifier recomputes the objective the same way.
@@ -38,7 +39,7 @@ from .instances import (
     eds_solution,
     problem_kind,
 )
-from .lp import OPTIMAL, simplex_solve
+from .lp import OPTIMAL, dual_model, simplex_solve
 from .multicut_tree import (
     MulticutDual,
     big_m_edges,
@@ -327,7 +328,7 @@ def _verify_eds_general(inst: EdsInstance, cert: Certificate, report: CheckRepor
         return report
     sol = eds_solution(inst, cert.edges)
     _objective_recomputed(report, sol, cert)
-    res = simplex_solve(build_relaxation(inst, "strengthened"))
+    res = simplex_solve(dual_model(build_relaxation(inst, "strengthened")))
     lower_ok = res.status == OPTIMAL and cert.lower == res.value
     report.add(
         "lower-bound-recomputed",

@@ -170,8 +170,8 @@ def _gap_line(inst, relaxation: str) -> str:
     kind = _KINDS[problem_kind(inst)]
     if kind.solve is None:
         raise _CliError("gap needs an EDS or multicut instance")
+    opt, _ = kind.oracle(inst)  # first, so an instance over the oracle cap solves no LP
     lp = relaxation_value(inst, relaxation)
-    opt, _ = kind.oracle(inst)
     return f"LP={fmt_rat(lp)}, OPT={fmt_rat(opt)}, gap={_ratio_cell(opt, lp)}"
 
 

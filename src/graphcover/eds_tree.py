@@ -61,13 +61,10 @@ ExtInt = Union[int, type(INF)]
 
 @dataclass(frozen=True)
 class EdsDual:
-    """Per-edge dual values; their total is a certified lower bound."""
+    """Per-edge dual values and their total, a certified lower bound."""
 
     xi: Dict[int, Rat]
-
-    @property
-    def total(self) -> Rat:
-        return sum(self.xi.values(), ZERO)
+    total: Rat
 
 
 @dataclass
@@ -627,7 +624,10 @@ def solve_eds_tree_trace(
 
     xi = lift.xi
     sol = eds_solution(inst, sorted(lift.F))
-    dual = EdsDual({e: Rat(xi[e], t.scale) for e in sorted(xi)})
+    # check_full has just matched lift.total against sum(xi)
+    dual = EdsDual(
+        {e: Rat(xi[e], t.scale) for e in sorted(xi)}, Rat(lift.total, t.scale)
+    )
     assert sol.total == dual.total
     return sol, dual, ctxs
 

@@ -377,14 +377,17 @@ def selected_nodes(graph: AnyGraph, edges) -> List[int]:
 
 
 def eds_solution(inst: EdsInstance, edges) -> Solution:
+    """Price an edge set.  An edge is covered when it shares an end node
+    with a chosen edge, that is when it is incident to a chosen edge's end
+    node, so coverage costs time linear in the size of the graph."""
     edges = tuple(sorted(set(edges)))
     g = inst.graph
+    nodes = selected_nodes(g, edges)
     ew = sum((inst.edge_weight[e] for e in edges), ZERO)
-    nw = sum((inst.node_weight[v] for v in selected_nodes(g, edges)), ZERO)
+    nw = sum((inst.node_weight[v] for v in nodes), ZERO)
     covered = set()
-    nbhd = edge_neighborhoods(g)
-    for e in edges:
-        covered.update(nbhd[e])
+    for v in nodes:
+        covered.update(g.incident(v))
     pen = ext_sum(inst.penalty[e] for e in g.edge_ids() if e not in covered)
     return Solution(edges, ew, nw, pen)
 

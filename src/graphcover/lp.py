@@ -17,6 +17,12 @@ out.  So every solve is deterministic and returns the same vertex as a
 dense rational tableau with the same rules, with zero tolerances; Bland's
 rule guarantees termination.
 
+:func:`dual_model` builds a model's exact LP dual, solved by the same
+simplex.  Callers that need only an optimal value (the relaxation values
+and the eds-general lower-bound check) solve the dual of their covering
+LP, which starts feasible and needs no phase I; callers that read the
+primal vertex solve the primal.
+
 Infinite data never enters a model: callers eliminate infinities before
 building (for example by fixing a variable to zero or omitting a bound).
 """
@@ -89,6 +95,52 @@ class LpModel:
             if c != 0:
                 clean[var] = Rat(c)
         self.constraints.append(LinearConstraint(name, clean, relation, Rat(rhs)))
+
+
+def dual_model(model: LpModel) -> LpModel:
+    """The LP dual of ``model``, whose optimal value equals the primal's.
+
+    For a ``min`` primal, each ``>=`` row becomes a dual variable y >= 0
+    (a ``<=`` row is read as its negation, and an ``==`` row gives a free
+    y); each nonnegative primal variable becomes a row ``<= c_j`` and each
+    free one a row ``== c_j``; the objective is max b.y.  A ``max`` primal
+    is negated first and the dual's objective negated back, so the dual is
+    a ``min`` with the same optimal value.  The dual's variables are named
+    by the primal rows, in row order, and its rows by the primal variables,
+    in variable order; the name is the primal's.
+
+    For a covering primal (``>=`` rows, c >= 0) the dual starts feasible
+    from its all-slack basis, so it needs no phase I.  By strong duality a
+    primal optimum matches a dual one; an infeasible primal has an
+    unbounded or infeasible dual, and an unbounded primal an infeasible one.
+    """
+    if model.sense not in ("min", "max"):
+        raise LpFormatError(f"bad sense {model.sense!r}")
+    sign = 1 if model.sense == "min" else -1
+    dual = LpModel(name=model.name, sense="max" if sign == 1 else "min")
+    columns: Dict[str, Dict[str, object]] = {v: {} for v in model.variables}
+    for con in model.constraints:
+        y = con.name
+        if y in dual.nonneg:
+            raise LpFormatError(f"duplicate constraint name {y!r}")
+        s = -1 if con.relation == "<=" else 1
+        dual.variables.append(y)
+        dual.nonneg[y] = con.relation != "=="
+        if con.rhs != 0:
+            dual.objective[y] = con.rhs if sign == s else -con.rhs
+        for var, coef in con.coeffs.items():
+            columns[var][y] = coef if s == 1 else -coef
+    for var in model.variables:
+        c = model.objective.get(var, ZERO)
+        dual.constraints.append(
+            LinearConstraint(
+                var,
+                columns[var],
+                "<=" if model.nonneg[var] else "==",
+                c if sign == 1 else -c,
+            )
+        )
+    return dual
 
 
 def _check_finite(value, what: str) -> None:

@@ -5,6 +5,10 @@ variable and row order (edges by id, nodes by id, demands by index) so that
 solves are reproducible.  Infinite penalties never reach the models: a
 demand with infinite penalty simply has no violation variable ``z``.
 
+:func:`relaxation_value` takes the optimal value from the model's LP dual,
+which needs no phase I; callers that read the fractional point, such as
+the eds-general rounding, solve the primal itself.
+
 Demand families: an edge-dominating instance has one demand per edge e,
 consisting of the edges sharing an end node with e; a multicut instance has
 one demand per terminal pair, consisting of its tree path.
@@ -21,7 +25,7 @@ from .instances import (
     MulticutInstance,
     edge_neighborhoods,
 )
-from .lp import INFEASIBLE, LpModel, LpResult, OPTIMAL, simplex_solve
+from .lp import INFEASIBLE, LpModel, LpResult, OPTIMAL, dual_model, simplex_solve
 from .rationals import ONE, Rat, ZERO, is_inf
 
 RELAXATION_KINDS = ("natural", "strengthened", "edge-cover")
@@ -138,10 +142,17 @@ def _build_edge_cover_lp(inst: EdgeCoverInstance) -> LpModel:
 
 
 def relaxation_value(inst, kind: str) -> Rat:
-    """Optimal value of the built relaxation (must be feasible and bounded)."""
-    res = simplex_solve(build_relaxation(inst, kind))
+    """Optimal value of the built relaxation (must be feasible and bounded).
+
+    Solved through the dual, whose optimum equals the relaxation's: every
+    relaxation is a covering LP with nonnegative costs, so its dual starts
+    feasible from the all-slack basis and needs no phase I.  Being feasible,
+    the dual is optimal or unbounded, and unbounded means an infeasible
+    relaxation.
+    """
+    res = simplex_solve(dual_model(build_relaxation(inst, kind)))
     if res.status != OPTIMAL:
-        raise InstanceError(f"{kind} relaxation unexpectedly {res.status}")
+        raise InstanceError(f"{kind} relaxation unexpectedly infeasible")
     return res.value
 
 

@@ -209,6 +209,24 @@ def test_gap_zero_lp_zero_opt(tmp_path, capsys):
     assert out.strip() == "LP=0, OPT=0, gap=1"
 
 
+def test_gap_over_the_oracle_cap_solves_no_relaxation(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "big.eds"
+    args = ["gen", "random-eds-general", "--n", "14", "--m", "25", "--seed", "0"]
+    assert cli.run(args + ["-o", str(path)]) == 0
+    calls = []
+    relaxation_value = cli.relaxation_value
+
+    def counted(inst, relaxation):
+        calls.append(relaxation)
+        return relaxation_value(inst, relaxation)
+
+    monkeypatch.setattr(cli, "relaxation_value", counted)
+    code, out, err = run_cli(capsys, "gap", str(path), "--relaxation", "strengthened")
+    assert (code, out) == (2, "")
+    assert err == "error: exhaustive search over 25 edges exceeds the cap of 20\n"
+    assert calls == []
+
+
 # -- batch -------------------------------------------------------------------
 
 

@@ -243,6 +243,7 @@ def small_trees(draw):
 def test_solver_matches_brute_force(inst):
     sol, dual = solve_eds_tree(inst)
     assert sol.total == dual.total == brute_force_eds(inst).total
+    assert dual.total == sum(dual.xi.values(), ZERO)
 
 
 @settings(max_examples=100, deadline=None, database=None)
@@ -501,3 +502,4 @@ def test_scaling_every_weight_scales_the_dual(inst, k):
     sol_k, dual_k = solve_eds_tree(scaled)
     assert sol_k.edges == sol.edges
     assert dual_k.xi == {e: x * k for e, x in dual.xi.items()}
+    assert dual_k.total == dual.total * k == sum(dual_k.xi.values(), ZERO)

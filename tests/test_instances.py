@@ -1,6 +1,7 @@
 """Graphs, instance types, the text format, generators, and covering reductions."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from graphcover import (
     INF,
@@ -13,14 +14,18 @@ from graphcover import (
     Rat,
     RootedTree,
     SetCoverInstance,
+    Solution,
     brute_force_eds,
+    eds_solution,
     gen_instance,
     parse_instance,
     reduce_to_eds,
     serialize_instance,
 )
 from graphcover.instances import edge_neighborhoods, problem_kind
-from graphcover.rationals import ZERO, is_inf
+from graphcover.rationals import ZERO, ext_sum, is_inf
+
+from _support import small_eds
 
 
 # -- graphs -----------------------------------------------------------------
@@ -75,6 +80,31 @@ def test_edge_neighborhoods_are_closed():
     assert nb[0] == (0, 1)
     assert nb[1] == (0, 1, 2)
     assert nb[2] == (1, 2)
+
+
+def _closed_neighbourhood_solution(inst, edges):
+    """eds_solution by its definition: an edge is covered when it lies in
+    the closed edge neighbourhood of a chosen edge."""
+    g = inst.graph
+    edges = tuple(sorted(set(edges)))
+    nbhd = edge_neighborhoods(g)
+    covered = {f for e in edges for f in nbhd[e]}
+    nodes = {v for e in edges for v in g.ends(e)}
+    return Solution(
+        edges,
+        sum((inst.edge_weight[e] for e in edges), ZERO),
+        sum((inst.node_weight[v] for v in nodes), ZERO),
+        ext_sum(inst.penalty[e] for e in g.edge_ids() if e not in covered),
+    )
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.one_of(small_eds(max_nodes=9, tree=True), small_eds(max_nodes=7, tree=False)),
+       st.data())
+def test_eds_solution_matches_closed_neighbourhoods(inst, data):
+    ids = inst.graph.edge_ids()
+    edges = data.draw(st.lists(st.sampled_from(ids)) if ids else st.just([]))
+    assert eds_solution(inst, edges) == _closed_neighbourhood_solution(inst, edges)
 
 
 # -- instance validation ----------------------------------------------------

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from graphcover import LpFormatError, LpModel, Rat, simplex_solve
 from graphcover import lp
-from graphcover.lp import INFEASIBLE, OPTIMAL, UNBOUNDED
+from graphcover.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, dual_model
 from graphcover.rationals import ZERO
 
 
@@ -249,6 +249,51 @@ def test_simplex_matches_vertex_enumeration(model):
         assert isinstance(res.value, Rat)
         assert all(isinstance(x, Rat) for x in res.assignment.values())
         _check_assignment(model, res)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(_small_models())
+def test_dual_model_obeys_strong_duality(model):
+    """Against the primal's vertex enumeration: equal optima, an unbounded
+    or infeasible dual of an infeasible primal, an infeasible dual of an
+    unbounded one."""
+    status, value = _vertex_enumeration(model)
+    dual = simplex_solve(dual_model(model))
+    if status == OPTIMAL:
+        assert (dual.status, dual.value) == (OPTIMAL, value)
+    elif status == INFEASIBLE:
+        assert dual.status in (UNBOUNDED, INFEASIBLE)
+    else:
+        assert dual.status == INFEASIBLE
+
+
+def test_dual_model_transposes_and_keeps_the_name():
+    m = LpModel("fam", sense="max")
+    m.add_var("x", obj=Rat(2))
+    m.add_var("f", nonneg=False, obj=Rat(-1))
+    m.add_constraint("ge", {"x": Rat(1), "f": Rat(3)}, ">=", Rat(1))
+    m.add_constraint("le", {"x": Rat(1, 2)}, "<=", Rat(4))
+    m.add_constraint("eq", {"f": Rat(1)}, "==", ZERO)
+    d = dual_model(m)
+    assert (d.name, d.sense, d.variables) == ("fam", "min", ["ge", "le", "eq"])
+    assert d.nonneg == {"ge": True, "le": True, "eq": False}
+    # the max primal is negated: a "<=" row flips its sign twice, and the
+    # rows read <= -c (== -c for the free f)
+    assert d.objective == {"ge": Rat(-1), "le": Rat(4)}
+    assert [(c.name, c.coeffs, c.relation, c.rhs) for c in d.constraints] == [
+        ("x", {"ge": Rat(1), "le": Rat(-1, 2)}, "<=", Rat(-2)),
+        ("f", {"ge": Rat(3), "eq": Rat(1)}, "==", Rat(1)),
+    ]
+    assert simplex_solve(d).value == simplex_solve(m).value == 16
+
+
+def test_dual_model_rejects_duplicate_row_names():
+    m = LpModel("dup")
+    m.add_var("x")
+    m.add_constraint("c", {"x": Rat(1)}, ">=", ZERO)
+    m.add_constraint("c", {"x": Rat(1)}, "<=", Rat(1))
+    with pytest.raises(LpFormatError):
+        dual_model(m)
 
 
 def test_beale_cycling_example_reaches_blands_rule(monkeypatch):

@@ -3,9 +3,11 @@
 import hashlib
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from graphcover import (
     INF,
+    EdsInstance,
     InstanceError,
     Rat,
     brute_force_eds,
@@ -16,10 +18,11 @@ from graphcover import (
     relaxation_value,
     simplex_solve,
 )
+from graphcover.eds_general import build_edge_cover_instance
 from graphcover.rationals import ZERO
 from graphcover.relaxations import extract_relaxation_point
 
-from _support import two_leaf_star
+from _support import small_eds, small_multicuts, two_leaf_star
 
 
 # -- gap constructions ------------------------------------------------------
@@ -63,6 +66,31 @@ def test_mismatched_kind_rejected():
         build_relaxation(gen_instance("star-gap-eds", n=3), "edge-cover")
     with pytest.raises(InstanceError):
         build_relaxation(gen_instance("star-gap-eds", n=3), "no-such-kind")
+
+
+# -- values from the dual ------------------------------------------------------
+
+
+@settings(max_examples=120, deadline=None, database=None)
+@given(
+    st.one_of(
+        small_eds(max_nodes=8, tree=True),
+        small_eds(max_nodes=5, tree=False),
+        small_multicuts(max_nodes=8),
+    )
+)
+def test_relaxation_value_equals_the_primal_optimum(inst):
+    """relaxation_value solves the dual; its value is the primal optimum,
+    also for the edge-cover relaxation that eds-general builds."""
+    for kind in ("natural", "strengthened"):
+        primal = simplex_solve(build_relaxation(inst, kind))
+        assert relaxation_value(inst, kind) == primal.value
+    if isinstance(inst, EdsInstance):
+        # eds-general rounds the strengthened vertex, the last one solved
+        xe, _, _ = extract_relaxation_point(inst, primal)
+        cover = build_edge_cover_instance(inst, xe)
+        primal = simplex_solve(build_relaxation(cover, "edge-cover"))
+        assert relaxation_value(cover, "edge-cover") == primal.value
 
 
 # -- point extraction -------------------------------------------------------
