@@ -177,11 +177,7 @@ def _gap_line(inst, relaxation: str) -> str:
 
 def _do_gen(args) -> int:
     params = {}
-    for name in _GEN_INT_PARAMS:
-        value = getattr(args, name)
-        if value is not None:
-            params[name] = value
-    for name in _GEN_FLOAT_PARAMS:
+    for name in _GEN_INT_PARAMS + _GEN_FLOAT_PARAMS:
         value = getattr(args, name)
         if value is not None:
             params[name] = value

@@ -73,10 +73,10 @@ class CaseContext:
 
     For case A the center is u and the arms are u's children; for case B
     the center is s and the arms are s's children.  Arm edge ids equal arm
-    node ids.  bound1/bound2/bound are the two candidate charges and their
-    minimum; caps bound the dual values assigned to the arm edges.  Weights,
-    bounds and caps are in the solver's integer units: the instance's values
-    times its `scale` (see `_LiveTree`).
+    node ids.  bound1 is the first of the two candidate charges and bound
+    their minimum; caps bound the dual values assigned to the arm edges.
+    Weights, bounds and caps are in the solver's integer units: the
+    instance's values times its `scale` (see `_LiveTree`).
     """
 
     tag: str  # "A" or "B"
@@ -86,7 +86,6 @@ class CaseContext:
     parent_edge: Optional[int]  # e0
     arms: List[int]  # arm node ids, ascending
     bound1: int
-    bound2: ExtInt
     bound: int
     i_star: int  # 0 refers to the parent edge, i >= 1 to arms[i-1]
     caps: List[ExtInt]  # dual caps per arm edge
@@ -256,7 +255,6 @@ def _reduce_a(t: _LiveTree, leaf_edge: int) -> CaseContext:
         parent_edge=e0,
         arms=arms,
         bound1=bound1,
-        bound2=bound2,
         bound=bound,
         i_star=i_star,
         caps=[pen[v] for v in arms],
@@ -323,7 +321,6 @@ def _reduce_b(t: _LiveTree) -> CaseContext:
         parent_edge=e0,
         arms=arms,
         bound1=bound1,
-        bound2=bound2,
         bound=bound,
         i_star=i_star,
         caps=caps,

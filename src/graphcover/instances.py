@@ -16,9 +16,9 @@ rejected with a ParseError before anything of size N is allocated.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from random import Random
-from typing import Dict, FrozenSet, List, Optional, Tuple, Union
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Tuple, Union
 
 from .rationals import INF, ExtRat, Rat, ZERO, ext_sum, fmt_rat, is_inf, parse_rat
 
@@ -239,6 +239,13 @@ class Demand:
     penalty: ExtRat
 
 
+class _DemandPath(NamedTuple):
+    lca: int
+    edges: Tuple[int, ...]
+    nodes: Tuple[int, ...]
+    legs: Tuple[FrozenSet[int], FrozenSet[int]]
+
+
 @dataclass
 class MulticutInstance:
     """Each demand pair must be separated by the chosen edges or pay its penalty."""
@@ -247,6 +254,9 @@ class MulticutInstance:
     node_weight: Dict[int, Rat]
     edge_weight: Dict[int, Rat]
     demands: List[Demand]
+    _paths: Dict[int, _DemandPath] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         _check_weights(self.tree, self.node_weight, self.edge_weight)
@@ -259,39 +269,43 @@ class MulticutInstance:
                 raise InstanceError(f"demand {i} penalty must be nonnegative")
 
     def lca(self, i: int) -> int:
-        d = self.demands[i]
-        return self.tree.lca(d.s, d.t)
+        return self._path(i).lca
 
-    def path_edges(self, i: int) -> List[int]:
+    def path_edges(self, i: int) -> Tuple[int, ...]:
         """Edge ids along the demand path, ordered from s towards t."""
-        d = self.demands[i]
-        a = self.tree.lca(d.s, d.t)
-        up = []
-        x = d.s
-        while x != a:
-            up.append(x)
-            x = self.tree.parent[x]
-        down = []
-        x = d.t
-        while x != a:
-            down.append(x)
-            x = self.tree.parent[x]
-        return up + list(reversed(down))
+        return self._path(i).edges
 
-    def path_nodes(self, i: int) -> List[int]:
-        d = self.demands[i]
-        a = self.tree.lca(d.s, d.t)
-        up = []
-        x = d.s
-        while x != a:
-            up.append(x)
-            x = self.tree.parent[x]
-        down = []
-        x = d.t
-        while x != a:
-            down.append(x)
-            x = self.tree.parent[x]
-        return up + [a] + list(reversed(down))
+    def path_nodes(self, i: int) -> Tuple[int, ...]:
+        """Nodes along the demand path, ordered from s towards t."""
+        return self._path(i).nodes
+
+    def legs(self, i: int) -> Tuple[FrozenSet[int], FrozenSet[int]]:
+        """The path edges below the lca on the s side and on the t side."""
+        return self._path(i).legs
+
+    def _path(self, i: int) -> _DemandPath:
+        """Demand i's path, walked once, on first use, up to the lca."""
+        path = self._paths.get(i)
+        if path is None:
+            parent, depth = self.tree.parent, self.tree.depth
+            s, t = self.demands[i].s, self.demands[i].t
+            up: List[int] = []
+            down: List[int] = []
+            while s != t:  # step up from the deeper end
+                if depth[s] >= depth[t]:
+                    up.append(s)
+                    s = parent[s]
+                else:
+                    down.append(t)
+                    t = parent[t]
+            down.reverse()
+            path = self._paths[i] = _DemandPath(
+                s,
+                tuple(up + down),
+                tuple(up + [s] + down),
+                (frozenset(up), frozenset(down)),
+            )
+        return path
 
 
 @dataclass
@@ -783,9 +797,7 @@ class ReducedEds:
 
     instance: EdsInstance
     big_m: Rat
-    roles: Dict[int, Tuple]  # edge id -> ("conn", client, facility) | ("pendant", client)
     big_m_edges: FrozenSet[int]  # edges priced at big_m or guarding a big_m node
-    source_kind: str
 
 
 def reduce_to_eds(inst: Union[SetCoverInstance, FacilityLocationInstance]) -> ReducedEds:
@@ -798,7 +810,6 @@ def reduce_to_eds(inst: Union[SetCoverInstance, FacilityLocationInstance]) -> Re
     cover goes through its facility-location form (one facility per set,
     zero-cost connections to the covered elements).
     """
-    source_kind = problem_kind(inst)
     if isinstance(inst, SetCoverInstance):
         fl = FacilityLocationInstance(
             n_clients=inst.n_elements,
@@ -818,7 +829,6 @@ def reduce_to_eds(inst: Union[SetCoverInstance, FacilityLocationInstance]) -> Re
     n = nc + nf + nc  # clients, facilities, pendant nodes
     edges = []
     edge_w: Dict[int, Rat] = {}
-    roles: Dict[int, Tuple] = {}
     big_edges = set()
     for v in range(nc):
         for f in range(nf):
@@ -826,14 +836,12 @@ def reduce_to_eds(inst: Union[SetCoverInstance, FacilityLocationInstance]) -> Re
             edges.append((v, nc + f))
             d = fl.conn.get((v, f))
             edge_w[eid] = big_m if d is None else d
-            roles[eid] = ("conn", v, f)
             if d is None:
                 big_edges.add(eid)
     for v in range(nc):
         eid = len(edges)
         edges.append((v, nc + nf + v))
         edge_w[eid] = ZERO
-        roles[eid] = ("pendant", v)
         big_edges.add(eid)  # selecting it buys the big-M pendant node
     graph = Graph(n, edges)
     node_w = {v: ZERO for v in range(nc)}
@@ -845,4 +853,4 @@ def reduce_to_eds(inst: Union[SetCoverInstance, FacilityLocationInstance]) -> Re
         edge_w,
         {e: INF for e in range(len(edges))},
     )
-    return ReducedEds(eds, big_m, roles, frozenset(big_edges), source_kind)
+    return ReducedEds(eds, big_m, frozenset(big_edges))

@@ -24,8 +24,10 @@ non-relaxable pairs, the least fixed point of a monotone rule, come from a
 worklist of per-node pointers into the sorted holders.  Each step LP gets
 rows only for the moved demands and capacities, and each step checks
 exactly, with zero tolerance, the nonnegativity, capacity and support rows
-its writes touched; the end of the phase checks the whole dual from
-scratch, and the running sums and holders against it.  A step thus costs
+its writes touched.  The end of the phase checks the whole dual from
+scratch with :func:`dual_violation`, the same checker the verifier uses,
+and the running sums and holders against it.  Each demand's path is
+walked once per instance, by :class:`MulticutInstance`.  A step thus costs
 time in the paths of the demands it writes and the dual mass held, plus a
 flat copy of the classification sets, instead of a rescan of every demand
 and of every earlier demand's mass at each node.
@@ -43,6 +45,7 @@ from .instances import (
     RootedTree,
     Solution,
     multicut_solution,
+    selected_nodes,
 )
 from .lp import OPTIMAL, LpModel, simplex_solve
 from .rationals import INF, ONE, ExtRat, Rat, ZERO, is_inf
@@ -61,6 +64,44 @@ class MulticutDual:
     @property
     def total(self) -> Rat:
         return sum(self.xi.values(), ZERO)
+
+
+def dual_violation(
+    inst: MulticutInstance,
+    xi: Dict[int, Rat],
+    nu: Dict[Tuple[int, int], Rat],
+    mu: Dict[Tuple[int, int], Rat],
+) -> Optional[str]:
+    """The first violated row of the dual system, or None; absent entries
+    are zero.  Rows in order: nonnegativity, the edge capacities (sum of nu
+    at e <= w(e)), the node capacities (likewise for mu), and the support
+    rows xi(d) <= nu(e, d) + mu(upper, d) + mu(lower, d) on d's path."""
+    for name, table in (("xi", xi), ("nu", nu), ("mu", mu)):
+        for key, val in table.items():
+            if val < 0:
+                return f"negative dual value {name}[{key}]"
+    for e, tot in _load(nu).items():
+        if tot > inst.edge_weight[e]:
+            return f"edge capacity violated at {e}"
+    for v, tot in _load(mu).items():
+        if tot > inst.node_weight[v]:
+            return f"node capacity violated at {v}"
+    parent = inst.tree.parent
+    for d in range(len(inst.demands)):
+        x = xi.get(d, ZERO)
+        for e in inst.path_edges(d):
+            lhs = nu.get((e, d), ZERO) + mu.get((parent[e], d), ZERO) + mu.get((e, d), ZERO)
+            if x > lhs:
+                return f"support row violated ({e},{d})"
+    return None
+
+
+def _load(table: Dict[Tuple[int, int], Rat]) -> Dict[int, Rat]:
+    """Per edge or node, the sum of its dual values over the demands."""
+    out: Dict[int, Rat] = {}
+    for (x, _), val in table.items():
+        out[x] = out.get(x, ZERO) + val
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -192,22 +233,11 @@ class IncreaseState:
             range(k), key=lambda i: (-inst.tree.depth[inst.lca(i)], i)
         )
         self.position: Dict[int, int] = {d: p for p, d in enumerate(self.order)}
-        self.path_edges: List[List[int]] = [inst.path_edges(i) for i in range(k)]
+        self.path_edges: List[Tuple[int, ...]] = [inst.path_edges(i) for i in range(k)]
         self.edge_set: List[FrozenSet[int]] = [frozenset(p) for p in self.path_edges]
-        self.path_nodes: List[List[int]] = [inst.path_nodes(i) for i in range(k)]
+        self.path_nodes: List[Tuple[int, ...]] = [inst.path_nodes(i) for i in range(k)]
         self.node_set: List[FrozenSet[int]] = [frozenset(p) for p in self.path_nodes]
-        self.legs: List[Tuple[FrozenSet[int], FrozenSet[int]]] = []
-        for i in range(k):
-            d, a = inst.demands[i], inst.lca(i)
-            up, x = [], d.s
-            while x != a:
-                up.append(x)
-                x = inst.tree.parent[x]
-            down, x = [], d.t
-            while x != a:
-                down.append(x)
-                x = inst.tree.parent[x]
-            self.legs.append((frozenset(up), frozenset(down)))
+        self.legs = [inst.legs(i) for i in range(k)]
         self.edges_at: List[Dict[int, List[int]]] = []
         for i in range(k):
             at: Dict[int, List[int]] = {}
@@ -422,29 +452,15 @@ class IncreaseState:
     def assert_feasible(self) -> None:
         """From-scratch check of the whole dual, and of the running sums and
         holder index against it."""
-        inst = self.instance
-        snap_nu: Dict[int, Rat] = {}
-        for (e, _), val in self.nu.items():
-            assert val >= 0
-            snap_nu[e] = snap_nu.get(e, ZERO) + val
-        for e, tot in snap_nu.items():
-            assert tot <= inst.edge_weight[e], f"edge capacity violated at {e}"
-        snap_mu: Dict[int, Rat] = {}
+        violation = dual_violation(self.instance, self.xi, self.nu, self.mu)
+        assert violation is None, violation
+        nu_load, mu_load = _load(self.nu), _load(self.mu)
+        assert all(tot == nu_load.get(e, ZERO) for e, tot in self.nu_sum.items())
+        assert all(tot == mu_load.get(v, ZERO) for v, tot in self.mu_sum.items())
         holders: Dict[int, Set[int]] = {}
         for (v, j), val in self.mu.items():
-            assert val >= 0
-            snap_mu[v] = snap_mu.get(v, ZERO) + val
             if val > 0:
                 holders.setdefault(v, set()).add(j)
-        for v, tot in snap_mu.items():
-            assert tot <= inst.node_weight[v], f"node capacity violated at {v}"
-        for d in range(len(inst.demands)):
-            for e in self.path_edges[d]:
-                assert self.xi.get(d, ZERO) <= self.support_lhs(e, d), (
-                    f"support row violated ({e},{d})"
-                )
-        assert all(tot == snap_nu.get(e, ZERO) for e, tot in self.nu_sum.items())
-        assert all(tot == snap_mu.get(v, ZERO) for v, tot in self.mu_sum.items())
         assert holders == self.holders
 
 
@@ -885,7 +901,6 @@ def verify_multicut(
     """Certificate check: coverage, exact dual feasibility, the factor-2
     bound, and full saturation of every kept edge and touched node."""
     report = CheckReport()
-    tree = inst.tree
     k = len(inst.demands)
     chosen = set(edges)
     paths = [frozenset(inst.path_edges(i)) for i in range(k)]
@@ -905,35 +920,13 @@ def verify_multicut(
             for (v, i), val in dual.mu.items()
         )
     )
-    feasible = ok_domain
-    nu_sum: Dict[int, Rat] = {}
-    mu_sum: Dict[int, Rat] = {}
-    if ok_domain:
-        for i in range(k):
-            for e in paths[i]:
-                lhs = (
-                    dual.nu.get((e, i), ZERO)
-                    + dual.mu.get((tree.parent[e], i), ZERO)
-                    + dual.mu.get((e, i), ZERO)
-                )
-                if dual.xi.get(i, ZERO) > lhs:
-                    feasible = False
-        for (e, _), val in dual.nu.items():
-            nu_sum[e] = nu_sum.get(e, ZERO) + val
-        for (v, _), val in dual.mu.items():
-            mu_sum[v] = mu_sum.get(v, ZERO) + val
-        if any(tot > inst.edge_weight[e] for e, tot in nu_sum.items()):
-            feasible = False
-        if any(tot > inst.node_weight[v] for v, tot in mu_sum.items()):
-            feasible = False
-    report.add("dual-feasible", feasible)
+    report.add(
+        "dual-feasible",
+        ok_domain and dual_violation(inst, dual.xi, dual.nu, dual.mu) is None,
+    )
 
-    cost = sum((inst.edge_weight[e] for e in chosen), ZERO)
-    touched = set()
-    for e in chosen:
-        touched.add(tree.parent[e])
-        touched.add(e)
-    cost += sum((inst.node_weight[v] for v in touched), ZERO)
+    sol = multicut_solution(inst, chosen)
+    cost = sol.edge_weight + sol.node_weight
     total = dual.total
     report.add(
         "within-twice-dual", cost <= 2 * total, f"cost {cost}, dual total {total}"
@@ -941,10 +934,14 @@ def verify_multicut(
 
     # with the domain checked, every dual key names a demand in range(k),
     # so the sums are the totals over all demands
+    nu_load, mu_load = _load(dual.nu), _load(dual.mu)
     saturated = (
         ok_domain
-        and all(nu_sum.get(e, ZERO) == inst.edge_weight[e] for e in chosen)
-        and all(mu_sum.get(v, ZERO) == inst.node_weight[v] for v in touched)
+        and all(nu_load.get(e, ZERO) == inst.edge_weight[e] for e in chosen)
+        and all(
+            mu_load.get(v, ZERO) == inst.node_weight[v]
+            for v in selected_nodes(inst.tree, chosen)
+        )
     )
     report.add("kept-capacities-saturated", saturated)
     return report

@@ -9,10 +9,8 @@ chosen index tuple, and use exact arithmetic throughout.
 from __future__ import annotations
 
 from math import lcm
-from typing import Union
 
 from .instances import (
-    EdgeCoverInstance,
     EdsInstance,
     FacilityLocationInstance,
     MulticutInstance,
@@ -25,17 +23,17 @@ from .instances import (
 from .rationals import ExtRat, INF, ZERO, ext_min, is_inf
 
 #: Largest edge/set count the exhaustive solvers accept.
-DEFAULT_CAP = 20
+CAP = 20
 
 
 class OracleCapError(ValueError):
     """Raised when an instance is too large for exhaustive enumeration."""
 
 
-def _check_cap(count: int, cap: int, what: str) -> None:
-    if count > cap:
+def _check_cap(count: int, what: str) -> None:
+    if count > CAP:
         raise OracleCapError(
-            f"exhaustive search over {count} {what} exceeds the cap of {cap}"
+            f"exhaustive search over {count} {what} exceeds the cap of {CAP}"
         )
 
 
@@ -46,7 +44,7 @@ def _bits(mask: int):
         mask ^= low
 
 
-def brute_force_eds(inst: EdsInstance, cap: int = DEFAULT_CAP) -> Solution:
+def brute_force_eds(inst: EdsInstance) -> Solution:
     """Minimize w(F) + w(V(F)) + sum of penalties of edges untouched by F.
 
     Depth-first search over include/exclude decisions in edge-id order.
@@ -57,7 +55,7 @@ def brute_force_eds(inst: EdsInstance, cap: int = DEFAULT_CAP) -> Solution:
     """
     g = inst.graph
     edges = sorted(g.edge_ids())
-    _check_cap(len(edges), cap, "edges")
+    _check_cap(len(edges), "edges")
     m = len(edges)
     pos = {e: i for i, e in enumerate(edges)}
     nbhd = edge_neighborhoods(g)
@@ -137,7 +135,7 @@ def brute_force_eds(inst: EdsInstance, cap: int = DEFAULT_CAP) -> Solution:
     return eds_solution(inst, best_key[1])
 
 
-def brute_force_multicut(inst: MulticutInstance, cap: int = DEFAULT_CAP) -> Solution:
+def brute_force_multicut(inst: MulticutInstance) -> Solution:
     """Minimize w(F) + w(V(F)) + sum of penalties of demands not cut by F.
 
     Weights and finite penalties are scaled once to integers over their
@@ -148,7 +146,7 @@ def brute_force_multicut(inst: MulticutInstance, cap: int = DEFAULT_CAP) -> Solu
     """
     tree = inst.tree
     edges = sorted(tree.edge_ids())
-    _check_cap(len(edges), cap, "edges")
+    _check_cap(len(edges), "edges")
     m, k = len(edges), len(inst.demands)
     finite = [d.penalty for d in inst.demands if not is_inf(d.penalty)]
     values = [inst.edge_weight[e] for e in edges] + finite
@@ -205,58 +203,28 @@ def brute_force_multicut(inst: MulticutInstance, cap: int = DEFAULT_CAP) -> Solu
     return multicut_solution(inst, tuple(edges[i] for i in _bits(best_mask)))
 
 
-def brute_force_cover(
-    inst: Union[SetCoverInstance, EdgeCoverInstance], cap: int = DEFAULT_CAP
-) -> ExtRat:
+def brute_force_cover(inst: SetCoverInstance) -> ExtRat:
     """Exhaustive minimum cover cost; INF when the instance is uncoverable."""
-    if isinstance(inst, SetCoverInstance):
-        _check_cap(len(inst.sets), cap, "sets")
-        target = (1 << inst.n_elements) - 1
-        masks = [sum(1 << x for x in members) for _, members in inst.sets]
-        costs = [cost for cost, _ in inst.sets]
-        best: ExtRat = INF
-        for pick in range(1 << len(inst.sets)):
-            covered = 0
-            cost = ZERO
-            for i in _bits(pick):
-                covered |= masks[i]
-                cost += costs[i]
-            if covered & target == target and cost < best:
-                best = cost
-        return best
-    g = inst.graph
-    edges = sorted(g.edge_ids())
-    _check_cap(len(edges), cap, "edges")
-    pos = {e: i for i, e in enumerate(edges)}
-    node_mask = [0] * len(edges)
-    for e in edges:
-        u, v = g.ends(e)
-        node_mask[pos[e]] |= (1 << u) | (1 << v)
-    ew = [inst.edge_weight[e] for e in edges]
-    nw = [inst.node_weight[v] for v in range(g.n)]
-    target = sum(1 << v for v in inst.cover_nodes)
-    best = INF
-    for pick in range(1 << len(edges)):
-        nodes = 0
+    _check_cap(len(inst.sets), "sets")
+    target = (1 << inst.n_elements) - 1
+    masks = [sum(1 << x for x in members) for _, members in inst.sets]
+    costs = [cost for cost, _ in inst.sets]
+    best: ExtRat = INF
+    for pick in range(1 << len(inst.sets)):
+        covered = 0
         cost = ZERO
         for i in _bits(pick):
-            nodes |= node_mask[i]
-            cost += ew[i]
-        if nodes & target != target:
-            continue
-        for v in _bits(nodes):
-            cost += nw[v]
-        if cost < best:
+            covered |= masks[i]
+            cost += costs[i]
+        if covered & target == target and cost < best:
             best = cost
     return best
 
 
-def brute_force_facility_location(
-    inst: FacilityLocationInstance, cap: int = DEFAULT_CAP
-) -> ExtRat:
+def brute_force_facility_location(inst: FacilityLocationInstance) -> ExtRat:
     """Exhaustive minimum of opening plus connection costs; INF if some
     client cannot reach any facility."""
-    _check_cap(inst.n_facilities, cap, "facilities")
+    _check_cap(inst.n_facilities, "facilities")
     best: ExtRat = INF
     for pick in range(1 << inst.n_facilities):
         open_f = list(_bits(pick))

@@ -74,11 +74,7 @@ def build_relaxation(inst, kind: str) -> LpModel:
     g = _graph_of(inst)
     demands = _demand_families(inst)
     model = LpModel(name=f"{kind}")
-    edge_ids = sorted(g.edge_ids())
-    for e in edge_ids:
-        model.add_var(f"x_e{e}", obj=inst.edge_weight[e])
-    for v in range(g.n):
-        model.add_var(f"x_v{v}", obj=inst.node_weight[v])
+    _add_x_vars(model, g, inst)
     z_keys = []
     for c, _, pen in demands:
         if not is_inf(pen):
@@ -91,11 +87,7 @@ def build_relaxation(inst, kind: str) -> LpModel:
         if c in zset:
             coeffs[f"z_{c}"] = ONE
         model.add_constraint(f"cover_{c}", coeffs, ">=", ONE)
-    for v in range(g.n):
-        for e in sorted(g.incident(v)):
-            model.add_constraint(
-                f"node_v{v}_e{e}", {f"x_v{v}": ONE, f"x_e{e}": -ONE}, ">=", ZERO
-            )
+    _add_node_rows(model, g)
 
     if kind == "strengthened":
         for c, members, _ in demands:
@@ -126,19 +118,29 @@ def build_relaxation(inst, kind: str) -> LpModel:
 def _build_edge_cover_lp(inst: EdgeCoverInstance) -> LpModel:
     g = inst.graph
     model = LpModel(name="edge-cover")
+    _add_x_vars(model, g, inst)
+    for v in sorted(inst.cover_nodes):
+        coeffs = {f"x_e{e}": ONE for e in g.incident(v)}
+        model.add_constraint(f"cover_v{v}", coeffs, ">=", ONE)
+    _add_node_rows(model, g)
+    return model
+
+
+def _add_x_vars(model: LpModel, g, inst) -> None:
+    """x(e) for the edges by id, then x(v) for the nodes, at their weights."""
     for e in sorted(g.edge_ids()):
         model.add_var(f"x_e{e}", obj=inst.edge_weight[e])
     for v in range(g.n):
         model.add_var(f"x_v{v}", obj=inst.node_weight[v])
-    for v in sorted(inst.cover_nodes):
-        coeffs = {f"x_e{e}": ONE for e in g.incident(v)}
-        model.add_constraint(f"cover_v{v}", coeffs, ">=", ONE)
+
+
+def _add_node_rows(model: LpModel, g) -> None:
+    """The rows x(v) >= x(e) for every edge e at every node v."""
     for v in range(g.n):
         for e in sorted(g.incident(v)):
             model.add_constraint(
                 f"node_v{v}_e{e}", {f"x_v{v}": ONE, f"x_e{e}": -ONE}, ">=", ZERO
             )
-    return model
 
 
 def relaxation_value(inst, kind: str) -> Rat:

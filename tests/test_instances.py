@@ -25,7 +25,7 @@ from graphcover import (
 from graphcover.instances import edge_neighborhoods, problem_kind
 from graphcover.rationals import ZERO, ext_sum, is_inf
 
-from _support import small_eds
+from _support import small_eds, small_multicuts
 
 
 # -- graphs -----------------------------------------------------------------
@@ -105,6 +105,28 @@ def test_eds_solution_matches_closed_neighbourhoods(inst, data):
     ids = inst.graph.edge_ids()
     edges = data.draw(st.lists(st.sampled_from(ids)) if ids else st.just([]))
     assert eds_solution(inst, edges) == _closed_neighbourhood_solution(inst, edges)
+
+
+def _ancestors(tree, v):
+    """v, its parent, and so on up to the root."""
+    chain = [v]
+    while chain[-1] != tree.root:
+        chain.append(tree.parent[chain[-1]])
+    return chain
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(small_multicuts(max_nodes=12))
+def test_demand_paths_match_ancestor_chains(inst):
+    for i, d in enumerate(inst.demands):
+        from_s, from_t = _ancestors(inst.tree, d.s), _ancestors(inst.tree, d.t)
+        lca = next(v for v in from_s if v in from_t)
+        up = from_s[: from_s.index(lca)]
+        down = from_t[: from_t.index(lca)]
+        assert inst.lca(i) == lca
+        assert list(inst.path_edges(i)) == up + down[::-1]
+        assert list(inst.path_nodes(i)) == up + [lca] + down[::-1]
+        assert inst.legs(i) == (frozenset(up), frozenset(down))
 
 
 # -- instance validation ----------------------------------------------------

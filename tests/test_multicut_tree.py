@@ -18,6 +18,7 @@ from graphcover.multicut_tree import (
     IncreaseState,
     big_m_edges,
     deletion_phase,
+    dual_violation,
     increase_iteration,
     reduce_prize_collecting,
     run_increase_phase,
@@ -279,14 +280,26 @@ def test_verifier_rejects_empty_cut():
     assert any("demand" in f for f in report.failures())
 
 
-def test_verifier_rejects_capacity_violation():
+@pytest.mark.parametrize(
+    "table, key, change, message",
+    [
+        pytest.param("nu", (1, 0), 5, "edge capacity violated at 1", id="edge-capacity"),
+        pytest.param("mu", (0, 0), 5, "node capacity violated at 0", id="node-capacity"),
+        pytest.param("xi", 0, 5, "support row violated (1,0)", id="support-row"),
+        pytest.param("mu", (1, 0), -1, "negative dual value mu[(1, 0)]", id="negative"),
+    ],
+)
+def test_verifier_rejects_capacity_violation(table, key, change, message):
     inst0, _ = reduce_prize_collecting(star_multicut(1, 2, INF))
     state = run_increase_phase(IncreaseState(inst0))
     kept = deletion_phase(state)
     dual = state.dual
-    dual.nu[(1, 0)] = dual.nu.get((1, 0), ZERO) + 5
+    values = getattr(dual, table)
+    values[key] = values.get(key, ZERO) + change
     report = verify_multicut(inst0, kept, dual)
     assert not report.passed
+    assert "dual-feasible" in report.failures()
+    assert dual_violation(inst0, dual.xi, dual.nu, dual.mu) == message
 
 
 # -- randomized battery ------------------------------------------------------

@@ -72,7 +72,7 @@ def test_eds_objective_breakdown():
 def test_eds_respects_cap():
     inst = gen_instance("random-eds-general", n=8, m=21, seed=0)
     with pytest.raises(OracleCapError):
-        brute_force_eds(inst, cap=20)
+        brute_force_eds(inst)
 
 
 # -- multicut ---------------------------------------------------------------
@@ -100,7 +100,7 @@ def test_single_edge_forced_cut():
 def test_multicut_respects_cap():
     inst = gen_instance("random-tree-multicut", n=22, k=2, seed=0)
     with pytest.raises(OracleCapError):
-        brute_force_multicut(inst, cap=20)
+        brute_force_multicut(inst)
 
 
 def _rational_multicut_reference(inst):
