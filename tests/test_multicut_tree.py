@@ -1,5 +1,7 @@
 """Primal-dual tree multicut: reduction gadgets, frozen runs, verification."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 
@@ -24,7 +26,7 @@ from graphcover.multicut_tree import (
     run_increase_phase,
     verify_multicut,
 )
-from graphcover.rationals import ZERO, is_inf
+from graphcover.rationals import ZERO, fmt_rat, is_inf
 
 from _support import small_multicuts, star_multicut
 
@@ -257,6 +259,86 @@ def test_corrupted_write_caught_at_its_own_step(monkeypatch):
     monkeypatch.setattr(IncreaseState, "check_step", lambda self: None)
     step, message = _run_with_overfull_edge(monkeypatch, at_step=3)
     assert step is None and message.startswith("edge capacity violated at")
+
+
+# -- step and refine LP models pinned by digest ------------------------------
+
+
+def _model_text(model):
+    """Every part of an LpModel that the simplex reads, one line per row;
+    a row's coefficients are listed in variable order."""
+    lines = [
+        f"{model.name} {model.sense}",
+        " ".join(f"{v}:{int(model.nonneg[v])}" for v in model.variables),
+        " ".join(f"{v}:{fmt_rat(c)}" for v, c in sorted(model.objective.items())),
+    ]
+    order = {v: i for i, v in enumerate(model.variables)}
+    for con in model.constraints:
+        coeffs = sorted(con.coeffs.items(), key=lambda item: order[item[0]])
+        cells = " ".join(f"{v}:{fmt_rat(c)}" for v, c in coeffs)
+        lines.append(f"{con.name} {cells} {con.relation} {fmt_rat(con.rhs)}")
+    return "\n".join(lines) + "\n"
+
+
+def _step_models_digest(n, k, seed):
+    """sha256 of every step and refine LP the increase phase solves, in
+    solve order, then the kept cut (or the deletion phase's assertion
+    message) and the final dual."""
+    digest = hashlib.sha256()
+    real = multicut_tree.simplex_solve
+
+    def solve(model):
+        digest.update(_model_text(model).encode())
+        return real(model)
+
+    inst0, _ = reduce_prize_collecting(
+        gen_instance("random-tree-multicut", n=n, k=k, seed=seed)
+    )
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(multicut_tree, "simplex_solve", solve)
+        state = run_increase_phase(IncreaseState(inst0))
+    try:
+        outcome = " ".join(str(e) for e in sorted(deletion_phase(state)))
+    except AssertionError as exc:
+        outcome = f"failed: {exc}"
+    dual = state.dual
+    digest.update(f"{outcome}\n".encode())
+    for table in (dual.xi, dual.nu, dual.mu):
+        digest.update(
+            " ".join(f"{key}={fmt_rat(val)}" for key, val in table.items()).encode()
+        )
+        digest.update(b"\n")
+    return digest.hexdigest()
+
+
+# (n, k, seed) -> digest.  (20, 8, 7) is an F2 case: its deletion phase
+# fails with "no pinned replacement edge at node 0 for 1".
+GOLDEN_STEP_MODELS = {
+    (9, 4, 0): "9f10e3a5016154cff1f55e57aa9a275c720d7b2bb3b8c7ff0b06d797fcbe59ff",
+    (9, 4, 1): "6ee33ac13ead5b28762bf2a5d6d62e0f084ca0c426d2534ed33fcdfc4222afda",
+    (9, 4, 2): "0b2f207f9fedc2b133aaa2a11b45db00e3b3244b9631cf710dde0125adeacb22",
+    (9, 4, 3): "b819f6d343cadcdbd0ad71a2e76f18651fa65be1aff15cfebd45bc56a1ca14ef",
+    (20, 8, 0): "9d89b6f2bca0f8cab8a0cbdda71d6d82450aae989281be6e1af6e8fd34f9ba10",
+    (20, 8, 1): "506886d05f729c8a1c5ecf660fc901b7a63a1dda30d5f2424c2f8fc409aa5955",
+    (20, 8, 2): "5977551a3f000bf7eea455efdee8b353805ba0923dea27bbf589c0779d861d3d",
+    (20, 8, 3): "6914f27d9079124211e1754e18eb9850af638938e1a0a3c39ab5e9b86ce1246c",
+    (20, 8, 4): "b584cb9f150f2ee3b9b67717561d1dd047bcabd08707080411fd4e9492c3de23",
+    (20, 8, 5): "ab3491e3844759c9b3c209ac8153395c76460a64dc0d8d0e9e501b7be47d2a7f",
+    (20, 8, 6): "1d0ff2c7a3a44ffac14d230f35c0f70a3cc63bf475793924b18634bf98e6abd7",
+    (20, 8, 7): "023f8e531f31af3331891cc419385fd650ecbb8a6186c76c3be058c711261e7d",
+    (40, 10, 0): "d0231afc0d8870d58e333e1cd697f722cbe8652dcaa135aef67f2fe4f592d421",
+    (40, 10, 1): "4639e9be9f6460b077c97ae39aaa9e7efc7e032abe3f1a62223c2a5f60d06f54",
+    (40, 10, 2): "aee288f9d8d077e3ff55241ba6e981443423bd149b2e1b84e4e844fbc6d88193",
+    (40, 10, 3): "adbac7024db29cb6f7febc990ac520476cf77d1cfbc545b3ac35ca398777a700",
+    (60, 15, 0): "8f5140faf3f19fd0f7ac4f16c45f25b465839749b16e19c96f200763dcd73a93",
+    (60, 15, 1): "fb9e808c9a7dd7d6ff9bcf2761bc6418dc68bc8fe372316988b8679100241653",
+    (100, 25, 0): "0beb93c2e841c6dd6bce376a564f36891f6afe0bfd733003b1f6851796f1258c",
+}
+
+
+@pytest.mark.parametrize("spec", sorted(GOLDEN_STEP_MODELS))
+def test_step_and_refine_models_are_pinned(spec):
+    assert _step_models_digest(*spec) == GOLDEN_STEP_MODELS[spec]
 
 
 # -- verification -----------------------------------------------------------
