@@ -25,6 +25,7 @@ from .certificates import (
 from .eds_general import solve_eds_general
 from .eds_tree import solve_eds_tree
 from .instances import (
+    GEN_INT_PARAMS,
     InstanceError,
     ParseError,
     gen_instance,
@@ -57,9 +58,6 @@ _GEN_KINDS = (
     "random-set-cover",
     "random-facility-location",
 )
-_GEN_INT_PARAMS = (
-    "n", "m", "k", "wmax", "pmax", "cmax", "omax", "dmax", "clients", "facilities",
-)
 _GEN_FLOAT_PARAMS = ("inf_prob", "skip_prob")
 
 
@@ -87,12 +85,12 @@ def _solve_eds_tree(inst):
 def _solve_multicut_tree(inst):
     _, _, state, kept = run_multicut_pipeline(inst)
     sol = kept_solution(inst, kept)
-    total = state.dual.total
-    ratio = multicut_ratio(sol.total, total)
+    dual = state.dual
+    ratio = multicut_ratio(sol.total, dual.total)
     cert = multicut_certificate(
-        inst, sol, ratio, kept, state.dual, state.witness, state.processed
+        inst, sol, ratio, kept, dual, state.witness, state.processed
     )
-    return sol, cert, [f"dual-total {fmt_rat(total)}", f"ratio {fmt_rat(ratio)}"]
+    return sol, cert, [f"dual-total {fmt_rat(dual.total)}", f"ratio {fmt_rat(ratio)}"]
 
 
 def _solve_eds_general(inst):
@@ -177,7 +175,7 @@ def _gap_line(inst, relaxation: str) -> str:
 
 def _do_gen(args) -> int:
     params = {}
-    for name in _GEN_INT_PARAMS + _GEN_FLOAT_PARAMS:
+    for name in GEN_INT_PARAMS + _GEN_FLOAT_PARAMS:
         value = getattr(args, name)
         if value is not None:
             params[name] = value
@@ -277,7 +275,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("kind", choices=_GEN_KINDS)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--output", metavar="FILE")
-    for name in _GEN_INT_PARAMS:
+    for name in GEN_INT_PARAMS:
         p.add_argument(f"--{name}", type=int, default=None)
     for name in _GEN_FLOAT_PARAMS:
         p.add_argument(f"--{name}", type=float, default=None)

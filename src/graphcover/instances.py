@@ -669,9 +669,18 @@ def serialize_instance(inst: AnyInstance) -> str:
 # generators
 
 
+#: The generator's counts and bounds, all integers that must be nonnegative.
+GEN_INT_PARAMS = (
+    "n", "m", "k", "wmax", "pmax", "cmax", "omax", "dmax", "clients", "facilities",
+)
+
+
 def gen_instance(kind: str, seed: int = 0, **params) -> AnyInstance:
     """Deterministic instance generator; identical inputs give identical
     instances."""
+    for name in GEN_INT_PARAMS:
+        if int(params.get(name, 0)) < 0:
+            raise InstanceError(f"{name} must be nonnegative, got {params[name]}")
     rng = Random(seed)
     if kind == "star-gap-eds":
         n = int(params.get("n", 4))
@@ -753,13 +762,15 @@ def gen_instance(kind: str, seed: int = 0, **params) -> AnyInstance:
         n = int(params.get("n", 4))
         m = int(params.get("m", 4))
         cmax = int(params.get("cmax", 10))
+        if n < 1 or m < 1:
+            raise InstanceError("random-set-cover needs at least one element and one set")
         sets = []
         for _ in range(m):
             members = [x for x in range(n) if rng.random() < 0.5]
             if not members:
                 members = [rng.randrange(n)]
             sets.append((Rat(rng.randint(0, cmax)), frozenset(members)))
-        covered = set().union(*(s for _, s in sets)) if sets else set()
+        covered = set().union(*(s for _, s in sets))
         missing = [x for x in range(n) if x not in covered]
         for x in missing:  # keep every element coverable
             i = rng.randrange(len(sets))

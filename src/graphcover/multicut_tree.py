@@ -21,21 +21,22 @@ since the last snapshot and since the last check.  A snapshot re-derives
 tightness only for the rows of written demands, saturation only at written
 edges and nodes, and bottleneck rows only where one of those changed; the
 non-relaxable pairs, the least fixed point of a monotone rule, come from a
-worklist of per-node pointers into the sorted holders.  Each step LP gets
-rows only for the moved demands and capacities, and each step checks
-exactly, with zero tolerance, the nonnegativity, capacity and support rows
-its writes touched.  The end of the phase checks the whole dual from
-scratch with :func:`dual_violation`, the same checker the verifier uses,
-and the running sums and holders against it.  Each demand's path is
-walked once per instance, by :class:`MulticutInstance`.  A step thus costs
-time in the paths of the demands it writes and the dual mass held, plus a
-flat copy of the classification sets, instead of a rescan of every demand
-and of every earlier demand's mass at each node.
+worklist of per-node pointers into the sorted holders.  Each step LP and
+its update are read from one table of the moved dual entries' changes, and
+each step checks exactly, with zero tolerance, the nonnegativity, capacity
+and support rows its writes touched.  The end of the phase checks the
+whole dual from scratch with :func:`dual_violation`, the same checker the
+verifier uses, and the running sums and holders against it.  Each demand's
+path is walked once per instance, by :class:`MulticutInstance`.  A step
+thus costs time in the paths of the demands it writes and the dual mass
+held, plus a flat copy of the classification sets, instead of a rescan of
+every demand and of every earlier demand's mass at each node.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from .instances import (
@@ -76,14 +77,19 @@ def dual_violation(
     are zero.  Rows in order: nonnegativity, the edge capacities (sum of nu
     at e <= w(e)), the node capacities (likewise for mu), and the support
     rows xi(d) <= nu(e, d) + mu(upper, d) + mu(lower, d) on d's path."""
+    return _violation(inst, xi, nu, mu, _load(nu), _load(mu))
+
+
+def _violation(inst, xi, nu, mu, nu_load, mu_load) -> Optional[str]:
+    """:func:`dual_violation` given the per edge and per node loads."""
     for name, table in (("xi", xi), ("nu", nu), ("mu", mu)):
         for key, val in table.items():
             if val < 0:
                 return f"negative dual value {name}[{key}]"
-    for e, tot in _load(nu).items():
+    for e, tot in nu_load.items():
         if tot > inst.edge_weight[e]:
             return f"edge capacity violated at {e}"
-    for v, tot in _load(mu).items():
+    for v, tot in mu_load.items():
         if tot > inst.node_weight[v]:
             return f"node capacity violated at {v}"
     parent = inst.tree.parent
@@ -452,9 +458,9 @@ class IncreaseState:
     def assert_feasible(self) -> None:
         """From-scratch check of the whole dual, and of the running sums and
         holder index against it."""
-        violation = dual_violation(self.instance, self.xi, self.nu, self.mu)
-        assert violation is None, violation
         nu_load, mu_load = _load(self.nu), _load(self.mu)
+        violation = _violation(self.instance, self.xi, self.nu, self.mu, nu_load, mu_load)
+        assert violation is None, violation
         assert all(tot == nu_load.get(e, ZERO) for e, tot in self.nu_sum.items())
         assert all(tot == mu_load.get(v, ZERO) for v, tot in self.mu_sum.items())
         holders: Dict[int, Set[int]] = {}
@@ -565,98 +571,50 @@ def _step_lp(
     moves: Tuple[Set[Tuple[int, int]], Set[Tuple[int, int]], Set[Tuple[int, int]]],
 ) -> Rat:
     """Largest feasible simultaneous step, then the least total
-    perturbation achieving it; applies the update and returns the step."""
+    perturbation achieving it; applies the update and returns the step.
+    Rows and update read ``delta``: each moved entry ("nu", e, j) or
+    ("mu", v, j) -> its change, in integer coefficients of the variables."""
     inst = state.instance
     dec, inc_nu, inc_mu = (sorted(m) for m in moves)
-    raised = set(U) | set(R)
 
     model = LpModel(f"step_demand{d}", sense="max")
     model.add_var("eps", obj=ONE)
-    dn_names = {key: f"dn_e{key[0]}_d{key[1]}" for key in inc_nu}
-    dp_names = {key: f"dp_v{key[0]}_d{key[1]}" for key in inc_mu}
-    dm_names = {key: f"dm_v{key[0]}_d{key[1]}" for key in dec}
-    for key in inc_nu:
-        model.add_var(dn_names[key])
-    for key in inc_mu:
-        model.add_var(dp_names[key])
-    for key in dec:
-        model.add_var(dm_names[key])
+    delta: Dict[Tuple[str, int, int], Dict[str, int]] = {}
+    for key in [("nu", e, d) for e in H] + [("mu", v, d) for v in U + R]:
+        delta[key] = {"eps": 1}
+    for kind, prefix, sign, keys in (
+        ("nu", "dn_e", 1, inc_nu),
+        ("mu", "dp_v", 1, inc_mu),
+        ("mu", "dm_v", -1, dec),
+    ):
+        for x, j in keys:
+            name = model.add_var(f"{prefix}{x}_d{j}")
+            delta.setdefault((kind, x, j), {})[name] = sign
 
-    # coefficients are small integers until add_constraint makes them Rat
-    def nu_delta(e: int, j: int) -> Dict[str, int]:
-        out: Dict[str, int] = {}
-        if j == d and e in H:
-            out["eps"] = 1
-        if (e, j) in dn_names:
-            out[dn_names[(e, j)]] = 1
-        return out
-
-    def mu_delta(v: int, j: int) -> Dict[str, int]:
-        out: Dict[str, int] = {}
-        if j == d and v in raised:
-            out["eps"] = 1
-        if (v, j) in dp_names:
-            out[dp_names[(v, j)]] = 1
-        if (v, j) in dm_names:
-            out[dm_names[(v, j)]] = -1
-        return out
-
-    def merge(target: Dict[str, int], part: Dict[str, int]) -> None:
-        for name, coeff in part.items():
-            target[name] = target.get(name, 0) + coeff
-
-    # Only d and the demands named by a move have nonzero rows, and only the
-    # edges and nodes they raise or lower have nonzero capacity rows; all
-    # other rows would be empty and are skipped, so the model is unchanged.
-    moved = [inc_nu, inc_mu, dec]
-    # support rows: current slack + change(nu + mu_upper + mu_lower - xi) >= 0
-    for j in sorted({d}.union(*({key[1] for key in m} for m in moved))):
+    # support rows of the moved demands (the others' rows are all zero):
+    # slack + change(nu + mu_upper + mu_lower - xi) >= 0
+    for j in sorted({d}.union(key[2] for key in delta)):
         for e in state.path_edges[j]:
-            upper = inst.tree.parent[e]
-            coeffs: Dict[str, int] = {}
-            merge(coeffs, nu_delta(e, j))
-            merge(coeffs, mu_delta(upper, j))
-            merge(coeffs, mu_delta(e, j))
-            if j == d:
-                coeffs["eps"] = coeffs.get("eps", 0) - 1
-            coeffs = {n: c for n, c in coeffs.items() if c != 0}
-            if not coeffs:
-                continue
-            slack = state.support_lhs(e, j) - state.xi.get(j, ZERO)
-            model.add_constraint(f"support_e{e}_d{j}", coeffs, ">=", -slack)
-    # capacity rows
-    edge_rows: Dict[int, Set[int]] = {e: {d} for e in H}
-    for e, j in inc_nu:
-        edge_rows.setdefault(e, set()).add(j)
-    for e in sorted(edge_rows):
-        coeffs = {}
-        for j in sorted(edge_rows[e]):
-            if e in state.edge_set[j]:
-                merge(coeffs, nu_delta(e, j))
-        coeffs = {n: c for n, c in coeffs.items() if c != 0}
-        if coeffs:
-            model.add_constraint(
-                f"edgecap_e{e}", coeffs, "<=", inst.edge_weight[e] - state.nu_sum[e]
-            )
-    node_rows: Dict[int, Set[int]] = {v: {d} for v in raised}
-    for v, j in inc_mu + dec:
-        node_rows.setdefault(v, set()).add(j)
-    for v in sorted(node_rows):
-        coeffs = {}
-        for j in sorted(node_rows[v]):
-            if v in state.node_set[j]:
-                merge(coeffs, mu_delta(v, j))
-        coeffs = {n: c for n, c in coeffs.items() if c != 0}
-        if coeffs:
-            model.add_constraint(
-                f"nodecap_v{v}", coeffs, "<=", inst.node_weight[v] - state.mu_sum[v]
-            )
-    for key in dec:
+            coeffs = {"eps": -1} if j == d else {}
+            for key in (("nu", e, j), ("mu", inst.tree.parent[e], j), ("mu", e, j)):
+                for name, c in delta.get(key, {}).items():
+                    coeffs[name] = coeffs.get(name, 0) + c
+            coeffs = {name: c for name, c in coeffs.items() if c}
+            if coeffs:
+                slack = state.support_lhs(e, j) - state.xi.get(j, ZERO)
+                model.add_constraint(f"support_e{e}_d{j}", coeffs, ">=", -slack)
+    # capacity rows of the moved entries; each variable moves one entry
+    for kind, prefix, weight, load in (
+        ("nu", "edgecap_e", inst.edge_weight, state.nu_sum),
+        ("mu", "nodecap_v", inst.node_weight, state.mu_sum),
+    ):
+        keys = sorted(key for key in delta if key[0] == kind)
+        for x, group in groupby(keys, key=lambda key: key[1]):
+            coeffs = {name: c for key in group for name, c in delta[key].items()}
+            model.add_constraint(f"{prefix}{x}", coeffs, "<=", weight[x] - load[x])
+    for v, j in dec:
         model.add_constraint(
-            f"decbound_v{key[0]}_d{key[1]}",
-            {dm_names[key]: ONE},
-            "<=",
-            state.mu[key],
+            f"decbound_v{v}_d{j}", {f"dm_v{v}_d{j}": ONE}, "<=", state.mu[(v, j)]
         )
 
     first = simplex_solve(model)
@@ -672,24 +630,15 @@ def _step_lp(
     second = simplex_solve(refine)
     assert second.status == OPTIMAL
 
-    nu, mu = state.nu, state.mu
     state.set_xi(d, state.xi.get(d, ZERO) + eps)
-    for e in H:
-        state.set_nu((e, d), nu.get((e, d), ZERO) + eps)
-    for v in raised:
-        state.set_mu((v, d), mu.get((v, d), ZERO) + eps)
-    for key in inc_nu:
-        val = second[dn_names[key]]
-        if val > 0:
-            state.set_nu(key, nu.get(key, ZERO) + val)
-    for key in inc_mu:
-        val = second[dp_names[key]]
-        if val > 0:
-            state.set_mu(key, mu.get(key, ZERO) + val)
-    for key in dec:
-        val = second[dm_names[key]]
-        if val > 0:
-            state.set_mu(key, mu[key] - val)
+    for (kind, x, j), coeffs in delta.items():
+        table, write = (state.nu, state.set_nu) if kind == "nu" else (state.mu, state.set_mu)
+        old = new = table.get((x, j), ZERO)
+        for name, c in coeffs.items():  # c is 1 or -1, so no product is needed
+            if second[name]:
+                new = new + second[name] if c > 0 else new - second[name]
+        if new != old:
+            write((x, j), new)
     state.check_step()
     return eps
 
@@ -920,9 +869,13 @@ def verify_multicut(
             for (v, i), val in dual.mu.items()
         )
     )
+    # with the domain checked, every dual key names a demand in range(k),
+    # so the loads are the totals over all demands
+    nu_load, mu_load = _load(dual.nu), _load(dual.mu)
     report.add(
         "dual-feasible",
-        ok_domain and dual_violation(inst, dual.xi, dual.nu, dual.mu) is None,
+        ok_domain
+        and _violation(inst, dual.xi, dual.nu, dual.mu, nu_load, mu_load) is None,
     )
 
     sol = multicut_solution(inst, chosen)
@@ -932,9 +885,6 @@ def verify_multicut(
         "within-twice-dual", cost <= 2 * total, f"cost {cost}, dual total {total}"
     )
 
-    # with the domain checked, every dual key names a demand in range(k),
-    # so the sums are the totals over all demands
-    nu_load, mu_load = _load(dual.nu), _load(dual.mu)
     saturated = (
         ok_domain
         and all(nu_load.get(e, ZERO) == inst.edge_weight[e] for e in chosen)
@@ -979,7 +929,8 @@ def solve_multicut_tree(
     lower bound on the optimum and the objective is at most twice it."""
     _, _, state, kept = run_multicut_pipeline(inst)
     sol = kept_solution(inst, kept)
-    return sol, state.dual, multicut_ratio(sol.total, state.dual.total)
+    dual = state.dual
+    return sol, dual, multicut_ratio(sol.total, dual.total)
 
 
 def kept_solution(inst: MulticutInstance, kept) -> Solution:

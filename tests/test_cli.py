@@ -50,6 +50,24 @@ def test_gen_rejects_bad_params(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "params",
+    [
+        "random-tree-eds --n 3 --wmax -1",
+        "random-tree-eds --n 3 --pmax -5",
+        "random-set-cover --n 3 --m 0",
+        "random-set-cover --n 0 --m 2",
+        "random-set-cover --n 3 --cmax -1",
+        "random-eds-general --n 4 --m -1",
+        "random-tree-multicut --n 5 --k -1",
+    ],
+)
+def test_gen_rejects_out_of_range_params(params, capsys):
+    code, out, err = run_cli(capsys, "gen", *params.split())
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 # -- solve -------------------------------------------------------------------
 
 
