@@ -221,6 +221,79 @@ def test_parse_requires_problem_header():
     assert "line 1" in str(err.value)
 
 
+# -- number tokens ----------------------------------------------------------
+
+#: Every place a number token can stand: the file with ``{}`` for the token,
+#: the token's line, whether ``inf`` is allowed there, and how to read the
+#: parsed value back.
+NUMBER_SLOTS = {
+    "eds-tree node": ("problem eds-tree\nnodes 2\nnode 0 {}\nedge 0 1 1 1\n",
+                      3, False, lambda i: i.node_weight[0]),
+    "eds-tree edge": ("problem eds-tree\nnodes 2\nedge 0 1 {} 1\n",
+                      3, False, lambda i: i.edge_weight[1]),
+    "eds-tree penalty": ("problem eds-tree\nnodes 2\nedge 0 1 1 {}\n",
+                         3, True, lambda i: i.penalty[1]),
+    "eds-general edge": ("problem eds-general\nnodes 2\nedge 0 1 {} 1\n",
+                         3, False, lambda i: i.edge_weight[0]),
+    "eds-general penalty": ("problem eds-general\nnodes 2\nnode 1 2\nedge 0 1 1 {}\n",
+                            4, True, lambda i: i.penalty[0]),
+    "multicut edge": ("problem multicut-tree\nnodes 2\nedge 0 1 {}\n",
+                      3, False, lambda i: i.edge_weight[1]),
+    "multicut demand": ("problem multicut-tree\nnodes 2\nedge 0 1 1\ndemand 0 1 {}\n",
+                        4, True, lambda i: i.demands[0].penalty),
+    "set cost": ("problem set-cover\nnodes 1\nset {} 0\n", 3, False, lambda i: i.sets[0][0]),
+    "facility opening": ("problem facility-location\nfacility 0 {}\nclient 0\n",
+                         2, False, lambda i: i.opening[0]),
+    "conn cost": ("problem facility-location\nfacility 0 1\nclient 0\nconn 0 0 {}\n",
+                  4, False, lambda i: i.conn[(0, 0)]),
+}
+
+ACCEPTED_NUMBERS = [
+    ("0/7", ZERO), ("+4", Rat(4)), ("-0", ZERO), ("1_000", Rat(1000)),
+    ("٣", Rat(3)), ("2/4", Rat(1, 2)), ("6/3", Rat(2)), ("+1/+3", Rat(1, 3)),
+]
+
+_HUGE = "7" * 5000
+REJECTED_NUMBERS = [
+    ("1/0", "denominator must be positive in '1/0'"),
+    ("2/-3", "denominator must be positive in '2/-3'"),
+    ("1.5", "malformed rational '1.5'"),
+    ("1e3", "malformed rational '1e3'"),
+    ("nan", "malformed rational 'nan'"),
+    ("-inf", "malformed rational '-inf'"),
+    ("INF", "malformed rational 'INF'"),
+    ("inf/2", "malformed rational 'inf/2'"),
+    ("1/2/3", "malformed rational '1/2/3'"),
+    ("3/", "malformed rational '3/'"),
+    ("-1", "negative value '-1' not allowed here"),
+    ("-2/4", "negative value '-2/4' not allowed here"),
+    (_HUGE, f"malformed rational '{_HUGE}'"),
+    (f"1/{_HUGE}", f"malformed rational '1/{_HUGE}'"),
+]
+
+
+@pytest.mark.parametrize("slot", sorted(NUMBER_SLOTS))
+def test_number_tokens_accepted_with_their_values(slot):
+    template, _, allow_inf, read = NUMBER_SLOTS[slot]
+    for token, value in ACCEPTED_NUMBERS:
+        got = read(parse_instance(template.format(token)))
+        assert got == value and not is_inf(got), token
+    if allow_inf:
+        assert is_inf(read(parse_instance(template.format("inf"))))
+
+
+@pytest.mark.parametrize("slot", sorted(NUMBER_SLOTS))
+def test_number_tokens_rejected_with_their_messages(slot):
+    template, lineno, allow_inf, _ = NUMBER_SLOTS[slot]
+    cases = list(REJECTED_NUMBERS)
+    if not allow_inf:
+        cases.append(("inf", "'inf' is not allowed here"))
+    for token, message in cases:
+        with pytest.raises(ParseError) as err:
+            parse_instance(template.format(token))
+        assert str(err.value) == f"line {lineno}: {message}", token[:20]
+
+
 GEN_CASES = [
     ("star-gap-eds", {"n": 4}),
     ("subdivided-star-multicut", {"n": 3}),
