@@ -80,7 +80,7 @@ class LpModel:
         self.variables.append(name)
         self.nonneg[name] = nonneg
         if obj != 0:
-            self.objective[name] = Rat(obj)
+            self.objective[name] = _rat(obj)
         return name
 
     def add_constraint(self, name: str, coeffs: Dict[str, object], relation: str, rhs) -> None:
@@ -93,8 +93,8 @@ class LpModel:
                 raise LpFormatError(f"constraint {name!r} references unknown variable {var!r}")
             _check_finite(c, f"coefficient of {var} in {name}")
             if c != 0:
-                clean[var] = Rat(c)
-        self.constraints.append(LinearConstraint(name, clean, relation, Rat(rhs)))
+                clean[var] = _rat(c)
+        self.constraints.append(LinearConstraint(name, clean, relation, _rat(rhs)))
 
 
 def dual_model(model: LpModel) -> LpModel:
@@ -141,6 +141,12 @@ def dual_model(model: LpModel) -> LpModel:
             )
         )
     return dual
+
+
+def _rat(value):
+    """A checked coefficient as a Rat: a Rat as given, anything else
+    converted once."""
+    return value if isinstance(value, Rat) else Rat(value)
 
 
 def _check_finite(value, what: str) -> None:
