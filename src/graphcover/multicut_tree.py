@@ -899,12 +899,13 @@ def verify_multicut(
 
 def run_multicut_pipeline(
     inst: MulticutInstance,
-) -> Tuple[MulticutInstance, Dict[int, int], IncreaseState, Set[int]]:
+) -> Tuple[MulticutInstance, Dict[int, int], IncreaseState, Set[int], MulticutDual]:
     """The full solver state behind :func:`solve_multicut_tree`.
 
     Returns the penalty-compiled instance, its penalty-edge map, the final
-    increase-phase state (dual, witnesses, processing order), and the kept
-    cut on the compiled instance — for callers that also emit certificates.
+    increase-phase state (witnesses, processing order), the kept cut on the
+    compiled instance, and the dual that cut was verified against — for
+    callers that also emit certificates.
     """
     if not isinstance(inst, MulticutInstance):
         raise InstanceError("the multicut solver needs a multicut tree instance")
@@ -913,13 +914,14 @@ def run_multicut_pipeline(
     run_increase_phase(state)
     kept = deletion_phase(state)
 
-    report = verify_multicut(inst0, kept, state.dual)
+    dual = state.dual
+    report = verify_multicut(inst0, kept, dual)
     assert report.passed, "output certificate failed: " + "; ".join(
         report.failures()
     )
     forbidden = big_m_edges(inst0, mapping)
     assert not (kept & forbidden), "a never-cut pendant edge was selected"
-    return inst0, mapping, state, kept
+    return inst0, mapping, state, kept, dual
 
 
 def solve_multicut_tree(
@@ -927,9 +929,8 @@ def solve_multicut_tree(
 ) -> Tuple[Solution, MulticutDual, Rat]:
     """Separate or pay for every demand pair; the returned dual total is a
     lower bound on the optimum and the objective is at most twice it."""
-    _, _, state, kept = run_multicut_pipeline(inst)
+    _, _, _, kept, dual = run_multicut_pipeline(inst)
     sol = kept_solution(inst, kept)
-    dual = state.dual
     return sol, dual, multicut_ratio(sol.total, dual.total)
 
 

@@ -74,10 +74,10 @@ def multicut_battery():
         )
         # the pipeline itself asserts dual feasibility after every step and
         # verifies the kept cut before returning
-        inst0, mapping, state, kept = run_multicut_pipeline(inst)
+        inst0, mapping, state, kept, dual = run_multicut_pipeline(inst)
         sol = multicut_solution(inst, frozenset(e for e in kept if e < inst.tree.n))
         opt = brute_force_multicut(inst)
-        records.append((seed, inst, inst0, state, kept, sol, opt))
+        records.append((seed, inst, inst0, state, kept, dual, sol, opt))
     return records
 
 
@@ -168,10 +168,10 @@ def _leg_edges(inst0, i, endpoint):
 
 def test_03_multicut_factor_two(multicut_battery):
     assert len(multicut_battery) >= 300
-    for seed, inst, inst0, state, kept, sol, opt in multicut_battery:
+    for seed, inst, inst0, state, kept, dual, sol, opt in multicut_battery:
         assert opt.total <= sol.total, f"seed {seed}: beat the optimum"
         assert sol.total <= 2 * opt.total, f"seed {seed}: worse than twice the optimum"
-        assert state.dual.total <= opt.total, f"seed {seed}: dual exceeds the optimum"
+        assert dual.total <= opt.total, f"seed {seed}: dual exceeds the optimum"
         # coverage and the per-leg bound, re-derived here from the raw output
         for i in range(len(inst0.demands)):
             assert kept & set(inst0.path_edges(i)), f"seed {seed}: demand {i} uncovered"
@@ -269,11 +269,11 @@ def test_07_weak_duality_chain(tree_battery, multicut_battery, general_battery):
         lp = relaxation_value(inst, "strengthened")
         assert dual.total <= lp <= opt.total, f"tree seed {seed}: chain broken"
 
-    for seed, inst, inst0, state, kept, sol, opt in multicut_battery:
-        report = verify_multicut(inst0, kept, state.dual)
+    for seed, inst, inst0, state, kept, dual, sol, opt in multicut_battery:
+        report = verify_multicut(inst0, kept, dual)
         assert report.passed, f"cut seed {seed}: {'; '.join(report.failures())}"
         lp = relaxation_value(inst0, "strengthened")
-        assert state.dual.total <= lp <= opt.total, f"cut seed {seed}: chain broken"
+        assert dual.total <= lp <= opt.total, f"cut seed {seed}: chain broken"
 
     for seed, inst, sol, lower, factor, opt in general_battery:
         assert lower == relaxation_value(inst, "strengthened"), f"general seed {seed}"
