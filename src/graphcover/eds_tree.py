@@ -15,9 +15,9 @@ penalties ("keep"/"trim") or deletes the local leaves ("delete"/"drop").
 
 Arithmetic: reducing and lifting only add, subtract, compare, take minima
 and clamp at 0; they never multiply or divide.  So the solver runs on
-Python ints: every finite weight and penalty is multiplied by `scale`, the
-lcm of their denominators (1 on an integer instance), and INF stays INF.
-Every intermediate value is then an integer multiple of 1/scale, and
+Python ints: it copies the instance's integer units (`EdsInstance`), each
+finite weight and penalty times the instance's `scale`, with INF left as
+INF.  Every intermediate value is then an integer multiple of 1/scale, and
 scaling by a positive constant keeps every comparison and every tie, so
 the steps taken and the edges chosen are those of the same run on the
 rationals.  The dual values are turned back into rationals, xi / scale,
@@ -46,7 +46,6 @@ drifted, and the final solution is re-evaluated against the dual total.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import lcm
 from typing import Dict, FrozenSet, List, Optional, Tuple, Union
 
 from .instances import EdsInstance, InstanceError, Solution, eds_solution
@@ -75,8 +74,8 @@ class CaseContext:
     the center is s and the arms are s's children.  Arm edge ids equal arm
     node ids.  bound1 is the first of the two candidate charges and bound
     their minimum; caps bound the dual values assigned to the arm edges.
-    Weights, bounds and caps are in the solver's integer units: the
-    instance's values times its `scale` (see `_LiveTree`).
+    Weights, bounds and caps are in the instance's integer units: its
+    values times its `scale` (see `EdsInstance`).
     """
 
     tag: str  # "A" or "B"
@@ -110,9 +109,8 @@ class _LiveTree:
     (array, index, old value; array None marks a deleted node), so lifting
     can restore each level by undoing the log back to the step's mark.
 
-    Weights are held as Python ints: each finite instance value times
-    `scale`, the lcm of the denominators of every finite node weight, edge
-    weight and penalty (1 on an integer instance).  INF stays INF.
+    Weights are copies of the instance's integer units, indexed by node
+    id (the root's edge and penalty slots hold 0).  INF stays INF.
 
     Per-depth buckets list the nodes by ascending id; `live` and `hot`
     count the live nodes and the live nodes with positive penalty at each
@@ -130,20 +128,9 @@ class _LiveTree:
         self.children = tree.children
         self.depth = tree.depth
         self.alive = [True] * n
-        wn = [inst.node_weight[v] for v in range(n)]
-        we = [inst.edge_weight.get(v, 0) for v in range(n)]
-        pen = [inst.penalty.get(v, 0) for v in range(n)]
-        # int() turns gmpy2's mpz numerators and denominators into ints too
-        self.scale = scale = lcm(
-            *(int(x.denominator) for x in wn + we + pen if not is_inf(x))
-        )
-
-        def units(x):
-            return x if is_inf(x) else int(x.numerator) * (scale // int(x.denominator))
-
-        self.wn = [units(x) for x in wn]
-        self.we = [units(x) for x in we]
-        self.pen = [units(x) for x in pen]
+        self.wn = inst.node_units.copy()
+        self.we = inst.edge_units.copy()
+        self.pen = inst.penalty_units.copy()
         self.edges = n - 1
         self.log: List[tuple] = []
         self.bucket: List[List[int]] = [[] for _ in range(max(self.depth) + 1)]
@@ -622,9 +609,8 @@ def solve_eds_tree_trace(
     xi = lift.xi
     sol = eds_solution(inst, sorted(lift.F))
     # check_full has just matched lift.total against sum(xi)
-    dual = EdsDual(
-        {e: Rat(xi[e], t.scale) for e in sorted(xi)}, Rat(lift.total, t.scale)
-    )
+    scale = inst.scale
+    dual = EdsDual({e: Rat(xi[e], scale) for e in sorted(xi)}, Rat(lift.total, scale))
     assert sol.total == dual.total
     return sol, dual, ctxs
 

@@ -17,10 +17,12 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from math import lcm
 from random import Random
-from typing import Dict, FrozenSet, List, NamedTuple, Optional, Tuple, Union
+from types import MappingProxyType
+from typing import Dict, FrozenSet, List, Mapping, NamedTuple, Optional, Tuple, Union
 
-from .rationals import INF, ExtRat, Rat, ZERO, ext_sum, fmt_rat, is_inf, parse_rat
+from .rationals import INF, ExtRat, Rat, ZERO, ext_sum, fmt_rat, is_inf, parse_number
 
 
 #: Largest node count an instance file may declare.
@@ -33,6 +35,14 @@ class InstanceError(ValueError):
 
 class ParseError(ValueError):
     """Raised for malformed instance files; message carries the line number."""
+
+
+#: A parsed number token: ``(numerator, denominator)`` in lowest terms, or INF.
+Number = Union[Tuple[int, int], type(INF)]
+
+
+def _rat(x: Number) -> ExtRat:
+    return x if x is INF else Rat(*x)
 
 
 # ---------------------------------------------------------------------------
@@ -210,26 +220,141 @@ def _check_weights(graph: AnyGraph, node_weight, edge_weight) -> None:
             raise InstanceError(f"edge weight of {e} must be finite and nonnegative")
 
 
-@dataclass
+def _to_units(*columns):
+    """Columns of exact values, each ``(numerator, denominator)`` or INF,
+    as integer units over their least common denominator ``scale``: each
+    finite value times ``scale``, INF left as INF.  Returns ``(scale,
+    *unit columns)``; ``scale`` is 1 when every value is an integer."""
+    scale = lcm(*{x[1] for col in columns for x in col if x is not INF})
+    if scale == 1:
+        return (1, *([x if x is INF else x[0] for x in col] for col in columns))
+    return (scale, *(
+        [x if x is INF else x[0] * (scale // x[1]) for x in col] for col in columns
+    ))
+
+
+def _pair(value) -> Number:
+    """An ExtRat as ``(numerator, denominator)``, or INF; ``int()`` turns
+    gmpy2's mpz parts into ints too."""
+    return INF if is_inf(value) else (int(value.numerator), int(value.denominator))
+
+
 class EdsInstance:
-    """Every edge must share an end node with a chosen edge or pay its penalty."""
+    """Every edge must share an end node with a chosen edge or pay its penalty.
 
-    graph: AnyGraph
-    node_weight: Dict[int, Rat]
-    edge_weight: Dict[int, Rat]
-    penalty: Dict[int, ExtRat]
+    The weights are held once, as integer units over one common
+    denominator: ``scale`` is the lcm of the denominators of every finite
+    node weight, edge weight and penalty (1 on integer data), and
+    ``node_units``, ``edge_units`` and ``penalty_units`` hold each value
+    times ``scale``; INF stays INF.  Node units are indexed by node id,
+    edge and penalty units by edge id; on a rooted tree the root's slot
+    holds 0.  ``node_weight``, ``edge_weight`` and ``penalty`` give the
+    same values as dicts of rationals: an instance built from dicts keeps
+    the dicts it was given, and a parsed one builds read-only views of its
+    units on first use.  Each side is derived from the other once and
+    cached, so neither may be mutated.
+    """
 
-    def __post_init__(self):
-        _check_weights(self.graph, self.node_weight, self.edge_weight)
-        if sorted(self.penalty) != sorted(self.graph.edge_ids()):
+    def __init__(
+        self,
+        graph: AnyGraph,
+        node_weight: Dict[int, Rat],
+        edge_weight: Dict[int, Rat],
+        penalty: Dict[int, ExtRat],
+    ):
+        _check_weights(graph, node_weight, edge_weight)
+        if sorted(penalty) != sorted(graph.edge_ids()):
             raise InstanceError("penalties must cover exactly the edge set")
-        for e, p in self.penalty.items():
+        for e, p in penalty.items():
             if not is_inf(p) and p.numerator < 0:
                 raise InstanceError(f"penalty of edge {e} must be nonnegative")
+        self.graph = graph
+        self._dicts = (node_weight, edge_weight, penalty)
+        self._units = None
+
+    @classmethod
+    def _from_units(cls, graph: AnyGraph, scale: int, node_units, edge_units, penalty_units):
+        """An instance over units that its maker has already checked."""
+        inst = cls.__new__(cls)
+        inst.graph = graph
+        inst._dicts = None
+        inst._units = (scale, node_units, edge_units, penalty_units)
+        return inst
+
+    def _unit_lists(self):
+        if self._units is None:
+            nw, ew, pen = self._dicts
+            slots = range(_edge_slots(self.graph))
+            zero = (0, 1)
+            self._units = _to_units(
+                [_pair(nw[v]) for v in range(self.graph.n)],
+                [_pair(ew[e]) if e in ew else zero for e in slots],
+                [_pair(pen[e]) if e in pen else zero for e in slots],
+            )
+        return self._units
+
+    def _weight_dicts(self):
+        if self._dicts is None:
+            scale, nw, ew, pen = self._units
+
+            def rat(x):
+                return x if x is INF else Rat(x, scale)
+
+            edges = self.graph.edge_ids()
+            self._dicts = (
+                MappingProxyType({v: rat(x) for v, x in enumerate(nw)}),
+                MappingProxyType({e: rat(ew[e]) for e in edges}),
+                MappingProxyType({e: rat(pen[e]) for e in edges}),
+            )
+        return self._dicts
+
+    @property
+    def scale(self) -> int:
+        return self._unit_lists()[0]
+
+    @property
+    def node_units(self) -> List[int]:
+        return self._unit_lists()[1]
+
+    @property
+    def edge_units(self) -> List[int]:
+        return self._unit_lists()[2]
+
+    @property
+    def penalty_units(self) -> List[Union[int, type(INF)]]:
+        return self._unit_lists()[3]
+
+    @property
+    def node_weight(self) -> Mapping[int, Rat]:
+        return self._weight_dicts()[0]
+
+    @property
+    def edge_weight(self) -> Mapping[int, Rat]:
+        return self._weight_dicts()[1]
+
+    @property
+    def penalty(self) -> Mapping[int, ExtRat]:
+        return self._weight_dicts()[2]
 
     @property
     def is_tree(self) -> bool:
         return isinstance(self.graph, RootedTree)
+
+    def __eq__(self, other):
+        # the units are canonical: equal values give equal scale and units
+        return (
+            isinstance(other, EdsInstance)
+            and self.graph == other.graph
+            and self._unit_lists() == other._unit_lists()
+        )
+
+    def __repr__(self):
+        return f"EdsInstance({self.graph!r}, scale={self.scale})"
+
+
+def _edge_slots(graph: AnyGraph) -> int:
+    """Length of an edge-indexed unit list: edge ids are below it."""
+    return graph.n if isinstance(graph, RootedTree) else len(graph.edges)
 
 
 @dataclass(frozen=True)
@@ -393,17 +518,23 @@ def selected_nodes(graph: AnyGraph, edges) -> List[int]:
 def eds_solution(inst: EdsInstance, edges) -> Solution:
     """Price an edge set.  An edge is covered when it shares an end node
     with a chosen edge, that is when it is incident to a chosen edge's end
-    node, so coverage costs time linear in the size of the graph."""
+    node, so coverage costs time linear in the size of the graph.  The sums
+    run in the instance's integer units; only the three totals are made
+    rational."""
     edges = tuple(sorted(set(edges)))
     g = inst.graph
+    scale, wn, we, pen = inst._unit_lists()
     nodes = selected_nodes(g, edges)
-    ew = sum((inst.edge_weight[e] for e in edges), ZERO)
-    nw = sum((inst.node_weight[v] for v in nodes), ZERO)
     covered = set()
     for v in nodes:
         covered.update(g.incident(v))
-    pen = ext_sum(inst.penalty[e] for e in g.edge_ids() if e not in covered)
-    return Solution(edges, ew, nw, pen)
+    paid = ext_sum(pen[e] for e in g.edge_ids() if e not in covered)
+    return Solution(
+        edges,
+        Rat(sum(we[e] for e in edges), scale),
+        Rat(sum(wn[v] for v in nodes), scale),
+        paid if is_inf(paid) else Rat(paid, scale),
+    )
 
 
 def multicut_solution(inst: MulticutInstance, edges) -> Solution:
@@ -448,8 +579,8 @@ def parse_instance(text: str) -> AnyInstance:
     n_nodes = None
     root = 0
     root_seen = False
-    node_w: Dict[int, Rat] = {}
-    edge_rows: List[Tuple[int, int, Rat, Optional[ExtRat]]] = []
+    node_w: Dict[int, Number] = {}
+    edge_rows: List[Tuple[int, int, Number, Optional[Number]]] = []
     demands: List[Demand] = []
     sets: List[Tuple[Rat, FrozenSet[int]]] = []
     facilities: Dict[int, Rat] = {}
@@ -465,14 +596,17 @@ def parse_instance(text: str) -> AnyInstance:
         except ValueError:
             fail(lineno, f"expected an integer, got {tok!r}")
 
-    def want_rat(lineno, tok, allow_inf=False):
+    def want_num(lineno, tok, allow_inf=False):
         try:
-            val = parse_rat(tok, allow_inf=allow_inf)
+            val = parse_number(tok, allow_inf)
         except ValueError as exc:
             fail(lineno, str(exc))
-        if not is_inf(val) and val.numerator < 0:
+        if val is not INF and val[0] < 0:
             fail(lineno, f"negative value {tok!r} not allowed here")
         return val
+
+    def want_rat(lineno, tok, allow_inf=False):
+        return _rat(want_num(lineno, tok, allow_inf))
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -518,22 +652,22 @@ def parse_instance(text: str) -> AnyInstance:
             v = want_int(lineno, args[0])
             if v in node_w:
                 fail(lineno, f"duplicate weight for node {v}")
-            node_w[v] = want_rat(lineno, args[1])
+            node_w[v] = want_num(lineno, args[1])
         elif head == "edge":
             if kind in ("eds-tree", "eds-general"):
                 if len(args) != 4:
                     fail(lineno, "'edge' takes u, v, weight and penalty here")
                 u = want_int(lineno, args[0])
                 v = want_int(lineno, args[1])
-                w = want_rat(lineno, args[2])
-                p = want_rat(lineno, args[3], allow_inf=True)
+                w = want_num(lineno, args[2])
+                p = want_num(lineno, args[3], allow_inf=True)
                 edge_rows.append((u, v, w, p))
             elif kind == "multicut-tree":
                 if len(args) != 3:
                     fail(lineno, "'edge' takes u, v and weight here")
                 u = want_int(lineno, args[0])
                 v = want_int(lineno, args[1])
-                w = want_rat(lineno, args[2])
+                w = want_num(lineno, args[2])
                 edge_rows.append((u, v, w, None))
             else:
                 fail(lineno, f"'edge' is not valid for {kind}")
@@ -603,28 +737,38 @@ def parse_instance(text: str) -> AnyInstance:
             raise InstanceError("missing 'nodes' line")
         if kind == "set-cover":
             return SetCoverInstance(n_elements=n_nodes, sets=sets)
-        weights = {v: node_w.get(v, ZERO) for v in range(n_nodes)}
         for v in node_w:
             if not (0 <= v < n_nodes):
                 raise InstanceError(f"node id {v} out of range")
+        pairs = [(u, v) for (u, v, _, _) in edge_rows]
         if kind == "eds-general":
-            graph = Graph(n_nodes, [(u, v) for (u, v, _, _) in edge_rows])
-            ew = {i: row[2] for i, row in enumerate(edge_rows)}
-            pen = {i: row[3] for i, row in enumerate(edge_rows)}
-            return EdsInstance(graph, weights, ew, pen)
-        if not (0 <= root < n_nodes):
-            raise InstanceError(f"root {root} out of range")
-        tree = RootedTree.from_edges(n_nodes, [(u, v) for (u, v, _, _) in edge_rows], root)
-        ew, pen = {}, {}
-        for u, v, w, p in edge_rows:
-            eid = v if tree.parent[v] == u else u
-            if tree.parent[eid] not in (u, v):
-                raise InstanceError(f"edge ({u},{v}) does not match the tree orientation")
+            graph = Graph(n_nodes, pairs)
+            eids = range(len(edge_rows))
+        else:
+            if not (0 <= root < n_nodes):
+                raise InstanceError(f"root {root} out of range")
+            graph = RootedTree.from_edges(n_nodes, pairs, root)
+            eids = []
+            for u, v in pairs:
+                eid = v if graph.parent[v] == u else u
+                if graph.parent[eid] not in (u, v):
+                    raise InstanceError(f"edge ({u},{v}) does not match the tree orientation")
+                eids.append(eid)
+        if kind == "multicut-tree":
+            weights = {v: _rat(node_w[v]) if v in node_w else ZERO for v in range(n_nodes)}
+            ew = {eid: _rat(row[2]) for eid, row in zip(eids, edge_rows)}
+            return MulticutInstance(graph, weights, ew, demands)
+        # the parser has checked every value, so the units need no second pass
+        zero = (0, 1)
+        nw = [zero] * n_nodes
+        for v, w in node_w.items():
+            nw[v] = w
+        ew = [zero] * _edge_slots(graph)
+        pen = ew.copy()
+        for eid, (_, _, w, p) in zip(eids, edge_rows):
             ew[eid] = w
             pen[eid] = p
-        if kind == "eds-tree":
-            return EdsInstance(tree, weights, ew, pen)
-        return MulticutInstance(tree, weights, ew, demands)
+        return EdsInstance._from_units(graph, *_to_units(nw, ew, pen))
     except InstanceError as exc:
         raise ParseError(f"line {len(text.splitlines())}: {exc}") from exc
 

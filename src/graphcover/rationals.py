@@ -10,6 +10,7 @@ There is no negative infinity, and ``INF * 0`` is rejected.
 
 from __future__ import annotations
 
+from math import gcd
 from typing import Iterable, Union
 
 try:
@@ -126,29 +127,34 @@ def clamp_nonneg(value: Rat) -> Rat:
     return value if value > 0 else 0
 
 
-def parse_rat(token: str, allow_inf: bool = False) -> ExtRat:
-    """Parse ``p``, ``p/q`` or (optionally) ``inf``.
+def parse_number(token: str, allow_inf: bool = False):
+    """Parse ``p``, ``p/q`` or (optionally) ``inf`` into ``(p, q)`` in
+    lowest terms with q positive, or INF; an integer token gives q = 1.
 
     Raises ValueError on malformed input; q must be positive.
     """
-    token = token.strip()
     if token == "inf":
         if allow_inf:
             return INF
         raise ValueError("'inf' is not allowed here")
-    if "/" in token:
-        num, _, den = token.partition("/")
-        try:
-            n, d = int(num), int(den)
-        except ValueError:
-            raise ValueError(f"malformed rational {token!r}") from None
-        if d <= 0:
-            raise ValueError(f"denominator must be positive in {token!r}")
-        return Rat(n, d)
+    num, slash, den = token.partition("/")
     try:
-        return Rat(int(token))
+        n = int(num)
+        d = int(den) if slash else 1
     except ValueError:
         raise ValueError(f"malformed rational {token!r}") from None
+    if d == 1:
+        return n, 1
+    if d <= 0:
+        raise ValueError(f"denominator must be positive in {token!r}")
+    g = gcd(n, d)
+    return n // g, d // g
+
+
+def parse_rat(token: str, allow_inf: bool = False) -> ExtRat:
+    """Parse ``p``, ``p/q`` or (optionally) ``inf`` (see `parse_number`)."""
+    value = parse_number(token.strip(), allow_inf)
+    return value if is_inf(value) else Rat(*value)
 
 
 def fmt_rat(value: ExtRat) -> str:

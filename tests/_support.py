@@ -53,20 +53,21 @@ def small_multicuts(draw, max_nodes):
 
 
 @st.composite
-def small_eds(draw, max_nodes, tree):
+def small_eds(draw, max_nodes, tree, weights=_weights):
     """Random edge-dominating instances on a rooted tree (``tree``) or on a
     graph with any edge set, with zero and fractional weights and infinite
-    or finite (possibly zero) penalties."""
+    or finite (possibly zero) penalties, finite values drawn from
+    ``weights``."""
     n = draw(st.integers(1, max_nodes))
     if tree:
         graph = RootedTree([0] + [draw(st.integers(0, v - 1)) for v in range(1, n)], 0)
     else:
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
         graph = Graph(n, [p for p in pairs if draw(st.booleans())])
-    penalties = st.one_of(st.just(INF), _weights)
+    penalties = st.one_of(st.just(INF), weights)
     return EdsInstance(
         graph,
-        {v: draw(_weights) for v in range(n)},
-        {e: draw(_weights) for e in graph.edge_ids()},
+        {v: draw(weights) for v in range(n)},
+        {e: draw(weights) for e in graph.edge_ids()},
         {e: draw(penalties) for e in graph.edge_ids()},
     )

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from graphcover import cli
 from graphcover import (
     INF,
     EdsInstance,
@@ -20,6 +21,7 @@ from graphcover import (
     gen_instance,
     parse_instance,
     reduce_to_eds,
+    serialize_certificate,
     serialize_instance,
 )
 from graphcover.instances import edge_neighborhoods, problem_kind
@@ -292,6 +294,54 @@ def test_number_tokens_rejected_with_their_messages(slot):
         with pytest.raises(ParseError) as err:
             parse_instance(template.format(token))
         assert str(err.value) == f"line {lineno}: {message}", token[:20]
+
+
+# -- integer units ----------------------------------------------------------
+
+#: Weights over mixed denominators, zero among them.
+_MIXED = st.builds(Rat, st.integers(0, 30), st.sampled_from([1, 2, 3, 4, 6, 9, 10]))
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.one_of(small_eds(max_nodes=9, tree=True, weights=_MIXED),
+                 small_eds(max_nodes=6, tree=False, weights=_MIXED)))
+def test_integer_units_match_the_weights(inst):
+    g = inst.graph
+    slots = [
+        (inst.node_units, inst.node_weight, range(g.n)),
+        (inst.edge_units, inst.edge_weight, g.edge_ids()),
+        (inst.penalty_units, inst.penalty, g.edge_ids()),
+    ]
+    finite = [w for _, weights, _ in slots for w in weights.values() if not is_inf(w)]
+    scale = inst.scale
+    # scale is the least positive integer that clears every denominator
+    assert all((w * scale).denominator == 1 for w in finite)
+    assert not any(all((w * s).denominator == 1 for w in finite) for s in range(1, scale))
+    for units, weights, keys in slots:
+        for key in keys:
+            want = weights[key]
+            assert units[key] == INF if is_inf(want) else Rat(units[key], scale) == want
+
+    parsed = parse_instance(serialize_instance(inst))
+    assert parsed == inst
+    assert (parsed.scale, parsed.node_units, parsed.edge_units, parsed.penalty_units) == (
+        scale, inst.node_units, inst.edge_units, inst.penalty_units)
+    assert (parsed.node_weight, parsed.edge_weight, parsed.penalty) == (
+        inst.node_weight, inst.edge_weight, inst.penalty)
+    # what `solve --certificate` prints and writes
+    (lines, cert), (parsed_lines, parsed_cert) = cli._solve(inst), cli._solve(parsed)
+    assert lines == parsed_lines
+    assert serialize_certificate(cert) == serialize_certificate(parsed_cert)
+
+
+def test_parsed_weight_views_are_read_only():
+    inst = parse_instance("problem eds-tree\nnodes 2\nnode 0 1/2\nedge 0 1 2/3 inf\n")
+    assert (inst.scale, inst.node_units, inst.edge_units, inst.penalty_units) == (
+        6, [3, 0], [0, 4], [0, INF])
+    assert dict(inst.node_weight) == {0: Rat(1, 2), 1: ZERO}
+    assert inst.edge_weight is inst.edge_weight  # built once
+    with pytest.raises(TypeError):
+        inst.penalty[1] = ZERO
 
 
 GEN_CASES = [
