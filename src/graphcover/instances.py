@@ -3,7 +3,14 @@
 Instance files are line based.  ``#`` starts a comment, numbers are integers
 or ``p/q`` fractions, and ``inf`` is accepted only where a penalty is
 expected.  Node and edge weights are nonnegative rationals; penalties are
-nonnegative rationals or infinite.
+nonnegative rationals or infinite.  Every number token of every kind goes
+through `parse_number`, which gives ``(p, q)`` in lowest terms or INF.
+
+Weight storage: an `EdsInstance` keeps its weights once, as integer units
+over their least common denominator (`_to_units` is the one place that
+rule lives), and builds dicts of rationals from them only when asked; the
+parser fills the units straight from the number tokens, so an integer file
+makes no rational per value.  The other kinds hold dicts of rationals.
 
 Edge identity: in a rooted tree every non-root node identifies the edge to
 its parent, so edge ids are child node ids.  In a general graph edges are
@@ -226,8 +233,6 @@ def _to_units(*columns):
     finite value times ``scale``, INF left as INF.  Returns ``(scale,
     *unit columns)``; ``scale`` is 1 when every value is an integer."""
     scale = lcm(*{x[1] for col in columns for x in col if x is not INF})
-    if scale == 1:
-        return (1, *([x if x is INF else x[0] for x in col] for col in columns))
     return (scale, *(
         [x if x is INF else x[0] * (scale // x[1]) for x in col] for col in columns
     ))
@@ -523,7 +528,7 @@ def eds_solution(inst: EdsInstance, edges) -> Solution:
     rational."""
     edges = tuple(sorted(set(edges)))
     g = inst.graph
-    scale, wn, we, pen = inst._unit_lists()
+    scale, wn, we, pen = inst.scale, inst.node_units, inst.edge_units, inst.penalty_units
     nodes = selected_nodes(g, edges)
     covered = set()
     for v in nodes:
