@@ -169,14 +169,6 @@ class RootedTree:
         own = () if v == self.root else (v,)
         return tuple(sorted(own + self.children[v]))
 
-    def is_node_ancestor(self, a: int, b: int) -> bool:
-        """True when a is a proper ancestor of b."""
-        if self.depth[a] >= self.depth[b]:
-            return False
-        while self.depth[b] > self.depth[a]:
-            b = self.parent[b]
-        return a == b
-
     def lca(self, a: int, b: int) -> int:
         while self.depth[a] > self.depth[b]:
             a = self.parent[a]

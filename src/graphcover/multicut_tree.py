@@ -5,10 +5,29 @@ two-edge pendant per demand (cutting its cheap edge equals paying the
 penalty), leaving an instance where every demand must be separated.  The
 increase phase grows one dual value per demand path, raising edge/node
 capacities until a fully saturated ("bottleneck") path edge with
-immovable dual mass at both ends appears; that edge joins the solution.
-The deletion phase then thins the solution so every demand contributes
-its dual value to at most two chosen edges, which yields the factor-2
-bound objective <= 2 * (sum of dual values) certified in the output.
+immovable dual mass at both ends appears; that edge, and a pinned edge of
+every earlier demand whose immovable mass it touches, joins F.  The
+deletion phase is the reverse delete of Garg, Vazirani and Yannakakis
+(Algorithmica 18, 1997): F is walked from the last edge added to the
+first, and an edge is dropped when every demand through it stays cut
+without it.
+
+The charging argument.  Every kept edge and every node it touches is
+saturated (the ``kept-capacities-saturated`` check), so the cost of the
+cut is the sum over demands d of the charge of d: nu(e, d) over the kept
+edges e on d's path, plus mu(v, d) over the touched nodes v on d's path.
+A demand that was never processed holds no dual values and is charged
+nothing.  The output holds at most one kept edge on each leg of every
+processed demand (its path on one side of the lca), so at most two kept
+edges lie on d's path.  Each of them, with its two ends, is charged at
+most the left side of d's support row there, which is xi(d) when that
+row is tight, so those terms charge at most 2 * xi(d).  Not proved here:
+that every kept edge's row is tight for each demand through it (a
+witness edge can be loose for a third demand), and the case of a node v
+on d's path with mu(v, d) > 0 that only a kept edge off d's path
+touches.  The bound objective <= 2 * (sum of dual values) is therefore
+certified per output, by the exact ``within-twice-dual`` check of
+:func:`verify_multicut` that :func:`run_multicut_pipeline` runs.
 
 All arithmetic is exact; each dual adjustment step is sized by a small
 rational LP (maximize the step, then minimize the total perturbation for
@@ -255,13 +274,10 @@ class IncreaseState:
         self.xi: Dict[int, Rat] = {}
         self.nu: Dict[Tuple[int, int], Rat] = {}
         self.mu: Dict[Tuple[int, int], Rat] = {}
-        self.F: Set[int] = set()
+        # the edges of F in order of addition, for the reverse delete
+        self.F: Dict[int, None] = {}
         self.witness: Dict[int, int] = {}
         self.processed: List[int] = []
-        # (demand, node) -> the path edge pinned there when immovable dual
-        # mass was chased; the deletion phase prefers these so that demands
-        # first covered by a chased edge stay covered
-        self.cascade_edge: Dict[Tuple[int, int], int] = {}
 
         tree = inst.tree
         # kept by the setters: node -> demands with mu > 0 there, and the
@@ -283,6 +299,8 @@ class IncreaseState:
         self._unchecked_xi: Set[int] = set()
         self._unchecked_nu: Set[Tuple[int, int]] = set()
         self._unchecked_mu: Set[Tuple[int, int]] = set()
+        # demands written since the last _minimize_nu()
+        self.unminimized: Set[int] = set()
 
     # -- the only dual writers --------------------------------------------
 
@@ -290,6 +308,7 @@ class IncreaseState:
         self.xi[d] = val
         self._dirty_demands.add(d)
         self._unchecked_xi.add(d)
+        self.unminimized.add(d)
 
     def set_nu(self, key: Tuple[int, int], val: Rat) -> None:
         """Write nu[key]; a zero value removes the entry."""
@@ -299,6 +318,7 @@ class IncreaseState:
         self._dirty_demands.add(j)
         self._dirty_edges.add(e)
         self._unchecked_nu.add(key)
+        self.unminimized.add(j)
 
     def set_mu(self, key: Tuple[int, int], val: Rat) -> None:
         """Write mu[key]; a zero value removes the entry."""
@@ -312,6 +332,7 @@ class IncreaseState:
         self._dirty_demands.add(j)
         self._dirty_nodes.add(v)
         self._unchecked_mu.add(key)
+        self.unminimized.add(j)
 
     # -- small helpers -----------------------------------------------------
 
@@ -346,7 +367,7 @@ class IncreaseState:
 
     def uncovered(self) -> Optional[int]:
         for d in self.order:
-            if not (self.F & self.edge_set[d]):
+            if self.edge_set[d].isdisjoint(self.F):
                 return d
         return None
 
@@ -482,20 +503,28 @@ def _store(table: Dict, key, val: Rat) -> None:
 
 
 def _minimize_nu(state: IncreaseState) -> None:
-    """Lower every nu value to the least amount its support row needs."""
-    for key in sorted(state.nu, reverse=True):
-        e, d = key
-        upper = state.instance.tree.parent[e]
-        needed = (
-            state.xi.get(d, ZERO)
-            - state.mu.get((upper, d), ZERO)
-            - state.mu.get((e, d), ZERO)
-        )
-        if needed < 0:
-            needed = ZERO
-        assert needed <= state.nu[key]
-        if needed != state.nu[key]:
-            state.set_nu(key, needed)
+    """Lower each nu value off F to the least amount its support row needs.
+    Only the demands written since the last call can have slack.  An edge
+    of F lies only on covered demands' paths, which are never raised again,
+    so capacity freed there could not be reused; lowering it would only
+    drop the edge out of the bottleneck rows."""
+    parent = state.instance.tree.parent
+    for d in sorted(state.unminimized):
+        for e in state.path_edges[d]:
+            key = (e, d)
+            if e in state.F or key not in state.nu:
+                continue
+            needed = (
+                state.xi.get(d, ZERO)
+                - state.mu.get((parent[e], d), ZERO)
+                - state.mu.get((e, d), ZERO)
+            )
+            if needed < 0:
+                needed = ZERO
+            assert needed <= state.nu[key]
+            if needed != state.nu[key]:
+                state.set_nu(key, needed)
+    state.unminimized.clear()
 
 
 def _select_cover(
@@ -654,14 +683,12 @@ def _fact5_additions(state: IncreaseState, wit: int, d: int, snap: _Snapshot) ->
         g, owner, v = queue.pop(0)
         for j in state.decrease_targets(owner, v):
             if g in state.edge_set[j]:
-                state.cascade_edge.setdefault((j, v), g)
                 continue
             cands = state.pinning_edges(snap, j, v)
             assert cands, "immovable mass must be pinned by a bottleneck edge"
             f = min(cands)
-            state.cascade_edge.setdefault((j, v), f)
             if f not in state.F:
-                state.F.add(f)
+                state.F[f] = None
                 queue.append((f, j, state.far_end(f, v)))
 
 
@@ -669,7 +696,7 @@ def increase_iteration(state: IncreaseState, i: int) -> IncreaseState:
     """Process demand i: raise its dual value as far as the capacities
     allow, then add the witness edge (and any chased additions) to F."""
     inst = state.instance
-    assert not (state.F & state.edge_set[i]), "demand already covered"
+    assert state.edge_set[i].isdisjoint(state.F), "demand already covered"
     _minimize_nu(state)
     # generous stall guard: a legitimate run saturates at least one new
     # capacity per step, and there are |E| + |V| of them per demand round
@@ -708,7 +735,7 @@ def increase_iteration(state: IncreaseState, i: int) -> IncreaseState:
     # other rows pin its end-node mass higher than its own value; fall
     # back to the terminal edges, which are always pinned for i itself
     wit = min(witnesses or terminal, key=lambda e: (-inst.tree.depth[e], e))
-    state.F.add(wit)
+    state.F[wit] = None
     state.witness[i] = wit
     state.processed.append(i)
     _fact5_additions(state, wit, i, snap)
@@ -716,10 +743,8 @@ def increase_iteration(state: IncreaseState, i: int) -> IncreaseState:
 
 
 def run_increase_phase(state: IncreaseState) -> IncreaseState:
-    """Iterate until every demand path is covered.  The pinning property
-    the deletion phase relies on — a charged node beside a kept edge keeps
-    a replacement path edge of its demand — is asserted there, at the
-    point of use, because which nodes matter depends on what is kept."""
+    """Iterate until every demand path is covered by an edge of F, then
+    check the whole dual from scratch."""
     while True:
         d = state.uncovered()
         if d is None:
@@ -734,106 +759,30 @@ def run_increase_phase(state: IncreaseState) -> IncreaseState:
 # deletion phase
 
 
-def _edge_is_ancestor(tree: RootedTree, g: int, e: int) -> bool:
-    upper = tree.parent[e]
-    return g == upper or tree.is_node_ancestor(g, upper)
-
-
 def deletion_phase(state: IncreaseState) -> FrozenSet[int]:
-    """Thin F so each demand's dual value is charged to at most two kept
-    edges; asserts the structural output conditions."""
-    inst = state.instance
-    tree = inst.tree
-    k = len(inst.demands)
-    snap = state.snapshot()
-    kept: Set[int] = set()
-    assert [state.position[d] for d in state.processed] == sorted(
-        state.position[d] for d in state.processed
-    )
+    """Reverse delete: walk F from the last edge added to the first and drop
+    an edge when every demand through it still has another kept edge on
+    its path.  ``count[j]`` is the number of kept edges on j's path, so the
+    walk is linear in the paths.  Asserts the structural output
+    conditions."""
+    k = len(state.instance.demands)
+    through: Dict[int, List[int]] = {e: [] for e in state.F}
+    count = [0] * k
+    for j in range(k):
+        for e in state.path_edges[j]:
+            if e in through:
+                through[e].append(j)
+                count[j] += 1
+    kept = set(state.F)
+    for e in reversed(state.F):
+        if all(count[j] > 1 for j in through[e]):
+            kept.discard(e)
+            for j in through[e]:
+                count[j] -= 1
 
-    def admit(f: int, force: bool) -> bool:
-        # After adding f, any other kept edge on a common leg (necessarily
-        # an ancestor or descendant of f) is redundant for that leg; drop
-        # it unless some demand it cuts would be left without a kept edge.
-        # If a processed demand's leg would still hold two edges, adding f
-        # is refused — unless it is forced to restore coverage.
-        trial = set(kept)
-        trial.add(f)
-        for other in sorted(trial):
-            if other == f:
-                continue
-            if not (
-                _edge_is_ancestor(tree, f, other)
-                or _edge_is_ancestor(tree, other, f)
-            ):
-                continue
-            if not any(
-                f in leg and other in leg
-                for j in range(k)
-                for leg in state.legs[j]
-            ):
-                continue
-            rest = trial - {other}
-            if all(
-                rest & state.edge_set[q]
-                for q in range(k)
-                if other in state.edge_set[q]
-            ):
-                trial.discard(other)
-        if not force and any(
-            len(trial & leg) > 1
-            for j in state.processed
-            for leg in state.legs[j]
-        ):
-            return False
-        kept.clear()
-        kept.update(trial)
-        return True
-
-    for d in reversed(state.processed):
-        active = [
-            v
-            for v in state.path_nodes[d]
-            if state.mu.get((v, d), ZERO) > 0
-            and any(v in (tree.parent[f], f) for f in kept)
-        ]
-        maximal = [
-            v
-            for v in active
-            if not any(a != v and tree.is_node_ancestor(a, v) for a in active)
-        ]
-        assert len(maximal) <= 2, f"more than two maximal charged nodes for {d}"
-        for v in sorted(maximal):
-            cands = [f for f in state.pinning_edges(snap, d, v) if f in state.F]
-            assert cands, f"no pinned replacement edge at node {v} for {d}"
-            # demands still to be handled that hold dual mass here will be
-            # served by their own chased edge; aligning on it now avoids
-            # stacking two kept edges on one leg later
-            future = {
-                state.cascade_edge.get((d2, v))
-                for d2 in state.processed
-                if state.position[d2] < state.position[d]
-                and state.mu.get((v, d2), ZERO) > 0
-            }
-            pool = [f for f in cands if f in future] or cands
-            chased = state.cascade_edge.get((d, v))
-            if len(pool) >= 2 and v in pool:
-                f = v  # the edge whose lower end is v
-            elif chased in pool:
-                f = chased
-            else:
-                f = min(pool)
-            admit(f, force=False)
-        wit = state.witness[d]
-        if not any(
-            g == wit or _edge_is_ancestor(tree, g, wit)
-            for g in kept & state.edge_set[d]
-        ):
-            admit(wit, force=not (kept & state.edge_set[d]))
-
-    assert kept <= state.F
-    for j in range(len(inst.demands)):
-        assert kept & state.edge_set[j], f"demand {j} left uncovered"
+    assert kept.issubset(state.F)
+    for j in range(k):
+        assert not kept.isdisjoint(state.edge_set[j]), f"demand {j} left uncovered"
     for d in state.processed:
         for leg in state.legs[d]:
             assert len(kept & leg) <= 1, f"leg of demand {d} cut twice"

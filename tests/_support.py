@@ -32,9 +32,10 @@ _weights = st.builds(Rat, st.integers(0, 6), st.sampled_from([1, 1, 2, 3]))
 
 
 @st.composite
-def small_multicuts(draw, max_nodes):
-    """Random multicut trees with zero and fractional weights, up to five
-    demands, each with an infinite or a finite (possibly zero) penalty."""
+def small_multicuts(draw, max_nodes, node_weights=_weights):
+    """Random multicut trees with zero and fractional weights, node weights
+    drawn from ``node_weights``, and up to five demands, each with an
+    infinite or a finite (possibly zero) penalty."""
     n = draw(st.integers(2, max_nodes))
     parent = [0] + [draw(st.integers(0, v - 1)) for v in range(1, n)]
     pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
@@ -46,7 +47,7 @@ def small_multicuts(draw, max_nodes):
     ]
     return MulticutInstance(
         RootedTree(parent, 0),
-        {v: draw(_weights) for v in range(n)},
+        {v: draw(node_weights) for v in range(n)},
         {v: draw(_weights) for v in range(1, n)},
         demands,
     )

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from graphcover import cli, eds_tree, parse_instance
+from graphcover import cli, eds_tree, multicut_tree, parse_instance
 
 
 def run_cli(capsys, *argv):
@@ -297,10 +297,15 @@ def test_batch_reports_dash_above_the_oracle_cap(tmp_path, capsys):
     assert row[4:] == ["-", "-", "pass"]
 
 
-def test_batch_reports_error_rows_and_goes_on(tmp_path, capsys):
-    # The multicut instance trips an assertion in the deletion phase.  Its
-    # exhaustive oracle (19 edges) still runs, in under a second, so the
+def _fail_deletion_phase(state):
+    raise AssertionError("forced for the test")
+
+
+def test_batch_reports_error_rows_and_goes_on(tmp_path, capsys, monkeypatch):
+    # The multicut instance's deletion phase is made to trip an assertion.
+    # Its exhaustive oracle (19 edges) still runs, in under a second, so the
     # error row shows the true optimum.
+    monkeypatch.setattr(multicut_tree, "deletion_phase", _fail_deletion_phase)
     suite = tmp_path / "suite"
     suite.mkdir()
     cases = [
@@ -314,7 +319,7 @@ def test_batch_reports_error_rows_and_goes_on(tmp_path, capsys):
     code, _, err = run_cli(capsys, "batch", str(suite), "--report", str(report),
                            "--certificates", str(certs))
     assert code == 3
-    assert "internal check failed on a_cut.tree" in err
+    assert "internal check failed on a_cut.tree: forced for the test" in err
     bad, good = (row.split("\t") for row in report.read_text().splitlines()[1:])
     assert bad[0] == "a_cut.tree"
     assert bad[1:] == ["-", "-", "-", "53", "-", "error"]
@@ -335,6 +340,7 @@ def test_batch_error_row_solves_no_relaxation(tmp_path, capsys, monkeypatch):
         return relaxation_value(inst, relaxation)
 
     monkeypatch.setattr(cli, "relaxation_value", counted)
+    monkeypatch.setattr(multicut_tree, "deletion_phase", _fail_deletion_phase)
     code, out, _ = run_cli(capsys, "batch", str(suite))
     assert code == 3
     assert out.splitlines()[1].split("\t")[-1] == "error"

@@ -61,10 +61,6 @@ def test_rooted_tree_ancestry_and_lca():
     tree = RootedTree([0, 0, 0, 1, 1], 0)
     assert tree.lca(3, 4) == 1
     assert tree.lca(3, 2) == 0
-    assert tree.is_node_ancestor(0, 3)
-    assert tree.is_node_ancestor(1, 4)
-    assert not tree.is_node_ancestor(3, 1)
-    assert not tree.is_node_ancestor(1, 1)
 
 
 def test_rooted_tree_rejects_cycles_and_disconnection():

@@ -89,22 +89,24 @@ def test_solve_outputs_are_pinned(spec, tmp_path, capsys):
     assert got == GOLDEN_SOLVE[spec]
 
 
-# Multicut instances whose deletion phase trips one of its own assertions:
-# `solve` exits 3 with this line on stderr and prints nothing.
-FAILING_MULTICUT = {
-    "random-tree-multicut --n 20 --k 8 --seed 7":
-        "internal check failed: no pinned replacement edge at node 0 for 1\n",
-    "random-tree-multicut --n 40 --k 10 --seed 10":
-        "internal check failed: demand 3 left uncovered\n",
+# Multicut instances on which an earlier deletion rule tripped one of its
+# own assertions, so that `solve` exited 3.
+REVERSE_DELETE_MULTICUT = {
+    "n20-k8-s7": "random-tree-multicut --n 20 --k 8 --seed 7",
+    "n40-k10-s10": "random-tree-multicut --n 40 --k 10 --seed 10",
 }
 
 
-@pytest.mark.parametrize("spec", sorted(FAILING_MULTICUT))
-def test_failing_multicut_exits_3_with_its_message(spec, tmp_path, capsys):
-    inst = _gen(tmp_path, "inst", spec.split())
+@pytest.mark.parametrize("spec", sorted(REVERSE_DELETE_MULTICUT))
+def test_multicut_solves_and_verifies(spec, tmp_path, capsys):
+    inst = _gen(tmp_path, "inst", REVERSE_DELETE_MULTICUT[spec].split())
+    cert = tmp_path / "out.cert"
+    assert cli.run(["solve", str(inst), "--certificate", str(cert)]) == 0
     capsys.readouterr()
-    assert cli.run(["solve", str(inst)]) == 3
-    assert capsys.readouterr() == ("", FAILING_MULTICUT[spec])
+    assert cli.run(["verify", str(inst), str(cert)]) == 0
+    out, err = capsys.readouterr()
+    assert out.splitlines()[-1] == "verdict: PASS" and "FAIL" not in out
+    assert err == ""
 
 
 # sha256 of `verify` stdout and its exit code.  Seed 23 is an instance whose

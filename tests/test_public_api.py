@@ -1,4 +1,5 @@
-"""The package's public names, and no unused imports in its modules."""
+"""The package's public names, and no unused imports or unreferenced private
+definitions in its modules."""
 
 import ast
 import re
@@ -49,3 +50,29 @@ def test_no_unused_imports_in_the_package():
         if path.name != "__init__.py"
     }
     assert {name: found for name, found in unused.items() if found} == {}
+
+
+def _private_definitions(trees):
+    """(module, name) of every private module-level function and class."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return {
+        (module, node.name)
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, kinds) and node.name.startswith("_")
+        and not node.name.startswith("__")
+    }
+
+
+def test_every_private_definition_is_referenced_in_the_package():
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    referenced = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    defined = _private_definitions(trees)
+    assert defined
+    assert sorted(item for item in defined if item[1] not in referenced) == []
