@@ -310,26 +310,26 @@ def _step_models_digest(n, k, seed):
     return digest.hexdigest()
 
 
-# (n, k, seed) -> digest.  (20, 8, 7) is an F2 case: its deletion phase
-# fails with "no pinned replacement edge at node 0 for 1".
+# (n, k, seed) -> digest.  On (20, 8, 7) an earlier rule both lowered nu on
+# an edge of F and failed its deletion phase; it now pins a kept cut.
 GOLDEN_STEP_MODELS = {
-    (9, 4, 0): "9f10e3a5016154cff1f55e57aa9a275c720d7b2bb3b8c7ff0b06d797fcbe59ff",
-    (9, 4, 1): "6ee33ac13ead5b28762bf2a5d6d62e0f084ca0c426d2534ed33fcdfc4222afda",
+    (9, 4, 0): "a5fc29242510d29c9ec84813837ac27d504c76ea4b353ddf8fde73a3ac9eefdf",
+    (9, 4, 1): "3957da77c498a46838a25047c801764d0c25f41e819c6db11779c5c86e70aecd",
     (9, 4, 2): "0b2f207f9fedc2b133aaa2a11b45db00e3b3244b9631cf710dde0125adeacb22",
     (9, 4, 3): "b819f6d343cadcdbd0ad71a2e76f18651fa65be1aff15cfebd45bc56a1ca14ef",
     (20, 8, 0): "9d89b6f2bca0f8cab8a0cbdda71d6d82450aae989281be6e1af6e8fd34f9ba10",
-    (20, 8, 1): "506886d05f729c8a1c5ecf660fc901b7a63a1dda30d5f2424c2f8fc409aa5955",
-    (20, 8, 2): "5977551a3f000bf7eea455efdee8b353805ba0923dea27bbf589c0779d861d3d",
+    (20, 8, 1): "16c893564aa4ddf10f806d20597a790faa18029070877f57315f367b164cf643",
+    (20, 8, 2): "6085298eb7feb8c6ec61fd3aa3db4f3e7a398703cb96e43c325b50aff8bc63ff",
     (20, 8, 3): "6914f27d9079124211e1754e18eb9850af638938e1a0a3c39ab5e9b86ce1246c",
-    (20, 8, 4): "b584cb9f150f2ee3b9b67717561d1dd047bcabd08707080411fd4e9492c3de23",
-    (20, 8, 5): "ab3491e3844759c9b3c209ac8153395c76460a64dc0d8d0e9e501b7be47d2a7f",
+    (20, 8, 4): "f2a2fe6992e3297d05bfe126023aa4e4598f85f9312824742dce2ea0abcd8013",
+    (20, 8, 5): "7c36aecbac0c58d8fe8a43a99590f59dd388e990a6f4d5349481f0b852330801",
     (20, 8, 6): "1d0ff2c7a3a44ffac14d230f35c0f70a3cc63bf475793924b18634bf98e6abd7",
-    (20, 8, 7): "023f8e531f31af3331891cc419385fd650ecbb8a6186c76c3be058c711261e7d",
+    (20, 8, 7): "87c80279f58675d622aec00d38aaa1f445361962cce52e85d20fa0ee2c0629a5",
     (40, 10, 0): "d0231afc0d8870d58e333e1cd697f722cbe8652dcaa135aef67f2fe4f592d421",
-    (40, 10, 1): "4639e9be9f6460b077c97ae39aaa9e7efc7e032abe3f1a62223c2a5f60d06f54",
+    (40, 10, 1): "5b511f93197d14f20782d7f1672514b6dcf012c55a2bfad649179dbb237667fd",
     (40, 10, 2): "aee288f9d8d077e3ff55241ba6e981443423bd149b2e1b84e4e844fbc6d88193",
     (40, 10, 3): "adbac7024db29cb6f7febc990ac520476cf77d1cfbc545b3ac35ca398777a700",
-    (60, 15, 0): "8f5140faf3f19fd0f7ac4f16c45f25b465839749b16e19c96f200763dcd73a93",
+    (60, 15, 0): "883e1069696350fd3e9bdcbaf8073040677e839c255881ea8d42f0cb2dab0c1f",
     (60, 15, 1): "fb9e808c9a7dd7d6ff9bcf2761bc6418dc68bc8fe372316988b8679100241653",
     (100, 25, 0): "0beb93c2e841c6dd6bce376a564f36891f6afe0bfd733003b1f6851796f1258c",
 }

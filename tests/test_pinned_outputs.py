@@ -53,8 +53,8 @@ GOLDEN_SOLVE = {
         "b420d5ab23b812759ba26f0093998e897c2f6e791c24f1c49fa14718eb319720",
     ),
     "random-tree-multicut --n 40 --k 10 --seed 1": (
-        "3f5fa072fd14991762c13941622e4ce63d7f55d29fb941e56f5b0142d2807504",
-        "fc3b2638682da97e5793fb2ccf3821995c3939f5588a2d72ee39c771ffab7888",
+        "6bcd8201377fc430987a87ef3d4bec6cf053a1cb0ccc582b1066b5d98564aa72",
+        "dd7809a2afe6adb916470c6dc0571d1b02eb2790a8f4a490bf9ce9e20407de0e",
     ),
     "random-tree-multicut --n 40 --k 10 --seed 2": (
         "2ad7ac06c2555a91a1ababf621a871e3da5b1a39739566ba47554a42deb45a02",
@@ -69,12 +69,12 @@ GOLDEN_SOLVE = {
         "00fc11d0b770278d18b77b69d6117282d2a25da50dcee178fb8287f8937ae702",
     ),
     "random-tree-multicut --n 100 --k 25 --seed 1": (
-        "bb97318f22fb2f7c23b6f0e2ae40d67bfa5dcc00f2109251b3e9f735f762d31f",
-        "c12946f36f4d83a18a4f483da3e1cd4238a34a406c234fbcfa308c772a29bdb1",
+        "44befb1f25767e69f0520496f4534e35ccf4408c5f5dcb3ef1c84c711bb1861a",
+        "a2f9d6befcc94e717b1c45e695f041b01d43e7fe900fcc4093bf56562787c21a",
     ),
     "random-tree-multicut --n 100 --k 25 --seed 2": (
-        "2a476a4e4e984d26265150f45b5c74a054d6c5e6f8cff5cc4fd5a88076bd007d",
-        "2bd45e505e43c917d4dc3afd3c2537597de34ee125a2003675e18712024bceb4",
+        "e78bdb8d3d0ae6a34a66bbd59f4543042e23ab3a9a8aca71833ebace3fd09d18",
+        "155c3d4ac48307f31362164dee95b8943155bcc6e2b6dcac394e15486ae3b2d6",
     ),
 }
 
