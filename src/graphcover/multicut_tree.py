@@ -25,8 +25,11 @@ row is tight, so those terms charge at most 2 * xi(d).  Not proved here:
 that every kept edge's row is tight for each demand through it (a
 witness edge can be loose for a third demand), and the case of a node v
 on d's path with mu(v, d) > 0 that only a kept edge off d's path
-touches.  The bound objective <= 2 * (sum of dual values) is therefore
-certified per output, by the exact ``within-twice-dual`` check of
+touches.  Both cases occur, and the bound can fail for a single demand:
+on ``gen random-tree-multicut --n 60 --k 15 --seed 6`` demand 1 is
+charged 18 against xi = 8, while the total stays within twice the dual.
+The bound objective <= 2 * (sum of dual values) is therefore certified
+per output, by the exact ``within-twice-dual`` check of
 :func:`verify_multicut` that :func:`run_multicut_pipeline` runs.
 
 All arithmetic is exact; each dual adjustment step is sized by a small
@@ -236,13 +239,15 @@ def _toggle(items: Set, item, member: bool) -> bool:
 
 class IncreaseState:
     """Mutable state of the increase phase on an all-infinite-penalty
-    instance: the growing edge set F, sparse duals, the witness edge per
-    processed demand, and the processed list in processing order.
+    instance: the growing edge set F in order of addition, sparse duals,
+    the witness edge per processed demand, and the processed list in
+    processing order.
 
     Every dual write goes through :meth:`set_xi`, :meth:`set_nu` and
     :meth:`set_mu`, which keep the holders of each node, the running
-    capacity sums, and the written keys that :meth:`snapshot` re-derives
-    and :meth:`check_step` checks."""
+    capacity sums, the written keys that :meth:`snapshot` re-derives and
+    :meth:`check_step` checks, and the written demands whose nu
+    :func:`_minimize_nu` lowers."""
 
     def __init__(self, inst: MulticutInstance):
         if not isinstance(inst, MulticutInstance):
