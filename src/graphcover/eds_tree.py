@@ -16,12 +16,18 @@ penalties ("keep"/"trim") or deletes the local leaves ("delete"/"drop").
 Arithmetic: reducing and lifting only add, subtract, compare, take minima
 and clamp at 0; they never multiply or divide.  So the solver runs on
 Python ints: it copies the instance's integer units (`EdsInstance`), each
-finite weight and penalty times the instance's `scale`, with INF left as
-INF.  Every intermediate value is then an integer multiple of 1/scale, and
-scaling by a positive constant keeps every comparison and every tie, so
-the steps taken and the edges chosen are those of the same run on the
-rationals.  The dual values are turned back into rationals, xi / scale,
-once at the end.
+finite weight and penalty times the instance's `scale`.  Every
+intermediate value is then an integer multiple of 1/scale, and scaling by
+a positive constant keeps every comparison and every tie, so the steps
+taken and the edges chosen are those of the same run on the rationals.
+An infinite penalty enters as the finite bound `big`, 1 plus the sum of
+every finite node, edge and penalty unit.  Reduced weights only fall, so
+every value the solver compares with a penalty (a candidate charge, a
+capped arm value, what remains to fill) is a sum of weights below `big`,
+and every sum holding `big` is at least `big`, just as a sum holding INF
+was INF: no comparison changes.  An objective is below `big` exactly when
+it pays no infinite penalty.  The dual values are turned back into
+rationals, xi / scale, once at the end.
 
 Cost: O(n log n) time, counting each integer operation as one step, and
 O(n) memory.  All levels share one mutable store of the live tree and its
@@ -46,16 +52,12 @@ drifted, and the final solution is re-evaluated against the dual total.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Tuple, Union
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .instances import EdsInstance, InstanceError, Solution, eds_solution
-from .rationals import INF, Rat, ZERO, clamp_nonneg, ext_min, ext_sum, is_inf
+from .rationals import INF, Rat, ZERO, is_inf
 from .relaxations import complete_eds_dual
 from .reporting import CheckReport
-
-
-#: A weight in the solver's integer units, or INF.
-ExtInt = Union[int, type(INF)]
 
 
 @dataclass(frozen=True)
@@ -87,7 +89,7 @@ class CaseContext:
     bound1: int
     bound: int
     i_star: int  # 0 refers to the parent edge, i >= 1 to arms[i-1]
-    caps: List[ExtInt]  # dual caps per arm edge
+    caps: List[int]  # dual caps per arm edge
     center_w: int  # center node weight at this level
     parent_edge_w: Optional[int]  # parent edge weight at this level
     grand_edges: List[int] = field(default_factory=list)  # B: all H_i edges
@@ -110,7 +112,8 @@ class _LiveTree:
     can restore each level by undoing the log back to the step's mark.
 
     Weights are copies of the instance's integer units, indexed by node
-    id (the root's edge and penalty slots hold 0).  INF stays INF.
+    id (the root's edge and penalty slots hold 0), with each INF penalty
+    replaced by `big` (see the module docstring).
 
     Per-depth buckets list the nodes by ascending id; `live` and `hot`
     count the live nodes and the live nodes with positive penalty at each
@@ -130,7 +133,9 @@ class _LiveTree:
         self.alive = [True] * n
         self.wn = inst.node_units.copy()
         self.we = inst.edge_units.copy()
-        self.pen = inst.penalty_units.copy()
+        pen = inst.penalty_units
+        self.big = 1 + sum(self.wn) + sum(self.we) + sum(p for p in pen if p is not INF)
+        self.pen = [self.big if p is INF else p for p in pen]
         self.edges = n - 1
         self.log: List[tuple] = []
         self.bucket: List[List[int]] = [[] for _ in range(max(self.depth) + 1)]
@@ -197,12 +202,12 @@ class _LiveTree:
         self.first_live[d] = i
         return b[i]
 
-    def objective(self, edges) -> ExtInt:
+    def objective(self, edges) -> int:
         """Objective of an edge set at this level, computed from scratch."""
         touched = {v for e in edges for v in (e, self.parent[e])}
         cost = sum(self.we[e] for e in edges)
         cost += sum(self.wn[v] for v in touched)
-        return cost + ext_sum(
+        return cost + sum(
             self.pen[e]
             for e in range(len(self.alive))
             if self.alive[e]
@@ -231,8 +236,8 @@ def _reduce_a(t: _LiveTree, leaf_edge: int) -> CaseContext:
     cand += [(we[v] + wu + wn[v], i + 1) for i, v in enumerate(arms)]
     bound1 = min(c for c, _ in cand)
     i_star = min(i for c, i in cand if c == bound1)
-    bound2 = ext_sum(pen[v] for v in arms)
-    bound = ext_min(bound1, bound2)
+    bound2 = sum(pen[v] for v in arms)
+    bound = min(bound1, bound2)
     branch = "keep" if bound1 > bound2 else "delete"
     ctx = CaseContext(
         tag="A",
@@ -249,19 +254,19 @@ def _reduce_a(t: _LiveTree, leaf_edge: int) -> CaseContext:
         parent_edge_w=we[e0],
     )
 
-    shift_edge = clamp_nonneg(bound - wu)
+    shift_edge = max(0, bound - wu)
     if branch == "keep":
         for v in arms:
-            t.set(wn, v, wn[v] - clamp_nonneg(bound - wu - we[v]))
-            t.set(we, v, clamp_nonneg(we[v] - shift_edge))
+            t.set(wn, v, wn[v] - max(0, bound - wu - we[v]))
+            t.set(we, v, max(0, we[v] - shift_edge))
             t.zero_penalty(v)
     else:
         for v in arms:
             t.kill(v)
         t.zero_penalty(e0)
-    t.set(wn, v0, wn[v0] - clamp_nonneg(bound - wu - we[e0]))
-    t.set(we, e0, clamp_nonneg(we[e0] - shift_edge))
-    t.set(wn, u, clamp_nonneg(wu - bound))
+    t.set(wn, v0, wn[v0] - max(0, bound - wu - we[e0]))
+    t.set(we, e0, max(0, we[e0] - shift_edge))
+    t.set(wn, u, max(0, wu - bound))
     return ctx
 
 
@@ -283,7 +288,7 @@ def _reduce_b(t: _LiveTree) -> CaseContext:
     cand += [(we[ui] + wn[ui] + ws, i + 1) for i, ui in enumerate(arms)]
     bound1 = min(c for c, _ in cand)
     i_star = min(i for c, i in cand if c == bound1)
-    caps: List[ExtInt] = []
+    caps: List[int] = []
     best_grand: Dict[int, int] = {}
     keep_idx: List[int] = []
     for i, ui in enumerate(arms):
@@ -291,13 +296,13 @@ def _reduce_b(t: _LiveTree) -> CaseContext:
             hv, hid = min((we[h] + wn[h], h) for h in grand[i])
             best_grand[i + 1] = hid
             inner = wn[ui] + hv
-            caps.append(ext_min(inner, pen[ui]))
+            caps.append(min(inner, pen[ui]))
             if inner <= pen[ui]:
                 keep_idx.append(i + 1)
         else:
             caps.append(pen[ui])
-    bound2 = ext_sum(caps)
-    bound = ext_min(bound1, bound2)
+    bound2 = sum(caps)
+    bound = min(bound1, bound2)
     branch = "trim" if bound1 >= bound2 else "drop"
     grand_edges = [h for hs in grand for h in hs]
     ctx = CaseContext(
@@ -332,11 +337,11 @@ def _reduce_b(t: _LiveTree) -> CaseContext:
     # u0, each kept arm with itself
     survivors = [(e0, u0)] if e0 is not None else []
     survivors += [(ui, ui) for ui in kept]
-    shift_edge = clamp_nonneg(bound - ws)
+    shift_edge = max(0, bound - ws)
     for edge, node in survivors:
-        t.set(wn, node, wn[node] - clamp_nonneg(bound - ws - we[edge]))
-        t.set(we, edge, clamp_nonneg(we[edge] - shift_edge))
-    t.set(wn, s, clamp_nonneg(ws - bound))
+        t.set(wn, node, wn[node] - max(0, bound - ws - we[edge]))
+        t.set(we, edge, max(0, we[edge] - shift_edge))
+    t.set(wn, s, max(0, ws - bound))
     return ctx
 
 
@@ -344,12 +349,12 @@ def _reduce_b(t: _LiveTree) -> CaseContext:
 # lifting
 
 
-def _greedy_fill(caps: List[ExtInt], target: int) -> List[int]:
+def _greedy_fill(caps: List[int], target: int) -> List[int]:
     """Values below the caps summing to the target, filled front to back."""
     out = []
     remaining = target
     for cap in caps:
-        take = ext_min(cap, remaining)
+        take = min(cap, remaining)
         out.append(take)
         remaining = remaining - take
     assert remaining == 0, "caps cannot absorb the required dual total"
@@ -363,10 +368,9 @@ class _Lift:
     follow every change of F, xi, the weights and the live edges, so each
     level's check costs only the size of its step.  `touch[v]` counts the
     edges of F at node v; an edge is covered when either end is touched.
-    `open_fin[p]`/`open_inf[p]` hold the finite part and the number of
-    infinite penalties of the live edges below p whose lower end is
-    untouched, and they count towards the uncovered penalty while p is
-    untouched too.
+    `open_pen[p]` sums the penalties of the live edges below p whose lower
+    end is untouched, and counts towards the uncovered penalty `pen` while
+    p is untouched too.
     """
 
     def __init__(self, t: _LiveTree, F, xi: Dict[int, int]):
@@ -375,38 +379,29 @@ class _Lift:
         self.F: set = set()
         self.xi: Dict[int, int] = {}
         self.touch = [0] * n
-        self.open_fin = [0] * n
-        self.open_inf = [0] * n
-        self.edge_w = self.node_w = self.pen_fin = self.total = 0
-        self.pen_inf = 0
+        self.open_pen = [0] * n
+        self.edge_w = self.node_w = self.pen = self.total = 0
         for v in range(n):
             if t.alive[v] and v != t.root:
-                self._edge(v, 1)
+                self._edge(v, t.pen[v])
         for e in F:
             self.add(e)
         for e, value in xi.items():
             self.set_xi(e, value)
 
-    def objective(self) -> ExtInt:
-        return INF if self.pen_inf else self.edge_w + self.node_w + self.pen_fin
+    def objective(self) -> int:
+        return self.edge_w + self.node_w + self.pen
 
-    def _open(self, p: int, value: ExtInt, sign: int) -> None:
-        """Add (sign 1) or remove (sign -1) an uncovered penalty below p."""
-        if is_inf(value):
-            self.open_inf[p] += sign
-            if not self.touch[p]:
-                self.pen_inf += sign
-        elif value:
-            if sign < 0:
-                value = -value
-            self.open_fin[p] += value
-            if not self.touch[p]:
-                self.pen_fin += value
+    def _open(self, p: int, change: int) -> None:
+        """Add `change` to the uncovered penalty below p."""
+        self.open_pen[p] += change
+        if not self.touch[p]:
+            self.pen += change
 
-    def _edge(self, e: int, sign: int) -> None:
-        """Count live edge e's penalty in (1) or out of (-1) the open sums."""
+    def _edge(self, e: int, change: int) -> None:
+        """Add `change` to live edge e's penalty in the open sums."""
         if not self.touch[e]:
-            self._open(self.t.parent[e], self.t.pen[e], sign)
+            self._open(self.t.parent[e], change)
 
     def _touch(self, v: int, step: int) -> None:
         before = self.touch[v]
@@ -414,16 +409,16 @@ class _Lift:
         if before and self.touch[v]:
             return
         t = self.t
-        sign = 1 if before else -1  # 1: v becomes untouched, its edges reopen
-        if sign > 0:
+        if before:  # v becomes untouched: its edges reopen
             self.node_w -= t.wn[v]
-            self.pen_fin += self.open_fin[v]
+            self.pen += self.open_pen[v]
+            if v != t.root:
+                self._open(t.parent[v], t.pen[v])
         else:
             self.node_w += t.wn[v]
-            self.pen_fin -= self.open_fin[v]
-        self.pen_inf += sign * self.open_inf[v]
-        if v != t.root:
-            self._open(t.parent[v], t.pen[v], sign)
+            self.pen -= self.open_pen[v]
+            if v != t.root:
+                self._open(t.parent[v], -t.pen[v])
 
     def add(self, e: int) -> None:
         if e not in self.F:
@@ -449,11 +444,10 @@ class _Lift:
             if arr is None:
                 t.alive[v] = True
                 t.edges += 1
-                self._edge(v, 1)
+                self._edge(v, t.pen[v])
             elif arr is t.pen:
-                self._edge(v, -1)
+                self._edge(v, old - arr[v])
                 arr[v] = old
-                self._edge(v, 1)
             else:
                 if arr is t.wn and self.touch[v]:
                     self.node_w += old - arr[v]
@@ -467,9 +461,7 @@ class _Lift:
         assert len(xi) == t.edges, "dual values cover exactly the live edges"
         assert all(xi[e] >= 0 and xi[e] <= t.pen[e] for e in edges)
         obj = self.objective()
-        assert not is_inf(obj) and obj == self.total, (
-            f"objective {obj} != dual total {self.total}"
-        )
+        assert obj == self.total < t.big, f"objective {obj} != dual total {self.total}"
 
     def check_full(self) -> None:
         """The per-level invariants recomputed from scratch."""
@@ -479,7 +471,7 @@ class _Lift:
         assert all(v >= 0 and v <= t.pen[e] for e, v in xi.items())
         obj = t.objective(self.F)
         total = sum(xi.values())
-        assert not is_inf(obj) and obj == total, f"objective {obj} != dual total {total}"
+        assert obj == total < t.big, f"objective {obj} != dual total {total}"
         assert obj == self.objective() and total == self.total, "running sums drifted"
 
 
@@ -511,7 +503,7 @@ def _lift_a(ctx: CaseContext, lift: _Lift) -> None:
     xi = lift.xi
     if ctx.branch == "keep":
         for a, cap in zip(ctx.arms, ctx.caps):
-            assert xi.get(a, 0) == 0 and not is_inf(cap)
+            assert xi.get(a, 0) == 0 and cap < lift.t.big
             lift.set_xi(a, cap)
     else:
         assert xi.get(e0, 0) == 0
@@ -567,7 +559,7 @@ def _base_star(t: _LiveTree) -> Tuple[FrozenSet[int], Dict[int, int]]:
     cand = [(t.we[v] + wr + t.wn[v], v) for v in edges]
     alpha1 = min(c for c, _ in cand)
     e_star = min(v for c, v in cand if c == alpha1)
-    alpha2 = ext_sum(t.pen[v] for v in edges)
+    alpha2 = sum(t.pen[v] for v in edges)
     if alpha1 >= alpha2:
         return frozenset(), {e: t.pen[e] for e in edges}
     fill = _greedy_fill([t.pen[e] for e in edges], alpha1)

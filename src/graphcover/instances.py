@@ -126,7 +126,7 @@ class RootedTree:
         self.n = n
         self.root = root
         self.parent = tuple(parent)
-        self.children = tuple(tuple(sorted(c)) for c in children)
+        self.children = tuple(map(tuple, children))  # ascending: v runs upwards
         self.depth = tuple(depth)
 
     @classmethod

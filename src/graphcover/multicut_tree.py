@@ -94,16 +94,15 @@ def dual_violation(
     xi: Dict[int, Rat],
     nu: Dict[Tuple[int, int], Rat],
     mu: Dict[Tuple[int, int], Rat],
+    nu_load: Dict[int, Rat],
+    mu_load: Dict[int, Rat],
 ) -> Optional[str]:
     """The first violated row of the dual system, or None; absent entries
-    are zero.  Rows in order: nonnegativity, the edge capacities (sum of nu
-    at e <= w(e)), the node capacities (likewise for mu), and the support
-    rows xi(d) <= nu(e, d) + mu(upper, d) + mu(lower, d) on d's path."""
-    return _violation(inst, xi, nu, mu, _load(nu), _load(mu))
-
-
-def _violation(inst, xi, nu, mu, nu_load, mu_load) -> Optional[str]:
-    """:func:`dual_violation` given the per edge and per node loads."""
+    are zero.  The loads are the per edge sums of nu and the per node sums
+    of mu (see `_load`).  Rows in order: nonnegativity, the edge capacities
+    (sum of nu at e <= w(e)), the node capacities (likewise for mu), and
+    the support rows xi(d) <= nu(e, d) + mu(upper, d) + mu(lower, d) on
+    d's path."""
     for name, table in (("xi", xi), ("nu", nu), ("mu", mu)):
         for key, val in table.items():
             if val < 0:
@@ -485,7 +484,7 @@ class IncreaseState:
         """From-scratch check of the whole dual, and of the running sums and
         holder index against it."""
         nu_load, mu_load = _load(self.nu), _load(self.mu)
-        violation = _violation(self.instance, self.xi, self.nu, self.mu, nu_load, mu_load)
+        violation = dual_violation(self.instance, self.xi, self.nu, self.mu, nu_load, mu_load)
         assert violation is None, violation
         assert all(tot == nu_load.get(e, ZERO) for e, tot in self.nu_sum.items())
         assert all(tot == mu_load.get(v, ZERO) for v, tot in self.mu_sum.items())
@@ -829,7 +828,7 @@ def verify_multicut(
     report.add(
         "dual-feasible",
         ok_domain
-        and _violation(inst, dual.xi, dual.nu, dual.mu, nu_load, mu_load) is None,
+        and dual_violation(inst, dual.xi, dual.nu, dual.mu, nu_load, mu_load) is None,
     )
 
     sol = multicut_solution(inst, chosen)

@@ -121,12 +121,6 @@ def ext_min(*values: ExtRat) -> ExtRat:
     return best
 
 
-def clamp_nonneg(value: Rat) -> Rat:
-    """(value)+ : max(value, 0) for finite values; the int 0 when value is
-    not positive, so ints stay ints."""
-    return value if value > 0 else 0
-
-
 def parse_number(token: str, allow_inf: bool = False):
     """Parse ``p``, ``p/q`` or (optionally) ``inf`` into ``(p, q)`` in
     lowest terms with q positive, or INF; an integer token gives q = 1.

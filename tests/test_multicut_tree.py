@@ -19,6 +19,7 @@ from graphcover import (
 from graphcover import multicut_tree
 from graphcover.multicut_tree import (
     IncreaseState,
+    _load,
     big_m_edges,
     deletion_phase,
     dual_violation,
@@ -380,7 +381,8 @@ def test_verifier_rejects_capacity_violation(table, key, change, message):
     report = verify_multicut(inst0, kept, dual)
     assert not report.passed
     assert "dual-feasible" in report.failures()
-    assert dual_violation(inst0, dual.xi, dual.nu, dual.mu) == message
+    loads = _load(dual.nu), _load(dual.mu)
+    assert dual_violation(inst0, dual.xi, dual.nu, dual.mu, *loads) == message
 
 
 # -- randomized battery ------------------------------------------------------

@@ -1,5 +1,5 @@
-"""The package's public names, and no unused imports or unreferenced private
-definitions in its modules."""
+"""The package's public names, and no unused imports or definitions outside
+`__all__` that nothing in the package refers to."""
 
 import ast
 import re
@@ -52,20 +52,19 @@ def test_no_unused_imports_in_the_package():
     assert {name: found for name, found in unused.items() if found} == {}
 
 
-def _private_definitions(trees):
-    """(module, name) of every private module-level function and class."""
+def _unreferenced_definitions(selected):
+    """Sorted (module, name) of the module-level functions and classes whose
+    names `selected` accepts and that nothing in the package refers to."""
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
     kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-    return {
+    defined = {
         (module, node.name)
         for module, tree in trees.items()
         for node in tree.body
-        if isinstance(node, kinds) and node.name.startswith("_")
-        and not node.name.startswith("__")
+        if isinstance(node, kinds) and not node.name.startswith("__")
+        and selected(node.name)
     }
-
-
-def test_every_private_definition_is_referenced_in_the_package():
-    trees = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    assert defined
     referenced = set()
     for tree in trees.values():
         for node in ast.walk(tree):
@@ -73,6 +72,17 @@ def test_every_private_definition_is_referenced_in_the_package():
                 referenced.add(node.id)
             elif isinstance(node, ast.Attribute):
                 referenced.add(node.attr)
-    defined = _private_definitions(trees)
-    assert defined
-    assert sorted(item for item in defined if item[1] not in referenced) == []
+    return sorted(item for item in defined if item[1] not in referenced)
+
+
+def test_every_private_definition_is_referenced_in_the_package():
+    assert _unreferenced_definitions(lambda name: name.startswith("_")) == []
+
+
+def test_every_unexported_public_definition_is_referenced_in_the_package():
+    """A public name left out of `__all__` must still serve the package."""
+    exported = set(graphcover.__all__)
+    unreferenced = _unreferenced_definitions(
+        lambda name: not name.startswith("_") and name not in exported
+    )
+    assert unreferenced == []

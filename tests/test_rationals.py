@@ -6,7 +6,6 @@ from graphcover import INF, Rat
 from graphcover.rationals import (
     ONE,
     ZERO,
-    clamp_nonneg,
     ext_min,
     ext_sum,
     fmt_rat,
@@ -50,12 +49,6 @@ def test_ext_min():
     assert ext_min(Rat(3), INF) == 3
     assert is_inf(ext_min(INF, INF))
     assert ext_min(Rat(3), Rat(1), Rat(2)) == 1
-
-
-def test_clamp_nonneg():
-    assert clamp_nonneg(Rat(-7, 2)) == 0
-    assert clamp_nonneg(Rat(7, 2)) == Rat(7, 2)
-    assert clamp_nonneg(ZERO) == 0
 
 
 def test_parse_rat_fraction_and_integer():
