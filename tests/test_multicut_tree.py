@@ -1,5 +1,6 @@
 """Primal-dual tree multicut: reduction gadgets, frozen runs, verification."""
 
+import functools
 import hashlib
 
 import pytest
@@ -265,7 +266,7 @@ def test_corrupted_write_caught_at_its_own_step(monkeypatch):
     assert step is None and message.startswith("edge capacity violated at")
 
 
-# -- step and refine LP models pinned by digest ------------------------------
+# -- step LP models and their outcome pinned by digest ----------------------
 
 
 def _model_text(model):
@@ -284,14 +285,15 @@ def _model_text(model):
     return "\n".join(lines) + "\n"
 
 
-def _step_models_digest(n, k, seed):
-    """sha256 of every step and refine LP the increase phase solves, in
-    solve order, then the kept cut and the final dual."""
-    digest = hashlib.sha256()
+@functools.lru_cache(maxsize=None)
+def _step_digests(n, k, seed):
+    """Two sha256 digests of one increase phase: of every LP it solves, in
+    solve order, and of its outcome, the kept cut and the final dual."""
+    models = hashlib.sha256()
     real = multicut_tree.simplex_solve
 
     def solve(model):
-        digest.update(_model_text(model).encode())
+        models.update(_model_text(model).encode())
         return real(model)
 
     inst0, _ = reduce_prize_collecting(
@@ -300,45 +302,75 @@ def _step_models_digest(n, k, seed):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(multicut_tree, "simplex_solve", solve)
         state = run_increase_phase(IncreaseState(inst0))
-    outcome = " ".join(str(e) for e in sorted(deletion_phase(state)))
+    outcome = hashlib.sha256()
+    kept = " ".join(str(e) for e in sorted(deletion_phase(state)))
+    outcome.update(f"{kept}\n".encode())
     dual = state.dual
-    digest.update(f"{outcome}\n".encode())
     for table in (dual.xi, dual.nu, dual.mu):
-        digest.update(
+        outcome.update(
             " ".join(f"{key}={fmt_rat(val)}" for key, val in table.items()).encode()
         )
-        digest.update(b"\n")
-    return digest.hexdigest()
+        outcome.update(b"\n")
+    return models.hexdigest(), outcome.hexdigest()
 
 
-# (n, k, seed) -> digest.  On (20, 8, 7) an earlier rule both lowered nu on
-# an edge of F and failed its deletion phase; it now pins a kept cut.
+# (n, k, seed) -> digest of the LP models.  On (20, 8, 7) an earlier rule
+# both lowered nu on an edge of F and failed its deletion phase; it now pins
+# a kept cut.
 GOLDEN_STEP_MODELS = {
-    (9, 4, 0): "a5fc29242510d29c9ec84813837ac27d504c76ea4b353ddf8fde73a3ac9eefdf",
-    (9, 4, 1): "3957da77c498a46838a25047c801764d0c25f41e819c6db11779c5c86e70aecd",
-    (9, 4, 2): "0b2f207f9fedc2b133aaa2a11b45db00e3b3244b9631cf710dde0125adeacb22",
-    (9, 4, 3): "b819f6d343cadcdbd0ad71a2e76f18651fa65be1aff15cfebd45bc56a1ca14ef",
-    (20, 8, 0): "9d89b6f2bca0f8cab8a0cbdda71d6d82450aae989281be6e1af6e8fd34f9ba10",
-    (20, 8, 1): "16c893564aa4ddf10f806d20597a790faa18029070877f57315f367b164cf643",
-    (20, 8, 2): "6085298eb7feb8c6ec61fd3aa3db4f3e7a398703cb96e43c325b50aff8bc63ff",
-    (20, 8, 3): "6914f27d9079124211e1754e18eb9850af638938e1a0a3c39ab5e9b86ce1246c",
-    (20, 8, 4): "f2a2fe6992e3297d05bfe126023aa4e4598f85f9312824742dce2ea0abcd8013",
-    (20, 8, 5): "7c36aecbac0c58d8fe8a43a99590f59dd388e990a6f4d5349481f0b852330801",
-    (20, 8, 6): "1d0ff2c7a3a44ffac14d230f35c0f70a3cc63bf475793924b18634bf98e6abd7",
-    (20, 8, 7): "87c80279f58675d622aec00d38aaa1f445361962cce52e85d20fa0ee2c0629a5",
-    (40, 10, 0): "d0231afc0d8870d58e333e1cd697f722cbe8652dcaa135aef67f2fe4f592d421",
-    (40, 10, 1): "5b511f93197d14f20782d7f1672514b6dcf012c55a2bfad649179dbb237667fd",
-    (40, 10, 2): "aee288f9d8d077e3ff55241ba6e981443423bd149b2e1b84e4e844fbc6d88193",
-    (40, 10, 3): "adbac7024db29cb6f7febc990ac520476cf77d1cfbc545b3ac35ca398777a700",
-    (60, 15, 0): "883e1069696350fd3e9bdcbaf8073040677e839c255881ea8d42f0cb2dab0c1f",
-    (60, 15, 1): "fb9e808c9a7dd7d6ff9bcf2761bc6418dc68bc8fe372316988b8679100241653",
-    (100, 25, 0): "0beb93c2e841c6dd6bce376a564f36891f6afe0bfd733003b1f6851796f1258c",
+    (9, 4, 0): "232fe16e3ac2e20e30c393d22e4487130c0606e09624d312acf39a9dfd96ab78",
+    (9, 4, 1): "78cd26cb5d8fe9d36552207b293ba911e9f510f9c370a8e876abd248b32c9c57",
+    (9, 4, 2): "9e22021e88111e42da6a0952114a1248b28891bdbc48222c208e79615957eac6",
+    (9, 4, 3): "500d03e32b4d4eebfcf8800caa63c051864b6ce6427f82df3686edfada615461",
+    (20, 8, 0): "ca3da9a2fc5a9458b5d320fdff67596ce087aa1ae92790b42fbf46ee1e2873f2",
+    (20, 8, 1): "c30735b747acd1a3a59f06d4c101c05ec751a0bdd1d51acbf2e5144f8315960f",
+    (20, 8, 2): "503ab6e4c501a425230301e1b33664b0da0570105bea58aae5bad38e8c3fd682",
+    (20, 8, 3): "3ef87a3bdeba5ce2b21c03e259787f245c2e7dedf8582e20a006634e42745525",
+    (20, 8, 4): "6c1c0ec5e1e232954592e0f4b0e68bea467a56f717c2513aa20c6200338d2e29",
+    (20, 8, 5): "f5ec362031500c8157124f9ff40ac90a59e0adc2c63290db6e5472376d9e9ee2",
+    (20, 8, 6): "3187201d8bb3fb88b0ea0fca4263361793160b04cbf6963e51b399d47909b1f2",
+    (20, 8, 7): "f24c1de80c47c9efc4e807a53326d27dd9d86a956bc275356e89764b490bac8c",
+    (40, 10, 0): "69fe5411e5b95ed460ad62f43d1ebda9624f98acb66ee7abe61ab077efac058c",
+    (40, 10, 1): "6a4a819514111f6a9e10b7765014da58dc7596214d876b9765566e35b308051f",
+    (40, 10, 2): "5c0a58f77a7e4d3bfaa81f7169d6c5966df1ee69ae82bd74d1536f2311630d2c",
+    (40, 10, 3): "5626b353c71df94965df7508b8d30c0659cfd01e03fa6be448de8d99ceaed768",
+    (60, 15, 0): "1efda545ef833df6399201f1d13bc5c19e26eb558119a888ed50144c1770e9d1",
+    (60, 15, 1): "1591c255ec0601941cfa77ea0fbcf34554e77e8f6bd59732ddb6df0f030b3508",
+    (100, 25, 0): "046866dde18c81f49196d68d9e8d2ef818dddb334513674514942460af04b7a6",
+}
+
+# (n, k, seed) -> digest of the kept cut and the final dual.
+GOLDEN_STEP_OUTCOMES = {
+    (9, 4, 0): "f37bba4b1d64766698ab6e90352aec2dd5eaac84a7843225d2aac52c569f830a",
+    (9, 4, 1): "4c0f45c8cf8fa37e56e722b71ec5fc40f13739e86b73c9b6c24518d6836757d9",
+    (9, 4, 2): "c0dc656f15cf84c17626fae2dad8fbcbc266b6f70b3ae7d1504dc9b6b1f2117d",
+    (9, 4, 3): "eb640e8f3a9392202df83857654d8900b06481d65168da915764cd4c19b07c23",
+    (20, 8, 0): "62e622f949c51fd2473beab00af1949f5fa60cc5a525b7c16f2d19a83dc04d49",
+    (20, 8, 1): "76097c2c23751ec68d160e898b7e71b46c72bbb324b173532086c7b7d516d6c3",
+    (20, 8, 2): "a76d74d27ed02c8ca4cb6c9bf8d753eaee37cdca64d9da57825fca7fdf212c6a",
+    (20, 8, 3): "2d7b466709a45fa82482156692de0be9f4778765afb34122653c3958e6bf26c9",
+    (20, 8, 4): "63cdb37a299767ea0f7d198e98a609b9bb22a5a6a808e67c51533c55e28c99c6",
+    (20, 8, 5): "3b0431a587ece89226b566edbb4c46ab36eaf7574a0486b29babd8898e08ab3e",
+    (20, 8, 6): "249cea1238c3a9ebf12f8d0ed29d9fdce8488e2bfadf3669d2519b3dc2f181de",
+    (20, 8, 7): "2a0487f56ec147b2a88554273a177855d37e8aa479398322b9e8b0d5bc5574db",
+    (40, 10, 0): "3b242e4b72cddba0019479cbc6a7db65060c11ebe4962d03d2732d8787e88111",
+    (40, 10, 1): "f3117bfc0690b92e84f4ed0cf753df3d7092881f205e82b32ccf890ae990710e",
+    (40, 10, 2): "1707adeb9785ed02924bd64f9f369413d61403cb6eb40c9ea22dcf392bcff4ff",
+    (40, 10, 3): "7377560d45b3e6065b5c9f2014300fab259c7d019f97c63fe7935f2e8da3f9fe",
+    (60, 15, 0): "79afc221e537c27d4557e2cec520f106a8aae7db511560065f5b0b841c7b3ee0",
+    (60, 15, 1): "d2696e8a8b98bbd01585534dfd4cfa60104610607ebbab9fb57b091bed54229d",
+    (100, 25, 0): "057ba40b3e00b96fcad3c9615a4319c8307aaeb328171d37b02e91c595f13700",
 }
 
 
 @pytest.mark.parametrize("spec", sorted(GOLDEN_STEP_MODELS))
 def test_step_and_refine_models_are_pinned(spec):
-    assert _step_models_digest(*spec) == GOLDEN_STEP_MODELS[spec]
+    assert _step_digests(*spec)[0] == GOLDEN_STEP_MODELS[spec]
+
+
+@pytest.mark.parametrize("spec", sorted(GOLDEN_STEP_OUTCOMES))
+def test_step_outcomes_are_pinned(spec):
+    assert _step_digests(*spec)[1] == GOLDEN_STEP_OUTCOMES[spec]
 
 
 # -- verification -----------------------------------------------------------
