@@ -17,6 +17,13 @@ out.  So every solve is deterministic and returns the same vertex as a
 dense rational tableau with the same rules, with zero tolerances; Bland's
 rule guarantees termination.
 
+A model's tie-break objective is minimised over the optima of its
+objective from the same tableau (Isermann, *OR Spektrum* 4, 1982): a
+column with a positive reduced cost at the phase-II optimum is zero in
+every optimum, so dropping those columns leaves the optimal face, and the
+same rules pivot on under the tie-break.  Where the tie-break has one
+minimiser on that face, the vertex is that one, whatever the pivot path.
+
 :func:`dual_model` builds a model's exact LP dual, solved by the same
 simplex.  Callers that need only an optimal value (the relaxation values
 and the eds-general lower-bound check) solve the dual of their covering
@@ -64,7 +71,8 @@ class LpResult:
 
 @dataclass
 class LpModel:
-    """A named LP: ordered variables, linear constraints, one objective."""
+    """A named LP: ordered variables, linear constraints, one objective,
+    and a tie-break objective minimised over the objective's optima."""
 
     name: str
     sense: str = "min"
@@ -72,15 +80,19 @@ class LpModel:
     nonneg: Dict[str, bool] = field(default_factory=dict)
     objective: Dict[str, object] = field(default_factory=dict)
     constraints: List[LinearConstraint] = field(default_factory=list)
+    tiebreak: Dict[str, object] = field(default_factory=dict)
 
-    def add_var(self, name: str, nonneg: bool = True, obj=ZERO) -> str:
+    def add_var(self, name: str, nonneg: bool = True, obj=ZERO, tiebreak=ZERO) -> str:
         if name in self.nonneg:
             raise LpFormatError(f"duplicate variable {name!r}")
         _check_finite(obj, f"objective coefficient of {name}")
+        _check_finite(tiebreak, f"tie-break coefficient of {name}")
         self.variables.append(name)
         self.nonneg[name] = nonneg
         if obj != 0:
             self.objective[name] = _rat(obj)
+        if tiebreak != 0:
+            self.tiebreak[name] = _rat(tiebreak)
         return name
 
     def add_constraint(self, name: str, coeffs: Dict[str, object], relation: str, rhs) -> None:
@@ -107,7 +119,7 @@ def dual_model(model: LpModel) -> LpModel:
     is negated first and the dual's objective negated back, so the dual is
     a ``min`` with the same optimal value.  The dual's variables are named
     by the primal rows, in row order, and its rows by the primal variables,
-    in variable order; the name is the primal's.
+    in variable order; the name is the primal's, and a tie-break is dropped.
 
     For a covering primal (``>=`` rows, c >= 0) the dual starts feasible
     from its all-slack basis, so it needs no phase I.  By strong duality a
@@ -158,7 +170,8 @@ def _check_finite(value, what: str) -> None:
 
 def simplex_solve(model: LpModel) -> LpResult:
     """Solve the model exactly.  Returns status, optimal value and a full
-    variable assignment (deterministic for a fixed model)."""
+    variable assignment (deterministic for a fixed model); the status is
+    unbounded when the objective, or the tie-break over its optima, is."""
     if model.sense not in ("min", "max"):
         raise LpFormatError(f"bad sense {model.sense!r}")
 
@@ -232,18 +245,29 @@ def simplex_solve(model: LpModel) -> LpResult:
         for row in tab:
             row.a = {j: x for j, x in row.a.items() if j < art_start}
 
-    # ---- phase II ----
-    sign = 1 if model.sense == "min" else -1
-    cells = {}
-    for var, coef in model.objective.items():
-        cells[col_of[var]] = sign * coef
-        if var in neg_col_of:
-            cells[neg_col_of[var]] = -sign * coef
-    cost = _integer_row(cells)
-    for row, col in zip(tab, basis):
-        if col in cost.a:
-            _eliminate(cost, row, col)
-    if _pivot_until_optimal(tab, basis, cost) == UNBOUNDED:
+    def priced(objective: Dict[str, object], sign: int, dropped=()) -> _Row:
+        """The cost row of ``sign * objective`` less ``dropped``, priced out."""
+        cells = {}
+        for var, coef in objective.items():
+            cells[col_of[var]] = sign * coef
+            if var in neg_col_of:
+                cells[neg_col_of[var]] = -sign * coef
+        cost = _integer_row({j: x for j, x in cells.items() if j not in dropped})
+        for row, col in zip(tab, basis):
+            if col in cost.a:
+                _eliminate(cost, row, col)
+        return cost
+
+    # ---- phase II, then the tie-break over the optimal face ----
+    cost = priced(model.objective, 1 if model.sense == "min" else -1)
+    status = _pivot_until_optimal(tab, basis, cost)
+    if status == OPTIMAL and model.tiebreak:
+        # a column with a positive reduced cost is zero in every optimum
+        dropped = {j for j, x in cost.a.items() if x > 0}
+        for row in tab:
+            row.a = {j: x for j, x in row.a.items() if j not in dropped}
+        status = _pivot_until_optimal(tab, basis, priced(model.tiebreak, 1, dropped))
+    if status == UNBOUNDED:
         return LpResult(UNBOUNDED)
 
     vals = {col: Rat(row.b, row.d) for row, col in zip(tab, basis)}

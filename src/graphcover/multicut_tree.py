@@ -32,31 +32,34 @@ The bound objective <= 2 * (sum of dual values) is therefore certified
 per output, by the exact ``within-twice-dual`` check of
 :func:`verify_multicut` that :func:`run_multicut_pipeline` runs.
 
-All arithmetic is exact; each dual adjustment step is sized by a small
-rational LP (maximize the step, then minimize the total perturbation for
-determinism) over exactly the moves the relaxation rules allow.
+All arithmetic is exact; each dual adjustment step is sized by one small
+rational LP over exactly the moves the relaxation rules allow: it
+maximizes the step, and its tie-break picks the least total perturbation
+among the largest steps, for determinism.
 
 The increase phase keeps its state incrementally.  Every dual write goes
 through the setters of :class:`IncreaseState`, which keep the demands
-holding mass at each node, the running capacity sums, and the keys written
-since the last snapshot and since the last check.  A snapshot re-derives
-tightness only for the rows of written demands, saturation only at written
-edges and nodes, and bottleneck rows only where one of those changed; the
-non-relaxable pairs, the least fixed point of a monotone rule, come from a
-worklist of per-node pointers into the sorted holders.  Each step LP and
-its update are read from one table of the moved dual entries' changes, and
-each step checks exactly, with zero tolerance, the nonnegativity, capacity
-and support rows its writes touched.  The end of the phase checks the
-whole dual from scratch with :func:`dual_violation`, the same checker the
-verifier uses, and the running sums and holders against it.  Each demand's
-path is walked once per instance, by :class:`MulticutInstance`.  A step
-thus costs time in the paths of the demands it writes and the dual mass
-held, plus a flat copy of the classification sets, instead of a rescan of
-every demand and of every earlier demand's mass at each node.
+holding mass at each node in processing order, the running capacity sums,
+and the keys written since the last classification and the last check.
+The classification sets are updated in place and read before the next
+dual write: tightness is re-derived only for the rows of written demands,
+saturation only at written edges and nodes, and bottleneck rows only where
+one of those changed; the non-relaxable pairs, the least fixed point of a
+monotone rule, come from a worklist of per-node pointers into the holders.
+Each step LP and its update are read from one table of the moved dual
+entries' changes, and each step checks exactly, with zero tolerance, the
+nonnegativity, capacity and support rows its writes touched.  The end of
+the phase checks the whole dual from scratch with :func:`dual_violation`,
+the same checker the verifier uses, and the running sums and holders
+against it.  Each demand's path is walked once per instance, by
+:class:`MulticutInstance`.  A step thus costs time in the paths of the
+demands it writes and the dual mass held, instead of a rescan of every
+demand and of every earlier demand's mass at each node.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import groupby
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
@@ -211,20 +214,6 @@ class _Nonrelax:
         )
 
 
-@dataclass(frozen=True)
-class _Snapshot:
-    """Classification of the dual at one moment: which (edge, demand) rows
-    are tight, which capacities are saturated, which path-edge rows are
-    fully pinned ("bottleneck"), and which (node, demand) dual mass is
-    immovable ("non-relaxable" per the fixed-point rule)."""
-
-    tight: FrozenSet[Tuple[int, int]]
-    sat_edge: FrozenSet[int]
-    sat_node: FrozenSet[int]
-    bottleneck: FrozenSet[Tuple[int, int]]
-    nonrelax: _Nonrelax
-
-
 def _toggle(items: Set, item, member: bool) -> bool:
     """Make item's membership equal member; True when that changed it."""
     if member == (item in items):
@@ -246,7 +235,10 @@ class IncreaseState:
     :meth:`set_mu`, which keep the holders of each node, the running
     capacity sums, the written keys that :meth:`snapshot` re-derives and
     :meth:`check_step` checks, and the written demands whose nu
-    :func:`_minimize_nu` lowers."""
+    :func:`_minimize_nu` lowers.  From :meth:`snapshot` to the next dual
+    write, ``tight`` holds the tight support rows, ``sat_edge``/``sat_node``
+    the saturated capacities, ``bottleneck`` the fully pinned path-edge rows
+    and ``nonrelax`` the (node, demand) pairs whose mass is immovable."""
 
     def __init__(self, inst: MulticutInstance):
         if not isinstance(inst, MulticutInstance):
@@ -284,18 +276,19 @@ class IncreaseState:
         self.processed: List[int] = []
 
         tree = inst.tree
-        # kept by the setters: node -> demands with mu > 0 there, and the
-        # running capacity sums
-        self.holders: Dict[int, Set[int]] = {}
+        # kept by the setters: node -> demands with mu > 0 there, in
+        # processing order, and the running capacity sums
+        self.holders: Dict[int, List[int]] = {}
         self.nu_sum: Dict[int, Rat] = {e: ZERO for e in tree.edge_ids()}
         self.mu_sum: Dict[int, Rat] = {v: ZERO for v in range(tree.n)}
         # the classification, re-derived by snapshot() for dirty items only;
         # a write to xi[j], nu[(e, j)] or mu[(v, j)] changes only j's rows
-        self._tight: Set[Tuple[int, int]] = set()
+        self.tight: Set[Tuple[int, int]] = set()
         self._tight_at: Dict[int, Set[int]] = {e: set() for e in tree.edge_ids()}
-        self._sat_edge: Set[int] = set()
-        self._sat_node: Set[int] = set()
-        self._bottleneck: Set[Tuple[int, int]] = set()
+        self.sat_edge: Set[int] = set()
+        self.sat_node: Set[int] = set()
+        self.bottleneck: Set[Tuple[int, int]] = set()
+        self.nonrelax = _Nonrelax(self.position, self.node_set)
         self._dirty_demands: Set[int] = set(range(k))
         self._dirty_edges: Set[int] = set(tree.edge_ids())
         self._dirty_nodes: Set[int] = set(range(tree.n))
@@ -329,8 +322,12 @@ class IncreaseState:
         v, j = key
         self.mu_sum[v] += val - self.mu.get(key, ZERO)
         _store(self.mu, key, val)
-        here = self.holders.setdefault(v, set())
-        _toggle(here, j, val > 0)
+        here = self.holders.setdefault(v, [])
+        i = bisect_left(here, self.position[j], key=self.position.__getitem__)
+        if i < len(here) and here[i] == j:
+            del here[i]
+        if val > 0:
+            here.insert(i, j)
         if not here:
             del self.holders[v]
         self._dirty_demands.add(j)
@@ -355,18 +352,16 @@ class IncreaseState:
     def decrease_targets(self, d: int, v: int) -> List[int]:
         """Demands processed before d holding positive dual mass at v, in
         processing order."""
-        p, pos = self.position[d], self.position
-        return sorted(
-            (j for j in self.holders.get(v, ()) if pos[j] < p), key=pos.__getitem__
-        )
+        here = self.holders.get(v, [])
+        return here[: bisect_left(here, self.position[d], key=self.position.__getitem__)]
 
-    def pinning_edges(self, snap: _Snapshot, j: int, v: int) -> List[int]:
+    def pinning_edges(self, j: int, v: int) -> List[int]:
         """Bottleneck edges of j at v whose far end is non-relaxable for j:
         they pin j's dual mass at v."""
         return [
             f
             for f in self.edges_at[j].get(v, ())
-            if (f, j) in snap.bottleneck and (self.far_end(f, v), j) in snap.nonrelax
+            if (f, j) in self.bottleneck and (self.far_end(f, v), j) in self.nonrelax
         ]
 
     def uncovered(self) -> Optional[int]:
@@ -385,66 +380,56 @@ class IncreaseState:
 
     # -- classification ----------------------------------------------------
 
-    def snapshot(self) -> _Snapshot:
-        """Classify the current dual, re-deriving only what the writes since
-        the last snapshot can have changed.  The result is immutable."""
+    def snapshot(self) -> "IncreaseState":
+        """Classify the current dual in place, re-deriving only what the
+        writes since the last classification can have changed, and return
+        the state, whose classification sets hold until the next write."""
         inst = self.instance
         tree = inst.tree
         # edges whose own and both end capacities' saturation may have changed
         recheck: Set[int] = set()
         for e in self._dirty_edges:
-            if _toggle(self._sat_edge, e, self.nu_sum[e] == inst.edge_weight[e]):
+            if _toggle(self.sat_edge, e, self.nu_sum[e] == inst.edge_weight[e]):
                 recheck.add(e)
         for v in self._dirty_nodes:
-            if _toggle(self._sat_node, v, self.mu_sum[v] == inst.node_weight[v]):
+            if _toggle(self.sat_node, v, self.mu_sum[v] == inst.node_weight[v]):
                 recheck.update(tree.incident(v))
         for j in self._dirty_demands:
             xi = self.xi.get(j, ZERO)
             for e in self.path_edges[j]:
                 tight = self.support_lhs(e, j) == xi
-                if _toggle(self._tight, (e, j), tight):
+                if _toggle(self.tight, (e, j), tight):
                     _toggle(self._tight_at[e], j, tight)
-                    _toggle(self._bottleneck, (e, j), tight and self._saturated_around(e))
+                    _toggle(self.bottleneck, (e, j), tight and self._saturated_around(e))
         for e in recheck:
             rows = {(e, j) for j in self._tight_at[e]}
             if self._saturated_around(e):
-                self._bottleneck |= rows
+                self.bottleneck |= rows
             else:
-                self._bottleneck -= rows
+                self.bottleneck -= rows
         self._dirty_demands.clear()
         self._dirty_edges.clear()
         self._dirty_nodes.clear()
-
-        snap = _Snapshot(
-            frozenset(self._tight),
-            frozenset(self._sat_edge),
-            frozenset(self._sat_node),
-            frozenset(self._bottleneck),
-            _Nonrelax(self.position, self.node_set),
-        )
-        self._settle_nonrelax(snap)
-        return snap
+        self._settle_nonrelax()
+        return self
 
     def _saturated_around(self, e: int) -> bool:
         upper = self.instance.tree.parent[e]
-        return e in self._sat_edge and upper in self._sat_node and e in self._sat_node
+        return e in self.sat_edge and upper in self.sat_node and e in self.sat_node
 
-    def _settle_nonrelax(self, snap: _Snapshot) -> None:
+    def _settle_nonrelax(self) -> None:
         """Least fixed point of the non-relaxable rule.  Whether holder j is
         pinned at v depends only on the pairs (u, j) at v's neighbours u, so
         each node's first-unpinned-holder pointer only moves forward, and a
         node is revisited only when a neighbour's pointer moved."""
-        tree, pos = self.instance.tree, self.position
-        limit = snap.nonrelax.limit
-        seqs = {v: sorted(hs, key=pos.__getitem__) for v, hs in self.holders.items()}
+        tree, pos, seqs = self.instance.tree, self.position, self.holders
+        limit = self.nonrelax.limit = {v: pos[seq[0]] for v, seq in seqs.items()}
         first = dict.fromkeys(seqs, 0)
-        for v, seq in seqs.items():
-            limit[v] = pos[seq[0]]
         queue = sorted(seqs)
         while queue:
             v = queue.pop()
             seq, i = seqs[v], first[v]
-            while i < len(seq) and self.pinning_edges(snap, seq[i], v):
+            while i < len(seq) and self.pinning_edges(seq[i], v):
                 i += 1
             if i == first[v]:
                 continue
@@ -482,16 +467,16 @@ class IncreaseState:
 
     def assert_feasible(self) -> None:
         """From-scratch check of the whole dual, and of the running sums and
-        holder index against it."""
+        the holders, in processing order, against it."""
         nu_load, mu_load = _load(self.nu), _load(self.mu)
         violation = dual_violation(self.instance, self.xi, self.nu, self.mu, nu_load, mu_load)
         assert violation is None, violation
         assert all(tot == nu_load.get(e, ZERO) for e, tot in self.nu_sum.items())
         assert all(tot == mu_load.get(v, ZERO) for v, tot in self.mu_sum.items())
-        holders: Dict[int, Set[int]] = {}
-        for (v, j), val in self.mu.items():
+        holders: Dict[int, List[int]] = {}
+        for (v, j), val in sorted(self.mu.items(), key=lambda item: self.position[item[0][1]]):
             if val > 0:
-                holders.setdefault(v, set()).add(j)
+                holders.setdefault(v, []).append(j)
         assert holders == self.holders
 
 
@@ -531,9 +516,7 @@ def _minimize_nu(state: IncreaseState) -> None:
     state.unminimized.clear()
 
 
-def _select_cover(
-    state: IncreaseState, d: int, snap: _Snapshot
-) -> Tuple[List[int], List[int], List[int]]:
+def _select_cover(state: IncreaseState, d: int) -> Tuple[List[int], List[int], List[int]]:
     """Greedy minimal cover of the tight path edges: H gets unsaturated
     edges, U unsaturated nodes, R relaxable ends of bottleneck edges."""
     H: List[int] = []
@@ -541,20 +524,20 @@ def _select_cover(
     R: List[int] = []
     chosen_nodes: Set[int] = set()
     for e in state.path_edges[d]:
-        if (e, d) not in snap.tight:
+        if (e, d) not in state.tight:
             continue
         upper = state.instance.tree.parent[e]
         if e in H or upper in chosen_nodes or e in chosen_nodes:
             continue
-        if (e, d) in snap.bottleneck:
-            ends = [v for v in sorted((upper, e)) if (v, d) not in snap.nonrelax]
+        if (e, d) in state.bottleneck:
+            ends = [v for v in sorted((upper, e)) if (v, d) not in state.nonrelax]
             assert ends, "bottleneck with no relaxable end must terminate the loop"
             R.append(ends[0])
             chosen_nodes.add(ends[0])
-        elif e not in snap.sat_edge:
+        elif e not in state.sat_edge:
             H.append(e)
         else:
-            ends = [v for v in sorted((upper, e)) if v not in snap.sat_node]
+            ends = [v for v in sorted((upper, e)) if v not in state.sat_node]
             assert ends, "saturated tight edge with saturated ends is a bottleneck"
             U.append(ends[0])
             chosen_nodes.add(ends[0])
@@ -562,7 +545,7 @@ def _select_cover(
 
 
 def _sanction_moves(
-    state: IncreaseState, d: int, R: List[int], snap: _Snapshot
+    state: IncreaseState, d: int, R: List[int]
 ) -> Tuple[Set[Tuple[int, int]], Set[Tuple[int, int]], Set[Tuple[int, int]]]:
     """Moves the relaxation rules allow: decreases of mu at relaxable
     nodes and the compensating increases along earlier demand paths."""
@@ -576,18 +559,18 @@ def _sanction_moves(
             return
         visited.add((v, m))
         for j in state.decrease_targets(m, v):
-            if state.pinning_edges(snap, j, v) or (v, j) in dec:
+            if state.pinning_edges(j, v) or (v, j) in dec:
                 continue
             dec.add((v, j))
             for f in state.edges_at[j].get(v, ()):
                 u = state.far_end(f, v)
-                if (f, j) in snap.bottleneck:
+                if (f, j) in state.bottleneck:
                     inc_mu.add((u, j))
                     expand(u, j)
-                elif (f, j) in snap.tight:
-                    if f not in snap.sat_edge:
+                elif (f, j) in state.tight:
+                    if f not in state.sat_edge:
                         inc_nu.add((f, j))
-                    if u not in snap.sat_node:
+                    if u not in state.sat_node:
                         inc_mu.add((u, j))
 
     for v in R:
@@ -603,10 +586,11 @@ def _step_lp(
     R: List[int],
     moves: Tuple[Set[Tuple[int, int]], Set[Tuple[int, int]], Set[Tuple[int, int]]],
 ) -> Rat:
-    """Largest feasible simultaneous step, then the least total
-    perturbation achieving it; applies the update and returns the step.
-    Rows and update read ``delta``: each moved entry ("nu", e, j) or
-    ("mu", v, j) -> its change, in integer coefficients of the variables."""
+    """Largest feasible simultaneous step, and by a unit tie-break cost on
+    each move the least total perturbation achieving it, in one solve;
+    applies the update and returns the step.  Rows and update read ``delta``:
+    each moved entry ("nu", e, j) or ("mu", v, j) -> its change, in integer
+    coefficients of the variables."""
     inst = state.instance
     dec, inc_nu, inc_mu = (sorted(m) for m in moves)
 
@@ -621,7 +605,7 @@ def _step_lp(
         ("mu", "dm_v", -1, dec),
     ):
         for x, j in keys:
-            name = model.add_var(f"{prefix}{x}_d{j}")
+            name = model.add_var(f"{prefix}{x}_d{j}", tiebreak=ONE)
             delta.setdefault((kind, x, j), {})[name] = sign
 
     # support rows of the moved demands (the others' rows are all zero):
@@ -650,33 +634,24 @@ def _step_lp(
             f"decbound_v{v}_d{j}", {f"dm_v{v}_d{j}": ONE}, "<=", state.mu[(v, j)]
         )
 
-    first = simplex_solve(model)
-    assert first.status == OPTIMAL, f"step sizing failed: {first.status}"
-    eps = first.value
-
-    refine = LpModel(f"refine_demand{d}", sense="min")
-    refine.add_var("eps")
-    for name in model.variables[1:]:
-        refine.add_var(name, obj=ONE)
-    refine.constraints = list(model.constraints)
-    refine.add_constraint("pin_eps", {"eps": ONE}, "==", eps)
-    second = simplex_solve(refine)
-    assert second.status == OPTIMAL
+    step = simplex_solve(model)
+    assert step.status == OPTIMAL, f"step sizing failed: {step.status}"
+    eps = step.value
 
     state.set_xi(d, state.xi.get(d, ZERO) + eps)
     for (kind, x, j), coeffs in delta.items():
         table, write = (state.nu, state.set_nu) if kind == "nu" else (state.mu, state.set_mu)
         old = new = table.get((x, j), ZERO)
         for name, c in coeffs.items():  # c is 1 or -1, so no product is needed
-            if second[name]:
-                new = new + second[name] if c > 0 else new - second[name]
+            if step[name]:
+                new = new + step[name] if c > 0 else new - step[name]
         if new != old:
             write((x, j), new)
     state.check_step()
     return eps
 
 
-def _fact5_additions(state: IncreaseState, wit: int, d: int, snap: _Snapshot) -> None:
+def _fact5_additions(state: IncreaseState, wit: int, d: int) -> None:
     """Chase immovable dual mass: every earlier demand holding mass at an
     end of a newly added edge gets one of its own pinned path edges added."""
     tree = state.instance.tree
@@ -688,7 +663,7 @@ def _fact5_additions(state: IncreaseState, wit: int, d: int, snap: _Snapshot) ->
         for j in state.decrease_targets(owner, v):
             if g in state.edge_set[j]:
                 continue
-            cands = state.pinning_edges(snap, j, v)
+            cands = state.pinning_edges(j, v)
             assert cands, "immovable mass must be pinned by a bottleneck edge"
             f = min(cands)
             if f not in state.F:
@@ -707,18 +682,18 @@ def increase_iteration(state: IncreaseState, i: int) -> IncreaseState:
     cap = (len(inst.tree.edge_ids()) + inst.tree.n) * (len(inst.demands) + 1)
     steps = 0
     while True:
-        snap = state.snapshot()
+        state.snapshot()
         terminal = [
             e
             for e in state.path_edges[i]
-            if (e, i) in snap.bottleneck
-            and (inst.tree.parent[e], i) in snap.nonrelax
-            and (e, i) in snap.nonrelax
+            if (e, i) in state.bottleneck
+            and (inst.tree.parent[e], i) in state.nonrelax
+            and (e, i) in state.nonrelax
         ]
         if terminal:
             break
-        H, U, R = _select_cover(state, i, snap)
-        moves = _sanction_moves(state, i, R, snap)
+        H, U, R = _select_cover(state, i)
+        moves = _sanction_moves(state, i, R)
         eps = _step_lp(state, i, H, U, R, moves)
         assert eps > 0, "no progress without a terminal bottleneck"
         steps += 1
@@ -730,7 +705,7 @@ def increase_iteration(state: IncreaseState, i: int) -> IncreaseState:
         e
         for e in terminal
         if all(
-            (e, j) in snap.tight
+            (e, j) in state.tight
             for j in range(len(inst.demands))
             if e in state.edge_set[j]
         )
@@ -742,7 +717,7 @@ def increase_iteration(state: IncreaseState, i: int) -> IncreaseState:
     state.F[wit] = None
     state.witness[i] = wit
     state.processed.append(i)
-    _fact5_additions(state, wit, i, snap)
+    _fact5_additions(state, wit, i)
     return state
 
 

@@ -150,11 +150,27 @@ def test_bad_relation_rejected():
 # -- against exhaustive vertex enumeration ------------------------------------
 
 
+def _columns(model):
+    """(variable, sign) per structural column: a (+, -) pair per free
+    variable."""
+    cols = [(v, 1) for v in model.variables]
+    return cols + [(v, -1) for v in model.variables if not model.nonneg[v]]
+
+
+def _costs(model, objective, width, sign=1):
+    """``sign * objective`` as a standard-form cost vector."""
+    c = [sign * s * Fraction(objective.get(v, 0)) for v, s in _columns(model)]
+    return c + [Fraction(0)] * (width - len(c))
+
+
+def _dot(c, y):
+    return sum((ci * yi for ci, yi in zip(c, y)), Fraction(0))
+
+
 def _standard_form(model):
     """``A y = b, y >= 0, minimise c.y``: a (+, -) column pair per free
     variable, then one slack column per inequality row, all in Fraction."""
-    cols = [(v, 1) for v in model.variables]
-    cols += [(v, -1) for v in model.variables if not model.nonneg[v]]
+    cols = _columns(model)
     width = len(cols) + sum(con.relation != "==" for con in model.constraints)
     a_rows, b = [], []
     slack = len(cols)
@@ -167,8 +183,7 @@ def _standard_form(model):
         a_rows.append(row)
         b.append(Fraction(con.rhs))
     sign = 1 if model.sense == "min" else -1
-    c = [sign * s * Fraction(model.objective.get(v, 0)) for v, s in cols]
-    return a_rows, b, c + [Fraction(0)] * (width - len(cols)), width
+    return a_rows, b, _costs(model, model.objective, width, sign), width
 
 
 def _unique_solution(a_rows, b, cols):
@@ -204,16 +219,41 @@ def _vertex_enumeration(model):
     """(status, optimal value) from every basic feasible solution, and from
     every extreme ray ``d >= 0, A d = 0, sum d = 1`` for unboundedness."""
     a_rows, b, c, width = _standard_form(model)
-    dot = lambda y: sum((ci * yi for ci, yi in zip(c, y)), Fraction(0))
-    values = [dot(y) for y in _basic_feasible_solutions(a_rows, b, width)]
+    values = [_dot(c, y) for y in _basic_feasible_solutions(a_rows, b, width)]
     if not values:
         return INFEASIBLE, None
-    rays = _basic_feasible_solutions(
-        a_rows + [[Fraction(1)] * width], [Fraction(0)] * len(b) + [Fraction(1)], width
-    )
-    if any(dot(d) < 0 for d in rays):
+    if any(_dot(c, d) < 0 for d in _extreme_rays(a_rows, width)):
         return UNBOUNDED, None
     return OPTIMAL, min(values) if model.sense == "min" else -min(values)
+
+
+def _extreme_rays(a_rows, width):
+    """The extreme rays ``d >= 0, A d = 0``, scaled to ``sum d = 1``."""
+    return _basic_feasible_solutions(
+        a_rows + [[Fraction(1)] * width], [Fraction(0)] * len(a_rows) + [Fraction(1)], width
+    )
+
+
+def _tiebreak_enumeration(model):
+    """For a model with an optimum: the least tie-break value over the
+    optimal vertices and the distinct assignments reaching it, or None when
+    the tie-break falls along a ray of the optimal face."""
+    a_rows, b, c, width = _standard_form(model)
+    t = _costs(model, model.tiebreak, width)
+    if any(_dot(c, d) == 0 and _dot(t, d) < 0 for d in _extreme_rays(a_rows, width)):
+        return None
+    vertices = list(_basic_feasible_solutions(a_rows, b, width))
+    best = min(_dot(c, y) for y in vertices)
+    face = [y for y in vertices if _dot(c, y) == best]
+    least = min(_dot(t, y) for y in face)
+    minimisers = set()
+    for y in face:
+        if _dot(t, y) == least:
+            x = dict.fromkeys(model.variables, Fraction(0))
+            for (v, s), yj in zip(_columns(model), y):
+                x[v] += s * yj
+            minimisers.add(tuple(x.items()))
+    return least, [dict(x) for x in minimisers]
 
 
 _rationals = st.one_of(
@@ -226,11 +266,14 @@ _rationals = st.one_of(
 @st.composite
 def _small_models(draw):
     """At most 3 variables (some free) and 5 rows of every relation; zero
-    and negative right-hand sides are common."""
+    and negative right-hand sides are common, and so are ties for the
+    objective's optimum that the tie-break objective has to settle."""
     nv = draw(st.integers(1, 3))
     model = LpModel("prop", sense=draw(st.sampled_from(["min", "max"])))
     for i in range(nv):
-        model.add_var(f"x{i}", nonneg=draw(st.booleans()), obj=draw(_rationals))
+        model.add_var(
+            f"x{i}", nonneg=draw(st.booleans()), obj=draw(_rationals), tiebreak=draw(_rationals)
+        )
     for j in range(draw(st.integers(1, 5))):
         coeffs = {f"x{i}": draw(_rationals) for i in range(nv)}
         relation = draw(st.sampled_from(["<=", ">=", "=="]))
@@ -241,14 +284,25 @@ def _small_models(draw):
 @settings(max_examples=150, deadline=None, database=None)
 @given(_small_models())
 def test_simplex_matches_vertex_enumeration(model):
+    """Status and optimum as enumerated; the tie-break takes its least value
+    over the optimal vertices, at the one minimiser when there is one, and
+    is reported unbounded when it falls along the optimal face."""
     res = simplex_solve(model)
     status, value = _vertex_enumeration(model)
+    tiebreak = _tiebreak_enumeration(model) if status == OPTIMAL else None
+    if status == OPTIMAL and tiebreak is None:
+        status = UNBOUNDED
     assert res.status == status
     if status == OPTIMAL:
         assert res.value == value
         assert isinstance(res.value, Rat)
         assert all(isinstance(x, Rat) for x in res.assignment.values())
         _check_assignment(model, res)
+        least, minimisers = tiebreak
+        assert _dot([model.tiebreak.get(v, 0) for v in model.variables],
+                    [res[v] for v in model.variables]) == least
+        if len(minimisers) == 1:
+            assert res.assignment == minimisers[0]
 
 
 @settings(max_examples=150, deadline=None, database=None)
