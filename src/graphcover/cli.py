@@ -49,6 +49,10 @@ EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
+#: The exit code each batch verdict calls for; ``batch`` exits with the
+#: highest one among its rows.
+_VERDICT_EXIT = {"fail": EXIT_VERIFY, "invalid": EXIT_USAGE, "error": EXIT_INTERNAL}
+
 _GEN_KINDS = (
     "star-gap-eds",
     "subdivided-star-multicut",
@@ -68,7 +72,7 @@ class _CliError(Exception):
 def _read(path: str) -> str:
     try:
         return Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _CliError(f"cannot read {path}: {exc}")
 
 
@@ -202,8 +206,10 @@ def _batch_cells(inst, opt, shown: str, cert_path: Optional[Path]) -> List[str]:
 
 
 def _do_batch(args) -> int:
-    """One report row per instance.  A row whose solve trips an internal
-    check gets the verdict ``error``; the batch goes on and exits 3."""
+    """One report row per file.  A file that cannot be read or parsed gets
+    the verdict ``invalid``, and a row whose solve trips an internal check
+    the verdict ``error``; the batch goes on either way, and exits with the
+    highest code its rows call for (see ``_VERDICT_EXIT``)."""
     directory = Path(args.directory)
     if not directory.is_dir():
         raise _CliError(f"{args.directory} is not a directory")
@@ -215,7 +221,13 @@ def _do_batch(args) -> int:
     ]
     verdicts = set()
     for path in sorted(p for p in directory.iterdir() if p.is_file()):
-        inst = parse_instance(path.read_text())
+        try:
+            inst = _load_instance(str(path))
+        except (ParseError, InstanceError, _CliError) as exc:
+            sys.stderr.write(f"error: {path.name}: {exc}\n")
+            verdicts.add("invalid")
+            rows.append("\t".join([path.name, "-", "-", "-", "-", "-", "invalid"]))
+            continue
         kind = _KINDS[problem_kind(inst)]
         try:
             opt, _ = kind.oracle(inst)
@@ -238,9 +250,7 @@ def _do_batch(args) -> int:
         Path(args.report).write_text(report)
     else:
         sys.stdout.write(report)
-    if "error" in verdicts:
-        return EXIT_INTERNAL
-    return EXIT_VERIFY if "fail" in verdicts else EXIT_OK
+    return max((_VERDICT_EXIT.get(v, EXIT_OK) for v in verdicts), default=EXIT_OK)
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from graphcover import cli, eds_tree, multicut_tree, parse_instance
+from graphcover.reporting import CheckReport
 
 
 def run_cli(capsys, *argv):
@@ -117,6 +118,14 @@ def test_solve_missing_file(capsys):
     code, _, err = run_cli(capsys, "solve", "/no/such/file")
     assert code == 2
     assert "error:" in err
+
+
+def test_solve_rejects_a_file_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "binary.eds"
+    path.write_bytes(b"\xff\xfe\x00")
+    code, out, err = run_cli(capsys, "solve", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read {path}: 'utf-8' codec can't decode")
 
 
 def test_solve_rejects_huge_node_count(tmp_path, capsys):
@@ -345,6 +354,48 @@ def test_batch_error_row_solves_no_relaxation(tmp_path, capsys, monkeypatch):
     assert code == 3
     assert out.splitlines()[1].split("\t")[-1] == "error"
     assert calls == []
+
+
+def _suite_around_a_malformed_file(suite):
+    for name, seed in (("a_tree.eds", "0"), ("c_tree.eds", "1")):
+        args = ["gen", "random-tree-eds", "--n", "5", "--seed", seed]
+        assert cli.run(args + ["-o", str(suite / name)]) == 0
+    (suite / "b_bad.eds").write_text("problem eds-tree\nnodes x\n")
+
+
+def test_batch_reports_invalid_rows_and_goes_on(tmp_path, capsys):
+    suite = tmp_path / "suite"
+    suite.mkdir()
+    _suite_around_a_malformed_file(suite)
+    (suite / "d_binary.eds").write_bytes(b"\xff\xfe\x00")
+    report = tmp_path / "report.tsv"
+    certs = tmp_path / "certs"
+    code, _, err = run_cli(capsys, "batch", str(suite), "--report", str(report),
+                           "--certificates", str(certs))
+    assert code == 2
+    assert "error: b_bad.eds: line 2: expected an integer, got 'x'\n" in err
+    assert "error: d_binary.eds: cannot read" in err
+    rows = [row.split("\t") for row in report.read_text().splitlines()[1:]]
+    assert [row[0] for row in rows] == ["a_tree.eds", "b_bad.eds", "c_tree.eds", "d_binary.eds"]
+    assert rows[0][-1] == rows[2][-1] == "pass"
+    assert rows[1][1:] == rows[3][1:] == ["-", "-", "-", "-", "-", "invalid"]
+    assert sorted(p.name for p in certs.iterdir()) == ["a_tree.eds.cert", "c_tree.eds.cert"]
+
+
+def test_batch_exits_with_the_highest_code_its_rows_call_for(tmp_path, capsys, monkeypatch):
+    suite = tmp_path / "suite"
+    suite.mkdir()
+    _suite_around_a_malformed_file(suite)
+    monkeypatch.setattr(cli, "verify_certificate", lambda inst, cert: CheckReport(
+        [("forced", False, "for the test")]))
+    assert run_cli(capsys, "batch", str(suite))[0] == 2  # invalid above fail
+    args = ["gen", "random-tree-multicut", "--n", "6", "--k", "2", "--seed", "3"]
+    assert cli.run(args + ["-o", str(suite / "d_cut.tree")]) == 0
+    monkeypatch.setattr(multicut_tree, "deletion_phase", _fail_deletion_phase)
+    code, out, _ = run_cli(capsys, "batch", str(suite))
+    assert code == 3  # error above invalid and fail
+    assert [row.split("\t")[-1] for row in out.splitlines()[1:]] == [
+        "fail", "invalid", "fail", "error"]
 
 
 def test_batch_missing_directory(capsys, tmp_path):
