@@ -246,7 +246,7 @@ def simplex_solve(model: LpModel) -> LpResult:
             row.a = {j: x for j, x in row.a.items() if j < art_start}
 
     def priced(objective: Dict[str, object], sign: int, dropped=()) -> _Row:
-        """The cost row of ``sign * objective`` less ``dropped``, priced out."""
+        """``sign * objective`` as a cost row in the current basis, less ``dropped``."""
         cells = {}
         for var, coef in objective.items():
             cells[col_of[var]] = sign * coef

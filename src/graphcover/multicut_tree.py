@@ -380,7 +380,7 @@ class IncreaseState:
 
     # -- classification ----------------------------------------------------
 
-    def snapshot(self) -> "IncreaseState":
+    def snapshot(self) -> IncreaseState:
         """Classify the current dual in place, re-deriving only what the
         writes since the last classification can have changed, and return
         the state, whose classification sets hold until the next write."""
