@@ -219,6 +219,162 @@ def test_parse_requires_problem_header():
     assert "line 1" in str(err.value)
 
 
+# -- structural parse errors ------------------------------------------------
+
+#: The kinds that take each directive.
+_TAKEN_BY = {
+    "nodes": ("eds-tree", "eds-general", "multicut-tree", "set-cover"),
+    "root": ("eds-tree", "multicut-tree"),
+    "node": ("eds-tree", "eds-general", "multicut-tree"),
+    "edge": ("eds-tree", "eds-general", "multicut-tree"),
+    "demand": ("multicut-tree",),
+    "set": ("set-cover",),
+    "facility": ("facility-location",),
+    "client": ("facility-location",),
+    "conn": ("facility-location",),
+}
+_ALL_KINDS = ("eds-tree", "eds-general", "multicut-tree", "set-cover", "facility-location")
+
+
+def _refusal(directive, kind):
+    if directive == "nodes":
+        return f"'nodes' is not used by {kind}"
+    return f"'{directive}' is not valid for {kind}"
+
+
+_TREE = "problem eds-tree\nnodes 2\n"
+_CUT = "problem multicut-tree\nnodes 3\n"
+_GENERAL = "problem eds-general\nnodes 3\n"
+_SETS = "problem set-cover\nnodes 2\n"
+_FL = "problem facility-location\n"
+
+#: Every ParseError of `parse_instance` that is not about a number token:
+#: the file and its exact message.
+STRUCTURAL_ERRORS = [
+    # each directive under each kind that does not take it; the refusal
+    # comes before the field count
+    *[(f"problem {kind}\n{directive} 0 0 0 0 0 0\n", f"line 2: {_refusal(directive, kind)}")
+      for directive, kinds in _TAKEN_BY.items()
+      for kind in _ALL_KINDS if kind not in kinds],
+    # field counts
+    (_TREE + "nodes\n", "line 3: duplicate 'nodes' line"),
+    ("problem eds-tree\nnodes\n", "line 2: 'nodes' takes one argument"),
+    ("problem eds-tree\nnodes 2 3\n", "line 2: 'nodes' takes one argument"),
+    ("problem set-cover\nnodes\n", "line 2: 'nodes' takes one argument"),
+    (_TREE + "root\n", "line 3: 'root' takes one argument"),
+    (_CUT + "root 0 1\n", "line 3: 'root' takes one argument"),
+    (_TREE + "node 0\n", "line 3: 'node' takes id and weight"),
+    (_GENERAL + "node 0 1 2\n", "line 3: 'node' takes id and weight"),
+    (_CUT + "node\n", "line 3: 'node' takes id and weight"),
+    (_TREE + "edge 0 1 1\n", "line 3: 'edge' takes u, v, weight and penalty here"),
+    (_GENERAL + "edge 0 1 1 1 1\n", "line 3: 'edge' takes u, v, weight and penalty here"),
+    (_CUT + "edge 0 1 1 1\n", "line 3: 'edge' takes u, v and weight here"),
+    (_CUT + "edge 0 1\n", "line 3: 'edge' takes u, v and weight here"),
+    (_CUT + "demand 1 2\n", "line 3: 'demand' takes s, t and penalty"),
+    (_CUT + "demand 1 2 3 4\n", "line 3: 'demand' takes s, t and penalty"),
+    (_SETS + "set\n", "line 3: 'set' takes a cost and member list"),
+    (_FL + "facility 0\n", "line 2: 'facility' takes id and opening cost"),
+    (_FL + "facility 0 1 2\n", "line 2: 'facility' takes id and opening cost"),
+    (_FL + "client\n", "line 2: 'client' takes an id"),
+    (_FL + "client 0 1\n", "line 2: 'client' takes an id"),
+    (_FL + "conn 0 0\n", "line 2: 'conn' takes client, facility and cost"),
+    (_FL + "conn 0 0 1 1\n", "line 2: 'conn' takes client, facility and cost"),
+    # duplicates
+    ("problem eds-tree\nproblem eds-tree\n", "line 2: duplicate 'problem' line"),
+    ("problem eds-tree\n# note\nproblem set-cover\n", "line 3: duplicate 'problem' line"),
+    (_TREE + "nodes 2\n", "line 3: duplicate 'nodes' line"),
+    (_SETS + "nodes 3\n", "line 3: duplicate 'nodes' line"),
+    (_TREE + "root 0\nroot 0\n", "line 4: duplicate 'root' line"),
+    (_TREE + "root 1\nroot 1\n", "line 4: duplicate 'root' line"),
+    (_TREE + "node 0 1\nnode 0 1\n", "line 4: duplicate weight for node 0"),
+    (_CUT + "node 2 1\nnode 1 1\nnode 02 5\n", "line 5: duplicate weight for node 2"),
+    (_TREE + "node 7 1\nnode 7 1\n", "line 4: duplicate weight for node 7"),
+    (_FL + "facility 0 1\nfacility 0 2\n", "line 3: duplicate facility 0"),
+    (_FL + "conn 0 1 1\nconn 0 0 1\nconn 0 1 2\n", "line 4: duplicate connection (0,1)"),
+    (_SETS + "set 1 0 1 0\n", "line 3: duplicate members in set"),
+    (_SETS + "set 1 1 +1\n", "line 3: duplicate members in set"),
+    # header, unknown directives and empty files
+    ("", "line 1: empty instance file"),
+    ("\n\n", "line 1: empty instance file"),
+    ("# only a comment\n   \n", "line 1: empty instance file"),
+    ("nodes 2\n", "line 1: the first directive must be 'problem <kind>'"),
+    ("# note\n\nnode 0 1\n", "line 3: the first directive must be 'problem <kind>'"),
+    ("problem\n", "line 1: unknown problem kind ''"),
+    ("problem trees\n", "line 1: unknown problem kind 'trees'"),
+    ("problem eds-tree set-cover\n", "line 1: unknown problem kind 'eds-tree set-cover'"),
+    ("problem EDS-TREE\n", "line 1: unknown problem kind 'EDS-TREE'"),
+    (_TREE + "edges 0 1 1 1\n", "line 3: unknown directive 'edges'"),
+    (_FL + "Client 0\n", "line 2: unknown directive 'Client'"),
+    ("problem set-cover\ncertificate eds-tree\n", "line 2: unknown directive 'certificate'"),
+    # node counts
+    ("problem eds-tree\nnodes 0\n", "line 2: node count must be positive"),
+    ("problem set-cover\nnodes -4\n", "line 2: node count must be positive"),
+    ("problem eds-tree\nnodes 1000001\n", "line 2: node count 1000001 exceeds the limit of 1000000"),
+    ("problem multicut-tree\nnodes 99999999999999999999\n",
+     "line 2: node count 99999999999999999999 exceeds the limit of 1000000"),
+    ("problem eds-tree\nnodes two\n", "line 2: expected an integer, got 'two'"),
+    # after the last line: reported at the file's last line, blank ones included
+    ("problem eds-tree\nnode 0 1\n", "line 2: missing 'nodes' line"),
+    ("problem set-cover\nset 1 0\n\n\n", "line 4: missing 'nodes' line"),
+    ("problem multicut-tree\n", "line 1: missing 'nodes' line"),
+    (_TREE + "node 2 1\nedge 0 1 1 1\n", "line 4: node id 2 out of range"),
+    (_GENERAL + "node -1 1\n", "line 3: node id -1 out of range"),
+    (_TREE + "root 2\nedge 0 1 1 1\n", "line 4: root 2 out of range"),
+    (_CUT + "root -1\n", "line 3: root -1 out of range"),
+    (_TREE, "line 2: a tree on 2 nodes needs 1 edges, got 0"),
+    (_CUT + "edge 0 1 1\nedge 1 2 1\nedge 0 2 1\n", "line 5: a tree on 3 nodes needs 2 edges, got 3"),
+    (_CUT + "edge 0 1 1\nedge 1 3 1\n", "line 4: edge (1,3) out of range"),
+    (_CUT + "edge 0 1 1\nedge 2 2 1\n", "line 4: self-loop at node 2"),
+    (_CUT + "edge 0 1 1\nedge 1 0 1\n", "line 4: edges do not form a tree reachable from the root"),
+    (_CUT + "root 2\nedge 0 1 1\nedge 0 1 1\n",
+     "line 5: edges do not form a tree reachable from the root"),
+    (_GENERAL + "edge 0 3 1 1\n", "line 3: edge (0,3) out of range"),
+    (_GENERAL + "edge 1 1 1 1\n", "line 3: self-loop at node 1"),
+    (_GENERAL + "edge 0 1 1 1\nedge 1 0 1 1\n", "line 4: duplicate edge (1,0)"),
+    (_CUT + "edge 0 1 1\nedge 0 2 1\ndemand 1 3 1\n", "line 5: demand 0 endpoints out of range"),
+    (_CUT + "edge 0 1 1\nedge 0 2 1\ndemand 1 2 1\ndemand 2 2 inf\n",
+     "line 6: demand 1 has identical endpoints"),
+    (_SETS + "set 4\n", "line 3: set 0 is empty"),
+    (_SETS + "set 1 0\nset 1 1 2\n", "line 4: set 1 has out-of-range members"),
+    (_FL + "facility 0 1\nclient 1\n", "line 3: client ids must be 0..k-1, each once"),
+    (_FL + "facility 0 1\nclient 0\nclient 0\n", "line 4: client ids must be 0..k-1, each once"),
+    (_FL + "facility 1 1\nclient 0\n", "line 3: facility ids must be 0..k-1, each once"),
+    (_FL + "facility 0 1\nclient 0\nconn 0 1 1\n", "line 4: connection (0,1) out of range"),
+    (_FL + "facility 0 1\nclient 0\nconn 1 0 1\n# end\n", "line 5: connection (1,0) out of range"),
+    # two faults on one line or in one file: the first check in order wins
+    (_TREE + "node 0 1\nnode 0 x\n", "line 4: duplicate weight for node 0"),
+    (_TREE + "node 0 1\nnode 0 inf\n", "line 4: duplicate weight for node 0"),
+    (_TREE + "node x 1 2\n", "line 3: 'node' takes id and weight"),
+    (_TREE + "node x y\n", "line 3: expected an integer, got 'x'"),
+    (_TREE + "nodes x\n", "line 3: duplicate 'nodes' line"),
+    (_TREE + "nodes 1 2\n", "line 3: duplicate 'nodes' line"),
+    (_TREE + "root 0\nroot 1 2\n", "line 4: duplicate 'root' line"),
+    (_FL + "nodes 1 2\n", "line 2: 'nodes' is not used by facility-location"),
+    (_SETS + "edge 0 1\n", "line 3: 'edge' is not valid for set-cover"),
+    ("problem eds-general\nroot\n", "line 2: 'root' is not valid for eds-general"),
+    (_FL + "facility 0 1\nfacility 0 x\n", "line 3: duplicate facility 0"),
+    (_FL + "conn 0 0 1\nconn 0 0 -1\n", "line 3: duplicate connection (0,0)"),
+    (_FL + "conn 0 x 1\n", "line 2: expected an integer, got 'x'"),
+    (_SETS + "set x 0 0\n", "line 3: malformed rational 'x'"),
+    (_SETS + "set 1 0 0 y\n", "line 3: expected an integer, got 'y'"),
+    (_TREE + "edge 0 1 -1 x\n", "line 3: negative value '-1' not allowed here"),
+    (_TREE + "edge 0 x -1 1\n", "line 3: expected an integer, got 'x'"),
+    (_CUT + "demand 1 x inf\n", "line 3: expected an integer, got 'x'"),
+    (_TREE + "node 5 1\nbogus\n", "line 4: unknown directive 'bogus'"),
+    ("problem eds-tree\nproblem nothing\n", "line 2: duplicate 'problem' line"),
+    ("node 0 1\nproblem eds-tree\n", "line 1: the first directive must be 'problem <kind>'"),
+    ("problem eds-tree # a comment\nnodes 2#\nedge 0 1 1 1 # note\nfoo#bar\n",
+     "line 4: unknown directive 'foo'"),
+]
+
+
+@pytest.mark.parametrize("text,message", STRUCTURAL_ERRORS)
+def test_structural_parse_errors_have_their_messages(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_instance(text)
+    assert str(err.value) == message
+
+
 # -- number tokens ----------------------------------------------------------
 
 #: Every place a number token can stand: the file with ``{}`` for the token,
