@@ -72,3 +72,40 @@ def small_eds(draw, max_nodes, tree, weights=_weights):
         {e: draw(weights) for e in graph.edge_ids()},
         {e: draw(penalties) for e in graph.edge_ids()},
     )
+
+
+_DIRECTIVE_NAMES = [
+    "problem", "nodes", "root", "node", "edge", "demand", "set", "facility", "client", "conn",
+    "certificate", "objective", "ratio", "lower", "factor", "xi", "nu", "mu", "witness",
+    "processed", "bogus",
+]
+#: Tokens an edit may write into a file: numbers, malformed numbers, kind
+#: and directive names, a comment mark, and the empty token, which deletes.
+_EDIT_TOKENS = st.sampled_from([
+    "0", "1", "2", "7", "-1", "-0", "3/2", "2/4", "1/0", "2/-3", "inf", "-inf", "nan", "1.5",
+    "1e3", "+4", "٣", "x", "#", "", "1000001", "99999999999999999999",
+    "eds-tree", "eds-general", "multicut-tree", "set-cover", "facility-location",
+    *_DIRECTIVE_NAMES,
+])
+
+
+@st.composite
+def edited_texts(draw, texts):
+    """One of ``texts`` after one to three edits, each replacing a token,
+    inserting a line of tokens, deleting a line or duplicating one."""
+    lines = draw(st.sampled_from(texts)).splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(lines)))
+        edit = draw(st.sampled_from(["replace", "insert", "delete", "duplicate"]))
+        if edit == "insert" or at == len(lines):
+            head = draw(st.sampled_from(_DIRECTIVE_NAMES))
+            lines.insert(at, " ".join([head, *draw(st.lists(_EDIT_TOKENS, max_size=4))]))
+        elif edit == "replace" and lines[at].split():
+            toks = lines[at].split()
+            toks[draw(st.integers(0, len(toks) - 1))] = draw(_EDIT_TOKENS)
+            lines[at] = " ".join(toks)
+        elif edit == "delete":
+            del lines[at]
+        else:
+            lines.insert(at, lines[at])
+    return "\n".join(lines) + "\n"

@@ -1,6 +1,7 @@
 """Certificate round-trip, verification, and tamper detection for all kinds."""
 
 import pytest
+from hypothesis import given, settings
 
 from graphcover import (
     ParseError,
@@ -15,6 +16,8 @@ from graphcover import (
     verify_certificate,
 )
 from graphcover.multicut_tree import kept_solution, multicut_ratio, run_multicut_pipeline
+
+from _support import edited_texts
 
 
 def _tree_cert(seed=3):
@@ -161,3 +164,17 @@ def test_parse_rejects_unknown_directive():
     with pytest.raises(ParseError) as err:
         parse_certificate(text)
     assert "line 3" in str(err.value)
+
+
+_CERT_TEXTS = [
+    serialize_certificate(make()[1]) for make in (_tree_cert, _multicut_cert, _general_cert)
+]
+
+
+@settings(max_examples=700, deadline=None, database=None)
+@given(edited_texts(_CERT_TEXTS))
+def test_edited_certificate_files_parse_or_raise_parse_error(text):
+    try:
+        parse_certificate(text)
+    except ParseError:
+        pass

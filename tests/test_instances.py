@@ -27,7 +27,7 @@ from graphcover import (
 from graphcover.instances import edge_neighborhoods, problem_kind
 from graphcover.rationals import ZERO, ext_sum, is_inf
 
-from _support import small_eds, small_multicuts
+from _support import edited_texts, small_eds, small_multicuts
 
 
 # -- graphs -----------------------------------------------------------------
@@ -514,6 +514,18 @@ def test_serialize_parse_round_trip(kind, params):
     again = parse_instance(text)
     assert again == inst
     assert serialize_instance(again) == text
+
+
+_GEN_TEXTS = [serialize_instance(gen_instance(kind, **params)) for kind, params in GEN_CASES]
+
+
+@settings(max_examples=700, deadline=None, database=None)
+@given(edited_texts(_GEN_TEXTS))
+def test_edited_instance_files_parse_or_raise_parse_error(text):
+    try:
+        parse_instance(text)
+    except ParseError:
+        pass
 
 
 # -- generators -------------------------------------------------------------
