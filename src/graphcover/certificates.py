@@ -38,6 +38,8 @@ from .instances import (
     ParseError,
     eds_solution,
     problem_kind,
+    read_directives,
+    read_int,
 )
 from .lp import OPTIMAL, dual_model, simplex_solve
 from .multicut_tree import (
@@ -136,114 +138,76 @@ def serialize_certificate(cert: Certificate) -> str:
 
 def parse_certificate(text: str) -> Certificate:
     """Parse a certificate file.  Errors report 1-based line numbers."""
-    kind = None
-    edges = []
-    objective = None
+    edges, processed = [], []
     xi: Dict[int, Rat] = {}
-    nu: Dict[Tuple[int, int], Rat] = {}
-    mu: Dict[Tuple[int, int], Rat] = {}
+    pairs: Dict[str, Dict[Tuple[int, int], Rat]] = {"nu": {}, "mu": {}}
     witness: Dict[int, int] = {}
-    processed = []
-    scalars: Dict[str, Rat] = {}
+    values: Dict[str, ExtRat] = {}  # objective and the scalar directives
 
-    def fail(lineno, msg):
-        raise ParseError(f"line {lineno}: {msg}")
+    def start(kind):
+        def line(head, args):
+            if head == "objective":
+                if len(args) != 1 or head in values:
+                    raise ValueError("'objective' takes one value, once")
+                values[head] = parse_rat(args[0], allow_inf=True)
+            elif head in SCALAR_DIRECTIVES:
+                owner = SCALAR_DIRECTIVES[head]
+                if len(args) != 1 or kind != owner:
+                    only = owner.removesuffix("-tree")
+                    raise ValueError(f"'{head}' takes one value and is {only}-only")
+                if head in values:
+                    raise ValueError(f"duplicate '{head}' line")
+                values[head] = parse_rat(args[0])
+            elif head == "edge":
+                if len(args) != 1:
+                    raise ValueError("'edge' takes one id")
+                edges.append(read_int(args[0]))
+            elif head == "xi":
+                if len(args) != 2:
+                    raise ValueError("'xi' takes an id and a value")
+                if kind not in ("eds-tree", "multicut-tree"):
+                    raise ValueError(
+                        "'xi' belongs to eds-tree and multicut-tree certificates only")
+                key = read_int(args[0])
+                if key in xi:
+                    raise ValueError(f"duplicate xi entry for {key}")
+                xi[key] = parse_rat(args[1])
+            elif head in pairs:
+                if len(args) != 3 or kind != "multicut-tree":
+                    where = "edge" if head == "nu" else "node"
+                    raise ValueError(f"'{head}' takes {where}, demand and value (multicut-only)")
+                key = (read_int(args[0]), read_int(args[1]))
+                if key in pairs[head]:
+                    raise ValueError(f"duplicate {head} entry for {key}")
+                pairs[head][key] = parse_rat(args[2])
+            elif head == "witness":
+                if len(args) != 2 or kind != "multicut-tree":
+                    raise ValueError("'witness' takes demand and edge (multicut-only)")
+                i = read_int(args[0])
+                if i in witness:
+                    raise ValueError(f"duplicate witness for demand {i}")
+                witness[i] = read_int(args[1])
+            else:  # processed
+                if len(args) != 1 or kind != "multicut-tree":
+                    raise ValueError("'processed' takes one demand (multicut-only)")
+                processed.append(read_int(args[0]))
 
-    def want_int(lineno, tok):
-        try:
-            return int(tok)
-        except ValueError:
-            fail(lineno, f"expected an integer, got {tok!r}")
+        return dict.fromkeys(("objective", *SCALAR_DIRECTIVES, "edge", "xi", *pairs, "witness",
+                              "processed"), line)
 
-    def want_rat(lineno, tok, allow_inf=False):
-        try:
-            return parse_rat(tok, allow_inf=allow_inf)
-        except ValueError as exc:
-            fail(lineno, str(exc))
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        toks = line.split()
-        head, args = toks[0], toks[1:]
-        if kind is None:
-            if head != "certificate":
-                fail(lineno, "the first directive must be 'certificate <kind>'")
-            if len(args) != 1 or args[0] not in CERTIFICATE_KINDS:
-                fail(lineno, f"unknown certificate kind {' '.join(args)!r}")
-            kind = args[0]
-            continue
-        if head == "certificate":
-            fail(lineno, "duplicate 'certificate' line")
-        elif head == "objective":
-            if len(args) != 1 or objective is not None:
-                fail(lineno, "'objective' takes one value, once")
-            objective = want_rat(lineno, args[0], allow_inf=True)
-        elif head in SCALAR_DIRECTIVES:
-            owner = SCALAR_DIRECTIVES[head]
-            if len(args) != 1 or kind != owner:
-                fail(lineno, f"'{head}' takes one value and is {owner.removesuffix('-tree')}-only")
-            if head in scalars:
-                fail(lineno, f"duplicate '{head}' line")
-            scalars[head] = want_rat(lineno, args[0])
-        elif head == "edge":
-            if len(args) != 1:
-                fail(lineno, "'edge' takes one id")
-            edges.append(want_int(lineno, args[0]))
-        elif head == "xi":
-            if len(args) != 2:
-                fail(lineno, "'xi' takes an id and a value")
-            if kind not in ("eds-tree", "multicut-tree"):
-                fail(lineno, "'xi' belongs to eds-tree and multicut-tree certificates only")
-            key = want_int(lineno, args[0])
-            if key in xi:
-                fail(lineno, f"duplicate xi entry for {key}")
-            xi[key] = want_rat(lineno, args[1])
-        elif head == "nu":
-            if len(args) != 3 or kind != "multicut-tree":
-                fail(lineno, "'nu' takes edge, demand and value (multicut-only)")
-            key = (want_int(lineno, args[0]), want_int(lineno, args[1]))
-            if key in nu:
-                fail(lineno, f"duplicate nu entry for {key}")
-            nu[key] = want_rat(lineno, args[2])
-        elif head == "mu":
-            if len(args) != 3 or kind != "multicut-tree":
-                fail(lineno, "'mu' takes node, demand and value (multicut-only)")
-            key = (want_int(lineno, args[0]), want_int(lineno, args[1]))
-            if key in mu:
-                fail(lineno, f"duplicate mu entry for {key}")
-            mu[key] = want_rat(lineno, args[2])
-        elif head == "witness":
-            if len(args) != 2 or kind != "multicut-tree":
-                fail(lineno, "'witness' takes demand and edge (multicut-only)")
-            i = want_int(lineno, args[0])
-            if i in witness:
-                fail(lineno, f"duplicate witness for demand {i}")
-            witness[i] = want_int(lineno, args[1])
-        elif head == "processed":
-            if len(args) != 1 or kind != "multicut-tree":
-                fail(lineno, "'processed' takes one demand (multicut-only)")
-            processed.append(want_int(lineno, args[0]))
-        else:
-            fail(lineno, f"unknown directive {head!r}")
-
-    if kind is None:
-        raise ParseError("line 1: empty certificate file")
-    if objective is None:
+    kind = read_directives(text, "certificate", CERTIFICATE_KINDS, "certificate", start)
+    if "objective" not in values:
         raise ParseError("missing 'objective' line")
     if len(set(edges)) != len(edges):
         raise ParseError("duplicate 'edge' lines")
     return Certificate(
         kind=kind,
         edges=tuple(sorted(edges)),
-        objective=objective,
         xi=xi,
-        nu=nu,
-        mu=mu,
+        **pairs,
         witness=witness,
         processed=tuple(processed),
-        **scalars,
+        **values,
     )
 
 

@@ -5,6 +5,9 @@ or ``p/q`` fractions, and ``inf`` is accepted only where a penalty is
 expected.  Node and edge weights are nonnegative rationals; penalties are
 nonnegative rationals or infinite.  Every number token of every kind goes
 through `parse_number`, which gives ``(p, q)`` in lowest terms or INF.
+`DIRECTIVES` is the one table of which kinds take each directive and what
+its fields are, and `read_directives` reads the line format that instance
+and certificate files share.
 
 Weight storage: an `EdsInstance` keeps its weights once, as integer units
 over their least common denominator (`_to_units` is the one place that
@@ -48,8 +51,10 @@ class ParseError(ValueError):
 Number = Union[Tuple[int, int], type(INF)]
 
 
-def _rat(x: Number) -> ExtRat:
-    return x if x is INF else Rat(*x)
+def _rats(values: List[Number]) -> List[ExtRat]:
+    """Parsed values as rationals, making one Rat per distinct value."""
+    made = {x: x if x is INF else Rat(*x) for x in set(values)}
+    return [made[x] for x in values]
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +103,7 @@ class Graph:
 class RootedTree:
     """Rooted tree on nodes 0..n-1; the edge to the parent of node v has id v."""
 
-    def __init__(self, parent: List[int], root: int):
+    def __init__(self, parent: List[int], root: int, *, _depth: Optional[List[int]] = None):
         n = len(parent)
         if not (0 <= root < n) or parent[root] != root:
             raise InstanceError("root must be its own parent")
@@ -109,20 +114,22 @@ class RootedTree:
             if not (0 <= p < n):
                 raise InstanceError(f"parent of {v} out of range")
             children[p].append(v)
-        depth = [-1] * n
-        depth[root] = 0
-        order = [root]
-        queue = deque([root])
-        while queue:
-            v = queue.popleft()
-            for c in children[v]:
-                if depth[c] != -1:
-                    raise InstanceError("parent map contains a cycle")
-                depth[c] = depth[v] + 1
-                order.append(c)
-                queue.append(c)
-        if len(order) != n:
-            raise InstanceError("parent map is not connected")
+        depth = _depth  # from_edges gives the depths its own walk found
+        if depth is None:
+            depth = [-1] * n
+            depth[root] = 0
+            order = [root]
+            queue = deque([root])
+            while queue:
+                v = queue.popleft()
+                for c in children[v]:
+                    if depth[c] != -1:
+                        raise InstanceError("parent map contains a cycle")
+                    depth[c] = depth[v] + 1
+                    order.append(c)
+                    queue.append(c)
+            if len(order) != n:
+                raise InstanceError("parent map is not connected")
         self.n = n
         self.root = root
         self.parent = tuple(parent)
@@ -141,20 +148,19 @@ class RootedTree:
                 raise InstanceError(f"self-loop at node {u}")
             adj[u].append(v)
             adj[v].append(u)
-        parent = [-1] * n
-        parent[root] = root
-        queue = deque([root])
-        seen = 1
-        while queue:
-            v = queue.popleft()
+        parent = [root] * n
+        depth = [-1] * n
+        depth[root] = 0
+        order = [root]
+        for v in order:  # one walk gives parents and depths
             for w in adj[v]:
-                if parent[w] == -1:
+                if depth[w] < 0:
                     parent[w] = v
-                    seen += 1
-                    queue.append(w)
-        if seen != n:
+                    depth[w] = depth[v] + 1
+                    order.append(w)
+        if len(order) != n:
             raise InstanceError("edges do not form a tree reachable from the root")
-        return cls(parent, root)
+        return cls(parent, root, _depth=depth)
 
     def edge_ids(self) -> List[int]:
         return [v for v in range(self.n) if v != self.root]
@@ -225,6 +231,8 @@ def _to_units(*columns):
     finite value times ``scale``, INF left as INF.  Returns ``(scale,
     *unit columns)``; ``scale`` is 1 when every value is an integer."""
     scale = lcm(*{x[1] for col in columns for x in col if x is not INF})
+    if scale == 1:
+        return (1, *([x if x is INF else x[0] for x in col] for col in columns))
     return (scale, *(
         [x if x is INF else x[0] * (scale // x[1]) for x in col] for col in columns
     ))
@@ -525,7 +533,7 @@ def eds_solution(inst: EdsInstance, edges) -> Solution:
     covered = set()
     for v in nodes:
         covered.update(g.incident(v))
-    paid = ext_sum(pen[e] for e in g.edge_ids() if e not in covered)
+    paid = sum(pen[e] for e in g.edge_ids() if e not in covered)  # INF if one unit is INF
     return Solution(
         edges,
         Rat(sum(we[e] for e in edges), scale),
@@ -567,242 +575,283 @@ def problem_kind(inst: AnyInstance) -> str:
 # ---------------------------------------------------------------------------
 # parsing and serialization
 
+
+def read_int(tok: str) -> int:
+    """An integer token, read by the one integer rule of instance and
+    certificate files."""
+    try:
+        return int(tok)
+    except ValueError:
+        raise ValueError(f"expected an integer, got {tok!r}") from None
+
+
+def read_directives(text: str, header: str, kinds, what: str, start) -> str:
+    """Read a line-based file of directives and return its kind.
+
+    ``#`` starts a comment and blank lines are skipped.  The first
+    directive must be ``<header> <kind>`` with a kind from ``kinds``;
+    ``start(kind)`` then gives the handler of each directive the kind's
+    files may hold, and each later line goes to its directive's handler as
+    ``handler(head, args)``.  A handler rejects its line by raising
+    ValueError, which becomes a ParseError at the line's 1-based number.
+    """
+    handlers = None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        toks = raw.split("#", 1)[0].split() if "#" in raw else raw.split()
+        if not toks:
+            continue
+        head, args = toks[0], toks[1:]
+        try:
+            if handlers is None:
+                if head != header:
+                    raise ValueError(f"the first directive must be '{header} <kind>'")
+                if len(args) != 1 or args[0] not in kinds:
+                    raise ValueError(f"unknown {header} kind {' '.join(args)!r}")
+                kind = args[0]
+                handlers = start(kind)
+            elif head == header:
+                raise ValueError(f"duplicate '{header}' line")
+            elif head in handlers:
+                handlers[head](head, args)
+            else:
+                raise ValueError(f"unknown directive {head!r}")
+        except ValueError as exc:
+            raise ParseError(f"line {lineno}: {exc}") from None
+    if handlers is None:
+        raise ParseError(f"line 1: empty {what} file")
+    return kind
+
+
+def _number(tok: str) -> Number:
+    """A nonnegative number token."""
+    value = parse_number(tok)
+    if value[0] < 0:
+        raise ValueError(f"negative value {tok!r} not allowed here")
+    return value
+
+
+def _number_or_inf(tok: str) -> Number:
+    """A nonnegative number token or ``inf``."""
+    return INF if tok == "inf" else _number(tok)
+
+
+def _count(tok: str) -> int:
+    """A node count: an integer from 1 to MAX_NODES."""
+    n = read_int(tok)
+    if n < 1:
+        raise ValueError("node count must be positive")
+    if n > MAX_NODES:
+        raise ValueError(f"node count {n} exceeds the limit of {MAX_NODES}")
+    return n
+
+
+def _members(toks: List[str]) -> FrozenSet[int]:
+    """Every token left on the line, as distinct integers."""
+    members = [read_int(tok) for tok in toks]
+    if len(set(members)) != len(members):
+        raise ValueError("duplicate members in set")
+    return frozenset(members)
+
+
 _KINDS = ("eds-tree", "eds-general", "multicut-tree", "set-cover", "facility-location")
+_GRAPHS, _EDS, _CUT, _FL = _KINDS[:3], _KINDS[:2], _KINDS[2:3], _KINDS[4:]
+
+#: Every directive of instance files, in the order `serialize_instance`
+#: writes them: for each group of kinds that takes it, the readers of its
+#: fields and the message for a wrong number of them.  `_members` reads
+#: every token left on the line.
+DIRECTIVES = {
+    "nodes": {(*_GRAPHS, "set-cover"): ((_count,), "'nodes' takes one argument")},
+    "root": {("eds-tree", "multicut-tree"): ((read_int,), "'root' takes one argument")},
+    "node": {_GRAPHS: ((read_int, _number), "'node' takes id and weight")},
+    "edge": {
+        _EDS: ((read_int, read_int, _number, _number_or_inf),
+               "'edge' takes u, v, weight and penalty here"),
+        _CUT: ((read_int, read_int, _number), "'edge' takes u, v and weight here"),
+    },
+    "demand": {_CUT: ((read_int, read_int, _number_or_inf), "'demand' takes s, t and penalty")},
+    "set": {("set-cover",): ((_number, _members), "'set' takes a cost and member list")},
+    "facility": {_FL: ((read_int, _number), "'facility' takes id and opening cost")},
+    "client": {_FL: ((read_int,), "'client' takes an id")},
+    "conn": {_FL: ((read_int, read_int, _number), "'conn' takes client, facility and cost")},
+}
+
+#: Directives that may appear once, checked before their field count.
+_ONCE = {"nodes": "duplicate 'nodes' line", "root": "duplicate 'root' line"}
+#: Directives whose first one or two fields, integers, may not repeat an
+#: earlier line's.
+_KEYS = {
+    "node": (1, "duplicate weight for node {}"),
+    "facility": (1, "duplicate facility {}"),
+    "conn": (2, "duplicate connection ({},{})"),
+}
+
+
+def _handler(head: str, kind: str, columns: Dict[str, List[list]]):
+    """The handler of ``head`` lines in a ``kind`` file: it checks each line
+    and appends each field's value to that field's column in ``columns``."""
+    taken = [spec for kinds, spec in DIRECTIVES[head].items() if kind in kinds]
+    if not taken:
+        verb = "is not used by" if head == "nodes" else "is not valid for"
+
+        def refuse(head, args):
+            raise ValueError(f"'{head}' {verb} {kind}")
+
+        return refuse
+    (readers, arity), = taken
+    cols = columns[head] = [[] for _ in readers]
+    n, once, rest = len(readers), _ONCE.get(head), readers[-1] is _members
+    if head in _KEYS:  # the last key field's reader also checks the key
+        k, repeat = _KEYS[head]
+        seen = set()
+
+        def read_key(tok):
+            value = read_int(tok)
+            key = (cols[0][-1], value) if k == 2 else value
+            if key in seen:
+                raise ValueError(repeat.format(*key) if k == 2 else repeat.format(key))
+            seen.add(key)
+            return value
+
+        readers = (*readers[:k - 1], read_key, *readers[k:])
+    # integer fields go to the builtin int, whose error `handle` rewords
+    fields = tuple(zip([int if read is read_int else read for read in readers],
+                       [col.append for col in cols]))
+
+    def handle(head, args):
+        if len(args) != n:
+            raise ValueError(arity)
+        try:
+            for (read, put), tok in zip(fields, args):
+                put(read(tok))
+        except ValueError:
+            if read is int:
+                read_int(tok)  # raises the file format's message
+            raise
+
+    def handle_rest(head, args):  # the last field takes every token left
+        if len(args) < n - 1:
+            raise ValueError(arity)
+        handle(head, [*args[:n - 1], args[n - 1:]])
+
+    def handle_once(head, args):
+        if cols[0]:
+            raise ValueError(once)
+        handle(head, args)
+
+    return handle_rest if rest else handle_once if once else handle
 
 
 def parse_instance(text: str) -> AnyInstance:
-    """Parse an instance file.  Errors report 1-based line numbers."""
-    kind = None
-    n_nodes = None
-    root = 0
-    root_seen = False
-    node_w: Dict[int, Number] = {}
-    edge_rows: List[Tuple[int, int, Number, Optional[Number]]] = []
-    demands: List[Demand] = []
-    sets: List[Tuple[Rat, FrozenSet[int]]] = []
-    facilities: Dict[int, Rat] = {}
-    clients: List[int] = []
-    conns: Dict[Tuple[int, int], Rat] = {}
+    """Parse an instance file.  Errors report 1-based line numbers.
 
-    def fail(lineno, msg):
-        raise ParseError(f"line {lineno}: {msg}")
+    Each line is read through `DIRECTIVES` into one column per field, and
+    the instance is built from the columns; what only the whole file can
+    show is reported at its last line."""
+    columns: Dict[str, List[list]] = {}
 
-    def want_int(lineno, tok):
-        try:
-            return int(tok)
-        except ValueError:
-            fail(lineno, f"expected an integer, got {tok!r}")
+    def start(kind):
+        return {head: _handler(head, kind, columns) for head in DIRECTIVES}
 
-    def want_num(lineno, tok, allow_inf=False):
-        try:
-            val = parse_number(tok, allow_inf)
-        except ValueError as exc:
-            fail(lineno, str(exc))
-        if val is not INF and val[0] < 0:
-            fail(lineno, f"negative value {tok!r} not allowed here")
-        return val
-
-    def want_rat(lineno, tok, allow_inf=False):
-        return _rat(want_num(lineno, tok, allow_inf))
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        toks = line.split()
-        head, args = toks[0], toks[1:]
-        if kind is None:
-            if head != "problem":
-                fail(lineno, "the first directive must be 'problem <kind>'")
-            if len(args) != 1 or args[0] not in _KINDS:
-                fail(lineno, f"unknown problem kind {' '.join(args)!r}")
-            kind = args[0]
-            continue
-        if head == "problem":
-            fail(lineno, "duplicate 'problem' line")
-        elif head == "nodes":
-            if kind == "facility-location":
-                fail(lineno, "'nodes' is not used by facility-location")
-            if n_nodes is not None:
-                fail(lineno, "duplicate 'nodes' line")
-            if len(args) != 1:
-                fail(lineno, "'nodes' takes one argument")
-            n_nodes = want_int(lineno, args[0])
-            if n_nodes < 1:
-                fail(lineno, "node count must be positive")
-            if n_nodes > MAX_NODES:
-                fail(lineno, f"node count {n_nodes} exceeds the limit of {MAX_NODES}")
-        elif head == "root":
-            if kind not in ("eds-tree", "multicut-tree"):
-                fail(lineno, f"'root' is not valid for {kind}")
-            if root_seen:
-                fail(lineno, "duplicate 'root' line")
-            if len(args) != 1:
-                fail(lineno, "'root' takes one argument")
-            root = want_int(lineno, args[0])
-            root_seen = True
-        elif head == "node":
-            if kind not in ("eds-tree", "eds-general", "multicut-tree"):
-                fail(lineno, f"'node' is not valid for {kind}")
-            if len(args) != 2:
-                fail(lineno, "'node' takes id and weight")
-            v = want_int(lineno, args[0])
-            if v in node_w:
-                fail(lineno, f"duplicate weight for node {v}")
-            node_w[v] = want_num(lineno, args[1])
-        elif head == "edge":
-            if kind in ("eds-tree", "eds-general"):
-                if len(args) != 4:
-                    fail(lineno, "'edge' takes u, v, weight and penalty here")
-                u = want_int(lineno, args[0])
-                v = want_int(lineno, args[1])
-                w = want_num(lineno, args[2])
-                p = want_num(lineno, args[3], allow_inf=True)
-                edge_rows.append((u, v, w, p))
-            elif kind == "multicut-tree":
-                if len(args) != 3:
-                    fail(lineno, "'edge' takes u, v and weight here")
-                u = want_int(lineno, args[0])
-                v = want_int(lineno, args[1])
-                w = want_num(lineno, args[2])
-                edge_rows.append((u, v, w, None))
-            else:
-                fail(lineno, f"'edge' is not valid for {kind}")
-        elif head == "demand":
-            if kind != "multicut-tree":
-                fail(lineno, f"'demand' is not valid for {kind}")
-            if len(args) != 3:
-                fail(lineno, "'demand' takes s, t and penalty")
-            s = want_int(lineno, args[0])
-            t = want_int(lineno, args[1])
-            p = want_rat(lineno, args[2], allow_inf=True)
-            demands.append(Demand(s, t, p))
-        elif head == "set":
-            if kind != "set-cover":
-                fail(lineno, f"'set' is not valid for {kind}")
-            if not args:
-                fail(lineno, "'set' takes a cost and member list")
-            cost = want_rat(lineno, args[0])
-            members = [want_int(lineno, tok) for tok in args[1:]]
-            if len(set(members)) != len(members):
-                fail(lineno, "duplicate members in set")
-            sets.append((cost, frozenset(members)))
-        elif head == "facility":
-            if kind != "facility-location":
-                fail(lineno, f"'facility' is not valid for {kind}")
-            if len(args) != 2:
-                fail(lineno, "'facility' takes id and opening cost")
-            f = want_int(lineno, args[0])
-            if f in facilities:
-                fail(lineno, f"duplicate facility {f}")
-            facilities[f] = want_rat(lineno, args[1])
-        elif head == "client":
-            if kind != "facility-location":
-                fail(lineno, f"'client' is not valid for {kind}")
-            if len(args) != 1:
-                fail(lineno, "'client' takes an id")
-            clients.append(want_int(lineno, args[0]))
-        elif head == "conn":
-            if kind != "facility-location":
-                fail(lineno, f"'conn' is not valid for {kind}")
-            if len(args) != 3:
-                fail(lineno, "'conn' takes client, facility and cost")
-            v = want_int(lineno, args[0])
-            f = want_int(lineno, args[1])
-            if (v, f) in conns:
-                fail(lineno, f"duplicate connection ({v},{f})")
-            conns[(v, f)] = want_rat(lineno, args[2])
-        else:
-            fail(lineno, f"unknown directive {head!r}")
-
-    if kind is None:
-        raise ParseError("line 1: empty instance file")
-
+    kind = read_directives(text, "problem", _KINDS, "instance", start)
     try:
-        if kind == "facility-location":
-            if sorted(set(clients)) != list(range(len(clients))):
-                raise InstanceError("client ids must be 0..k-1, each once")
-            if sorted(facilities) != list(range(len(facilities))):
-                raise InstanceError("facility ids must be 0..k-1, each once")
-            return FacilityLocationInstance(
-                n_clients=len(clients),
-                n_facilities=len(facilities),
-                opening=[facilities[f] for f in sorted(facilities)],
-                conn=conns,
-            )
-        if n_nodes is None:
-            raise InstanceError("missing 'nodes' line")
-        if kind == "set-cover":
-            return SetCoverInstance(n_elements=n_nodes, sets=sets)
-        for v in node_w:
-            if not (0 <= v < n_nodes):
-                raise InstanceError(f"node id {v} out of range")
-        pairs = [(u, v) for (u, v, _, _) in edge_rows]
-        if kind == "eds-general":
-            graph = Graph(n_nodes, pairs)
-            eids = range(len(edge_rows))
-        else:
-            if not (0 <= root < n_nodes):
-                raise InstanceError(f"root {root} out of range")
-            graph = RootedTree.from_edges(n_nodes, pairs, root)
-            eids = []
-            for u, v in pairs:
-                eid = v if graph.parent[v] == u else u
-                if graph.parent[eid] not in (u, v):
-                    raise InstanceError(f"edge ({u},{v}) does not match the tree orientation")
-                eids.append(eid)
-        if kind == "multicut-tree":
-            weights = {v: _rat(node_w[v]) if v in node_w else ZERO for v in range(n_nodes)}
-            ew = {eid: _rat(row[2]) for eid, row in zip(eids, edge_rows)}
-            return MulticutInstance(graph, weights, ew, demands)
-        # the parser has checked every value, so the units need no second pass
-        zero = (0, 1)
-        nw = [zero] * n_nodes
-        for v, w in node_w.items():
-            nw[v] = w
-        ew = [zero] * _edge_slots(graph)
-        pen = ew.copy()
-        for eid, (_, _, w, p) in zip(eids, edge_rows):
-            ew[eid] = w
-            pen[eid] = p
-        return EdsInstance._from_units(graph, *_to_units(nw, ew, pen))
+        return _build(kind, columns)
     except InstanceError as exc:
         raise ParseError(f"line {len(text.splitlines())}: {exc}") from exc
 
 
+def _placed(size: int, keys, values) -> List[Number]:
+    """``size`` zeros, with each value at its key."""
+    out = [(0, 1)] * size
+    for key, value in zip(keys, values):
+        out[key] = value
+    return out
+
+
+def _build(kind: str, columns: Dict[str, List[list]]) -> AnyInstance:
+    """The instance of ``kind`` from the columns of its directives."""
+    if kind == "facility-location":
+        (clients,), (ids, opening), (conn_v, conn_f, conn_cost) = (
+            columns["client"], columns["facility"], columns["conn"])
+        if sorted(set(clients)) != list(range(len(clients))):
+            raise InstanceError("client ids must be 0..k-1, each once")
+        if sorted(ids) != list(range(len(ids))):
+            raise InstanceError("facility ids must be 0..k-1, each once")
+        opening = _rats(_placed(len(ids), ids, opening))
+        conn = dict(zip(zip(conn_v, conn_f), _rats(conn_cost)))
+        return FacilityLocationInstance(len(clients), len(ids), opening, conn)
+    (counts,) = columns["nodes"]
+    if not counts:
+        raise InstanceError("missing 'nodes' line")
+    n = counts[0]
+    if kind == "set-cover":
+        costs, members = columns["set"]
+        return SetCoverInstance(n, list(zip(_rats(costs), members)))
+    ids, weights = columns["node"]
+    for v in ids:
+        if not (0 <= v < n):
+            raise InstanceError(f"node id {v} out of range")
+    us, vs, edge_w, *penalties = columns["edge"]
+    pairs = list(zip(us, vs))
+    if kind == "eds-general":
+        graph = Graph(n, pairs)
+        eids = range(len(pairs))
+    else:
+        (roots,) = columns["root"]
+        root = roots[0] if roots else 0
+        if not (0 <= root < n):
+            raise InstanceError(f"root {root} out of range")
+        graph = RootedTree.from_edges(n, pairs, root)
+        # every edge is a tree edge, and its lower end is its id
+        eids = [v if graph.parent[v] == u else u for u, v in pairs]
+    if kind == "multicut-tree":
+        s, t, penalty = columns["demand"]
+        demands = list(map(Demand, s, t, _rats(penalty)))
+        node_w = dict(enumerate(_rats(_placed(n, ids, weights))))
+        return MulticutInstance(graph, node_w, dict(zip(eids, _rats(edge_w))), demands)
+    # the readers have checked every value, so the units need no second pass
+    slots = _edge_slots(graph)
+    units = _to_units(
+        _placed(n, ids, weights), _placed(slots, eids, edge_w), _placed(slots, eids, penalties[0])
+    )
+    return EdsInstance._from_units(graph, *units)
+
+
+def _unit_tokens(units, scale: int) -> List[str]:
+    """Integer units over ``scale`` as number tokens."""
+    if scale == 1:
+        return ["inf" if x is INF else str(x) for x in units]
+    return [fmt_rat(x if x is INF else Rat(x, scale)) for x in units]
+
+
 def serialize_instance(inst: AnyInstance) -> str:
-    """Canonical text form; parse_instance(serialize_instance(x)) == x."""
-    kind = problem_kind(inst)
-    lines = [f"problem {kind}"]
-    if isinstance(inst, (EdsInstance, MulticutInstance)):
+    """Canonical text form; parse_instance(serialize_instance(x)) == x.  Eds
+    weights are written straight from their integer units."""
+    lines = [f"problem {problem_kind(inst)}"]
+    if isinstance(inst, SetCoverInstance):
+        lines.append(f"nodes {inst.n_elements}")
+        for cost, members in inst.sets:
+            lines.append(" ".join(["set", fmt_rat(cost), *map(str, sorted(members))]))
+    elif isinstance(inst, FacilityLocationInstance):
+        lines += [f"facility {f} {fmt_rat(cost)}" for f, cost in enumerate(inst.opening)]
+        lines += [f"client {v}" for v in range(inst.n_clients)]
+        lines += [f"conn {v} {f} {fmt_rat(inst.conn[(v, f)])}" for v, f in sorted(inst.conn)]
+    else:
         g = inst.graph if isinstance(inst, EdsInstance) else inst.tree
         lines.append(f"nodes {g.n}")
         if isinstance(g, RootedTree):
             lines.append(f"root {g.root}")
-        nw = inst.node_weight
-        for v in range(g.n):
-            lines.append(f"node {v} {fmt_rat(nw[v])}")
-        for e in sorted(g.edge_ids()):
-            u, v = g.ends(e)
-            w = fmt_rat(inst.edge_weight[e])
-            if isinstance(inst, EdsInstance):
-                lines.append(f"edge {u} {v} {w} {fmt_rat(inst.penalty[e])}")
-            else:
-                lines.append(f"edge {u} {v} {w}")
+        if isinstance(inst, EdsInstance):
+            units = (inst.node_units, inst.edge_units, inst.penalty_units)
+            nw, ew, pen = (_unit_tokens(column, inst.scale) for column in units)
+            tails = [f"{w} {p}" for w, p in zip(ew, pen)]
+        else:
+            nw = [fmt_rat(inst.node_weight[v]) for v in range(g.n)]
+            tails = {e: fmt_rat(w) for e, w in inst.edge_weight.items()}
+        lines += [f"node {v} {w}" for v, w in enumerate(nw)]
+        lines += ["edge {} {} {}".format(*g.ends(e), tails[e]) for e in sorted(g.edge_ids())]
         if isinstance(inst, MulticutInstance):
-            for d in inst.demands:
-                lines.append(f"demand {d.s} {d.t} {fmt_rat(d.penalty)}")
-    elif isinstance(inst, SetCoverInstance):
-        lines.append(f"nodes {inst.n_elements}")
-        for cost, members in inst.sets:
-            lines.append("set " + " ".join([fmt_rat(cost)] + [str(x) for x in sorted(members)]))
-    else:
-        for f in range(inst.n_facilities):
-            lines.append(f"facility {f} {fmt_rat(inst.opening[f])}")
-        for v in range(inst.n_clients):
-            lines.append(f"client {v}")
-        for (v, f) in sorted(inst.conn):
-            lines.append(f"conn {v} {f} {fmt_rat(inst.conn[(v, f)])}")
+            lines += [f"demand {d.s} {d.t} {fmt_rat(d.penalty)}" for d in inst.demands]
     return "\n".join(lines) + "\n"
 
 

@@ -131,10 +131,11 @@ def parse_number(token: str, allow_inf: bool = False):
         if allow_inf:
             return INF
         raise ValueError("'inf' is not allowed here")
-    num, slash, den = token.partition("/")
     try:
-        n = int(num)
-        d = int(den) if slash else 1
+        if "/" not in token:
+            return int(token), 1
+        num, _, den = token.partition("/")
+        n, d = int(num), int(den)
     except ValueError:
         raise ValueError(f"malformed rational {token!r}") from None
     if d == 1:

@@ -6,6 +6,7 @@ import re
 from pathlib import Path
 
 import graphcover
+from graphcover import instances
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = Path(graphcover.__file__).resolve().parent
@@ -23,6 +24,36 @@ def test_all_matches_the_readme_library_section():
     names = _readme_library_names()
     assert len(names) == len(set(names))
     assert sorted(graphcover.__all__) == sorted(names)
+
+
+#: The README's name for each field reader of `instances.DIRECTIVES`.
+_FIELD_NAMES = {
+    instances._count: "count",
+    instances.read_int: "integer",
+    instances._number: "number",
+    instances._number_or_inf: "number or inf",
+    instances._members: "integer list",
+}
+
+
+def _readme_directive_rows():
+    """(directive, kinds, field names, field count of the example line) for
+    each row of the directive table in README's File formats section."""
+    section = (ROOT / "README.md").read_text().split("\n## File formats\n", 1)[1]
+    rows = re.findall(r"^\| `(\w+)((?: [\w.]+)*)` \| ([^|]+) \| ([^|]+) \|$", section, re.M)
+    return [
+        (head, tuple(kinds.split(", ")), tuple(fields.split(", ")), len(line.split()))
+        for head, line, kinds, fields in rows
+    ]
+
+
+def test_directive_list_matches_the_readme_file_formats_section():
+    table = [
+        (head, kinds, tuple(_FIELD_NAMES[read] for read in readers), len(readers))
+        for head, taken in instances.DIRECTIVES.items()
+        for kinds, (readers, _) in taken.items()
+    ]
+    assert _readme_directive_rows() == table
 
 
 def test_every_public_name_resolves():
