@@ -876,13 +876,9 @@ def gen_instance(kind: str, seed: int = 0, **params) -> AnyInstance:
         n = int(params.get("n", 4))
         if n < 2:
             raise InstanceError("star-gap-eds needs n >= 2 leaves")
-        tree = RootedTree([0] + [0] * n, 0)
-        node_w = {0: Rat(1), **{v: ZERO for v in range(1, n + 1)}}
-        return EdsInstance(
-            tree,
-            node_w,
-            {v: ZERO for v in range(1, n + 1)},
-            {v: INF for v in range(1, n + 1)},
+        # integer weights, so the units are the weights over a scale of 1
+        return EdsInstance._from_units(
+            RootedTree([0] * (n + 1), 0), 1, [1] + [0] * n, [0] * (n + 1), [0] + [INF] * n
         )
     if kind == "subdivided-star-multicut":
         n = int(params.get("n", 4))
@@ -915,13 +911,11 @@ def gen_instance(kind: str, seed: int = 0, **params) -> AnyInstance:
         for v in range(1, n):
             parent[v] = rng.randrange(v)
         tree = RootedTree(parent, 0)
-        node_w = {v: Rat(rng.randint(0, wmax)) for v in range(n)}
-        edge_w = {e: Rat(rng.randint(0, wmax)) for e in tree.edge_ids()}
+        node_w = [rng.randint(0, wmax) for _ in range(n)]
+        edge_w = [0] + [rng.randint(0, wmax) for _ in range(1, n)]  # root slot 0
         if kind == "random-tree-eds":
-            pen = {}
-            for e in tree.edge_ids():
-                pen[e] = INF if rng.random() < inf_prob else Rat(rng.randint(0, pmax))
-            return EdsInstance(tree, node_w, edge_w, pen)
+            pen = [INF if rng.random() < inf_prob else rng.randint(0, pmax) for _ in range(1, n)]
+            return EdsInstance._from_units(tree, 1, node_w, edge_w, [0] + pen)
         k = int(params.get("k", 3))
         if n < 2 and k > 0:
             raise InstanceError("demands need at least two nodes")
@@ -930,6 +924,8 @@ def gen_instance(kind: str, seed: int = 0, **params) -> AnyInstance:
             s, t = rng.sample(range(n), 2)
             p = INF if rng.random() < inf_prob else Rat(rng.randint(0, pmax))
             demands.append(Demand(s, t, p))
+        node_w = dict(enumerate(map(Rat, node_w)))
+        edge_w = {e: Rat(edge_w[e]) for e in range(1, n)}
         return MulticutInstance(tree, node_w, edge_w, demands)
     if kind == "random-eds-general":
         n = int(params.get("n", 6))
@@ -942,12 +938,10 @@ def gen_instance(kind: str, seed: int = 0, **params) -> AnyInstance:
             raise InstanceError(f"at most {len(pairs)} edges on {n} nodes")
         edges = sorted(rng.sample(pairs, m))
         graph = Graph(n, edges)
-        node_w = {v: Rat(rng.randint(0, wmax)) for v in range(n)}
-        edge_w = {e: Rat(rng.randint(0, wmax)) for e in range(m)}
-        pen = {}
-        for e in range(m):
-            pen[e] = INF if rng.random() < inf_prob else Rat(rng.randint(0, pmax))
-        return EdsInstance(graph, node_w, edge_w, pen)
+        node_w = [rng.randint(0, wmax) for _ in range(n)]
+        edge_w = [rng.randint(0, wmax) for _ in range(m)]
+        pen = [INF if rng.random() < inf_prob else rng.randint(0, pmax) for _ in range(m)]
+        return EdsInstance._from_units(graph, 1, node_w, edge_w, pen)
     if kind == "random-set-cover":
         n = int(params.get("n", 4))
         m = int(params.get("m", 4))
