@@ -687,18 +687,34 @@ _KEYS = {
 }
 
 
-def _handler(head: str, kind: str, columns: Dict[str, List[list]]):
-    """The handler of ``head`` lines in a ``kind`` file: it checks each line
-    and appends each field's value to that field's column in ``columns``."""
-    taken = [spec for kinds, spec in DIRECTIVES[head].items() if kind in kinds]
-    if not taken:
-        verb = "is not used by" if head == "nodes" else "is not valid for"
+def _refusal(head: str, kind: str):
+    """The handler of a directive the kind does not take."""
+    verb = "is not used by" if head == "nodes" else "is not valid for"
 
-        def refuse(head, args):
-            raise ValueError(f"'{head}' {verb} {kind}")
+    def refuse(head, args):
+        raise ValueError(f"'{head}' {verb} {kind}")
 
-        return refuse
-    (readers, arity), = taken
+    return refuse
+
+
+#: For each kind, the handlers of the directives it does not take.
+_REFUSALS = {
+    kind: {head: _refusal(head, kind) for head, taken in DIRECTIVES.items()
+           if not any(kind in kinds for kinds in taken)}
+    for kind in _KINDS
+}
+#: For each kind, the field readers and field-count message of each
+#: directive it takes.
+_TAKES = {
+    kind: {head: spec for head, taken in DIRECTIVES.items() for kinds, spec in taken.items()
+           if kind in kinds}
+    for kind in _KINDS
+}
+
+
+def _handler(head: str, readers, arity: str, columns: Dict[str, List[list]]):
+    """The handler of ``head`` lines: it checks each line and appends each
+    field's value to that field's column in ``columns``."""
     cols = columns[head] = [[] for _ in readers]
     n, once, rest = len(readers), _ONCE.get(head), readers[-1] is _members
     if head in _KEYS:  # the last key field's reader also checks the key
@@ -751,7 +767,8 @@ def parse_instance(text: str) -> AnyInstance:
     columns: Dict[str, List[list]] = {}
 
     def start(kind):
-        return {head: _handler(head, kind, columns) for head in DIRECTIVES}
+        taken = {head: _handler(head, *spec, columns) for head, spec in _TAKES[kind].items()}
+        return {**_REFUSALS[kind], **taken}
 
     kind = read_directives(text, "problem", _KINDS, "instance", start)
     try:
