@@ -2,6 +2,7 @@
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphcover import (
     INF,
@@ -19,11 +20,11 @@ from graphcover import (
     brute_force_multicut,
     gen_instance,
 )
-from graphcover.instances import FacilityLocationInstance, multicut_solution
+from graphcover.instances import FacilityLocationInstance, eds_solution, multicut_solution
 from graphcover.oracle import _bits
-from graphcover.rationals import ZERO, is_inf
+from graphcover.rationals import ZERO, ext_sum, is_inf
 
-from _support import small_multicuts, star_multicut, two_leaf_star
+from _support import _weights, small_eds, small_multicuts, star_multicut, two_leaf_star
 
 
 # -- edge domination --------------------------------------------------------
@@ -103,52 +104,91 @@ def test_multicut_respects_cap():
         brute_force_multicut(inst)
 
 
-def _rational_multicut_reference(inst):
-    """The former enumeration: rebuilds each edge subset's cost in rationals."""
-    edges = sorted(inst.tree.edge_ids())
-    m = len(edges)
-    pos = {e: i for i, e in enumerate(edges)}
-    node_mask = [0] * m
-    for e in edges:
-        u, v = inst.tree.ends(e)
-        node_mask[pos[e]] |= (1 << u) | (1 << v)
-    ew = [inst.edge_weight[e] for e in edges]
-    nw = [inst.node_weight[v] for v in range(inst.tree.n)]
-    path_mask = []
-    for i in range(len(inst.demands)):
-        path_mask.append(sum(1 << pos[e] for e in inst.path_edges(i)))
-    pens = [d.penalty for d in inst.demands]
-
+def _rational_reference(edge_weight, edge_nodes, node_weight, demands):
+    """The least ``(cost, chosen index tuple)`` over every edge set, each cost
+    rebuilt in rationals; each demand is ``(member index set, penalty)`` and
+    pays its penalty unless a member is chosen.  None when every edge set
+    pays an infinite penalty."""
     best_key = None
-    for fmask in range(1 << m):
-        nodes = 0
-        cost = ZERO
-        for i in _bits(fmask):
-            nodes |= node_mask[i]
-            cost += ew[i]
-        skip = False
-        extra = ZERO
-        for pm, p in zip(path_mask, pens):
-            if not (fmask & pm):
-                if is_inf(p):
-                    skip = True
-                    break
-                extra += p
-        if skip:
+    for fmask in range(1 << len(edge_weight)):
+        chosen = tuple(_bits(fmask))
+        nodes = set().union(*(edge_nodes[i] for i in chosen))
+        cost = sum((edge_weight[i] for i in chosen), ZERO)
+        cost += sum((node_weight[v] for v in nodes), ZERO)
+        cost += ext_sum(p for members, p in demands if not members.intersection(chosen))
+        if is_inf(cost):
             continue
-        cost += extra
-        for v in _bits(nodes):
-            cost += nw[v]
-        key = (cost, tuple(edges[i] for i in _bits(fmask)))
+        key = (cost, chosen)
         if best_key is None or key < best_key:
             best_key = key
-    return multicut_solution(inst, best_key[1])
+    return best_key
+
+
+def _rational_multicut_reference(inst):
+    edges = sorted(inst.tree.edge_ids())
+    pos = {e: i for i, e in enumerate(edges)}
+    _, chosen = _rational_reference(
+        [inst.edge_weight[e] for e in edges],
+        [inst.tree.ends(e) for e in edges],
+        inst.node_weight,
+        [({pos[e] for e in inst.path_edges(j)}, d.penalty) for j, d in enumerate(inst.demands)],
+    )
+    return multicut_solution(inst, [edges[i] for i in chosen])
 
 
 @settings(max_examples=150, deadline=None, database=None)
 @given(small_multicuts(max_nodes=11))
 def test_multicut_matches_rational_enumeration(inst):
     assert brute_force_multicut(inst) == _rational_multicut_reference(inst)
+
+
+def _rational_eds_reference(inst):
+    g = inst.graph
+    edges = sorted(g.edge_ids())
+    ends = [set(g.ends(e)) for e in edges]
+    _, chosen = _rational_reference(
+        [inst.edge_weight[e] for e in edges],
+        ends,
+        inst.node_weight,
+        [
+            ({i for i in range(len(edges)) if ends[i] & ends[j]}, inst.penalty[e])
+            for j, e in enumerate(edges)
+        ],
+    )
+    return eds_solution(inst, [edges[i] for i in chosen])
+
+
+# trees of up to 10 edges, and graphs on 5 nodes, so of up to 10 edges
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.one_of(small_eds(max_nodes=11, tree=True), small_eds(max_nodes=5, tree=False)))
+def test_eds_matches_rational_enumeration(inst):
+    # Solution equality compares the edges and each cost part
+    assert brute_force_eds(inst) == _rational_eds_reference(inst)
+
+
+@st.composite
+def small_covers(draw):
+    """Set-cover instances of up to 8 sets over up to 5 elements, zero and
+    fractional costs, some with an element that no set holds."""
+    n = draw(st.integers(0, 5))
+    members = st.frozensets(st.integers(0, n - 1), min_size=1) if n else st.nothing()
+    sets = draw(st.lists(st.tuples(_weights, members), max_size=8 if n else 0))
+    return SetCoverInstance(n, sets)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(small_covers())
+def test_cover_matches_rational_enumeration(inst):
+    best = _rational_reference(
+        [cost for cost, _ in inst.sets],
+        [()] * len(inst.sets),
+        {},
+        [
+            ({i for i, (_, members) in enumerate(inst.sets) if x in members}, INF)
+            for x in range(inst.n_elements)
+        ],
+    )
+    assert brute_force_cover(inst) == (INF if best is None else best[0])
 
 
 # -- set cover / edge cover / facility location -----------------------------
