@@ -1,14 +1,19 @@
 """Exhaustive reference solvers for small instances.
 
-These enumerate every candidate solution and are the ground truth the fast
-solvers and relaxations are tested against.  All of them refuse instances
-above a size cap, break objective ties by the lexicographically smallest
-chosen index tuple, and use exact arithmetic throughout.
+These are the ground truth the fast solvers and relaxations are tested
+against.  Edge domination, tree multicut and set cover are one covering
+problem: choose edges F, pay w(F) + w(V(F)), and pay the penalty of each
+demand that no edge of F serves.  One depth-first search, `_cheapest`,
+solves it on integer units; `brute_force_eds`, `brute_force_multicut` and
+`brute_force_cover` only say what the edges, nodes and demands are.
+Facility location keeps its own loop: a client pays its cheapest connection
+to an open facility, an amount set by the whole open set, not a penalty
+that one chosen edge cancels.  Every solver refuses instances above a size
+cap, breaks objective ties by the lexicographically smallest chosen index
+tuple, and uses exact arithmetic throughout.
 """
 
 from __future__ import annotations
-
-from math import lcm
 
 from .instances import (
     EdsInstance,
@@ -16,11 +21,13 @@ from .instances import (
     MulticutInstance,
     SetCoverInstance,
     Solution,
+    _pair,
+    _to_units,
     edge_neighborhoods,
     eds_solution,
     multicut_solution,
 )
-from .rationals import ExtRat, INF, ZERO, ext_min, is_inf
+from .rationals import ExtRat, INF, Rat, ZERO, ext_min, is_inf
 
 #: Largest edge/set count the exhaustive solvers accept.
 CAP = 20
@@ -44,181 +51,134 @@ def _bits(mask: int):
         mask ^= low
 
 
+def _cheapest(edge_units, edge_nodes, node_units, demands):
+    """The least ``(cost, chosen edge indices)`` over every edge set.
+
+    Edge i costs ``edge_units[i]`` and touches the nodes ``edge_nodes[i]``;
+    a touched node v costs ``node_units[v]`` once.  Each demand is
+    ``(members, penalty)``, with at least one member edge: a chosen member
+    serves it, and otherwise it pays its penalty, an int or INF.
+
+    Depth-first search over include/exclude decisions in index order.  A
+    penalty is committed as soon as the last member of its demand has been
+    excluded, so infinite penalties prune immediately, and partial cost
+    above the incumbent prunes (every unit is nonnegative, so partial cost
+    is a valid lower bound).  The incumbents are the empty set, every edge
+    and a cheap greedy cover.
+    """
+    m = len(edge_units)
+    node_mask = [sum(1 << v for v in nodes) for nodes in edge_nodes]
+    serves = [0] * m  # serves[i]: the demands edge i serves
+    closers = [[] for _ in range(m)]  # closers[i]: demands whose last member is i
+    for j, (members, _) in enumerate(demands):
+        for i in members:
+            serves[i] |= 1 << j
+        closers[max(members)].append(j)
+    pen = [p for _, p in demands]
+
+    def price(chosen):
+        nodes = served = cost = 0
+        for i in chosen:
+            nodes |= node_mask[i]
+            served |= serves[i]
+            cost += edge_units[i]
+        cost += sum(node_units[v] for v in _bits(nodes))
+        return cost + sum(p for j, p in enumerate(pen) if not (served >> j) & 1)
+
+    by_star_cost = sorted(
+        range(m), key=lambda i: (edge_units[i] + sum(node_units[v] for v in edge_nodes[i]), i)
+    )
+    greedy, covered = [], 0
+    for i in by_star_cost:
+        if serves[i] & ~covered:
+            greedy.append(i)
+            covered |= serves[i]
+    # choosing every edge serves every demand, so the best incumbent is finite
+    best = min((price(c), c) for c in ((), tuple(range(m)), tuple(sorted(greedy))))
+
+    chosen: list = []
+
+    def dfs(i: int, served: int, nodes: int, cost: int) -> None:
+        nonlocal best
+        if cost > best[0]:
+            return
+        if i == m:
+            best = min(best, (cost, tuple(chosen)))
+            return
+        # exclude edge i: penalties of demands with no member left are due
+        extra = sum(pen[j] for j in closers[i] if not (served >> j) & 1)
+        if not is_inf(extra):
+            dfs(i + 1, served, nodes, cost + extra)
+        # include edge i
+        ncost = cost + edge_units[i]
+        for v in _bits(node_mask[i] & ~nodes):
+            ncost += node_units[v]
+        chosen.append(i)
+        dfs(i + 1, served | serves[i], nodes | node_mask[i], ncost)
+        chosen.pop()
+
+    dfs(0, 0, 0, 0)
+    return best
+
+
 def brute_force_eds(inst: EdsInstance) -> Solution:
     """Minimize w(F) + w(V(F)) + sum of penalties of edges untouched by F.
 
-    Depth-first search over include/exclude decisions in edge-id order.
-    A penalty is committed as soon as the last edge that could cover its
-    edge has been excluded, so infinite penalties prune immediately, and
-    partial cost above the incumbent prunes (penalties and weights are
-    nonnegative, so partial cost is a valid lower bound).
+    Edge e's demand is its closed neighbourhood, with e's penalty.
     """
     g = inst.graph
     edges = sorted(g.edge_ids())
     _check_cap(len(edges), "edges")
-    m = len(edges)
     pos = {e: i for i, e in enumerate(edges)}
     nbhd = edge_neighborhoods(g)
-    nb_mask = [0] * m
-    node_mask = [0] * m
-    for e in edges:
-        i = pos[e]
-        for f in nbhd[e]:
-            nb_mask[i] |= 1 << pos[f]
-        u, v = g.ends(e)
-        node_mask[i] |= (1 << u) | (1 << v)
-    ew = [inst.edge_weight[e] for e in edges]
-    nw = [inst.node_weight[v] for v in range(g.n)]
-    pen = [inst.penalty[e] for e in edges]
-    # closers[i]: edges whose set of possible coverers ends at position i
-    closers = [[] for _ in range(m)]
-    for j in range(m):
-        last = max(pos[f] for f in nbhd[edges[j]])
-        closers[last].append(j)
-
-    best_key = None
-
-    def consider(edge_ids) -> None:
-        nonlocal best_key
-        sol = eds_solution(inst, edge_ids)
-        if is_inf(sol.total):
-            return
-        key = (sol.total, sol.edges)
-        if best_key is None or key < best_key:
-            best_key = key
-
-    # incumbent seeds: empty, everything, and a cheap greedy cover
-    consider(())
-    consider(tuple(edges))
-    by_star_cost = sorted(
-        edges, key=lambda e: (ew[pos[e]] + sum(nw[v] for v in g.ends(e)), e)
+    _, chosen = _cheapest(
+        [inst.edge_units[e] for e in edges],
+        [g.ends(e) for e in edges],
+        inst.node_units,
+        [([pos[f] for f in nbhd[e]], inst.penalty_units[e]) for e in edges],
     )
-    greedy, covered = [], 0
-    for e in by_star_cost:
-        if nb_mask[pos[e]] & ~covered:
-            greedy.append(e)
-            covered |= nb_mask[pos[e]]
-    consider(tuple(sorted(greedy)))
-
-    chosen: list = []
-
-    def dfs(i: int, covered: int, nodes: int, cost) -> None:
-        nonlocal best_key
-        if best_key is not None and cost > best_key[0]:
-            return
-        if i == m:
-            key = (cost, tuple(edges[j] for j in chosen))
-            if best_key is None or key < best_key:
-                best_key = key
-            return
-        # exclude edge i: penalties of edges with no remaining coverer are due
-        extra = ZERO
-        feasible = True
-        for j in closers[i]:
-            if not (covered >> j) & 1:
-                if is_inf(pen[j]):
-                    feasible = False
-                    break
-                extra += pen[j]
-        if feasible:
-            dfs(i + 1, covered, nodes, cost + extra)
-        # include edge i
-        ncost = cost + ew[i]
-        for v in _bits(node_mask[i] & ~nodes):
-            ncost += nw[v]
-        chosen.append(i)
-        dfs(i + 1, covered | nb_mask[i], nodes | node_mask[i], ncost)
-        chosen.pop()
-
-    dfs(0, 0, 0, ZERO)
-    assert best_key is not None
-    return eds_solution(inst, best_key[1])
+    return eds_solution(inst, [edges[i] for i in chosen])
 
 
 def brute_force_multicut(inst: MulticutInstance) -> Solution:
     """Minimize w(F) + w(V(F)) + sum of penalties of demands not cut by F.
 
-    Weights and finite penalties are scaled once to integers over their
-    common denominator.  The edge subsets are then walked in Gray-code
-    order, so each step adds or removes one edge and updates the running
-    cost, the per-node chosen-edge counts and the per-demand cut counts in
-    integers; memory stays linear in the instance.
+    A demand's members are the edges of its path.
     """
     tree = inst.tree
     edges = sorted(tree.edge_ids())
     _check_cap(len(edges), "edges")
-    m, k = len(edges), len(inst.demands)
-    finite = [d.penalty for d in inst.demands if not is_inf(d.penalty)]
-    values = [inst.edge_weight[e] for e in edges] + finite
-    values += [inst.node_weight[v] for v in range(tree.n)]
-    scale = lcm(*(int(x.denominator) for x in values))
-
-    def scaled(x) -> int:
-        return int(x.numerator) * (scale // int(x.denominator))
-
-    ew = [scaled(inst.edge_weight[e]) for e in edges]
-    nw = [scaled(inst.node_weight[v]) for v in range(tree.n)]
-    pen = [None if is_inf(d.penalty) else scaled(d.penalty) for d in inst.demands]
     pos = {e: i for i, e in enumerate(edges)}
-    through = [[] for _ in range(m)]  # demands whose path holds edge i
-    for j in range(k):
-        for e in inst.path_edges(j):
-            through[pos[e]].append(j)
-
-    fmask = 0
-    edge_cost = node_cost = 0
-    paid = sum(p for p in pen if p is not None)  # penalties of uncut demands
-    blocked = k - len(finite)  # uncut demands with infinite penalty
-    chosen_at = [0] * tree.n
-    cuts = [0] * k
-    best_cost, best_mask = None, 0
-    for step in range(1 << m):
-        if step:
-            i = (step & -step).bit_length() - 1
-            fmask ^= 1 << i
-            added = (fmask >> i) & 1
-            sign = 1 if added else -1
-            edge_cost += sign * ew[i]
-            # a count reaching 1 on an add, or 0 on a removal, flips a node
-            # into or out of V(F) and a demand between cut and uncut
-            for v in tree.ends(edges[i]):
-                chosen_at[v] += sign
-                if chosen_at[v] == added:
-                    node_cost += sign * nw[v]
-            for j in through[i]:
-                cuts[j] += sign
-                if cuts[j] == added:
-                    if pen[j] is None:
-                        blocked -= sign
-                    else:
-                        paid -= sign * pen[j]
-        if blocked:
-            continue  # cutting everything is finite, so skip
-        cost = edge_cost + node_cost + paid
-        if best_cost is None or cost < best_cost or (
-            cost == best_cost and list(_bits(fmask)) < list(_bits(best_mask))
-        ):
-            best_cost, best_mask = cost, fmask
-    assert best_cost is not None
-    return multicut_solution(inst, tuple(edges[i] for i in _bits(best_mask)))
+    _, ew, nw, pen = _to_units(
+        [_pair(inst.edge_weight[e]) for e in edges],
+        [_pair(inst.node_weight[v]) for v in range(tree.n)],
+        [_pair(d.penalty) for d in inst.demands],
+    )
+    _, chosen = _cheapest(
+        ew,
+        [tree.ends(e) for e in edges],
+        nw,
+        [([pos[e] for e in inst.path_edges(j)], p) for j, p in enumerate(pen)],
+    )
+    return multicut_solution(inst, [edges[i] for i in chosen])
 
 
 def brute_force_cover(inst: SetCoverInstance) -> ExtRat:
-    """Exhaustive minimum cover cost; INF when the instance is uncoverable."""
+    """Exhaustive minimum cover cost; INF when the instance is uncoverable.
+
+    Each set is an edge that touches no node, and each element a demand
+    with an infinite penalty whose members are the sets holding it.
+    """
     _check_cap(len(inst.sets), "sets")
-    target = (1 << inst.n_elements) - 1
-    masks = [sum(1 << x for x in members) for _, members in inst.sets]
-    costs = [cost for cost, _ in inst.sets]
-    best: ExtRat = INF
-    for pick in range(1 << len(inst.sets)):
-        covered = 0
-        cost = ZERO
-        for i in _bits(pick):
-            covered |= masks[i]
-            cost += costs[i]
-        if covered & target == target and cost < best:
-            best = cost
-    return best
+    holders = [[] for _ in range(inst.n_elements)]
+    for i, (_, members) in enumerate(inst.sets):
+        for x in members:
+            holders[x].append(i)
+    if not all(holders):
+        return INF
+    scale, costs = _to_units([_pair(cost) for cost, _ in inst.sets])
+    cost, _ = _cheapest(costs, [()] * len(costs), [], [(h, INF) for h in holders])
+    return Rat(cost, scale)
 
 
 def brute_force_facility_location(inst: FacilityLocationInstance) -> ExtRat:
