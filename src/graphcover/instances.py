@@ -123,8 +123,6 @@ class RootedTree:
             while queue:
                 v = queue.popleft()
                 for c in children[v]:
-                    if depth[c] != -1:
-                        raise InstanceError("parent map contains a cycle")
                     depth[c] = depth[v] + 1
                     order.append(c)
                     queue.append(c)
@@ -254,10 +252,10 @@ class EdsInstance:
     times ``scale``; INF stays INF.  Node units are indexed by node id,
     edge and penalty units by edge id; on a rooted tree the root's slot
     holds 0.  ``node_weight``, ``edge_weight`` and ``penalty`` give the
-    same values as dicts of rationals: an instance built from dicts keeps
-    the dicts it was given, and a parsed one builds read-only views of its
-    units on first use.  Each side is derived from the other once and
-    cached, so neither may be mutated.
+    same values as dicts of rationals: an instance built from dicts
+    computes its units once and keeps the dicts it was given, and a parsed
+    one builds read-only views of its units on first use.  Neither side
+    may be mutated.
     """
 
     def __init__(
@@ -273,61 +271,40 @@ class EdsInstance:
         for e, p in penalty.items():
             if not is_inf(p) and p.numerator < 0:
                 raise InstanceError(f"penalty of edge {e} must be nonnegative")
+        slots = range(_edge_slots(graph))
+        zero = (0, 1)
         self.graph = graph
+        self.scale, self.node_units, self.edge_units, self.penalty_units = _to_units(
+            [_pair(node_weight[v]) for v in range(graph.n)],
+            [_pair(edge_weight[e]) if e in edge_weight else zero for e in slots],
+            [_pair(penalty[e]) if e in penalty else zero for e in slots],
+        )
         self._dicts = (node_weight, edge_weight, penalty)
-        self._units = None
 
     @classmethod
     def _from_units(cls, graph: AnyGraph, scale: int, node_units, edge_units, penalty_units):
         """An instance over units that its maker has already checked."""
         inst = cls.__new__(cls)
         inst.graph = graph
+        inst.scale, inst.node_units = scale, node_units
+        inst.edge_units, inst.penalty_units = edge_units, penalty_units
         inst._dicts = None
-        inst._units = (scale, node_units, edge_units, penalty_units)
         return inst
-
-    def _unit_lists(self):
-        if self._units is None:
-            nw, ew, pen = self._dicts
-            slots = range(_edge_slots(self.graph))
-            zero = (0, 1)
-            self._units = _to_units(
-                [_pair(nw[v]) for v in range(self.graph.n)],
-                [_pair(ew[e]) if e in ew else zero for e in slots],
-                [_pair(pen[e]) if e in pen else zero for e in slots],
-            )
-        return self._units
 
     def _weight_dicts(self):
         if self._dicts is None:
-            scale, nw, ew, pen = self._units
+            scale = self.scale
 
             def rat(x):
                 return x if x is INF else Rat(x, scale)
 
             edges = self.graph.edge_ids()
             self._dicts = (
-                MappingProxyType({v: rat(x) for v, x in enumerate(nw)}),
-                MappingProxyType({e: rat(ew[e]) for e in edges}),
-                MappingProxyType({e: rat(pen[e]) for e in edges}),
+                MappingProxyType({v: rat(x) for v, x in enumerate(self.node_units)}),
+                MappingProxyType({e: rat(self.edge_units[e]) for e in edges}),
+                MappingProxyType({e: rat(self.penalty_units[e]) for e in edges}),
             )
         return self._dicts
-
-    @property
-    def scale(self) -> int:
-        return self._unit_lists()[0]
-
-    @property
-    def node_units(self) -> List[int]:
-        return self._unit_lists()[1]
-
-    @property
-    def edge_units(self) -> List[int]:
-        return self._unit_lists()[2]
-
-    @property
-    def penalty_units(self) -> List[Union[int, type(INF)]]:
-        return self._unit_lists()[3]
 
     @property
     def node_weight(self) -> Mapping[int, Rat]:
@@ -350,7 +327,10 @@ class EdsInstance:
         return (
             isinstance(other, EdsInstance)
             and self.graph == other.graph
-            and self._unit_lists() == other._unit_lists()
+            and self.scale == other.scale
+            and self.node_units == other.node_units
+            and self.edge_units == other.edge_units
+            and self.penalty_units == other.penalty_units
         )
 
     def __repr__(self):
