@@ -25,7 +25,9 @@ from .certificates import (
 from .eds_general import solve_eds_general
 from .eds_tree import solve_eds_tree
 from .instances import (
+    GEN_FLOAT_PARAMS,
     GEN_INT_PARAMS,
+    GEN_KINDS,
     InstanceError,
     ParseError,
     gen_instance,
@@ -52,17 +54,6 @@ EXIT_INTERNAL = 3
 #: The exit code each batch verdict calls for; ``batch`` exits with the
 #: highest one among its rows.
 _VERDICT_EXIT = {"fail": EXIT_VERIFY, "invalid": EXIT_USAGE, "error": EXIT_INTERNAL}
-
-_GEN_KINDS = (
-    "star-gap-eds",
-    "subdivided-star-multicut",
-    "random-tree-eds",
-    "random-tree-multicut",
-    "random-eds-general",
-    "random-set-cover",
-    "random-facility-location",
-)
-_GEN_FLOAT_PARAMS = ("inf_prob", "skip_prob")
 
 
 class _CliError(Exception):
@@ -178,7 +169,7 @@ def _gap_line(inst, relaxation: str) -> str:
 
 def _do_gen(args) -> int:
     params = {}
-    for name in GEN_INT_PARAMS + _GEN_FLOAT_PARAMS:
+    for name in GEN_INT_PARAMS + GEN_FLOAT_PARAMS:
         value = getattr(args, name)
         if value is not None:
             params[name] = value
@@ -281,12 +272,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser("gen", help="write a generated instance")
-    p.add_argument("kind", choices=_GEN_KINDS)
+    p.add_argument("kind", choices=GEN_KINDS)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--output", metavar="FILE")
     for name in GEN_INT_PARAMS:
         p.add_argument(f"--{name}", type=int, default=None)
-    for name in _GEN_FLOAT_PARAMS:
+    for name in GEN_FLOAT_PARAMS:
         p.add_argument(f"--{name}", type=float, default=None)
 
     p = sub.add_parser("batch", help="solve+oracle+verify every instance in a directory")

@@ -424,6 +424,8 @@ class SetCoverInstance:
     sets: List[Tuple[Rat, FrozenSet[int]]]
 
     def __post_init__(self):
+        if self.n_elements < 1:
+            raise InstanceError("set cover needs at least one element")
         for i, (cost, members) in enumerate(self.sets):
             if is_inf(cost) or cost < 0:
                 raise InstanceError(f"set {i} cost must be finite and nonnegative")
@@ -856,10 +858,16 @@ def serialize_instance(inst: AnyInstance) -> str:
 # generators
 
 
-#: The generator's counts and bounds, all integers that must be nonnegative.
+#: The generator's kinds, its counts and bounds (integers that must be
+#: nonnegative) and its probabilities.
+GEN_KINDS = (
+    "star-gap-eds", "subdivided-star-multicut", "random-tree-eds", "random-tree-multicut",
+    "random-eds-general", "random-set-cover", "random-facility-location",
+)
 GEN_INT_PARAMS = (
     "n", "m", "k", "wmax", "pmax", "cmax", "omax", "dmax", "clients", "facilities",
 )
+GEN_FLOAT_PARAMS = ("inf_prob", "skip_prob")
 
 
 def gen_instance(kind: str, seed: int = 0, **params) -> AnyInstance:

@@ -24,6 +24,12 @@ every optimum, so dropping those columns leaves the optimal face, and the
 same rules pivot on under the tie-break.  Where the tie-break has one
 minimiser on that face, the vertex is that one, whatever the pivot path.
 
+Models hold nonnegative variables and ``<=`` or ``>=`` rows only, so each
+variable is one tableau column and each row has one slack (``<=``) or
+surplus (``>=``) column after them; a row is first negated if its rhs is
+negative, or zero under ``>=``, so artificial columns serve only ``>=``
+rows with a positive rhs.
+
 :func:`dual_model` builds a model's exact LP dual, solved by the same
 simplex.  Callers that need only an optimal value (the relaxation values
 and the eds-general lower-bound check) solve the dual of their covering
@@ -55,7 +61,7 @@ class LpFormatError(ValueError):
 class LinearConstraint:
     name: str
     coeffs: Dict[str, object]  # var name -> Rat
-    relation: str  # "<=", ">=" or "=="
+    relation: str  # "<=" or ">="
     rhs: object  # Rat
 
 
@@ -71,24 +77,27 @@ class LpResult:
 
 @dataclass
 class LpModel:
-    """A named LP: ordered variables, linear constraints, one objective,
-    and a tie-break objective minimised over the objective's optima."""
+    """A named LP: ordered nonnegative variables, ``<=`` and ``>=`` rows,
+    one objective, and a tie-break objective minimised over the objective's
+    optima."""
 
     name: str
     sense: str = "min"
     variables: List[str] = field(default_factory=list)
-    nonneg: Dict[str, bool] = field(default_factory=dict)
     objective: Dict[str, object] = field(default_factory=dict)
     constraints: List[LinearConstraint] = field(default_factory=list)
     tiebreak: Dict[str, object] = field(default_factory=dict)
 
-    def add_var(self, name: str, nonneg: bool = True, obj=ZERO, tiebreak=ZERO) -> str:
-        if name in self.nonneg:
+    def __post_init__(self):
+        self._names = set(self.variables)
+
+    def add_var(self, name: str, obj=ZERO, tiebreak=ZERO) -> str:
+        if name in self._names:
             raise LpFormatError(f"duplicate variable {name!r}")
         _check_finite(obj, f"objective coefficient of {name}")
         _check_finite(tiebreak, f"tie-break coefficient of {name}")
         self.variables.append(name)
-        self.nonneg[name] = nonneg
+        self._names.add(name)
         if obj != 0:
             self.objective[name] = _rat(obj)
         if tiebreak != 0:
@@ -96,12 +105,12 @@ class LpModel:
         return name
 
     def add_constraint(self, name: str, coeffs: Dict[str, object], relation: str, rhs) -> None:
-        if relation not in ("<=", ">=", "=="):
+        if relation not in ("<=", ">="):
             raise LpFormatError(f"bad relation {relation!r}")
         _check_finite(rhs, f"rhs of {name}")
         clean = {}
         for var, c in coeffs.items():
-            if var not in self.nonneg:
+            if var not in self._names:
                 raise LpFormatError(f"constraint {name!r} references unknown variable {var!r}")
             _check_finite(c, f"coefficient of {var} in {name}")
             if c != 0:
@@ -112,14 +121,14 @@ class LpModel:
 def dual_model(model: LpModel) -> LpModel:
     """The LP dual of ``model``, whose optimal value equals the primal's.
 
-    For a ``min`` primal, each ``>=`` row becomes a dual variable y >= 0
-    (a ``<=`` row is read as its negation, and an ``==`` row gives a free
-    y); each nonnegative primal variable becomes a row ``<= c_j`` and each
-    free one a row ``== c_j``; the objective is max b.y.  A ``max`` primal
-    is negated first and the dual's objective negated back, so the dual is
-    a ``min`` with the same optimal value.  The dual's variables are named
-    by the primal rows, in row order, and its rows by the primal variables,
-    in variable order; the name is the primal's, and a tie-break is dropped.
+    The symmetric dual: for a ``min`` primal, each ``>=`` row becomes a
+    dual variable y >= 0 (a ``<=`` row is read as its negation), each
+    primal variable a row ``<= c_j``, and the objective is max b.y.  A
+    ``max`` primal is negated first and the dual's objective negated back,
+    so the dual is a ``min`` with the same optimal value.  The dual's
+    variables are named by the primal rows, in row order, and its rows by
+    the primal variables, in variable order; the name is the primal's, and
+    a tie-break is dropped.
 
     For a covering primal (``>=`` rows, c >= 0) the dual starts feasible
     from its all-slack basis, so it needs no phase I.  By strong duality a
@@ -133,25 +142,15 @@ def dual_model(model: LpModel) -> LpModel:
     columns: Dict[str, Dict[str, object]] = {v: {} for v in model.variables}
     for con in model.constraints:
         y = con.name
-        if y in dual.nonneg:
+        if y in dual._names:
             raise LpFormatError(f"duplicate constraint name {y!r}")
         s = -1 if con.relation == "<=" else 1
-        dual.variables.append(y)
-        dual.nonneg[y] = con.relation != "=="
-        if con.rhs != 0:
-            dual.objective[y] = con.rhs if sign == s else -con.rhs
+        dual.add_var(y, obj=con.rhs if sign == s else -con.rhs)
         for var, coef in con.coeffs.items():
             columns[var][y] = coef if s == 1 else -coef
     for var in model.variables:
         c = model.objective.get(var, ZERO)
-        dual.constraints.append(
-            LinearConstraint(
-                var,
-                columns[var],
-                "<=" if model.nonneg[var] else "==",
-                c if sign == 1 else -c,
-            )
-        )
+        dual.constraints.append(LinearConstraint(var, columns[var], "<=", c if sign == 1 else -c))
     return dual
 
 
@@ -175,54 +174,29 @@ def simplex_solve(model: LpModel) -> LpResult:
     if model.sense not in ("min", "max"):
         raise LpFormatError(f"bad sense {model.sense!r}")
 
-    # Column layout: one column per nonnegative variable, a (+,-) pair per
-    # free variable, then one slack/surplus column per inequality row, then
-    # artificial columns.
-    col_of: Dict[str, int] = {}
-    neg_col_of: Dict[str, int] = {}
-    ncols = 0
-    for v in model.variables:
-        col_of[v] = ncols
-        ncols += 1
-        if not model.nonneg[v]:
-            neg_col_of[v] = ncols
-            ncols += 1
-
+    # Column layout: variable j is column j, the slack or surplus column of
+    # row i is ncols + i, and the artificial columns follow.
+    col_of = {v: j for j, v in enumerate(model.variables)}
+    ncols = len(col_of)
+    art_start = ncols + len(model.constraints)
     tab: List[_Row] = []
-    kinds: List[str] = []
-    for con in model.constraints:
-        cells = {}
-        for var, c in con.coeffs.items():
-            cells[col_of[var]] = c
-            if var in neg_col_of:
-                cells[neg_col_of[var]] = -c
-        row = _integer_row(cells, con.rhs)
-        rel = con.relation
-        if row.b < 0:
-            _negate(row)
-            rel = {"<=": ">=", ">=": "<=", "==": "=="}[rel]
-        if rel == ">=" and row.b == 0:
-            _negate(row)
-            rel = "<="
-        tab.append(row)
-        kinds.append(rel)
-
-    art_start = ncols + sum(rel != "==" for rel in kinds)
     basis: List[int] = []
-    c = ncols
     a = art_start
-    for row, rel in zip(tab, kinds):
-        if rel == "<=":
-            row.a[c] = row.d
-            basis.append(c)
-            c += 1
-        else:
-            if rel == ">=":
-                row.a[c] = -row.d
-                c += 1
+    for i, con in enumerate(model.constraints):
+        row = _integer_row({col_of[var]: c for var, c in con.coeffs.items()}, con.rhs)
+        ge = con.relation == ">="
+        if row.b < 0 or (ge and row.b == 0):
+            _negate(row)
+            ge = not ge
+        if ge:
+            row.a[ncols + i] = -row.d
             row.a[a] = row.d
             basis.append(a)
             a += 1
+        else:
+            row.a[ncols + i] = row.d
+            basis.append(ncols + i)
+        tab.append(row)
 
     # ---- phase I ----
     if a > art_start:
@@ -237,22 +211,15 @@ def simplex_solve(model: LpModel) -> LpResult:
         if any(row.b for row, col in zip(tab, basis) if col >= art_start):
             return LpResult(INFEASIBLE)
         _drive_out_artificials(tab, basis, art_start)
-        # Drop rows that stayed artificial-basic (redundant constraints), and
-        # the artificial columns, which never enter again.
-        keep = [i for i, col in enumerate(basis) if col < art_start]
-        tab = [tab[i] for i in keep]
-        basis = [basis[i] for i in keep]
+        # the artificial columns never enter again
         for row in tab:
             row.a = {j: x for j, x in row.a.items() if j < art_start}
 
     def priced(objective: Dict[str, object], sign: int, dropped=()) -> _Row:
         """``sign * objective`` as a cost row in the current basis, less ``dropped``."""
-        cells = {}
-        for var, coef in objective.items():
-            cells[col_of[var]] = sign * coef
-            if var in neg_col_of:
-                cells[neg_col_of[var]] = -sign * coef
-        cost = _integer_row({j: x for j, x in cells.items() if j not in dropped})
+        cost = _integer_row(
+            {col_of[v]: sign * c for v, c in objective.items() if col_of[v] not in dropped}
+        )
         for row, col in zip(tab, basis):
             if col in cost.a:
                 _eliminate(cost, row, col)
@@ -274,10 +241,7 @@ def simplex_solve(model: LpModel) -> LpResult:
     assignment = {}
     objective_value = ZERO
     for var in model.variables:
-        x = vals.get(col_of[var], ZERO)
-        if var in neg_col_of:
-            x = x - vals.get(neg_col_of[var], ZERO)
-        assignment[var] = x
+        x = assignment[var] = vals.get(col_of[var], ZERO)
         coef = model.objective.get(var)
         if coef is not None:
             objective_value = objective_value + coef * x
@@ -407,10 +371,12 @@ def _pivot(tab: List[_Row], basis: List[int], cost: _Row, r: int, c: int) -> Non
 
 
 def _drive_out_artificials(tab: List[_Row], basis: List[int], art_start: int) -> None:
-    """Pivot each artificial-basic row on its least nonzero real column."""
+    """Pivot each artificial-basic row on its least nonzero real column.
+
+    Every row has one: each row's slack or surplus column gives the real
+    columns full row rank, so no row is redundant.
+    """
     no_cost = _Row({})
     for i, row in enumerate(tab):
         if basis[i] >= art_start:
-            cols = [j for j in row.a if j < art_start]
-            if cols:
-                _pivot(tab, basis, no_cost, i, min(cols))
+            _pivot(tab, basis, no_cost, i, min(j for j in row.a if j < art_start))

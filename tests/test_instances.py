@@ -24,7 +24,7 @@ from graphcover import (
     serialize_certificate,
     serialize_instance,
 )
-from graphcover.instances import edge_neighborhoods, problem_kind
+from graphcover.instances import GEN_KINDS, edge_neighborhoods, problem_kind
 from graphcover.rationals import ZERO, ext_sum, is_inf
 
 from _support import edited_texts, small_eds, small_multicuts
@@ -564,6 +564,12 @@ def test_star_kinds_need_two_leaves():
         gen_instance("subdivided-star-multicut", n=1)
 
 
+@pytest.mark.parametrize("kind", GEN_KINDS)
+def test_every_generator_kind_runs_with_default_parameters(kind):
+    text = serialize_instance(gen_instance(kind))
+    assert serialize_instance(parse_instance(text)) == text
+
+
 def test_unknown_kind_rejected():
     with pytest.raises(InstanceError):
         gen_instance("no-such-kind")
@@ -601,6 +607,11 @@ def test_big_m_value():
     fl = FacilityLocationInstance(1, 1, [Rat(2)], {(0, 0): Rat(3)})
     red = reduce_to_eds(fl)
     assert red.big_m == 1 + 2 + 3
+
+
+def test_set_cover_needs_an_element():
+    with pytest.raises(InstanceError, match="at least one element"):
+        SetCoverInstance(0, [])
 
 
 def test_empty_family_is_big_m_dominated():

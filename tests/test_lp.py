@@ -62,32 +62,15 @@ def test_fractional_optimum_is_exact():
     assert res["x"] == Rat(1, 3) and res["y"] == Rat(1, 3)
 
 
-def test_equality_constraints_and_free_variables():
-    # min |style| problem with a free variable pinned by equalities.
-    m = LpModel("t6")
-    m.add_var("x", nonneg=False, obj=Rat(1))
-    m.add_var("y", obj=Rat(2))
-    m.add_constraint("eq", {"x": Rat(1), "y": Rat(1)}, "==", Rat(4))
-    m.add_constraint("lo", {"y": Rat(1)}, ">=", Rat(1))
-    res = simplex_solve(m)
-    assert res.status == OPTIMAL
-    # x = 4 - y, objective = 4 - y + 2y = 4 + y, minimized at y = 1.
-    assert res.value == 5
-    assert res["x"] == 3 and res["y"] == 1
-
-
 def _check_assignment(model, res):
     for c in model.constraints:
         lhs = sum((coef * res.assignment[v] for v, coef in c.coeffs.items()), ZERO)
         if c.relation == "<=":
             assert lhs <= c.rhs, c.name
-        elif c.relation == ">=":
-            assert lhs >= c.rhs, c.name
         else:
-            assert lhs == c.rhs, c.name
+            assert lhs >= c.rhs, c.name
     for v in model.variables:
-        if model.nonneg[v]:
-            assert res.assignment[v] >= 0
+        assert res.assignment[v] >= 0
     obj = sum(
         (coef * res.assignment[v] for v, coef in model.objective.items()), ZERO
     )
@@ -140,26 +123,20 @@ def test_float_coefficients_rejected():
         m.add_constraint("c", {"x": 0.5}, ">=", ZERO)
 
 
-def test_bad_relation_rejected():
+@pytest.mark.parametrize("relation", [">", "=="])
+def test_bad_relation_rejected(relation):
     m = LpModel("rel")
     m.add_var("x")
     with pytest.raises(LpFormatError):
-        m.add_constraint("c", {"x": Rat(1)}, ">", ZERO)
+        m.add_constraint("c", {"x": Rat(1)}, relation, ZERO)
 
 
 # -- against exhaustive vertex enumeration ------------------------------------
 
 
-def _columns(model):
-    """(variable, sign) per structural column: a (+, -) pair per free
-    variable."""
-    cols = [(v, 1) for v in model.variables]
-    return cols + [(v, -1) for v in model.variables if not model.nonneg[v]]
-
-
 def _costs(model, objective, width, sign=1):
     """``sign * objective`` as a standard-form cost vector."""
-    c = [sign * s * Fraction(objective.get(v, 0)) for v, s in _columns(model)]
+    c = [sign * Fraction(objective.get(v, 0)) for v in model.variables]
     return c + [Fraction(0)] * (width - len(c))
 
 
@@ -168,18 +145,15 @@ def _dot(c, y):
 
 
 def _standard_form(model):
-    """``A y = b, y >= 0, minimise c.y``: a (+, -) column pair per free
-    variable, then one slack column per inequality row, all in Fraction."""
-    cols = _columns(model)
-    width = len(cols) + sum(con.relation != "==" for con in model.constraints)
+    """``A y = b, y >= 0, minimise c.y``: one column per variable, then one
+    slack column per row, all in Fraction."""
+    nv = len(model.variables)
+    width = nv + len(model.constraints)
     a_rows, b = [], []
-    slack = len(cols)
-    for con in model.constraints:
-        row = [s * Fraction(con.coeffs.get(v, 0)) for v, s in cols]
-        row += [Fraction(0)] * (width - len(cols))
-        if con.relation != "==":
-            row[slack] = Fraction(1 if con.relation == "<=" else -1)
-            slack += 1
+    for i, con in enumerate(model.constraints):
+        row = [Fraction(con.coeffs.get(v, 0)) for v in model.variables]
+        row += [Fraction(0)] * (width - nv)
+        row[nv + i] = Fraction(1 if con.relation == "<=" else -1)
         a_rows.append(row)
         b.append(Fraction(con.rhs))
     sign = 1 if model.sense == "min" else -1
@@ -249,10 +223,7 @@ def _tiebreak_enumeration(model):
     minimisers = set()
     for y in face:
         if _dot(t, y) == least:
-            x = dict.fromkeys(model.variables, Fraction(0))
-            for (v, s), yj in zip(_columns(model), y):
-                x[v] += s * yj
-            minimisers.add(tuple(x.items()))
+            minimisers.add(tuple(zip(model.variables, y)))
     return least, [dict(x) for x in minimisers]
 
 
@@ -265,18 +236,16 @@ _rationals = st.one_of(
 
 @st.composite
 def _small_models(draw):
-    """At most 3 variables (some free) and 5 rows of every relation; zero
-    and negative right-hand sides are common, and so are ties for the
-    objective's optimum that the tie-break objective has to settle."""
+    """At most 3 variables and 5 rows of either relation; zero and negative
+    right-hand sides are common, and so are ties for the objective's optimum
+    that the tie-break objective has to settle."""
     nv = draw(st.integers(1, 3))
     model = LpModel("prop", sense=draw(st.sampled_from(["min", "max"])))
     for i in range(nv):
-        model.add_var(
-            f"x{i}", nonneg=draw(st.booleans()), obj=draw(_rationals), tiebreak=draw(_rationals)
-        )
+        model.add_var(f"x{i}", obj=draw(_rationals), tiebreak=draw(_rationals))
     for j in range(draw(st.integers(1, 5))):
         coeffs = {f"x{i}": draw(_rationals) for i in range(nv)}
-        relation = draw(st.sampled_from(["<=", ">=", "=="]))
+        relation = draw(st.sampled_from(["<=", ">="]))
         model.add_constraint(f"c{j}", coeffs, relation, draw(st.one_of(st.just(ZERO), _rationals)))
     return model
 
@@ -324,21 +293,21 @@ def test_dual_model_obeys_strong_duality(model):
 def test_dual_model_transposes_and_keeps_the_name():
     m = LpModel("fam", sense="max")
     m.add_var("x", obj=Rat(2))
-    m.add_var("f", nonneg=False, obj=Rat(-1))
+    m.add_var("f", obj=Rat(-1))
     m.add_constraint("ge", {"x": Rat(1), "f": Rat(3)}, ">=", Rat(1))
     m.add_constraint("le", {"x": Rat(1, 2)}, "<=", Rat(4))
-    m.add_constraint("eq", {"f": Rat(1)}, "==", ZERO)
+    m.add_constraint("cap", {"x": Rat(1), "f": Rat(-1)}, "<=", ZERO)
     d = dual_model(m)
-    assert (d.name, d.sense, d.variables) == ("fam", "min", ["ge", "le", "eq"])
-    assert d.nonneg == {"ge": True, "le": True, "eq": False}
+    assert (d.name, d.sense, d.variables) == ("fam", "min", ["ge", "le", "cap"])
     # the max primal is negated: a "<=" row flips its sign twice, and the
-    # rows read <= -c (== -c for the free f)
+    # rows read <= -c; a zero rhs leaves no objective term
     assert d.objective == {"ge": Rat(-1), "le": Rat(4)}
     assert [(c.name, c.coeffs, c.relation, c.rhs) for c in d.constraints] == [
-        ("x", {"ge": Rat(1), "le": Rat(-1, 2)}, "<=", Rat(-2)),
-        ("f", {"ge": Rat(3), "eq": Rat(1)}, "==", Rat(1)),
+        ("x", {"ge": Rat(1), "le": Rat(-1, 2), "cap": Rat(-1)}, "<=", Rat(-2)),
+        ("f", {"ge": Rat(3), "cap": Rat(1)}, "<=", Rat(1)),
     ]
-    assert simplex_solve(d).value == simplex_solve(m).value == 16
+    # x <= 8 from "le", f >= x from "cap": 2x - f peaks at x = f = 8
+    assert simplex_solve(d).value == simplex_solve(m).value == 8
 
 
 def test_dual_model_rejects_duplicate_row_names():

@@ -267,12 +267,11 @@ def test_corrupted_write_caught_at_its_own_step(monkeypatch):
 def _two_solve_step(model):
     """A step LP solved as two LPs: the largest step, then, with the step
     pinned, the least total move, which the tie-break stands for."""
-    plain = LpModel(model.name, model.sense, model.variables, model.nonneg,
-                    model.objective, model.constraints)
+    plain = LpModel(model.name, model.sense, model.variables, model.objective, model.constraints)
     first = lp.simplex_solve(plain)
-    refine = LpModel("refine", "min", model.variables, model.nonneg,
-                     model.tiebreak, list(model.constraints))
-    refine.add_constraint("pin_eps", {"eps": ONE}, "==", first.value)
+    refine = LpModel("refine", "min", model.variables, model.tiebreak, list(model.constraints))
+    refine.add_constraint("pin_eps_lo", {"eps": ONE}, ">=", first.value)
+    refine.add_constraint("pin_eps_hi", {"eps": ONE}, "<=", first.value)
     return first, lp.simplex_solve(refine)
 
 
@@ -305,10 +304,12 @@ def test_step_tiebreak_matches_two_solves(monkeypatch):
 
 def _model_text(model):
     """Every part of an LpModel that the simplex reads, one line per row;
-    a row's coefficients are listed in variable order."""
+    a row's coefficients are listed in variable order.  Each variable is
+    written as ``name:1``, the nonnegativity mark the pinned digests were
+    taken with."""
     lines = [
         f"{model.name} {model.sense}",
-        " ".join(f"{v}:{int(model.nonneg[v])}" for v in model.variables),
+        " ".join(f"{v}:1" for v in model.variables),
         " ".join(f"{v}:{fmt_rat(c)}" for v, c in sorted(model.objective.items())),
         " ".join(f"{v}:{fmt_rat(c)}" for v, c in sorted(model.tiebreak.items())),
     ]

@@ -19,6 +19,8 @@ from graphcover import (
     brute_force_facility_location,
     brute_force_multicut,
     gen_instance,
+    parse_instance,
+    serialize_instance,
 )
 from graphcover.instances import FacilityLocationInstance, eds_solution, multicut_solution
 from graphcover.oracle import _bits
@@ -170,9 +172,9 @@ def test_eds_matches_rational_enumeration(inst):
 def small_covers(draw):
     """Set-cover instances of up to 8 sets over up to 5 elements, zero and
     fractional costs, some with an element that no set holds."""
-    n = draw(st.integers(0, 5))
-    members = st.frozensets(st.integers(0, n - 1), min_size=1) if n else st.nothing()
-    sets = draw(st.lists(st.tuples(_weights, members), max_size=8 if n else 0))
+    n = draw(st.integers(1, 5))
+    members = st.frozensets(st.integers(0, n - 1), min_size=1)
+    sets = draw(st.lists(st.tuples(_weights, members), max_size=8))
     return SetCoverInstance(n, sets)
 
 
@@ -189,6 +191,12 @@ def test_cover_matches_rational_enumeration(inst):
         ],
     )
     assert brute_force_cover(inst) == (INF if best is None else best[0])
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(small_covers())
+def test_cover_round_trips_through_its_file(inst):
+    assert parse_instance(serialize_instance(inst)) == inst
 
 
 # -- set cover / edge cover / facility location -----------------------------
