@@ -1,15 +1,19 @@
-"""Approximate edge domination on general graphs via edge cover.
+"""Approximate edge domination on general graphs via facility location.
 
-The solver rounds an exactly-solved fractional relaxation.  Nodes carrying at
-least a quarter of fractional edge mass form a demand set; giving each such
-node an incident chosen edge is a weighted edge-cover problem; and edge cover
-on a normalized instance (demand nodes weightless and pairwise non-adjacent)
-is facility location, solved greedily by best-ratio stars.  Every run checks
-the inequalities that chain these stages together:
+The solver rounds the vertex of the exactly-solved strengthened relaxation.
+Nodes carrying at least a quarter of fractional edge mass are heavy, and
+giving each heavy node an incident chosen edge is an edge-cover problem.
+That edge cover is built straight as facility location: the heavy nodes are
+the clients, each light neighbour of a heavy node is a facility opened at
+its node weight and reached along its edges, and each edge joining two
+heavy nodes is a facility opened at the edge's weight that serves both
+ends for free.  The greedy rule buys best-ratio stars (Hochbaum, *Math.
+Programming* 22, 1982).  Every run checks the inequalities that chain these
+stages together:
 
-* the edge-cover relaxation of the built instance costs at most four times
-  the fractional edge- and node-weight mass,
-* the greedy cover costs at most H(#demand nodes) times that relaxation,
+* the edge-cover relaxation of the facility-location instance costs at
+  most four times the fractional edge- and node-weight mass,
+* the greedy cover costs at most H(#heavy nodes) times that relaxation,
 * the paid penalty is at most twice the fractional penalty mass.
 
 ``solve_eds_general`` reports the solution, the relaxation value it was
@@ -22,10 +26,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Set, Tuple
 
 from .instances import (
-    EdgeCoverInstance,
     EdsInstance,
     FacilityLocationInstance,
-    Graph,
     InstanceError,
     Solution,
     edge_neighborhoods,
@@ -61,94 +63,51 @@ class Star:
     cost: Rat
 
 
-def build_edge_cover_instance(inst: EdsInstance, x: Dict[int, Rat]) -> EdgeCoverInstance:
-    """Edge-cover instance whose demand nodes are the heavy nodes of ``x``.
+def heavy_facility_location(
+    inst: EdsInstance, x: Dict[int, Rat]
+) -> Tuple[FacilityLocationInstance, List[int], Dict[Tuple[int, int], int]]:
+    """Facility location whose clients are the heavy nodes of ``x``.
 
     A node is heavy when its incident edges carry total fractional mass at
     least 1/4; any solution good against the relaxation can afford to touch
-    all of them.  Heavy nodes get weight zero (every cover pays for them
-    anyway), and each edge joining two heavy nodes is split by a fresh middle
-    node carrying the edge's weight, with weightless halves, so that the
-    demand set ends up pairwise non-adjacent.  ``edge_origin`` maps every
-    edge of the result back to the edge of ``inst`` it stands for.
+    all of them.  Each light node next to a heavy node is a facility opened
+    at its node weight, serving its heavy neighbours at the weights of the
+    edges between them.  After those, each edge joining two heavy nodes, by
+    edge id, is a facility opened at the edge's weight that serves both
+    ends at no cost.  Returns the instance, the node behind each client,
+    and the edge of ``inst`` behind each (client, facility) pair.
     """
     g = inst.graph
-    load = {
-        v: sum((x[e] for e in g.incident(v)), ZERO) for v in range(g.n)
-    }
-    demand = frozenset(v for v in range(g.n) if load[v] >= QUARTER)
-    node_w = {v: (ZERO if v in demand else inst.node_weight[v]) for v in range(g.n)}
-    edges: List[Tuple[int, int]] = []
-    edge_w: Dict[int, Rat] = {}
-    origin: Dict[int, int] = {}
-    next_node = g.n
-    for e in sorted(g.edge_ids()):
-        u, v = g.ends(e)
-        if u in demand and v in demand:
-            s = next_node
-            next_node += 1
-            node_w[s] = inst.edge_weight[e]
-            for a, b in ((u, s), (s, v)):
-                eid = len(edges)
-                edges.append((a, b))
-                edge_w[eid] = ZERO
-                origin[eid] = e
-        else:
-            eid = len(edges)
-            edges.append((u, v))
-            edge_w[eid] = inst.edge_weight[e]
-            origin[eid] = e
-    graph = Graph(next_node, edges)
-    return EdgeCoverInstance(graph, demand, node_w, edge_w, origin)
-
-
-def edge_cover_to_facility_location(
-    cover: EdgeCoverInstance,
-) -> Tuple[FacilityLocationInstance, List[int], List[int], Dict[Tuple[int, int], int]]:
-    """View a normalized edge-cover instance as facility location.
-
-    Demand nodes become clients, their neighbours become facilities; an edge
-    between the two becomes a connection priced at the edge weight, and a
-    facility's opening cost is its node weight.  Requires the normalized
-    shape: demand nodes weightless and pairwise non-adjacent.  Returns the
-    instance, the node ids behind client and facility indices, and the map
-    from (client index, facility index) to the edge id realizing it.
-    """
-    g = cover.graph
-    clients = sorted(cover.cover_nodes)
-    client_index = {v: i for i, v in enumerate(clients)}
-    facility_nodes: Set[int] = set()
-    for v in clients:
-        if cover.node_weight[v] != ZERO:
-            raise InstanceError(f"demand node {v} must have weight zero")
-        if not g.incident(v):
-            raise InstanceError(f"infeasible: demand node {v} is isolated")
-        for e in g.incident(v):
-            a, b = g.ends(e)
-            other = b if a == v else a
-            if other in cover.cover_nodes:
-                raise InstanceError(
-                    f"demand nodes {v} and {other} are adjacent; subdivide first"
-                )
-            facility_nodes.add(other)
-    facilities = sorted(facility_nodes)
-    facility_index = {v: i for i, v in enumerate(facilities)}
+    clients = [
+        v for v in range(g.n) if sum((x[e] for e in g.incident(v)), ZERO) >= QUARTER
+    ]
+    client_of = {v: i for i, v in enumerate(clients)}
+    lights = sorted(
+        {w for v in clients for e in g.incident(v) for w in g.ends(e)} - client_of.keys()
+    )
+    joins = [e for e in sorted(g.edge_ids()) if all(w in client_of for w in g.ends(e))]
+    facility_of = {w: f for f, w in enumerate(lights)}
+    join_of = {e: len(lights) + j for j, e in enumerate(joins)}
     conn: Dict[Tuple[int, int], Rat] = {}
     edge_of: Dict[Tuple[int, int], int] = {}
-    for v in clients:
+    for i, v in enumerate(clients):
         for e in sorted(g.incident(v)):
-            a, b = g.ends(e)
-            other = b if a == v else a
-            key = (client_index[v], facility_index[other])
-            conn[key] = cover.edge_weight[e]
+            if e in join_of:
+                key = (i, join_of[e])
+                conn[key] = ZERO
+            else:
+                a, b = g.ends(e)
+                key = (i, facility_of[b if a == v else a])
+                conn[key] = inst.edge_weight[e]
             edge_of[key] = e
     fl = FacilityLocationInstance(
         n_clients=len(clients),
-        n_facilities=len(facilities),
-        opening=[cover.node_weight[f] for f in facilities],
+        n_facilities=len(lights) + len(joins),
+        opening=[inst.node_weight[w] for w in lights]
+        + [inst.edge_weight[e] for e in joins],
         conn=conn,
     )
-    return fl, clients, facilities, edge_of
+    return fl, clients, edge_of
 
 
 def greedy_facility_location(
@@ -212,28 +171,21 @@ def solve_eds_general(inst: EdsInstance) -> Tuple[Solution, Rat, Rat]:
     lower = res.value
     ratio = FOUR * harmonic(g.n)
 
-    cover = build_edge_cover_instance(inst, xe)
+    fl, clients, edge_of = heavy_facility_location(inst, xe)
     frac_cost = sum((inst.edge_weight[e] * xe[e] for e in xe), ZERO) + sum(
         (inst.node_weight[v] * xv[v] for v in xv), ZERO
     )
-    cover_lp = relaxation_value(cover, "edge-cover")
+    cover_lp = relaxation_value(fl, "edge-cover")
     assert cover_lp <= FOUR * frac_cost, "edge-cover relaxation exceeds 4x fractional mass"
 
-    chosen: Set[int] = set()
-    if cover.cover_nodes:
-        fl, clients, _, edge_of = edge_cover_to_facility_location(cover)
-        _, assignment, greedy_cost = greedy_facility_location(fl)
-        assert greedy_cost <= harmonic(len(clients)) * cover_lp, (
-            "greedy cover exceeds harmonic times its relaxation"
-        )
-        lifted = {
-            cover.edge_origin[edge_of[(i, assignment[i])]]
-            for i in range(fl.n_clients)
-        }
-        # Several lifted edges can touch one demand node; it keeps only its
-        # lowest-indexed one, which leaves every demand node covered.
-        for v in clients:
-            chosen.add(min(e for e in lifted if v in g.ends(e)))
+    _, assignment, greedy_cost = greedy_facility_location(fl)
+    assert greedy_cost <= harmonic(len(clients)) * cover_lp, (
+        "greedy cover exceeds harmonic times its relaxation"
+    )
+    lifted = {edge_of[(i, f)] for i, f in assignment.items()}
+    # Several lifted edges can touch one heavy node; it keeps only its
+    # lowest-indexed one, which leaves every heavy node covered.
+    chosen = {min(e for e in lifted if v in g.ends(e)) for v in clients}
 
     solution = eds_solution(inst, chosen)
     nbhd = edge_neighborhoods(g)

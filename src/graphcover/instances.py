@@ -457,28 +457,6 @@ class FacilityLocationInstance:
                 raise InstanceError(f"connection cost ({v},{f}) must be finite and nonnegative")
 
 
-@dataclass
-class EdgeCoverInstance:
-    """Choose edges so that every marked node has an incident chosen edge.
-
-    ``edge_origin`` is set when the instance was derived from another graph by
-    subdividing edges: it maps each edge id here to the source edge it stands
-    for (both halves of a subdivided edge map to the same source edge).
-    """
-
-    graph: AnyGraph
-    cover_nodes: FrozenSet[int]
-    node_weight: Dict[int, Rat]
-    edge_weight: Dict[int, Rat]
-    edge_origin: Optional[Dict[int, int]] = None
-
-    def __post_init__(self):
-        _check_weights(self.graph, self.node_weight, self.edge_weight)
-        for v in self.cover_nodes:
-            if not (0 <= v < self.graph.n):
-                raise InstanceError(f"cover node {v} out of range")
-
-
 @dataclass(frozen=True)
 class Solution:
     """An edge set with its objective breakdown."""

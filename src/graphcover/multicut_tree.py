@@ -678,8 +678,8 @@ def increase_iteration(state: IncreaseState, i: int) -> IncreaseState:
     assert state.edge_set[i].isdisjoint(state.F), "demand already covered"
     _minimize_nu(state)
     # generous stall guard: a legitimate run saturates at least one new
-    # capacity per step, and there are |E| + |V| of them per demand round
-    cap = (len(inst.tree.edge_ids()) + inst.tree.n) * (len(inst.demands) + 1)
+    # capacity per step, and there are |E| + |V| = 2n - 1 of them per demand round
+    cap = (2 * inst.tree.n - 1) * (len(inst.demands) + 1)
     steps = 0
     while True:
         state.snapshot()

@@ -19,8 +19,8 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from .instances import (
-    EdgeCoverInstance,
     EdsInstance,
+    FacilityLocationInstance,
     InstanceError,
     MulticutInstance,
     edge_neighborhoods,
@@ -59,14 +59,17 @@ def build_relaxation(inst, kind: str) -> LpModel:
     rows sum_{e in C} y(C,e) >= 1 - z(C), x(v) >= sum of y(C,e) over
     member edges incident to v, and x(e) >= y(C,e).
 
-    edge-cover: for an EdgeCoverInstance, rows sum_{e at v} x(e) >= 1 for
-    each demand node v, and x(v) >= x(e) for e incident to v.
+    edge-cover: for a FacilityLocationInstance, variables y(f) at the
+    opening costs and x(v,f) at the connection costs, rows
+    sum_f x(v,f) >= 1 for each client v and y(f) >= x(v,f) for each pair.
+    eds-general builds it for the edge cover of its heavy nodes, whose
+    facilities are their light neighbours and the edges joining two of them.
     """
     if kind not in RELAXATION_KINDS:
         raise InstanceError(f"unknown relaxation kind {kind!r}")
     if kind == "edge-cover":
-        if not isinstance(inst, EdgeCoverInstance):
-            raise InstanceError("edge-cover relaxation needs an edge-cover instance")
+        if not isinstance(inst, FacilityLocationInstance):
+            raise InstanceError("edge-cover relaxation needs a facility-location instance")
         return _build_edge_cover_lp(inst)
     if not isinstance(inst, (EdsInstance, MulticutInstance)):
         raise InstanceError(f"{kind} relaxation needs an EDS or multicut instance")
@@ -74,7 +77,10 @@ def build_relaxation(inst, kind: str) -> LpModel:
     g = _graph_of(inst)
     demands = _demand_families(inst)
     model = LpModel(name=f"{kind}")
-    _add_x_vars(model, g, inst)
+    for e in sorted(g.edge_ids()):
+        model.add_var(f"x_e{e}", obj=inst.edge_weight[e])
+    for v in range(g.n):
+        model.add_var(f"x_v{v}", obj=inst.node_weight[v])
     z_keys = []
     for c, _, pen in demands:
         if not is_inf(pen):
@@ -87,7 +93,11 @@ def build_relaxation(inst, kind: str) -> LpModel:
         if c in zset:
             coeffs[f"z_{c}"] = ONE
         model.add_constraint(f"cover_{c}", coeffs, ">=", ONE)
-    _add_node_rows(model, g)
+    for v in range(g.n):
+        for e in sorted(g.incident(v)):
+            model.add_constraint(
+                f"node_v{v}_e{e}", {f"x_v{v}": ONE, f"x_e{e}": -ONE}, ">=", ZERO
+            )
 
     if kind == "strengthened":
         for c, members, _ in demands:
@@ -115,32 +125,21 @@ def build_relaxation(inst, kind: str) -> LpModel:
     return model
 
 
-def _build_edge_cover_lp(inst: EdgeCoverInstance) -> LpModel:
-    g = inst.graph
+def _build_edge_cover_lp(inst: FacilityLocationInstance) -> LpModel:
     model = LpModel(name="edge-cover")
-    _add_x_vars(model, g, inst)
-    for v in sorted(inst.cover_nodes):
-        coeffs = {f"x_e{e}": ONE for e in g.incident(v)}
-        model.add_constraint(f"cover_v{v}", coeffs, ">=", ONE)
-    _add_node_rows(model, g)
+    for f, cost in enumerate(inst.opening):
+        model.add_var(f"y_f{f}", obj=cost)
+    pairs = sorted(inst.conn)
+    serve: Dict[int, Dict[str, Rat]] = {v: {} for v in range(inst.n_clients)}
+    for v, f in pairs:
+        serve[v][model.add_var(f"x_c{v}_f{f}", obj=inst.conn[(v, f)])] = ONE
+    for v, coeffs in serve.items():
+        model.add_constraint(f"serve_c{v}", coeffs, ">=", ONE)
+    for v, f in pairs:
+        model.add_constraint(
+            f"open_c{v}_f{f}", {f"y_f{f}": ONE, f"x_c{v}_f{f}": -ONE}, ">=", ZERO
+        )
     return model
-
-
-def _add_x_vars(model: LpModel, g, inst) -> None:
-    """x(e) for the edges by id, then x(v) for the nodes, at their weights."""
-    for e in sorted(g.edge_ids()):
-        model.add_var(f"x_e{e}", obj=inst.edge_weight[e])
-    for v in range(g.n):
-        model.add_var(f"x_v{v}", obj=inst.node_weight[v])
-
-
-def _add_node_rows(model: LpModel, g) -> None:
-    """The rows x(v) >= x(e) for every edge e at every node v."""
-    for v in range(g.n):
-        for e in sorted(g.incident(v)):
-            model.add_constraint(
-                f"node_v{v}_e{e}", {f"x_v{v}": ONE, f"x_e{e}": -ONE}, ">=", ZERO
-            )
 
 
 def relaxation_value(inst, kind: str) -> Rat:

@@ -1,11 +1,12 @@
 """Command-line front end: subcommands, exit codes, and output formats."""
 
+import re
 import subprocess
 import sys
 
 import pytest
 
-from graphcover import cli, eds_tree, multicut_tree, parse_instance
+from graphcover import LpModel, cli, eds_tree, multicut_tree, parse_instance
 from graphcover.reporting import CheckReport
 
 
@@ -158,6 +159,34 @@ def test_solve_then_verify_own_certificate(tmp_path, capsys, genargs):
     code, out, _ = run_cli(capsys, "verify", str(inst), str(cert))
     assert code == 0
     assert out.rstrip().endswith("verdict: PASS")
+
+
+def test_every_lp_model_is_named_after_a_benchmark_family(tmp_path, capsys, monkeypatch):
+    """The benchmark tracer groups its LP counts by model name, so a renamed
+    model would silently empty its family; solve, verify and gap of every
+    solved kind build exactly these families."""
+    names = []
+    post_init = LpModel.__post_init__
+
+    def record(model):
+        names.append(model.name)
+        post_init(model)
+
+    monkeypatch.setattr(LpModel, "__post_init__", record)
+    inst, cert = tmp_path / "inst.txt", tmp_path / "inst.cert"
+    for genargs in (
+        ["random-tree-eds", "--n", "8", "--seed", "11"],
+        ["random-tree-multicut", "--n", "7", "--k", "3", "--seed", "4"],
+        ["random-eds-general", "--n", "5", "--m", "6", "--seed", "7"],
+    ):
+        assert cli.run(["gen", *genargs, "-o", str(inst)]) == 0
+        assert cli.run(["solve", str(inst), "--certificate", str(cert)]) == 0
+        assert cli.run(["verify", str(inst), str(cert)]) == 0
+        for relaxation in ("natural", "strengthened"):
+            assert cli.run(["gap", str(inst), "--relaxation", relaxation]) == 0
+    capsys.readouterr()
+    families = {"step" if re.fullmatch(r"step_demand\d+", n) else n for n in names}
+    assert families == {"natural", "strengthened", "edge-cover", "dual-completion", "step"}
 
 
 def test_verify_rejects_tampered_certificate(star4, tmp_path, capsys):

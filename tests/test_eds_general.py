@@ -1,30 +1,30 @@
 """LP rounding pipeline for general graphs: thresholding, greedy, end-to-end."""
 
 import pytest
+from hypothesis import given, settings
 
 from graphcover import (
     Graph,
     EdsInstance,
     FacilityLocationInstance,
     InstanceError,
+    LpModel,
     Rat,
     brute_force_cover,
     brute_force_eds,
     build_relaxation,
     gen_instance,
     reduce_to_eds,
+    relaxation_value,
     simplex_solve,
     solve_eds_general,
 )
-from graphcover.eds_general import (
-    build_edge_cover_instance,
-    edge_cover_to_facility_location,
-    greedy_facility_location,
-    harmonic,
-)
-from graphcover.instances import EdgeCoverInstance, SetCoverInstance
+from graphcover.eds_general import greedy_facility_location, harmonic, heavy_facility_location
+from graphcover.instances import SetCoverInstance
 from graphcover.relaxations import extract_relaxation_point
 from graphcover.rationals import ZERO
+
+from _support import small_eds
 
 
 def test_harmonic_numbers():
@@ -34,17 +34,18 @@ def test_harmonic_numbers():
     assert harmonic(0) == 0
 
 
-# -- heavy-node thresholding -------------------------------------------------
+# -- heavy nodes as facility location ------------------------------------------
 
 
 def test_zero_mass_means_no_demand():
     inst = gen_instance("random-eds-general", n=5, m=6, seed=0)
-    cov = build_edge_cover_instance(inst, {e: ZERO for e in range(6)})
-    assert cov.cover_nodes == frozenset()
-    assert cov.graph.edges == inst.graph.edges
+    fl, clients, edge_of = heavy_facility_location(inst, {e: ZERO for e in range(6)})
+    assert clients == []
+    assert (fl.n_clients, fl.n_facilities, fl.opening, fl.conn) == (0, 0, [], {})
+    assert edge_of == {}
 
 
-def test_triangle_subdivides_every_edge():
+def test_triangle_joins_are_facilities():
     g = Graph(3, [(0, 1), (0, 2), (1, 2)])
     inst = EdsInstance(
         g,
@@ -52,69 +53,89 @@ def test_triangle_subdivides_every_edge():
         {e: Rat(2) for e in range(3)},
         {e: Rat(1) for e in range(3)},
     )
-    cov = build_edge_cover_instance(inst, {e: Rat(1, 2) for e in range(3)})
-    assert cov.cover_nodes == frozenset({0, 1, 2})
-    assert cov.graph.n == 6  # three fresh middle nodes
-    assert len(cov.graph.edges) == 6
-    assert [cov.edge_origin[e] for e in range(6)] == [0, 0, 1, 1, 2, 2]
-    # middle nodes carry the old edge weights, halves are free
-    assert all(cov.edge_weight[e] == 0 for e in range(6))
-    assert [cov.node_weight[s] for s in (3, 4, 5)] == [2, 2, 2]
-    # demand nodes got their weight zeroed
-    assert all(cov.node_weight[v] == 0 for v in range(3))
+    fl, clients, edge_of = heavy_facility_location(inst, {e: Rat(1, 2) for e in range(3)})
+    assert clients == [0, 1, 2]
+    # no light nodes, so one facility per edge, by edge id, at the edge weight
+    assert fl.opening == [Rat(2), Rat(2), Rat(2)]
+    # each join serves both its ends for free
+    pairs = {(0, 0): 0, (0, 1): 1, (1, 0): 0, (1, 2): 2, (2, 1): 1, (2, 2): 2}
+    assert fl.conn == {key: ZERO for key in pairs}
+    assert edge_of == pairs
 
 
 def test_star_center_is_heavy():
     inst = gen_instance("star-gap-eds", n=4)
     res = simplex_solve(build_relaxation(inst, "strengthened"))
     xe, xv, z = extract_relaxation_point(inst, res)
-    cov = build_edge_cover_instance(inst, xe)
-    assert 0 in cov.cover_nodes  # the center always clears the threshold
-    assert cov.cover_nodes == frozenset({0, 1, 2})  # this solver's vertex point
-    assert xe == {1: Rat(1), 2: Rat(1), 3: ZERO, 4: ZERO}
+    assert xe == {1: Rat(1), 2: Rat(1), 3: ZERO, 4: ZERO}  # this solver's vertex point
+    fl, clients, edge_of = heavy_facility_location(inst, xe)
+    assert 0 in clients  # the center always clears the threshold
+    assert clients == [0, 1, 2]
+    # light leaves 3 and 4 first, then the joins 0-1 and 0-2 (edges 1 and 2)
+    assert fl.opening == [ZERO] * 4
+    assert fl.conn == {key: ZERO for key in edge_of}
+    assert edge_of == {(0, 0): 3, (0, 1): 4, (0, 2): 1, (0, 3): 2, (1, 2): 1, (2, 3): 2}
 
 
-# -- facility-location view --------------------------------------------------
-
-
-def test_cover_to_facility_location_shape():
+def test_facility_location_shape():
     g = Graph(3, [(0, 1), (1, 2)])
-
-    cov = EdgeCoverInstance(
+    inst = EdsInstance(
         g,
-        frozenset({1}),
-        {0: Rat(4), 1: ZERO, 2: Rat(6)},
+        {0: Rat(4), 1: Rat(5), 2: Rat(6)},
         {0: Rat(1), 1: Rat(2)},
+        {0: Rat(1), 1: Rat(1)},
     )
-    fl, clients, facilities, edge_of = edge_cover_to_facility_location(cov)
+    # node 1 carries mass 2/5 and is heavy; its ends carry 1/5 each
+    fl, clients, edge_of = heavy_facility_location(inst, {0: Rat(1, 5), 1: Rat(1, 5)})
     assert clients == [1]
-    assert facilities == [0, 2]
+    assert fl.n_facilities == 2  # the light nodes 0 and 2
     assert fl.opening == [Rat(4), Rat(6)]
     assert fl.conn == {(0, 0): Rat(1), (0, 1): Rat(2)}
     assert edge_of == {(0, 0): 0, (0, 1): 1}
 
 
-def test_isolated_demand_node_is_infeasible():
-    g = Graph(2, [(0, 1)])
+def _subdivided_edge_cover_value(inst, x):
+    """The edge-cover LP over a copy of the graph in which heavy nodes weigh
+    nothing and each edge between two heavy nodes is split by a middle node
+    carrying the edge's weight, with weightless halves."""
+    g = inst.graph
+    heavy = {v for v in range(g.n) if sum((x[e] for e in g.incident(v)), ZERO) >= Rat(1, 4)}
+    node_w = {v: ZERO if v in heavy else inst.node_weight[v] for v in range(g.n)}
+    edges = []  # (end, end, weight)
+    for e in sorted(g.edge_ids()):
+        u, v = g.ends(e)
+        if u in heavy and v in heavy:
+            mid = len(node_w)
+            node_w[mid] = inst.edge_weight[e]
+            edges += [(u, mid, ZERO), (mid, v, ZERO)]
+        else:
+            edges.append((u, v, inst.edge_weight[e]))
+    model = LpModel("reference")
+    for i, (_, _, w) in enumerate(edges):
+        model.add_var(f"x_e{i}", obj=w)
+    for v, w in node_w.items():
+        model.add_var(f"x_v{v}", obj=w)
+    for v in sorted(heavy):
+        at_v = {f"x_e{i}": Rat(1) for i, (a, b, _) in enumerate(edges) if v in (a, b)}
+        model.add_constraint(f"cover_v{v}", at_v, ">=", Rat(1))
+    for i, (a, b, _) in enumerate(edges):
+        for v in (a, b):
+            coeffs = {f"x_v{v}": Rat(1), f"x_e{i}": Rat(-1)}
+            model.add_constraint(f"node_v{v}_e{i}", coeffs, ">=", ZERO)
+    return simplex_solve(model).value
 
-    cov = EdgeCoverInstance(
-        Graph(3, [(0, 1)]),
-        frozenset({2}),
-        {0: ZERO, 1: ZERO, 2: ZERO},
-        {0: ZERO},
-    )
-    with pytest.raises(InstanceError, match="isolated"):
-        edge_cover_to_facility_location(cov)
 
-
-def test_adjacent_demand_nodes_rejected():
-    g = Graph(2, [(0, 1)])
-
-    cov = EdgeCoverInstance(
-        g, frozenset({0, 1}), {0: ZERO, 1: ZERO}, {0: Rat(1)}
-    )
-    with pytest.raises(InstanceError, match="adjacent"):
-        edge_cover_to_facility_location(cov)
+@settings(max_examples=60, deadline=None, database=None)
+@given(small_eds(max_nodes=5, tree=False))
+def test_edge_cover_lp_matches_the_subdivided_graph(inst):
+    """The facility-location form has the optimum of the edge-cover LP on
+    the subdivided graph, at the strengthened vertex and at x = 1/2 on
+    every edge, where every node with an edge is heavy."""
+    res = simplex_solve(build_relaxation(inst, "strengthened"))
+    xe, _, _ = extract_relaxation_point(inst, res)
+    for x in (xe, {e: Rat(1, 2) for e in xe}):
+        fl, _, _ = heavy_facility_location(inst, x)
+        assert relaxation_value(fl, "edge-cover") == _subdivided_edge_cover_value(inst, x)
 
 
 # -- greedy star selection ---------------------------------------------------

@@ -18,7 +18,7 @@ from graphcover import (
     relaxation_value,
     simplex_solve,
 )
-from graphcover.eds_general import build_edge_cover_instance
+from graphcover.eds_general import heavy_facility_location
 from graphcover.rationals import ZERO
 from graphcover.relaxations import extract_relaxation_point
 
@@ -88,9 +88,9 @@ def test_relaxation_value_equals_the_primal_optimum(inst):
     if isinstance(inst, EdsInstance):
         # eds-general rounds the strengthened vertex, the last one solved
         xe, _, _ = extract_relaxation_point(inst, primal)
-        cover = build_edge_cover_instance(inst, xe)
-        primal = simplex_solve(build_relaxation(cover, "edge-cover"))
-        assert relaxation_value(cover, "edge-cover") == primal.value
+        fl, _, _ = heavy_facility_location(inst, xe)
+        primal = simplex_solve(build_relaxation(fl, "edge-cover"))
+        assert relaxation_value(fl, "edge-cover") == primal.value
 
 
 # -- point extraction -------------------------------------------------------
