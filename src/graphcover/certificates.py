@@ -96,8 +96,8 @@ def multicut_certificate(
         objective=sol.total,
         ratio=ratio,
         xi={i: dual.xi.get(i, ZERO) for i in range(len(inst.demands))},
-        nu={k: v for k, v in dual.nu.items() if v != ZERO},
-        mu={k: v for k, v in dual.mu.items() if v != ZERO},
+        nu=dict(dual.nu),
+        mu=dict(dual.mu),
         witness=dict(witness),
         processed=tuple(processed),
     )

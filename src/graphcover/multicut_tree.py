@@ -48,13 +48,13 @@ one of those changed; the non-relaxable pairs, the least fixed point of a
 monotone rule, come from a worklist of per-node pointers into the holders.
 Each step LP and its update are read from one table of the moved dual
 entries' changes, and each step checks exactly, with zero tolerance, the
-nonnegativity, capacity and support rows its writes touched.  The end of
-the phase checks the whole dual from scratch with :func:`dual_violation`,
-the same checker the verifier uses, and the running sums and holders
-against it.  Each demand's path is walked once per instance, by
-:class:`MulticutInstance`.  A step thus costs time in the paths of the
-demands it writes and the dual mass held, instead of a rescan of every
-demand and of every earlier demand's mass at each node.
+nonnegativity, capacity and support rows its writes touched.  The whole
+dual is checked once, from scratch, by the :func:`verify_multicut` of
+:func:`run_multicut_pipeline`.  Each demand's path is walked once per
+instance, by :class:`MulticutInstance`, and one edge-to-demand index
+serves the witness choice and the deletion count.  A step thus costs time
+in the paths of the demands it writes and the dual mass held, instead of
+a rescan of every demand and of every earlier demand's mass at each node.
 """
 
 from __future__ import annotations
@@ -105,7 +105,8 @@ def dual_violation(
     of mu (see `_load`).  Rows in order: nonnegativity, the edge capacities
     (sum of nu at e <= w(e)), the node capacities (likewise for mu), and
     the support rows xi(d) <= nu(e, d) + mu(upper, d) + mu(lower, d) on
-    d's path."""
+    d's path.  A demand with xi(d) zero or absent has only rows 0 <= a sum
+    of values already checked nonnegative, so its rows are skipped."""
     for name, table in (("xi", xi), ("nu", nu), ("mu", mu)):
         for key, val in table.items():
             if val < 0:
@@ -118,7 +119,9 @@ def dual_violation(
             return f"node capacity violated at {v}"
     parent = inst.tree.parent
     for d in range(len(inst.demands)):
-        x = xi.get(d, ZERO)
+        x = xi.get(d)
+        if not x:
+            continue
         for e in inst.path_edges(d):
             lhs = nu.get((e, d), ZERO) + mu.get((parent[e], d), ZERO) + mu.get((e, d), ZERO)
             if x > lhs:
@@ -256,13 +259,14 @@ class IncreaseState:
         self.position: Dict[int, int] = {d: p for p, d in enumerate(self.order)}
         self.path_edges: List[Tuple[int, ...]] = [inst.path_edges(i) for i in range(k)]
         self.edge_set: List[FrozenSet[int]] = [frozenset(p) for p in self.path_edges]
-        self.path_nodes: List[Tuple[int, ...]] = [inst.path_nodes(i) for i in range(k)]
-        self.node_set: List[FrozenSet[int]] = [frozenset(p) for p in self.path_nodes]
-        self.legs = [inst.legs(i) for i in range(k)]
+        self.node_set: List[FrozenSet[int]] = [frozenset(inst.path_nodes(i)) for i in range(k)]
+        # edge -> the demands whose path holds it, by index
+        self.through: List[List[int]] = [[] for _ in range(inst.tree.n)]
         self.edges_at: List[Dict[int, List[int]]] = []
         for i in range(k):
             at: Dict[int, List[int]] = {}
             for e in self.path_edges[i]:
+                self.through[e].append(i)
                 at.setdefault(inst.tree.parent[e], []).append(e)
                 at.setdefault(e, []).append(e)
             self.edges_at.append({v: sorted(es) for v, es in at.items()})
@@ -274,6 +278,7 @@ class IncreaseState:
         self.F: Dict[int, None] = {}
         self.witness: Dict[int, int] = {}
         self.processed: List[int] = []
+        self._cursor = 0  # where uncovered() resumes in order
 
         tree = inst.tree
         # kept by the setters: node -> demands with mu > 0 there, in
@@ -365,17 +370,21 @@ class IncreaseState:
         ]
 
     def uncovered(self) -> Optional[int]:
-        for d in self.order:
+        """The first demand in processing order whose path misses F.  F only
+        grows, so the scan resumes at the last demand returned."""
+        while self._cursor < len(self.order):
+            d = self.order[self._cursor]
             if self.edge_set[d].isdisjoint(self.F):
                 return d
+            self._cursor += 1
         return None
 
     @property
     def dual(self) -> MulticutDual:
         return MulticutDual(
-            xi={d: v for d, v in sorted(self.xi.items()) if v > 0},
-            nu={key: v for key, v in sorted(self.nu.items()) if v > 0},
-            mu={key: v for key, v in sorted(self.mu.items()) if v > 0},
+            xi=dict(sorted(self.xi.items())),
+            nu=dict(sorted(self.nu.items())),
+            mu=dict(sorted(self.mu.items())),
         )
 
     # -- classification ----------------------------------------------------
@@ -466,11 +475,9 @@ class IncreaseState:
         self._unchecked_mu.clear()
 
     def assert_feasible(self) -> None:
-        """From-scratch check of the whole dual, and of the running sums and
-        the holders, in processing order, against it."""
+        """Check the running sums and the holders, in processing order,
+        against loads recomputed from the dual tables."""
         nu_load, mu_load = _load(self.nu), _load(self.mu)
-        violation = dual_violation(self.instance, self.xi, self.nu, self.mu, nu_load, mu_load)
-        assert violation is None, violation
         assert all(tot == nu_load.get(e, ZERO) for e, tot in self.nu_sum.items())
         assert all(tot == mu_load.get(v, ZERO) for v, tot in self.mu_sum.items())
         holders: Dict[int, List[int]] = {}
@@ -701,15 +708,8 @@ def increase_iteration(state: IncreaseState, i: int) -> IncreaseState:
             f"step budget exhausted for demand {i}: {steps} steps"
         )
 
-    witnesses = [
-        e
-        for e in terminal
-        if all(
-            (e, j) in state.tight
-            for j in range(len(inst.demands))
-            if e in state.edge_set[j]
-        )
-    ]
+    # a witness is tight for every demand through it
+    witnesses = [e for e in terminal if len(state._tight_at[e]) == len(state.through[e])]
     # an edge can be forced loose for a third demand when that demand's
     # other rows pin its end-node mass higher than its own value; fall
     # back to the terminal edges, which are always pinned for i itself
@@ -723,7 +723,7 @@ def increase_iteration(state: IncreaseState, i: int) -> IncreaseState:
 
 def run_increase_phase(state: IncreaseState) -> IncreaseState:
     """Iterate until every demand path is covered by an edge of F, then
-    check the whole dual from scratch."""
+    check the running sums and holders against the dual."""
     while True:
         d = state.uncovered()
         if d is None:
@@ -745,25 +745,22 @@ def deletion_phase(state: IncreaseState) -> FrozenSet[int]:
     walk is linear in the paths.  Asserts the structural output
     conditions."""
     k = len(state.instance.demands)
-    through: Dict[int, List[int]] = {e: [] for e in state.F}
     count = [0] * k
-    for j in range(k):
-        for e in state.path_edges[j]:
-            if e in through:
-                through[e].append(j)
-                count[j] += 1
+    for e in state.F:
+        for j in state.through[e]:
+            count[j] += 1
     kept = set(state.F)
     for e in reversed(state.F):
-        if all(count[j] > 1 for j in through[e]):
+        if all(count[j] > 1 for j in state.through[e]):
             kept.discard(e)
-            for j in through[e]:
+            for j in state.through[e]:
                 count[j] -= 1
 
     assert kept.issubset(state.F)
     for j in range(k):
         assert not kept.isdisjoint(state.edge_set[j]), f"demand {j} left uncovered"
     for d in state.processed:
-        for leg in state.legs[d]:
+        for leg in state.instance.legs(d):
             assert len(kept & leg) <= 1, f"leg of demand {d} cut twice"
     return frozenset(kept)
 

@@ -2,6 +2,7 @@
 
 import functools
 import hashlib
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -175,7 +176,7 @@ def _reference_classification(state):
         return [j for j in earlier if state.mu.get((v, j), ZERO) > 0]
 
     nonrelax = set()
-    pairs = [(v, d) for d in range(k) for v in state.path_nodes[d]]
+    pairs = [(v, d) for d in range(k) for v in inst.path_nodes(d)]
     changed = True
     while changed:
         changed = False
@@ -195,7 +196,8 @@ def _reference_classification(state):
 
 
 def _classification(state, snap):
-    pairs = [(v, d) for d in range(len(state.path_nodes)) for v in state.path_nodes[d]]
+    inst = state.instance
+    pairs = [(v, d) for d in range(len(inst.demands)) for v in inst.path_nodes(d)]
     nonrelax = {pair for pair in pairs if pair in snap.nonrelax}
     return snap.tight, snap.sat_edge, snap.sat_node, snap.bottleneck, nonrelax
 
@@ -222,14 +224,104 @@ def test_incremental_snapshot_matches_reference(inst):
     assert len(taken) > 1
 
 
-def _run_with_overfull_edge(mp, at_step):
-    """Run the increase phase, pushing one nu write of step ``at_step`` past
-    its edge's capacity.  Returns the step the AssertionError escaped from
-    (None when no step was running) and its message."""
-    inst0, _ = reduce_prize_collecting(
-        gen_instance("random-tree-multicut", n=20, k=6, seed=1)
-    )
+def _reference_uncovered(state):
+    """The first demand in processing order whose path misses F, by a
+    rescan of every demand."""
+    for d in state.order:
+        if state.edge_set[d].isdisjoint(state.F):
+            return d
+    return None
+
+
+def _reference_witness(state, i):
+    """Demand i's witness by the all-demand rule: among its terminal edges,
+    the deepest (then least) edge tight for every demand whose path holds
+    it, else the deepest terminal edge."""
+    inst = state.instance
+    parent, depth = inst.tree.parent, inst.tree.depth
+    terminal = [
+        e
+        for e in state.path_edges[i]
+        if (e, i) in state.bottleneck
+        and (parent[e], i) in state.nonrelax
+        and (e, i) in state.nonrelax
+    ]
+    witnesses = [
+        e
+        for e in terminal
+        if all(
+            (e, j) in state.tight
+            for j in range(len(inst.demands))
+            if e in state.edge_set[j]
+        )
+    ]
+    return min(witnesses or terminal, key=lambda e: (-depth[e], e))
+
+
+def _check_cursor_and_index(inst):
+    """At every increase iteration the resumed scan of ``uncovered`` gives
+    the demand a full rescan gives, and the witness chosen through the
+    edge-to-demand index is the one the all-demand rule chooses.  No dual
+    write follows the last classification of an iteration, so the state
+    after it still holds that classification."""
+    inst0, _ = reduce_prize_collecting(inst)
     state = IncreaseState(inst0)
+    seen = []
+    real = multicut_tree.increase_iteration
+
+    def checked(state, i):
+        assert i == _reference_uncovered(state)
+        real(state, i)
+        assert state.witness[i] == _reference_witness(state, i)
+        seen.append(i)
+        return state
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(multicut_tree, "increase_iteration", checked)
+        run_increase_phase(state)
+    assert _reference_uncovered(state) is None
+    assert seen == state.processed
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(small_multicuts(max_nodes=10))
+def test_cursor_and_index_match_full_scans(inst):
+    _check_cursor_and_index(inst)
+
+
+# runs where the all-demand rule decides the witness, found in a sweep of
+# 1,900 runs ((9, 4) seeds 0-999, (20, 8) 0-599, (40, 10) 0-199, (60, 15)
+# 0-99).  On the first two a deeper terminal edge is loose for another demand
+# and a shallower one is the witness; on the last two no terminal edge is
+# tight for every demand through it, so the witness falls back to a terminal
+# edge.
+@pytest.mark.parametrize("spec", [(20, 8, 479), (40, 10, 17), (20, 8, 87), (9, 4, 490)])
+def test_witness_rule_matches_full_scan(spec):
+    n, k, seed = spec
+    _check_cursor_and_index(gen_instance("random-tree-multicut", n=n, k=k, seed=seed))
+
+
+def test_pipeline_checks_the_dual_from_scratch_once(monkeypatch):
+    """Each solve checks the whole dual once, in ``verify_multicut``."""
+    callers = []
+    real = multicut_tree.dual_violation
+
+    def counted(*args):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return real(*args)
+
+    monkeypatch.setattr(multicut_tree, "dual_violation", counted)
+    for n, k, seed in [(9, 4, 0), (20, 8, 1), (40, 10, 2)]:
+        callers.clear()
+        run_multicut_pipeline(gen_instance("random-tree-multicut", n=n, k=k, seed=seed))
+        assert callers == ["verify_multicut"]
+
+
+def _run_with_overfull_edge(mp, at_step):
+    """Run the multicut pipeline, pushing one nu write of step ``at_step``
+    past its edge's capacity.  Returns the step the AssertionError escaped
+    from (None when no step was running) and its message."""
+    inst = gen_instance("random-tree-multicut", n=20, k=6, seed=1)
     calls = {"started": 0, "returned": 0, "corrupted": False}
     real_step, real_set_nu = multicut_tree._step_lp, IncreaseState.set_nu
 
@@ -248,7 +340,7 @@ def _run_with_overfull_edge(mp, at_step):
     mp.setattr(multicut_tree, "_step_lp", step)
     mp.setattr(IncreaseState, "set_nu", set_nu)
     with pytest.raises(AssertionError) as caught:
-        run_increase_phase(state)
+        run_multicut_pipeline(inst)
     assert calls["corrupted"]
     running = calls["started"] if calls["started"] > calls["returned"] else None
     return running, str(caught.value)
@@ -257,11 +349,11 @@ def _run_with_overfull_edge(mp, at_step):
 def test_corrupted_write_caught_at_its_own_step(monkeypatch):
     step, message = _run_with_overfull_edge(monkeypatch, at_step=3)
     assert step == 3 and message.startswith("edge capacity violated at")
-    # without the per-step check only the from-scratch check at the end of
-    # the phase sees the fault
+    # without the per-step check only the pipeline's from-scratch check of
+    # its output sees the fault
     monkeypatch.setattr(IncreaseState, "check_step", lambda self: None)
     step, message = _run_with_overfull_edge(monkeypatch, at_step=3)
-    assert step is None and message.startswith("edge capacity violated at")
+    assert step is None and "dual-feasible" in message
 
 
 def _two_solve_step(model):
@@ -431,21 +523,29 @@ def test_verifier_rejects_empty_cut():
 
 
 @pytest.mark.parametrize(
-    "table, key, change, message",
+    "changes, message",
     [
-        pytest.param("nu", (1, 0), 5, "edge capacity violated at 1", id="edge-capacity"),
-        pytest.param("mu", (0, 0), 5, "node capacity violated at 0", id="node-capacity"),
-        pytest.param("xi", 0, 5, "support row violated (1,0)", id="support-row"),
-        pytest.param("mu", (1, 0), -1, "negative dual value mu[(1, 0)]", id="negative"),
+        pytest.param([("nu", (1, 0), 5)], "edge capacity violated at 1", id="edge-capacity"),
+        pytest.param([("mu", (0, 0), 5)], "node capacity violated at 0", id="node-capacity"),
+        pytest.param([("xi", 0, 5)], "support row violated (1,0)", id="support-row"),
+        pytest.param([("mu", (1, 0), -1)], "negative dual value mu[(1, 0)]", id="negative"),
+        # xi(0) = 1 and nu[(1, 0)] = 1 before the changes: the support rows of
+        # a demand with xi = 0 are skipped, its nonnegativity rows are not
+        pytest.param(
+            [("xi", 0, -1), ("nu", (1, 0), -2)],
+            "negative dual value nu[(1, 0)]",
+            id="negative-at-zero-xi",
+        ),
     ],
 )
-def test_verifier_rejects_capacity_violation(table, key, change, message):
+def test_verifier_rejects_capacity_violation(changes, message):
     inst0, _ = reduce_prize_collecting(star_multicut(1, 2, INF))
     state = run_increase_phase(IncreaseState(inst0))
     kept = deletion_phase(state)
     dual = state.dual
-    values = getattr(dual, table)
-    values[key] = values.get(key, ZERO) + change
+    for table, key, change in changes:
+        values = getattr(dual, table)
+        values[key] = values.get(key, ZERO) + change
     report = verify_multicut(inst0, kept, dual)
     assert not report.passed
     assert "dual-feasible" in report.failures()
@@ -484,5 +584,5 @@ def test_no_ratio_above_two_on_small_trees(inst):
     assert kept_solution(inst, kept).total <= 2 * dual.total
     assert dual.total <= brute_force_multicut(inst).total
     for d in state.processed:
-        for leg in state.legs[d]:
+        for leg in inst0.legs(d):
             assert len(kept & leg) <= 1
