@@ -292,7 +292,7 @@ def _verify_eds_general(inst: EdsInstance, cert: Certificate, report: CheckRepor
         return report
     sol = eds_solution(inst, cert.edges)
     _objective_recomputed(report, sol, cert)
-    res = simplex_solve(dual_model(build_relaxation(inst, "strengthened")))
+    res = simplex_solve(dual_model(build_relaxation(inst, "strengthened", projected=True)))
     lower_ok = res.status == OPTIMAL and cert.lower == res.value
     report.add(
         "lower-bound-recomputed",

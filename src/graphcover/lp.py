@@ -327,8 +327,11 @@ def _pivot_until_optimal(tab: List[_Row], basis: List[int], cost: _Row) -> str:
         enter = min(j for _, j in negative) if bland else min(negative)[1]
         leave = -1
         best_b = best_a = 0
+        holders = []  # the rows the pivot must clear, found by the same scan
         for i, row in enumerate(tab):
             a = row.a.get(enter, 0)
+            if a:
+                holders.append(i)
             if a > 0:
                 if leave >= 0:
                     lhs = row.b * best_a
@@ -340,7 +343,7 @@ def _pivot_until_optimal(tab: List[_Row], basis: List[int], cost: _Row) -> str:
                 best_a = a
         if leave < 0:
             return UNBOUNDED
-        _pivot(tab, basis, cost, leave, enter)
+        _pivot(tab, basis, cost, leave, enter, holders)
         if not bland:
             if best_b == 0:
                 stalled += 1
@@ -350,10 +353,12 @@ def _pivot_until_optimal(tab: List[_Row], basis: List[int], cost: _Row) -> str:
                 stalled = 0
 
 
-def _pivot(tab: List[_Row], basis: List[int], cost: _Row, r: int, c: int) -> None:
+def _pivot(
+    tab: List[_Row], basis: List[int], cost: _Row, r: int, c: int, holders: List[int]
+) -> None:
     """Make column c basic in row r: the pivot row takes its pivot numerator
     (sign-fixed) as its denominator, and every other row holding column c,
-    the cost row included, eliminates it."""
+    listed in ``holders`` in row order, and the cost row eliminate it."""
     prow = tab[r]
     p = prow.a[c]
     if p < 0:
@@ -362,9 +367,9 @@ def _pivot(tab: List[_Row], basis: List[int], cost: _Row, r: int, c: int) -> Non
     if prow.d != p:
         prow.d = p
         _reduce(prow)
-    for i, row in enumerate(tab):
-        if i != r and c in row.a:
-            _eliminate(row, prow, c)
+    for i in holders:
+        if i != r:
+            _eliminate(tab[i], prow, c)
     if c in cost.a:
         _eliminate(cost, prow, c)
     basis[r] = c
@@ -379,4 +384,5 @@ def _drive_out_artificials(tab: List[_Row], basis: List[int], art_start: int) ->
     no_cost = _Row({})
     for i, row in enumerate(tab):
         if basis[i] >= art_start:
-            _pivot(tab, basis, no_cost, i, min(j for j in row.a if j < art_start))
+            c = min(j for j in row.a if j < art_start)
+            _pivot(tab, basis, no_cost, i, c, [k for k, other in enumerate(tab) if c in other.a])

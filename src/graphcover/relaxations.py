@@ -6,8 +6,10 @@ solves are reproducible.  Infinite penalties never reach the models: a
 demand with infinite penalty simply has no violation variable ``z``.
 
 :func:`relaxation_value` takes the optimal value from the model's LP dual,
-which needs no phase I; callers that read the fractional point, such as
-the eds-general rounding, solve the primal itself.
+which needs no phase I, and builds the strengthened model with its y(C,e)
+projected out (see :func:`build_relaxation`); callers that read the
+fractional point, such as the eds-general rounding, solve the primal of
+the y-form themselves.
 
 Demand families: an edge-dominating instance has one demand per edge e,
 consisting of the edges sharing an end node with e; a multicut instance has
@@ -48,7 +50,7 @@ def _graph_of(inst):
     return inst.graph if isinstance(inst, EdsInstance) else inst.tree
 
 
-def build_relaxation(inst, kind: str) -> LpModel:
+def build_relaxation(inst, kind: str, *, projected: bool = False) -> LpModel:
     """Fractional relaxation of an instance as an explicit LP model.
 
     natural: variables x(e), x(v), z(C); rows sum_{e in C} x(e) >= 1 - z(C)
@@ -58,6 +60,30 @@ def build_relaxation(inst, kind: str) -> LpModel:
     strengthened: the natural model plus per-demand variables y(C,e) with
     rows sum_{e in C} y(C,e) >= 1 - z(C), x(v) >= sum of y(C,e) over
     member edges incident to v, and x(e) >= y(C,e).
+
+    ``projected=True`` builds the same strengthened LP with the y(C,e)
+    projected out where that is exact, for callers that read only its
+    value: ``relaxation_value`` and the eds-general ``verify``.  A node row
+    with one member edge e is implied by x(v) >= x(e) >= y(C,e) and is
+    left out.  For an eds demand C = N[ab] whose ends a and b have no
+    common neighbour, every other node row has one member, and
+    Fourier-Motzkin elimination of y(C,.) (Balas, *Ann. Oper. Res.* 140,
+    2005) leaves the natural rows plus, with A = d(a) - ab, B = d(b) - ab
+    and x(S) the sum of x(f) over S:
+
+        x(a) + x(b) + z(C) >= 1
+        x(a) + x(B) + z(C) >= 1
+        x(b) + x(A) + z(C) >= 1
+
+    with no z(C) where the penalty is infinite.  The fourth row,
+    x(a) + x(b) + x(A) + x(B) + 2 z(C) >= 2, is the sum of the last two.
+    On a tree no two ends share a neighbour, so these rows are the
+    strengthened LP in full, and the F1 trees whose strengthened value lies
+    below the optimum are a statement about them.  A demand whose ends
+    share a neighbour, and every multicut demand (a path has exponentially
+    many tilings), keep their y(C,e).  The projected model can have other
+    optimal vertices, so the eds-general rounding, which reads the vertex,
+    keeps the default y-form until a canonical vertex makes the two agree.
 
     edge-cover: for a FacilityLocationInstance, variables y(f) at the
     opening costs and x(v,f) at the connection costs, rows
@@ -100,10 +126,21 @@ def build_relaxation(inst, kind: str) -> LpModel:
             )
 
     if kind == "strengthened":
+        project_eds = projected and isinstance(inst, EdsInstance)
+        kept = []
         for c, members, _ in demands:
+            rows = _end_rows(g, c) if project_eds else None
+            if rows is None:
+                kept.append((c, members))
+                continue
+            for suffix, coeffs in rows:
+                if c in zset:
+                    coeffs[f"z_{c}"] = ONE
+                model.add_constraint(f"ends_{c}{suffix}", coeffs, ">=", ONE)
+        for c, members in kept:
             for e in members:
                 model.add_var(f"y_{c}_{e}")
-        for c, members, _ in demands:
+        for c, members in kept:
             coeffs = {f"y_{c}_{e}": ONE for e in members}
             if c in zset:
                 coeffs[f"z_{c}"] = ONE
@@ -114,6 +151,8 @@ def build_relaxation(inst, kind: str) -> LpModel:
                 at_node.setdefault(u, []).append(e)
                 at_node.setdefault(v, []).append(e)
             for v in sorted(at_node):
+                if projected and len(at_node[v]) == 1:
+                    continue  # x(v) >= x(e) >= y(C,e) implies it
                 coeffs = {f"x_v{v}": ONE}
                 for e in at_node[v]:
                     coeffs[f"y_{c}_{e}"] = -ONE
@@ -123,6 +162,23 @@ def build_relaxation(inst, kind: str) -> LpModel:
                     f"yedge_{c}_e{e}", {f"x_e{e}": ONE, f"y_{c}_{e}": -ONE}, ">=", ZERO
                 )
     return model
+
+
+def _end_rows(g, e: int) -> Optional[List[Tuple[str, Dict[str, Rat]]]]:
+    """The rows x(a) + x(b), x(a) + x(B) and x(b) + x(A) (without z) that
+    replace the y rows of edge e = ab's demand, named by their suffix, or
+    None when a and b have a common neighbour."""
+    a, b = g.ends(e)
+    side_a = [f for f in g.incident(a) if f != e]
+    side_b = [f for f in g.incident(b) if f != e]
+    touched_a = {u for f in side_a for u in g.ends(f)}
+    if not touched_a.isdisjoint(u for f in side_b for u in g.ends(f)):
+        return None  # a common neighbour: its node row holds two members
+    return [
+        ("", {f"x_v{a}": ONE, f"x_v{b}": ONE}),
+        (f"_v{a}", {f"x_v{a}": ONE, **{f"x_e{f}": ONE for f in side_b}}),
+        (f"_v{b}", {f"x_v{b}": ONE, **{f"x_e{f}": ONE for f in side_a}}),
+    ]
 
 
 def _build_edge_cover_lp(inst: FacilityLocationInstance) -> LpModel:
@@ -143,7 +199,8 @@ def _build_edge_cover_lp(inst: FacilityLocationInstance) -> LpModel:
 
 
 def relaxation_value(inst, kind: str) -> Rat:
-    """Optimal value of the built relaxation (must be feasible and bounded).
+    """Optimal value of the built relaxation (must be feasible and bounded),
+    the strengthened one in its projected form.
 
     Solved through the dual, whose optimum equals the relaxation's: every
     relaxation is a covering LP with nonnegative costs, so its dual starts
@@ -151,7 +208,7 @@ def relaxation_value(inst, kind: str) -> Rat:
     the dual is optimal or unbounded, and unbounded means an infeasible
     relaxation.
     """
-    res = simplex_solve(dual_model(build_relaxation(inst, kind)))
+    res = simplex_solve(dual_model(build_relaxation(inst, kind, projected=True)))
     if res.status != OPTIMAL:
         raise InstanceError(f"{kind} relaxation unexpectedly infeasible")
     return res.value

@@ -325,9 +325,9 @@ def test_beale_cycling_example_reaches_blands_rule(monkeypatch):
     degenerate = []
     pivot = lp._pivot
 
-    def counting(tab, basis, cost, r, c):
+    def counting(tab, basis, cost, r, c, holders):
         degenerate.append(tab[r].b == 0)
-        pivot(tab, basis, cost, r, c)
+        pivot(tab, basis, cost, r, c, holders)
 
     monkeypatch.setattr(lp, "_pivot", counting)
     m = LpModel("beale")

@@ -14,11 +14,15 @@ from graphcover import (
     brute_force_multicut,
     build_relaxation,
     complete_eds_dual,
+    Graph,
+    RootedTree,
     gen_instance,
+    reduce_to_eds,
     relaxation_value,
     simplex_solve,
 )
 from graphcover.eds_general import heavy_facility_location
+from graphcover.lp import dual_model
 from graphcover.rationals import ZERO
 from graphcover.relaxations import extract_relaxation_point
 
@@ -91,6 +95,121 @@ def test_relaxation_value_equals_the_primal_optimum(inst):
         fl, _, _ = heavy_facility_location(inst, xe)
         primal = simplex_solve(build_relaxation(fl, "edge-cover"))
         assert relaxation_value(fl, "edge-cover") == primal.value
+
+
+# -- the projected strengthened model ---------------------------------------
+
+
+def _y_form_value(inst):
+    """The strengthened value of the y-form model, the test-side reference."""
+    return simplex_solve(dual_model(build_relaxation(inst, "strengthened"))).value
+
+
+def _has_triangle(inst):
+    g = inst.graph
+    adj = [set() for _ in range(g.n)]
+    for u, v in g.edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    return any(adj[u] & adj[v] for u, v in g.edges)
+
+
+_seeds = st.integers(0, 10**6)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(
+    st.one_of(
+        st.builds(
+            lambda n, seed, inf_prob: gen_instance(
+                "random-tree-eds", n=n, seed=seed, inf_prob=inf_prob
+            ),
+            st.integers(2, 14), _seeds, st.sampled_from([0.0, 0.25, 1.0]),
+        ),
+        st.integers(3, 6).flatmap(
+            lambda n: st.builds(
+                lambda m, seed: gen_instance("random-eds-general", n=n, m=m, seed=seed),
+                st.integers(3, n * (n - 1) // 2), _seeds,
+            )
+        ).filter(_has_triangle),
+        small_eds(max_nodes=5, tree=False).filter(_has_triangle),
+        st.builds(
+            lambda n, k, seed: gen_instance("random-tree-multicut", n=n, k=k, seed=seed),
+            st.integers(2, 12), st.integers(1, 5), _seeds,
+        ),
+        small_multicuts(max_nodes=8),
+        st.builds(
+            lambda n, m, seed: reduce_to_eds(
+                gen_instance("random-set-cover", n=n, m=m, seed=seed)
+            ).instance,
+            st.integers(1, 4), st.integers(1, 4), _seeds,
+        ),
+        st.builds(
+            lambda nc, nf, seed: reduce_to_eds(
+                gen_instance("random-facility-location", clients=nc, facilities=nf, seed=seed)
+            ).instance,
+            st.integers(1, 3), st.integers(1, 3), _seeds,
+        ),
+    )
+)
+def test_projected_value_equals_the_y_form(inst):
+    """relaxation_value builds the strengthened LP with y(C,e) projected
+    out; its value is the y-form's, on trees, on graphs with triangles
+    (demands that keep y), on multicuts and on covering reductions."""
+    assert relaxation_value(inst, "strengthened") == _y_form_value(inst)
+
+
+def test_projected_tree_model_has_three_rows_per_demand():
+    """On a tree the value model holds no y(C,e): each demand's y rows
+    become three rows over x and z."""
+    inst = gen_instance("random-tree-eds", n=12, seed=3, inf_prob=0.5)
+    natural = build_relaxation(inst, "natural")
+    model = build_relaxation(inst, "strengthened", projected=True)
+    assert model.variables == natural.variables
+    assert not any(v.startswith("y_") for v in model.variables)
+    assert model.constraints[: len(natural.constraints)] == natural.constraints
+    extra = model.constraints[len(natural.constraints):]
+    assert len(extra) == 3 * len(inst.graph.edge_ids())
+    assert all(con.relation == ">=" and con.rhs == 1 for con in extra)
+
+
+def test_projected_rows_of_a_path_demand():
+    """Path 0-1-2-3, edge e = (1, 2) with A = {e1}, B = {e3}: the rows
+    x(1) + x(2), x(1) + x(B) and x(2) + x(A), with z only for a finite
+    penalty."""
+    path = RootedTree([0, 0, 1, 2], 0)  # edge i joins node i to its parent
+    inst = EdsInstance(
+        path,
+        {v: Rat(1) for v in range(4)},
+        {e: Rat(1) for e in (1, 2, 3)},
+        {1: INF, 2: Rat(5), 3: INF},
+    )
+    rows = {
+        con.name: con.coeffs
+        for con in build_relaxation(inst, "strengthened", projected=True).constraints
+        if con.name.startswith("ends_")
+    }
+    one = Rat(1)
+    assert rows["ends_2"] == {"x_v1": one, "x_v2": one, "z_2": one}
+    assert rows["ends_2_v1"] == {"x_v1": one, "x_e3": one, "z_2": one}
+    assert rows["ends_2_v2"] == {"x_v2": one, "x_e1": one, "z_2": one}
+    assert rows["ends_1_v0"] == {"x_v0": one, "x_e2": one}  # INF: no z
+    assert len(rows) == 9
+
+
+def test_demand_with_a_common_neighbour_keeps_y():
+    """In a triangle every edge's ends share a neighbour, so the value model
+    keeps each demand's y(C,e) and drops no row but the implied ones."""
+    tri = Graph(3, [(0, 1), (1, 2), (0, 2)])
+    inst = EdsInstance(
+        tri, {v: Rat(v) for v in range(3)}, {e: Rat(1) for e in range(3)}, {e: INF for e in range(3)}
+    )
+    full = build_relaxation(inst, "strengthened")
+    model = build_relaxation(inst, "strengthened", projected=True)
+    assert model.variables == full.variables
+    assert not any(con.name.startswith("ends_") for con in model.constraints)
+    assert model.constraints == full.constraints
+    assert relaxation_value(inst, "strengthened") == _y_form_value(inst)
 
 
 # -- point extraction -------------------------------------------------------
