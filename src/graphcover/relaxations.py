@@ -68,8 +68,9 @@ def build_relaxation(inst, kind: str, *, projected: bool = False) -> LpModel:
     left out.  For an eds demand C = N[ab] whose ends a and b have no
     common neighbour, every other node row has one member, and
     Fourier-Motzkin elimination of y(C,.) (Balas, *Ann. Oper. Res.* 140,
-    2005) leaves the natural rows plus, with A = d(a) - ab, B = d(b) - ab
-    and x(S) the sum of x(f) over S:
+    2005) leaves the natural rows plus, with A = delta(a) - ab and
+    B = delta(b) - ab the other edges at a and b, and x(S) the sum of x(f)
+    over S:
 
         x(a) + x(b) + z(C) >= 1
         x(a) + x(B) + z(C) >= 1

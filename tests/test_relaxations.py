@@ -8,14 +8,14 @@ from hypothesis import given, settings, strategies as st
 from graphcover import (
     INF,
     EdsInstance,
+    Graph,
     InstanceError,
     Rat,
+    RootedTree,
     brute_force_eds,
     brute_force_multicut,
     build_relaxation,
     complete_eds_dual,
-    Graph,
-    RootedTree,
     gen_instance,
     reduce_to_eds,
     relaxation_value,
@@ -198,8 +198,8 @@ def test_projected_rows_of_a_path_demand():
 
 
 def test_demand_with_a_common_neighbour_keeps_y():
-    """In a triangle every edge's ends share a neighbour, so the value model
-    keeps each demand's y(C,e) and drops no row but the implied ones."""
+    """In a triangle every edge's ends share a neighbour and every node
+    touches two members of each demand, so the value model is the y-form."""
     tri = Graph(3, [(0, 1), (1, 2), (0, 2)])
     inst = EdsInstance(
         tri, {v: Rat(v) for v in range(3)}, {e: Rat(1) for e in range(3)}, {e: INF for e in range(3)}
