@@ -4,10 +4,12 @@ A small sparse two-phase simplex with fraction-free integer rows.  Each
 tableau row, the cost row included, holds the integer numerators of its
 nonzero cells in a ``{column: int}`` dict, an integer rhs numerator and one
 positive denominator shared by the whole row, so the row is ``num / den``.
-Rows are scaled to integers once, when the model is built; a pivot touches
-only the rows with a nonzero in the entering column, and only at the pivot
-row's nonzero columns, and takes one gcd per updated row instead of one per
-cell.  Values go back to ``Rat`` only at the end.
+A model's coefficients are ints or ``Rat`` values: a row of ints is taken
+as it is, and any other row is scaled to integers once, when the tableau
+is built.  A pivot touches only the rows with a nonzero in the entering
+column, and only at the pivot row's nonzero columns, and takes one gcd per
+updated row instead of one per cell.  Values go back to ``Rat`` only at
+the end.
 
 Every comparison is exact (ratios are compared by cross-multiplying
 integers) and the pivot rules are fixed: most negative reduced cost, lowest
@@ -60,9 +62,9 @@ class LpFormatError(ValueError):
 @dataclass
 class LinearConstraint:
     name: str
-    coeffs: Dict[str, object]  # var name -> Rat
+    coeffs: Dict[str, object]  # var name -> int or Rat
     relation: str  # "<=" or ">="
-    rhs: object  # Rat
+    rhs: object  # int or Rat
 
 
 @dataclass
@@ -91,7 +93,7 @@ class LpModel:
     def __post_init__(self):
         self._names = set(self.variables)
 
-    def add_var(self, name: str, obj=ZERO, tiebreak=ZERO) -> str:
+    def add_var(self, name: str, obj=0, tiebreak=0) -> str:
         if name in self._names:
             raise LpFormatError(f"duplicate variable {name!r}")
         _check_finite(obj, f"objective coefficient of {name}")
@@ -149,15 +151,15 @@ def dual_model(model: LpModel) -> LpModel:
         for var, coef in con.coeffs.items():
             columns[var][y] = coef if s == 1 else -coef
     for var in model.variables:
-        c = model.objective.get(var, ZERO)
+        c = model.objective.get(var, 0)
         dual.constraints.append(LinearConstraint(var, columns[var], "<=", c if sign == 1 else -c))
     return dual
 
 
 def _rat(value):
-    """A checked coefficient as a Rat: a Rat as given, anything else
-    converted once."""
-    return value if isinstance(value, Rat) else Rat(value)
+    """A checked coefficient as stored: an int or a Rat as given, anything
+    else converted once to a Rat."""
+    return value if type(value) is int or isinstance(value, Rat) else Rat(value)
 
 
 def _check_finite(value, what: str) -> None:
@@ -261,8 +263,11 @@ class _Row:
         self.d = d
 
 
-def _integer_row(cells: Dict[int, object], rhs=ZERO) -> _Row:
-    """Rational cells and rhs scaled by the lcm of their denominators."""
+def _integer_row(cells: Dict[int, object], rhs=0) -> _Row:
+    """Cells and rhs, ints or Rats, scaled by the lcm of their denominators.
+    A row of ints keeps ``cells``, a fresh dict of the caller's, as it is."""
+    if type(rhs) is int and all(type(x) is int for x in cells.values()):
+        return _Row(cells, rhs)
     d = lcm(int(rhs.denominator), *(int(x.denominator) for x in cells.values()))
     return _Row(
         {j: int(x.numerator) * (d // int(x.denominator)) for j, x in cells.items()},

@@ -35,7 +35,15 @@ per output, by the exact ``within-twice-dual`` check of
 All arithmetic is exact; each dual adjustment step is sized by one small
 rational LP over exactly the moves the relaxation rules allow: it
 maximizes the step, and its tie-break picks the least total perturbation
-among the largest steps, for determinism.
+among the largest steps, for determinism.  The increase phase holds each
+integral value as a Python ``int`` and every other value as a ``Rat``:
+the dual values, the running capacity sums, the capacities they are
+compared with and each step and move read back from a step LP.  The
+setters of :class:`IncreaseState` make a written value an ``int`` when it
+is integral, and no value of the phase is ever divided, so no ``int``
+division can yield a float.  :attr:`IncreaseState.dual` turns every value
+back into a ``Rat``, so the check of the dual, the ratio, certificates and
+reports read ``Rat`` values only.
 
 The increase phase keeps its state incrementally.  Every dual write goes
 through the setters of :class:`IncreaseState`, which keep the demands
@@ -62,7 +70,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import groupby
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple, Union
 
 from .instances import (
     Demand,
@@ -76,6 +84,14 @@ from .instances import (
 from .lp import OPTIMAL, LpModel, simplex_solve
 from .rationals import INF, ONE, ExtRat, Rat, ZERO, is_inf
 from .reporting import CheckReport
+
+#: A value of the increase phase: an int when integral, else a Rat.
+Exact = Union[int, Rat]
+
+
+def _exact(x) -> Exact:
+    """x as an int when it is integral, else the Rat it is."""
+    return int(x) if x.denominator == 1 else x
 
 
 @dataclass(frozen=True)
@@ -258,7 +274,6 @@ class IncreaseState:
         )
         self.position: Dict[int, int] = {d: p for p, d in enumerate(self.order)}
         self.path_edges: List[Tuple[int, ...]] = [inst.path_edges(i) for i in range(k)]
-        self.edge_set: List[FrozenSet[int]] = [frozenset(p) for p in self.path_edges]
         self.node_set: List[FrozenSet[int]] = [frozenset(inst.path_nodes(i)) for i in range(k)]
         # edge -> the demands whose path holds it, by index
         self.through: List[List[int]] = [[] for _ in range(inst.tree.n)]
@@ -271,9 +286,9 @@ class IncreaseState:
                 at.setdefault(e, []).append(e)
             self.edges_at.append({v: sorted(es) for v, es in at.items()})
 
-        self.xi: Dict[int, Rat] = {}
-        self.nu: Dict[Tuple[int, int], Rat] = {}
-        self.mu: Dict[Tuple[int, int], Rat] = {}
+        self.xi: Dict[int, Exact] = {}
+        self.nu: Dict[Tuple[int, int], Exact] = {}
+        self.mu: Dict[Tuple[int, int], Exact] = {}
         # the edges of F in order of addition, for the reverse delete
         self.F: Dict[int, None] = {}
         self.witness: Dict[int, int] = {}
@@ -281,11 +296,16 @@ class IncreaseState:
         self._cursor = 0  # where uncovered() resumes in order
 
         tree = inst.tree
+        # the capacities, by edge or node id; the root's edge slot stays 0
+        self.edge_cap: List[Exact] = [0] * tree.n
+        for e, w in inst.edge_weight.items():
+            self.edge_cap[e] = _exact(w)
+        self.node_cap: List[Exact] = [_exact(inst.node_weight[v]) for v in range(tree.n)]
         # kept by the setters: node -> demands with mu > 0 there, in
-        # processing order, and the running capacity sums
+        # processing order, and the running capacity sums by id
         self.holders: Dict[int, List[int]] = {}
-        self.nu_sum: Dict[int, Rat] = {e: ZERO for e in tree.edge_ids()}
-        self.mu_sum: Dict[int, Rat] = {v: ZERO for v in range(tree.n)}
+        self.nu_sum: List[Exact] = [0] * tree.n
+        self.mu_sum: List[Exact] = [0] * tree.n
         # the classification, re-derived by snapshot() for dirty items only;
         # a write to xi[j], nu[(e, j)] or mu[(v, j)] changes only j's rows
         self.tight: Set[Tuple[int, int]] = set()
@@ -306,26 +326,28 @@ class IncreaseState:
 
     # -- the only dual writers --------------------------------------------
 
-    def set_xi(self, d: int, val: Rat) -> None:
-        self.xi[d] = val
+    def set_xi(self, d: int, val: Exact) -> None:
+        self.xi[d] = _exact(val)
         self._dirty_demands.add(d)
         self._unchecked_xi.add(d)
         self.unminimized.add(d)
 
-    def set_nu(self, key: Tuple[int, int], val: Rat) -> None:
+    def set_nu(self, key: Tuple[int, int], val: Exact) -> None:
         """Write nu[key]; a zero value removes the entry."""
         e, j = key
-        self.nu_sum[e] += val - self.nu.get(key, ZERO)
+        val = _exact(val)
+        self.nu_sum[e] = _exact(self.nu_sum[e] + val - self.nu.get(key, 0))
         _store(self.nu, key, val)
         self._dirty_demands.add(j)
         self._dirty_edges.add(e)
         self._unchecked_nu.add(key)
         self.unminimized.add(j)
 
-    def set_mu(self, key: Tuple[int, int], val: Rat) -> None:
+    def set_mu(self, key: Tuple[int, int], val: Exact) -> None:
         """Write mu[key]; a zero value removes the entry."""
         v, j = key
-        self.mu_sum[v] += val - self.mu.get(key, ZERO)
+        val = _exact(val)
+        self.mu_sum[v] = _exact(self.mu_sum[v] + val - self.mu.get(key, 0))
         _store(self.mu, key, val)
         here = self.holders.setdefault(v, [])
         i = bisect_left(here, self.position[j], key=self.position.__getitem__)
@@ -346,12 +368,12 @@ class IncreaseState:
         upper = self.instance.tree.parent[e]
         return e if v == upper else upper
 
-    def support_lhs(self, e: int, j: int) -> Rat:
+    def support_lhs(self, e: int, j: int) -> Exact:
         """nu + mu at both ends: the left side of j's support row at e."""
         return (
-            self.nu.get((e, j), ZERO)
-            + self.mu.get((self.instance.tree.parent[e], j), ZERO)
-            + self.mu.get((e, j), ZERO)
+            self.nu.get((e, j), 0)
+            + self.mu.get((self.instance.tree.parent[e], j), 0)
+            + self.mu.get((e, j), 0)
         )
 
     def decrease_targets(self, d: int, v: int) -> List[int]:
@@ -374,18 +396,18 @@ class IncreaseState:
         grows, so the scan resumes at the last demand returned."""
         while self._cursor < len(self.order):
             d = self.order[self._cursor]
-            if self.edge_set[d].isdisjoint(self.F):
+            if self.F.keys().isdisjoint(self.path_edges[d]):
                 return d
             self._cursor += 1
         return None
 
     @property
     def dual(self) -> MulticutDual:
-        return MulticutDual(
-            xi=dict(sorted(self.xi.items())),
-            nu=dict(sorted(self.nu.items())),
-            mu=dict(sorted(self.mu.items())),
-        )
+        """The dual values by key, each a Rat."""
+        return MulticutDual(*(
+            {key: Rat(v) if type(v) is int else v for key, v in sorted(table.items())}
+            for table in (self.xi, self.nu, self.mu)
+        ))
 
     # -- classification ----------------------------------------------------
 
@@ -393,18 +415,17 @@ class IncreaseState:
         """Classify the current dual in place, re-deriving only what the
         writes since the last classification can have changed, and return
         the state, whose classification sets hold until the next write."""
-        inst = self.instance
-        tree = inst.tree
+        tree = self.instance.tree
         # edges whose own and both end capacities' saturation may have changed
         recheck: Set[int] = set()
         for e in self._dirty_edges:
-            if _toggle(self.sat_edge, e, self.nu_sum[e] == inst.edge_weight[e]):
+            if _toggle(self.sat_edge, e, self.nu_sum[e] == self.edge_cap[e]):
                 recheck.add(e)
         for v in self._dirty_nodes:
-            if _toggle(self.sat_node, v, self.mu_sum[v] == inst.node_weight[v]):
+            if _toggle(self.sat_node, v, self.mu_sum[v] == self.node_cap[v]):
                 recheck.update(tree.incident(v))
         for j in self._dirty_demands:
-            xi = self.xi.get(j, ZERO)
+            xi = self.xi.get(j, 0)
             for e in self.path_edges[j]:
                 tight = self.support_lhs(e, j) == xi
                 if _toggle(self.tight, (e, j), tight):
@@ -455,19 +476,18 @@ class IncreaseState:
     def check_step(self) -> None:
         """Exact check of every nonnegativity, capacity and support row
         whose inputs were written since the last check."""
-        inst = self.instance
         rows = {(e, j) for j in self._unchecked_xi for e in self.path_edges[j]}
         for key in self._unchecked_nu:
             e = key[0]
-            assert self.nu.get(key, ZERO) >= 0
-            assert self.nu_sum[e] <= inst.edge_weight[e], f"edge capacity violated at {e}"
+            assert self.nu.get(key, 0) >= 0
+            assert self.nu_sum[e] <= self.edge_cap[e], f"edge capacity violated at {e}"
             rows.add(key)
         for v, j in self._unchecked_mu:
-            assert self.mu.get((v, j), ZERO) >= 0
-            assert self.mu_sum[v] <= inst.node_weight[v], f"node capacity violated at {v}"
+            assert self.mu.get((v, j), 0) >= 0
+            assert self.mu_sum[v] <= self.node_cap[v], f"node capacity violated at {v}"
             rows.update((f, j) for f in self.edges_at[j].get(v, ()))
         for e, j in rows:
-            assert self.xi.get(j, ZERO) <= self.support_lhs(e, j), (
+            assert self.xi.get(j, 0) <= self.support_lhs(e, j), (
                 f"support row violated ({e},{j})"
             )
         self._unchecked_xi.clear()
@@ -478,8 +498,8 @@ class IncreaseState:
         """Check the running sums and the holders, in processing order,
         against loads recomputed from the dual tables."""
         nu_load, mu_load = _load(self.nu), _load(self.mu)
-        assert all(tot == nu_load.get(e, ZERO) for e, tot in self.nu_sum.items())
-        assert all(tot == mu_load.get(v, ZERO) for v, tot in self.mu_sum.items())
+        assert all(tot == nu_load.get(e, 0) for e, tot in enumerate(self.nu_sum))
+        assert all(tot == mu_load.get(v, 0) for v, tot in enumerate(self.mu_sum))
         holders: Dict[int, List[int]] = {}
         for (v, j), val in sorted(self.mu.items(), key=lambda item: self.position[item[0][1]]):
             if val > 0:
@@ -487,7 +507,7 @@ class IncreaseState:
         assert holders == self.holders
 
 
-def _store(table: Dict, key, val: Rat) -> None:
+def _store(table: Dict, key, val: Exact) -> None:
     if val:
         table[key] = val
     else:
@@ -511,12 +531,12 @@ def _minimize_nu(state: IncreaseState) -> None:
             if e in state.F or key not in state.nu:
                 continue
             needed = (
-                state.xi.get(d, ZERO)
-                - state.mu.get((parent[e], d), ZERO)
-                - state.mu.get((e, d), ZERO)
+                state.xi.get(d, 0)
+                - state.mu.get((parent[e], d), 0)
+                - state.mu.get((e, d), 0)
             )
             if needed < 0:
-                needed = ZERO
+                needed = 0
             assert needed <= state.nu[key]
             if needed != state.nu[key]:
                 state.set_nu(key, needed)
@@ -592,7 +612,7 @@ def _step_lp(
     U: List[int],
     R: List[int],
     moves: Tuple[Set[Tuple[int, int]], Set[Tuple[int, int]], Set[Tuple[int, int]]],
-) -> Rat:
+) -> Exact:
     """Largest feasible simultaneous step, and by a unit tie-break cost on
     each move the least total perturbation achieving it, in one solve;
     applies the update and returns the step.  Rows and update read ``delta``:
@@ -602,7 +622,7 @@ def _step_lp(
     dec, inc_nu, inc_mu = (sorted(m) for m in moves)
 
     model = LpModel(f"step_demand{d}", sense="max")
-    model.add_var("eps", obj=ONE)
+    model.add_var("eps", obj=1)
     delta: Dict[Tuple[str, int, int], Dict[str, int]] = {}
     for key in [("nu", e, d) for e in H] + [("mu", v, d) for v in U + R]:
         delta[key] = {"eps": 1}
@@ -612,7 +632,7 @@ def _step_lp(
         ("mu", "dm_v", -1, dec),
     ):
         for x, j in keys:
-            name = model.add_var(f"{prefix}{x}_d{j}", tiebreak=ONE)
+            name = model.add_var(f"{prefix}{x}_d{j}", tiebreak=1)
             delta.setdefault((kind, x, j), {})[name] = sign
 
     # support rows of the moved demands (the others' rows are all zero):
@@ -625,12 +645,12 @@ def _step_lp(
                     coeffs[name] = coeffs.get(name, 0) + c
             coeffs = {name: c for name, c in coeffs.items() if c}
             if coeffs:
-                slack = state.support_lhs(e, j) - state.xi.get(j, ZERO)
+                slack = state.support_lhs(e, j) - state.xi.get(j, 0)
                 model.add_constraint(f"support_e{e}_d{j}", coeffs, ">=", -slack)
     # capacity rows of the moved entries; each variable moves one entry
     for kind, prefix, weight, load in (
-        ("nu", "edgecap_e", inst.edge_weight, state.nu_sum),
-        ("mu", "nodecap_v", inst.node_weight, state.mu_sum),
+        ("nu", "edgecap_e", state.edge_cap, state.nu_sum),
+        ("mu", "nodecap_v", state.node_cap, state.mu_sum),
     ):
         keys = sorted(key for key in delta if key[0] == kind)
         for x, group in groupby(keys, key=lambda key: key[1]):
@@ -638,20 +658,22 @@ def _step_lp(
             model.add_constraint(f"{prefix}{x}", coeffs, "<=", weight[x] - load[x])
     for v, j in dec:
         model.add_constraint(
-            f"decbound_v{v}_d{j}", {f"dm_v{v}_d{j}": ONE}, "<=", state.mu[(v, j)]
+            f"decbound_v{v}_d{j}", {f"dm_v{v}_d{j}": 1}, "<=", state.mu[(v, j)]
         )
 
     step = simplex_solve(model)
     assert step.status == OPTIMAL, f"step sizing failed: {step.status}"
-    eps = step.value
+    eps = _exact(step.value)
 
-    state.set_xi(d, state.xi.get(d, ZERO) + eps)
+    state.set_xi(d, state.xi.get(d, 0) + eps)
     for (kind, x, j), coeffs in delta.items():
         table, write = (state.nu, state.set_nu) if kind == "nu" else (state.mu, state.set_mu)
-        old = new = table.get((x, j), ZERO)
+        old = new = table.get((x, j), 0)
         for name, c in coeffs.items():  # c is 1 or -1, so no product is needed
-            if step[name]:
-                new = new + step[name] if c > 0 else new - step[name]
+            move = step[name]
+            if move:
+                move = _exact(move)
+                new = new + move if c > 0 else new - move
         if new != old:
             write((x, j), new)
     state.check_step()
@@ -661,14 +683,15 @@ def _step_lp(
 def _fact5_additions(state: IncreaseState, wit: int, d: int) -> None:
     """Chase immovable dual mass: every earlier demand holding mass at an
     end of a newly added edge gets one of its own pinned path edges added."""
-    tree = state.instance.tree
+    inst = state.instance
+    tree = inst.tree
     queue: List[Tuple[int, int, int]] = [
         (wit, d, v) for v in sorted((tree.parent[wit], wit))
     ]
     while queue:
         g, owner, v = queue.pop(0)
         for j in state.decrease_targets(owner, v):
-            if g in state.edge_set[j]:
+            if any(g in leg for leg in inst.legs(j)):
                 continue
             cands = state.pinning_edges(j, v)
             assert cands, "immovable mass must be pinned by a bottleneck edge"
@@ -682,7 +705,7 @@ def increase_iteration(state: IncreaseState, i: int) -> IncreaseState:
     """Process demand i: raise its dual value as far as the capacities
     allow, then add the witness edge (and any chased additions) to F."""
     inst = state.instance
-    assert state.edge_set[i].isdisjoint(state.F), "demand already covered"
+    assert state.F.keys().isdisjoint(state.path_edges[i]), "demand already covered"
     _minimize_nu(state)
     # generous stall guard: a legitimate run saturates at least one new
     # capacity per step, and there are |E| + |V| = 2n - 1 of them per demand round
@@ -758,7 +781,7 @@ def deletion_phase(state: IncreaseState) -> FrozenSet[int]:
 
     assert kept.issubset(state.F)
     for j in range(k):
-        assert not kept.isdisjoint(state.edge_set[j]), f"demand {j} left uncovered"
+        assert not kept.isdisjoint(state.path_edges[j]), f"demand {j} left uncovered"
     for d in state.processed:
         for leg in state.instance.legs(d):
             assert len(kept & leg) <= 1, f"leg of demand {d} cut twice"

@@ -28,7 +28,7 @@ from .instances import (
     edge_neighborhoods,
 )
 from .lp import INFEASIBLE, LpModel, LpResult, OPTIMAL, dual_model, simplex_solve
-from .rationals import ONE, Rat, ZERO, is_inf
+from .rationals import Rat, ZERO, is_inf
 
 RELAXATION_KINDS = ("natural", "strengthened", "edge-cover")
 
@@ -116,14 +116,14 @@ def build_relaxation(inst, kind: str, *, projected: bool = False) -> LpModel:
     zset = set(z_keys)
 
     for c, members, _ in demands:
-        coeffs = {f"x_e{e}": ONE for e in members}
+        coeffs = {f"x_e{e}": 1 for e in members}
         if c in zset:
-            coeffs[f"z_{c}"] = ONE
-        model.add_constraint(f"cover_{c}", coeffs, ">=", ONE)
+            coeffs[f"z_{c}"] = 1
+        model.add_constraint(f"cover_{c}", coeffs, ">=", 1)
     for v in range(g.n):
         for e in sorted(g.incident(v)):
             model.add_constraint(
-                f"node_v{v}_e{e}", {f"x_v{v}": ONE, f"x_e{e}": -ONE}, ">=", ZERO
+                f"node_v{v}_e{e}", {f"x_v{v}": 1, f"x_e{e}": -1}, ">=", 0
             )
 
     if kind == "strengthened":
@@ -136,16 +136,16 @@ def build_relaxation(inst, kind: str, *, projected: bool = False) -> LpModel:
                 continue
             for suffix, coeffs in rows:
                 if c in zset:
-                    coeffs[f"z_{c}"] = ONE
-                model.add_constraint(f"ends_{c}{suffix}", coeffs, ">=", ONE)
+                    coeffs[f"z_{c}"] = 1
+                model.add_constraint(f"ends_{c}{suffix}", coeffs, ">=", 1)
         for c, members in kept:
             for e in members:
                 model.add_var(f"y_{c}_{e}")
         for c, members in kept:
-            coeffs = {f"y_{c}_{e}": ONE for e in members}
+            coeffs = {f"y_{c}_{e}": 1 for e in members}
             if c in zset:
-                coeffs[f"z_{c}"] = ONE
-            model.add_constraint(f"ycover_{c}", coeffs, ">=", ONE)
+                coeffs[f"z_{c}"] = 1
+            model.add_constraint(f"ycover_{c}", coeffs, ">=", 1)
             at_node: Dict[int, List[int]] = {}
             for e in members:
                 u, v = g.ends(e)
@@ -154,18 +154,18 @@ def build_relaxation(inst, kind: str, *, projected: bool = False) -> LpModel:
             for v in sorted(at_node):
                 if projected and len(at_node[v]) == 1:
                     continue  # x(v) >= x(e) >= y(C,e) implies it
-                coeffs = {f"x_v{v}": ONE}
+                coeffs = {f"x_v{v}": 1}
                 for e in at_node[v]:
-                    coeffs[f"y_{c}_{e}"] = -ONE
-                model.add_constraint(f"ynode_{c}_v{v}", coeffs, ">=", ZERO)
+                    coeffs[f"y_{c}_{e}"] = -1
+                model.add_constraint(f"ynode_{c}_v{v}", coeffs, ">=", 0)
             for e in members:
                 model.add_constraint(
-                    f"yedge_{c}_e{e}", {f"x_e{e}": ONE, f"y_{c}_{e}": -ONE}, ">=", ZERO
+                    f"yedge_{c}_e{e}", {f"x_e{e}": 1, f"y_{c}_{e}": -1}, ">=", 0
                 )
     return model
 
 
-def _end_rows(g, e: int) -> Optional[List[Tuple[str, Dict[str, Rat]]]]:
+def _end_rows(g, e: int) -> Optional[List[Tuple[str, Dict[str, int]]]]:
     """The rows x(a) + x(b), x(a) + x(B) and x(b) + x(A) (without z) that
     replace the y rows of edge e = ab's demand, named by their suffix, or
     None when a and b have a common neighbour."""
@@ -176,9 +176,9 @@ def _end_rows(g, e: int) -> Optional[List[Tuple[str, Dict[str, Rat]]]]:
     if not touched_a.isdisjoint(u for f in side_b for u in g.ends(f)):
         return None  # a common neighbour: its node row holds two members
     return [
-        ("", {f"x_v{a}": ONE, f"x_v{b}": ONE}),
-        (f"_v{a}", {f"x_v{a}": ONE, **{f"x_e{f}": ONE for f in side_b}}),
-        (f"_v{b}", {f"x_v{b}": ONE, **{f"x_e{f}": ONE for f in side_a}}),
+        ("", {f"x_v{a}": 1, f"x_v{b}": 1}),
+        (f"_v{a}", {f"x_v{a}": 1, **{f"x_e{f}": 1 for f in side_b}}),
+        (f"_v{b}", {f"x_v{b}": 1, **{f"x_e{f}": 1 for f in side_a}}),
     ]
 
 
@@ -187,14 +187,14 @@ def _build_edge_cover_lp(inst: FacilityLocationInstance) -> LpModel:
     for f, cost in enumerate(inst.opening):
         model.add_var(f"y_f{f}", obj=cost)
     pairs = sorted(inst.conn)
-    serve: Dict[int, Dict[str, Rat]] = {v: {} for v in range(inst.n_clients)}
+    serve: Dict[int, Dict[str, int]] = {v: {} for v in range(inst.n_clients)}
     for v, f in pairs:
-        serve[v][model.add_var(f"x_c{v}_f{f}", obj=inst.conn[(v, f)])] = ONE
+        serve[v][model.add_var(f"x_c{v}_f{f}", obj=inst.conn[(v, f)])] = 1
     for v, coeffs in serve.items():
-        model.add_constraint(f"serve_c{v}", coeffs, ">=", ONE)
+        model.add_constraint(f"serve_c{v}", coeffs, ">=", 1)
     for v, f in pairs:
         model.add_constraint(
-            f"open_c{v}_f{f}", {f"y_f{f}": ONE, f"x_c{v}_f{f}": -ONE}, ">=", ZERO
+            f"open_c{v}_f{f}", {f"y_f{f}": 1, f"x_c{v}_f{f}": -1}, ">=", 0
         )
     return model
 
@@ -286,7 +286,7 @@ def complete_eds_dual(
     for ep in sorted(by_ep):
         model.add_constraint(
             f"edge_cap_{ep}",
-            {f"nu_{ep}_{e}": ONE for e in by_ep[ep]},
+            {f"nu_{ep}_{e}": 1 for e in by_ep[ep]},
             "<=",
             inst.edge_weight[ep],
         )
@@ -296,16 +296,16 @@ def complete_eds_dual(
     for v in sorted(by_v):
         model.add_constraint(
             f"node_cap_{v}",
-            {f"mu_{v}_{e}": ONE for e in by_v[v]},
+            {f"mu_{v}_{e}": 1 for e in by_v[v]},
             "<=",
             inst.node_weight[v],
         )
     for e in active:
         for ep in nbhd[e]:
             u, v = g.ends(ep)
-            coeffs = {f"nu_{ep}_{e}": ONE}
-            coeffs[f"mu_{u}_{e}"] = coeffs.get(f"mu_{u}_{e}", ZERO) + ONE
-            coeffs[f"mu_{v}_{e}"] = coeffs.get(f"mu_{v}_{e}", ZERO) + ONE
+            coeffs = {f"nu_{ep}_{e}": 1}
+            coeffs[f"mu_{u}_{e}"] = coeffs.get(f"mu_{u}_{e}", 0) + 1
+            coeffs[f"mu_{v}_{e}"] = coeffs.get(f"mu_{v}_{e}", 0) + 1
             model.add_constraint(f"support_{e}_{ep}", coeffs, ">=", xi[e])
 
     res = simplex_solve(model)

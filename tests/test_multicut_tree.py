@@ -228,7 +228,7 @@ def _reference_uncovered(state):
     """The first demand in processing order whose path misses F, by a
     rescan of every demand."""
     for d in state.order:
-        if state.edge_set[d].isdisjoint(state.F):
+        if not any(e in state.F for e in state.path_edges[d]):
             return d
     return None
 
@@ -252,7 +252,7 @@ def _reference_witness(state, i):
         if all(
             (e, j) in state.tight
             for j in range(len(inst.demands))
-            if e in state.edge_set[j]
+            if e in state.path_edges[j]
         )
     ]
     return min(witnesses or terminal, key=lambda e: (-depth[e], e))
@@ -413,10 +413,37 @@ def _model_text(model):
     return "\n".join(lines) + "\n"
 
 
+# the weight variants of a spec's fourth element: a function of the id of
+# the node, edge or demand and its weight or finite penalty
+_WEIGHTS = {
+    "w/7": lambda x, w: w / 7,
+    "odd w/3": lambda x, w: w / 3 if x % 2 else w,
+}
+
+
+def _step_instance(n, k, seed, weights=None):
+    """``gen random-tree-multicut`` with every weight and finite penalty
+    replaced as ``_WEIGHTS[weights]`` says (as generated when None)."""
+    inst = gen_instance("random-tree-multicut", n=n, k=k, seed=seed)
+    if weights is None:
+        return inst
+    f = _WEIGHTS[weights]
+    return MulticutInstance(
+        inst.tree,
+        {v: f(v, w) for v, w in inst.node_weight.items()},
+        {e: f(e, w) for e, w in inst.edge_weight.items()},
+        [
+            Demand(d.s, d.t, d.penalty if is_inf(d.penalty) else f(i, d.penalty))
+            for i, d in enumerate(inst.demands)
+        ],
+    )
+
+
 @functools.lru_cache(maxsize=None)
-def _step_digests(n, k, seed):
-    """Two sha256 digests of one increase phase: of every LP it solves, in
-    solve order, and of its outcome, the kept cut and the final dual."""
+def _step_run(*spec):
+    """One increase phase and deletion phase on ``_step_instance(*spec)``:
+    the sha256 digest of every LP it solves, in solve order, the final
+    state and the kept cut."""
     models = hashlib.sha256()
     real = multicut_tree.simplex_solve
 
@@ -424,27 +451,31 @@ def _step_digests(n, k, seed):
         models.update(_model_text(model).encode())
         return real(model)
 
-    inst0, _ = reduce_prize_collecting(
-        gen_instance("random-tree-multicut", n=n, k=k, seed=seed)
-    )
+    inst0, _ = reduce_prize_collecting(_step_instance(*spec))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(multicut_tree, "simplex_solve", solve)
         state = run_increase_phase(IncreaseState(inst0))
+    return models.hexdigest(), state, deletion_phase(state)
+
+
+def _step_digests(*spec):
+    """Two sha256 digests of one increase phase: of every LP it solves, in
+    solve order, and of its outcome, the kept cut and the final dual."""
+    models, state, kept = _step_run(*spec)
     outcome = hashlib.sha256()
-    kept = " ".join(str(e) for e in sorted(deletion_phase(state)))
-    outcome.update(f"{kept}\n".encode())
+    outcome.update(f"{' '.join(str(e) for e in sorted(kept))}\n".encode())
     dual = state.dual
     for table in (dual.xi, dual.nu, dual.mu):
         outcome.update(
             " ".join(f"{key}={fmt_rat(val)}" for key, val in table.items()).encode()
         )
         outcome.update(b"\n")
-    return models.hexdigest(), outcome.hexdigest()
+    return models, outcome.hexdigest()
 
 
-# (n, k, seed) -> digest of the LP models.  On (20, 8, 7) an earlier rule
-# both lowered nu on an edge of F and failed its deletion phase; it now pins
-# a kept cut.
+# (n, k, seed[, weights]) -> digest of the LP models.  On (20, 8, 7) an
+# earlier rule both lowered nu on an edge of F and failed its deletion
+# phase; it now pins a kept cut.
 GOLDEN_STEP_MODELS = {
     (9, 4, 0): "a23c7ca0411780c259ed78a087589d2d13754ca3f3e06c88fbf46d3e2cadf725",
     (9, 4, 1): "724360a99b37df56a8deeddf86b4009756b4a022904f3c96d06cacc06705e212",
@@ -465,9 +496,21 @@ GOLDEN_STEP_MODELS = {
     (60, 15, 0): "d2c7920ecadde0a694c63e5a01ec097d799aadf342fc393aafc25ff222f7bd6f",
     (60, 15, 1): "f6fef9d630b47a92cf03e0456d84391a2239171dd2125f2df7648b052f385f05",
     (100, 25, 0): "79c196e91e3b1c7eb63da9c9f436ae663b0c80016c9cbda82bb369b3c647cba6",
+    # integral weights, non-integral final duals, as on (20, 8, 0) above
+    (9, 4, 16): "a33fa8d3bf8a1b48084b0818cb63fabc9e9c0bc1206fdcfffcf6d4013eacd111",
+    (20, 8, 53): "cc447a19507893494a55131066da6a30ef14c8d479c5db90c0f3aecfd473ca3f",
+    # non-integral weights: all of them, and those of odd ids (see _WEIGHTS)
+    (9, 4, 0, "w/7"): "4126ba1a1c189e7ac3e546e5f7546c00e454a686afda69a7668834947ec543b0",
+    (20, 8, 1, "w/7"): "eec09945026037143fbf6da5f94c24eaa626c181bc956c355b1e9ec09183c300",
+    (40, 10, 2, "w/7"): "39526bb27c307158df37ac30ce0600240ab33f873051f5c7aa46a553281f63ec",
+    (60, 15, 0, "w/7"): "c25d87698e950cdfeed2de9a054600d7988dcc71fef621c054cf6999e6e61045",
+    (9, 4, 1, "odd w/3"): "f9d3f436956e08dbdbd55834d40b08efcfa5e7eec987c79c92a77ba26295b79e",
+    (20, 8, 2, "odd w/3"): "e47e1ae58e942cdae43d61c4958cdaf8a7f8e34c5d1ca2aa869a3977dc0f1051",
+    (40, 10, 3, "odd w/3"): "1cde0948a2cbc8c15cb2bd2d1f2a8fc100765f39f79f4d25e2710330ba7e5ef6",
+    (60, 15, 1, "odd w/3"): "9fb92362797936c6ee612530829c38559205d8831d64a3a42999ed103a7ad49c",
 }
 
-# (n, k, seed) -> digest of the kept cut and the final dual.
+# (n, k, seed[, weights]) -> digest of the kept cut and the final dual.
 GOLDEN_STEP_OUTCOMES = {
     (9, 4, 0): "f37bba4b1d64766698ab6e90352aec2dd5eaac84a7843225d2aac52c569f830a",
     (9, 4, 1): "4c0f45c8cf8fa37e56e722b71ec5fc40f13739e86b73c9b6c24518d6836757d9",
@@ -488,6 +531,18 @@ GOLDEN_STEP_OUTCOMES = {
     (60, 15, 0): "79afc221e537c27d4557e2cec520f106a8aae7db511560065f5b0b841c7b3ee0",
     (60, 15, 1): "d2696e8a8b98bbd01585534dfd4cfa60104610607ebbab9fb57b091bed54229d",
     (100, 25, 0): "057ba40b3e00b96fcad3c9615a4319c8307aaeb328171d37b02e91c595f13700",
+    # integral weights, non-integral final duals, as on (20, 8, 0) above
+    (9, 4, 16): "bbade661cc58d5323cb17811432d21a171f465b5bebb01ff15a552a2816a7762",
+    (20, 8, 53): "80de35c725eba828aa8593f2b82c9d5220ade3d591cae7358ac80461ef4743bc",
+    # non-integral weights: all of them, and those of odd ids (see _WEIGHTS)
+    (9, 4, 0, "w/7"): "c4e692fbcf395597151d59579797feb0b66aa338c68ad6954c0b9fc42a32b6c4",
+    (20, 8, 1, "w/7"): "91b598d586e5ed5169386cdb137117566036ef8d42c8cc9fd4d3fd25a484d2a9",
+    (40, 10, 2, "w/7"): "3941af09d8fb861d4fac7889043614414676521497cd272f6f491d4a24cb43c9",
+    (60, 15, 0, "w/7"): "960d68e4a8dfa30912485005239b5f68a67fa3a8e61f16c53d1ce504d7e8bbf2",
+    (9, 4, 1, "odd w/3"): "418da3f1fc572d01d1192d20cf053fd28ab1ddb85a9d579112489d13af476dc0",
+    (20, 8, 2, "odd w/3"): "6091ab4279c78effe6153ab61c572f45ef1079af7de708f465dd28a91202708b",
+    (40, 10, 3, "odd w/3"): "a6ae6d8bd7e2ccc4f96ff722097c2a56d29ddc684c1fb3313e33f9531b6f2e84",
+    (60, 15, 1, "odd w/3"): "4eb6346b11818e172cd7d191742a7154fd622e14c2b9e59fa94c84c846481f55",
 }
 
 
@@ -499,6 +554,45 @@ def test_step_and_refine_models_are_pinned(spec):
 @pytest.mark.parametrize("spec", sorted(GOLDEN_STEP_OUTCOMES))
 def test_step_outcomes_are_pinned(spec):
     assert _step_digests(*spec)[1] == GOLDEN_STEP_OUTCOMES[spec]
+
+
+@pytest.mark.parametrize("spec", sorted(GOLDEN_STEP_OUTCOMES))
+def test_integral_duals_are_ints_until_read(spec):
+    """The increase phase keeps each integral dual value and running
+    capacity sum as an int and every other value as a Rat;
+    ``IncreaseState.dual`` hands out Rats only."""
+    _, state, _ = _step_run(*spec)
+    for table in (state.xi, state.nu, state.mu):
+        for val in table.values():
+            assert type(val) is (int if val.denominator == 1 else Rat)
+    for val in state.nu_sum + state.mu_sum:
+        assert type(val) is (int if val.denominator == 1 else Rat)
+    dual = state.dual
+    assert all(
+        type(val) is Rat for table in (dual.xi, dual.nu, dual.mu) for val in table.values()
+    )
+
+
+def test_pinned_duals_take_both_branches():
+    """Among the pinned runs, an instance with integral weights ends with a
+    non-integral dual value, and one with non-integral weights with an
+    integral one, so both kinds of value meet in the same sums."""
+
+    def kinds(spec):
+        dual = _step_run(*spec)[1].dual
+        return {v.denominator == 1 for t in (dual.xi, dual.nu, dual.mu) for v in t.values()}
+
+    assert kinds((9, 4, 16)) == {True, False}
+    assert kinds((40, 10, 3, "odd w/3")) == {True, False}
+
+
+def test_solver_returns_rat_dual_and_ratio():
+    for spec in [(9, 4, 16), (20, 8, 1), (20, 8, 2, "odd w/3")]:
+        _, dual, ratio = solve_multicut_tree(_step_instance(*spec))
+        assert type(ratio) is Rat
+        assert all(
+            type(v) is Rat for t in (dual.xi, dual.nu, dual.mu) for v in t.values()
+        )
 
 
 # -- verification -----------------------------------------------------------
