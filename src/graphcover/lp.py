@@ -11,6 +11,18 @@ column, and only at the pivot row's nonzero columns, and takes one gcd per
 updated row instead of one per cell.  Values go back to ``Rat`` only at
 the end.
 
+So a pivot costs the cells it changes, not the tableau.  A column index
+gives the ratio test and the elimination the entering column's rows: a
+set per column of the rows holding it, which the rows a pivot clears join
+at the pivot row's columns, in one bulk update per column (a row whose
+cell cancels stays in the set, and is skipped, until the column next
+enters; upkeep cell by cell made the eds-general primal at 20/40, which
+fills in heavily, 20-35% slower).  Pricing reads a heap of the negative
+reduced costs.  Both choose what a full scan chooses, so the pivot path
+is unchanged.  ``verify`` of ``gen random-tree-eds --n 1000 --seed 1``, a
+dual-completion LP of 3,713 rows and 3,086 pivots, went from 2.6 s to
+0.24 s (one core of a shared Xeon VM, Python 3.11, ``Fraction`` backend).
+
 Every comparison is exact (ratios are compared by cross-multiplying
 integers) and the pivot rules are fixed: most negative reduced cost, lowest
 basis index on equal ratios, Bland's least-index rule after a run of
@@ -45,6 +57,7 @@ building (for example by fixing a variable to zero or omitting a bound).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from typing import Dict, List, Optional
 
@@ -96,28 +109,32 @@ class LpModel:
     def add_var(self, name: str, obj=0, tiebreak=0) -> str:
         if name in self._names:
             raise LpFormatError(f"duplicate variable {name!r}")
-        _check_finite(obj, f"objective coefficient of {name}")
-        _check_finite(tiebreak, f"tie-break coefficient of {name}")
+        if type(obj) is not int:
+            obj = _checked(obj, f"objective coefficient of {name}")
+        if type(tiebreak) is not int:
+            tiebreak = _checked(tiebreak, f"tie-break coefficient of {name}")
         self.variables.append(name)
         self._names.add(name)
         if obj != 0:
-            self.objective[name] = _rat(obj)
+            self.objective[name] = obj
         if tiebreak != 0:
-            self.tiebreak[name] = _rat(tiebreak)
+            self.tiebreak[name] = tiebreak
         return name
 
     def add_constraint(self, name: str, coeffs: Dict[str, object], relation: str, rhs) -> None:
         if relation not in ("<=", ">="):
             raise LpFormatError(f"bad relation {relation!r}")
-        _check_finite(rhs, f"rhs of {name}")
+        if type(rhs) is not int:
+            rhs = _checked(rhs, f"rhs of {name}")
         clean = {}
         for var, c in coeffs.items():
             if var not in self._names:
                 raise LpFormatError(f"constraint {name!r} references unknown variable {var!r}")
-            _check_finite(c, f"coefficient of {var} in {name}")
+            if type(c) is not int:
+                c = _checked(c, f"coefficient of {var} in {name}")
             if c != 0:
-                clean[var] = _rat(c)
-        self.constraints.append(LinearConstraint(name, clean, relation, _rat(rhs)))
+                clean[var] = c
+        self.constraints.append(LinearConstraint(name, clean, relation, rhs))
 
 
 def dual_model(model: LpModel) -> LpModel:
@@ -156,17 +173,15 @@ def dual_model(model: LpModel) -> LpModel:
     return dual
 
 
-def _rat(value):
-    """A checked coefficient as stored: an int or a Rat as given, anything
-    else converted once to a Rat."""
-    return value if type(value) is int or isinstance(value, Rat) else Rat(value)
-
-
-def _check_finite(value, what: str) -> None:
+def _checked(value, what: str):
+    """A coefficient that is not an int, as stored: a Rat as given, another
+    finite exact value converted once to a Rat; infinities and floats are
+    rejected.  Callers store an int as it is, without this call."""
     if is_inf(value):
         raise LpFormatError(f"infinite {what}; eliminate infinities before building the model")
     if isinstance(value, float):
         raise LpFormatError(f"float {what}; use exact rationals")
+    return value if isinstance(value, Rat) else Rat(value)
 
 
 def simplex_solve(model: LpModel) -> LpResult:
@@ -199,6 +214,11 @@ def simplex_solve(model: LpModel) -> LpResult:
             row.a[ncols + i] = row.d
             basis.append(ncols + i)
         tab.append(row)
+    # cols[j]: every row holding column j, and maybe rows that held it once
+    cols = [set() for _ in range(a)]
+    for i, row in enumerate(tab):
+        for j in row.a:
+            cols[j].add(i)
 
     # ---- phase I ----
     if a > art_start:
@@ -206,16 +226,17 @@ def simplex_solve(model: LpModel) -> LpResult:
         for row, col in zip(tab, basis):
             if col >= art_start:
                 _eliminate(cost, row, col)
-        status = _pivot_until_optimal(tab, basis, cost)
+        status = _pivot_until_optimal(tab, basis, cost, cols)
         if status == UNBOUNDED:  # cannot happen for a bounded-below phase-I objective
             raise AssertionError("phase I unbounded")
         # The phase-I optimum is the sum of these rhs, all nonnegative.
         if any(row.b for row, col in zip(tab, basis) if col >= art_start):
             return LpResult(INFEASIBLE)
-        _drive_out_artificials(tab, basis, art_start)
+        _drive_out_artificials(tab, basis, cols, art_start)
         # the artificial columns never enter again
         for row in tab:
             row.a = {j: x for j, x in row.a.items() if j < art_start}
+        del cols[art_start:]
 
     def priced(objective: Dict[str, object], sign: int, dropped=()) -> _Row:
         """``sign * objective`` as a cost row in the current basis, less ``dropped``."""
@@ -229,13 +250,13 @@ def simplex_solve(model: LpModel) -> LpResult:
 
     # ---- phase II, then the tie-break over the optimal face ----
     cost = priced(model.objective, 1 if model.sense == "min" else -1)
-    status = _pivot_until_optimal(tab, basis, cost)
+    status = _pivot_until_optimal(tab, basis, cost, cols)
     if status == OPTIMAL and model.tiebreak:
         # a column with a positive reduced cost is zero in every optimum
         dropped = {j for j, x in cost.a.items() if x > 0}
         for row in tab:
             row.a = {j: x for j, x in row.a.items() if j not in dropped}
-        status = _pivot_until_optimal(tab, basis, priced(model.tiebreak, 1, dropped))
+        status = _pivot_until_optimal(tab, basis, priced(model.tiebreak, 1, dropped), cols)
     if status == UNBOUNDED:
         return LpResult(UNBOUNDED)
 
@@ -313,7 +334,7 @@ def _eliminate(row: _Row, prow: _Row, c: int) -> None:
         _reduce(row)
 
 
-def _pivot_until_optimal(tab: List[_Row], basis: List[int], cost: _Row) -> str:
+def _pivot_until_optimal(tab: List[_Row], basis: List[int], cost: _Row, cols: List[set]) -> str:
     """Minimise the cost row over every column it holds.
 
     Pivots choose the most negative reduced cost (fast in practice) and fall
@@ -321,22 +342,32 @@ def _pivot_until_optimal(tab: List[_Row], basis: List[int], cost: _Row) -> str:
     restores the termination guarantee without giving up determinism.  The
     cost numerators share one positive denominator, so they compare as
     integers; the ratio test compares ``b_i / a_i`` by cross-multiplying,
-    the row denominator cancelling.
+    the row denominator cancelling, over the rows of ``cols[enter]`` only.
+    The most negative cost tops a heap of ``(numerator, column)``: a pivot
+    changes the cost row at the pivot row's columns only, so it pushes
+    those, and entries the row no longer holds are dropped as they surface;
+    a pivot that rescales the cost row replaces its dict and the heap.
     """
     stalled = 0
     bland = False
+    heap = None
     while True:
-        negative = [(x, j) for j, x in cost.a.items() if x < 0]
-        if not negative:
+        if bland:
+            enter = min((j for j, x in cost.a.items() if x < 0), default=-1)
+        else:
+            if heap is None:
+                heap = [(x, j) for j, x in cost.a.items() if x < 0]
+                heapify(heap)
+            while heap and cost.a.get(heap[0][1]) != heap[0][0]:
+                heappop(heap)
+            enter = heap[0][1] if heap else -1
+        if enter < 0:
             return OPTIMAL
-        enter = min(j for _, j in negative) if bland else min(negative)[1]
         leave = -1
         best_b = best_a = 0
-        holders = []  # the rows the pivot must clear, found by the same scan
-        for i, row in enumerate(tab):
+        for i in cols[enter]:  # any order: ties go to the least basis index
+            row = tab[i]
             a = row.a.get(enter, 0)
-            if a:
-                holders.append(i)
             if a > 0:
                 if leave >= 0:
                     lhs = row.b * best_a
@@ -348,22 +379,29 @@ def _pivot_until_optimal(tab: List[_Row], basis: List[int], cost: _Row) -> str:
                 best_a = a
         if leave < 0:
             return UNBOUNDED
-        _pivot(tab, basis, cost, leave, enter, holders)
+        before = cost.a
+        _pivot(tab, basis, cost, leave, enter, cols)
         if not bland:
+            if cost.a is not before:
+                heap = None
+            else:
+                for j in tab[leave].a:
+                    x = before.get(j, 0)
+                    if x < 0:
+                        heappush(heap, (x, j))
             if best_b == 0:
                 stalled += 1
-                if stalled > 40:
-                    bland = True
+                bland = stalled > 40
             else:
                 stalled = 0
 
 
-def _pivot(
-    tab: List[_Row], basis: List[int], cost: _Row, r: int, c: int, holders: List[int]
-) -> None:
+def _pivot(tab: List[_Row], basis: List[int], cost: _Row, r: int, c: int, cols: List[set]) -> None:
     """Make column c basic in row r: the pivot row takes its pivot numerator
     (sign-fixed) as its denominator, and every other row holding column c,
-    listed in ``holders`` in row order, and the cost row eliminate it."""
+    found in ``cols[c]``, and the cost row eliminate it.  Those rows may
+    fill in at the pivot row's columns, so they join their ``cols`` sets
+    (a cell that cancelled leaves a row there that no longer holds it)."""
     prow = tab[r]
     p = prow.a[c]
     if p < 0:
@@ -372,15 +410,20 @@ def _pivot(
     if prow.d != p:
         prow.d = p
         _reduce(prow)
+    holders = [i for i in cols[c] if i != r and c in tab[i].a]
     for i in holders:
-        if i != r:
-            _eliminate(tab[i], prow, c)
+        _eliminate(tab[i], prow, c)
+    for j in prow.a:
+        cols[j].update(holders)
+    cols[c] = {r}
     if c in cost.a:
         _eliminate(cost, prow, c)
     basis[r] = c
 
 
-def _drive_out_artificials(tab: List[_Row], basis: List[int], art_start: int) -> None:
+def _drive_out_artificials(
+    tab: List[_Row], basis: List[int], cols: List[set], art_start: int
+) -> None:
     """Pivot each artificial-basic row on its least nonzero real column.
 
     Every row has one: each row's slack or surplus column gives the real
@@ -389,5 +432,4 @@ def _drive_out_artificials(tab: List[_Row], basis: List[int], art_start: int) ->
     no_cost = _Row({})
     for i, row in enumerate(tab):
         if basis[i] >= art_start:
-            c = min(j for j in row.a if j < art_start)
-            _pivot(tab, basis, no_cost, i, c, [k for k, other in enumerate(tab) if c in other.a])
+            _pivot(tab, basis, no_cost, i, min(j for j in row.a if j < art_start), cols)

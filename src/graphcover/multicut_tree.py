@@ -69,7 +69,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import chain, groupby
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple, Union
 
 from .instances import (
@@ -174,10 +174,12 @@ def reduce_prize_collecting(
     finite = [i for i, d in enumerate(inst.demands) if not is_inf(d.penalty)]
     if not finite:
         return inst, {}
-    big_m = ONE + sum(inst.edge_weight.values(), ZERO) + sum(
-        inst.node_weight.values(), ZERO
+    weights = chain(
+        inst.edge_weight.values(),
+        inst.node_weight.values(),
+        (inst.demands[i].penalty for i in finite),
     )
-    big_m += sum((inst.demands[i].penalty for i in finite), ZERO)
+    big_m = Rat(1 + sum(map(_exact, weights)))  # integral weights add as ints
 
     n = inst.tree.n
     parent = list(inst.tree.parent)

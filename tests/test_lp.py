@@ -319,6 +319,16 @@ def test_dual_model_rejects_duplicate_row_names():
         dual_model(m)
 
 
+def _beale():
+    m = LpModel("beale")
+    for var, cost in zip("abcd", (Rat(-3, 4), Rat(20), Rat(-1, 2), Rat(6))):
+        m.add_var(var, obj=cost)
+    m.add_constraint("r1", {"a": Rat(1, 4), "b": Rat(-8), "c": Rat(-1), "d": Rat(9)}, "<=", ZERO)
+    m.add_constraint("r2", {"a": Rat(1, 2), "b": Rat(-12), "c": Rat(-1, 2), "d": Rat(3)}, "<=", ZERO)
+    m.add_constraint("r3", {"c": Rat(1)}, "<=", Rat(1))
+    return m
+
+
 def test_beale_cycling_example_reaches_blands_rule(monkeypatch):
     """Beale's example cycles under the most-negative-cost rule; after more
     than 40 degenerate pivots in a row Bland's rule breaks the cycle."""
@@ -330,14 +340,135 @@ def test_beale_cycling_example_reaches_blands_rule(monkeypatch):
         pivot(tab, basis, cost, r, c, holders)
 
     monkeypatch.setattr(lp, "_pivot", counting)
-    m = LpModel("beale")
-    for var, cost in zip("abcd", (Rat(-3, 4), Rat(20), Rat(-1, 2), Rat(6))):
-        m.add_var(var, obj=cost)
-    m.add_constraint("r1", {"a": Rat(1, 4), "b": Rat(-8), "c": Rat(-1), "d": Rat(9)}, "<=", ZERO)
-    m.add_constraint("r2", {"a": Rat(1, 2), "b": Rat(-12), "c": Rat(-1, 2), "d": Rat(3)}, "<=", ZERO)
-    m.add_constraint("r3", {"c": Rat(1)}, "<=", Rat(1))
+    m = _beale()
     res = simplex_solve(m)
     assert (res.status, res.value) == (OPTIMAL, Rat(-5, 4)) == _vertex_enumeration(m)
     assert degenerate[:41] == [True] * 41
     assert len(degenerate) < 50
     _check_assignment(m, res)
+
+
+# -- pivot choices against full scans -----------------------------------------
+
+
+def _scan_choice(tab, basis, cost, bland):
+    """The entering column and leaving row by a scan of the whole cost row
+    and every row in order: the most negative cost (the least negative
+    column under Bland's rule), then the least ratio, ties to the least
+    basis index; -1 for none."""
+    negative = [(x, j) for j, x in cost.a.items() if x < 0]
+    if not negative:
+        return -1, -1
+    enter = min(j for _, j in negative) if bland else min(negative)[1]
+    leave = -1
+    best_b = best_a = 0
+    for i, row in enumerate(tab):
+        a = row.a.get(enter, 0)
+        if a > 0:
+            if leave >= 0:
+                lhs = row.b * best_a
+                rhs = best_b * a
+                if lhs > rhs or (lhs == rhs and basis[i] > basis[leave]):
+                    continue
+            leave = i
+            best_b = row.b
+            best_a = a
+    return enter, leave
+
+
+def _assert_index(tab, cols):
+    """Each row holding a column is in that column's set."""
+    assert len(cols) > max((j for row in tab for j in row.a), default=-1)
+    for i, row in enumerate(tab):
+        for j in row.a:
+            assert i in cols[j]
+
+
+def _solve_with_checked_pivots(model):
+    """Solve ``model`` checking every pivot, and the end of each run of
+    pivots under one cost row, against :func:`_scan_choice` (Bland's rule
+    after more than 40 degenerate pivots in a row).  Before and after each
+    pivot every row holding a column must be in that column's set, and
+    after it the entering column's set must be the pivot row alone.
+    Returns the result and the number of pivots under Bland's rule."""
+    art_start = len(model.variables) + len(model.constraints)
+    pivot, until_optimal = lp._pivot, lp._pivot_until_optimal
+    run = {"cost": None, "stalled": 0, "bland": 0}
+
+    def checked(tab, basis, cost, r, c, cols):
+        _assert_index(tab, cols)
+        if not cost.a:  # driving artificials out, in row order
+            assert r == min(i for i, col in enumerate(basis) if col >= art_start)
+            assert c == min(j for j in tab[r].a if j < art_start)
+        else:
+            if cost is not run["cost"]:
+                run.update(cost=cost, stalled=0)
+            bland = run["stalled"] > 40
+            assert (c, r) == _scan_choice(tab, basis, cost, bland)
+            run["bland"] += bland
+            if not bland:
+                run["stalled"] = run["stalled"] + 1 if tab[r].b == 0 else 0
+        pivot(tab, basis, cost, r, c, cols)
+        _assert_index(tab, cols)
+        assert cols[c] == {r}
+
+    def finished(tab, basis, cost, cols):
+        status = until_optimal(tab, basis, cost, cols)
+        bland = run["cost"] is cost and run["stalled"] > 40
+        enter, leave = _scan_choice(tab, basis, cost, bland)
+        assert status == (OPTIMAL if enter < 0 else UNBOUNDED) and leave < 0
+        return status
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lp, "_pivot", checked)
+        mp.setattr(lp, "_pivot_until_optimal", finished)
+        return simplex_solve(model), run["bland"]
+
+
+_coefficients = st.one_of(
+    st.integers(-3, 3),
+    st.fractions(-3, 3, max_denominator=4).map(lambda q: Rat(q.numerator, q.denominator)),
+)
+
+
+@st.composite
+def _degenerate_models(draw):
+    """Up to 8 variables and 8 rows, where every cost favours entering:
+    mostly packing rows (nonnegative ``<=``), the rest of any sign and
+    relation, and zero right-hand sides are common, so many pivots are
+    degenerate and tie on costs and ratios.  Half the models have rows of
+    -1, 0 and 1, whose pivots mostly leave the cost row unscaled, and half
+    small fractions, whose pivots mostly rescale it; half carry a
+    tie-break."""
+    nv = draw(st.integers(2, 8))
+    model = LpModel("scan", sense=draw(st.sampled_from(["min", "max"])))
+    sign = 1 if model.sense == "max" else -1
+    tiebreak = draw(st.booleans())
+    row_coefficients = st.integers(-1, 1) if draw(st.booleans()) else _coefficients
+    for i in range(nv):
+        obj = sign * abs(draw(_coefficients))
+        model.add_var(f"x{i}", obj=obj, tiebreak=draw(_coefficients) if tiebreak else 0)
+    for j in range(draw(st.integers(2, 8))):
+        packing = draw(st.integers(0, 2)) > 0
+        coeffs = {f"x{i}": draw(row_coefficients) for i in range(nv)}
+        if packing:
+            coeffs = {var: abs(c) for var, c in coeffs.items()}
+        relation = "<=" if packing else draw(st.sampled_from(["<=", ">="]))
+        rhs = draw(st.one_of(st.just(0), st.integers(1, 4)))
+        model.add_constraint(f"c{j}", coeffs, relation, rhs)
+    return model
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(_degenerate_models())
+def test_pivot_choices_match_full_scans(model):
+    """Each pivot enters and leaves where a scan of the whole cost row and
+    of every row would, each run of pivots stops where such a scan would,
+    and the column index covers the rows' supports."""
+    _solve_with_checked_pivots(model)
+
+
+def test_pivot_choices_match_full_scans_under_blands_rule():
+    res, bland = _solve_with_checked_pivots(_beale())
+    assert (res.status, res.value) == (OPTIMAL, Rat(-5, 4))
+    assert bland > 0
