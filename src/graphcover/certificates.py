@@ -138,7 +138,7 @@ def serialize_certificate(cert: Certificate) -> str:
 
 def parse_certificate(text: str) -> Certificate:
     """Parse a certificate file.  Errors report 1-based line numbers."""
-    edges, processed = [], []
+    edges, processed = set(), []
     xi: Dict[int, Rat] = {}
     pairs: Dict[str, Dict[Tuple[int, int], Rat]] = {"nu": {}, "mu": {}}
     witness: Dict[int, int] = {}
@@ -161,7 +161,10 @@ def parse_certificate(text: str) -> Certificate:
             elif head == "edge":
                 if len(args) != 1:
                     raise ValueError("'edge' takes one id")
-                edges.append(read_int(args[0]))
+                e = read_int(args[0])
+                if e in edges:
+                    raise ValueError(f"duplicate edge entry for {e}")
+                edges.add(e)
             elif head == "xi":
                 if len(args) != 2:
                     raise ValueError("'xi' takes an id and a value")
@@ -197,9 +200,7 @@ def parse_certificate(text: str) -> Certificate:
 
     kind = read_directives(text, "certificate", CERTIFICATE_KINDS, "certificate", start)
     if "objective" not in values:
-        raise ParseError("missing 'objective' line")
-    if len(set(edges)) != len(edges):
-        raise ParseError("duplicate 'edge' lines")
+        raise ParseError(f"line {len(text.splitlines())}: missing 'objective' line")
     return Certificate(
         kind=kind,
         edges=tuple(sorted(edges)),

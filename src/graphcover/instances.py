@@ -352,7 +352,6 @@ class Demand:
 class _DemandPath(NamedTuple):
     lca: int
     edges: Tuple[int, ...]
-    nodes: Tuple[int, ...]
     legs: Tuple[FrozenSet[int], FrozenSet[int]]
 
 
@@ -387,7 +386,8 @@ class MulticutInstance:
 
     def path_nodes(self, i: int) -> Tuple[int, ...]:
         """Nodes along the demand path, ordered from s towards t."""
-        return self._path(i).nodes
+        lca, edges, (up, _) = self._path(i)
+        return edges[:len(up)] + (lca,) + edges[len(up):]
 
     def legs(self, i: int) -> Tuple[FrozenSet[int], FrozenSet[int]]:
         """The path edges below the lca on the s side and on the t side."""
@@ -412,7 +412,6 @@ class MulticutInstance:
             path = self._paths[i] = _DemandPath(
                 s,
                 tuple(up + down),
-                tuple(up + [s] + down),
                 (frozenset(up), frozenset(down)),
             )
         return path

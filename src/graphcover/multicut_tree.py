@@ -59,10 +59,11 @@ entries' changes, and each step checks exactly, with zero tolerance, the
 nonnegativity, capacity and support rows its writes touched.  The whole
 dual is checked once, from scratch, by the :func:`verify_multicut` of
 :func:`run_multicut_pipeline`.  Each demand's path is walked once per
-instance, by :class:`MulticutInstance`, and one edge-to-demand index
-serves the witness choice and the deletion count.  A step thus costs time
-in the paths of the demands it writes and the dual mass held, instead of
-a rescan of every demand and of every earlier demand's mass at each node.
+instance, by :class:`MulticutInstance`, whose lca, edges and legs answer
+every path question; one edge-to-demand index serves the witness choice
+and the deletion count.  A step thus costs time in the paths of the
+demands it writes and the dual mass held, instead of a rescan of every
+demand and of every earlier demand's mass at each node.
 """
 
 from __future__ import annotations
@@ -219,20 +220,18 @@ class _Nonrelax:
     (v, d) with v on d's path is non-relaxable when every demand processed
     before d that holds dual mass at v is pinned there, i.e. when d comes no
     later than the first unpinned holder at v.  ``limit[v]`` is that
-    holder's position; a node whose holders are all pinned has no entry."""
+    holder's position; a node whose holders are all pinned has no entry.
+    Callers must pass only v on d's path, which the test does not check."""
 
-    __slots__ = ("limit", "position", "node_set")
+    __slots__ = ("limit", "position")
 
-    def __init__(self, position: Dict[int, int], node_set: List[FrozenSet[int]]):
+    def __init__(self, position: Dict[int, int]):
         self.limit: Dict[int, int] = {}
         self.position = position
-        self.node_set = node_set
 
     def __contains__(self, pair: Tuple[int, int]) -> bool:
         v, d = pair
-        return v in self.node_set[d] and self.position[d] <= self.limit.get(
-            v, len(self.position)
-        )
+        return self.position[d] <= self.limit.get(v, len(self.position))
 
 
 def _toggle(items: Set, item, member: bool) -> bool:
@@ -276,7 +275,6 @@ class IncreaseState:
         )
         self.position: Dict[int, int] = {d: p for p, d in enumerate(self.order)}
         self.path_edges: List[Tuple[int, ...]] = [inst.path_edges(i) for i in range(k)]
-        self.node_set: List[FrozenSet[int]] = [frozenset(inst.path_nodes(i)) for i in range(k)]
         # edge -> the demands whose path holds it, by index
         self.through: List[List[int]] = [[] for _ in range(inst.tree.n)]
         self.edges_at: List[Dict[int, List[int]]] = []
@@ -315,7 +313,7 @@ class IncreaseState:
         self.sat_edge: Set[int] = set()
         self.sat_node: Set[int] = set()
         self.bottleneck: Set[Tuple[int, int]] = set()
-        self.nonrelax = _Nonrelax(self.position, self.node_set)
+        self.nonrelax = _Nonrelax(self.position)
         self._dirty_demands: Set[int] = set(range(k))
         self._dirty_edges: Set[int] = set(tree.edge_ids())
         self._dirty_nodes: Set[int] = set(range(tree.n))
@@ -802,22 +800,19 @@ def verify_multicut(
     report = CheckReport()
     k = len(inst.demands)
     chosen = set(edges)
-    paths = [frozenset(inst.path_edges(i)) for i in range(k)]
-    node_sets = [frozenset(inst.path_nodes(i)) for i in range(k)]
 
-    uncovered = [i for i in range(k) if not (chosen & paths[i])]
+    uncovered = [i for i in range(k) if chosen.isdisjoint(inst.path_edges(i))]
     report.add("demands-separated", not uncovered, f"uncovered: {uncovered}")
+
+    # the path's edges are its legs, and its nodes the legs' lower ends
+    # (an edge's id) and the lca, whose own parent edge is off the path
+    def on_path(x: int, i: int, node: bool) -> bool:
+        return 0 <= i < k and (any(x in leg for leg in inst.legs(i)) or node and x == inst.lca(i))
 
     ok_domain = (
         all(0 <= i < k and val >= 0 for i, val in dual.xi.items())
-        and all(
-            0 <= i < k and e in paths[i] and val >= 0
-            for (e, i), val in dual.nu.items()
-        )
-        and all(
-            0 <= i < k and v in node_sets[i] and val >= 0
-            for (v, i), val in dual.mu.items()
-        )
+        and all(on_path(e, i, False) and val >= 0 for (e, i), val in dual.nu.items())
+        and all(on_path(v, i, True) and val >= 0 for (v, i), val in dual.mu.items())
     )
     # with the domain checked, every dual key names a demand in range(k),
     # so the loads are the totals over all demands

@@ -153,6 +153,25 @@ def test_parse_rejects_duplicate_scalar_line(make, directive):
     assert str(err.value) == f"line {at + 2}: duplicate '{directive}' line"
 
 
+@pytest.mark.parametrize("make", [_tree_cert, _multicut_cert, _general_cert])
+def test_parse_rejects_a_repeated_edge_at_its_line(make):
+    _, cert = make()
+    lines = serialize_certificate(cert).splitlines()
+    at = next(i for i, line in enumerate(lines) if line.split()[0] == "edge")
+    lines.append(lines[at])
+    with pytest.raises(ParseError) as err:
+        parse_certificate("\n".join(lines) + "\n")
+    e = lines[at].split()[1]
+    assert str(err.value) == f"line {len(lines)}: duplicate edge entry for {e}"
+
+
+def test_parse_reports_a_missing_objective_at_the_last_line():
+    text = "certificate eds-tree\nedge 1\n# no objective\nxi 1 2\n"
+    with pytest.raises(ParseError) as err:
+        parse_certificate(text)
+    assert str(err.value) == "line 4: missing 'objective' line"
+
+
 def test_parse_rejects_wrong_kind_directive():
     text = "certificate eds-tree\nobjective 1\nratio 1\n"
     with pytest.raises(ParseError):

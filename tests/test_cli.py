@@ -199,6 +199,22 @@ def test_verify_rejects_tampered_certificate(star4, tmp_path, capsys):
     assert "FAIL" in out
 
 
+def test_verify_rejects_a_nu_line_at_the_lca_parent_edge(mtree, tmp_path, capsys):
+    """The lca is on a demand's path but its parent edge is not, so a dual
+    entry there is off the path, whatever its value."""
+    cert = tmp_path / "m.cert"
+    assert cli.run(["solve", str(mtree), "--certificate", str(cert)]) == 0
+    inst0, _ = multicut_tree.reduce_prize_collecting(parse_instance(mtree.read_text()))
+    d = next(i for i in range(len(inst0.demands)) if inst0.lca(i) != inst0.tree.root)
+    text = cert.read_text()
+    capsys.readouterr()
+    for value in ("0", "1/2"):
+        cert.write_text(text + f"nu {inst0.lca(d)} {d} {value}\n")
+        code, out, _ = run_cli(capsys, "verify", str(mtree), str(cert))
+        assert code == 1
+        assert "FAIL dual-feasible" in out
+
+
 def test_verify_rejects_unparseable_certificate(star4, tmp_path, capsys):
     cert = tmp_path / "broken.cert"
     cert.write_text("certificate eds-tree\nobjective oops\n")

@@ -123,8 +123,16 @@ def test_demand_paths_match_ancestor_chains(inst):
         down = from_t[: from_t.index(lca)]
         assert inst.lca(i) == lca
         assert list(inst.path_edges(i)) == up + down[::-1]
-        assert list(inst.path_nodes(i)) == up + [lca] + down[::-1]
+        assert list(inst.path_nodes(i)) == up + [lca] + down[::-1]  # from s to t
         assert inst.legs(i) == (frozenset(up), frozenset(down))
+        # the path edges are the disjoint union of the legs, and as an edge's
+        # id is its lower end, the path nodes are the legs' ids and the lca
+        s_leg, t_leg = inst.legs(i)
+        assert s_leg.isdisjoint(t_leg)
+        assert s_leg | t_leg == set(inst.path_edges(i))
+        assert len(inst.path_edges(i)) == len(s_leg) + len(t_leg)
+        assert lca not in s_leg | t_leg
+        assert set(inst.path_nodes(i)) == s_leg | t_leg | {lca}
 
 
 # -- instance validation ----------------------------------------------------

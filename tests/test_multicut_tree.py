@@ -127,7 +127,7 @@ def test_single_demand_everything_nonrelaxable():
     state = increase_iteration(IncreaseState(inst0), 0)
     # with one demand no earlier mu mass exists, so no node is relaxable
     nonrelax = state.snapshot().nonrelax
-    assert {v for v in state.node_set[0] if (v, 0) not in nonrelax} == set()
+    assert {v for v in inst0.path_nodes(0) if (v, 0) not in nonrelax} == set()
 
 
 def test_deletion_keeps_single_witness():
@@ -645,6 +645,42 @@ def test_verifier_rejects_capacity_violation(changes, message):
     assert "dual-feasible" in report.failures()
     loads = _load(dual.nu), _load(dual.mu)
     assert dual_violation(inst0, dual.xi, dual.nu, dual.mu, *loads) == message
+
+
+def _lca_below_root():
+    """Root 0 with children 1 and 4, and 1 with leaves 2 and 3.  The one
+    demand (2, 3) has lca 1, on its path, whose parent edge 1 is not."""
+    tree = RootedTree([0, 0, 1, 1, 0], 0)
+    return MulticutInstance(
+        tree,
+        {v: ONE for v in range(5)},
+        {e: Rat(3) for e in range(1, 5)},
+        [Demand(2, 3, INF)],
+    )
+
+
+@pytest.mark.parametrize("value", [ZERO, ONE])
+@pytest.mark.parametrize(
+    "table, key",
+    [
+        pytest.param("nu", (1, 0), id="nu-at-the-lca-parent-edge"),
+        pytest.param("mu", (4, 0), id="mu-off-the-path"),
+        pytest.param("mu", (0, 0), id="mu-above-the-lca"),
+    ],
+)
+def test_verifier_rejects_dual_entries_off_the_path(table, key, value):
+    inst = _lca_below_root()
+    assert inst.lca(0) == 1 and inst.path_nodes(0) == (2, 1, 3)
+    state = run_increase_phase(IncreaseState(inst))
+    kept = deletion_phase(state)
+    dual = state.dual
+    assert verify_multicut(inst, kept, dual).passed
+    getattr(dual, table)[key] = value
+    # every row of the dual system still holds: only the domain is broken
+    loads = _load(dual.nu), _load(dual.mu)
+    assert dual_violation(inst, dual.xi, dual.nu, dual.mu, *loads) is None
+    report = verify_multicut(inst, kept, dual)
+    assert "dual-feasible" in report.failures()
 
 
 # -- randomized battery ------------------------------------------------------
