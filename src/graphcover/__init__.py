@@ -55,7 +55,7 @@ from .oracle import (
     brute_force_multicut,
 )
 from .rationals import INF, Rat
-from .relaxations import build_relaxation, complete_eds_dual, relaxation_value
+from .relaxations import build_relaxation, complete_eds_dual, relaxation_value, relaxation_values
 
 __all__ = [
     "Certificate",
@@ -90,6 +90,7 @@ __all__ = [
     "parse_instance",
     "reduce_to_eds",
     "relaxation_value",
+    "relaxation_values",
     "serialize_certificate",
     "serialize_instance",
     "simplex_solve",

@@ -44,7 +44,7 @@ from .oracle import (
     brute_force_multicut,
 )
 from .rationals import ZERO, fmt_rat, is_inf
-from .relaxations import relaxation_value
+from .relaxations import relaxation_value, relaxation_values
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -189,8 +189,7 @@ def _batch_cells(inst, opt, shown: str, cert_path: Optional[Path]) -> List[str]:
     if cert_path:
         cert_path.write_text(serialize_certificate(cert))
     verdict = "pass" if verify_certificate(inst, cert).passed else "fail"
-    natural = relaxation_value(inst, "natural")
-    strengthened = relaxation_value(inst, "strengthened")
+    natural, strengthened = relaxation_values(inst)
     objective = cert.objective
     ovr = "-" if opt is None else _ratio_cell(objective, opt)
     return [fmt_rat(natural), fmt_rat(strengthened), fmt_rat(objective), shown, ovr, verdict]

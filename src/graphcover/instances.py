@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from math import lcm
 from random import Random
 from types import MappingProxyType
@@ -384,11 +385,6 @@ class MulticutInstance:
         """Edge ids along the demand path, ordered from s towards t."""
         return self._path(i).edges
 
-    def path_nodes(self, i: int) -> Tuple[int, ...]:
-        """Nodes along the demand path, ordered from s towards t."""
-        lca, edges, (up, _) = self._path(i)
-        return edges[:len(up)] + (lca,) + edges[len(up):]
-
     def legs(self, i: int) -> Tuple[FrozenSet[int], FrozenSet[int]]:
         """The path edges below the lca on the s side and on the t side."""
         return self._path(i).legs
@@ -642,7 +638,7 @@ _ONCE = {"nodes": "duplicate 'nodes' line", "root": "duplicate 'root' line"}
 _KEYS = {
     "node": (1, "duplicate weight for node {}"),
     "facility": (1, "duplicate facility {}"),
-    "conn": (2, "duplicate connection ({},{})"),
+    "conn": (2, "duplicate connection ({0[0]},{0[1]})"),
 }
 
 
@@ -662,38 +658,18 @@ _REFUSALS = {
            if not any(kind in kinds for kinds in taken)}
     for kind in _KINDS
 }
-#: For each kind, the field readers and field-count message of each
-#: directive it takes.
-_TAKES = {
-    kind: {head: spec for head, taken in DIRECTIVES.items() for kinds, spec in taken.items()
-           if kind in kinds}
-    for kind in _KINDS
-}
 
 
-def _handler(head: str, readers, arity: str, columns: Dict[str, List[list]]):
-    """The handler of ``head`` lines: it checks each line and appends each
-    field's value to that field's column in ``columns``."""
-    cols = columns[head] = [[] for _ in readers]
+def _handler(head: str, readers, arity: str):
+    """The binder of ``head`` lines' handler, built once per kind:
+    ``bind(columns)`` adds one file's columns of ``head`` and gives the
+    handler that fills them, whose last key field first checks the key."""
     n, once, rest = len(readers), _ONCE.get(head), readers[-1] is _members
-    if head in _KEYS:  # the last key field's reader also checks the key
-        k, repeat = _KEYS[head]
-        seen = set()
-
-        def read_key(tok):
-            value = read_int(tok)
-            key = (cols[0][-1], value) if k == 2 else value
-            if key in seen:
-                raise ValueError(repeat.format(*key) if k == 2 else repeat.format(key))
-            seen.add(key)
-            return value
-
-        readers = (*readers[:k - 1], read_key, *readers[k:])
+    k, repeat = _KEYS.get(head, (0, ""))
     # integer fields go to the builtin int, whose error `handle` rewords
-    fields = tuple(zip([int if read is read_int else read for read in readers],
-                       [col.append for col in cols]))
+    reads = tuple(int if read is read_int else read for read in readers)
 
-    def handle(head, args):
+    def handle(fields, head, args):
         if len(args) != n:
             raise ValueError(arity)
         try:
@@ -704,17 +680,42 @@ def _handler(head: str, readers, arity: str, columns: Dict[str, List[list]]):
                 read_int(tok)  # raises the file format's message
             raise
 
-    def handle_rest(head, args):  # the last field takes every token left
+    def handle_rest(fields, head, args):  # the last field takes every token left
         if len(args) < n - 1:
             raise ValueError(arity)
-        handle(head, [*args[:n - 1], args[n - 1:]])
+        handle(fields, head, [*args[:n - 1], args[n - 1:]])
 
-    def handle_once(head, args):
-        if cols[0]:
+    def handle_once(fields, head, args):
+        if fields[0][1].__self__:  # the first field's column
             raise ValueError(once)
-        handle(head, args)
+        handle(fields, head, args)
 
-    return handle_rest if rest else handle_once if once else handle
+    def bind(columns: Dict[str, List[list]]):
+        cols = columns[head] = [[] for _ in readers]
+        puts = [col.append for col in cols]
+        if k:
+            seen = set()
+
+            def put_key(value):
+                key = (cols[0][-1], value) if k == 2 else value
+                if key in seen:
+                    raise ValueError(repeat.format(key))
+                seen.add(key)
+                cols[k - 1].append(value)
+
+            puts[k - 1] = put_key
+        return partial(handle_rest if rest else handle_once if once else handle,
+                       tuple(zip(reads, puts)))
+
+    return bind
+
+
+#: For each kind, the handler binder of each directive it takes.
+_TAKES = {
+    kind: {head: _handler(head, *spec) for head, taken in DIRECTIVES.items()
+           for kinds, spec in taken.items() if kind in kinds}
+    for kind in _KINDS
+}
 
 
 def parse_instance(text: str) -> AnyInstance:
@@ -726,8 +727,7 @@ def parse_instance(text: str) -> AnyInstance:
     columns: Dict[str, List[list]] = {}
 
     def start(kind):
-        taken = {head: _handler(head, *spec, columns) for head, spec in _TAKES[kind].items()}
-        return {**_REFUSALS[kind], **taken}
+        return {**_REFUSALS[kind], **{head: bind(columns) for head, bind in _TAKES[kind].items()}}
 
     kind = read_directives(text, "problem", _KINDS, "instance", start)
     try:

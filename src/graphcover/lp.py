@@ -38,6 +38,15 @@ every optimum, so dropping those columns leaves the optimal face, and the
 same rules pivot on under the tie-break.  Where the tie-break has one
 minimiser on that face, the vertex is that one, whatever the pivot path.
 
+A model may also declare a first stage, ``LpModel.stage``: a count of
+leading variables.  Phase II then first lets only those variables and the
+slacks enter, and the optimum there, the model's optimum with every later
+variable fixed at zero, is reported as ``LpResult.stage_value``; the same
+tableau then prices every column and pivots on to the full optimum.  A
+staged model must start feasible from its slack basis, where every later
+variable is nonbasic at zero; phase I could make one basic, so a model
+that would need phase I is refused.
+
 Models hold nonnegative variables and ``<=`` or ``>=`` rows only, so each
 variable is one tableau column and each row has one slack (``<=``) or
 surplus (``>=``) column after them; a row is first negated if its rhs is
@@ -47,7 +56,8 @@ rows with a positive rhs.
 :func:`dual_model` builds a model's exact LP dual, solved by the same
 simplex.  Callers that need only an optimal value (the relaxation values
 and the eds-general lower-bound check) solve the dual of their covering
-LP, which starts feasible and needs no phase I; callers that read the
+LP, which starts feasible and needs no phase I, staged where the natural
+relaxation's rows lead the strengthened one's; callers that read the
 primal vertex solve the primal.
 
 Infinite data never enters a model: callers eliminate infinities before
@@ -85,6 +95,7 @@ class LpResult:
     status: str
     value: Optional[object] = None  # Rat
     assignment: Optional[Dict[str, object]] = None
+    stage_value: Optional[object] = None  # Rat, the first stage's optimum
 
     def __getitem__(self, var):
         return self.assignment[var]
@@ -93,8 +104,9 @@ class LpResult:
 @dataclass
 class LpModel:
     """A named LP: ordered nonnegative variables, ``<=`` and ``>=`` rows,
-    one objective, and a tie-break objective minimised over the objective's
-    optima."""
+    one objective, a tie-break objective minimised over the objective's
+    optima, and a first stage: when ``stage`` is set, the objective is
+    first optimised over the leading ``stage`` variables alone."""
 
     name: str
     sense: str = "min"
@@ -102,6 +114,7 @@ class LpModel:
     objective: Dict[str, object] = field(default_factory=dict)
     constraints: List[LinearConstraint] = field(default_factory=list)
     tiebreak: Dict[str, object] = field(default_factory=dict)
+    stage: Optional[int] = None
 
     def __post_init__(self):
         self._names = set(self.variables)
@@ -186,10 +199,13 @@ def _checked(value, what: str):
 
 def simplex_solve(model: LpModel) -> LpResult:
     """Solve the model exactly.  Returns status, optimal value and a full
-    variable assignment (deterministic for a fixed model); the status is
-    unbounded when the objective, or the tie-break over its optima, is."""
+    variable assignment (deterministic for a fixed model), and for a staged
+    model the first stage's optimal value; the status is unbounded when the
+    first stage, the objective, or the tie-break over its optima is."""
     if model.sense not in ("min", "max"):
         raise LpFormatError(f"bad sense {model.sense!r}")
+    if model.stage is not None and not 0 <= model.stage <= len(model.variables):
+        raise LpFormatError(f"stage {model.stage} is not a count of leading variables")
 
     # Column layout: variable j is column j, the slack or surplus column of
     # row i is ncols + i, and the artificial columns follow.
@@ -222,6 +238,8 @@ def simplex_solve(model: LpModel) -> LpResult:
 
     # ---- phase I ----
     if a > art_start:
+        if model.stage is not None:
+            raise LpFormatError("a staged model must start feasible from its slack basis")
         cost = _Row({j: 1 for j in range(art_start, a)})
         for row, col in zip(tab, basis):
             if col >= art_start:
@@ -248,8 +266,14 @@ def simplex_solve(model: LpModel) -> LpResult:
                 _eliminate(cost, row, col)
         return cost
 
-    # ---- phase II, then the tie-break over the optimal face ----
-    cost = priced(model.objective, 1 if model.sense == "min" else -1)
+    # ---- the first stage, phase II, then the tie-break over the optimal face ----
+    sign = 1 if model.sense == "min" else -1
+    cost = priced(model.objective, sign)
+    stage_value = None
+    if model.stage is not None:
+        if _pivot_until_optimal(tab, basis, cost, cols, range(model.stage, ncols)) == UNBOUNDED:
+            return LpResult(UNBOUNDED)
+        stage_value = Rat(-sign * cost.b, cost.d)
     status = _pivot_until_optimal(tab, basis, cost, cols)
     if status == OPTIMAL and model.tiebreak:
         # a column with a positive reduced cost is zero in every optimum
@@ -258,7 +282,7 @@ def simplex_solve(model: LpModel) -> LpResult:
             row.a = {j: x for j, x in row.a.items() if j not in dropped}
         status = _pivot_until_optimal(tab, basis, priced(model.tiebreak, 1, dropped), cols)
     if status == UNBOUNDED:
-        return LpResult(UNBOUNDED)
+        return LpResult(UNBOUNDED, stage_value=stage_value)
 
     vals = {col: Rat(row.b, row.d) for row, col in zip(tab, basis)}
     assignment = {}
@@ -268,13 +292,14 @@ def simplex_solve(model: LpModel) -> LpResult:
         coef = model.objective.get(var)
         if coef is not None:
             objective_value = objective_value + coef * x
-    return LpResult(OPTIMAL, objective_value, assignment)
+    return LpResult(OPTIMAL, objective_value, assignment, stage_value)
 
 
 class _Row:
     """A tableau row ``a / d`` with right-hand side ``b / d``: ``a`` maps the
     columns of the nonzero cells to integer numerators, ``b`` is an integer
-    and ``d`` a positive integer.  The cost row leaves ``b`` at zero."""
+    and ``d`` a positive integer.  The cost row starts with ``b`` at zero,
+    so ``b / d`` is minus its objective's value at the current basis."""
 
     __slots__ = ("a", "b", "d")
 
@@ -334,8 +359,11 @@ def _eliminate(row: _Row, prow: _Row, c: int) -> None:
         _reduce(row)
 
 
-def _pivot_until_optimal(tab: List[_Row], basis: List[int], cost: _Row, cols: List[set]) -> str:
-    """Minimise the cost row over every column it holds.
+def _pivot_until_optimal(
+    tab: List[_Row], basis: List[int], cost: _Row, cols: List[set], barred=range(0)
+) -> str:
+    """Minimise the cost row over every column it holds but the ``barred``
+    ones, which never enter.
 
     Pivots choose the most negative reduced cost (fast in practice) and fall
     back to Bland's least-index rule after a run of degenerate pivots, which
@@ -353,10 +381,10 @@ def _pivot_until_optimal(tab: List[_Row], basis: List[int], cost: _Row, cols: Li
     heap = None
     while True:
         if bland:
-            enter = min((j for j, x in cost.a.items() if x < 0), default=-1)
+            enter = min((j for j, x in cost.a.items() if x < 0 and j not in barred), default=-1)
         else:
             if heap is None:
-                heap = [(x, j) for j, x in cost.a.items() if x < 0]
+                heap = [(x, j) for j, x in cost.a.items() if x < 0 and j not in barred]
                 heapify(heap)
             while heap and cost.a.get(heap[0][1]) != heap[0][0]:
                 heappop(heap)
@@ -387,7 +415,7 @@ def _pivot_until_optimal(tab: List[_Row], basis: List[int], cost: _Row, cols: Li
             else:
                 for j in tab[leave].a:
                     x = before.get(j, 0)
-                    if x < 0:
+                    if x < 0 and j not in barred:
                         heappush(heap, (x, j))
             if best_b == 0:
                 stalled += 1

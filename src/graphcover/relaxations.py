@@ -9,7 +9,9 @@ demand with infinite penalty simply has no violation variable ``z``.
 which needs no phase I, and builds the strengthened model with its y(C,e)
 projected out (see :func:`build_relaxation`); callers that read the
 fractional point, such as the eds-general rounding, solve the primal of
-the y-form themselves.
+the y-form themselves.  :func:`relaxation_values` gives the natural and the
+strengthened value from one staged solve of the strengthened dual: the
+natural model's variables and rows lead the strengthened model's.
 
 Demand families: an edge-dominating instance has one demand per edge e,
 consisting of the edges sharing an end node with e; a multicut instance has
@@ -213,6 +215,31 @@ def relaxation_value(inst, kind: str) -> Rat:
     if res.status != OPTIMAL:
         raise InstanceError(f"{kind} relaxation unexpectedly infeasible")
     return res.value
+
+
+def relaxation_values(inst) -> Tuple[Rat, Rat]:
+    """``relaxation_value`` of the natural and of the strengthened
+    relaxation, from one solve.
+
+    The natural model's variables and rows are the leading ones of the
+    strengthened model, and a strengthened-only variable appears in
+    strengthened-only rows alone.  In the dual the natural rows are thus
+    the leading variables, and with every later one at zero the rows of
+    the strengthened-only primal variables read 0 <= 0: the dual restricted
+    to its leading variables is the natural dual.  So the strengthened
+    dual, staged at those variables, reaches the natural optimum first and
+    pivots on from that basis to the strengthened one.
+    """
+    dual = dual_model(build_relaxation(inst, "strengthened", projected=True))
+    g = _graph_of(inst)
+    edges = len(g.edge_ids())
+    # the natural rows: a cover row per demand, and a node row per edge end
+    dual.stage = (len(inst.demands) if isinstance(inst, MulticutInstance) else edges) + 2 * edges
+    res = simplex_solve(dual)
+    if res.status != OPTIMAL:
+        kind = "natural" if res.stage_value is None else "strengthened"
+        raise InstanceError(f"{kind} relaxation unexpectedly infeasible")
+    return res.stage_value, res.value
 
 
 def extract_relaxation_point(inst, result: LpResult):

@@ -27,7 +27,7 @@ from graphcover import (
 from graphcover.instances import GEN_KINDS, edge_neighborhoods, problem_kind
 from graphcover.rationals import ZERO, ext_sum, is_inf
 
-from _support import edited_texts, small_eds, small_multicuts
+from _support import edited_texts, path_nodes, small_eds, small_multicuts
 
 
 # -- graphs -----------------------------------------------------------------
@@ -123,7 +123,7 @@ def test_demand_paths_match_ancestor_chains(inst):
         down = from_t[: from_t.index(lca)]
         assert inst.lca(i) == lca
         assert list(inst.path_edges(i)) == up + down[::-1]
-        assert list(inst.path_nodes(i)) == up + [lca] + down[::-1]  # from s to t
+        assert list(path_nodes(inst, i)) == up + [lca] + down[::-1]  # from s to t
         assert inst.legs(i) == (frozenset(up), frozenset(down))
         # the path edges are the disjoint union of the legs, and as an edge's
         # id is its lower end, the path nodes are the legs' ids and the lca
@@ -132,7 +132,7 @@ def test_demand_paths_match_ancestor_chains(inst):
         assert s_leg | t_leg == set(inst.path_edges(i))
         assert len(inst.path_edges(i)) == len(s_leg) + len(t_leg)
         assert lca not in s_leg | t_leg
-        assert set(inst.path_nodes(i)) == s_leg | t_leg | {lca}
+        assert set(path_nodes(inst, i)) == s_leg | t_leg | {lca}
 
 
 # -- instance validation ----------------------------------------------------

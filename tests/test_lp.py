@@ -472,3 +472,82 @@ def test_pivot_choices_match_full_scans_under_blands_rule():
     res, bland = _solve_with_checked_pivots(_beale())
     assert (res.status, res.value) == (OPTIMAL, Rat(-5, 4))
     assert bland > 0
+
+
+# -- the first stage -----------------------------------------------------------
+
+
+def _starts_feasible(model):
+    """Every row holds at zero with its slack basic: no phase I."""
+    return all(c.rhs >= 0 if c.relation == "<=" else c.rhs <= 0 for c in model.constraints)
+
+
+def _leading(model, stage):
+    """The model with every variable after the first ``stage`` removed."""
+    keep = model.variables[:stage]
+    restricted = LpModel("leading", sense=model.sense)
+    for v in keep:
+        restricted.add_var(v, obj=model.objective.get(v, 0))
+    for c in model.constraints:
+        restricted.add_constraint(c.name, {v: c.coeffs[v] for v in keep if v in c.coeffs},
+                                  c.relation, c.rhs)
+    return restricted
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(_small_models().filter(_starts_feasible), st.data())
+def test_stage_value_is_the_optimum_over_the_leading_variables(model, data):
+    """A staged solve reports the optimum of the model less its later
+    variables, then reaches the unstaged solve's status and value."""
+    plain = simplex_solve(model)
+    model.stage = data.draw(st.integers(0, len(model.variables)))
+    res = simplex_solve(model)
+    status, value = _vertex_enumeration(_leading(model, model.stage))
+    assert status != INFEASIBLE
+    if status == UNBOUNDED:
+        assert (res.status, res.stage_value) == (UNBOUNDED, None)
+        return
+    assert res.stage_value == value and isinstance(res.stage_value, Rat)
+    assert (res.status, res.value) == (plain.status, plain.value)
+    if res.status == OPTIMAL:
+        _check_assignment(model, res)
+
+
+def test_staged_model_needing_phase_one_is_refused():
+    m = LpModel("needs-phase-one", stage=1)
+    m.add_var("x", obj=Rat(1))
+    m.add_var("y", obj=Rat(1))
+    m.add_constraint("lb", {"x": Rat(1), "y": Rat(1)}, ">=", Rat(1))
+    with pytest.raises(LpFormatError, match="slack basis"):
+        simplex_solve(m)
+    m.stage = None
+    assert simplex_solve(m).value == 1
+
+
+@pytest.mark.parametrize("stage", [-1, 3])
+def test_stage_must_count_leading_variables(stage):
+    m = LpModel("bad-stage", stage=stage)
+    m.add_var("x")
+    m.add_var("y")
+    with pytest.raises(LpFormatError, match="leading variables"):
+        simplex_solve(m)
+
+
+def test_unbounded_first_stage_reports_unbounded():
+    """max x - y with y <= x: unbounded over x alone, and over both."""
+    m = LpModel("unbounded-stage", sense="max", stage=1)
+    m.add_var("x", obj=Rat(1))
+    m.add_var("y", obj=Rat(-1))
+    m.add_constraint("r", {"x": Rat(-1), "y": Rat(1)}, "<=", ZERO)
+    res = simplex_solve(m)
+    assert (res.status, res.stage_value) == (UNBOUNDED, None)
+
+
+def test_bounded_first_stage_keeps_its_value_when_the_rest_is_unbounded():
+    """max x + y with x <= 2: the first stage stops at 2, then y runs away."""
+    m = LpModel("unbounded-rest", sense="max", stage=1)
+    m.add_var("x", obj=Rat(1))
+    m.add_var("y", obj=Rat(1))
+    m.add_constraint("cap", {"x": Rat(1)}, "<=", Rat(2))
+    res = simplex_solve(m)
+    assert (res.status, res.stage_value) == (UNBOUNDED, 2)

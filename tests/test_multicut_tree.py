@@ -35,7 +35,7 @@ from graphcover.multicut_tree import (
 )
 from graphcover.rationals import ONE, ZERO, fmt_rat, is_inf
 
-from _support import small_multicuts, star_multicut
+from _support import path_nodes, small_multicuts, star_multicut
 
 
 # -- penalty compilation ----------------------------------------------------
@@ -127,7 +127,7 @@ def test_single_demand_everything_nonrelaxable():
     state = increase_iteration(IncreaseState(inst0), 0)
     # with one demand no earlier mu mass exists, so no node is relaxable
     nonrelax = state.snapshot().nonrelax
-    assert {v for v in inst0.path_nodes(0) if (v, 0) not in nonrelax} == set()
+    assert {v for v in path_nodes(inst0, 0) if (v, 0) not in nonrelax} == set()
 
 
 def test_deletion_keeps_single_witness():
@@ -176,7 +176,7 @@ def _reference_classification(state):
         return [j for j in earlier if state.mu.get((v, j), ZERO) > 0]
 
     nonrelax = set()
-    pairs = [(v, d) for d in range(k) for v in inst.path_nodes(d)]
+    pairs = [(v, d) for d in range(k) for v in path_nodes(inst, d)]
     changed = True
     while changed:
         changed = False
@@ -197,7 +197,7 @@ def _reference_classification(state):
 
 def _classification(state, snap):
     inst = state.instance
-    pairs = [(v, d) for d in range(len(inst.demands)) for v in inst.path_nodes(d)]
+    pairs = [(v, d) for d in range(len(inst.demands)) for v in path_nodes(inst, d)]
     nonrelax = {pair for pair in pairs if pair in snap.nonrelax}
     return snap.tight, snap.sat_edge, snap.sat_node, snap.bottleneck, nonrelax
 
@@ -670,7 +670,7 @@ def _lca_below_root():
 )
 def test_verifier_rejects_dual_entries_off_the_path(table, key, value):
     inst = _lca_below_root()
-    assert inst.lca(0) == 1 and inst.path_nodes(0) == (2, 1, 3)
+    assert inst.lca(0) == 1 and path_nodes(inst, 0) == (2, 1, 3)
     state = run_increase_phase(IncreaseState(inst))
     kept = deletion_phase(state)
     dual = state.dual

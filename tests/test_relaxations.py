@@ -19,8 +19,10 @@ from graphcover import (
     gen_instance,
     reduce_to_eds,
     relaxation_value,
+    relaxation_values,
     simplex_solve,
 )
+from graphcover import relaxations
 from graphcover.eds_general import heavy_facility_location
 from graphcover.lp import dual_model
 from graphcover.rationals import ZERO
@@ -95,6 +97,52 @@ def test_relaxation_value_equals_the_primal_optimum(inst):
         fl, _, _ = heavy_facility_location(inst, xe)
         primal = simplex_solve(build_relaxation(fl, "edge-cover"))
         assert relaxation_value(fl, "edge-cover") == primal.value
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(
+    st.one_of(
+        small_eds(max_nodes=8, tree=True),
+        small_eds(max_nodes=6, tree=False),
+        small_multicuts(max_nodes=8),
+        st.integers(2, 6).map(lambda n: gen_instance("star-gap-eds", n=n)),
+        st.integers(2, 6).map(lambda n: gen_instance("subdivided-star-multicut", n=n)),
+    )
+)
+def test_staged_values_equal_the_two_solves(inst):
+    """One staged solve of the strengthened dual gives both values, on
+    trees and graphs with infinite penalties, multicuts and both stars."""
+    assert relaxation_values(inst) == (
+        relaxation_value(inst, "natural"), relaxation_value(inst, "strengthened"))
+
+
+@pytest.mark.parametrize("inst", [
+    gen_instance("random-tree-eds", n=12, seed=3, inf_prob=0.3),
+    gen_instance("random-eds-general", n=6, m=10, seed=2),
+    gen_instance("random-tree-multicut", n=12, k=4, seed=5, inf_prob=0.5),
+    gen_instance("star-gap-eds", n=4),
+], ids=["eds-tree", "eds-general", "multicut", "star"])
+def test_natural_model_leads_the_strengthened_one(inst, monkeypatch):
+    """The natural variables and rows are the strengthened model's leading
+    ones, a strengthened-only variable is in no natural row, and the stage
+    of the dual that relaxation_values solves is the natural row count."""
+    natural = build_relaxation(inst, "natural")
+    nv, nr = len(natural.variables), len(natural.constraints)
+    for strong in (build_relaxation(inst, "strengthened"),
+                   build_relaxation(inst, "strengthened", projected=True)):
+        assert strong.variables[:nv] == natural.variables
+        assert [c.name for c in strong.constraints[:nr]] == [c.name for c in natural.constraints]
+        assert all(set(c.coeffs) <= set(natural.variables) for c in strong.constraints[:nr])
+    stages = []
+    real = relaxations.simplex_solve
+
+    def solve(model):
+        stages.append(model.stage)
+        return real(model)
+
+    monkeypatch.setattr(relaxations, "simplex_solve", solve)
+    relaxation_values(inst)
+    assert stages == [nr]
 
 
 # -- the projected strengthened model ---------------------------------------
