@@ -33,26 +33,42 @@ Cost: O(n log n) time, counting each integer operation as one step, and
 O(n) memory.  All levels share one mutable store of the live tree and its
 weights.  A reduction writes in place and logs the values it overwrites
 and the nodes it deletes; lifting undoes the log step by step and edits
-F and xi in place.  Per-depth buckets of live nodes and of live nodes with
-positive penalty, under a maximum-depth pointer that only falls, pick each
-case and evaluate the termination measure without scanning the tree.
+F and xi in place.  The nodes sorted by depth, with counts per depth of
+the live nodes and of the live nodes with positive penalty, under a
+maximum-depth pointer that only falls, pick each case and evaluate the
+termination measure without scanning the tree.
+
+What a solve keeps is flat: lists of ints indexed by node, log entries
+(array code, index, old value) and per-step records of ints, strings and
+tuples of ints.  CPython's cyclic collector stops tracking a tuple of such
+values at its first collection, so later collections never walk them;
+an entry holding the list it wrote, or a record holding lists and a dict,
+stayed tracked, and at 10**6 nodes the collector's repeated walks over
+them took a quarter of the solve.  A record is a named tuple, for the
+names the trace's readers use, so it is the one object per step that
+stays tracked.
 
 Checks: every level's invariants are asserted at every level, in exact
-arithmetic, at the cost of the step.  Reductions check that the measure
-strictly decreases and that every weight they write is nonnegative.  Each
-lift checks that xi covers exactly the live edges (by count, as xi only
-gains keys of live edges), that 0 <= xi <= penalty on every edge whose
-value or penalty moved, and that the objective equals the dual total; both
-sides are running sums, kept up to date by per-node counts of chosen edges
-so that a change of F costs O(1).  The base level and the top level are
-also checked from scratch, including that the running sums have not
-drifted, and the final solution is re-evaluated against the dual total.
+arithmetic, at the cost of the step.  While reducing, `_LiveTree.set`
+checks every weight and penalty it writes for nonnegativity, each
+reduction checks that the nodes it takes for leaves (case A's arms, case
+B's grandchildren) have no live child, and the driver checks that the
+measure strictly decreases after each step.  Each lift checks that xi
+covers exactly the live edges (by count, as xi only gains keys of live
+edges), that 0 <= xi <= penalty on every edge whose value or penalty
+moved (`undo` returns the edges whose penalty it restored), and that the
+objective equals the dual total; both sides are running sums, kept up to
+date by per-node counts of chosen edges so that a change of F costs O(1).
+The base level and the top level are also checked from scratch, including
+that the running sums have not drifted, and the final solution is
+re-evaluated against the dual total.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from dataclasses import dataclass
+from itertools import accumulate
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 
 from .instances import EdsInstance, InstanceError, Solution, eds_solution
 from .rationals import INF, Rat, ZERO, is_inf
@@ -68,16 +84,16 @@ class EdsDual:
     total: Rat
 
 
-@dataclass
-class CaseContext:
+class CaseContext(NamedTuple):
     """Everything one reduction step must remember to lift a solution back.
 
     For case A the center is u and the arms are u's children; for case B
     the center is s and the arms are s's children.  Arm edge ids equal arm
-    node ids.  bound1 is the first of the two candidate charges and bound
-    their minimum; caps bound the dual values assigned to the arm edges.
-    Weights, bounds and caps are in the instance's integer units: its
-    values times its `scale` (see `EdsInstance`).
+    node ids.  `bound` is the charge of the step, the lesser of its two
+    candidates, and the dual total the arm edges take; `caps` bound the
+    dual values of the arm edges.  Bounds and caps are in the instance's
+    integer units: its values times its `scale` (see `EdsInstance`).  A
+    context holds only strings, ints and tuples of ints.
     """
 
     tag: str  # "A" or "B"
@@ -85,19 +101,17 @@ class CaseContext:
     center: int
     parent: Optional[int]  # v0 (A) / u0 (B); None when the center is the root
     parent_edge: Optional[int]  # e0
-    arms: List[int]  # arm node ids, ascending
-    bound1: int
+    arms: Tuple[int, ...]  # arm node ids, ascending
+    caps: Tuple[int, ...]  # dual caps per arm edge
     bound: int
-    i_star: int  # 0 refers to the parent edge, i >= 1 to arms[i-1]
-    caps: List[int]  # dual caps per arm edge
-    center_w: int  # center node weight at this level
-    parent_edge_w: Optional[int]  # parent edge weight at this level
-    grand_edges: List[int] = field(default_factory=list)  # B: all H_i edges
-    best_grand: Dict[int, int] = field(default_factory=dict)  # B: arm index -> h_i
-    keep_idx: List[int] = field(default_factory=list)  # B: K as arm indices
+    pick: int  # the edge whose candidate charge is the least (bound1), lowest index on ties
+    via_parent: bool  # e0 exists and bound exceeds its weight plus the center's
+    grand_edges: Tuple[int, ...] = ()  # B: all H_i edges
+    keep: Tuple[int, ...] = ()  # B: the cheapest H_i edge of each arm i in K
 
-    def edge_of(self, idx: int) -> int:
-        return self.parent_edge if idx == 0 else self.arms[idx - 1]
+
+# Codes of the arrays a log entry restores; _KILL marks a deleted node.
+_WN, _WE, _PEN, _KILL = range(4)
 
 
 class _LiveTree:
@@ -108,19 +122,21 @@ class _LiveTree:
     subtrees, so parent/child/depth relations of surviving nodes are
     those of the original tree.  Reductions write through `set`,
     `zero_penalty` and `kill`, which append what they overwrite to `log`
-    (array, index, old value; array None marks a deleted node), so lifting
-    can restore each level by undoing the log back to the step's mark.
+    as (array code, index, old value), so lifting can restore each level
+    by undoing the log back to the step's mark.
 
     Weights are copies of the instance's integer units, indexed by node
     id (the root's edge and penalty slots hold 0), with each INF penalty
     replaced by `big` (see the module docstring).
 
-    Per-depth buckets list the nodes by ascending id; `live` and `hot`
-    count the live nodes and the live nodes with positive penalty at each
-    depth.  Nodes never come back to life and penalties only ever drop to
-    zero while reducing, so the deepest non-empty depth and the first live
-    (or hot) entry of each bucket only move one way.  The bucket counters
-    serve the reduction phase only; `edges` stays exact throughout.
+    `order` lists the nodes by depth, then id; `live` and `hot` count the
+    live nodes and the live nodes with positive penalty at each depth, and
+    `first_live[d]` and `first_hot[d]` are positions in `order`, starting
+    at the first node of depth d.  Nodes
+    never come back to life and penalties only ever drop to zero while
+    reducing, so the deepest non-empty depth and the first live (or hot)
+    position of each depth only move one way.  The depth counters serve
+    the reduction phase only; `edges` stays exact throughout.
     """
 
     def __init__(self, inst: EdsInstance):
@@ -129,37 +145,47 @@ class _LiveTree:
         self.root = tree.root
         self.parent = tree.parent
         self.children = tree.children
-        self.depth = tree.depth
+        self.depth = depth = tree.depth
         self.alive = [True] * n
         self.wn = inst.node_units.copy()
         self.we = inst.edge_units.copy()
         pen = inst.penalty_units
         self.big = 1 + sum(self.wn) + sum(self.we) + sum(p for p in pen if p is not INF)
         self.pen = [self.big if p is INF else p for p in pen]
+        self.arrays = (self.wn, self.we, self.pen)
         self.edges = n - 1
-        self.log: List[tuple] = []
-        self.bucket: List[List[int]] = [[] for _ in range(max(self.depth) + 1)]
-        for v in range(n):
-            self.bucket[self.depth[v]].append(v)
-        self.live = [len(b) for b in self.bucket]
-        self.hot = [sum(1 for v in b if self.pen[v] > 0) for b in self.bucket]
-        self.first_live = [0] * len(self.bucket)
-        self.first_hot = [0] * len(self.bucket)
-        self.maxd = len(self.bucket) - 1
-        self.deep = sum(self.live[2:])
+        self.log: List[Tuple[int, int, int]] = []
+        self.order = sorted(range(n), key=depth.__getitem__)
+        self.maxd = depth[self.order[-1]]
+        self.live = live = [0] * (self.maxd + 1)
+        self.hot = hot = [0] * (self.maxd + 1)
+        for d, p in zip(depth, self.pen):
+            live[d] += 1
+            if p > 0:
+                hot[d] += 1
+        self.first_live = [0, *accumulate(live[:-1])]
+        self.first_hot = self.first_live.copy()
+        self.deep = sum(live[2:])
 
-    def live_children(self, v: int) -> List[int]:
-        alive = self.alive
-        return [c for c in self.children[v] if alive[c]]
+    def live_children(self, v: int) -> Tuple[int, ...]:
+        return tuple(filter(self.alive.__getitem__, self.children[v]))
 
-    def set(self, arr: list, v: int, value) -> None:
-        self.log.append((arr, v, arr[v]))
+    def check_leaves(self, nodes, what: str) -> None:
+        alive, children = self.alive, self.children
+        for v in nodes:
+            for c in children[v]:
+                assert not alive[c], what
+
+    def set(self, code: int, v: int, value: int) -> None:
+        assert value >= 0, "reduced weights stay nonnegative"
+        arr = self.arrays[code]
+        self.log.append((code, v, arr[v]))
         arr[v] = value
 
     def zero_penalty(self, v: int) -> None:
         if self.pen[v] > 0:
             self.hot[self.depth[v]] -= 1
-        self.set(self.pen, v, 0)
+        self.set(_PEN, v, 0)
 
     def kill(self, v: int) -> None:
         d = self.depth[v]
@@ -170,7 +196,7 @@ class _LiveTree:
         if d > 1:
             self.deep -= 1
         self.edges -= 1
-        self.log.append((None, v, None))
+        self.log.append((_KILL, v, 0))
 
     def max_depth(self) -> int:
         while not self.live[self.maxd]:
@@ -187,20 +213,20 @@ class _LiveTree:
         d = self.max_depth()
         if not self.hot[d]:
             return None
-        b, i = self.bucket[d], self.first_hot[d]
-        while not (self.alive[b[i]] and self.pen[b[i]] > 0):
+        order, alive, pen, i = self.order, self.alive, self.pen, self.first_hot[d]
+        while not (alive[order[i]] and pen[order[i]] > 0):
             i += 1
         self.first_hot[d] = i
-        return b[i]
+        return order[i]
 
     def deepest_leaf(self) -> int:
         """Lowest-id live node of maximum depth."""
         d = self.max_depth()
-        b, i = self.bucket[d], self.first_live[d]
-        while not self.alive[b[i]]:
+        order, alive, i = self.order, self.alive, self.first_live[d]
+        while not alive[order[i]]:
             i += 1
         self.first_live[d] = i
-        return b[i]
+        return order[i]
 
     def objective(self, edges) -> int:
         """Objective of an edge set at this level, computed from scratch."""
@@ -228,45 +254,35 @@ def _reduce_a(t: _LiveTree, leaf_edge: int) -> CaseContext:
     v0 = parent[u]
     e0 = u
     arms = t.live_children(u)
-    assert arms and leaf_edge in arms
-    for v in arms:
-        assert not t.live_children(v), "arms of the deepest star are leaves"
+    assert leaf_edge in arms
+    t.check_leaves(arms, "arms of the deepest star are leaves")
     wu = wn[u]
     cand = [(we[e0] + wu + wn[v0], 0)]
-    cand += [(we[v] + wu + wn[v], i + 1) for i, v in enumerate(arms)]
-    bound1 = min(c for c, _ in cand)
-    i_star = min(i for c, i in cand if c == bound1)
-    bound2 = sum(pen[v] for v in arms)
+    cand += [(we[v] + wu + wn[v], i) for i, v in enumerate(arms, 1)]
+    bound1, i_star = min(cand)
+    caps = tuple(map(pen.__getitem__, arms))
+    bound2 = sum(caps)
     bound = min(bound1, bound2)
     branch = "keep" if bound1 > bound2 else "delete"
     ctx = CaseContext(
-        tag="A",
-        branch=branch,
-        center=u,
-        parent=v0,
-        parent_edge=e0,
-        arms=arms,
-        bound1=bound1,
-        bound=bound,
-        i_star=i_star,
-        caps=[pen[v] for v in arms],
-        center_w=wu,
-        parent_edge_w=we[e0],
+        "A", branch, u, v0, e0, arms, caps, bound,
+        pick=arms[i_star - 1] if i_star else e0,
+        via_parent=bound > wu + we[e0],
     )
 
     shift_edge = max(0, bound - wu)
     if branch == "keep":
         for v in arms:
-            t.set(wn, v, wn[v] - max(0, bound - wu - we[v]))
-            t.set(we, v, max(0, we[v] - shift_edge))
+            t.set(_WN, v, wn[v] - max(0, bound - wu - we[v]))
+            t.set(_WE, v, max(0, we[v] - shift_edge))
             t.zero_penalty(v)
     else:
         for v in arms:
             t.kill(v)
         t.zero_penalty(e0)
-    t.set(wn, v0, wn[v0] - max(0, bound - wu - we[e0]))
-    t.set(we, e0, max(0, we[e0] - shift_edge))
-    t.set(wn, u, max(0, wu - bound))
+    t.set(_WN, v0, wn[v0] - max(0, bound - wu - we[e0]))
+    t.set(_WE, e0, max(0, we[e0] - shift_edge))
+    t.set(_WN, u, max(0, wu - bound))
     return ctx
 
 
@@ -277,50 +293,34 @@ def _reduce_b(t: _LiveTree) -> CaseContext:
     e0 = s if u0 is not None else None
     arms = t.live_children(s)
     assert arms
-    grand = [t.live_children(ui) for ui in arms]
-    for hs in grand:
-        for v in hs:
-            assert not t.live_children(v), "grandchildren of s are leaves"
     ws = wn[s]
-    cand = []
-    if e0 is not None:
-        cand.append((we[e0] + wn[u0] + ws, 0))
-    cand += [(we[ui] + wn[ui] + ws, i + 1) for i, ui in enumerate(arms)]
-    bound1 = min(c for c, _ in cand)
-    i_star = min(i for c, i in cand if c == bound1)
+    cand = [(we[e0] + wn[u0] + ws, 0)] if e0 is not None else []
+    cand += [(we[ui] + wn[ui] + ws, i) for i, ui in enumerate(arms, 1)]
+    bound1, i_star = min(cand)
     caps: List[int] = []
-    best_grand: Dict[int, int] = {}
-    keep_idx: List[int] = []
-    for i, ui in enumerate(arms):
-        if grand[i]:
-            hv, hid = min((we[h] + wn[h], h) for h in grand[i])
-            best_grand[i + 1] = hid
+    keep: List[int] = []
+    grand_edges: List[int] = []
+    for ui in arms:
+        hs = t.live_children(ui)
+        if hs:
+            grand_edges += hs
+            hv, hid = min([(we[h] + wn[h], h) for h in hs])
             inner = wn[ui] + hv
             caps.append(min(inner, pen[ui]))
             if inner <= pen[ui]:
-                keep_idx.append(i + 1)
+                keep.append(hid)
         else:
             caps.append(pen[ui])
+    t.check_leaves(grand_edges, "grandchildren of s are leaves")
     bound2 = sum(caps)
     bound = min(bound1, bound2)
     branch = "trim" if bound1 >= bound2 else "drop"
-    grand_edges = [h for hs in grand for h in hs]
     ctx = CaseContext(
-        tag="B",
-        branch=branch,
-        center=s,
-        parent=u0,
-        parent_edge=e0,
-        arms=arms,
-        bound1=bound1,
-        bound=bound,
-        i_star=i_star,
-        caps=caps,
-        center_w=ws,
-        parent_edge_w=we[e0] if e0 is not None else None,
-        grand_edges=sorted(grand_edges),
-        best_grand=best_grand,
-        keep_idx=keep_idx,
+        "B", branch, s, u0, e0, arms, tuple(caps), bound,
+        pick=arms[i_star - 1] if i_star else e0,
+        via_parent=e0 is not None and bound > ws + we[e0],
+        grand_edges=tuple(grand_edges),
+        keep=tuple(keep),
     )
 
     if branch == "trim":
@@ -330,7 +330,7 @@ def _reduce_b(t: _LiveTree) -> CaseContext:
     else:
         if e0 is not None:
             t.zero_penalty(e0)
-        removed, kept = arms + grand_edges, []
+        removed, kept = [*arms, *grand_edges], ()
     for v in removed:
         t.kill(v)
     # surviving (edge, node) pairs absorb the charge: e0 with its upper end
@@ -339,9 +339,9 @@ def _reduce_b(t: _LiveTree) -> CaseContext:
     survivors += [(ui, ui) for ui in kept]
     shift_edge = max(0, bound - ws)
     for edge, node in survivors:
-        t.set(wn, node, wn[node] - max(0, bound - ws - we[edge]))
-        t.set(we, edge, max(0, we[edge] - shift_edge))
-    t.set(wn, s, max(0, ws - bound))
+        t.set(_WN, node, wn[node] - max(0, bound - ws - we[edge]))
+        t.set(_WE, edge, max(0, we[edge] - shift_edge))
+    t.set(_WN, s, max(0, ws - bound))
     return ctx
 
 
@@ -349,7 +349,7 @@ def _reduce_b(t: _LiveTree) -> CaseContext:
 # lifting
 
 
-def _greedy_fill(caps: List[int], target: int) -> List[int]:
+def _greedy_fill(caps, target: int) -> List[int]:
     """Values below the caps summing to the target, filled front to back."""
     out = []
     remaining = target
@@ -437,29 +437,42 @@ class _Lift:
         self.total += value - self.xi.get(e, 0)
         self.xi[e] = value
 
-    def undo(self, entries: List[tuple]) -> None:
-        """Restore the weights and live nodes a reduction step overwrote."""
+    def undo(self, mark: int) -> List[int]:
+        """Restore the weights and live nodes overwritten since log position
+        `mark`, and return the edges whose penalty moved."""
         t = self.t
-        for arr, v, old in reversed(entries):
-            if arr is None:
+        entries = t.log[mark:]
+        del t.log[mark:]
+        wn, we, pen = t.arrays
+        moved = []
+        for code, v, old in reversed(entries):
+            if code == _KILL:
                 t.alive[v] = True
                 t.edges += 1
-                self._edge(v, t.pen[v])
-            elif arr is t.pen:
-                self._edge(v, old - arr[v])
-                arr[v] = old
+                self._edge(v, pen[v])
+            elif code == _PEN:
+                moved.append(v)
+                self._edge(v, old - pen[v])
+                pen[v] = old
+            elif code == _WN:
+                if self.touch[v]:
+                    self.node_w += old - wn[v]
+                wn[v] = old
             else:
-                if arr is t.wn and self.touch[v]:
-                    self.node_w += old - arr[v]
-                elif arr is t.we and v in self.F:
-                    self.edge_w += old - arr[v]
-                arr[v] = old
+                if v in self.F:
+                    self.edge_w += old - we[v]
+                we[v] = old
+        return moved
 
-    def check_level(self, edges: List[int]) -> None:
-        """Per-level invariants, given the edges whose xi or penalty moved."""
+    def check_level(self, *groups) -> None:
+        """Per-level invariants, given groups of the edges whose xi or
+        penalty moved."""
         t, xi = self.t, self.xi
         assert len(xi) == t.edges, "dual values cover exactly the live edges"
-        assert all(xi[e] >= 0 and xi[e] <= t.pen[e] for e in edges)
+        pen = t.pen
+        for edges in groups:
+            for e in edges:
+                assert 0 <= xi[e] <= pen[e], "0 <= xi <= penalty where either moved"
         obj = self.objective()
         assert obj == self.total < t.big, f"objective {obj} != dual total {self.total}"
 
@@ -488,7 +501,7 @@ def _lift_a(ctx: CaseContext, lift: _Lift) -> None:
             count -= 1
     assert count <= 1
 
-    if touch[v0] and ctx.bound > ctx.center_w + ctx.parent_edge_w:
+    if ctx.via_parent and touch[v0]:
         lift.add(e0)
     elif touch[u]:
         # The center is already touched, so the arms are already dominated;
@@ -498,7 +511,7 @@ def _lift_a(ctx: CaseContext, lift: _Lift) -> None:
     elif ctx.branch == "keep":
         pass
     else:
-        lift.add(ctx.edge_of(ctx.i_star))
+        lift.add(ctx.pick)
 
     xi = lift.xi
     if ctx.branch == "keep":
@@ -507,7 +520,7 @@ def _lift_a(ctx: CaseContext, lift: _Lift) -> None:
             lift.set_xi(a, cap)
     else:
         assert xi.get(e0, 0) == 0
-        for a, val in zip(ctx.arms, _greedy_fill(ctx.caps, ctx.bound1)):
+        for a, val in zip(ctx.arms, _greedy_fill(ctx.caps, ctx.bound)):
             assert a not in xi
             lift.set_xi(a, val)
 
@@ -523,15 +536,15 @@ def _lift_b(ctx: CaseContext, lift: _Lift) -> None:
             if a in F:
                 lift.remove(a)
 
-    if e0 is not None and touch[u0] and ctx.bound > ctx.center_w + ctx.parent_edge_w:
+    if ctx.via_parent and touch[u0]:
         lift.add(e0)
     elif touch[s]:
         pass
     elif ctx.branch == "trim":
-        for i in ctx.keep_idx:
-            lift.add(ctx.best_grand[i])
+        for h in ctx.keep:
+            lift.add(h)
     else:
-        lift.add(ctx.edge_of(ctx.i_star))
+        lift.add(ctx.pick)
 
     xi = lift.xi
     if ctx.branch == "trim":
@@ -556,9 +569,7 @@ def _base_star(t: _LiveTree) -> Tuple[FrozenSet[int], Dict[int, int]]:
     if not edges:
         return frozenset(), {}
     wr = t.wn[t.root]
-    cand = [(t.we[v] + wr + t.wn[v], v) for v in edges]
-    alpha1 = min(c for c, _ in cand)
-    e_star = min(v for c, v in cand if c == alpha1)
+    alpha1, e_star = min((t.we[v] + wr + t.wn[v], v) for v in edges)
     alpha2 = sum(t.pen[v] for v in edges)
     if alpha1 >= alpha2:
         return frozenset(), {e: t.pen[e] for e in edges}
@@ -580,9 +591,6 @@ def solve_eds_tree_trace(
         marks.append(len(t.log))
         hot = t.deepest_hot()
         ctxs.append(_reduce_a(t, hot) if hot is not None else _reduce_b(t))
-        assert all(
-            arr[v] >= 0 for arr, v, _ in t.log[marks[-1]:] if arr is not None
-        ), "reduced weights stay nonnegative"
         new_measure = t.measure()
         assert new_measure < measure, "reduction measure must strictly decrease"
         measure = new_measure
@@ -590,12 +598,9 @@ def solve_eds_tree_trace(
     lift = _Lift(t, *_base_star(t))
     lift.check_full()
     for ctx, mark in zip(reversed(ctxs), reversed(marks)):
-        entries = t.log[mark:]
-        del t.log[mark:]
-        lift.undo(entries)
+        moved = lift.undo(mark)
         (_lift_a if ctx.tag == "A" else _lift_b)(ctx, lift)
-        moved = [v for arr, v, _ in entries if arr is t.pen]
-        lift.check_level(ctx.arms + ctx.grand_edges + moved)
+        lift.check_level(ctx.arms, ctx.grand_edges, moved)
     lift.check_full()
 
     xi = lift.xi

@@ -25,13 +25,12 @@ rejected with a ParseError before anything of size N is allocated.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
 from math import lcm
 from random import Random
 from types import MappingProxyType
-from typing import Dict, FrozenSet, List, Mapping, NamedTuple, Optional, Tuple, Union
+from typing import Dict, FrozenSet, List, Mapping, NamedTuple, Tuple, Union
 
 from .rationals import INF, ExtRat, Rat, ZERO, ext_sum, fmt_rat, is_inf, parse_number
 
@@ -104,36 +103,19 @@ class Graph:
 class RootedTree:
     """Rooted tree on nodes 0..n-1; the edge to the parent of node v has id v."""
 
-    def __init__(self, parent: List[int], root: int, *, _depth: Optional[List[int]] = None):
+    def __init__(self, parent: List[int], root: int):
         n = len(parent)
         if not (0 <= root < n) or parent[root] != root:
             raise InstanceError("root must be its own parent")
-        children: List[List[int]] = [[] for _ in range(n)]
+        adj: List[List[int]] = [[] for _ in range(n)]
         for v, p in enumerate(parent):
             if v == root:
                 continue
             if not (0 <= p < n):
                 raise InstanceError(f"parent of {v} out of range")
-            children[p].append(v)
-        depth = _depth  # from_edges gives the depths its own walk found
-        if depth is None:
-            depth = [-1] * n
-            depth[root] = 0
-            order = [root]
-            queue = deque([root])
-            while queue:
-                v = queue.popleft()
-                for c in children[v]:
-                    depth[c] = depth[v] + 1
-                    order.append(c)
-                    queue.append(c)
-            if len(order) != n:
-                raise InstanceError("parent map is not connected")
-        self.n = n
-        self.root = root
-        self.parent = tuple(parent)
-        self.children = tuple(map(tuple, children))  # ascending: v runs upwards
-        self.depth = tuple(depth)
+            adj[p].append(v)
+            adj[v].append(p)
+        self._walk(root, adj, "parent map is not connected")
 
     @classmethod
     def from_edges(cls, n: int, edges: List[Tuple[int, int]], root: int = 0) -> "RootedTree":
@@ -147,19 +129,37 @@ class RootedTree:
                 raise InstanceError(f"self-loop at node {u}")
             adj[u].append(v)
             adj[v].append(u)
+        tree = cls.__new__(cls)
+        tree._walk(root, adj, "edges do not form a tree reachable from the root")
+        return tree
+
+    def _walk(self, root: int, adj: List[List[int]], broken: str) -> None:
+        """Take parents and depths from one walk from the root over the
+        adjacency lists, which become the children, sorted, in place; a
+        node met twice or never means the edges are not a tree."""
+        n = len(adj)
         parent = [root] * n
         depth = [-1] * n
         depth[root] = 0
         order = [root]
-        for v in order:  # one walk gives parents and depths
-            for w in adj[v]:
-                if depth[w] < 0:
-                    parent[w] = v
-                    depth[w] = depth[v] + 1
-                    order.append(w)
+        for v in order:
+            children = adj[v]
+            if v != root:
+                children.remove(parent[v])
+            children.sort()
+            for c in children:
+                if depth[c] >= 0:
+                    raise InstanceError(broken)
+                parent[c] = v
+                depth[c] = depth[v] + 1
+                order.append(c)
         if len(order) != n:
-            raise InstanceError("edges do not form a tree reachable from the root")
-        return cls(parent, root, _depth=depth)
+            raise InstanceError(broken)
+        self.n = n
+        self.root = root
+        self.parent = tuple(parent)
+        self.children = tuple(map(tuple, adj))
+        self.depth = tuple(depth)
 
     def edge_ids(self) -> List[int]:
         return [v for v in range(self.n) if v != self.root]

@@ -284,15 +284,11 @@ def simplex_solve(model: LpModel) -> LpResult:
     if status == UNBOUNDED:
         return LpResult(UNBOUNDED, stage_value=stage_value)
 
-    vals = {col: Rat(row.b, row.d) for row, col in zip(tab, basis)}
-    assignment = {}
-    objective_value = ZERO
-    for var in model.variables:
-        x = assignment[var] = vals.get(col_of[var], ZERO)
-        coef = model.objective.get(var)
-        if coef is not None:
-            objective_value = objective_value + coef * x
-    return LpResult(OPTIMAL, objective_value, assignment, stage_value)
+    vals = {col: Rat(row.b, row.d) for row, col in zip(tab, basis) if col < ncols}
+    assignment = {var: vals.get(j, ZERO) for var, j in col_of.items()}
+    # `cost` was last pivoted at the phase-II optimum, and the tie-break
+    # pivots stay on the optimal face, so it still reads the optimum
+    return LpResult(OPTIMAL, Rat(-sign * cost.b, cost.d), assignment, stage_value)
 
 
 class _Row:

@@ -1,5 +1,6 @@
 """Exact tree solver: frozen small cases, case dispatch, and dual reporting."""
 
+import gc
 import hashlib
 import tracemalloc
 from random import Random
@@ -176,6 +177,46 @@ def test_corrupted_dual_caught_at_its_own_level(monkeypatch):
         solve_eds_tree(inst)
     # the check of the corrupted level fired: no later level was lifted
     assert len(calls) == bad_call
+
+
+def test_reduction_checks_fire_at_the_write(monkeypatch):
+    """The nonnegativity of written weights and the leaf structure of the
+    arms are checked inside the reduction that would break them."""
+    inst = gen_instance("random-tree-eds", n=40, seed=0)
+    # a reduction that no longer clamps the weights it writes at zero
+    monkeypatch.setattr(eds_tree, "max", min, raising=False)
+    with pytest.raises(AssertionError, match="reduced weights stay nonnegative"):
+        solve_eds_tree(inst)
+    monkeypatch.undo()
+
+    def resurrecting(reduce):
+        # the first deletion removes the arms from the counts but not the tree
+        def wrapped(t, *args):
+            ctx = reduce(t, *args)
+            if ctx.branch == "delete" and not done:
+                done.append(ctx)
+                for v in ctx.arms:
+                    t.alive[v] = True
+            return ctx
+
+        return wrapped
+
+    done = []
+    monkeypatch.setattr(eds_tree, "_reduce_a", resurrecting(eds_tree._reduce_a))
+    with pytest.raises(AssertionError, match="are leaves"):
+        solve_eds_tree(inst)
+
+
+def test_trace_records_hold_nothing_the_collector_tracks():
+    """Each record is one named tuple of ints, strings and tuples of ints.
+    CPython's collector untracks exact tuples only, so the record itself
+    stays tracked, but nothing it holds is walked again."""
+    inst = parse_instance(_deep_tree_text(2000))
+    _, _, ctxs = solve_eds_tree_trace(inst)
+    gc.collect()
+    assert len(ctxs) > 500
+    assert all(isinstance(ctx, tuple) for ctx in ctxs)
+    assert not any(gc.is_tracked(field) for ctx in ctxs for field in ctx)
 
 
 def test_memory_is_linear_on_a_deep_tree():
@@ -369,8 +410,7 @@ GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_solve_outputs_are_pinned(name, tmp_path, capsys):
+def _golden_digests(name, tmp_path, capsys):
     inst = tmp_path / "inst.eds"
     if name.startswith("deep-"):
         inst.write_text(_deep_tree_text(int(name.split("-")[1])))
@@ -382,8 +422,21 @@ def test_solve_outputs_are_pinned(name, tmp_path, capsys):
     capsys.readouterr()
     assert cli.run(["solve", str(inst), "--certificate", str(cert)]) == 0
     stdout = capsys.readouterr().out.encode()
-    got = (hashlib.sha256(stdout).hexdigest(), hashlib.sha256(cert.read_bytes()).hexdigest())
-    assert got == GOLDEN[name]
+    return (hashlib.sha256(stdout).hexdigest(), hashlib.sha256(cert.read_bytes()).hexdigest())
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_solve_outputs_are_pinned(name, tmp_path, capsys):
+    assert _golden_digests(name, tmp_path, capsys) == GOLDEN[name]
+
+
+def test_gmpy2_backend_keeps_the_pinned_outputs(tmp_path, capsys):
+    """Where gmpy2 imports, `Rat` is its `mpq`, and the outputs pinned on
+    the `Fraction` backend hold on it unchanged."""
+    gmpy2 = pytest.importorskip("gmpy2")
+    assert Rat is gmpy2.mpq
+    for name in sorted(GOLDEN):
+        assert _golden_digests(name, tmp_path, capsys) == GOLDEN[name], name
 
 
 # -- fractional weights ------------------------------------------------------
