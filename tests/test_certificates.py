@@ -172,6 +172,17 @@ def test_parse_reports_a_missing_objective_at_the_last_line():
     assert str(err.value) == "line 4: missing 'objective' line"
 
 
+@pytest.mark.parametrize("end", ["\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\u2029"])
+def test_certificate_lines_split_as_splitlines_splits_them(end):
+    for make in (_tree_cert, _multicut_cert, _general_cert):
+        text = serialize_certificate(make()[1])
+        assert parse_certificate(text.replace("\n", end)) == parse_certificate(text)
+    text = "certificate eds-tree\nobjective 1\nedge 1\nxi 1 1\nedge 1\n"
+    with pytest.raises(ParseError) as err:
+        parse_certificate(text.replace("\n", end))
+    assert str(err.value) == "line 5: duplicate edge entry for 1"
+
+
 def test_parse_rejects_wrong_kind_directive():
     text = "certificate eds-tree\nobjective 1\nratio 1\n"
     with pytest.raises(ParseError):

@@ -227,6 +227,22 @@ def test_parse_requires_problem_header():
     assert "line 1" in str(err.value)
 
 
+#: Line ends that `str.splitlines` splits on besides "\n"; several of them
+#: are also whitespace to `str.split`.
+LINE_ENDS = ["\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("end", LINE_ENDS)
+def test_instance_lines_split_as_splitlines_splits_them(end):
+    for kind, params in GEN_CASES:
+        text = serialize_instance(gen_instance(kind, **params))
+        assert parse_instance(text.replace("\n", end)) == parse_instance(text), kind
+    text = "problem eds-tree\nnodes 2\nroot 0\nnode 0 1\nnode 1 -1\nedge 0 1 1 1\n"
+    with pytest.raises(ParseError) as err:
+        parse_instance(text.replace("\n", end))
+    assert str(err.value) == "line 5: negative value '-1' not allowed here"
+
+
 # -- structural parse errors ------------------------------------------------
 
 #: The kinds that take each directive.
