@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import islice
 from math import lcm
 from random import Random
 from types import MappingProxyType
@@ -40,7 +41,13 @@ MAX_NODES = 10**6
 
 
 class InstanceError(ValueError):
-    """Raised for structurally invalid instances."""
+    """Raised for structurally invalid instances.  ``at``, when given, is
+    ``(directive, index)``: the index-th node, root, edge or demand of the
+    input is at fault, and `parse_instance` reports the line holding it."""
+
+    def __init__(self, message: str, at=None):
+        super().__init__(message)
+        self.at = at
 
 
 class ParseError(ValueError):
@@ -71,12 +78,12 @@ class Graph:
         incident: List[List[int]] = [[] for _ in range(n)]
         for eid, (u, v) in enumerate(edges):
             if not (0 <= u < n and 0 <= v < n):
-                raise InstanceError(f"edge ({u},{v}) out of range")
+                raise InstanceError(f"edge ({u},{v}) out of range", ("edge", eid))
             if u == v:
-                raise InstanceError(f"self-loop at node {u}")
+                raise InstanceError(f"self-loop at node {u}", ("edge", eid))
             key = (u, v) if u < v else (v, u)
             if key in seen:
-                raise InstanceError(f"duplicate edge ({u},{v})")
+                raise InstanceError(f"duplicate edge ({u},{v})", ("edge", eid))
             seen.add(key)
             incident[u].append(eid)
             incident[v].append(eid)
@@ -122,11 +129,11 @@ class RootedTree:
         if len(edges) != n - 1:
             raise InstanceError(f"a tree on {n} nodes needs {n - 1} edges, got {len(edges)}")
         adj: List[List[int]] = [[] for _ in range(n)]
-        for u, v in edges:
+        for i, (u, v) in enumerate(edges):
             if not (0 <= u < n and 0 <= v < n):
-                raise InstanceError(f"edge ({u},{v}) out of range")
+                raise InstanceError(f"edge ({u},{v}) out of range", ("edge", i))
             if u == v:
-                raise InstanceError(f"self-loop at node {u}")
+                raise InstanceError(f"self-loop at node {u}", ("edge", i))
             adj[u].append(v)
             adj[v].append(u)
         tree = cls.__new__(cls)
@@ -372,9 +379,9 @@ class MulticutInstance:
         _check_weights(self.tree, self.node_weight, self.edge_weight)
         for i, d in enumerate(self.demands):
             if not (0 <= d.s < self.tree.n and 0 <= d.t < self.tree.n):
-                raise InstanceError(f"demand {i} endpoints out of range")
+                raise InstanceError(f"demand {i} endpoints out of range", ("demand", i))
             if d.s == d.t:
-                raise InstanceError(f"demand {i} has identical endpoints")
+                raise InstanceError(f"demand {i} has identical endpoints", ("demand", i))
             if not is_inf(d.penalty) and d.penalty < 0:
                 raise InstanceError(f"demand {i} penalty must be nonnegative")
 
@@ -722,8 +729,9 @@ def parse_instance(text: str) -> AnyInstance:
     """Parse an instance file.  Errors report 1-based line numbers.
 
     Each line is read through `DIRECTIVES` into one column per field, and
-    the instance is built from the columns; what only the whole file can
-    show is reported at its last line."""
+    the instance is built from the columns.  A fault of one node, root,
+    edge or demand is reported at its line, and what only the whole file
+    can show at the last line."""
     columns: Dict[str, List[list]] = {}
 
     def start(kind):
@@ -733,7 +741,18 @@ def parse_instance(text: str) -> AnyInstance:
     try:
         return _build(kind, columns)
     except InstanceError as exc:
-        raise ParseError(f"line {len(text.splitlines())}: {exc}") from exc
+        raise ParseError(f"line {_line_of(text, exc.at)}: {exc}") from exc
+
+
+def _line_of(text: str, at) -> int:
+    """The number of the line holding ``at = (directive, index)``, the
+    index-th line of that directive, or of the last line if ``at`` is None."""
+    lines = text.splitlines()
+    if at is None:
+        return len(lines)
+    head, index = at
+    rows = (no for no, raw in enumerate(lines, 1) if raw.split("#", 1)[0].split()[:1] == [head])
+    return next(islice(rows, index, None))
 
 
 def _placed(size: int, keys, values) -> List[Number]:
@@ -764,9 +783,9 @@ def _build(kind: str, columns: Dict[str, List[list]]) -> AnyInstance:
         costs, members = columns["set"]
         return SetCoverInstance(n, list(zip(_rats(costs), members)))
     ids, weights = columns["node"]
-    for v in ids:
+    for i, v in enumerate(ids):
         if not (0 <= v < n):
-            raise InstanceError(f"node id {v} out of range")
+            raise InstanceError(f"node id {v} out of range", ("node", i))
     us, vs, edge_w, *penalties = columns["edge"]
     pairs = list(zip(us, vs))
     if kind == "eds-general":
@@ -776,7 +795,7 @@ def _build(kind: str, columns: Dict[str, List[list]]) -> AnyInstance:
         (roots,) = columns["root"]
         root = roots[0] if roots else 0
         if not (0 <= root < n):
-            raise InstanceError(f"root {root} out of range")
+            raise InstanceError(f"root {root} out of range", ("root", 0))
         graph = RootedTree.from_edges(n, pairs, root)
         # every edge is a tree edge, and its lower end is its id
         eids = [v if graph.parent[v] == u else u for u, v in pairs]

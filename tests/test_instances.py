@@ -341,9 +341,9 @@ STRUCTURAL_ERRORS = [
     ("problem eds-tree\nnode 0 1\n", "line 2: missing 'nodes' line"),
     ("problem set-cover\nset 1 0\n\n\n", "line 4: missing 'nodes' line"),
     ("problem multicut-tree\n", "line 1: missing 'nodes' line"),
-    (_TREE + "node 2 1\nedge 0 1 1 1\n", "line 4: node id 2 out of range"),
+    (_TREE + "node 2 1\nedge 0 1 1 1\n", "line 3: node id 2 out of range"),
     (_GENERAL + "node -1 1\n", "line 3: node id -1 out of range"),
-    (_TREE + "root 2\nedge 0 1 1 1\n", "line 4: root 2 out of range"),
+    (_TREE + "root 2\nedge 0 1 1 1\n", "line 3: root 2 out of range"),
     (_CUT + "root -1\n", "line 3: root -1 out of range"),
     (_TREE, "line 2: a tree on 2 nodes needs 1 edges, got 0"),
     (_CUT + "edge 0 1 1\nedge 1 2 1\nedge 0 2 1\n", "line 5: a tree on 3 nodes needs 2 edges, got 3"),
@@ -394,6 +394,38 @@ STRUCTURAL_ERRORS = [
 
 @pytest.mark.parametrize("text,message", STRUCTURAL_ERRORS)
 def test_structural_parse_errors_have_their_messages(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_instance(text)
+    assert str(err.value) == message
+
+
+#: Faults of one node, root, edge or demand found after the line loop,
+#: each reported at the line holding it, with comments, blank lines and
+#: other directives around it.
+ROW_ERRORS = [
+    ("problem eds-tree\nnode 0 1\nnode 5 1\n# note\nnodes 2\nedge 0 1 1 1\n",
+     "line 3: node id 5 out of range"),
+    ("problem multicut-tree\nroot 4\n\nnodes 3\nedge 0 1 1\nedge 0 2 1\n",
+     "line 2: root 4 out of range"),
+    ("problem eds-tree\nnodes 3\nedge 0 1 1 1\nedge 1 3 1 1  # far\nnode 0 1\n",
+     "line 4: edge (1,3) out of range"),
+    ("problem eds-tree\nnodes 3\nedge 2 2 1 1\nedge 0 1 1 1\n",
+     "line 3: self-loop at node 2"),
+    ("problem eds-general\nnodes 3\nedge 0 1 1 1\nedge 0 4 1 1\nedge 1 2 1 1\n",
+     "line 4: edge (0,4) out of range"),
+    ("problem eds-general\nedge 1 1 1 1\nnodes 3\nnode 0 1\n",
+     "line 2: self-loop at node 1"),
+    ("problem eds-general\nnodes 3\nedge 0 1 1 1\nedge 1 0 1 1\n\nedge 1 2 1 1\n",
+     "line 4: duplicate edge (1,0)"),
+    ("problem multicut-tree\nnodes 3\ndemand 1 2 1\ndemand 0 3 inf\nedge 0 1 1\nedge 0 2 1\n",
+     "line 4: demand 1 endpoints out of range"),
+    ("problem multicut-tree\nnodes 3\ndemand 1 1 1\nedge 0 1 1\nedge 0 2 1\n",
+     "line 3: demand 0 has identical endpoints"),
+]
+
+
+@pytest.mark.parametrize("text,message", ROW_ERRORS)
+def test_row_errors_are_reported_at_their_line(text, message):
     with pytest.raises(ParseError) as err:
         parse_instance(text)
     assert str(err.value) == message
