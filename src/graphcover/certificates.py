@@ -145,7 +145,8 @@ def parse_certificate(text: str) -> Certificate:
     values: Dict[str, ExtRat] = {}  # objective and the scalar directives
 
     def start(kind):
-        def line(head, args):
+        def line(toks):
+            head, args = toks[0], toks[1:]
             if head == "objective":
                 if len(args) != 1 or head in values:
                     raise ValueError("'objective' takes one value, once")

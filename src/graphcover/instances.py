@@ -3,17 +3,19 @@
 Instance files are line based.  ``#`` starts a comment, numbers are integers
 or ``p/q`` fractions, and ``inf`` is accepted only where a penalty is
 expected.  Node and edge weights are nonnegative rationals; penalties are
-nonnegative rationals or infinite.  Every number token of every kind goes
-through `parse_number`, which gives ``(p, q)`` in lowest terms or INF.
-`DIRECTIVES` is the one table of which kinds take each directive and what
-its fields are, and `read_directives` reads the line format that instance
-and certificate files share.
+nonnegative rationals or infinite.  A number token is read as a `Number`:
+an integer token straight to an int, a ``p/q`` token to ``(p, q)`` in
+lowest terms (`parse_number`), ``inf`` to INF.  `DIRECTIVES` is the one
+table of which kinds take each directive and what its fields are, and
+`read_directives` reads the line format that instance and certificate
+files share.
 
 Weight storage: an `EdsInstance` keeps its weights once, as integer units
 over their least common denominator (`_to_units` is the one place that
 rule lives), and builds dicts of rationals from them only when asked; the
-parser fills the units straight from the number tokens, so an integer file
-makes no rational per value.  The other kinds hold dicts of rationals.
+parser fills the units straight from the `Number` columns, so on an
+integer file the units are the ints read.  The other kinds hold dicts of
+rationals.
 
 Edge identity: in a rooted tree every non-root node identifies the edge to
 its parent, so edge ids are child node ids.  In a general graph edges are
@@ -26,8 +28,6 @@ rejected with a ParseError before anything of size N is allocated.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
-from itertools import islice
 from math import lcm
 from random import Random
 from types import MappingProxyType
@@ -54,13 +54,14 @@ class ParseError(ValueError):
     """Raised for malformed instance files; message carries the line number."""
 
 
-#: A parsed number token: ``(numerator, denominator)`` in lowest terms, or INF.
-Number = Union[Tuple[int, int], type(INF)]
+#: A parsed number token: an int, ``(numerator, denominator)`` in lowest
+#: terms for a ``p/q`` token, or INF.
+Number = Union[int, Tuple[int, int], type(INF)]
 
 
 def _rats(values: List[Number]) -> List[ExtRat]:
     """Parsed values as rationals, making one Rat per distinct value."""
-    made = {x: x if x is INF else Rat(*x) for x in set(values)}
+    made = {x: x if x is INF else Rat(*x) if type(x) is tuple else Rat(x) for x in set(values)}
     return [made[x] for x in values]
 
 
@@ -75,7 +76,7 @@ class Graph:
         if n < 1:
             raise InstanceError("graph needs at least one node")
         seen = set()
-        incident: List[List[int]] = [[] for _ in range(n)]
+        incident = [[] for _ in range(n)]
         for eid, (u, v) in enumerate(edges):
             if not (0 <= u < n and 0 <= v < n):
                 raise InstanceError(f"edge ({u},{v}) out of range", ("edge", eid))
@@ -114,7 +115,7 @@ class RootedTree:
         n = len(parent)
         if not (0 <= root < n) or parent[root] != root:
             raise InstanceError("root must be its own parent")
-        adj: List[List[int]] = [[] for _ in range(n)]
+        adj = [[] for _ in range(n)]
         for v, p in enumerate(parent):
             if v == root:
                 continue
@@ -128,7 +129,7 @@ class RootedTree:
     def from_edges(cls, n: int, edges: List[Tuple[int, int]], root: int = 0) -> "RootedTree":
         if len(edges) != n - 1:
             raise InstanceError(f"a tree on {n} nodes needs {n - 1} edges, got {len(edges)}")
-        adj: List[List[int]] = [[] for _ in range(n)]
+        adj = [[] for _ in range(n)]
         for i, (u, v) in enumerate(edges):
             if not (0 <= u < n and 0 <= v < n):
                 raise InstanceError(f"edge ({u},{v}) out of range", ("edge", i))
@@ -223,31 +224,33 @@ def _check_weights(graph: AnyGraph, node_weight, edge_weight) -> None:
         raise InstanceError("node weights must cover exactly the node set")
     if sorted(edge_weight) != sorted(graph.edge_ids()):
         raise InstanceError("edge weights must cover exactly the edge set")
-    for v, w in node_weight.items():
-        if is_inf(w) or w.numerator < 0:
-            raise InstanceError(f"node weight of {v} must be finite and nonnegative")
-    for e, w in edge_weight.items():
-        if is_inf(w) or w.numerator < 0:
-            raise InstanceError(f"edge weight of {e} must be finite and nonnegative")
+    for what, weights in (("node", node_weight), ("edge", edge_weight)):
+        for key, w in weights.items():
+            if is_inf(w) or w.numerator < 0:
+                raise InstanceError(f"{what} weight of {key} must be finite and nonnegative")
 
 
 def _to_units(*columns):
-    """Columns of exact values, each ``(numerator, denominator)`` or INF,
-    as integer units over their least common denominator ``scale``: each
-    finite value times ``scale``, INF left as INF.  Returns ``(scale,
-    *unit columns)``; ``scale`` is 1 when every value is an integer."""
-    scale = lcm(*{x[1] for col in columns for x in col if x is not INF})
-    if scale == 1:
-        return (1, *([x if x is INF else x[0] for x in col] for col in columns))
+    """Columns of `Number` values as integer units over their least common
+    denominator ``scale``: each finite value times ``scale``, INF left as
+    INF.  Returns ``(scale, *unit columns)``; with no pair among the values
+    ``scale`` is 1 and the columns are the unit columns."""
+    pairs = {x for col in columns for x in set(col) if type(x) is tuple}
+    if not pairs:
+        return (1, *columns)
+    scale = lcm(*(q for _, q in pairs))
     return (scale, *(
-        [x if x is INF else x[0] * (scale // x[1]) for x in col] for col in columns
+        [x if x is INF else x[0] * (scale // x[1]) if type(x) is tuple else x * scale
+         for x in col] for col in columns
     ))
 
 
 def _pair(value) -> Number:
-    """An ExtRat as ``(numerator, denominator)``, or INF; ``int()`` turns
-    gmpy2's mpz parts into ints too."""
-    return INF if is_inf(value) else (int(value.numerator), int(value.denominator))
+    """An ExtRat as a `Number`; ``int()`` turns gmpy2's mpz parts into ints."""
+    if is_inf(value):
+        return INF
+    p, q = int(value.numerator), int(value.denominator)
+    return p if q == 1 else (p, q)
 
 
 class EdsInstance:
@@ -280,12 +283,11 @@ class EdsInstance:
             if not is_inf(p) and p.numerator < 0:
                 raise InstanceError(f"penalty of edge {e} must be nonnegative")
         slots = range(_edge_slots(graph))
-        zero = (0, 1)
         self.graph = graph
         self.scale, self.node_units, self.edge_units, self.penalty_units = _to_units(
             [_pair(node_weight[v]) for v in range(graph.n)],
-            [_pair(edge_weight[e]) if e in edge_weight else zero for e in slots],
-            [_pair(penalty[e]) if e in penalty else zero for e in slots],
+            [_pair(edge_weight[e]) if e in edge_weight else 0 for e in slots],
+            [_pair(penalty[e]) if e in penalty else 0 for e in slots],
         )
         self._dicts = (node_weight, edge_weight, penalty)
 
@@ -474,12 +476,7 @@ class Solution:
 
 
 def selected_nodes(graph: AnyGraph, edges) -> List[int]:
-    out = set()
-    for e in edges:
-        u, v = graph.ends(e)
-        out.add(u)
-        out.add(v)
-    return sorted(out)
+    return sorted({v for e in edges for v in graph.ends(e)})
 
 
 def eds_solution(inst: EdsInstance, edges) -> Solution:
@@ -554,40 +551,53 @@ def read_directives(text: str, header: str, kinds, what: str, start) -> str:
     directive must be ``<header> <kind>`` with a kind from ``kinds``;
     ``start(kind)`` then gives the handler of each directive the kind's
     files may hold, and each later line goes to its directive's handler as
-    ``handler(head, args)``.  A handler rejects its line by raising
-    ValueError, which becomes a ParseError at the line's 1-based number.
+    ``handler(toks)``, a tuple of its tokens with the directive first.  The
+    handler under the key None, if any, is called after each block of
+    lines: about 16 KB of text, cut after a newline, so that the blocks
+    hold the file's lines.  A handler rejects its line by raising
+    ValueError, which becomes a ParseError at the line's 1-based number;
+    the block handler's, at the block's last line.
     """
-    handlers = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        toks = raw.split("#", 1)[0].split() if "#" in raw else raw.split()
-        if not toks:
-            continue
-        head, args = toks[0], toks[1:]
+    handlers, kind, lineno, begin = {}, None, 0, 0
+    while begin < len(text):
+        end = text.find("\n", begin + (1 << 14)) + 1 or len(text)
         try:
-            if handlers is None:
-                if head != header:
-                    raise ValueError(f"the first directive must be '{header} <kind>'")
-                if len(args) != 1 or args[0] not in kinds:
-                    raise ValueError(f"unknown {header} kind {' '.join(args)!r}")
-                kind = args[0]
-                handlers = start(kind)
-            elif head == header:
-                raise ValueError(f"duplicate '{header}' line")
-            elif head in handlers:
-                handlers[head](head, args)
-            else:
-                raise ValueError(f"unknown directive {head!r}")
+            for lineno, raw in enumerate(text[begin:end].splitlines(), lineno + 1):
+                toks = tuple(raw.split("#", 1)[0].split() if "#" in raw else raw.split())
+                if not toks:
+                    continue
+                head = toks[0]
+                if head in handlers:
+                    handlers[head](toks)
+                elif kind is None:
+                    if head != header:
+                        raise ValueError(f"the first directive must be '{header} <kind>'")
+                    if len(toks) != 2 or toks[1] not in kinds:
+                        raise ValueError(f"unknown {header} kind {' '.join(toks[1:])!r}")
+                    kind = toks[1]
+                    handlers = start(kind)
+                elif head == header:
+                    raise ValueError(f"duplicate '{header}' line")
+                else:
+                    raise ValueError(f"unknown directive {head!r}")
+            if None in handlers:
+                handlers[None]()
         except ValueError as exc:
             raise ParseError(f"line {lineno}: {exc}") from None
-    if handlers is None:
+        begin = end
+    if kind is None:
         raise ParseError(f"line 1: empty {what} file")
     return kind
 
 
 def _number(tok: str) -> Number:
-    """A nonnegative number token."""
-    value = parse_number(tok)
-    if value[0] < 0:
+    """A nonnegative number token: an int, or ``(p, q)`` for a ``p/q`` token."""
+    try:
+        value = sign = int(tok)
+    except ValueError:
+        value = parse_number(tok)  # a p/q token, or the file format's message
+        sign = value[0]
+    if sign < 0:
         raise ValueError(f"negative value {tok!r} not allowed here")
     return value
 
@@ -638,6 +648,12 @@ DIRECTIVES = {
     "conn": {_FL: ((read_int, read_int, _number), "'conn' takes client, facility and cost")},
 }
 
+#: For each kind, the readers and field-count message of each directive it takes.
+_TAKES = {
+    kind: {head: spec for head, taken in DIRECTIVES.items()
+           for kinds, spec in taken.items() if kind in kinds}
+    for kind in _KINDS
+}
 #: Directives that may appear once, checked before their field count.
 _ONCE = {"nodes": "duplicate 'nodes' line", "root": "duplicate 'root' line"}
 #: Directives whose first one or two fields, integers, may not repeat an
@@ -649,115 +665,93 @@ _KEYS = {
 }
 
 
-def _refusal(head: str, kind: str):
-    """The handler of a directive the kind does not take."""
-    verb = "is not used by" if head == "nodes" else "is not valid for"
-
-    def refuse(head, args):
-        raise ValueError(f"'{head}' {verb} {kind}")
-
-    return refuse
-
-
-#: For each kind, the handlers of the directives it does not take.
-_REFUSALS = {
-    kind: {head: _refusal(head, kind) for head, taken in DIRECTIVES.items()
-           if not any(kind in kinds for kinds in taken)}
-    for kind in _KINDS
-}
-
-
-def _handler(head: str, readers, arity: str):
-    """The binder of ``head`` lines' handler, built once per kind:
-    ``bind(columns)`` adds one file's columns of ``head`` and gives the
-    handler that fills them, whose last key field first checks the key."""
-    n, once, rest = len(readers), _ONCE.get(head), readers[-1] is _members
-    k, repeat = _KEYS.get(head, (0, ""))
-    # integer fields go to the builtin int, whose error `handle` rewords
-    reads = tuple(int if read is read_int else read for read in readers)
-
-    def handle(fields, head, args):
-        if len(args) != n:
-            raise ValueError(arity)
-        try:
-            for (read, put), tok in zip(fields, args):
-                put(read(tok))
-        except ValueError:
-            if read is int:
-                read_int(tok)  # raises the file format's message
-            raise
-
-    def handle_rest(fields, head, args):  # the last field takes every token left
-        if len(args) < n - 1:
-            raise ValueError(arity)
-        handle(fields, head, [*args[:n - 1], args[n - 1:]])
-
-    def handle_once(fields, head, args):
-        if fields[0][1].__self__:  # the first field's column
-            raise ValueError(once)
-        handle(fields, head, args)
-
-    def bind(columns: Dict[str, List[list]]):
-        cols = columns[head] = [[] for _ in readers]
-        puts = [col.append for col in cols]
-        if k:
-            seen = set()
-
-            def put_key(value):
-                key = (cols[0][-1], value) if k == 2 else value
-                if key in seen:
-                    raise ValueError(repeat.format(key))
-                seen.add(key)
-                cols[k - 1].append(value)
-
-            puts[k - 1] = put_key
-        return partial(handle_rest if rest else handle_once if once else handle,
-                       tuple(zip(reads, puts)))
-
-    return bind
-
-
-#: For each kind, the handler binder of each directive it takes.
-_TAKES = {
-    kind: {head: _handler(head, *spec) for head, taken in DIRECTIVES.items()
-           for kinds, spec in taken.items() if kind in kinds}
-    for kind in _KINDS
-}
-
-
 def parse_instance(text: str) -> AnyInstance:
     """Parse an instance file.  Errors report 1-based line numbers.
 
-    Each line is read through `DIRECTIVES` into one column per field, and
-    the instance is built from the columns.  A fault of one node, root,
-    edge or demand is reported at its line, and what only the whole file
-    can show at the last line."""
-    columns: Dict[str, List[list]] = {}
-
-    def start(kind):
-        return {**_REFUSALS[kind], **{head: bind(columns) for head, bind in _TAKES[kind].items()}}
-
-    kind = read_directives(text, "problem", _KINDS, "instance", start)
+    A file is read into columns of field values (`_read_columns`), from
+    which the instance is built.  A file with a fault is read again with
+    each line checked, so that the error names the first faulty line.  A
+    fault of one node, root, edge or demand is reported at its line, and
+    what only the whole file shows at the last line."""
+    try:
+        kind, columns = _read_columns(text, checked=False)
+    except ValueError:
+        kind, columns = _read_columns(text, checked=True)
     try:
         return _build(kind, columns)
     except InstanceError as exc:
         raise ParseError(f"line {_line_of(text, exc.at)}: {exc}") from exc
 
 
+def _read_columns(text: str, checked: bool):
+    """An instance file's kind and, for each directive the kind takes, one
+    column of values per field, read through `DIRECTIVES`.
+
+    A directive's lines are kept as rows of tokens, which are read a field
+    at a time: an integer field by the builtin int, any other by reading
+    each distinct token once, with a key checked before the later fields.
+    Without ``checked``, the rows are read once per block of lines, and a
+    fault may name a later line of its block.  With it, each line is
+    checked and read before the next, its integers by `read_int` for its
+    message, so the ParseError names the first faulty line."""
+    columns, keys = {}, {head: set() for head in _KEYS}
+
+    def start(kind):
+        taken = {head: [] for head in _TAKES[kind]}
+        columns.update((head, [[] for _ in spec[0]]) for head, spec in _TAKES[kind].items())
+
+        def read():
+            for head, rows in taken.items():
+                if not rows:
+                    continue
+                (readers, arity), (k, repeat) = _TAKES[kind][head], _KEYS.get(head, (0, ""))
+                n, m, cols = len(readers), len(rows), columns[head]
+                if readers[-1] is _members:  # the last field takes every token left
+                    rows[:] = [[*row[:n], tuple(row[n:])] for row in rows]
+                if set(map(len, rows)) != {n + 1} or head in _ONCE and len(cols[0]) + m > 1:
+                    raise ValueError(arity)
+                for i, (col, read, toks) in enumerate(zip(cols, readers, [*zip(*rows)][1:])):
+                    col += map(int if read is read_int and not checked else
+                               {tok: read(tok) for tok in set(toks)}.__getitem__, toks)
+                    if i + 1 == k:
+                        new = col[-m:] if k == 1 else list(zip(cols[0][-m:], col[-m:]))
+                        known = len(keys[head])
+                        keys[head].update(new)
+                        if len(keys[head]) != known + m:
+                            raise ValueError(repeat.format(new[-1]))
+                rows.clear()
+
+        def line(toks):
+            head = toks[0]
+            if head not in taken:
+                verb = "is not used by" if head == "nodes" else "is not valid for"
+                raise ValueError(f"'{head}' {verb} {kind}")
+            if head in _ONCE and columns[head][0]:
+                raise ValueError(_ONCE[head])
+            taken[head].append(toks)
+            read()
+
+        if checked:
+            return dict.fromkeys(DIRECTIVES, line)
+        return {None: read, **{head: rows.append for head, rows in taken.items()}}
+
+    return read_directives(text, "problem", _KINDS, "instance", start), columns
+
+
 def _line_of(text: str, at) -> int:
-    """The number of the line holding ``at = (directive, index)``, the
-    index-th line of that directive, or of the last line if ``at`` is None."""
+    """The number of the index-th line of directive ``head`` for ``at =
+    (head, index)``, or of the last line for None."""
     lines = text.splitlines()
     if at is None:
         return len(lines)
     head, index = at
-    rows = (no for no, raw in enumerate(lines, 1) if raw.split("#", 1)[0].split()[:1] == [head])
-    return next(islice(rows, index, None))
+    rows = [no for no, raw in enumerate(lines, 1) if raw.split("#", 1)[0].split()[:1] == [head]]
+    return rows[index]
 
 
 def _placed(size: int, keys, values) -> List[Number]:
     """``size`` zeros, with each value at its key."""
-    out = [(0, 1)] * size
+    out = [0] * size
     for key, value in zip(keys, values):
         out[key] = value
     return out
@@ -869,12 +863,15 @@ GEN_FLOAT_PARAMS = ("inf_prob", "skip_prob")
 def gen_instance(kind: str, seed: int = 0, **params) -> AnyInstance:
     """Deterministic instance generator; identical inputs give identical
     instances."""
+    def param(name, default):
+        return type(default)(params.get(name, default))
+
     for name in GEN_INT_PARAMS:
-        if int(params.get(name, 0)) < 0:
+        if param(name, 0) < 0:
             raise InstanceError(f"{name} must be nonnegative, got {params[name]}")
     rng = Random(seed)
     if kind == "star-gap-eds":
-        n = int(params.get("n", 4))
+        n = param("n", 4)
         if n < 2:
             raise InstanceError("star-gap-eds needs n >= 2 leaves")
         # integer weights, so the units are the weights over a scale of 1
@@ -882,58 +879,39 @@ def gen_instance(kind: str, seed: int = 0, **params) -> AnyInstance:
             RootedTree([0] * (n + 1), 0), 1, [1] + [0] * n, [0] * (n + 1), [0] + [INF] * n
         )
     if kind == "subdivided-star-multicut":
-        n = int(params.get("n", 4))
+        n = param("n", 4)
         if n < 2:
             raise InstanceError("subdivided-star-multicut needs n >= 2 legs")
-        # center 0; leg j has subdivision node 2j+1 and leaf 2j+2
-        parent = [0] * (2 * n + 1)
-        for j in range(n):
-            parent[2 * j + 1] = 0
-            parent[2 * j + 2] = 2 * j + 1
-        tree = RootedTree(parent, 0)
-        node_w = {v: ZERO for v in range(2 * n + 1)}
-        for j in range(n):
-            node_w[2 * j + 1] = Rat(1)
-        leaves = [2 * j + 2 for j in range(n)]
-        demands = [
-            Demand(leaves[i], leaves[j], INF)
-            for i in range(n)
-            for j in range(i + 1, n)
-        ]
+        # center 0; leg j has subdivision node 2j+1, of weight 1, and leaf 2j+2
+        tree = RootedTree([0] + [v - 1 if v % 2 == 0 else 0 for v in range(1, 2 * n + 1)], 0)
+        node_w = {v: Rat(v % 2) for v in range(2 * n + 1)}
+        demands = [Demand(2 * i + 2, 2 * j + 2, INF) for i in range(n) for j in range(i + 1, n)]
         return MulticutInstance(tree, node_w, {e: ZERO for e in tree.edge_ids()}, demands)
     if kind in ("random-tree-eds", "random-tree-multicut"):
-        n = int(params.get("n", 8))
+        n, wmax, pmax = param("n", 8), param("wmax", 10), param("pmax", 10)
         if n < 1:
             raise InstanceError("need at least one node")
-        wmax = int(params.get("wmax", 10))
-        pmax = int(params.get("pmax", 10))
-        inf_prob = float(params.get("inf_prob", 0.25))
-        parent = [0] * n
-        for v in range(1, n):
-            parent[v] = rng.randrange(v)
-        tree = RootedTree(parent, 0)
+        inf_prob = param("inf_prob", 0.25)
+        tree = RootedTree([0] + [rng.randrange(v) for v in range(1, n)], 0)
         node_w = [rng.randint(0, wmax) for _ in range(n)]
         edge_w = [0] + [rng.randint(0, wmax) for _ in range(1, n)]  # root slot 0
         if kind == "random-tree-eds":
             pen = [INF if rng.random() < inf_prob else rng.randint(0, pmax) for _ in range(1, n)]
             return EdsInstance._from_units(tree, 1, node_w, edge_w, [0] + pen)
-        k = int(params.get("k", 3))
+        k = param("k", 3)
         if n < 2 and k > 0:
             raise InstanceError("demands need at least two nodes")
-        demands = []
-        for _ in range(k):
-            s, t = rng.sample(range(n), 2)
-            p = INF if rng.random() < inf_prob else Rat(rng.randint(0, pmax))
-            demands.append(Demand(s, t, p))
+        demands = [  # the ends, then the penalty, are drawn in turn
+            Demand(*rng.sample(range(n), 2),
+                   INF if rng.random() < inf_prob else Rat(rng.randint(0, pmax)))
+            for _ in range(k)
+        ]
         node_w = dict(enumerate(map(Rat, node_w)))
         edge_w = {e: Rat(edge_w[e]) for e in range(1, n)}
         return MulticutInstance(tree, node_w, edge_w, demands)
     if kind == "random-eds-general":
-        n = int(params.get("n", 6))
-        m = int(params.get("m", 8))
-        wmax = int(params.get("wmax", 10))
-        pmax = int(params.get("pmax", 10))
-        inf_prob = float(params.get("inf_prob", 0.25))
+        n, m, wmax, pmax = param("n", 6), param("m", 8), param("wmax", 10), param("pmax", 10)
+        inf_prob = param("inf_prob", 0.25)
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
         if m > len(pairs):
             raise InstanceError(f"at most {len(pairs)} edges on {n} nodes")
@@ -944,36 +922,24 @@ def gen_instance(kind: str, seed: int = 0, **params) -> AnyInstance:
         pen = [INF if rng.random() < inf_prob else rng.randint(0, pmax) for _ in range(m)]
         return EdsInstance._from_units(graph, 1, node_w, edge_w, pen)
     if kind == "random-set-cover":
-        n = int(params.get("n", 4))
-        m = int(params.get("m", 4))
-        cmax = int(params.get("cmax", 10))
+        n, m, cmax = param("n", 4), param("m", 4), param("cmax", 10)
         if n < 1 or m < 1:
             raise InstanceError("random-set-cover needs at least one element and one set")
         sets = []
         for _ in range(m):
-            members = [x for x in range(n) if rng.random() < 0.5]
-            if not members:
-                members = [rng.randrange(n)]
+            members = [x for x in range(n) if rng.random() < 0.5] or [rng.randrange(n)]
             sets.append((Rat(rng.randint(0, cmax)), frozenset(members)))
         covered = set().union(*(s for _, s in sets))
-        missing = [x for x in range(n) if x not in covered]
-        for x in missing:  # keep every element coverable
+        for x in [x for x in range(n) if x not in covered]:  # keep every element coverable
             i = rng.randrange(len(sets))
-            cost, members = sets[i]
-            sets[i] = (cost, members | {x})
+            sets[i] = (sets[i][0], sets[i][1] | {x})
         return SetCoverInstance(n, sets)
     if kind == "random-facility-location":
-        nc = int(params.get("clients", 3))
-        nf = int(params.get("facilities", 3))
-        omax = int(params.get("omax", 10))
-        dmax = int(params.get("dmax", 10))
-        skip_prob = float(params.get("skip_prob", 0.0))
+        nc, nf = param("clients", 3), param("facilities", 3)
+        omax, dmax, skip_prob = param("omax", 10), param("dmax", 10), param("skip_prob", 0.0)
         opening = [Rat(rng.randint(0, omax)) for _ in range(nf)]
-        conn = {}
-        for v in range(nc):
-            for f in range(nf):
-                if rng.random() >= skip_prob:
-                    conn[(v, f)] = Rat(rng.randint(0, dmax))
+        conn = {(v, f): Rat(rng.randint(0, dmax))  # drawn after the skip test
+                for v in range(nc) for f in range(nf) if rng.random() >= skip_prob}
         return FacilityLocationInstance(nc, nf, opening, conn)
     raise InstanceError(f"unknown generator kind {kind!r}")
 
@@ -1006,25 +972,17 @@ def reduce_to_eds(inst: Union[SetCoverInstance, FacilityLocationInstance]) -> Re
     cover goes through its facility-location form (one facility per set,
     zero-cost connections to the covered elements).
     """
+    fl = inst
     if isinstance(inst, SetCoverInstance):
+        conn = {(v, f): ZERO for f, (_, members) in enumerate(inst.sets) for v in sorted(members)}
         fl = FacilityLocationInstance(
-            n_clients=inst.n_elements,
-            n_facilities=len(inst.sets),
-            opening=[cost for cost, _ in inst.sets],
-            conn={
-                (v, f): ZERO
-                for f, (_, members) in enumerate(inst.sets)
-                for v in sorted(members)
-            },
-        )
-    else:
-        fl = inst
+            inst.n_elements, len(inst.sets), [cost for cost, _ in inst.sets], conn)
 
     nc, nf = fl.n_clients, fl.n_facilities
     big_m = Rat(1) + sum(fl.opening, ZERO) + sum(fl.conn.values(), ZERO)
     n = nc + nf + nc  # clients, facilities, pendant nodes
     edges = []
-    edge_w: Dict[int, Rat] = {}
+    edge_w = {}
     big_edges = set()
     for v in range(nc):
         for f in range(nf):
@@ -1039,14 +997,6 @@ def reduce_to_eds(inst: Union[SetCoverInstance, FacilityLocationInstance]) -> Re
         edges.append((v, nc + nf + v))
         edge_w[eid] = ZERO
         big_edges.add(eid)  # selecting it buys the big-M pendant node
-    graph = Graph(n, edges)
-    node_w = {v: ZERO for v in range(nc)}
-    node_w.update({nc + f: fl.opening[f] for f in range(nf)})
-    node_w.update({nc + nf + v: big_m for v in range(nc)})
-    eds = EdsInstance(
-        graph,
-        node_w,
-        edge_w,
-        {e: INF for e in range(len(edges))},
-    )
+    node_w = dict(enumerate([ZERO] * nc + fl.opening + [big_m] * nc))
+    eds = EdsInstance(Graph(n, edges), node_w, edge_w, dict.fromkeys(range(len(edges)), INF))
     return ReducedEds(eds, big_m, frozenset(big_edges))
