@@ -78,6 +78,7 @@ class Certificate:
 
 
 def eds_tree_certificate(inst: EdsInstance, sol, xi: Dict[int, Rat]) -> Certificate:
+    """``xi`` may hold ints, which print as the equal Rats do."""
     return Certificate(
         kind="eds-tree",
         edges=tuple(sorted(sol.edges)),

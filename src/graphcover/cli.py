@@ -73,7 +73,8 @@ def _load_instance(path: str):
 
 def _solve_eds_tree(inst):
     sol, dual = solve_eds_tree(inst)
-    cert = eds_tree_certificate(inst, sol, dual.xi)
+    # an int prints as the equal Rat does, so integer units need no Rat
+    cert = eds_tree_certificate(inst, sol, dual.units if dual.scale == 1 else dual.xi)
     return sol, cert, [f"dual-total {fmt_rat(dual.total)}", "ratio 1"]
 
 

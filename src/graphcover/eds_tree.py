@@ -26,8 +26,9 @@ every value the solver compares with a penalty (a candidate charge, a
 capped arm value, what remains to fill) is a sum of weights below `big`,
 and every sum holding `big` is at least `big`, just as a sum holding INF
 was INF: no comparison changes.  An objective is below `big` exactly when
-it pays no infinite penalty.  The dual values are turned back into
-rationals, xi / scale, once at the end.
+it pays no infinite penalty.  The dual stays in units (`EdsDual`); its
+rationals, xi / scale, are made only when read, and the certificate is
+written from the units.
 
 Cost: O(n log n) time, counting each integer operation as one step, and
 O(n) memory.  All levels share one mutable store of the live tree and its
@@ -67,6 +68,7 @@ re-evaluated against the dual total.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate
 from typing import Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 
@@ -78,10 +80,22 @@ from .reporting import CheckReport
 
 @dataclass(frozen=True)
 class EdsDual:
-    """Per-edge dual values and their total, a certified lower bound."""
+    """Per-edge dual values and their total, a certified lower bound, held
+    as the solver computes them: ``units`` maps each edge to its value times
+    the instance's ``scale``, and ``total_units`` is their sum.  ``xi`` and
+    ``total`` are the rationals, built when read."""
 
-    xi: Dict[int, Rat]
-    total: Rat
+    units: Dict[int, int]
+    total_units: int
+    scale: int
+
+    @cached_property
+    def xi(self) -> Dict[int, Rat]:
+        return {e: Rat(x, self.scale) for e, x in sorted(self.units.items())}
+
+    @property
+    def total(self) -> Rat:
+        return Rat(self.total_units, self.scale)
 
 
 class CaseContext(NamedTuple):
@@ -603,11 +617,9 @@ def solve_eds_tree_trace(
         lift.check_level(ctx.arms, ctx.grand_edges, moved)
     lift.check_full()
 
-    xi = lift.xi
     sol = eds_solution(inst, sorted(lift.F))
     # check_full has just matched lift.total against sum(xi)
-    scale = inst.scale
-    dual = EdsDual({e: Rat(xi[e], scale) for e in sorted(xi)}, Rat(lift.total, scale))
+    dual = EdsDual(lift.xi, lift.total, inst.scale)
     assert sol.total == dual.total
     return sol, dual, ctxs
 

@@ -15,8 +15,10 @@ from graphcover import (
     Rat,
     RootedTree,
     brute_force_eds,
+    eds_tree_certificate,
     gen_instance,
     parse_instance,
+    serialize_certificate,
     serialize_instance,
     solve_eds_tree,
     verify_eds_optimality,
@@ -26,6 +28,14 @@ from graphcover.eds_tree import solve_eds_tree_trace
 from graphcover.rationals import ZERO, is_inf
 
 from _support import two_leaf_star
+from test_pinned_outputs import (
+    GOLDEN_BATCH,
+    GOLDEN_SOLVE,
+    GOLDEN_VERIFY,
+    batch_digest,
+    solve_digests,
+    verify_digest,
+)
 
 
 def _path(weights_nodes, weights_edges, penalties):
@@ -432,11 +442,17 @@ def test_solve_outputs_are_pinned(name, tmp_path, capsys):
 
 def test_gmpy2_backend_keeps_the_pinned_outputs(tmp_path, capsys):
     """Where gmpy2 imports, `Rat` is its `mpq`, and the outputs pinned on
-    the `Fraction` backend hold on it unchanged."""
+    the `Fraction` backend hold on it unchanged: the eds-tree digests, and
+    the solve, verify and batch digests of `test_pinned_outputs`."""
     gmpy2 = pytest.importorskip("gmpy2")
     assert Rat is gmpy2.mpq
     for name in sorted(GOLDEN):
         assert _golden_digests(name, tmp_path, capsys) == GOLDEN[name], name
+    for spec in sorted(GOLDEN_SOLVE):
+        assert solve_digests(spec, tmp_path, capsys) == GOLDEN_SOLVE[spec], spec
+    for spec in sorted(GOLDEN_VERIFY):
+        assert verify_digest(spec, tmp_path, capsys) == GOLDEN_VERIFY[spec], spec
+    assert batch_digest(tmp_path, capsys) == GOLDEN_BATCH
 
 
 # -- fractional weights ------------------------------------------------------
@@ -561,3 +577,31 @@ def test_scaling_every_weight_scales_the_dual(inst, k):
     assert sol_k.edges == sol.edges
     assert dual_k.xi == {e: x * k for e, x in dual.xi.items()}
     assert dual_k.total == dual.total * k == sum(dual_k.xi.values(), ZERO)
+
+
+# -- the dual in units ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("make", [
+    lambda: gen_instance("random-tree-eds", n=60, seed=1),
+    lambda: parse_instance(_deep_tree_text(300)),
+    lambda: _fractional(60, 1),
+    lambda: _fractional(250, 2),
+])
+def test_certificate_from_units_has_the_bytes_of_the_rationals(make):
+    """`solve` writes the eds-tree certificate from the dual's integer units:
+    the ints themselves on integer data, and ``Rat(unit, scale)`` with a
+    scale above 1.  Either way the bytes are those of the rational dual,
+    and an int in ``xi`` prints as the equal Rat does."""
+    inst = make()
+    sol, dual = solve_eds_tree(inst)
+    assert sorted(dual.xi) == sorted(inst.graph.edge_ids())
+    assert all(type(x) is Rat for x in dual.xi.values())
+    assert dual.xi == {e: Rat(u, inst.scale) for e, u in dual.units.items()}
+    assert dual.total == Rat(dual.total_units, inst.scale) == sum(dual.xi.values(), ZERO)
+    text = serialize_certificate(eds_tree_certificate(inst, sol, dual.xi))
+    integral = {e: int(x) if x.denominator == 1 else x for e, x in dual.xi.items()}
+    assert serialize_certificate(eds_tree_certificate(inst, sol, integral)) == text
+    _, cert, _ = cli._solve_eds_tree(inst)
+    assert serialize_certificate(cert) == text
+    assert all(type(x) is (int if inst.scale == 1 else Rat) for x in cert.xi.values())

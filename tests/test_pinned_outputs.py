@@ -79,14 +79,17 @@ GOLDEN_SOLVE = {
 }
 
 
-@pytest.mark.parametrize("spec", sorted(GOLDEN_SOLVE))
-def test_solve_outputs_are_pinned(spec, tmp_path, capsys):
+def solve_digests(spec, tmp_path, capsys):
     inst = _gen(tmp_path, "inst", spec.split())
     cert = tmp_path / "out.cert"
     capsys.readouterr()
     assert cli.run(["solve", str(inst), "--certificate", str(cert)]) == 0
-    got = (_sha(capsys.readouterr().out), _sha(cert.read_text()))
-    assert got == GOLDEN_SOLVE[spec]
+    return (_sha(capsys.readouterr().out), _sha(cert.read_text()))
+
+
+@pytest.mark.parametrize("spec", sorted(GOLDEN_SOLVE))
+def test_solve_outputs_are_pinned(spec, tmp_path, capsys):
+    assert solve_digests(spec, tmp_path, capsys) == GOLDEN_SOLVE[spec]
 
 
 # Multicut instances on which an earlier deletion rule tripped one of its
@@ -123,14 +126,18 @@ GOLDEN_VERIFY = {
 }
 
 
-@pytest.mark.parametrize("spec", sorted(GOLDEN_VERIFY))
-def test_verify_outputs_are_pinned(spec, tmp_path, capsys):
+def verify_digest(spec, tmp_path, capsys):
     inst = _gen(tmp_path, "inst", spec.split())
     cert = tmp_path / "out.cert"
     assert cli.run(["solve", str(inst), "--certificate", str(cert)]) == 0
     capsys.readouterr()
     code = cli.run(["verify", str(inst), str(cert)])
-    assert (_sha(capsys.readouterr().out), code) == GOLDEN_VERIFY[spec]
+    return (_sha(capsys.readouterr().out), code)
+
+
+@pytest.mark.parametrize("spec", sorted(GOLDEN_VERIFY))
+def test_verify_outputs_are_pinned(spec, tmp_path, capsys):
+    assert verify_digest(spec, tmp_path, capsys) == GOLDEN_VERIFY[spec]
 
 
 BATCH_SUITE = [
@@ -147,7 +154,7 @@ BATCH_SUITE = [
 GOLDEN_BATCH = "8a1fee760311385563fc0478d6194fa87deee2cad1cc72ea42ee6854d2cd3f18"
 
 
-def test_batch_report_is_pinned(tmp_path, capsys):
+def batch_digest(tmp_path, capsys):
     suite = tmp_path / "suite"
     suite.mkdir()
     for name, args in BATCH_SUITE:
@@ -155,4 +162,8 @@ def test_batch_report_is_pinned(tmp_path, capsys):
     report = tmp_path / "report.tsv"
     assert cli.run(["batch", str(suite), "--report", str(report)]) == 0
     capsys.readouterr()
-    assert _sha(report.read_text()) == GOLDEN_BATCH
+    return _sha(report.read_text())
+
+
+def test_batch_report_is_pinned(tmp_path, capsys):
+    assert batch_digest(tmp_path, capsys) == GOLDEN_BATCH
