@@ -553,14 +553,14 @@ def read_directives(text: str, header: str, kinds, what: str, start) -> str:
     files may hold, and each later line goes to its directive's handler as
     ``handler(toks)``, a tuple of its tokens with the directive first.  The
     handler under the key None, if any, is called after each block of
-    lines: about 16 KB of text, cut after a newline, so that the blocks
+    lines: about 8 KB of text, cut after a newline, so that the blocks
     hold the file's lines.  A handler rejects its line by raising
     ValueError, which becomes a ParseError at the line's 1-based number;
     the block handler's, at the block's last line.
     """
     handlers, kind, lineno, begin = {}, None, 0, 0
     while begin < len(text):
-        end = text.find("\n", begin + (1 << 14)) + 1 or len(text)
+        end = text.find("\n", begin + (1 << 13)) + 1 or len(text)
         try:
             for lineno, raw in enumerate(text[begin:end].splitlines(), lineno + 1):
                 toks = tuple(raw.split("#", 1)[0].split() if "#" in raw else raw.split())
