@@ -2,6 +2,7 @@
 
 import functools
 import hashlib
+import math
 import sys
 
 import pytest
@@ -48,25 +49,55 @@ def test_reduction_is_noop_without_finite_penalties():
     assert mapping == {}
 
 
+def _finite_values(inst):
+    """Every finite node weight, edge weight and demand penalty."""
+    values = [*inst.node_weight.values(), *inst.edge_weight.values()]
+    return [w for w in values + [d.penalty for d in inst.demands] if not is_inf(w)]
+
+
+#: A star with an integer penalty, and a deeper tree whose weights and
+#: penalties have mixed denominators, one of them held by a penalty alone.
+_GADGET_CASES = [
+    star_multicut(1, 2, Rat(5)),
+    MulticutInstance(
+        RootedTree([0, 0, 0, 1], 0),
+        {0: Rat(1, 2), 1: ZERO, 2: Rat(1, 3), 3: Rat(2)},
+        {1: Rat(3, 4), 2: Rat(2), 3: Rat(1, 6)},
+        [Demand(3, 2, Rat(5, 4)), Demand(1, 2, INF), Demand(2, 3, Rat(7, 10))],
+    ),
+]
+
+
 def test_reduction_adds_detour_gadget():
-    inst = star_multicut(1, 2, Rat(5))
+    for inst in _GADGET_CASES:
+        _check_detour_gadget(inst)
+
+
+def _check_detour_gadget(inst):
     inst0, mapping = reduce_prize_collecting(inst)
-    assert inst0.tree.n == inst.tree.n + 2
-    assert len(inst0.tree.edge_ids()) == len(inst.tree.edge_ids()) + 2
+    finite = [i for i, d in enumerate(inst.demands) if not is_inf(d.penalty)]
+    assert inst0.tree.n == inst.tree.n + 2 * len(finite)
+    assert len(inst0.tree.edge_ids()) == len(inst.tree.edge_ids()) + 2 * len(finite)
     assert all(is_inf(d.penalty) for d in inst0.demands)
-    # the rerouted demand starts at the new far node and keeps its target
-    d0 = inst0.demands[0]
-    assert d0.t == inst.demands[0].t
-    assert d0.s >= inst.tree.n
-    # one gadget edge carries the old penalty, the guard edge is never worth cutting
-    (pay_edge,) = mapping.values()
-    assert inst0.edge_weight[pay_edge] == 5
+    assert sorted(mapping) == finite
     guards = big_m_edges(inst0, mapping)
-    assert len(guards) == 1
-    (guard,) = guards
-    assert inst0.edge_weight[guard] > sum(
-        w for w in inst.edge_weight.values()
-    ) + sum(w for w in inst.node_weight.values())
+    assert len(guards) == len(finite)
+    big_m = 1 + sum(_finite_values(inst))
+    for i, pay_edge in mapping.items():
+        # the rerouted demand starts at the new far node and keeps its target
+        d0 = inst0.demands[i]
+        assert d0.t == inst.demands[i].t
+        assert d0.s == pay_edge >= inst.tree.n
+        # one gadget edge carries the old penalty, the guard edge is never worth cutting
+        assert inst0.edge_weight[pay_edge] == inst.demands[i].penalty
+        guard = inst0.tree.parent[pay_edge]
+        assert guard in guards and inst0.tree.parent[guard] == inst.demands[i].s
+        assert inst0.edge_weight[guard] == big_m
+    # the compiled values clear the same least denominator as the source's
+    def scale(x):
+        return math.lcm(*(w.denominator for w in _finite_values(x)))
+
+    assert scale(inst0) == scale(inst)
 
 
 def test_gadget_cut_means_paying_the_penalty():
