@@ -42,8 +42,8 @@ MAX_NODES = 10**6
 
 class InstanceError(ValueError):
     """Raised for structurally invalid instances.  ``at``, when given, is
-    ``(directive, index)``: the index-th node, root, edge or demand of the
-    input is at fault, and `parse_instance` reports the line holding it."""
+    ``(directive, index)``: the index-th node, root, edge, demand, set or
+    connection of the input is at fault, and `parse_instance` reports the line holding it."""
 
     def __init__(self, message: str, at=None):
         super().__init__(message)
@@ -434,9 +434,9 @@ class SetCoverInstance:
             if is_inf(cost) or cost < 0:
                 raise InstanceError(f"set {i} cost must be finite and nonnegative")
             if not members:
-                raise InstanceError(f"set {i} is empty")
+                raise InstanceError(f"set {i} is empty", ("set", i))
             if any(not (0 <= x < self.n_elements) for x in members):
-                raise InstanceError(f"set {i} has out-of-range members")
+                raise InstanceError(f"set {i} has out-of-range members", ("set", i))
 
 
 @dataclass
@@ -454,9 +454,9 @@ class FacilityLocationInstance:
         for o in self.opening:
             if is_inf(o) or o < 0:
                 raise InstanceError("opening costs must be finite and nonnegative")
-        for (v, f), d in self.conn.items():
+        for i, ((v, f), d) in enumerate(self.conn.items()):
             if not (0 <= v < self.n_clients and 0 <= f < self.n_facilities):
-                raise InstanceError(f"connection ({v},{f}) out of range")
+                raise InstanceError(f"connection ({v},{f}) out of range", ("conn", i))
             if is_inf(d) or d < 0:
                 raise InstanceError(f"connection cost ({v},{f}) must be finite and nonnegative")
 
@@ -671,8 +671,8 @@ def parse_instance(text: str) -> AnyInstance:
     A file is read into columns of field values (`_read_columns`), from
     which the instance is built.  A file with a fault is read again with
     each line checked, so that the error names the first faulty line.  A
-    fault of one node, root, edge or demand is reported at its line, and
-    what only the whole file shows at the last line."""
+    fault of one node, root, edge, demand, set or connection is reported
+    at its line, and what only the whole file shows at the last line."""
     try:
         kind, columns = _read_columns(text, checked=False)
     except ValueError:

@@ -358,13 +358,17 @@ STRUCTURAL_ERRORS = [
     (_CUT + "edge 0 1 1\nedge 0 2 1\ndemand 1 3 1\n", "line 5: demand 0 endpoints out of range"),
     (_CUT + "edge 0 1 1\nedge 0 2 1\ndemand 1 2 1\ndemand 2 2 inf\n",
      "line 6: demand 1 has identical endpoints"),
+    # a set's or a connection's fault: reported at the line holding it
     (_SETS + "set 4\n", "line 3: set 0 is empty"),
+    (_SETS + "set 4\nset 1 0\n", "line 3: set 0 is empty"),
     (_SETS + "set 1 0\nset 1 1 2\n", "line 4: set 1 has out-of-range members"),
+    (_SETS + "set 1 5\nset 1 0\n", "line 3: set 0 has out-of-range members"),
     (_FL + "facility 0 1\nclient 1\n", "line 3: client ids must be 0..k-1, each once"),
     (_FL + "facility 0 1\nclient 0\nclient 0\n", "line 4: client ids must be 0..k-1, each once"),
     (_FL + "facility 1 1\nclient 0\n", "line 3: facility ids must be 0..k-1, each once"),
     (_FL + "facility 0 1\nclient 0\nconn 0 1 1\n", "line 4: connection (0,1) out of range"),
-    (_FL + "facility 0 1\nclient 0\nconn 1 0 1\n# end\n", "line 5: connection (1,0) out of range"),
+    (_FL + "facility 0 1\nclient 0\nconn 1 0 1\n# end\n", "line 4: connection (1,0) out of range"),
+    (_FL + "facility 0 1\nclient 0\nconn 0 3 2\nclient 1\n", "line 4: connection (0,3) out of range"),
     # two faults on one line or in one file: the first check in order wins
     (_TREE + "node 0 1\nnode 0 x\n", "line 4: duplicate weight for node 0"),
     (_TREE + "node 0 1\nnode 0 inf\n", "line 4: duplicate weight for node 0"),
