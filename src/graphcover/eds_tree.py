@@ -646,7 +646,7 @@ def verify_eds_optimality(inst: EdsInstance, sol: Solution, xi: Dict[int, Rat]) 
         f"dual total {total}, objective {recomputed.total}",
     )
     in_range = set(xi) == set(edges) and all(
-        xi[e] >= 0 and xi[e] <= inst.penalty[e] for e in edges
+        xi[e] >= 0 and xi[e] * inst.scale <= inst.penalty_units[e] for e in edges
     )
     report.add("dual-values-within-penalties", in_range)
     if in_range:

@@ -10,12 +10,12 @@ table of which kinds take each directive and what its fields are, and
 `read_directives` reads the line format that instance and certificate
 files share.
 
-Weight storage: an `EdsInstance` keeps its weights once, as integer units
-over their least common denominator (`_to_units` is the one place that
-rule lives), and builds dicts of rationals from them only when asked; the
-parser fills the units straight from the `Number` columns, so on an
-integer file the units are the ints read.  The other kinds hold dicts of
-rationals.
+Weight storage: an `EdsInstance` and a `MulticutInstance` keep their
+weights once, as integer units over their least common denominator
+(`_WeightedGraph`; `_to_units` is the one place that rule lives), and
+build dicts of rationals from them only when asked; the parser fills the
+units straight from the `Number` columns, so on an integer file the units
+are the ints read.
 
 Edge identity: in a rooted tree every non-root node identifies the edge to
 its parent, so edge ids are child node ids.  In a general graph edges are
@@ -27,13 +27,14 @@ rejected with a ParseError before anything of size N is allocated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from math import lcm
 from random import Random
 from types import MappingProxyType
-from typing import Dict, FrozenSet, List, Mapping, NamedTuple, Tuple, Union
+from typing import Dict, FrozenSet, List, NamedTuple, Tuple, Union
 
-from .rationals import INF, ExtRat, Rat, ZERO, ext_sum, fmt_rat, is_inf, parse_number
+from .rationals import INF, ExtRat, Rat, ZERO, fmt_rat, is_inf, parse_number
 
 
 #: Largest node count an instance file may declare.
@@ -253,21 +254,69 @@ def _pair(value) -> Number:
     return p if q == 1 else (p, q)
 
 
-class EdsInstance:
-    """Every edge must share an end node with a chosen edge or pay its penalty.
+class _WeightedGraph:
+    """A graph with node and edge weights and a penalty per demand.
 
     The weights are held once, as integer units over one common
     denominator: ``scale`` is the lcm of the denominators of every finite
     node weight, edge weight and penalty (1 on integer data), and
     ``node_units``, ``edge_units`` and ``penalty_units`` hold each value
     times ``scale``; INF stays INF.  Node units are indexed by node id,
-    edge and penalty units by edge id; on a rooted tree the root's slot
-    holds 0.  ``node_weight``, ``edge_weight`` and ``penalty`` give the
-    same values as dicts of rationals: an instance built from dicts
-    computes its units once and keeps the dicts it was given, and a parsed
-    one builds read-only views of its units on first use.  Neither side
-    may be mutated.
+    edge units by edge id (the root's slot of a rooted tree holds 0) and
+    penalty units as the kind's demands are.  ``node_weight``, ``edge_weight`` and
+    ``penalty`` give the same values as dicts of rationals: an instance
+    built from dicts computes its units once and keeps the dicts it was
+    given, and one built from units builds read-only views of them on first
+    use.  Neither side may be mutated.
     """
+
+    #: What an instance is compared by: the units are canonical, so equal
+    #: weights give equal scale and units.  A kind adds its own parts.
+    _SAME = ("graph", "scale", "node_units", "edge_units", "penalty_units")
+
+    def _hold_dicts(self, graph: AnyGraph, node_weight, edge_weight, penalty, slots: int):
+        """Hold checked dicts as units, and keep them as the views; the
+        penalty units are ``slots`` long."""
+        self._views = dicts = node_weight, edge_weight, penalty
+        sizes = graph.n, _edge_slots(graph), slots
+        units = _to_units(*(_placed(n, d, map(_pair, d.values())) for n, d in zip(sizes, dicts)))
+        vars(self).update(zip(_WeightedGraph._SAME, (graph, *units)))
+
+    @classmethod
+    def _from_units(cls, graph: AnyGraph, *units, **parts):
+        """An instance over ``scale, node_units, edge_units, penalty_units``
+        that its maker has already checked; ``parts`` are the kind's other
+        attributes."""
+        inst = cls.__new__(cls)
+        vars(inst).update(zip(_WeightedGraph._SAME, (graph, *units)), **parts)
+        return inst
+
+    def _penalty_keys(self):
+        return range(len(self.penalty_units))
+
+    @cached_property
+    def _views(self):
+        keys = range(self.graph.n), self.graph.edge_ids(), self._penalty_keys()
+        return tuple(
+            MappingProxyType({x: u[x] if u[x] is INF else Rat(u[x], self.scale) for x in k})
+            for u, k in zip((self.node_units, self.edge_units, self.penalty_units), keys)
+        )
+
+    node_weight = property(lambda self: self._views[0])
+    edge_weight = property(lambda self: self._views[1])
+    penalty = property(lambda self: self._views[2])
+
+    def __eq__(self, other):
+        return type(other) is type(self) and all(
+            getattr(self, name) == getattr(other, name) for name in self._SAME)
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.graph!r}, scale={self.scale})"
+
+
+class EdsInstance(_WeightedGraph):
+    """Every edge must share an end node with a chosen edge or pay its
+    penalty; the penalties are keyed, and their units indexed, by edge."""
 
     def __init__(
         self,
@@ -280,71 +329,16 @@ class EdsInstance:
         if sorted(penalty) != sorted(graph.edge_ids()):
             raise InstanceError("penalties must cover exactly the edge set")
         for e, p in penalty.items():
-            if not is_inf(p) and p.numerator < 0:
+            if p < 0:  # INF is not
                 raise InstanceError(f"penalty of edge {e} must be nonnegative")
-        slots = range(_edge_slots(graph))
-        self.graph = graph
-        self.scale, self.node_units, self.edge_units, self.penalty_units = _to_units(
-            [_pair(node_weight[v]) for v in range(graph.n)],
-            [_pair(edge_weight[e]) if e in edge_weight else 0 for e in slots],
-            [_pair(penalty[e]) if e in penalty else 0 for e in slots],
-        )
-        self._dicts = (node_weight, edge_weight, penalty)
+        self._hold_dicts(graph, node_weight, edge_weight, penalty, _edge_slots(graph))
 
-    @classmethod
-    def _from_units(cls, graph: AnyGraph, scale: int, node_units, edge_units, penalty_units):
-        """An instance over units that its maker has already checked."""
-        inst = cls.__new__(cls)
-        inst.graph = graph
-        inst.scale, inst.node_units = scale, node_units
-        inst.edge_units, inst.penalty_units = edge_units, penalty_units
-        inst._dicts = None
-        return inst
-
-    def _weight_dicts(self):
-        if self._dicts is None:
-            scale = self.scale
-
-            def rat(x):
-                return x if x is INF else Rat(x, scale)
-
-            edges = self.graph.edge_ids()
-            self._dicts = (
-                MappingProxyType({v: rat(x) for v, x in enumerate(self.node_units)}),
-                MappingProxyType({e: rat(self.edge_units[e]) for e in edges}),
-                MappingProxyType({e: rat(self.penalty_units[e]) for e in edges}),
-            )
-        return self._dicts
-
-    @property
-    def node_weight(self) -> Mapping[int, Rat]:
-        return self._weight_dicts()[0]
-
-    @property
-    def edge_weight(self) -> Mapping[int, Rat]:
-        return self._weight_dicts()[1]
-
-    @property
-    def penalty(self) -> Mapping[int, ExtRat]:
-        return self._weight_dicts()[2]
+    def _penalty_keys(self):
+        return self.graph.edge_ids()
 
     @property
     def is_tree(self) -> bool:
         return isinstance(self.graph, RootedTree)
-
-    def __eq__(self, other):
-        # the units are canonical: equal values give equal scale and units
-        return (
-            isinstance(other, EdsInstance)
-            and self.graph == other.graph
-            and self.scale == other.scale
-            and self.node_units == other.node_units
-            and self.edge_units == other.edge_units
-            and self.penalty_units == other.penalty_units
-        )
-
-    def __repr__(self):
-        return f"EdsInstance({self.graph!r}, scale={self.scale})"
 
 
 def _edge_slots(graph: AnyGraph) -> int:
@@ -365,27 +359,39 @@ class _DemandPath(NamedTuple):
     legs: Tuple[FrozenSet[int], FrozenSet[int]]
 
 
-@dataclass
-class MulticutInstance:
-    """Each demand pair must be separated by the chosen edges or pay its penalty."""
+def _check_demands(tree: RootedTree, demands: List[Demand]) -> None:
+    for i, d in enumerate(demands):
+        if not (0 <= d.s < tree.n and 0 <= d.t < tree.n):
+            raise InstanceError(f"demand {i} endpoints out of range", ("demand", i))
+        if d.s == d.t:
+            raise InstanceError(f"demand {i} has identical endpoints", ("demand", i))
+        if d.penalty < 0:  # INF is not
+            raise InstanceError(f"demand {i} penalty must be nonnegative")
 
-    tree: RootedTree
-    node_weight: Dict[int, Rat]
-    edge_weight: Dict[int, Rat]
-    demands: List[Demand]
-    _paths: Dict[int, _DemandPath] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
 
-    def __post_init__(self):
-        _check_weights(self.tree, self.node_weight, self.edge_weight)
-        for i, d in enumerate(self.demands):
-            if not (0 <= d.s < self.tree.n and 0 <= d.t < self.tree.n):
-                raise InstanceError(f"demand {i} endpoints out of range", ("demand", i))
-            if d.s == d.t:
-                raise InstanceError(f"demand {i} has identical endpoints", ("demand", i))
-            if not is_inf(d.penalty) and d.penalty < 0:
-                raise InstanceError(f"demand {i} penalty must be nonnegative")
+class MulticutInstance(_WeightedGraph):
+    """Each demand pair must be separated by the chosen edges or pay its
+    penalty; the penalties are keyed, and their units indexed, by demand."""
+
+    _SAME = (*_WeightedGraph._SAME, "demands")
+    tree = property(lambda self: self.graph)
+
+    def __init__(
+        self,
+        tree: RootedTree,
+        node_weight: Dict[int, Rat],
+        edge_weight: Dict[int, Rat],
+        demands: List[Demand],
+    ):
+        _check_weights(tree, node_weight, edge_weight)
+        _check_demands(tree, demands)
+        self.demands = demands
+        penalty = {i: d.penalty for i, d in enumerate(demands)}
+        self._hold_dicts(tree, node_weight, edge_weight, penalty, len(demands))
+
+    @cached_property
+    def _paths(self) -> Dict[int, _DemandPath]:
+        return {}
 
     def lca(self, i: int) -> int:
         return self._path(i).lca
@@ -414,11 +420,8 @@ class MulticutInstance:
                     down.append(t)
                     t = parent[t]
             down.reverse()
-            path = self._paths[i] = _DemandPath(
-                s,
-                tuple(up + down),
-                (frozenset(up), frozenset(down)),
-            )
+            path = _DemandPath(s, tuple(up + down), (frozenset(up), frozenset(down)))
+            self._paths[i] = path
         return path
 
 
@@ -482,36 +485,36 @@ def selected_nodes(graph: AnyGraph, edges) -> List[int]:
 def eds_solution(inst: EdsInstance, edges) -> Solution:
     """Price an edge set.  An edge is covered when it shares an end node
     with a chosen edge, that is when it is incident to a chosen edge's end
-    node, so coverage costs time linear in the size of the graph.  The sums
-    run in the instance's integer units; only the three totals are made
-    rational."""
+    node, so coverage costs time linear in the size of the graph."""
     edges = tuple(sorted(set(edges)))
     g = inst.graph
-    scale, wn, we, pen = inst.scale, inst.node_units, inst.edge_units, inst.penalty_units
     nodes = selected_nodes(g, edges)
     covered = set()
     for v in nodes:
         covered.update(g.incident(v))
-    paid = sum(pen[e] for e in g.edge_ids() if e not in covered)  # INF if one unit is INF
-    return Solution(
-        edges,
-        Rat(sum(we[e] for e in edges), scale),
-        Rat(sum(wn[v] for v in nodes), scale),
-        paid if is_inf(paid) else Rat(paid, scale),
-    )
+    return _priced(inst, edges, nodes, (e for e in g.edge_ids() if e not in covered))
 
 
 def multicut_solution(inst: MulticutInstance, edges) -> Solution:
-    edges = tuple(sorted(set(edges)))
-    ew = sum((inst.edge_weight[e] for e in edges), ZERO)
-    nw = sum((inst.node_weight[v] for v in selected_nodes(inst.tree, edges)), ZERO)
+    """Price an edge set: a demand pays unless an edge of its path is chosen."""
     chosen = set(edges)
-    pen = ext_sum(
-        d.penalty
-        for i, d in enumerate(inst.demands)
-        if not chosen.intersection(inst.path_edges(i))
+    edges = tuple(sorted(chosen))
+    unpaid = (i for i in range(len(inst.demands)) if chosen.isdisjoint(inst.path_edges(i)))
+    return _priced(inst, edges, selected_nodes(inst.graph, edges), unpaid)
+
+
+def _priced(inst: _WeightedGraph, edges, nodes, unpaid) -> Solution:
+    """The solution of ``edges``, touching ``nodes``, that pays the
+    penalties of the demands ``unpaid``.  The sums run in the instance's
+    integer units; only the three totals are made rational."""
+    scale = inst.scale
+    paid = sum(inst.penalty_units[x] for x in unpaid)  # INF if one unit is INF
+    return Solution(
+        edges,
+        Rat(sum(inst.edge_units[e] for e in edges), scale),
+        Rat(sum(inst.node_units[v] for v in nodes), scale),
+        paid if is_inf(paid) else Rat(paid, scale),
     )
-    return Solution(edges, ew, nw, pen)
 
 
 AnyInstance = Union[
@@ -793,17 +796,16 @@ def _build(kind: str, columns: Dict[str, List[list]]) -> AnyInstance:
         graph = RootedTree.from_edges(n, pairs, root)
         # every edge is a tree edge, and its lower end is its id
         eids = [v if graph.parent[v] == u else u for u, v in pairs]
-    if kind == "multicut-tree":
-        s, t, penalty = columns["demand"]
-        demands = list(map(Demand, s, t, _rats(penalty)))
-        node_w = dict(enumerate(_rats(_placed(n, ids, weights))))
-        return MulticutInstance(graph, node_w, dict(zip(eids, _rats(edge_w))), demands)
     # the readers have checked every value, so the units need no second pass
     slots = _edge_slots(graph)
-    units = _to_units(
-        _placed(n, ids, weights), _placed(slots, eids, edge_w), _placed(slots, eids, penalties[0])
-    )
-    return EdsInstance._from_units(graph, *units)
+    node_w, edge_w = _placed(n, ids, weights), _placed(slots, eids, edge_w)
+    if kind != "multicut-tree":
+        pen = _placed(slots, eids, penalties[0])
+        return EdsInstance._from_units(graph, *_to_units(node_w, edge_w, pen))
+    s, t, pen = columns["demand"]
+    demands = list(map(Demand, s, t, _rats(pen)))
+    _check_demands(graph, demands)
+    return MulticutInstance._from_units(graph, *_to_units(node_w, edge_w, pen), demands=demands)
 
 
 def _unit_tokens(units, scale: int) -> List[str]:
@@ -815,7 +817,7 @@ def _unit_tokens(units, scale: int) -> List[str]:
 
 def serialize_instance(inst: AnyInstance) -> str:
     """Canonical text form; parse_instance(serialize_instance(x)) == x.  Eds
-    weights are written straight from their integer units."""
+    and multicut weights are written straight from their integer units."""
     lines = [f"problem {problem_kind(inst)}"]
     if isinstance(inst, SetCoverInstance):
         lines.append(f"nodes {inst.n_elements}")
@@ -826,21 +828,18 @@ def serialize_instance(inst: AnyInstance) -> str:
         lines += [f"client {v}" for v in range(inst.n_clients)]
         lines += [f"conn {v} {f} {fmt_rat(inst.conn[(v, f)])}" for v, f in sorted(inst.conn)]
     else:
-        g = inst.graph if isinstance(inst, EdsInstance) else inst.tree
+        g = inst.graph
         lines.append(f"nodes {g.n}")
         if isinstance(g, RootedTree):
             lines.append(f"root {g.root}")
-        if isinstance(inst, EdsInstance):
-            units = (inst.node_units, inst.edge_units, inst.penalty_units)
-            nw, ew, pen = (_unit_tokens(column, inst.scale) for column in units)
-            tails = [f"{w} {p}" for w, p in zip(ew, pen)]
-        else:
-            nw = [fmt_rat(inst.node_weight[v]) for v in range(g.n)]
-            tails = {e: fmt_rat(w) for e, w in inst.edge_weight.items()}
+        units = (inst.node_units, inst.edge_units, inst.penalty_units)
+        nw, ew, pen = (_unit_tokens(column, inst.scale) for column in units)
         lines += [f"node {v} {w}" for v, w in enumerate(nw)]
-        lines += ["edge {} {} {}".format(*g.ends(e), tails[e]) for e in sorted(g.edge_ids())]
+        if isinstance(inst, EdsInstance):
+            ew = [f"{w} {p}" for w, p in zip(ew, pen)]
+        lines += ["edge {} {} {}".format(*g.ends(e), ew[e]) for e in sorted(g.edge_ids())]
         if isinstance(inst, MulticutInstance):
-            lines += [f"demand {d.s} {d.t} {fmt_rat(d.penalty)}" for d in inst.demands]
+            lines += [f"demand {d.s} {d.t} {p}" for d, p in zip(inst.demands, pen)]
     return "\n".join(lines) + "\n"
 
 
@@ -884,9 +883,11 @@ def gen_instance(kind: str, seed: int = 0, **params) -> AnyInstance:
             raise InstanceError("subdivided-star-multicut needs n >= 2 legs")
         # center 0; leg j has subdivision node 2j+1, of weight 1, and leaf 2j+2
         tree = RootedTree([0] + [v - 1 if v % 2 == 0 else 0 for v in range(1, 2 * n + 1)], 0)
-        node_w = {v: Rat(v % 2) for v in range(2 * n + 1)}
         demands = [Demand(2 * i + 2, 2 * j + 2, INF) for i in range(n) for j in range(i + 1, n)]
-        return MulticutInstance(tree, node_w, {e: ZERO for e in tree.edge_ids()}, demands)
+        return MulticutInstance._from_units(
+            tree, 1, [v % 2 for v in range(2 * n + 1)], [0] * (2 * n + 1), [INF] * len(demands),
+            demands=demands,
+        )
     if kind in ("random-tree-eds", "random-tree-multicut"):
         n, wmax, pmax = param("n", 8), param("wmax", 10), param("pmax", 10)
         if n < 1:
@@ -901,14 +902,12 @@ def gen_instance(kind: str, seed: int = 0, **params) -> AnyInstance:
         k = param("k", 3)
         if n < 2 and k > 0:
             raise InstanceError("demands need at least two nodes")
-        demands = [  # the ends, then the penalty, are drawn in turn
-            Demand(*rng.sample(range(n), 2),
-                   INF if rng.random() < inf_prob else Rat(rng.randint(0, pmax)))
-            for _ in range(k)
-        ]
-        node_w = dict(enumerate(map(Rat, node_w)))
-        edge_w = {e: Rat(edge_w[e]) for e in range(1, n)}
-        return MulticutInstance(tree, node_w, edge_w, demands)
+        ends, pen = [], []
+        for _ in range(k):  # the ends, then the penalty, are drawn in turn
+            ends.append(rng.sample(range(n), 2))
+            pen.append(INF if rng.random() < inf_prob else rng.randint(0, pmax))
+        demands = [Demand(s, t, p) for (s, t), p in zip(ends, _rats(pen))]
+        return MulticutInstance._from_units(tree, 1, node_w, edge_w, pen, demands=demands)
     if kind == "random-eds-general":
         n, m, wmax, pmax = param("n", 6), param("m", 8), param("wmax", 10), param("pmax", 10)
         inf_prob = param("inf_prob", 0.25)
@@ -980,23 +979,14 @@ def reduce_to_eds(inst: Union[SetCoverInstance, FacilityLocationInstance]) -> Re
 
     nc, nf = fl.n_clients, fl.n_facilities
     big_m = Rat(1) + sum(fl.opening, ZERO) + sum(fl.conn.values(), ZERO)
-    n = nc + nf + nc  # clients, facilities, pendant nodes
-    edges = []
-    edge_w = {}
-    big_edges = set()
-    for v in range(nc):
-        for f in range(nf):
-            eid = len(edges)
-            edges.append((v, nc + f))
-            d = fl.conn.get((v, f))
-            edge_w[eid] = big_m if d is None else d
-            if d is None:
-                big_edges.add(eid)
-    for v in range(nc):
-        eid = len(edges)
-        edges.append((v, nc + nf + v))
-        edge_w[eid] = ZERO
-        big_edges.add(eid)  # selecting it buys the big-M pendant node
+    # nodes: clients, facilities, then one pendant node per client
+    pairs = [(v, f) for v in range(nc) for f in range(nf)]
+    edges = [(v, nc + f) for v, f in pairs] + [(v, nc + nf + v) for v in range(nc)]
+    edge_w = [fl.conn.get(pair, big_m) for pair in pairs] + [ZERO] * nc
+    # an absent connection is priced at big-M, and a pendant edge buys its big-M node
+    big_edges = {e for e, pair in enumerate(pairs) if pair not in fl.conn}
+    big_edges.update(range(len(pairs), len(edges)))
     node_w = dict(enumerate([ZERO] * nc + fl.opening + [big_m] * nc))
-    eds = EdsInstance(Graph(n, edges), node_w, edge_w, dict.fromkeys(range(len(edges)), INF))
+    graph, penalty = Graph(2 * nc + nf, edges), dict.fromkeys(range(len(edges)), INF)
+    eds = EdsInstance(graph, node_w, dict(enumerate(edge_w)), penalty)
     return ReducedEds(eds, big_m, frozenset(big_edges))

@@ -35,13 +35,19 @@ per output, by the exact ``within-twice-dual`` check of
 All arithmetic is exact; each dual adjustment step is sized by one small
 rational LP over exactly the moves the relaxation rules allow: it
 maximizes the step, and its tie-break picks the least total perturbation
-among the largest steps, for determinism.  The increase phase holds each
-integral value as a Python ``int`` and every other value as a ``Rat``:
-the dual values, the running capacity sums, the capacities they are
-compared with and each step and move read back from a step LP.  The
-setters of :class:`IncreaseState` make a written value an ``int`` when it
-is integral, and no value of the phase is ever divided, so no ``int``
-division can yield a float.  :attr:`IncreaseState.dual` turns every value
+among the largest steps, for determinism.  The weights are read as the
+instance's integer units over its ``scale``: the reduction appends the
+gadget's units, big-M among them, to the unit lists and keeps the scale;
+:func:`verify_multicut` compares each capacity with a load times the
+scale; and each capacity of :class:`IncreaseState` is its units over the
+scale, an ``int`` when the scale divides them and a ``Rat`` otherwise.
+The increase phase holds each integral value as a Python ``int`` and
+every other value as a ``Rat``: the dual values, the running capacity
+sums, the capacities they are compared with and each step and move read
+back from a step LP.  The setters of :class:`IncreaseState` make a
+written value an ``int`` when it is integral, and no value of the phase
+is ever divided but a capacity's units, whose ``int`` division is exact,
+so none can yield a float.  :attr:`IncreaseState.dual` turns every value
 back into a ``Rat``, so the check of the dual, the ratio, certificates and
 reports read ``Rat`` values only.
 
@@ -70,7 +76,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import chain, groupby
+from itertools import groupby
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple, Union
 
 from .instances import (
@@ -128,11 +134,12 @@ def dual_violation(
         for key, val in table.items():
             if val < 0:
                 return f"negative dual value {name}[{key}]"
+    scale = inst.scale
     for e, tot in nu_load.items():
-        if tot > inst.edge_weight[e]:
+        if tot * scale > inst.edge_units[e]:
             return f"edge capacity violated at {e}"
     for v, tot in mu_load.items():
-        if tot > inst.node_weight[v]:
+        if tot * scale > inst.node_units[v]:
             return f"node capacity violated at {v}"
     parent = inst.tree.parent
     for d in range(len(inst.demands)):
@@ -172,36 +179,34 @@ def reduce_prize_collecting(
     """
     if not isinstance(inst, MulticutInstance):
         raise InstanceError("prize-collecting reduction needs a multicut instance")
-    finite = [i for i, d in enumerate(inst.demands) if not is_inf(d.penalty)]
+    pen = inst.penalty_units
+    finite = [i for i, p in enumerate(pen) if not is_inf(p)]
     if not finite:
         return inst, {}
-    weights = chain(
-        inst.edge_weight.values(),
-        inst.node_weight.values(),
-        (inst.demands[i].penalty for i in finite),
-    )
-    big_m = Rat(1 + sum(map(_exact, weights)))  # integral weights add as ints
+    # big-M is 1 + the sum of every finite weight and penalty: in units, its
+    # denominator divides the scale, which the compiled instance keeps
+    big_m = inst.scale + sum(inst.edge_units) + sum(inst.node_units) + sum(pen[i] for i in finite)
 
     n = inst.tree.n
     parent = list(inst.tree.parent)
-    node_w = dict(inst.node_weight)
-    edge_w = dict(inst.edge_weight)
+    node_units = inst.node_units + [0] * (2 * len(finite))
+    edge_units = list(inst.edge_units)
+    penalty_units = list(pen)
     demands = list(inst.demands)
     mapping: Dict[int, int] = {}
     for count, i in enumerate(finite):
-        d = inst.demands[i]
+        d = demands[i]
         prime = n + 2 * count
         second = n + 2 * count + 1
-        parent.append(d.s)
-        parent.append(prime)
-        node_w[prime] = ZERO
-        node_w[second] = ZERO
-        edge_w[prime] = big_m
-        edge_w[second] = d.penalty
+        parent += (d.s, prime)
+        edge_units += (big_m, pen[i])
+        penalty_units[i] = INF
         demands[i] = Demand(second, d.t, INF)
         mapping[i] = second
-    tree = RootedTree(parent, inst.tree.root)
-    out = MulticutInstance(tree, node_w, edge_w, demands)
+    out = MulticutInstance._from_units(
+        RootedTree(parent, inst.tree.root), inst.scale, node_units, edge_units, penalty_units,
+        demands=demands,
+    )
     return out, mapping
 
 
@@ -263,7 +268,7 @@ class IncreaseState:
     def __init__(self, inst: MulticutInstance):
         if not isinstance(inst, MulticutInstance):
             raise InstanceError("increase phase needs a multicut instance")
-        if any(not is_inf(d.penalty) for d in inst.demands):
+        if any(not is_inf(p) for p in inst.penalty_units):
             raise InstanceError(
                 "increase phase needs all demand penalties infinite; "
                 "apply the prize-collecting reduction first"
@@ -296,11 +301,13 @@ class IncreaseState:
         self._cursor = 0  # where uncovered() resumes in order
 
         tree = inst.tree
-        # the capacities, by edge or node id; the root's edge slot stays 0
-        self.edge_cap: List[Exact] = [0] * tree.n
-        for e, w in inst.edge_weight.items():
-            self.edge_cap[e] = _exact(w)
-        self.node_cap: List[Exact] = [_exact(inst.node_weight[v]) for v in range(tree.n)]
+        # the capacities, by edge or node id, from the units; the root's
+        # edge slot stays 0
+        s = inst.scale
+        self.edge_cap, self.node_cap = (
+            [Rat(u, s) if u % s else u // s for u in units]
+            for units in (inst.edge_units, inst.node_units)
+        )
         # kept by the setters: node -> demands with mu > 0 there, in
         # processing order, and the running capacity sums by id
         self.holders: Dict[int, List[int]] = {}
@@ -830,11 +837,12 @@ def verify_multicut(
         "within-twice-dual", cost <= 2 * total, f"cost {cost}, dual total {total}"
     )
 
+    scale = inst.scale
     saturated = (
         ok_domain
-        and all(nu_load.get(e, ZERO) == inst.edge_weight[e] for e in chosen)
+        and all(nu_load.get(e, 0) * scale == inst.edge_units[e] for e in chosen)
         and all(
-            mu_load.get(v, ZERO) == inst.node_weight[v]
+            mu_load.get(v, 0) * scale == inst.node_units[v]
             for v in selected_nodes(inst.tree, chosen)
         )
     )

@@ -149,16 +149,11 @@ def brute_force_multicut(inst: MulticutInstance) -> Solution:
     edges = sorted(tree.edge_ids())
     _check_cap(len(edges), "edges")
     pos = {e: i for i, e in enumerate(edges)}
-    _, ew, nw, pen = _to_units(
-        [_pair(inst.edge_weight[e]) for e in edges],
-        [_pair(inst.node_weight[v]) for v in range(tree.n)],
-        [_pair(d.penalty) for d in inst.demands],
-    )
     _, chosen = _cheapest(
-        ew,
+        [inst.edge_units[e] for e in edges],
         [tree.ends(e) for e in edges],
-        nw,
-        [([pos[e] for e in inst.path_edges(j)], p) for j, p in enumerate(pen)],
+        inst.node_units,
+        [([pos[e] for e in inst.path_edges(j)], p) for j, p in enumerate(inst.penalty_units)],
     )
     return multicut_solution(inst, [edges[i] for i in chosen])
 

@@ -11,7 +11,7 @@ There is no negative infinity, and ``INF * 0`` is rejected.
 from __future__ import annotations
 
 from math import gcd
-from typing import Iterable, Union
+from typing import Union
 
 try:
     from gmpy2 import mpq as Rat
@@ -100,17 +100,6 @@ ONE = Rat(1)
 
 def is_inf(value) -> bool:
     return isinstance(value, _Infinity)
-
-
-def ext_sum(values: Iterable[ExtRat]) -> ExtRat:
-    """Sum that absorbs INF.  Empty sum is the int 0, so a sum of ints
-    stays an int."""
-    total: ExtRat = 0
-    for v in values:
-        if is_inf(v):
-            return INF
-        total = total + v
-    return total
 
 
 def ext_min(*values: ExtRat) -> ExtRat:

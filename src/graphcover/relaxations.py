@@ -42,14 +42,10 @@ def _demand_families(inst) -> List[Tuple[object, List[int], object]]:
         return [(e, list(nbhd[e]), inst.penalty[e]) for e in sorted(inst.graph.edge_ids())]
     if isinstance(inst, MulticutInstance):
         return [
-            (i, sorted(inst.path_edges(i)), d.penalty)
-            for i, d in enumerate(inst.demands)
+            (i, sorted(inst.path_edges(i)), inst.penalty[i])
+            for i in range(len(inst.demands))
         ]
     raise InstanceError(f"no demand family for {type(inst).__name__}")
-
-
-def _graph_of(inst):
-    return inst.graph if isinstance(inst, EdsInstance) else inst.tree
 
 
 def build_relaxation(inst, kind: str, *, projected: bool = False) -> LpModel:
@@ -103,7 +99,7 @@ def build_relaxation(inst, kind: str, *, projected: bool = False) -> LpModel:
     if not isinstance(inst, (EdsInstance, MulticutInstance)):
         raise InstanceError(f"{kind} relaxation needs an EDS or multicut instance")
 
-    g = _graph_of(inst)
+    g = inst.graph
     demands = _demand_families(inst)
     model = LpModel(name=f"{kind}")
     for e in sorted(g.edge_ids()):
@@ -231,8 +227,7 @@ def relaxation_values(inst) -> Tuple[Rat, Rat]:
     pivots on from that basis to the strengthened one.
     """
     dual = dual_model(build_relaxation(inst, "strengthened", projected=True))
-    g = _graph_of(inst)
-    edges = len(g.edge_ids())
+    edges = len(inst.graph.edge_ids())
     # the natural rows: a cover row per demand, and a node row per edge end
     dual.stage = (len(inst.demands) if isinstance(inst, MulticutInstance) else edges) + 2 * edges
     res = simplex_solve(dual)
@@ -244,7 +239,7 @@ def relaxation_values(inst) -> Tuple[Rat, Rat]:
 
 def extract_relaxation_point(inst, result: LpResult):
     """Split an optimal relaxation assignment into x(edge), x(node), z maps."""
-    g = _graph_of(inst)
+    g = inst.graph
     xe = {e: result.assignment.get(f"x_e{e}", ZERO) for e in sorted(g.edge_ids())}
     xv = {v: result.assignment.get(f"x_v{v}", ZERO) for v in range(g.n)}
     z = {}

@@ -40,23 +40,24 @@ _weights = st.builds(Rat, st.integers(0, 6), st.sampled_from([1, 1, 2, 3]))
 
 
 @st.composite
-def small_multicuts(draw, max_nodes, node_weights=_weights):
+def small_multicuts(draw, max_nodes, node_weights=_weights, weights=_weights):
     """Random multicut trees with zero and fractional weights, node weights
     drawn from ``node_weights``, and up to five demands, each with an
-    infinite or a finite (possibly zero) penalty."""
+    infinite or a finite (possibly zero) penalty; finite edge weights and
+    penalties are drawn from ``weights``."""
     n = draw(st.integers(2, max_nodes))
     parent = [0] + [draw(st.integers(0, v - 1)) for v in range(1, n)]
     pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
         lambda p: p[0] != p[1]
     )
     demands = [
-        Demand(s, t, draw(st.one_of(st.just(INF), _weights)))
+        Demand(s, t, draw(st.one_of(st.just(INF), weights)))
         for s, t in draw(st.lists(pairs, min_size=1, max_size=5))
     ]
     return MulticutInstance(
         RootedTree(parent, 0),
         {v: draw(node_weights) for v in range(n)},
-        {v: draw(_weights) for v in range(1, n)},
+        {v: draw(weights) for v in range(1, n)},
         demands,
     )
 

@@ -25,7 +25,7 @@ from graphcover import (
     serialize_instance,
 )
 from graphcover.instances import GEN_KINDS, edge_neighborhoods, problem_kind
-from graphcover.rationals import ZERO, ext_sum, is_inf
+from graphcover.rationals import ZERO, is_inf
 
 from _support import edited_texts, path_nodes, small_eds, small_multicuts
 
@@ -92,7 +92,7 @@ def _closed_neighbourhood_solution(inst, edges):
         edges,
         sum((inst.edge_weight[e] for e in edges), ZERO),
         sum((inst.node_weight[v] for v in nodes), ZERO),
-        ext_sum(inst.penalty[e] for e in g.edge_ids() if e not in covered),
+        sum((inst.penalty[e] for e in g.edge_ids() if e not in covered), ZERO),
     )
 
 
@@ -516,14 +516,18 @@ _MIXED = st.builds(Rat, st.integers(0, 30), st.sampled_from([1, 2, 3, 4, 6, 9, 1
 
 @settings(max_examples=150, deadline=None, database=None)
 @given(st.one_of(small_eds(max_nodes=9, tree=True, weights=_MIXED),
-                 small_eds(max_nodes=6, tree=False, weights=_MIXED)))
+                 small_eds(max_nodes=6, tree=False, weights=_MIXED),
+                 small_multicuts(max_nodes=8, node_weights=_MIXED, weights=_MIXED)))
 def test_integer_units_match_the_weights(inst):
     g = inst.graph
+    cut = isinstance(inst, MulticutInstance)
     slots = [
         (inst.node_units, inst.node_weight, range(g.n)),
         (inst.edge_units, inst.edge_weight, g.edge_ids()),
-        (inst.penalty_units, inst.penalty, g.edge_ids()),
+        (inst.penalty_units, inst.penalty, range(len(inst.demands)) if cut else g.edge_ids()),
     ]
+    if cut:  # a demand's penalty is its penalty view's value
+        assert inst.penalty == {i: d.penalty for i, d in enumerate(inst.demands)}
     finite = [w for _, weights, _ in slots for w in weights.values() if not is_inf(w)]
     scale = inst.scale
     # scale is the least positive integer that clears every denominator

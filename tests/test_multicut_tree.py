@@ -97,7 +97,7 @@ def _check_detour_gadget(inst):
     def scale(x):
         return math.lcm(*(w.denominator for w in _finite_values(x)))
 
-    assert scale(inst0) == scale(inst)
+    assert inst0.scale == inst.scale == scale(inst0) == scale(inst)
 
 
 def test_gadget_cut_means_paying_the_penalty():

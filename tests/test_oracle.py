@@ -24,7 +24,7 @@ from graphcover import (
 )
 from graphcover.instances import FacilityLocationInstance, eds_solution, multicut_solution
 from graphcover.oracle import _bits
-from graphcover.rationals import ZERO, ext_sum, is_inf
+from graphcover.rationals import ZERO, is_inf
 
 from _support import _weights, small_eds, small_multicuts, star_multicut, two_leaf_star
 
@@ -117,7 +117,7 @@ def _rational_reference(edge_weight, edge_nodes, node_weight, demands):
         nodes = set().union(*(edge_nodes[i] for i in chosen))
         cost = sum((edge_weight[i] for i in chosen), ZERO)
         cost += sum((node_weight[v] for v in nodes), ZERO)
-        cost += ext_sum(p for members, p in demands if not members.intersection(chosen))
+        cost += sum((p for members, p in demands if not members.intersection(chosen)), ZERO)
         if is_inf(cost):
             continue
         key = (cost, chosen)

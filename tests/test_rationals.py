@@ -7,7 +7,6 @@ from graphcover.rationals import (
     ONE,
     ZERO,
     ext_min,
-    ext_sum,
     fmt_rat,
     is_inf,
     parse_rat,
@@ -31,18 +30,16 @@ def test_infinity_absorbs_addition():
     assert is_inf(INF + Rat(3))
     assert is_inf(Rat(3) + INF)
     assert is_inf(INF + INF)
+    # so a plain sum of int units, or of rationals, is INF when one term is
+    assert is_inf(sum([1, INF, 3]))
+    assert is_inf(sum([Rat(1, 2), INF], ZERO))
+    assert sum([Rat(1, 2), Rat(1, 3)], ZERO) == Rat(5, 6)
 
 
 def test_is_inf():
     assert is_inf(INF)
     assert not is_inf(Rat(7))
     assert not is_inf(ZERO)
-
-
-def test_ext_sum():
-    assert ext_sum([Rat(1), Rat(2), Rat(3)]) == 6
-    assert is_inf(ext_sum([Rat(1), INF, Rat(3)]))
-    assert ext_sum([]) == 0
 
 
 def test_ext_min():
