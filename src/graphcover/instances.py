@@ -274,7 +274,7 @@ class _WeightedGraph:
     #: weights give equal scale and units.  A kind adds its own parts.
     _SAME = ("graph", "scale", "node_units", "edge_units", "penalty_units")
 
-    def _hold_dicts(self, graph: AnyGraph, node_weight, edge_weight, penalty, slots: int):
+    def _hold_dicts(self, graph, node_weight, edge_weight, penalty, slots):
         """Hold checked dicts as units, and keep them as the views; the
         penalty units are ``slots`` long."""
         self._views = dicts = node_weight, edge_weight, penalty
@@ -283,7 +283,7 @@ class _WeightedGraph:
         vars(self).update(zip(_WeightedGraph._SAME, (graph, *units)))
 
     @classmethod
-    def _from_units(cls, graph: AnyGraph, *units, **parts):
+    def _from_units(cls, graph, *units, **parts):
         """An instance over ``scale, node_units, edge_units, penalty_units``
         that its maker has already checked; ``parts`` are the kind's other
         attributes."""
@@ -386,7 +386,7 @@ class MulticutInstance(_WeightedGraph):
         _check_weights(tree, node_weight, edge_weight)
         _check_demands(tree, demands)
         self.demands = demands
-        penalty = {i: d.penalty for i, d in enumerate(demands)}
+        penalty = dict(enumerate(d.penalty for d in demands))
         self._hold_dicts(tree, node_weight, edge_weight, penalty, len(demands))
 
     @cached_property
@@ -420,8 +420,11 @@ class MulticutInstance(_WeightedGraph):
                     down.append(t)
                     t = parent[t]
             down.reverse()
-            path = _DemandPath(s, tuple(up + down), (frozenset(up), frozenset(down)))
-            self._paths[i] = path
+            path = self._paths[i] = _DemandPath(
+                s,
+                tuple(up + down),
+                (frozenset(up), frozenset(down)),
+            )
         return path
 
 
@@ -979,14 +982,23 @@ def reduce_to_eds(inst: Union[SetCoverInstance, FacilityLocationInstance]) -> Re
 
     nc, nf = fl.n_clients, fl.n_facilities
     big_m = Rat(1) + sum(fl.opening, ZERO) + sum(fl.conn.values(), ZERO)
-    # nodes: clients, facilities, then one pendant node per client
-    pairs = [(v, f) for v in range(nc) for f in range(nf)]
-    edges = [(v, nc + f) for v, f in pairs] + [(v, nc + nf + v) for v in range(nc)]
-    edge_w = [fl.conn.get(pair, big_m) for pair in pairs] + [ZERO] * nc
-    # an absent connection is priced at big-M, and a pendant edge buys its big-M node
-    big_edges = {e for e, pair in enumerate(pairs) if pair not in fl.conn}
-    big_edges.update(range(len(pairs), len(edges)))
+    n = nc + nf + nc  # clients, facilities, pendant nodes
+    edges = []
+    edge_w = {}
+    big_edges = set()
+    for v in range(nc):
+        for f in range(nf):
+            eid = len(edges)
+            edges.append((v, nc + f))
+            d = fl.conn.get((v, f))
+            edge_w[eid] = big_m if d is None else d
+            if d is None:
+                big_edges.add(eid)
+    for v in range(nc):
+        eid = len(edges)
+        edges.append((v, nc + nf + v))
+        edge_w[eid] = ZERO
+        big_edges.add(eid)  # selecting it buys the big-M pendant node
     node_w = dict(enumerate([ZERO] * nc + fl.opening + [big_m] * nc))
-    graph, penalty = Graph(2 * nc + nf, edges), dict.fromkeys(range(len(edges)), INF)
-    eds = EdsInstance(graph, node_w, dict(enumerate(edge_w)), penalty)
+    eds = EdsInstance(Graph(n, edges), node_w, edge_w, dict.fromkeys(range(len(edges)), INF))
     return ReducedEds(eds, big_m, frozenset(big_edges))
