@@ -360,6 +360,8 @@ class _DemandPath(NamedTuple):
 
 
 def _check_demands(tree: RootedTree, demands: List[Demand]) -> None:
+    """Each demand's ends are distinct nodes of the tree and its penalty
+    is nonnegative; an end's fault names the demand for `parse_instance`."""
     for i, d in enumerate(demands):
         if not (0 <= d.s < tree.n and 0 <= d.t < tree.n):
             raise InstanceError(f"demand {i} endpoints out of range", ("demand", i))
