@@ -134,12 +134,13 @@ def dual_violation(
         for key, val in table.items():
             if val < 0:
                 return f"negative dual value {name}[{key}]"
+    # a load p/q exceeds units/scale when p * scale > units * q, in ints
     scale = inst.scale
     for e, tot in nu_load.items():
-        if tot * scale > inst.edge_units[e]:
+        if tot.numerator * scale > inst.edge_units[e] * tot.denominator:
             return f"edge capacity violated at {e}"
     for v, tot in mu_load.items():
-        if tot * scale > inst.node_units[v]:
+        if tot.numerator * scale > inst.node_units[v] * tot.denominator:
             return f"node capacity violated at {v}"
     parent = inst.tree.parent
     for d in range(len(inst.demands)):
