@@ -44,7 +44,8 @@ MAX_NODES = 10**6
 class InstanceError(ValueError):
     """Raised for structurally invalid instances.  ``at``, when given, is
     ``(directive, index)``: the index-th node, root, edge, demand, set or
-    connection of the input is at fault, and `parse_instance` reports the line holding it."""
+    connection of the input is at fault, and `parse_instance` reports the
+    line holding it."""
 
     def __init__(self, message: str, at=None):
         super().__init__(message)
@@ -263,11 +264,11 @@ class _WeightedGraph:
     ``node_units``, ``edge_units`` and ``penalty_units`` hold each value
     times ``scale``; INF stays INF.  Node units are indexed by node id,
     edge units by edge id (the root's slot of a rooted tree holds 0) and
-    penalty units as the kind's demands are.  ``node_weight``, ``edge_weight`` and
-    ``penalty`` give the same values as dicts of rationals: an instance
-    built from dicts computes its units once and keeps the dicts it was
-    given, and one built from units builds read-only views of them on first
-    use.  Neither side may be mutated.
+    penalty units as the kind's demands are.  ``node_weight``,
+    ``edge_weight`` and ``penalty`` give the same values as dicts of
+    rationals: an instance built from dicts computes its units once and
+    keeps the dicts it was given, and one built from units builds
+    read-only views of them on first use.  Neither side may be mutated.
     """
 
     #: What an instance is compared by: the units are canonical, so equal
@@ -329,7 +330,7 @@ class EdsInstance(_WeightedGraph):
         if sorted(penalty) != sorted(graph.edge_ids()):
             raise InstanceError("penalties must cover exactly the edge set")
         for e, p in penalty.items():
-            if p < 0:  # INF is not
+            if p < 0:  # INF < 0 is False
                 raise InstanceError(f"penalty of edge {e} must be nonnegative")
         self._hold_dicts(graph, node_weight, edge_weight, penalty, _edge_slots(graph))
 
@@ -367,7 +368,7 @@ def _check_demands(tree: RootedTree, demands: List[Demand]) -> None:
             raise InstanceError(f"demand {i} endpoints out of range", ("demand", i))
         if d.s == d.t:
             raise InstanceError(f"demand {i} has identical endpoints", ("demand", i))
-        if d.penalty < 0:  # INF is not
+        if d.penalty < 0:  # INF < 0 is False
             raise InstanceError(f"demand {i} penalty must be nonnegative")
 
 
