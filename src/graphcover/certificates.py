@@ -278,7 +278,7 @@ def _verify_multicut_tree(inst: MulticutInstance, cert: Certificate, report: Che
     sub = verify_multicut(inst0, kept, dual)
     report.checks.extend(sub.checks)
 
-    sol = kept_solution(inst, kept)
+    sol = kept_solution(inst, inst0, kept)
     _objective_recomputed(report, sol, cert)
     total = dual.total
     stated = cert.ratio

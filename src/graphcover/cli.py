@@ -79,8 +79,8 @@ def _solve_eds_tree(inst):
 
 
 def _solve_multicut_tree(inst):
-    _, _, state, kept, dual = run_multicut_pipeline(inst)
-    sol = kept_solution(inst, kept)
+    inst0, _, state, kept, dual = run_multicut_pipeline(inst)
+    sol = kept_solution(inst, inst0, kept)
     ratio = multicut_ratio(sol.total, dual.total)
     cert = multicut_certificate(
         inst, sol, ratio, kept, dual, state.witness, state.processed

@@ -38,43 +38,56 @@ maximizes the step, and its tie-break picks the least total perturbation
 among the largest steps, for determinism.  The weights are read as the
 instance's integer units over its ``scale``: the reduction appends the
 gadget's units, big-M among them, to the unit lists and keeps the scale;
-:func:`verify_multicut` compares each capacity with a load times the
-scale; and each capacity of :class:`IncreaseState` is its units over the
-scale, an ``int`` when the scale divides them and a ``Rat`` otherwise.
-The increase phase holds each integral value as a Python ``int`` and
-every other value as a ``Rat``: the dual values, the running capacity
-sums, the capacities they are compared with and each step and move read
-back from a step LP.  The setters of :class:`IncreaseState` make a
-written value an ``int`` when it is integral, and no value of the phase
-is ever divided but a capacity's units, whose ``int`` division is exact,
-so none can yield a float.  :attr:`IncreaseState.dual` turns every value
-back into a ``Rat``, so the check of the dual, the ratio, certificates and
-reports read ``Rat`` values only.
+and each capacity of :class:`IncreaseState` is its units over the scale,
+an ``int`` when the scale divides them and a ``Rat`` otherwise.  The
+increase phase holds each integral value as a Python ``int`` and every
+other value as a ``Rat``: the dual values, the running capacity and
+support sums, the capacities they are compared with and each step and
+move read back from a step LP.  The setters of :class:`IncreaseState`
+make a written value an ``int`` when it is integral, and no value of the
+phase is ever divided but a capacity's units, whose ``int`` division is
+exact, so none can yield a float.  :attr:`IncreaseState.dual` turns every
+value back into a ``Rat`` for the ratio, certificates and reports.
+:func:`verify_multicut`, the one check of the whole dual, brings those
+values to their least common denominator once and then checks every
+nonnegativity, capacity, support and saturation row in ints: a load l
+over that denominator is compared with a capacity's units u over the
+scale as l * scale against u * denominator.
 
-The increase phase keeps its state incrementally.  Every dual write goes
-through the setters of :class:`IncreaseState`, which keep the demands
-holding mass at each node in processing order, the running capacity sums,
-and the keys written since the last classification and the last check.
-The classification sets are updated in place and read before the next
-dual write: tightness is re-derived only for the rows of written demands,
-saturation only at written edges and nodes, and bottleneck rows only where
-one of those changed; the non-relaxable pairs, the least fixed point of a
-monotone rule, come from a worklist of per-node pointers into the holders.
-Each step LP and its update are read from one table of the moved dual
-entries' changes, and each step checks exactly, with zero tolerance, the
-nonnegativity, capacity and support rows its writes touched.  The whole
-dual is checked once, from scratch, by the :func:`verify_multicut` of
-:func:`run_multicut_pipeline`.  Each demand's path is walked once per
-instance, by :class:`MulticutInstance`, whose lca, edges and legs answer
-every path question; one edge-to-demand index serves the witness choice
-and the deletion count.  A step thus costs time in the paths of the
-demands it writes and the dual mass held, instead of a rescan of every
-demand and of every earlier demand's mass at each node.
+The increase phase keeps its state incrementally, so a step costs the
+dual entries it writes and the nodes whose classification can move.
+Every dual write goes through the setters of :class:`IncreaseState`,
+which keep the demands holding mass at each node in processing order,
+the running capacity sums, the left side nu + mu + mu of every support
+row (a mu write at v changes at most the two rows of v's path edges),
+the keys written since the last classification and the last check, and
+the nodes whose non-relaxable limit a write can move back.  Each
+demand's path is walked once per instance, by :class:`MulticutInstance`,
+whose lca, edges and legs answer every path question; a node's place on
+a path, and with it its at most two path edges and their rows, comes
+from the node's depth and the leg it is on.  One edge-to-demand index
+serves the witness choice and the deletion count.  The classification is
+updated in place and read before the next dual write: tightness, one bit
+per support row, is re-derived only for the rows of written demands,
+saturation only at written edges and nodes, and bottleneck rows only
+where one of those changed.  The non-relaxable pairs are the least fixed
+point of a monotone rule, kept as a pointer per node into its holders
+from one classification to the next: the nodes whose holders or
+bottleneck rows changed, and the neighbours whose pins rested on them,
+start again from the first holder a change can unpin, and a worklist
+moves the pointers forward from that frontier only.  Each step LP and
+its update are read from one table of the moved dual entries' changes,
+and each step checks exactly, with zero tolerance, the nonnegativity,
+capacity and support rows its writes touched; the end of the phase
+checks the running sums and holders against the dual tables, and the
+:func:`verify_multicut` of :func:`run_multicut_pipeline` checks the
+whole dual once, from scratch.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import groupby
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple, Union
@@ -85,7 +98,7 @@ from .instances import (
     MulticutInstance,
     RootedTree,
     Solution,
-    multicut_solution,
+    _priced,
     selected_nodes,
 )
 from .lp import OPTIMAL, LpModel, simplex_solve
@@ -117,30 +130,33 @@ class MulticutDual:
 
 def dual_violation(
     inst: MulticutInstance,
-    xi: Dict[int, Rat],
-    nu: Dict[Tuple[int, int], Rat],
-    mu: Dict[Tuple[int, int], Rat],
-    nu_load: Dict[int, Rat],
-    mu_load: Dict[int, Rat],
+    den: int,
+    xi: Dict[int, int],
+    nu: Dict[Tuple[int, int], int],
+    mu: Dict[Tuple[int, int], int],
+    nu_load: Dict[int, int],
+    mu_load: Dict[int, int],
 ) -> Optional[str]:
     """The first violated row of the dual system, or None; absent entries
-    are zero.  The loads are the per edge sums of nu and the per node sums
-    of mu (see `_load`).  Rows in order: nonnegativity, the edge capacities
-    (sum of nu at e <= w(e)), the node capacities (likewise for mu), and
-    the support rows xi(d) <= nu(e, d) + mu(upper, d) + mu(lower, d) on
-    d's path.  A demand with xi(d) zero or absent has only rows 0 <= a sum
-    of values already checked nonnegative, so its rows are skipped."""
+    are zero.  Every value is an int over the common denominator ``den``
+    (see `_over_common_denominator`), and the loads are the per edge sums
+    of nu and the per node sums of mu (see `_load`).  Rows in order:
+    nonnegativity, the edge capacities (sum of nu at e <= w(e)), the node
+    capacities (likewise for mu), and the support rows
+    xi(d) <= nu(e, d) + mu(upper, d) + mu(lower, d) on d's path.  A demand
+    with xi(d) zero or absent has only rows 0 <= a sum of values already
+    checked nonnegative, so its rows are skipped."""
     for name, table in (("xi", xi), ("nu", nu), ("mu", mu)):
         for key, val in table.items():
             if val < 0:
                 return f"negative dual value {name}[{key}]"
-    # a load p/q exceeds units/scale when p * scale > units * q, in ints
+    # a load l/den exceeds units/scale when l * scale > units * den
     scale = inst.scale
     for e, tot in nu_load.items():
-        if tot.numerator * scale > inst.edge_units[e] * tot.denominator:
+        if tot * scale > inst.edge_units[e] * den:
             return f"edge capacity violated at {e}"
     for v, tot in mu_load.items():
-        if tot.numerator * scale > inst.node_units[v] * tot.denominator:
+        if tot * scale > inst.node_units[v] * den:
             return f"node capacity violated at {v}"
     parent = inst.tree.parent
     for d in range(len(inst.demands)):
@@ -148,17 +164,27 @@ def dual_violation(
         if not x:
             continue
         for e in inst.path_edges(d):
-            lhs = nu.get((e, d), ZERO) + mu.get((parent[e], d), ZERO) + mu.get((e, d), ZERO)
-            if x > lhs:
+            if x > nu.get((e, d), 0) + mu.get((parent[e], d), 0) + mu.get((e, d), 0):
                 return f"support row violated ({e},{d})"
     return None
 
 
-def _load(table: Dict[Tuple[int, int], Rat]) -> Dict[int, Rat]:
+def _over_common_denominator(dual: MulticutDual) -> Tuple[int, Dict, Dict, Dict]:
+    """The least common denominator of the dual's values, and its xi, nu
+    and mu tables with each value as the int numerator over it."""
+    tables = (dual.xi, dual.nu, dual.mu)
+    den = math.lcm(*{val.denominator for table in tables for val in table.values()})
+    return den, *(
+        {key: val.numerator * (den // val.denominator) for key, val in table.items()}
+        for table in tables
+    )
+
+
+def _load(table: Dict[Tuple[int, int], int]) -> Dict[int, int]:
     """Per edge or node, the sum of its dual values over the demands."""
-    out: Dict[int, Rat] = {}
+    out: Dict[int, int] = {}
     for (x, _), val in table.items():
-        out[x] = out.get(x, ZERO) + val
+        out[x] = out.get(x, 0) + val
     return out
 
 
@@ -259,12 +285,15 @@ class IncreaseState:
 
     Every dual write goes through :meth:`set_xi`, :meth:`set_nu` and
     :meth:`set_mu`, which keep the holders of each node, the running
-    capacity sums, the written keys that :meth:`snapshot` re-derives and
-    :meth:`check_step` checks, and the written demands whose nu
-    :func:`_minimize_nu` lowers.  From :meth:`snapshot` to the next dual
-    write, ``tight`` holds the tight support rows, ``sat_edge``/``sat_node``
-    the saturated capacities, ``bottleneck`` the fully pinned path-edge rows
-    and ``nonrelax`` the (node, demand) pairs whose mass is immovable."""
+    capacity and support sums, the written keys that :meth:`snapshot`
+    re-derives and :meth:`check_step` checks, the nodes whose non-relaxable
+    limit can move, and the written demands whose nu :func:`_minimize_nu`
+    lowers.  From :meth:`snapshot` to the next dual write, ``tight_rows``
+    holds the tight support rows, ``sat_edge``/``sat_node`` the saturated
+    capacities, ``bottleneck`` the fully pinned path-edge rows and
+    ``nonrelax`` the (node, demand) pairs whose mass is immovable.
+    ``settle_visits`` counts the nodes that settling the non-relaxable
+    pairs has visited, a measure of its work that no output reads."""
 
     def __init__(self, inst: MulticutInstance):
         if not isinstance(inst, MulticutInstance):
@@ -275,22 +304,21 @@ class IncreaseState:
                 "apply the prize-collecting reduction first"
             )
         self.instance = inst
+        tree = inst.tree
         k = len(inst.demands)
-        self.order: List[int] = sorted(
-            range(k), key=lambda i: (-inst.tree.depth[inst.lca(i)], i)
-        )
+        self.order: List[int] = sorted(range(k), key=lambda i: (-tree.depth[inst.lca(i)], i))
         self.position: Dict[int, int] = {d: p for p, d in enumerate(self.order)}
         self.path_edges: List[Tuple[int, ...]] = [inst.path_edges(i) for i in range(k)]
         # edge -> the demands whose path holds it, by index
-        self.through: List[List[int]] = [[] for _ in range(inst.tree.n)]
-        self.edges_at: List[Dict[int, List[int]]] = []
-        for i in range(k):
-            at: Dict[int, List[int]] = {}
-            for e in self.path_edges[i]:
+        self.through: List[List[int]] = [[] for _ in range(tree.n)]
+        for i, path in enumerate(self.path_edges):
+            for e in path:
                 self.through[e].append(i)
-                at.setdefault(inst.tree.parent[e], []).append(e)
-                at.setdefault(e, []).append(e)
-            self.edges_at.append({v: sorted(es) for v, es in at.items()})
+        # where a node lies on a demand's path, read from depths (see _node_at)
+        self._depth = tree.depth
+        self._s_leg = [inst.legs(i)[0] for i in range(k)]
+        self._s_depth = [tree.depth[d.s] for d in inst.demands]
+        self._t_shift = [s - 2 * tree.depth[inst.lca(i)] for i, s in enumerate(self._s_depth)]
 
         self.xi: Dict[int, Exact] = {}
         self.nu: Dict[Tuple[int, int], Exact] = {}
@@ -301,7 +329,6 @@ class IncreaseState:
         self.processed: List[int] = []
         self._cursor = 0  # where uncovered() resumes in order
 
-        tree = inst.tree
         # the capacities, by edge or node id, from the units; the root's
         # edge slot stays 0
         s = inst.scale
@@ -310,21 +337,37 @@ class IncreaseState:
             for units in (inst.edge_units, inst.node_units)
         )
         # kept by the setters: node -> demands with mu > 0 there, in
-        # processing order, and the running capacity sums by id
+        # processing order; the running capacity sums by id; and per
+        # demand, the left side nu + mu + mu of each support row, in path order
         self.holders: Dict[int, List[int]] = {}
         self.nu_sum: List[Exact] = [0] * tree.n
         self.mu_sum: List[Exact] = [0] * tree.n
-        # the classification, re-derived by snapshot() for dirty items only;
-        # a write to xi[j], nu[(e, j)] or mu[(v, j)] changes only j's rows
-        self.tight: Set[Tuple[int, int]] = set()
-        self._tight_at: Dict[int, Set[int]] = {e: set() for e in tree.edge_ids()}
-        self.sat_edge: Set[int] = set()
-        self.sat_node: Set[int] = set()
-        self.bottleneck: Set[Tuple[int, int]] = set()
+        self.support: List[List[Exact]] = [[0] * len(path) for path in self.path_edges]
+        # the classification of the zero dual: every support row is tight,
+        # every capacity of weight zero saturated, and the rows of an edge
+        # saturated with both ends are bottleneck rows.  snapshot() re-derives
+        # it for dirty items only; a write to xi[j], nu[(e, j)] or mu[(v, j)]
+        # changes only j's rows.  Per demand, tight_rows holds one bit per
+        # path edge, in path order, and per edge, _loose counts the demands
+        # through it whose row there is not tight.
+        edges = tree.edge_ids()
+        self.tight_rows: List[int] = [(1 << len(path)) - 1 for path in self.path_edges]
+        self._loose: List[int] = [0] * tree.n
+        self.sat_edge: Set[int] = {e for e in edges if not self.edge_cap[e]}
+        self.sat_node: Set[int] = {v for v in range(tree.n) if not self.node_cap[v]}
+        # the edges saturated with both ends, whose tight rows are bottleneck rows
+        self._around: Set[int] = {e for e in edges if self._saturated_around(e)}
+        self.bottleneck: Set[Tuple[int, int]] = {
+            (e, j) for e in self._around for j in self.through[e]
+        }
         self.nonrelax = _Nonrelax(self.position)
-        self._dirty_demands: Set[int] = set(range(k))
-        self._dirty_edges: Set[int] = set(tree.edge_ids())
-        self._dirty_nodes: Set[int] = set(range(tree.n))
+        self._dirty_demands: Set[int] = set()
+        self._dirty_edges: Set[int] = set()
+        self._dirty_nodes: Set[int] = set()
+        # node -> the least position from which its holders may have lost
+        # their pin since the last settle (len(order): none, look again)
+        self._unsettled: Dict[int, int] = {}
+        self.settle_visits = 0
         # keys written since the last check_step()
         self._unchecked_xi: Set[int] = set()
         self._unchecked_nu: Set[Tuple[int, int]] = set()
@@ -344,7 +387,10 @@ class IncreaseState:
         """Write nu[key]; a zero value removes the entry."""
         e, j = key
         val = _exact(val)
-        self.nu_sum[e] = _exact(self.nu_sum[e] + val - self.nu.get(key, 0))
+        change = val - self.nu.get(key, 0)
+        self.nu_sum[e] = _exact(self.nu_sum[e] + change)
+        row, i = self.support[j], self._row(j, e)
+        row[i] = _exact(row[i] + change)
         _store(self.nu, key, val)
         self._dirty_demands.add(j)
         self._dirty_edges.add(e)
@@ -355,14 +401,22 @@ class IncreaseState:
         """Write mu[key]; a zero value removes the entry."""
         v, j = key
         val = _exact(val)
-        self.mu_sum[v] = _exact(self.mu_sum[v] + val - self.mu.get(key, 0))
+        change = val - self.mu.get(key, 0)
+        self.mu_sum[v] = _exact(self.mu_sum[v] + change)
+        row, at = self.support[j], self._node_at(j, v)
+        for i in range(max(at - 1, 0), min(at + 1, len(row))):  # the path edges at v
+            row[i] = _exact(row[i] + change)
         _store(self.mu, key, val)
         here = self.holders.setdefault(v, [])
         i = bisect_left(here, self.position[j], key=self.position.__getitem__)
-        if i < len(here) and here[i] == j:
-            del here[i]
-        if val > 0:
-            here.insert(i, j)
+        held = i < len(here) and here[i] == j
+        if held != (val > 0):
+            if held:
+                del here[i]
+                self._unsettle(v, len(self.order))
+            else:
+                here.insert(i, j)
+                self._unsettle(v, self.position[j])
         if not here:
             del self.holders[v]
         self._dirty_demands.add(j)
@@ -376,13 +430,32 @@ class IncreaseState:
         upper = self.instance.tree.parent[e]
         return e if v == upper else upper
 
+    def _node_at(self, j: int, v: int) -> int:
+        """Where node v lies on j's path, counted in nodes from s; v must
+        be on the path.  The s leg climbs from s, one level per node, and
+        the rest descends from the lca, so depths place every node."""
+        if v in self._s_leg[j]:
+            return self._s_depth[j] - self._depth[v]
+        return self._t_shift[j] + self._depth[v]
+
+    def _row(self, j: int, e: int) -> int:
+        """Where edge e lies on j's path, counted in edges from s: at its
+        lower end's place on the s leg, one before it on the t leg."""
+        return self._node_at(j, e) - (e not in self._s_leg[j])
+
+    def edges_at(self, j: int, v: int) -> List[int]:
+        """j's path edges at v, ascending: the edges before and after v's
+        place on the path.  v must be on j's path."""
+        at = self._node_at(j, v)
+        return sorted(self.path_edges[j][max(at - 1, 0) : at + 1])
+
+    def is_tight(self, e: int, j: int) -> bool:
+        """Whether j's support row at e is tight; e must be on j's path."""
+        return bool(self.tight_rows[j] >> self._row(j, e) & 1)
+
     def support_lhs(self, e: int, j: int) -> Exact:
         """nu + mu at both ends: the left side of j's support row at e."""
-        return (
-            self.nu.get((e, j), 0)
-            + self.mu.get((self.instance.tree.parent[e], j), 0)
-            + self.mu.get((e, j), 0)
-        )
+        return self.support[j][self._row(j, e)]
 
     def decrease_targets(self, d: int, v: int) -> List[int]:
         """Demands processed before d holding positive dual mass at v, in
@@ -395,7 +468,7 @@ class IncreaseState:
         they pin j's dual mass at v."""
         return [
             f
-            for f in self.edges_at[j].get(v, ())
+            for f in self.edges_at(j, v)
             if (f, j) in self.bottleneck and (self.far_end(f, v), j) in self.nonrelax
         ]
 
@@ -432,19 +505,30 @@ class IncreaseState:
         for v in self._dirty_nodes:
             if _toggle(self.sat_node, v, self.mu_sum[v] == self.node_cap[v]):
                 recheck.update(tree.incident(v))
+        # a bottleneck row that turns on may pin its demand at both ends of
+        # its edge, and one that turns off may unpin it there
+        end = len(self.order)
         for j in self._dirty_demands:
-            xi = self.xi.get(j, 0)
-            for e in self.path_edges[j]:
-                tight = self.support_lhs(e, j) == xi
-                if _toggle(self.tight, (e, j), tight):
-                    _toggle(self._tight_at[e], j, tight)
-                    _toggle(self.bottleneck, (e, j), tight and self._saturated_around(e))
+            xi, was, mask = self.xi.get(j, 0), self.tight_rows[j], 0
+            for i, (e, lhs) in enumerate(zip(self.path_edges[j], self.support[j])):
+                tight = lhs == xi
+                mask |= tight << i
+                if tight == (was >> i & 1):
+                    continue
+                self._loose[e] += -1 if tight else 1
+                if _toggle(self.bottleneck, (e, j), tight and e in self._around):
+                    self._unsettle_ends(e, end if tight else self.position[j])
+            self.tight_rows[j] = mask
         for e in recheck:
-            rows = {(e, j) for j in self._tight_at[e]}
-            if self._saturated_around(e):
-                self.bottleneck |= rows
+            if not _toggle(self._around, e, self._saturated_around(e)):
+                continue
+            if e in self._around:
+                self.bottleneck.update((e, j) for j in self.through[e] if self.is_tight(e, j))
+                self._unsettle_ends(e, end)
             else:
+                rows = self.bottleneck.intersection((e, j) for j in self.through[e])
                 self.bottleneck -= rows
+                self._unsettle_ends(e, min((self.position[j] for _, j in rows), default=end))
         self._dirty_demands.clear()
         self._dirty_edges.clear()
         self._dirty_nodes.clear()
@@ -455,29 +539,68 @@ class IncreaseState:
         upper = self.instance.tree.parent[e]
         return e in self.sat_edge and upper in self.sat_node and e in self.sat_node
 
+    def _unsettle(self, v: int, keep: int) -> None:
+        self._unsettled[v] = min(keep, self._unsettled.get(v, keep))
+
+    def _unsettle_ends(self, e: int, keep: int) -> None:
+        self._unsettle(self.instance.tree.parent[e], keep)
+        self._unsettle(e, keep)
+
     def _settle_nonrelax(self) -> None:
-        """Least fixed point of the non-relaxable rule.  Whether holder j is
-        pinned at v depends only on the pairs (u, j) at v's neighbours u, so
-        each node's first-unpinned-holder pointer only moves forward, and a
-        node is revisited only when a neighbour's pointer moved."""
+        """Least fixed point of the non-relaxable rule, from the last one.
+        Whether holder j is pinned at v depends only on j's bottleneck rows
+        at v and on the pairs (u, j) at v's neighbours u.  So only the nodes
+        the writes unsettled can move back: each starts again at its first
+        holder from the least position a change there can unpin (a holder
+        inserted ahead of the pointer, a row turned off), and a neighbour
+        that pins a holder later than such a node's new limit starts again
+        after that limit, as its pin may have rested on the pair there.
+        From this frontier every pointer only moves forward, and a node is
+        revisited only when a neighbour's limit rose."""
         tree, pos, seqs = self.instance.tree, self.position, self.holders
-        limit = self.nonrelax.limit = {v: pos[seq[0]] for v, seq in seqs.items()}
-        first = dict.fromkeys(seqs, 0)
-        queue = sorted(seqs)
+        limit, end, key = self.nonrelax.limit, len(pos), pos.__getitem__
+
+        def near(v: int) -> Tuple[int, ...]:
+            return tree.children[v] + ((tree.parent[v],) if v != tree.root else ())
+
+        queue: List[int] = []
+        restart = list(self._unsettled.items())
+        self._unsettled.clear()
+        while restart:
+            v, keep = restart.pop()
+            self.settle_visits += 1
+            old = limit.get(v, end)
+            seq = seqs.get(v, ())
+            i = bisect_left(seq, min(keep, old), key=key)
+            new = pos[seq[i]] if i < len(seq) else end
+            if new < end:
+                limit[v] = new
+                queue.append(v)
+            else:
+                limit.pop(v, None)
+            if new > old:
+                queue += near(v)
+            elif new < old:
+                for u in near(v):
+                    here = seqs.get(u, ())
+                    i = bisect_right(here, new, key=key)
+                    if i < len(here) and pos[here[i]] < limit.get(u, end):
+                        restart.append((u, new + 1))
         while queue:
             v = queue.pop()
-            seq, i = seqs[v], first[v]
+            if v not in limit:
+                continue
+            self.settle_visits += 1
+            seq = seqs[v]
+            i = first = bisect_left(seq, limit[v], key=key)
             while i < len(seq) and self.pinning_edges(seq[i], v):
                 i += 1
-            if i == first[v]:
-                continue
-            first[v] = i
-            if i < len(seq):
-                limit[v] = pos[seq[i]]
-            else:
-                del limit[v]
-            near = tree.children[v] + ((tree.parent[v],) if v != tree.root else ())
-            queue.extend(u for u in near if u in limit)
+            if i > first:
+                if i < len(seq):
+                    limit[v] = pos[seq[i]]
+                else:
+                    del limit[v]
+                queue += near(v)
 
     # -- feasibility checks ------------------------------------------------
 
@@ -493,7 +616,7 @@ class IncreaseState:
         for v, j in self._unchecked_mu:
             assert self.mu.get((v, j), 0) >= 0
             assert self.mu_sum[v] <= self.node_cap[v], f"node capacity violated at {v}"
-            rows.update((f, j) for f in self.edges_at[j].get(v, ()))
+            rows.update((f, j) for f in self.edges_at(j, v))
         for e, j in rows:
             assert self.xi.get(j, 0) <= self.support_lhs(e, j), (
                 f"support row violated ({e},{j})"
@@ -504,10 +627,19 @@ class IncreaseState:
 
     def assert_feasible(self) -> None:
         """Check the running sums and the holders, in processing order,
-        against loads recomputed from the dual tables."""
+        against sums and holders recomputed from the dual tables."""
         nu_load, mu_load = _load(self.nu), _load(self.mu)
         assert all(tot == nu_load.get(e, 0) for e, tot in enumerate(self.nu_sum))
         assert all(tot == mu_load.get(v, 0) for v, tot in enumerate(self.mu_sum))
+        # a demand with no dual entry has only zero sums
+        parent, nu, mu = self.instance.tree.parent, self.nu, self.mu
+        written = set(self.xi).union((j for _, j in nu), (j for _, j in mu))
+        for j, path in enumerate(self.path_edges):
+            assert self.support[j] == (
+                [nu.get((e, j), 0) + mu.get((parent[e], j), 0) + mu.get((e, j), 0) for e in path]
+                if j in written
+                else [0] * len(path)
+            ), f"running support sums of demand {j}"
         holders: Dict[int, List[int]] = {}
         for (v, j), val in sorted(self.mu.items(), key=lambda item: self.position[item[0][1]]):
             if val > 0:
@@ -532,17 +664,13 @@ def _minimize_nu(state: IncreaseState) -> None:
     of F lies only on covered demands' paths, which are never raised again,
     so capacity freed there could not be reused; lowering it would only
     drop the edge out of the bottleneck rows."""
-    parent = state.instance.tree.parent
     for d in sorted(state.unminimized):
-        for e in state.path_edges[d]:
+        # a write of nu(e, d) changes d's support sum at e alone
+        for e, lhs in zip(state.path_edges[d], state.support[d]):
             key = (e, d)
             if e in state.F or key not in state.nu:
                 continue
-            needed = (
-                state.xi.get(d, 0)
-                - state.mu.get((parent[e], d), 0)
-                - state.mu.get((e, d), 0)
-            )
+            needed = state.xi.get(d, 0) - lhs + state.nu[key]
             if needed < 0:
                 needed = 0
             assert needed <= state.nu[key]
@@ -558,8 +686,8 @@ def _select_cover(state: IncreaseState, d: int) -> Tuple[List[int], List[int], L
     U: List[int] = []
     R: List[int] = []
     chosen_nodes: Set[int] = set()
-    for e in state.path_edges[d]:
-        if (e, d) not in state.tight:
+    for i, e in enumerate(state.path_edges[d]):
+        if not state.tight_rows[d] >> i & 1:
             continue
         upper = state.instance.tree.parent[e]
         if e in H or upper in chosen_nodes or e in chosen_nodes:
@@ -597,12 +725,12 @@ def _sanction_moves(
             if state.pinning_edges(j, v) or (v, j) in dec:
                 continue
             dec.add((v, j))
-            for f in state.edges_at[j].get(v, ()):
+            for f in state.edges_at(j, v):
                 u = state.far_end(f, v)
                 if (f, j) in state.bottleneck:
                     inc_mu.add((u, j))
                     expand(u, j)
-                elif (f, j) in state.tight:
+                elif state.is_tight(f, j):
                     if f not in state.sat_edge:
                         inc_nu.add((f, j))
                     if u not in state.sat_node:
@@ -646,14 +774,14 @@ def _step_lp(
     # support rows of the moved demands (the others' rows are all zero):
     # slack + change(nu + mu_upper + mu_lower - xi) >= 0
     for j in sorted({d}.union(key[2] for key in delta)):
-        for e in state.path_edges[j]:
+        for e, lhs in zip(state.path_edges[j], state.support[j]):
             coeffs = {"eps": -1} if j == d else {}
             for key in (("nu", e, j), ("mu", inst.tree.parent[e], j), ("mu", e, j)):
                 for name, c in delta.get(key, {}).items():
                     coeffs[name] = coeffs.get(name, 0) + c
             coeffs = {name: c for name, c in coeffs.items() if c}
             if coeffs:
-                slack = state.support_lhs(e, j) - state.xi.get(j, 0)
+                slack = lhs - state.xi.get(j, 0)
                 model.add_constraint(f"support_e{e}_d{j}", coeffs, ">=", -slack)
     # capacity rows of the moved entries; each variable moves one entry
     for kind, prefix, weight, load in (
@@ -740,7 +868,7 @@ def increase_iteration(state: IncreaseState, i: int) -> IncreaseState:
         )
 
     # a witness is tight for every demand through it
-    witnesses = [e for e in terminal if len(state._tight_at[e]) == len(state.through[e])]
+    witnesses = [e for e in terminal if not state._loose[e]]
     # an edge can be forced loose for a third demand when that demand's
     # other rows pin its end-node mass higher than its own value; fall
     # back to the terminal edges, which are always pinned for i itself
@@ -817,35 +945,33 @@ def verify_multicut(
     def on_path(x: int, i: int, node: bool) -> bool:
         return 0 <= i < k and (any(x in leg for leg in inst.legs(i)) or node and x == inst.lca(i))
 
+    # the values over one common denominator, so every row below is
+    # checked in ints
+    den, xi, nu, mu = _over_common_denominator(dual)
     ok_domain = (
-        all(0 <= i < k and val >= 0 for i, val in dual.xi.items())
-        and all(on_path(e, i, False) and val >= 0 for (e, i), val in dual.nu.items())
-        and all(on_path(v, i, True) and val >= 0 for (v, i), val in dual.mu.items())
+        all(0 <= i < k and val >= 0 for i, val in xi.items())
+        and all(on_path(e, i, False) and val >= 0 for (e, i), val in nu.items())
+        and all(on_path(v, i, True) and val >= 0 for (v, i), val in mu.items())
     )
     # with the domain checked, every dual key names a demand in range(k),
     # so the loads are the totals over all demands
-    nu_load, mu_load = _load(dual.nu), _load(dual.mu)
+    nu_load, mu_load = _load(nu), _load(mu)
     report.add(
         "dual-feasible",
-        ok_domain
-        and dual_violation(inst, dual.xi, dual.nu, dual.mu, nu_load, mu_load) is None,
+        ok_domain and dual_violation(inst, den, xi, nu, mu, nu_load, mu_load) is None,
     )
 
-    sol = multicut_solution(inst, chosen)
-    cost = sol.edge_weight + sol.node_weight
-    total = dual.total
+    scale, nodes = inst.scale, selected_nodes(inst.tree, chosen)
+    units = sum(inst.edge_units[e] for e in chosen) + sum(inst.node_units[v] for v in nodes)
+    cost, total = Rat(units, scale), Rat(sum(xi.values()), den)
     report.add(
         "within-twice-dual", cost <= 2 * total, f"cost {cost}, dual total {total}"
     )
 
-    scale = inst.scale
     saturated = (
         ok_domain
-        and all(nu_load.get(e, 0) * scale == inst.edge_units[e] for e in chosen)
-        and all(
-            mu_load.get(v, 0) * scale == inst.node_units[v]
-            for v in selected_nodes(inst.tree, chosen)
-        )
+        and all(nu_load.get(e, 0) * scale == inst.edge_units[e] * den for e in chosen)
+        and all(mu_load.get(v, 0) * scale == inst.node_units[v] * den for v in nodes)
     )
     report.add("kept-capacities-saturated", saturated)
     return report
@@ -883,15 +1009,21 @@ def solve_multicut_tree(
 ) -> Tuple[Solution, MulticutDual, Rat]:
     """Separate or pay for every demand pair; the returned dual total is a
     lower bound on the optimum and the objective is at most twice it."""
-    _, _, _, kept, dual = run_multicut_pipeline(inst)
-    sol = kept_solution(inst, kept)
+    inst0, _, _, kept, dual = run_multicut_pipeline(inst)
+    sol = kept_solution(inst, inst0, kept)
     return sol, dual, multicut_ratio(sol.total, dual.total)
 
 
-def kept_solution(inst: MulticutInstance, kept) -> Solution:
-    """The solution on the original tree: the kept cut of the compiled tree
-    without its penalty edges, whose ids start at ``inst.tree.n``."""
-    return multicut_solution(inst, sorted(e for e in kept if e < inst.tree.n))
+def kept_solution(inst: MulticutInstance, inst0: MulticutInstance, kept) -> Solution:
+    """The solution on the original tree ``inst``: the kept cut of the
+    compiled tree ``inst0`` without its penalty edges, whose ids start at
+    ``inst.tree.n``.  A demand's compiled path is its original path, with
+    the two gadget edges off the cut when its penalty is finite, so the
+    compiled instance's walks tell which demands pay."""
+    edges = tuple(sorted(e for e in kept if e < inst.tree.n))
+    chosen = set(edges)
+    unpaid = (i for i in range(len(inst.demands)) if chosen.isdisjoint(inst0.path_edges(i)))
+    return _priced(inst, edges, selected_nodes(inst.tree, edges), unpaid)
 
 
 def multicut_ratio(objective: ExtRat, dual_total: Rat) -> Rat:

@@ -28,8 +28,8 @@ def _tree_cert(seed=3):
 
 def _multicut_cert(seed=4):
     inst = gen_instance("random-tree-multicut", n=7, k=3, seed=seed)
-    _, _, state, kept, dual = run_multicut_pipeline(inst)
-    sol = kept_solution(inst, kept)
+    inst0, _, state, kept, dual = run_multicut_pipeline(inst)
+    sol = kept_solution(inst, inst0, kept)
     ratio = multicut_ratio(sol.total, dual.total)
     cert = multicut_certificate(
         inst, sol, ratio, kept, dual, state.witness, state.processed

@@ -17,6 +17,7 @@ from graphcover import (
     RootedTree,
     brute_force_multicut,
     gen_instance,
+    multicut_solution,
     solve_multicut_tree,
 )
 from graphcover import lp, multicut_tree
@@ -24,6 +25,7 @@ from graphcover.lp import LpModel
 from graphcover.multicut_tree import (
     IncreaseState,
     _load,
+    _over_common_denominator,
     big_m_edges,
     deletion_phase,
     dual_violation,
@@ -171,10 +173,43 @@ def test_deletion_keeps_single_witness():
 # -- incremental increase-phase state ----------------------------------------
 
 
+def _edges_at(inst, j, v):
+    """Demand j's path edges at node v, ascending, read from the path."""
+    parent = inst.tree.parent
+    return sorted(f for f in inst.path_edges(j) if v in (parent[f], f))
+
+
+def _reference_limit(state, bottleneck):
+    """Each node's non-relaxable limit, the least fixed point from scratch:
+    every pointer starts at its node's first holder and moves on, in
+    sweeps, while that holder is pinned, until no pointer moves."""
+    pos, end, holders = state.position, len(state.order), state.holders
+    first = dict.fromkeys(holders, 0)
+
+    def limit(u):
+        seq = holders.get(u, ())
+        return pos[seq[first[u]]] if seq and first[u] < len(seq) else end
+
+    moved = True
+    while moved:
+        moved = False
+        for v, seq in holders.items():
+            if first[v] < len(seq):
+                j = seq[first[v]]
+                if any(
+                    (f, j) in bottleneck and pos[j] <= limit(state.far_end(f, v))
+                    for f in _edges_at(state.instance, j, v)
+                ):
+                    first[v] += 1
+                    moved = True
+    return {v: limit(v) for v in holders if limit(v) < end}
+
+
 def _reference_classification(state):
     """The classification rebuilt from scratch: tight rows, saturated
-    capacities, bottleneck rows, and the non-relaxable pairs by repeated
-    sweeps with targets found by scanning every earlier demand."""
+    capacities, bottleneck rows, the non-relaxable pairs by repeated
+    sweeps with targets found by scanning every earlier demand, and each
+    node's limit."""
     inst = state.instance
     parent = inst.tree.parent
     k = len(inst.demands)
@@ -217,20 +252,22 @@ def _reference_classification(state):
             if all(
                 any(
                     (f, j) in bottleneck and (state.far_end(f, v), j) in nonrelax
-                    for f in state.edges_at[j].get(v, ())
+                    for f in _edges_at(inst, j, v)
                 )
                 for j in targets(d, v)
             ):
                 nonrelax.add((v, d))
                 changed = True
-    return tight, sat_edge, sat_node, bottleneck, nonrelax
+    limit = _reference_limit(state, bottleneck)
+    return tight, sat_edge, sat_node, bottleneck, nonrelax, limit
 
 
 def _classification(state, snap):
     inst = state.instance
     pairs = [(v, d) for d in range(len(inst.demands)) for v in path_nodes(inst, d)]
+    tight = {(e, d) for d in range(len(inst.demands)) for e in inst.path_edges(d) if snap.is_tight(e, d)}
     nonrelax = {pair for pair in pairs if pair in snap.nonrelax}
-    return snap.tight, snap.sat_edge, snap.sat_node, snap.bottleneck, nonrelax
+    return tight, snap.sat_edge, snap.sat_node, snap.bottleneck, nonrelax, snap.nonrelax.limit
 
 
 @settings(max_examples=120, deadline=None, database=None)
@@ -307,6 +344,32 @@ def test_limit_moves_back_and_matches_reference(spec, kinds):
     assert _backward_limit_moves(_step_instance(*spec)) == kinds
 
 
+def _counting_writes(mp, writes):
+    """Patch the three dual setters to append each call's arguments to
+    ``writes``."""
+    for name in ("set_xi", "set_nu", "set_mu"):
+        real = getattr(IncreaseState, name)
+
+        def counted(self, *args, real=real):
+            writes.append(args)
+            real(self, *args)
+
+        mp.setattr(IncreaseState, name, counted)
+
+
+def test_settle_work_is_bounded_by_the_dual_writes(monkeypatch):
+    """The classification revisits a holder node only when a write or a
+    neighbour can move its limit, so over a whole increase phase it visits
+    at most twice as many holder nodes as there are dual writes (605 against
+    1,469 writes here; a fixed point from scratch at every snapshot visits
+    22,679)."""
+    writes = []
+    _counting_writes(monkeypatch, writes)
+    inst = gen_instance("random-tree-multicut", n=2000, k=500, seed=1)
+    state = run_increase_phase(IncreaseState(reduce_prize_collecting(inst)[0]))
+    assert 0 < state.settle_visits <= 2 * len(writes)
+
+
 def _reference_uncovered(state):
     """The first demand in processing order whose path misses F, by a
     rescan of every demand."""
@@ -333,7 +396,7 @@ def _reference_witness(state, i):
         e
         for e in terminal
         if all(
-            (e, j) in state.tight
+            state.is_tight(e, j)
             for j in range(len(inst.demands))
             if e in state.path_edges[j]
         )
@@ -699,37 +762,6 @@ def test_verifier_rejects_empty_cut():
     assert any("demand" in f for f in report.failures())
 
 
-@pytest.mark.parametrize(
-    "changes, message",
-    [
-        pytest.param([("nu", (1, 0), 5)], "edge capacity violated at 1", id="edge-capacity"),
-        pytest.param([("mu", (0, 0), 5)], "node capacity violated at 0", id="node-capacity"),
-        pytest.param([("xi", 0, 5)], "support row violated (1,0)", id="support-row"),
-        pytest.param([("mu", (1, 0), -1)], "negative dual value mu[(1, 0)]", id="negative"),
-        # xi(0) = 1 and nu[(1, 0)] = 1 before the changes: the support rows of
-        # a demand with xi = 0 are skipped, its nonnegativity rows are not
-        pytest.param(
-            [("xi", 0, -1), ("nu", (1, 0), -2)],
-            "negative dual value nu[(1, 0)]",
-            id="negative-at-zero-xi",
-        ),
-    ],
-)
-def test_verifier_rejects_capacity_violation(changes, message):
-    inst0, _ = reduce_prize_collecting(star_multicut(1, 2, INF))
-    state = run_increase_phase(IncreaseState(inst0))
-    kept = deletion_phase(state)
-    dual = state.dual
-    for table, key, change in changes:
-        values = getattr(dual, table)
-        values[key] = values.get(key, ZERO) + change
-    report = verify_multicut(inst0, kept, dual)
-    assert not report.passed
-    assert "dual-feasible" in report.failures()
-    loads = _load(dual.nu), _load(dual.mu)
-    assert dual_violation(inst0, dual.xi, dual.nu, dual.mu, *loads) == message
-
-
 def _lca_below_root():
     """Root 0 with children 1 and 4, and 1 with leaves 2 and 3.  The one
     demand (2, 3) has lca 1, on its path, whose parent edge 1 is not."""
@@ -740,6 +772,128 @@ def _lca_below_root():
         {e: Rat(3) for e in range(1, 5)},
         [Demand(2, 3, INF)],
     )
+
+
+def _star():
+    return star_multicut(1, 2, INF)
+
+
+def _w7():
+    return _step_instance(20, 8, 1, "w/7")
+
+
+# (instance, changes, the dual's common denominator, the first violated row
+# or None).  The star's changes are integral.  Thirds on the lca instance
+# (scale 1) and 49ths on the w/7 spec (scale 7) give a common denominator
+# other than the scale; for each, an edge row, a node row and a support row
+# exactly at its bound are accepted, and one unit of the denominator over it
+# is rejected.
+@pytest.mark.parametrize(
+    "make, changes, den, message",
+    [
+        pytest.param(_star, [("nu", (1, 0), 5)], 1, "edge capacity violated at 1", id="edge-capacity"),
+        pytest.param(_star, [("mu", (0, 0), 5)], 1, "node capacity violated at 0", id="node-capacity"),
+        pytest.param(_star, [("xi", 0, 5)], 1, "support row violated (1,0)", id="support-row"),
+        pytest.param(_star, [("mu", (1, 0), -1)], 1, "negative dual value mu[(1, 0)]", id="negative"),
+        # xi(0) = 1 and nu[(1, 0)] = 1 before the changes: the support rows of
+        # a demand with xi = 0 are skipped, its nonnegativity rows are not
+        pytest.param(
+            _star,
+            [("xi", 0, -1), ("nu", (1, 0), -2)],
+            1,
+            "negative dual value nu[(1, 0)]",
+            id="negative-at-zero-xi",
+        ),
+        # xi(0) = 5, nu 3 on edges 2 and 3 (weight 3), mu 1 at nodes 1, 2, 3
+        # (weight 1): every capacity is saturated and the rows at 2 and 3 tight
+        pytest.param(_lca_below_root, [("xi", 0, -Rat(1, 3))], 3, None, id="thirds-at-capacity"),
+        pytest.param(
+            _lca_below_root,
+            [("xi", 0, -Rat(1, 3)), ("nu", (2, 0), Rat(1, 3))],
+            3,
+            "edge capacity violated at 2",
+            id="thirds-edge-over",
+        ),
+        pytest.param(
+            _lca_below_root,
+            [("xi", 0, -Rat(1, 3)), ("mu", (1, 0), Rat(1, 3))],
+            3,
+            "node capacity violated at 1",
+            id="thirds-node-over",
+        ),
+        pytest.param(
+            _lca_below_root,
+            [("xi", 0, -Rat(1, 3)), ("mu", (2, 0), -Rat(1, 3))],
+            3,
+            None,
+            id="thirds-support-tight",
+        ),
+        pytest.param(
+            _lca_below_root,
+            [("xi", 0, -Rat(1, 3)), ("mu", (2, 0), -Rat(2, 3))],
+            3,
+            "support row violated (2,0)",
+            id="thirds-support-over",
+        ),
+        # xi(4) = 1/7 and nu[(1, 4)] = 1/7, the only value on edge 1 (weight
+        # 5/7); node 6 (weight 10/7) is saturated
+        pytest.param(
+            _w7,
+            [("xi", 4, -Rat(1, 49)), ("nu", (1, 4), Rat(4, 7))],
+            49,
+            None,
+            id="49ths-edge-at-capacity",
+        ),
+        pytest.param(
+            _w7,
+            [("xi", 4, -Rat(1, 49)), ("nu", (1, 4), Rat(29, 49))],
+            49,
+            "edge capacity violated at 1",
+            id="49ths-edge-over",
+        ),
+        pytest.param(_w7, [("xi", 4, -Rat(1, 49))], 49, None, id="49ths-node-at-capacity"),
+        pytest.param(
+            _w7,
+            [("xi", 4, -Rat(1, 49)), ("mu", (6, 0), Rat(1, 49))],
+            49,
+            "node capacity violated at 6",
+            id="49ths-node-over",
+        ),
+        pytest.param(
+            _w7,
+            [("xi", 4, -Rat(1, 49)), ("nu", (1, 4), -Rat(1, 49))],
+            49,
+            None,
+            id="49ths-support-tight",
+        ),
+        pytest.param(
+            _w7,
+            [("xi", 4, -Rat(1, 49)), ("nu", (1, 4), -Rat(2, 49))],
+            49,
+            "support row violated (1,4)",
+            id="49ths-support-over",
+        ),
+    ],
+)
+def test_verifier_rejects_capacity_violation(make, changes, den, message):
+    inst0, _ = reduce_prize_collecting(make())
+    state = run_increase_phase(IncreaseState(inst0))
+    kept = deletion_phase(state)
+    dual = state.dual
+    for table, key, change in changes:
+        values = getattr(dual, table)
+        values[key] = values.get(key, ZERO) + change
+    assert _violation(inst0, dual, den) == message
+    report = verify_multicut(inst0, kept, dual)
+    assert ("dual-feasible" in report.failures()) == (message is not None)
+
+
+def _violation(inst, dual, den):
+    """``dual_violation`` on the dual over its common denominator, which
+    must be ``den``."""
+    common, xi, nu, mu = _over_common_denominator(dual)
+    assert common == den
+    return dual_violation(inst, den, xi, nu, mu, _load(nu), _load(mu))
 
 
 @pytest.mark.parametrize("value", [ZERO, ONE])
@@ -760,8 +914,7 @@ def test_verifier_rejects_dual_entries_off_the_path(table, key, value):
     assert verify_multicut(inst, kept, dual).passed
     getattr(dual, table)[key] = value
     # every row of the dual system still holds: only the domain is broken
-    loads = _load(dual.nu), _load(dual.mu)
-    assert dual_violation(inst, dual.xi, dual.nu, dual.mu, *loads) is None
+    assert _violation(inst, dual, 1) is None
     report = verify_multicut(inst, kept, dual)
     assert "dual-feasible" in report.failures()
 
@@ -794,7 +947,10 @@ def test_no_ratio_above_two_on_small_trees(inst):
     inst0, _, state, kept, dual = run_multicut_pipeline(inst)
     report = verify_multicut(inst0, kept, dual)
     assert report.passed, report.format()
-    assert kept_solution(inst, kept).total <= 2 * dual.total
+    sol = kept_solution(inst, inst0, kept)
+    # priced from the compiled walks as from the original instance's own
+    assert sol == multicut_solution(inst, [e for e in kept if e < inst.tree.n])
+    assert sol.total <= 2 * dual.total
     assert dual.total <= brute_force_multicut(inst).total
     for d in state.processed:
         for leg in inst0.legs(d):
