@@ -403,8 +403,8 @@ class IncreaseState:
         val = _exact(val)
         change = val - self.mu.get(key, 0)
         self.mu_sum[v] = _exact(self.mu_sum[v] + change)
-        row, at = self.support[j], self._node_at(j, v)
-        for i in range(max(at - 1, 0), min(at + 1, len(row))):  # the path edges at v
+        row = self.support[j]
+        for i in self._rows_at(j, v):
             row[i] = _exact(row[i] + change)
         _store(self.mu, key, val)
         here = self.holders.setdefault(v, [])
@@ -443,11 +443,16 @@ class IncreaseState:
         lower end's place on the s leg, one before it on the t leg."""
         return self._node_at(j, e) - (e not in self._s_leg[j])
 
-    def edges_at(self, j: int, v: int) -> List[int]:
-        """j's path edges at v, ascending: the edges before and after v's
-        place on the path.  v must be on j's path."""
+    def _rows_at(self, j: int, v: int) -> range:
+        """Where j's path edges at v lie on the path: just before and just
+        after v's place.  v must be on j's path."""
         at = self._node_at(j, v)
-        return sorted(self.path_edges[j][max(at - 1, 0) : at + 1])
+        return range(max(at - 1, 0), min(at + 1, len(self.path_edges[j])))
+
+    def edges_at(self, j: int, v: int) -> List[int]:
+        """j's path edges at v, ascending; v must be on j's path."""
+        path = self.path_edges[j]
+        return sorted(path[i] for i in self._rows_at(j, v))
 
     def is_tight(self, e: int, j: int) -> bool:
         """Whether j's support row at e is tight; e must be on j's path."""
@@ -771,10 +776,20 @@ def _step_lp(
             name = model.add_var(f"{prefix}{x}_d{j}", tiebreak=1)
             delta.setdefault((kind, x, j), {})[name] = sign
 
-    # support rows of the moved demands (the others' rows are all zero):
+    # support rows of the moved entries, and every row of d, which eps
+    # moves (the others' rows are all zero):
     # slack + change(nu + mu_upper + mu_lower - xi) >= 0
-    for j in sorted({d}.union(key[2] for key in delta)):
-        for e, lhs in zip(state.path_edges[j], state.support[j]):
+    rows: Dict[int, Set[int]] = {d: set(range(len(state.path_edges[d])))}
+    for kind, x, j in delta:
+        at = rows.setdefault(j, set())
+        if kind == "nu":
+            at.add(state._row(j, x))
+        else:
+            at.update(state._rows_at(j, x))
+    for j in sorted(rows):
+        path, support = state.path_edges[j], state.support[j]
+        for i in sorted(rows[j]):
+            e, lhs = path[i], support[i]
             coeffs = {"eps": -1} if j == d else {}
             for key in (("nu", e, j), ("mu", inst.tree.parent[e], j), ("mu", e, j)):
                 for name, c in delta.get(key, {}).items():
