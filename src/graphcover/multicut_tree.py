@@ -87,7 +87,7 @@ whole dual once, from scratch.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import groupby
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple, Union
@@ -389,8 +389,7 @@ class IncreaseState:
         val = _exact(val)
         change = val - self.nu.get(key, 0)
         self.nu_sum[e] = _exact(self.nu_sum[e] + change)
-        row, i = self.support[j], self._row(j, e)
-        row[i] = _exact(row[i] + change)
+        self._add_support(j, [self._row(j, e)], change)
         _store(self.nu, key, val)
         self._dirty_demands.add(j)
         self._dirty_edges.add(e)
@@ -403,9 +402,7 @@ class IncreaseState:
         val = _exact(val)
         change = val - self.mu.get(key, 0)
         self.mu_sum[v] = _exact(self.mu_sum[v] + change)
-        row = self.support[j]
-        for i in self._rows_at(j, v):
-            row[i] = _exact(row[i] + change)
+        self._add_support(j, self._rows_at(j, v), change)
         _store(self.mu, key, val)
         here = self.holders.setdefault(v, [])
         i = bisect_left(here, self.position[j], key=self.position.__getitem__)
@@ -413,10 +410,10 @@ class IncreaseState:
         if held != (val > 0):
             if held:
                 del here[i]
-                self._unsettle(v, len(self.order))
             else:
                 here.insert(i, j)
-                self._unsettle(v, self.position[j])
+            # a holder inserted ahead of v's pointer may be unpinned
+            self._unsettle(len(self.order) if held else self.position[j], v)
         if not here:
             del self.holders[v]
         self._dirty_demands.add(j)
@@ -425,6 +422,12 @@ class IncreaseState:
         self.unminimized.add(j)
 
     # -- small helpers -----------------------------------------------------
+
+    def _add_support(self, j: int, rows, change: Exact) -> None:
+        """Add change to j's support sums at the given path positions."""
+        row = self.support[j]
+        for i in rows:
+            row[i] = _exact(row[i] + change)
 
     def far_end(self, e: int, v: int) -> int:
         upper = self.instance.tree.parent[e]
@@ -457,10 +460,6 @@ class IncreaseState:
     def is_tight(self, e: int, j: int) -> bool:
         """Whether j's support row at e is tight; e must be on j's path."""
         return bool(self.tight_rows[j] >> self._row(j, e) & 1)
-
-    def support_lhs(self, e: int, j: int) -> Exact:
-        """nu + mu at both ends: the left side of j's support row at e."""
-        return self.support[j][self._row(j, e)]
 
     def decrease_targets(self, d: int, v: int) -> List[int]:
         """Demands processed before d holding positive dual mass at v, in
@@ -522,18 +521,18 @@ class IncreaseState:
                     continue
                 self._loose[e] += -1 if tight else 1
                 if _toggle(self.bottleneck, (e, j), tight and e in self._around):
-                    self._unsettle_ends(e, end if tight else self.position[j])
+                    self._unsettle(end if tight else self.position[j], tree.parent[e], e)
             self.tight_rows[j] = mask
         for e in recheck:
-            if not _toggle(self._around, e, self._saturated_around(e)):
-                continue
-            if e in self._around:
-                self.bottleneck.update((e, j) for j in self.through[e] if self.is_tight(e, j))
-                self._unsettle_ends(e, end)
-            else:
-                rows = self.bottleneck.intersection((e, j) for j in self.through[e])
-                self.bottleneck -= rows
-                self._unsettle_ends(e, min((self.position[j] for _, j in rows), default=end))
+            if _toggle(self._around, e, self._saturated_around(e)):
+                rows = [(e, j) for j in self.through[e] if self.is_tight(e, j)]
+                if e in self._around:
+                    self.bottleneck.update(rows)
+                    keep = end
+                else:
+                    self.bottleneck.difference_update(rows)
+                    keep = min([self.position[j] for _, j in rows], default=end)
+                self._unsettle(keep, tree.parent[e], e)
         self._dirty_demands.clear()
         self._dirty_edges.clear()
         self._dirty_nodes.clear()
@@ -544,12 +543,9 @@ class IncreaseState:
         upper = self.instance.tree.parent[e]
         return e in self.sat_edge and upper in self.sat_node and e in self.sat_node
 
-    def _unsettle(self, v: int, keep: int) -> None:
-        self._unsettled[v] = min(keep, self._unsettled.get(v, keep))
-
-    def _unsettle_ends(self, e: int, keep: int) -> None:
-        self._unsettle(self.instance.tree.parent[e], keep)
-        self._unsettle(e, keep)
+    def _unsettle(self, keep: int, *nodes: int) -> None:
+        for v in nodes:
+            self._unsettled[v] = min(keep, self._unsettled.get(v, keep))
 
     def _settle_nonrelax(self) -> None:
         """Least fixed point of the non-relaxable rule, from the last one.
@@ -557,10 +553,10 @@ class IncreaseState:
         at v and on the pairs (u, j) at v's neighbours u.  So only the nodes
         the writes unsettled can move back: each starts again at its first
         holder from the least position a change there can unpin (a holder
-        inserted ahead of the pointer, a row turned off), and a neighbour
-        that pins a holder later than such a node's new limit starts again
-        after that limit, as its pin may have rested on the pair there.
-        From this frontier every pointer only moves forward, and a node is
+        inserted ahead of the pointer, a row turned off).  When such a node's
+        limit falls, each neighbour starts again after the new limit, as the
+        pins of its later holders may have rested on the pairs there.  From
+        this frontier every pointer only moves forward, and a node is
         revisited only when a neighbour's limit rose."""
         tree, pos, seqs = self.instance.tree, self.position, self.holders
         limit, end, key = self.nonrelax.limit, len(pos), pos.__getitem__
@@ -586,11 +582,7 @@ class IncreaseState:
             if new > old:
                 queue += near(v)
             elif new < old:
-                for u in near(v):
-                    here = seqs.get(u, ())
-                    i = bisect_right(here, new, key=key)
-                    if i < len(here) and pos[here[i]] < limit.get(u, end):
-                        restart.append((u, new + 1))
+                restart += ((u, new + 1) for u in near(v) if u in seqs)
         while queue:
             v = queue.pop()
             if v not in limit:
@@ -623,7 +615,7 @@ class IncreaseState:
             assert self.mu_sum[v] <= self.node_cap[v], f"node capacity violated at {v}"
             rows.update((f, j) for f in self.edges_at(j, v))
         for e, j in rows:
-            assert self.xi.get(j, 0) <= self.support_lhs(e, j), (
+            assert self.xi.get(j, 0) <= self.support[j][self._row(j, e)], (
                 f"support row violated ({e},{j})"
             )
         self._unchecked_xi.clear()

@@ -264,8 +264,9 @@ def _reference_classification(state):
 
 def _classification(state, snap):
     inst = state.instance
-    pairs = [(v, d) for d in range(len(inst.demands)) for v in path_nodes(inst, d)]
-    tight = {(e, d) for d in range(len(inst.demands)) for e in inst.path_edges(d) if snap.is_tight(e, d)}
+    k = len(inst.demands)
+    pairs = [(v, d) for d in range(k) for v in path_nodes(inst, d)]
+    tight = {(e, d) for d in range(k) for e in inst.path_edges(d) if snap.is_tight(e, d)}
     nonrelax = {pair for pair in pairs if pair in snap.nonrelax}
     return tight, snap.sat_edge, snap.sat_node, snap.bottleneck, nonrelax, snap.nonrelax.limit
 
@@ -344,27 +345,20 @@ def test_limit_moves_back_and_matches_reference(spec, kinds):
     assert _backward_limit_moves(_step_instance(*spec)) == kinds
 
 
-def _counting_writes(mp, writes):
-    """Patch the three dual setters to append each call's arguments to
-    ``writes``."""
-    for name in ("set_xi", "set_nu", "set_mu"):
-        real = getattr(IncreaseState, name)
-
-        def counted(self, *args, real=real):
-            writes.append(args)
-            real(self, *args)
-
-        mp.setattr(IncreaseState, name, counted)
-
-
 def test_settle_work_is_bounded_by_the_dual_writes(monkeypatch):
     """The classification revisits a holder node only when a write or a
     neighbour can move its limit, so over a whole increase phase it visits
-    at most twice as many holder nodes as there are dual writes (605 against
+    at most twice as many holder nodes as there are dual writes (804 against
     1,469 writes here; a fixed point from scratch at every snapshot visits
     22,679)."""
     writes = []
-    _counting_writes(monkeypatch, writes)
+    for name in ("set_xi", "set_nu", "set_mu"):
+
+        def counted(self, *args, real=getattr(IncreaseState, name)):
+            writes.append(args)
+            real(self, *args)
+
+        monkeypatch.setattr(IncreaseState, name, counted)
     inst = gen_instance("random-tree-multicut", n=2000, k=500, seed=1)
     state = run_increase_phase(IncreaseState(reduce_prize_collecting(inst)[0]))
     assert 0 < state.settle_visits <= 2 * len(writes)
@@ -791,10 +785,16 @@ def _w7():
 @pytest.mark.parametrize(
     "make, changes, den, message",
     [
-        pytest.param(_star, [("nu", (1, 0), 5)], 1, "edge capacity violated at 1", id="edge-capacity"),
-        pytest.param(_star, [("mu", (0, 0), 5)], 1, "node capacity violated at 0", id="node-capacity"),
+        pytest.param(
+            _star, [("nu", (1, 0), 5)], 1, "edge capacity violated at 1", id="edge-capacity"
+        ),
+        pytest.param(
+            _star, [("mu", (0, 0), 5)], 1, "node capacity violated at 0", id="node-capacity"
+        ),
         pytest.param(_star, [("xi", 0, 5)], 1, "support row violated (1,0)", id="support-row"),
-        pytest.param(_star, [("mu", (1, 0), -1)], 1, "negative dual value mu[(1, 0)]", id="negative"),
+        pytest.param(
+            _star, [("mu", (1, 0), -1)], 1, "negative dual value mu[(1, 0)]", id="negative"
+        ),
         # xi(0) = 1 and nu[(1, 0)] = 1 before the changes: the support rows of
         # a demand with xi = 0 are skipped, its nonnegativity rows are not
         pytest.param(
