@@ -66,22 +66,23 @@ demand's path is walked once per instance, by :class:`MulticutInstance`,
 whose lca, edges and legs answer every path question; a node's place on
 a path, and with it its at most two path edges and their rows, comes
 from the node's depth and the leg it is on.  One edge-to-demand index
-serves the witness choice and the deletion count.  The classification is
-updated in place and read before the next dual write: tightness, one bit
-per support row, is re-derived only for the rows of written demands,
-saturation only at written edges and nodes, and bottleneck rows only
-where one of those changed.  The non-relaxable pairs are the least fixed
-point of a monotone rule, kept as a pointer per node into its holders
-from one classification to the next: the nodes whose holders or
-bottleneck rows changed, and the neighbours whose pins rested on them,
-start again from the first holder a change can unpin, and a worklist
-moves the pointers forward from that frontier only.  Each step LP and
-its update are read from one table of the moved dual entries' changes,
-and each step checks exactly, with zero tolerance, the nonnegativity,
-capacity and support rows its writes touched; the end of the phase
-checks the running sums and holders against the dual tables, and the
-:func:`verify_multicut` of :func:`run_multicut_pipeline` checks the
-whole dual once, from scratch.
+serves the bottleneck rows and the deletion count, and a count per edge
+of the demands whose row there is loose serves the witness choice.  The
+classification is updated in place and read before the next dual write:
+tightness, one bit per support row, is re-derived only for the rows of
+written demands, saturation only at written edges and nodes, and
+bottleneck rows only where one of those changed.  The non-relaxable
+pairs are the least fixed point of a monotone rule, kept as a pointer
+per node into its holders from one classification to the next: the nodes
+whose holders or bottleneck rows changed, and the neighbours whose pins
+rested on them, start again from the first holder a change can unpin,
+and a worklist moves the pointers forward from that frontier only.  Each
+step LP and its update are read from one table of the moved dual
+entries' changes, and each step checks exactly, with zero tolerance, the
+nonnegativity, capacity and support rows its writes touched; the end of
+the phase checks the running sums and holders against the dual tables,
+and the :func:`verify_multicut` of :func:`run_multicut_pipeline` checks
+the whole dual once, from scratch.
 """
 
 from __future__ import annotations
