@@ -65,24 +65,25 @@ the nodes whose non-relaxable limit a write can move back.  Each
 demand's path is walked once per instance, by :class:`MulticutInstance`,
 whose lca, edges and legs answer every path question; a node's place on
 a path, and with it its at most two path edges and their rows, comes
-from the node's depth and the leg it is on.  One edge-to-demand index
-serves the bottleneck rows and the deletion count, and a count per edge
-of the demands whose row there is loose serves the witness choice.  The
+from the node's depth and the leg it is on.  A count per edge of the
+demands through it whose row there is loose serves the witness choice,
+and the deletion phase indexes the demands through each edge of F.  The
 classification is updated in place and read before the next dual write:
 tightness, one bit per support row, is re-derived only for the rows of
-written demands, saturation only at written edges and nodes, and
-bottleneck rows only where one of those changed.  The non-relaxable
-pairs are the least fixed point of a monotone rule, kept as a pointer
-per node into its holders from one classification to the next: the nodes
-whose holders or bottleneck rows changed, and the neighbours whose pins
-rested on them, start again from the first holder a change can unpin,
-and a worklist moves the pointers forward from that frontier only.  Each
-step LP and its update are read from one table of the moved dual
-entries' changes, and each step checks exactly, with zero tolerance, the
-nonnegativity, capacity and support rows its writes touched; the end of
-the phase checks the running sums and holders against the dual tables,
-and the :func:`verify_multicut` of :func:`run_multicut_pipeline` checks
-the whole dual once, from scratch.
+written demands, and saturation only at written edges and nodes; the
+bottleneck rows are the tight rows of the edges saturated with both
+ends, a set re-derived only where a saturation changed.  The
+non-relaxable pairs are the least fixed point of a monotone rule, kept
+as a pointer per node into its holders from one classification to the
+next: the nodes whose holders or bottleneck rows changed, and the
+neighbours whose pins rested on them, start again from the first holder
+a change can unpin, and a worklist moves the pointers forward from that
+frontier only.  Each step LP and its update are read from one table of
+the moved dual entries' changes, and each step checks exactly, with zero
+tolerance, the nonnegativity, capacity and support rows its writes
+touched; the end of the phase checks the running sums and holders
+against the dual tables, and the :func:`verify_multicut` of
+:func:`run_multicut_pipeline` checks the whole dual once, from scratch.
 """
 
 from __future__ import annotations
@@ -291,8 +292,9 @@ class IncreaseState:
     limit can move, and the written demands whose nu :func:`_minimize_nu`
     lowers.  From :meth:`snapshot` to the next dual write, ``tight_rows``
     holds the tight support rows, ``sat_edge``/``sat_node`` the saturated
-    capacities, ``bottleneck`` the fully pinned path-edge rows and
-    ``nonrelax`` the (node, demand) pairs whose mass is immovable.
+    capacities, ``sat_around`` the edges saturated with both ends, whose
+    tight rows are the fully pinned bottleneck rows (:meth:`is_bottleneck`),
+    and ``nonrelax`` the (node, demand) pairs whose mass is immovable.
     ``settle_visits`` counts the nodes that settling the non-relaxable
     pairs has visited, a measure of its work that no output reads."""
 
@@ -310,11 +312,6 @@ class IncreaseState:
         self.order: List[int] = sorted(range(k), key=lambda i: (-tree.depth[inst.lca(i)], i))
         self.position: Dict[int, int] = {d: p for p, d in enumerate(self.order)}
         self.path_edges: List[Tuple[int, ...]] = [inst.path_edges(i) for i in range(k)]
-        # edge -> the demands whose path holds it, by index
-        self.through: List[List[int]] = [[] for _ in range(tree.n)]
-        for i, path in enumerate(self.path_edges):
-            for e in path:
-                self.through[e].append(i)
         # where a node lies on a demand's path, read from depths (see _node_at)
         self._depth = tree.depth
         self._s_leg = [inst.legs(i)[0] for i in range(k)]
@@ -344,9 +341,8 @@ class IncreaseState:
         self.nu_sum: List[Exact] = [0] * tree.n
         self.mu_sum: List[Exact] = [0] * tree.n
         self.support: List[List[Exact]] = [[0] * len(path) for path in self.path_edges]
-        # the classification of the zero dual: every support row is tight,
-        # every capacity of weight zero saturated, and the rows of an edge
-        # saturated with both ends are bottleneck rows.  snapshot() re-derives
+        # the classification of the zero dual: every support row is tight
+        # and every capacity of weight zero saturated.  snapshot() re-derives
         # it for dirty items only; a write to xi[j], nu[(e, j)] or mu[(v, j)]
         # changes only j's rows.  Per demand, tight_rows holds one bit per
         # path edge, in path order, and per edge, _loose counts the demands
@@ -356,11 +352,7 @@ class IncreaseState:
         self._loose: List[int] = [0] * tree.n
         self.sat_edge: Set[int] = {e for e in edges if not self.edge_cap[e]}
         self.sat_node: Set[int] = {v for v in range(tree.n) if not self.node_cap[v]}
-        # the edges saturated with both ends, whose tight rows are bottleneck rows
-        self._around: Set[int] = {e for e in edges if self._saturated_around(e)}
-        self.bottleneck: Set[Tuple[int, int]] = {
-            (e, j) for e in self._around for j in self.through[e]
-        }
+        self.sat_around: Set[int] = {e for e in edges if self._saturated_around(e)}
         self.nonrelax = _Nonrelax(self.position)
         self._dirty_demands: Set[int] = set()
         self._dirty_edges: Set[int] = set()
@@ -462,6 +454,11 @@ class IncreaseState:
         """Whether j's support row at e is tight; e must be on j's path."""
         return bool(self.tight_rows[j] >> self._row(j, e) & 1)
 
+    def is_bottleneck(self, e: int, j: int) -> bool:
+        """Whether j's support row at e is tight with e and both its ends
+        saturated; e must be on j's path."""
+        return e in self.sat_around and self.is_tight(e, j)
+
     def decrease_targets(self, d: int, v: int) -> List[int]:
         """Demands processed before d holding positive dual mass at v, in
         processing order."""
@@ -474,7 +471,7 @@ class IncreaseState:
         return [
             f
             for f in self.edges_at(j, v)
-            if (f, j) in self.bottleneck and (self.far_end(f, v), j) in self.nonrelax
+            if self.is_bottleneck(f, j) and (self.far_end(f, v), j) in self.nonrelax
         ]
 
     def uncovered(self) -> Optional[int]:
@@ -511,7 +508,9 @@ class IncreaseState:
             if _toggle(self.sat_node, v, self.mu_sum[v] == self.node_cap[v]):
                 recheck.update(tree.incident(v))
         # a bottleneck row that turns on may pin its demand at both ends of
-        # its edge, and one that turns off may unpin it there
+        # its edge, and one that turns off may unpin it there: from the
+        # demand's position, or from the first holder when a whole edge's
+        # rows turn off
         end = len(self.order)
         for j in self._dirty_demands:
             xi, was, mask = self.xi.get(j, 0), self.tight_rows[j], 0
@@ -521,19 +520,12 @@ class IncreaseState:
                 if tight == (was >> i & 1):
                     continue
                 self._loose[e] += -1 if tight else 1
-                if _toggle(self.bottleneck, (e, j), tight and e in self._around):
+                if e in self.sat_around:
                     self._unsettle(end if tight else self.position[j], tree.parent[e], e)
             self.tight_rows[j] = mask
         for e in recheck:
-            if _toggle(self._around, e, self._saturated_around(e)):
-                rows = [(e, j) for j in self.through[e] if self.is_tight(e, j)]
-                if e in self._around:
-                    self.bottleneck.update(rows)
-                    keep = end
-                else:
-                    self.bottleneck.difference_update(rows)
-                    keep = min([self.position[j] for _, j in rows], default=end)
-                self._unsettle(keep, tree.parent[e], e)
+            if _toggle(self.sat_around, e, self._saturated_around(e)):
+                self._unsettle(end if e in self.sat_around else 0, tree.parent[e], e)
         self._dirty_demands.clear()
         self._dirty_edges.clear()
         self._dirty_nodes.clear()
@@ -690,7 +682,7 @@ def _select_cover(state: IncreaseState, d: int) -> Tuple[List[int], List[int], L
         upper = state.instance.tree.parent[e]
         if e in H or upper in chosen_nodes or e in chosen_nodes:
             continue
-        if (e, d) in state.bottleneck:
+        if e in state.sat_around:
             ends = [v for v in sorted((upper, e)) if (v, d) not in state.nonrelax]
             assert ends, "bottleneck with no relaxable end must terminate the loop"
             R.append(ends[0])
@@ -724,11 +716,13 @@ def _sanction_moves(
                 continue
             dec.add((v, j))
             for f in state.edges_at(j, v):
+                if not state.is_tight(f, j):
+                    continue
                 u = state.far_end(f, v)
-                if (f, j) in state.bottleneck:
+                if f in state.sat_around:
                     inc_mu.add((u, j))
                     expand(u, j)
-                elif state.is_tight(f, j):
+                else:
                     if f not in state.sat_edge:
                         inc_nu.add((f, j))
                     if u not in state.sat_node:
@@ -860,7 +854,7 @@ def increase_iteration(state: IncreaseState, i: int) -> IncreaseState:
         terminal = [
             e
             for e in state.path_edges[i]
-            if (e, i) in state.bottleneck
+            if state.is_bottleneck(e, i)
             and (inst.tree.parent[e], i) in state.nonrelax
             and (e, i) in state.nonrelax
         ]
@@ -912,15 +906,19 @@ def deletion_phase(state: IncreaseState) -> FrozenSet[int]:
     walk is linear in the paths.  Asserts the structural output
     conditions."""
     k = len(state.instance.demands)
+    # an edge of F -> the demands whose path holds it, by index
+    through: Dict[int, List[int]] = {e: [] for e in state.F}
     count = [0] * k
-    for e in state.F:
-        for j in state.through[e]:
-            count[j] += 1
+    for j, path in enumerate(state.path_edges):
+        for e in path:
+            if e in through:
+                through[e].append(j)
+                count[j] += 1
     kept = set(state.F)
     for e in reversed(state.F):
-        if all(count[j] > 1 for j in state.through[e]):
+        if all(count[j] > 1 for j in through[e]):
             kept.discard(e)
-            for j in state.through[e]:
+            for j in through[e]:
                 count[j] -= 1
 
     assert kept.issubset(state.F)

@@ -262,13 +262,18 @@ def _reference_classification(state):
     return tight, sat_edge, sat_node, bottleneck, nonrelax, limit
 
 
+def _rows(state, test):
+    """The path rows (e, d) of every demand that pass ``test(e, d)``."""
+    inst = state.instance
+    return {(e, d) for d in range(len(inst.demands)) for e in inst.path_edges(d) if test(e, d)}
+
+
 def _classification(state, snap):
     inst = state.instance
-    k = len(inst.demands)
-    pairs = [(v, d) for d in range(k) for v in path_nodes(inst, d)]
-    tight = {(e, d) for d in range(k) for e in inst.path_edges(d) if snap.is_tight(e, d)}
+    pairs = [(v, d) for d in range(len(inst.demands)) for v in path_nodes(inst, d)]
+    tight, bottleneck = _rows(snap, snap.is_tight), _rows(snap, snap.is_bottleneck)
     nonrelax = {pair for pair in pairs if pair in snap.nonrelax}
-    return tight, snap.sat_edge, snap.sat_node, snap.bottleneck, nonrelax, snap.nonrelax.limit
+    return tight, snap.sat_edge, snap.sat_node, bottleneck, nonrelax, snap.nonrelax.limit
 
 
 @settings(max_examples=120, deadline=None, database=None)
@@ -309,7 +314,7 @@ def _backward_limit_moves(inst):
         snap = real(self)
         assert _classification(self, snap) == _reference_classification(self)
         holders = {v: list(seq) for v, seq in self.holders.items()}
-        seen.append((holders, dict(self.nonrelax.limit), set(self.bottleneck)))
+        seen.append((holders, dict(self.nonrelax.limit), _rows(self, self.is_bottleneck)))
         return snap
 
     with pytest.MonkeyPatch.context() as mp:
@@ -382,7 +387,7 @@ def _reference_witness(state, i):
     terminal = [
         e
         for e in state.path_edges[i]
-        if (e, i) in state.bottleneck
+        if state.is_bottleneck(e, i)
         and (parent[e], i) in state.nonrelax
         and (e, i) in state.nonrelax
     ]
