@@ -353,7 +353,7 @@ def test_limit_moves_back_and_matches_reference(spec, kinds):
 def test_settle_work_is_bounded_by_the_dual_writes(monkeypatch):
     """The classification revisits a holder node only when a write or a
     neighbour can move its limit, so over a whole increase phase it visits
-    at most twice as many holder nodes as there are dual writes (804 against
+    at most twice as many holder nodes as there are dual writes (816 against
     1,469 writes here; a fixed point from scratch at every snapshot visits
     22,679)."""
     writes = []
