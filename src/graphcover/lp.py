@@ -38,6 +38,16 @@ every optimum, so dropping those columns leaves the optimal face, and the
 same rules pivot on under the tie-break.  Where the tie-break has one
 minimiser on that face, the vertex is that one, whatever the pivot path.
 
+A model may also ask for the lexicographically least optimum in variable
+order, after any tie-break: ``LpModel.lexicographic``.  From the optimal
+tableau it takes one stage per variable.  A nonbasic variable is zero on
+the face, its least value, and is barred from entering; a basic one is
+minimised with a cost row read from its own row, and every column with a
+positive reduced cost is then barred.  Barred columns are zero on what is
+left of the face, so no row is rewritten, and the stages end once every
+nonbasic column is barred.  That point depends on neither the pivot path
+nor, where the leading variables span the same optimal face, the LP form.
+
 A model may also declare a first stage, ``LpModel.stage``: a count of
 leading variables.  Phase II then first lets only those variables and the
 slacks enter, and the optimum there, the model's optimum with every later
@@ -58,7 +68,8 @@ simplex.  Callers that need only an optimal value (the relaxation values
 and the eds-general lower-bound check) solve the dual of their covering
 LP, which starts feasible and needs no phase I, staged where the natural
 relaxation's rows lead the strengthened one's; callers that read the
-primal vertex solve the primal.
+primal point solve the primal, and the eds-general rounding asks for the
+lexicographically least optimum.
 
 Infinite data never enters a model: callers eliminate infinities before
 building (for example by fixing a variable to zero or omitting a bound).
@@ -106,7 +117,9 @@ class LpModel:
     """A named LP: ordered nonnegative variables, ``<=`` and ``>=`` rows,
     one objective, a tie-break objective minimised over the objective's
     optima, and a first stage: when ``stage`` is set, the objective is
-    first optimised over the leading ``stage`` variables alone."""
+    first optimised over the leading ``stage`` variables alone.  When
+    ``lexicographic`` is set, the optimum returned is the lexicographically
+    least one in variable order among the tie-break's minimisers."""
 
     name: str
     sense: str = "min"
@@ -115,6 +128,7 @@ class LpModel:
     constraints: List[LinearConstraint] = field(default_factory=list)
     tiebreak: Dict[str, object] = field(default_factory=dict)
     stage: Optional[int] = None
+    lexicographic: bool = False
 
     def __post_init__(self):
         self._names = set(self.variables)
@@ -275,19 +289,25 @@ def simplex_solve(model: LpModel) -> LpResult:
             return LpResult(UNBOUNDED)
         stage_value = Rat(-sign * cost.b, cost.d)
     status = _pivot_until_optimal(tab, basis, cost, cols)
+    face = cost
+    dropped = set()
     if status == OPTIMAL and model.tiebreak:
         # a column with a positive reduced cost is zero in every optimum
         dropped = {j for j, x in cost.a.items() if x > 0}
         for row in tab:
             row.a = {j: x for j, x in row.a.items() if j not in dropped}
-        status = _pivot_until_optimal(tab, basis, priced(model.tiebreak, 1, dropped), cols)
+        face = priced(model.tiebreak, 1, dropped)
+        status = _pivot_until_optimal(tab, basis, face, cols)
     if status == UNBOUNDED:
         return LpResult(UNBOUNDED, stage_value=stage_value)
+    if model.lexicographic:
+        barred = dropped | {j for j, x in face.a.items() if x > 0}
+        _lexicographic_least(tab, basis, cols, barred, ncols)
 
     vals = {col: Rat(row.b, row.d) for row, col in zip(tab, basis) if col < ncols}
     assignment = {var: vals.get(j, ZERO) for var, j in col_of.items()}
-    # `cost` was last pivoted at the phase-II optimum, and the tie-break
-    # pivots stay on the optimal face, so it still reads the optimum
+    # `cost` was last pivoted at the phase-II optimum, and the tie-break and
+    # lexicographic pivots stay on the optimal face, so it still reads the optimum
     return LpResult(OPTIMAL, Rat(-sign * cost.b, cost.d), assignment, stage_value)
 
 
@@ -418,6 +438,40 @@ def _pivot_until_optimal(
                 bland = stalled > 40
             else:
                 stalled = 0
+
+
+def _lexicographic_least(
+    tab: List[_Row], basis: List[int], cols: List[set], barred: set, ncols: int
+) -> None:
+    """Pivot to the lexicographically least point, over the first ``ncols``
+    columns in order, of the face on which every ``barred`` column is zero.
+
+    One stage per column.  A nonbasic column is zero at the current vertex,
+    the least it can be, so it is barred with no pivot.  A basic column j
+    reads ``x_j = (b - sum of a_k x_k) / d`` from its row, so its cost row
+    is that row negated less its basic cell; pivoting that to optimum
+    minimises x_j over the face, and a column with a positive reduced cost
+    there is zero wherever x_j is least, so it is barred.  Barred columns
+    never enter, so no row is rewritten, and the stages end once every
+    nonbasic column is barred: the face is then the vertex alone.
+    """
+    free = len(cols) - len(tab) - len(barred)  # the nonbasic columns not barred
+    for j in range(ncols):
+        if not free:
+            return
+        if j in barred:
+            continue
+        if j not in basis:
+            barred.add(j)
+            free -= 1
+            continue
+        row = tab[basis.index(j)]
+        cost = _Row({k: -x for k, x in row.a.items() if k != j and k not in barred}, -row.b, row.d)
+        _pivot_until_optimal(tab, basis, cost, cols, barred)
+        for k, x in cost.a.items():
+            if x > 0 and k not in barred:
+                barred.add(k)
+                free -= 1
 
 
 def _pivot(tab: List[_Row], basis: List[int], cost: _Row, r: int, c: int, cols: List[set]) -> None:

@@ -274,6 +274,42 @@ def test_simplex_matches_vertex_enumeration(model):
             assert res.assignment == minimisers[0]
 
 
+def _lexicographic_enumeration(model):
+    """For a model whose tie-break has a least value: the lexicographically
+    least assignment, in variable order, over the optimal vertices that
+    reach it.  That point of the face is a vertex of it: fixing the
+    variables one by one at their least values leaves a single point."""
+    a_rows, b, c, width = _standard_form(model)
+    t = _costs(model, model.tiebreak, width)
+    vertices = list(_basic_feasible_solutions(a_rows, b, width))
+    best = min(_dot(c, y) for y in vertices)
+    face = [y for y in vertices if _dot(c, y) == best]
+    least = min(_dot(t, y) for y in face)
+    nv = len(model.variables)
+    point = min(y[:nv] for y in face if _dot(t, y) == least)
+    return dict(zip(model.variables, point))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(_small_models(), st.sampled_from(["objective", "tiebreak", "neither"]))
+def test_lexicographic_solve_is_the_least_optimal_vertex(model, keep):
+    """With ``lexicographic`` set, the optimum returned is the
+    lexicographically least one, after the tie-break when there is one,
+    and the status and value are the plain solve's.  Without an objective
+    the whole feasible region is the optimal face, so every stage counts."""
+    if keep != "tiebreak":
+        model.tiebreak = {}
+    if keep == "neither":
+        model.objective = {}
+    plain = simplex_solve(model)
+    model.lexicographic = True
+    res = simplex_solve(model)
+    assert (res.status, res.value) == (plain.status, plain.value)
+    if res.status == OPTIMAL:
+        _check_assignment(model, res)
+        assert res.assignment == _lexicographic_enumeration(model)
+
+
 @settings(max_examples=150, deadline=None, database=None)
 @given(_small_models())
 def test_dual_model_obeys_strong_duality(model):
