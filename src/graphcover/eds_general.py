@@ -1,6 +1,8 @@
 """Approximate edge domination on general graphs via facility location.
 
-The solver rounds the vertex of the exactly-solved strengthened relaxation.
+The solver rounds the lexicographically least optimum (x(e) by edge, then
+x(v) by node, then z) of the exactly-solved strengthened relaxation in its
+projected form, so the point depends neither on the form nor on the pivots.
 Nodes carrying at least a quarter of fractional edge mass are heavy, and
 giving each heavy node an incident chosen edge is an edge-cover problem.
 That edge cover is built straight as facility location: the heavy nodes are
@@ -164,7 +166,9 @@ def solve_eds_general(inst: EdsInstance) -> Tuple[Solution, Rat, Rat]:
     (a lower bound on the optimum), and the targeted factor 4*H(|V|).
     """
     g = inst.graph
-    res = simplex_solve(build_relaxation(inst, "strengthened"))
+    model = build_relaxation(inst, "strengthened", projected=True)
+    model.lexicographic = True
+    res = simplex_solve(model)
     if res.status != OPTIMAL:
         raise InstanceError(f"relaxation unexpectedly {res.status}")
     xe, xv, z = extract_relaxation_point(inst, res)

@@ -7,9 +7,9 @@ demand with infinite penalty simply has no violation variable ``z``.
 
 :func:`relaxation_value` takes the optimal value from the model's LP dual,
 which needs no phase I, and builds the strengthened model with its y(C,e)
-projected out (see :func:`build_relaxation`); callers that read the
-fractional point, such as the eds-general rounding, solve the primal of
-the y-form themselves.  :func:`relaxation_values` gives the natural and the
+projected out (see :func:`build_relaxation`).  The eds-general rounding,
+which reads the fractional point, solves the projected primal itself for
+its lexicographically least optimum.  :func:`relaxation_values` gives the natural and the
 strengthened value from one staged solve of the strengthened dual: the
 natural model's variables and rows lead the strengthened model's.
 
@@ -60,8 +60,9 @@ def build_relaxation(inst, kind: str, *, projected: bool = False) -> LpModel:
     member edges incident to v, and x(e) >= y(C,e).
 
     ``projected=True`` builds the same strengthened LP with the y(C,e)
-    projected out where that is exact, for callers that read only its
-    value: ``relaxation_value`` and the eds-general ``verify``.  A node row
+    projected out where that is exact, for every caller in the library:
+    ``relaxation_value``, the eds-general ``verify`` and the eds-general
+    rounding.  A node row
     with one member edge e is implied by x(v) >= x(e) >= y(C,e) and is
     left out.  For an eds demand C = N[ab] whose ends a and b have no
     common neighbour, every other node row has one member, and
@@ -80,9 +81,10 @@ def build_relaxation(inst, kind: str, *, projected: bool = False) -> LpModel:
     strengthened LP in full, and the F1 trees whose strengthened value lies
     below the optimum are a statement about them.  A demand whose ends
     share a neighbour, and every multicut demand (a path has exponentially
-    many tilings), keep their y(C,e).  The projected model can have other
-    optimal vertices, so the eds-general rounding, which reads the vertex,
-    keeps the default y-form until a canonical vertex makes the two agree.
+    many tilings), keep their y(C,e).  The two forms share the (x, z)
+    optimal face, and x and z lead both variable orders, so their
+    lexicographically least optima agree on x and z, whatever vertex
+    either form's pivots reach: that is the point eds-general rounds.
 
     edge-cover: for a FacilityLocationInstance, variables y(f) at the
     opening costs and x(v,f) at the connection costs, rows

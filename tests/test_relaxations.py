@@ -260,6 +260,34 @@ def test_demand_with_a_common_neighbour_keeps_y():
     assert relaxation_value(inst, "strengthened") == _y_form_value(inst)
 
 
+def _lexicographic_point(inst, projected):
+    """x(edge), x(node) and z of the strengthened LP's lexicographically
+    least optimum, from the y-form or from the projected form."""
+    model = build_relaxation(inst, "strengthened", projected=projected)
+    model.lexicographic = True
+    return extract_relaxation_point(inst, simplex_solve(model))
+
+
+def _assert_canonical(inst):
+    assert _lexicographic_point(inst, True) == _lexicographic_point(inst, False)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(small_eds(max_nodes=6, tree=False))
+def test_lexicographic_point_is_the_same_from_either_form(inst):
+    """Projecting out y(C,e) keeps the (x, z) optimal face, so the
+    lexicographically least optimum, whose x and z lead the variable order,
+    is the same point from both forms: the one eds-general rounds."""
+    _assert_canonical(inst)
+
+
+@pytest.mark.parametrize("n, m, seed", [
+    (n, m, seed) for n, m in ((6, 6), (8, 10), (10, 15)) for seed in range(3)
+])
+def test_lexicographic_point_of_generated_graphs(n, m, seed):
+    _assert_canonical(gen_instance("random-eds-general", n=n, m=m, seed=seed))
+
+
 # -- point extraction -------------------------------------------------------
 
 
@@ -332,8 +360,8 @@ def _assignment_digest(res):
 
 
 # (relaxation_value, sha256 of the full simplex assignment, one
-# "var value" line per variable in model order).  The eds-general rounding
-# reads this vertex, so it must not move.
+# "var value" line per variable in model order).  The y-form vertex that
+# the pivot rules reach: a change to the simplex that moves it shows here.
 PINNED_VERTICES = {
     ("random-tree-eds", (("n", 7), ("seed", 2)), "natural"): (
         Rat(73, 3),
