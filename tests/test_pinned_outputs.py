@@ -45,8 +45,8 @@ GOLDEN_SOLVE = {
         "149347985d6ba4d862cae0179f43a2b3899781336003b8bb75dfa90495a0aeab",
     ),
     "random-eds-general --n 8 --m 10 --seed 2": (
-        "7114df0dc03d0c361d9f9359c2fd4f701425fa22ab2260e2f8c08a3fec8ab581",
-        "35571bb115c0b9d7d334d12a935b285421e2d3ef7f56c0cb1034aa97dec846f0",
+        "19e3ebbe7b9e0f1c2486d60a497bc2f69d156f717487bc3e6b6b56daed0b7463",
+        "a4ce7ae861a855e6f1f3ddc593bc58cb2b191e1aa387c8cd4835f5168d7aadea",
     ),
     "random-tree-multicut --n 40 --k 10 --seed 0": (
         "95b4eb755e361f30197731b60c1a6c637702244996ecb2eb524c52907ce03dd5",
