@@ -92,7 +92,7 @@ def test_relaxation_value_equals_the_primal_optimum(inst):
         primal = simplex_solve(build_relaxation(inst, kind))
         assert relaxation_value(inst, kind) == primal.value
     if isinstance(inst, EdsInstance):
-        # eds-general rounds the strengthened vertex, the last one solved
+        # the edge cover of the heavy nodes at the strengthened vertex just solved
         xe, _, _ = extract_relaxation_point(inst, primal)
         fl, _, _ = heavy_facility_location(inst, xe)
         primal = simplex_solve(build_relaxation(fl, "edge-cover"))
