@@ -279,19 +279,31 @@ def _lexicographic_enumeration(model):
     least assignment, in variable order, over the optimal vertices that
     reach it.  That point of the face is a vertex of it: fixing the
     variables one by one at their least values leaves a single point."""
-    a_rows, b, c, width = _standard_form(model)
-    t = _costs(model, model.tiebreak, width)
-    vertices = list(_basic_feasible_solutions(a_rows, b, width))
-    best = min(_dot(c, y) for y in vertices)
-    face = [y for y in vertices if _dot(c, y) == best]
-    least = min(_dot(t, y) for y in face)
-    nv = len(model.variables)
-    point = min(y[:nv] for y in face if _dot(t, y) == least)
-    return dict(zip(model.variables, point))
+    _, minimisers = _tiebreak_enumeration(model)
+    return min(minimisers, key=lambda point: [point[v] for v in model.variables])
+
+
+@st.composite
+def _wide_faces(draw):
+    """Up to 5 variables and 4 rows of small integers with a zero or 0/1
+    objective, so that the optimal face is often wide and the least point
+    takes several stages that each pivot."""
+    nv = draw(st.integers(2, 5))
+    model = LpModel("face")
+    for i in range(nv):
+        model.add_var(f"x{i}", obj=draw(st.sampled_from([0, 0, 1])))
+    for j in range(draw(st.integers(1, 4))):
+        coeffs = {f"x{i}": draw(st.integers(-1, 2)) for i in range(nv)}
+        relation = draw(st.sampled_from(["<=", ">=", ">="]))
+        model.add_constraint(f"c{j}", coeffs, relation, draw(st.integers(0, 3)))
+    return model
 
 
 @settings(max_examples=200, deadline=None, database=None)
-@given(_small_models(), st.sampled_from(["objective", "tiebreak", "neither"]))
+@given(
+    st.one_of(_small_models(), _wide_faces()),
+    st.sampled_from(["objective", "tiebreak", "neither"]),
+)
 def test_lexicographic_solve_is_the_least_optimal_vertex(model, keep):
     """With ``lexicographic`` set, the optimum returned is the
     lexicographically least one, after the tie-break when there is one,
