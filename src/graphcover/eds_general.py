@@ -1,8 +1,8 @@
 """Approximate edge domination on general graphs via facility location.
 
 The solver rounds the lexicographically least optimum (x(e) by edge, then
-x(v) by node, then z) of the exactly-solved strengthened relaxation in its
-projected form, so the point depends neither on the form nor on the pivots.
+x(v) by node, then z) of the exactly-solved strengthened relaxation, so the
+point depends neither on the form of that LP nor on the pivots.
 Nodes carrying at least a quarter of fractional edge mass are heavy, and
 giving each heavy node an incident chosen edge is an edge-cover problem.
 That edge cover is built straight as facility location: the heavy nodes are
@@ -76,8 +76,9 @@ def heavy_facility_location(
     at its node weight, serving its heavy neighbours at the weights of the
     edges between them.  After those, each edge joining two heavy nodes, by
     edge id, is a facility opened at the edge's weight that serves both
-    ends at no cost.  Returns the instance, the node behind each client,
-    and the edge of ``inst`` behind each (client, facility) pair.
+    ends at no cost.  Its costs are ``inst``'s integer units.  Returns the
+    instance, the node behind each client, and the edge of ``inst`` behind
+    each (client, facility) pair.
     """
     g = inst.graph
     clients = [
@@ -100,13 +101,12 @@ def heavy_facility_location(
             else:
                 a, b = g.ends(e)
                 key = (i, facility_of[b if a == v else a])
-                conn[key] = inst.edge_weight[e]
+                conn[key] = inst.edge_units[e]
             edge_of[key] = e
     fl = FacilityLocationInstance(
         n_clients=len(clients),
         n_facilities=len(lights) + len(joins),
-        opening=[inst.node_weight[w] for w in lights]
-        + [inst.edge_weight[e] for e in joins],
+        opening=[inst.node_units[w] for w in lights] + [inst.edge_units[e] for e in joins],
         conn=conn,
     )
     return fl, clients, edge_of
@@ -166,18 +166,19 @@ def solve_eds_general(inst: EdsInstance) -> Tuple[Solution, Rat, Rat]:
     (a lower bound on the optimum), and the targeted factor 4*H(|V|).
     """
     g = inst.graph
-    model = build_relaxation(inst, "strengthened", projected=True)
+    model = build_relaxation(inst, "strengthened")
     model.lexicographic = True
     res = simplex_solve(model)
     if res.status != OPTIMAL:
         raise InstanceError(f"relaxation unexpectedly {res.status}")
     xe, xv, z = extract_relaxation_point(inst, res)
-    lower = res.value
+    lower = res.value / inst.scale
     ratio = FOUR * harmonic(g.n)
 
+    # the rounding's costs and checks run in units, as the model is priced
     fl, clients, edge_of = heavy_facility_location(inst, xe)
-    frac_cost = sum((inst.edge_weight[e] * xe[e] for e in xe), ZERO) + sum(
-        (inst.node_weight[v] * xv[v] for v in xv), ZERO
+    frac_cost = sum((inst.edge_units[e] * xe[e] for e in xe), ZERO) + sum(
+        (inst.node_units[v] * xv[v] for v in xv), ZERO
     )
     cover_lp = relaxation_value(fl, "edge-cover")
     assert cover_lp <= FOUR * frac_cost, "edge-cover relaxation exceeds 4x fractional mass"
@@ -200,7 +201,8 @@ def solve_eds_general(inst: EdsInstance) -> Tuple[Solution, Rat, Rat]:
     for e in sorted(g.edge_ids()):
         if z[e] <= HALF:
             assert e in dominated, f"edge {e} with violation <= 1/2 left undominated"
-        if not is_inf(inst.penalty[e]):
-            penalty_mass += inst.penalty[e] * z[e]
-    assert solution.penalty <= 2 * penalty_mass, "paid penalty exceeds twice fractional"
+        if not is_inf(inst.penalty_units[e]):
+            penalty_mass += inst.penalty_units[e] * z[e]
+    paid = solution.penalty * inst.scale
+    assert paid <= 2 * penalty_mass, "paid penalty exceeds twice fractional"
     return solution, lower, ratio

@@ -13,9 +13,9 @@ files share.
 Weight storage: an `EdsInstance` and a `MulticutInstance` keep their
 weights once, as integer units over their least common denominator
 (`_WeightedGraph`; `_to_units` is the one place that rule lives), and
-build dicts of rationals from them only when asked; the parser fills the
-units straight from the `Number` columns, so on an integer file the units
-are the ints read.
+every reader, the LP builders among them, reads those units; the parser
+fills them straight from the `Number` columns, so on an integer file the
+units are the ints read.
 
 Edge identity: in a rooted tree every non-root node identifies the edge to
 its parent, so edge ids are child node ids.  In a general graph edges are
@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import lcm
 from random import Random
-from types import MappingProxyType
 from typing import Dict, FrozenSet, List, NamedTuple, Tuple, Union
 
 from .rationals import INF, ExtRat, Rat, ZERO, fmt_rat, is_inf, parse_number
@@ -264,11 +263,9 @@ class _WeightedGraph:
     ``node_units``, ``edge_units`` and ``penalty_units`` hold each value
     times ``scale``; INF stays INF.  Node units are indexed by node id,
     edge units by edge id (the root's slot of a rooted tree holds 0) and
-    penalty units as the kind's demands are.  ``node_weight``,
-    ``edge_weight`` and ``penalty`` give the same values as dicts of
-    rationals: an instance built from dicts computes its units once and
-    keeps the dicts it was given, and one built from units builds
-    read-only views of them on first use.  Neither side may be mutated.
+    penalty units as the kind's demands are.  An instance built from dicts
+    of rationals computes its units once and keeps only them; the units
+    may not be mutated.
     """
 
     #: What an instance is compared by: the units are canonical, so equal
@@ -276,9 +273,8 @@ class _WeightedGraph:
     _SAME = ("graph", "scale", "node_units", "edge_units", "penalty_units")
 
     def _hold_dicts(self, graph, node_weight, edge_weight, penalty, slots):
-        """Hold checked dicts as units, and keep them as the views; the
-        penalty units are ``slots`` long."""
-        self._views = dicts = node_weight, edge_weight, penalty
+        """Hold checked dicts as units; the penalty units are ``slots`` long."""
+        dicts = node_weight, edge_weight, penalty
         sizes = graph.n, _edge_slots(graph), slots
         units = _to_units(*(_placed(n, d, map(_pair, d.values())) for n, d in zip(sizes, dicts)))
         vars(self).update(zip(_WeightedGraph._SAME, (graph, *units)))
@@ -292,21 +288,6 @@ class _WeightedGraph:
         vars(inst).update(zip(_WeightedGraph._SAME, (graph, *units)), **parts)
         return inst
 
-    def _penalty_keys(self):
-        return range(len(self.penalty_units))
-
-    @cached_property
-    def _views(self):
-        keys = range(self.graph.n), self.graph.edge_ids(), self._penalty_keys()
-        return tuple(
-            MappingProxyType({x: u[x] if u[x] is INF else Rat(u[x], self.scale) for x in k})
-            for u, k in zip((self.node_units, self.edge_units, self.penalty_units), keys)
-        )
-
-    node_weight = property(lambda self: self._views[0])
-    edge_weight = property(lambda self: self._views[1])
-    penalty = property(lambda self: self._views[2])
-
     def __eq__(self, other):
         return type(other) is type(self) and all(
             getattr(self, name) == getattr(other, name) for name in self._SAME)
@@ -317,7 +298,7 @@ class _WeightedGraph:
 
 class EdsInstance(_WeightedGraph):
     """Every edge must share an end node with a chosen edge or pay its
-    penalty; the penalties are keyed, and their units indexed, by edge."""
+    penalty; the penalty units are indexed by edge."""
 
     def __init__(
         self,
@@ -333,9 +314,6 @@ class EdsInstance(_WeightedGraph):
             if p < 0:  # INF < 0 is False
                 raise InstanceError(f"penalty of edge {e} must be nonnegative")
         self._hold_dicts(graph, node_weight, edge_weight, penalty, _edge_slots(graph))
-
-    def _penalty_keys(self):
-        return self.graph.edge_ids()
 
     @property
     def is_tree(self) -> bool:
@@ -374,7 +352,7 @@ def _check_demands(tree: RootedTree, demands: List[Demand]) -> None:
 
 class MulticutInstance(_WeightedGraph):
     """Each demand pair must be separated by the chosen edges or pay its
-    penalty; the penalties are keyed, and their units indexed, by demand."""
+    penalty; the penalty units are indexed by demand."""
 
     _SAME = (*_WeightedGraph._SAME, "demands")
     tree = property(lambda self: self.graph)

@@ -69,7 +69,9 @@ and the eds-general lower-bound check) solve the dual of their covering
 LP, which starts feasible and needs no phase I, staged where the natural
 relaxation's rows lead the strengthened one's; callers that read the
 primal point solve the primal, and the eds-general rounding asks for the
-lexicographically least optimum.
+lexicographically least optimum.  The relaxations are priced in integer
+units, which scales a whole objective, or a dual's whole right-hand side,
+by a positive constant and so changes no pivot choice.
 
 Infinite data never enters a model: callers eliminate infinities before
 building (for example by fixing a variable to zero or omitting a bound).

@@ -5,13 +5,16 @@ variable and row order (edges by id, nodes by id, demands by index) so that
 solves are reproducible.  Infinite penalties never reach the models: a
 demand with infinite penalty simply has no violation variable ``z``.
 
+A model of an eds or multicut instance is priced in its integer units, so
+its optimum is ``scale`` times the relaxation's value and each reader
+divides by ``scale`` once; a positive scaling changes no pivot choice.
+
 :func:`relaxation_value` takes the optimal value from the model's LP dual,
-which needs no phase I, and builds the strengthened model with its y(C,e)
-projected out (see :func:`build_relaxation`).  The eds-general rounding,
-which reads the fractional point, solves the projected primal itself for
-its lexicographically least optimum.  :func:`relaxation_values` gives the natural and the
-strengthened value from one staged solve of the strengthened dual: the
-natural model's variables and rows lead the strengthened model's.
+which needs no phase I.  The eds-general rounding, which reads the
+fractional point, solves the primal itself for its lexicographically least
+optimum.  :func:`relaxation_values` gives the natural and the strengthened
+value from one staged solve of the strengthened dual: the natural model's
+variables and rows lead the strengthened model's.
 
 Demand families: an edge-dominating instance has one demand per edge e,
 consisting of the edges sharing an end node with e; a multicut instance has
@@ -36,40 +39,36 @@ RELAXATION_KINDS = ("natural", "strengthened", "edge-cover")
 
 
 def _demand_families(inst) -> List[Tuple[object, List[int], object]]:
-    """(demand key, member edges, penalty) triples in canonical order."""
+    """(demand key, member edges, penalty units) triples in canonical order."""
     if isinstance(inst, EdsInstance):
         nbhd = edge_neighborhoods(inst.graph)
-        return [(e, list(nbhd[e]), inst.penalty[e]) for e in sorted(inst.graph.edge_ids())]
+        return [(e, list(nbhd[e]), inst.penalty_units[e]) for e in sorted(inst.graph.edge_ids())]
     if isinstance(inst, MulticutInstance):
         return [
-            (i, sorted(inst.path_edges(i)), inst.penalty[i])
+            (i, sorted(inst.path_edges(i)), inst.penalty_units[i])
             for i in range(len(inst.demands))
         ]
     raise InstanceError(f"no demand family for {type(inst).__name__}")
 
 
-def build_relaxation(inst, kind: str, *, projected: bool = False) -> LpModel:
-    """Fractional relaxation of an instance as an explicit LP model.
+def build_relaxation(inst, kind: str) -> LpModel:
+    """Fractional relaxation of an instance as an explicit LP model, priced
+    in the instance's units.
 
     natural: variables x(e), x(v), z(C); rows sum_{e in C} x(e) >= 1 - z(C)
     and x(v) >= x(e) for e incident to v.  z(C) exists only for finite
     penalties (an infinite penalty pins the violation variable to zero).
 
-    strengthened: the natural model plus per-demand variables y(C,e) with
-    rows sum_{e in C} y(C,e) >= 1 - z(C), x(v) >= sum of y(C,e) over
-    member edges incident to v, and x(e) >= y(C,e).
-
-    ``projected=True`` builds the same strengthened LP with the y(C,e)
-    projected out where that is exact, for every caller in the library:
-    ``relaxation_value``, the eds-general ``verify`` and the eds-general
-    rounding.  A node row
-    with one member edge e is implied by x(v) >= x(e) >= y(C,e) and is
+    strengthened: the natural model plus, per demand C, the rows of
+    per-demand variables y(C,e): sum_{e in C} y(C,e) >= 1 - z(C),
+    x(v) >= sum of y(C,e) over member edges incident to v, and
+    x(e) >= y(C,e), with y(C,.) projected out where that is exact.  A node
+    row with one member edge e is implied by x(v) >= x(e) >= y(C,e) and is
     left out.  For an eds demand C = N[ab] whose ends a and b have no
     common neighbour, every other node row has one member, and
     Fourier-Motzkin elimination of y(C,.) (Balas, *Ann. Oper. Res.* 140,
-    2005) leaves the natural rows plus, with A = delta(a) - ab and
-    B = delta(b) - ab the other edges at a and b, and x(S) the sum of x(f)
-    over S:
+    2005) leaves, with A = delta(a) - ab and B = delta(b) - ab the other
+    edges at a and b, and x(S) the sum of x(f) over S:
 
         x(a) + x(b) + z(C) >= 1
         x(a) + x(B) + z(C) >= 1
@@ -81,10 +80,10 @@ def build_relaxation(inst, kind: str, *, projected: bool = False) -> LpModel:
     strengthened LP in full, and the F1 trees whose strengthened value lies
     below the optimum are a statement about them.  A demand whose ends
     share a neighbour, and every multicut demand (a path has exponentially
-    many tilings), keep their y(C,e).  The two forms share the (x, z)
-    optimal face, and x and z lead both variable orders, so their
-    lexicographically least optima agree on x and z, whatever vertex
-    either form's pivots reach: that is the point eds-general rounds.
+    many tilings), keep their y(C,e), after the natural rows and the end
+    rows.  x and z lead the variable order, so the lexicographically least
+    optimum, the point eds-general rounds, depends only on the (x, z)
+    optimal face, which the projection keeps.
 
     edge-cover: for a FacilityLocationInstance, variables y(f) at the
     opening costs and x(v,f) at the connection costs, rows
@@ -105,9 +104,9 @@ def build_relaxation(inst, kind: str, *, projected: bool = False) -> LpModel:
     demands = _demand_families(inst)
     model = LpModel(name=f"{kind}")
     for e in sorted(g.edge_ids()):
-        model.add_var(f"x_e{e}", obj=inst.edge_weight[e])
+        model.add_var(f"x_e{e}", obj=inst.edge_units[e])
     for v in range(g.n):
-        model.add_var(f"x_v{v}", obj=inst.node_weight[v])
+        model.add_var(f"x_v{v}", obj=inst.node_units[v])
     z_keys = []
     for c, _, pen in demands:
         if not is_inf(pen):
@@ -127,10 +126,9 @@ def build_relaxation(inst, kind: str, *, projected: bool = False) -> LpModel:
             )
 
     if kind == "strengthened":
-        project_eds = projected and isinstance(inst, EdsInstance)
         kept = []
         for c, members, _ in demands:
-            rows = _end_rows(g, c) if project_eds else None
+            rows = _end_rows(g, c) if isinstance(inst, EdsInstance) else None
             if rows is None:
                 kept.append((c, members))
                 continue
@@ -152,7 +150,7 @@ def build_relaxation(inst, kind: str, *, projected: bool = False) -> LpModel:
                 at_node.setdefault(u, []).append(e)
                 at_node.setdefault(v, []).append(e)
             for v in sorted(at_node):
-                if projected and len(at_node[v]) == 1:
+                if len(at_node[v]) == 1:
                     continue  # x(v) >= x(e) >= y(C,e) implies it
                 coeffs = {f"x_v{v}": 1}
                 for e in at_node[v]:
@@ -200,19 +198,19 @@ def _build_edge_cover_lp(inst: FacilityLocationInstance) -> LpModel:
 
 
 def relaxation_value(inst, kind: str) -> Rat:
-    """Optimal value of the built relaxation (must be feasible and bounded),
-    the strengthened one in its projected form.
+    """Optimal value of the built relaxation (must be feasible and bounded).
 
     Solved through the dual, whose optimum equals the relaxation's: every
     relaxation is a covering LP with nonnegative costs, so its dual starts
     feasible from the all-slack basis and needs no phase I.  Being feasible,
     the dual is optimal or unbounded, and unbounded means an infeasible
-    relaxation.
+    relaxation.  An edge-cover model is priced as its costs are, any other
+    in units.
     """
-    res = simplex_solve(dual_model(build_relaxation(inst, kind, projected=True)))
+    res = simplex_solve(dual_model(build_relaxation(inst, kind)))
     if res.status != OPTIMAL:
         raise InstanceError(f"{kind} relaxation unexpectedly infeasible")
-    return res.value
+    return res.value if kind == "edge-cover" else res.value / inst.scale
 
 
 def relaxation_values(inst) -> Tuple[Rat, Rat]:
@@ -228,7 +226,7 @@ def relaxation_values(inst) -> Tuple[Rat, Rat]:
     dual, staged at those variables, reaches the natural optimum first and
     pivots on from that basis to the strengthened one.
     """
-    dual = dual_model(build_relaxation(inst, "strengthened", projected=True))
+    dual = dual_model(build_relaxation(inst, "strengthened"))
     edges = len(inst.graph.edge_ids())
     # the natural rows: a cover row per demand, and a node row per edge end
     dual.stage = (len(inst.demands) if isinstance(inst, MulticutInstance) else edges) + 2 * edges
@@ -236,7 +234,7 @@ def relaxation_values(inst) -> Tuple[Rat, Rat]:
     if res.status != OPTIMAL:
         kind = "natural" if res.stage_value is None else "strengthened"
         raise InstanceError(f"{kind} relaxation unexpectedly infeasible")
-    return res.stage_value, res.value
+    return res.stage_value / inst.scale, res.value / inst.scale
 
 
 def extract_relaxation_point(inst, result: LpResult):
@@ -266,6 +264,9 @@ def complete_eds_dual(
     e' = uv in N[e], the support mu(u, e) + mu(v, e) + nu(e', e) >= xi(e).
     N[e'] is the closed edge neighborhood of e', and N'[v] joins the
     neighborhoods of the edges at v.
+    The LP is priced in the instance's units: capacities are the weight
+    units and supports xi(e) times ``scale``, and nu, mu are divided by
+    ``scale`` on the way out.
     Pairs involving an edge with xi(e) = 0 are dropped: their support rows
     hold trivially and zero values only relax the capacities, so the
     reduced problem is feasible exactly when the full one is.  Returned maps
@@ -273,14 +274,14 @@ def complete_eds_dual(
 
     Raises ValueError when xi is negative or exceeds a penalty.
     """
-    g = inst.graph
+    g, scale = inst.graph, inst.scale
     edge_ids = sorted(g.edge_ids())
     if sorted(xi) != edge_ids:
         raise ValueError("xi must assign a value to every edge")
     for e in edge_ids:
         if xi[e] < 0:
             raise ValueError(f"xi({e}) is negative")
-        if xi[e] > inst.penalty[e]:
+        if xi[e] * scale > inst.penalty_units[e]:
             raise ValueError(f"xi({e}) exceeds the penalty of edge {e}")
     nbhd = edge_neighborhoods(g)
     active = [e for e in edge_ids if xi[e] > 0]
@@ -312,7 +313,7 @@ def complete_eds_dual(
             f"edge_cap_{ep}",
             {f"nu_{ep}_{e}": 1 for e in by_ep[ep]},
             "<=",
-            inst.edge_weight[ep],
+            inst.edge_units[ep],
         )
     by_v: Dict[int, List[int]] = {}
     for v, e in mu_pairs:
@@ -322,7 +323,7 @@ def complete_eds_dual(
             f"node_cap_{v}",
             {f"mu_{v}_{e}": 1 for e in by_v[v]},
             "<=",
-            inst.node_weight[v],
+            inst.node_units[v],
         )
     for e in active:
         for ep in nbhd[e]:
@@ -330,7 +331,7 @@ def complete_eds_dual(
             coeffs = {f"nu_{ep}_{e}": 1}
             coeffs[f"mu_{u}_{e}"] = coeffs.get(f"mu_{u}_{e}", 0) + 1
             coeffs[f"mu_{v}_{e}"] = coeffs.get(f"mu_{v}_{e}", 0) + 1
-            model.add_constraint(f"support_{e}_{ep}", coeffs, ">=", xi[e])
+            model.add_constraint(f"support_{e}_{ep}", coeffs, ">=", xi[e] * scale)
 
     res = simplex_solve(model)
     if res.status == INFEASIBLE:
@@ -340,10 +341,10 @@ def complete_eds_dual(
     for ep, e in nu_pairs:
         val = res.assignment.get(f"nu_{ep}_{e}", ZERO)
         if val:
-            nu[(ep, e)] = val
+            nu[(ep, e)] = val / scale
     mu = {}
     for v, e in mu_pairs:
         val = res.assignment.get(f"mu_{v}_{e}", ZERO)
         if val:
-            mu[(v, e)] = val
+            mu[(v, e)] = val / scale
     return nu, mu

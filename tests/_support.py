@@ -2,8 +2,61 @@
 
 from hypothesis import strategies as st
 
-from graphcover import INF, Demand, EdsInstance, Graph, MulticutInstance, Rat, RootedTree
-from graphcover.rationals import ZERO
+from graphcover import (
+    INF, Demand, EdsInstance, Graph, MulticutInstance, Rat, RootedTree, build_relaxation,
+)
+from graphcover.instances import edge_neighborhoods
+from graphcover.rationals import ZERO, is_inf
+
+
+def rat_weights(inst):
+    """An eds or multicut instance's node weights, edge weights and
+    penalties as dicts of rationals made from its integer units: by node
+    id, by edge id, and by edge id or demand index; INF stays INF."""
+    g = inst.graph
+    demands = range(len(inst.demands)) if isinstance(inst, MulticutInstance) else g.edge_ids()
+    return tuple(
+        {k: units[k] if is_inf(units[k]) else Rat(units[k], inst.scale) for k in keys}
+        for units, keys in zip(
+            (inst.node_units, inst.edge_units, inst.penalty_units),
+            (range(g.n), g.edge_ids(), demands),
+        )
+    )
+
+
+def y_form(inst):
+    """The strengthened LP with every demand's y(C,e) kept, the reference
+    for the projected model that ``build_relaxation`` builds: the natural
+    model, then y(C,e) for each demand C and member e, then per demand its
+    cover row, a node row at each node its members touch and a row
+    x(e) >= y(C,e) per member.  It is priced in units, as the natural
+    model is."""
+    model = build_relaxation(inst, "natural")
+    model.name = "strengthened"
+    g = inst.graph
+    if isinstance(inst, EdsInstance):
+        nbhd = edge_neighborhoods(g)
+        demands = [(e, nbhd[e]) for e in sorted(g.edge_ids())]
+    else:
+        demands = [(i, sorted(inst.path_edges(i))) for i in range(len(inst.demands))]
+    for c, members in demands:
+        for e in members:
+            model.add_var(f"y_{c}_{e}")
+    for c, members in demands:
+        coeffs = {f"y_{c}_{e}": 1 for e in members}
+        if f"z_{c}" in model.variables:
+            coeffs[f"z_{c}"] = 1
+        model.add_constraint(f"ycover_{c}", coeffs, ">=", 1)
+        at_node = {}
+        for e in members:
+            for v in g.ends(e):
+                at_node.setdefault(v, []).append(e)
+        for v in sorted(at_node):
+            coeffs = {f"x_v{v}": 1, **{f"y_{c}_{e}": -1 for e in at_node[v]}}
+            model.add_constraint(f"ynode_{c}_v{v}", coeffs, ">=", 0)
+        for e in members:
+            model.add_constraint(f"yedge_{c}_e{e}", {f"x_e{e}": 1, f"y_{c}_{e}": -1}, ">=", 0)
+    return model
 
 
 def two_leaf_star(pi1, pi2, wr=Rat(3), w1=Rat(1), w2=Rat(5)):

@@ -27,6 +27,8 @@ from graphcover.eds_general import harmonic
 from graphcover.multicut_tree import run_multicut_pipeline, verify_multicut
 from graphcover.rationals import is_inf
 
+from _support import rat_weights
+
 TREE_RUNS = 300
 CUT_RUNS = 300
 GENERAL_RUNS = 100
@@ -133,8 +135,9 @@ def test_02_duals_complete_and_tampering_fails(tree_battery):
         if tampered >= 10:
             break
         victim = None
+        penalty = rat_weights(inst)[2]
         for e, x in dual.xi.items():
-            room = inst.penalty[e]
+            room = penalty[e]
             if is_inf(room) or x + 1 <= room:
                 victim = e
                 break
@@ -263,9 +266,10 @@ def test_06_reduction_fidelity():
 
 def test_07_weak_duality_chain(tree_battery, multicut_battery, general_battery):
     for seed, inst, sol, dual, opt in tree_battery:
+        penalty = rat_weights(inst)[2]
         for e, x in dual.xi.items():
             assert x >= 0, f"seed {seed}: negative dual"
-            assert is_inf(inst.penalty[e]) or x <= inst.penalty[e], f"seed {seed}"
+            assert is_inf(penalty[e]) or x <= penalty[e], f"seed {seed}"
         lp = relaxation_value(inst, "strengthened")
         assert dual.total <= lp <= opt.total, f"tree seed {seed}: chain broken"
 

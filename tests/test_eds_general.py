@@ -12,7 +12,6 @@ from graphcover import (
     Rat,
     brute_force_cover,
     brute_force_eds,
-    build_relaxation,
     gen_instance,
     reduce_to_eds,
     relaxation_value,
@@ -24,7 +23,7 @@ from graphcover.instances import SetCoverInstance
 from graphcover.relaxations import extract_relaxation_point
 from graphcover.rationals import ZERO
 
-from _support import small_eds
+from _support import rat_weights, small_eds, y_form
 
 
 def test_harmonic_numbers():
@@ -65,7 +64,7 @@ def test_triangle_joins_are_facilities():
 
 def test_star_center_is_heavy():
     inst = gen_instance("star-gap-eds", n=4)
-    res = simplex_solve(build_relaxation(inst, "strengthened"))
+    res = simplex_solve(y_form(inst))
     xe, xv, z = extract_relaxation_point(inst, res)
     assert xe == {1: Rat(1), 2: Rat(1), 3: ZERO, 4: ZERO}  # this solver's vertex point
     fl, clients, edge_of = heavy_facility_location(inst, xe)
@@ -99,17 +98,18 @@ def _subdivided_edge_cover_value(inst, x):
     nothing and each edge between two heavy nodes is split by a middle node
     carrying the edge's weight, with weightless halves."""
     g = inst.graph
+    node_weight, edge_weight, _ = rat_weights(inst)
     heavy = {v for v in range(g.n) if sum((x[e] for e in g.incident(v)), ZERO) >= Rat(1, 4)}
-    node_w = {v: ZERO if v in heavy else inst.node_weight[v] for v in range(g.n)}
+    node_w = {v: ZERO if v in heavy else node_weight[v] for v in range(g.n)}
     edges = []  # (end, end, weight)
     for e in sorted(g.edge_ids()):
         u, v = g.ends(e)
         if u in heavy and v in heavy:
             mid = len(node_w)
-            node_w[mid] = inst.edge_weight[e]
+            node_w[mid] = edge_weight[e]
             edges += [(u, mid, ZERO), (mid, v, ZERO)]
         else:
-            edges.append((u, v, inst.edge_weight[e]))
+            edges.append((u, v, edge_weight[e]))
     model = LpModel("reference")
     for i, (_, _, w) in enumerate(edges):
         model.add_var(f"x_e{i}", obj=w)
@@ -128,14 +128,16 @@ def _subdivided_edge_cover_value(inst, x):
 @settings(max_examples=60, deadline=None, database=None)
 @given(small_eds(max_nodes=5, tree=False))
 def test_edge_cover_lp_matches_the_subdivided_graph(inst):
-    """The facility-location form has the optimum of the edge-cover LP on
-    the subdivided graph, at the strengthened vertex and at x = 1/2 on
-    every edge, where every node with an edge is heavy."""
-    res = simplex_solve(build_relaxation(inst, "strengthened"))
+    """The facility-location form, priced in the instance's units, has the
+    optimum of the edge-cover LP on the subdivided graph times ``scale``, at
+    the strengthened vertex and at x = 1/2 on every edge, where every node
+    with an edge is heavy."""
+    res = simplex_solve(y_form(inst))
     xe, _, _ = extract_relaxation_point(inst, res)
     for x in (xe, {e: Rat(1, 2) for e in xe}):
         fl, _, _ = heavy_facility_location(inst, x)
-        assert relaxation_value(fl, "edge-cover") == _subdivided_edge_cover_value(inst, x)
+        assert relaxation_value(fl, "edge-cover") == (
+            inst.scale * _subdivided_edge_cover_value(inst, x))
 
 
 # -- greedy star selection ---------------------------------------------------

@@ -27,7 +27,7 @@ from graphcover import cli, eds_tree
 from graphcover.eds_tree import solve_eds_tree_trace
 from graphcover.rationals import ZERO, is_inf
 
-from _support import two_leaf_star
+from _support import rat_weights, two_leaf_star
 from test_pinned_outputs import (
     GOLDEN_BATCH,
     GOLDEN_SOLVE,
@@ -159,9 +159,10 @@ def test_dual_matches_objective_on_random_trees():
         inst = gen_instance("random-tree-eds", n=3 + seed % 9, seed=seed)
         sol, dual = solve_eds_tree(inst)
         assert dual.total == sol.total
+        penalty = rat_weights(inst)[2]
         for e, x in dual.xi.items():
             assert 0 <= x
-            assert x <= inst.penalty[e] or inst.penalty[e] == INF
+            assert x <= penalty[e] or penalty[e] == INF
 
 
 def test_corrupted_dual_caught_at_its_own_level(monkeypatch):
@@ -311,11 +312,12 @@ def test_relabelling_preserves_the_optimum(inst, rnd):
     parent = [0] * tree.n
     for v in range(tree.n):
         parent[perm[v]] = perm[tree.parent[v]]
+    node_weight, edge_weight, penalty = rat_weights(inst)
     relabelled = EdsInstance(
         RootedTree(parent, perm[tree.root]),
-        {perm[v]: w for v, w in inst.node_weight.items()},
-        {perm[e]: w for e, w in inst.edge_weight.items()},
-        {perm[e]: p for e, p in inst.penalty.items()},
+        {perm[v]: w for v, w in node_weight.items()},
+        {perm[e]: w for e, w in edge_weight.items()},
+        {perm[e]: p for e, p in penalty.items()},
     )
     assert solve_eds_tree(relabelled)[0].total == solve_eds_tree(inst)[0].total
 
@@ -471,11 +473,12 @@ def _fractional(n, seed):
         q = rng.randint(2, 9)
         return Rat(rng.randint(0, 10 * q), q)
 
+    node_weight, edge_weight, penalty = rat_weights(inst)
     return EdsInstance(
         inst.graph,
-        {v: frac(w) for v, w in sorted(inst.node_weight.items())},
-        {e: frac(w) for e, w in sorted(inst.edge_weight.items())},
-        {e: frac(p) for e, p in sorted(inst.penalty.items())},
+        {v: frac(w) for v, w in sorted(node_weight.items())},
+        {e: frac(w) for e, w in sorted(edge_weight.items())},
+        {e: frac(p) for e, p in sorted(penalty.items())},
     )
 
 
@@ -538,7 +541,7 @@ def test_fractional_instances_mix_denominators_and_infinite_penalties():
         x
         for n in (7, 10, 60)
         for inst in [_fractional(n, 0)]
-        for x in [*inst.node_weight.values(), *inst.edge_weight.values(), *inst.penalty.values()]
+        for x in [value for column in rat_weights(inst) for value in column.values()]
     ]
     assert any(is_inf(x) for x in values)
     assert {x.denominator for x in values if not is_inf(x)} >= {2, 3, 5, 7}
@@ -567,11 +570,12 @@ def fractional_trees(draw):
 def test_scaling_every_weight_scales_the_dual(inst, k):
     sol, dual = solve_eds_tree(inst)
     assert sol.total == dual.total == brute_force_eds(inst).total
+    node_weight, edge_weight, penalty = rat_weights(inst)
     scaled = EdsInstance(
         inst.graph,
-        {v: w * k for v, w in inst.node_weight.items()},
-        {e: w * k for e, w in inst.edge_weight.items()},
-        {e: p * k for e, p in inst.penalty.items()},
+        {v: w * k for v, w in node_weight.items()},
+        {e: w * k for e, w in edge_weight.items()},
+        {e: p * k for e, p in penalty.items()},
     )
     sol_k, dual_k = solve_eds_tree(scaled)
     assert sol_k.edges == sol.edges

@@ -27,7 +27,7 @@ from graphcover import (
 from graphcover.instances import GEN_KINDS, edge_neighborhoods, problem_kind
 from graphcover.rationals import ZERO, is_inf
 
-from _support import edited_texts, path_nodes, small_eds, small_multicuts
+from _support import edited_texts, path_nodes, rat_weights, small_eds, small_multicuts
 
 
 # -- graphs -----------------------------------------------------------------
@@ -88,11 +88,12 @@ def _closed_neighbourhood_solution(inst, edges):
     nbhd = edge_neighborhoods(g)
     covered = {f for e in edges for f in nbhd[e]}
     nodes = {v for e in edges for v in g.ends(e)}
+    node_weight, edge_weight, penalty = rat_weights(inst)
     return Solution(
         edges,
-        sum((inst.edge_weight[e] for e in edges), ZERO),
-        sum((inst.node_weight[v] for v in nodes), ZERO),
-        sum((inst.penalty[e] for e in g.edge_ids() if e not in covered), ZERO),
+        sum((edge_weight[e] for e in edges), ZERO),
+        sum((node_weight[v] for v in nodes), ZERO),
+        sum((penalty[e] for e in g.edge_ids() if e not in covered), ZERO),
     )
 
 
@@ -187,7 +188,10 @@ def test_parse_two_node_tree():
     assert isinstance(inst.graph, RootedTree)
     assert inst.graph.n == 2
     assert inst.graph.depth[1] == 1
-    assert inst.edge_weight[1] == 1
+    assert rat_weights(inst)[1][1] == 1
+    inst = parse_instance("problem eds-tree\nnodes 2\nnode 0 1/2\nedge 0 1 2/3 inf\n")
+    assert (inst.scale, inst.node_units, inst.edge_units, inst.penalty_units) == (
+        6, [3, 0], [0, 4], [0, INF])
 
 
 def test_parse_negative_weight_reports_line():
@@ -442,17 +446,17 @@ def test_row_errors_are_reported_at_their_line(text, message):
 #: parsed value back.
 NUMBER_SLOTS = {
     "eds-tree node": ("problem eds-tree\nnodes 2\nnode 0 {}\nedge 0 1 1 1\n",
-                      3, False, lambda i: i.node_weight[0]),
+                      3, False, lambda i: rat_weights(i)[0][0]),
     "eds-tree edge": ("problem eds-tree\nnodes 2\nedge 0 1 {} 1\n",
-                      3, False, lambda i: i.edge_weight[1]),
+                      3, False, lambda i: rat_weights(i)[1][1]),
     "eds-tree penalty": ("problem eds-tree\nnodes 2\nedge 0 1 1 {}\n",
-                         3, True, lambda i: i.penalty[1]),
+                         3, True, lambda i: rat_weights(i)[2][1]),
     "eds-general edge": ("problem eds-general\nnodes 2\nedge 0 1 {} 1\n",
-                         3, False, lambda i: i.edge_weight[0]),
+                         3, False, lambda i: rat_weights(i)[1][0]),
     "eds-general penalty": ("problem eds-general\nnodes 2\nnode 1 2\nedge 0 1 1 {}\n",
-                            4, True, lambda i: i.penalty[0]),
+                            4, True, lambda i: rat_weights(i)[2][0]),
     "multicut edge": ("problem multicut-tree\nnodes 2\nedge 0 1 {}\n",
-                      3, False, lambda i: i.edge_weight[1]),
+                      3, False, lambda i: rat_weights(i)[1][1]),
     "multicut demand": ("problem multicut-tree\nnodes 2\nedge 0 1 1\ndemand 0 1 {}\n",
                         4, True, lambda i: i.demands[0].penalty),
     "set cost": ("problem set-cover\nnodes 1\nset {} 0\n", 3, False, lambda i: i.sets[0][0]),
@@ -519,45 +523,28 @@ _MIXED = st.builds(Rat, st.integers(0, 30), st.sampled_from([1, 2, 3, 4, 6, 9, 1
                  small_eds(max_nodes=6, tree=False, weights=_MIXED),
                  small_multicuts(max_nodes=8, node_weights=_MIXED, weights=_MIXED)))
 def test_integer_units_match_the_weights(inst):
-    g = inst.graph
     cut = isinstance(inst, MulticutInstance)
-    slots = [
-        (inst.node_units, inst.node_weight, range(g.n)),
-        (inst.edge_units, inst.edge_weight, g.edge_ids()),
-        (inst.penalty_units, inst.penalty, range(len(inst.demands)) if cut else g.edge_ids()),
-    ]
-    if cut:  # a demand's penalty is its penalty view's value
-        assert inst.penalty == {i: d.penalty for i, d in enumerate(inst.demands)}
-    finite = [w for _, weights, _ in slots for w in weights.values() if not is_inf(w)]
+    columns = rat_weights(inst)
+    if cut:  # a demand's penalty is its penalty units over the scale
+        assert columns[2] == {i: d.penalty for i, d in enumerate(inst.demands)}
+    finite = [w for column in columns for w in column.values() if not is_inf(w)]
     scale = inst.scale
     # scale is the least positive integer that clears every denominator
     assert all((w * scale).denominator == 1 for w in finite)
     assert not any(all((w * s).denominator == 1 for w in finite) for s in range(1, scale))
-    for units, weights, keys in slots:
-        for key in keys:
-            want = weights[key]
-            assert units[key] == INF if is_inf(want) else Rat(units[key], scale) == want
+    # the units are canonical: the rationals they stand for give them again
+    rebuilt = (MulticutInstance(inst.tree, *columns[:2], inst.demands) if cut
+               else EdsInstance(inst.graph, *columns))
+    units = (scale, inst.node_units, inst.edge_units, inst.penalty_units)
+    assert (rebuilt.scale, rebuilt.node_units, rebuilt.edge_units, rebuilt.penalty_units) == units
 
     parsed = parse_instance(serialize_instance(inst))
     assert parsed == inst
-    assert (parsed.scale, parsed.node_units, parsed.edge_units, parsed.penalty_units) == (
-        scale, inst.node_units, inst.edge_units, inst.penalty_units)
-    assert (parsed.node_weight, parsed.edge_weight, parsed.penalty) == (
-        inst.node_weight, inst.edge_weight, inst.penalty)
+    assert (parsed.scale, parsed.node_units, parsed.edge_units, parsed.penalty_units) == units
     # what `solve --certificate` prints and writes
     (lines, cert), (parsed_lines, parsed_cert) = cli._solve(inst), cli._solve(parsed)
     assert lines == parsed_lines
     assert serialize_certificate(cert) == serialize_certificate(parsed_cert)
-
-
-def test_parsed_weight_views_are_read_only():
-    inst = parse_instance("problem eds-tree\nnodes 2\nnode 0 1/2\nedge 0 1 2/3 inf\n")
-    assert (inst.scale, inst.node_units, inst.edge_units, inst.penalty_units) == (
-        6, [3, 0], [0, 4], [0, INF])
-    assert dict(inst.node_weight) == {0: Rat(1, 2), 1: ZERO}
-    assert inst.edge_weight is inst.edge_weight  # built once
-    with pytest.raises(TypeError):
-        inst.penalty[1] = ZERO
 
 
 GEN_CASES = [
@@ -599,9 +586,10 @@ def test_star_gap_shape_and_optimum():
     inst = gen_instance("star-gap-eds", n=4)
     assert inst.graph.n == 5
     assert len(inst.graph.edge_ids()) == 4
-    assert inst.node_weight[0] == 1
-    assert all(inst.node_weight[v] == 0 for v in range(1, 5))
-    assert all(is_inf(p) for p in inst.penalty.values())
+    node_weight, _, penalty = rat_weights(inst)
+    assert node_weight[0] == 1
+    assert all(node_weight[v] == 0 for v in range(1, 5))
+    assert all(is_inf(p) for p in penalty.values())
     assert brute_force_eds(inst).total == 1
 
 
@@ -610,7 +598,7 @@ def test_subdivided_star_shape():
     assert inst.tree.n == 9
     assert len(inst.tree.edge_ids()) == 8
     assert len(inst.demands) == 6  # all leaf pairs
-    assert sum(1 for w in inst.node_weight.values() if w == 1) == 4
+    assert sum(1 for w in rat_weights(inst)[0].values() if w == 1) == 4
 
 
 def test_generator_determinism():
@@ -653,7 +641,7 @@ def test_problem_kind_names():
 def test_single_set_cover_reduction():
     sc = SetCoverInstance(2, [(Rat(5), frozenset({0, 1}))])
     red = reduce_to_eds(sc)
-    assert all(is_inf(p) for p in red.instance.penalty.values())
+    assert all(is_inf(p) for p in rat_weights(red.instance)[2].values())
     sol = brute_force_eds(red.instance)
     assert sol.total == 5
     assert not (set(sol.edges) & red.big_m_edges)

@@ -38,7 +38,7 @@ from graphcover.multicut_tree import (
 )
 from graphcover.rationals import ONE, ZERO, fmt_rat, is_inf
 
-from _support import path_nodes, small_multicuts, star_multicut
+from _support import path_nodes, rat_weights, small_multicuts, star_multicut
 
 
 # -- penalty compilation ----------------------------------------------------
@@ -53,7 +53,8 @@ def test_reduction_is_noop_without_finite_penalties():
 
 def _finite_values(inst):
     """Every finite node weight, edge weight and demand penalty."""
-    values = [*inst.node_weight.values(), *inst.edge_weight.values()]
+    node_weight, edge_weight, _ = rat_weights(inst)
+    values = [*node_weight.values(), *edge_weight.values()]
     return [w for w in values + [d.penalty for d in inst.demands] if not is_inf(w)]
 
 
@@ -91,10 +92,10 @@ def _check_detour_gadget(inst):
         assert d0.t == inst.demands[i].t
         assert d0.s == pay_edge >= inst.tree.n
         # one gadget edge carries the old penalty, the guard edge is never worth cutting
-        assert inst0.edge_weight[pay_edge] == inst.demands[i].penalty
+        assert rat_weights(inst0)[1][pay_edge] == inst.demands[i].penalty
         guard = inst0.tree.parent[pay_edge]
         assert guard in guards and inst0.tree.parent[guard] == inst.demands[i].s
-        assert inst0.edge_weight[guard] == big_m
+        assert rat_weights(inst0)[1][guard] == big_m
     # the compiled values clear the same least denominator as the source's
     def scale(x):
         return math.lcm(*(w.denominator for w in _finite_values(x)))
@@ -219,8 +220,9 @@ def _reference_classification(state):
         nu_sum[e] += val
     for (v, _), val in state.mu.items():
         mu_sum[v] += val
-    sat_edge = {e for e in nu_sum if nu_sum[e] == inst.edge_weight[e]}
-    sat_node = {v for v in mu_sum if mu_sum[v] == inst.node_weight[v]}
+    node_weight, edge_weight, _ = rat_weights(inst)
+    sat_edge = {e for e in nu_sum if nu_sum[e] == edge_weight[e]}
+    sat_node = {v for v in mu_sum if mu_sum[v] == node_weight[v]}
     tight = set()
     for d in range(k):
         for e in state.path_edges[d]:
@@ -478,7 +480,7 @@ def _run_with_overfull_edge(mp, at_step):
 
     def set_nu(self, key, val):
         if calls["started"] == at_step > calls["returned"] and not calls["corrupted"]:
-            val += self.instance.edge_weight[key[0]] + 1
+            val += rat_weights(self.instance)[1][key[0]] + 1
             calls["corrupted"] = True
         real_set_nu(self, key, val)
 
@@ -575,8 +577,8 @@ def _step_instance(n, k, seed, weights=None):
     f = _WEIGHTS[weights]
     return MulticutInstance(
         inst.tree,
-        {v: f(v, w) for v, w in inst.node_weight.items()},
-        {e: f(e, w) for e, w in inst.edge_weight.items()},
+        {v: f(v, w) for v, w in rat_weights(inst)[0].items()},
+        {e: f(e, w) for e, w in rat_weights(inst)[1].items()},
         [
             Demand(d.s, d.t, d.penalty if is_inf(d.penalty) else f(i, d.penalty))
             for i, d in enumerate(inst.demands)

@@ -26,7 +26,7 @@ from graphcover.instances import FacilityLocationInstance, eds_solution, multicu
 from graphcover.oracle import _bits
 from graphcover.rationals import ZERO, is_inf
 
-from _support import _weights, small_eds, small_multicuts, star_multicut, two_leaf_star
+from _support import _weights, rat_weights, small_eds, small_multicuts, star_multicut, two_leaf_star
 
 
 # -- edge domination --------------------------------------------------------
@@ -129,10 +129,11 @@ def _rational_reference(edge_weight, edge_nodes, node_weight, demands):
 def _rational_multicut_reference(inst):
     edges = sorted(inst.tree.edge_ids())
     pos = {e: i for i, e in enumerate(edges)}
+    node_weight, edge_weight, _ = rat_weights(inst)
     _, chosen = _rational_reference(
-        [inst.edge_weight[e] for e in edges],
+        [edge_weight[e] for e in edges],
         [inst.tree.ends(e) for e in edges],
-        inst.node_weight,
+        node_weight,
         [({pos[e] for e in inst.path_edges(j)}, d.penalty) for j, d in enumerate(inst.demands)],
     )
     return multicut_solution(inst, [edges[i] for i in chosen])
@@ -148,12 +149,13 @@ def _rational_eds_reference(inst):
     g = inst.graph
     edges = sorted(g.edge_ids())
     ends = [set(g.ends(e)) for e in edges]
+    node_weight, edge_weight, penalty = rat_weights(inst)
     _, chosen = _rational_reference(
-        [inst.edge_weight[e] for e in edges],
+        [edge_weight[e] for e in edges],
         ends,
-        inst.node_weight,
+        node_weight,
         [
-            ({i for i in range(len(edges)) if ends[i] & ends[j]}, inst.penalty[e])
+            ({i for i in range(len(edges)) if ends[i] & ends[j]}, penalty[e])
             for j, e in enumerate(edges)
         ],
     )
@@ -246,11 +248,12 @@ def _relabel_eds(inst, perm):
     edges = [tuple(sorted((perm[u], perm[v]))) for (u, v) in g.edges]
     order = sorted(range(len(edges)), key=lambda e: edges[e])
     new_g = Graph(g.n, [edges[e] for e in order])
+    node_weight, edge_weight, penalty = rat_weights(inst)
     return EdsInstance(
         new_g,
-        {perm[v]: inst.node_weight[v] for v in range(g.n)},
-        {i: inst.edge_weight[order[i]] for i in range(len(order))},
-        {i: inst.penalty[order[i]] for i in range(len(order))},
+        {perm[v]: node_weight[v] for v in range(g.n)},
+        {i: edge_weight[order[i]] for i in range(len(order))},
+        {i: penalty[order[i]] for i in range(len(order))},
     )
 
 
@@ -264,11 +267,12 @@ def test_relabeling_preserves_optimum():
 def test_scaling_scales_optimum():
     for seed in range(6):
         inst = gen_instance("random-tree-eds", n=7, seed=seed)
+        node_weight, edge_weight, penalty = rat_weights(inst)
         scaled = EdsInstance(
             inst.graph,
-            {v: 3 * w for v, w in inst.node_weight.items()},
-            {e: 3 * w for e, w in inst.edge_weight.items()},
-            {e: (INF if is_inf(p) else 3 * p) for e, p in inst.penalty.items()},
+            {v: 3 * w for v, w in node_weight.items()},
+            {e: 3 * w for e, w in edge_weight.items()},
+            {e: (INF if is_inf(p) else 3 * p) for e, p in penalty.items()},
         )
         assert brute_force_eds(scaled).total == 3 * brute_force_eds(inst).total
 

@@ -7,9 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 from graphcover import (
     INF,
+    Demand,
     EdsInstance,
     Graph,
     InstanceError,
+    MulticutInstance,
     Rat,
     RootedTree,
     brute_force_eds,
@@ -21,14 +23,17 @@ from graphcover import (
     relaxation_value,
     relaxation_values,
     simplex_solve,
+    solve_eds_general,
+    solve_eds_tree,
 )
 from graphcover import relaxations
 from graphcover.eds_general import heavy_facility_location
+from graphcover.instances import edge_neighborhoods
 from graphcover.lp import dual_model
-from graphcover.rationals import ZERO
+from graphcover.rationals import ZERO, is_inf
 from graphcover.relaxations import extract_relaxation_point
 
-from _support import small_eds, small_multicuts, two_leaf_star
+from _support import rat_weights, small_eds, small_multicuts, two_leaf_star, y_form
 
 
 # -- gap constructions ------------------------------------------------------
@@ -89,8 +94,8 @@ def test_relaxation_value_equals_the_primal_optimum(inst):
     """relaxation_value solves the dual; its value is the primal optimum,
     also for the edge-cover relaxation that eds-general builds."""
     for kind in ("natural", "strengthened"):
-        primal = simplex_solve(build_relaxation(inst, kind))
-        assert relaxation_value(inst, kind) == primal.value
+        primal = simplex_solve(build_relaxation(inst, kind))  # priced in units
+        assert relaxation_value(inst, kind) == primal.value / inst.scale
     if isinstance(inst, EdsInstance):
         # the edge cover of the heavy nodes at the strengthened vertex just solved
         xe, _, _ = extract_relaxation_point(inst, primal)
@@ -128,8 +133,7 @@ def test_natural_model_leads_the_strengthened_one(inst, monkeypatch):
     of the dual that relaxation_values solves is the natural row count."""
     natural = build_relaxation(inst, "natural")
     nv, nr = len(natural.variables), len(natural.constraints)
-    for strong in (build_relaxation(inst, "strengthened"),
-                   build_relaxation(inst, "strengthened", projected=True)):
+    for strong in (build_relaxation(inst, "strengthened"), y_form(inst)):
         assert strong.variables[:nv] == natural.variables
         assert [c.name for c in strong.constraints[:nr]] == [c.name for c in natural.constraints]
         assert all(set(c.coeffs) <= set(natural.variables) for c in strong.constraints[:nr])
@@ -145,12 +149,46 @@ def test_natural_model_leads_the_strengthened_one(inst, monkeypatch):
     assert stages == [nr]
 
 
+def _scaled(inst, q):
+    """``inst`` with every finite weight and penalty multiplied by q."""
+    node_weight, edge_weight, penalty = rat_weights(inst)
+    node_weight = {v: w * q for v, w in node_weight.items()}
+    edge_weight = {e: w * q for e, w in edge_weight.items()}
+    penalty = {c: p if is_inf(p) else p * q for c, p in penalty.items()}
+    if isinstance(inst, MulticutInstance):
+        demands = [Demand(d.s, d.t, penalty[i]) for i, d in enumerate(inst.demands)]
+        return MulticutInstance(inst.tree, node_weight, edge_weight, demands)
+    return EdsInstance(inst.graph, node_weight, edge_weight, penalty)
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(
+    st.one_of(
+        small_eds(max_nodes=7, tree=True),
+        small_eds(max_nodes=5, tree=False),
+        small_multicuts(max_nodes=7),
+    ),
+    st.builds(Rat, st.integers(1, 12), st.integers(1, 9)),
+)
+def test_relaxations_scale_with_the_weights(inst, q):
+    """The models are priced in units over a scale that q changes, and every
+    value divided back: the relaxation values, both staged values and the
+    eds-general lower bound scale by q, and the rounded edges stay."""
+    scaled = _scaled(inst, q)
+    for kind in ("natural", "strengthened"):
+        assert relaxation_value(scaled, kind) == q * relaxation_value(inst, kind)
+    assert relaxation_values(scaled) == tuple(q * x for x in relaxation_values(inst))
+    if isinstance(inst, EdsInstance):
+        (sol, lower, factor), (sol_q, lower_q, factor_q) = map(solve_eds_general, (inst, scaled))
+        assert (sol_q.edges, lower_q, factor_q) == (sol.edges, q * lower, factor)
+
+
 # -- the projected strengthened model ---------------------------------------
 
 
 def _y_form_value(inst):
     """The strengthened value of the y-form model, the test-side reference."""
-    return simplex_solve(dual_model(build_relaxation(inst, "strengthened"))).value
+    return simplex_solve(dual_model(y_form(inst))).value / inst.scale
 
 
 def _has_triangle(inst):
@@ -212,7 +250,7 @@ def test_projected_tree_model_has_three_rows_per_demand():
     become three rows over x and z."""
     inst = gen_instance("random-tree-eds", n=12, seed=3, inf_prob=0.5)
     natural = build_relaxation(inst, "natural")
-    model = build_relaxation(inst, "strengthened", projected=True)
+    model = build_relaxation(inst, "strengthened")
     assert model.variables == natural.variables
     assert not any(v.startswith("y_") for v in model.variables)
     assert model.constraints[: len(natural.constraints)] == natural.constraints
@@ -234,7 +272,7 @@ def test_projected_rows_of_a_path_demand():
     )
     rows = {
         con.name: con.coeffs
-        for con in build_relaxation(inst, "strengthened", projected=True).constraints
+        for con in build_relaxation(inst, "strengthened").constraints
         if con.name.startswith("ends_")
     }
     one = Rat(1)
@@ -252,24 +290,24 @@ def test_demand_with_a_common_neighbour_keeps_y():
     inst = EdsInstance(
         tri, {v: Rat(v) for v in range(3)}, {e: Rat(1) for e in range(3)}, {e: INF for e in range(3)}
     )
-    full = build_relaxation(inst, "strengthened")
-    model = build_relaxation(inst, "strengthened", projected=True)
+    full = y_form(inst)
+    model = build_relaxation(inst, "strengthened")
     assert model.variables == full.variables
     assert not any(con.name.startswith("ends_") for con in model.constraints)
     assert model.constraints == full.constraints
     assert relaxation_value(inst, "strengthened") == _y_form_value(inst)
 
 
-def _lexicographic_point(inst, projected):
-    """x(edge), x(node) and z of the strengthened LP's lexicographically
-    least optimum, from the y-form or from the projected form."""
-    model = build_relaxation(inst, "strengthened", projected=projected)
+def _lexicographic_point(inst, model):
+    """x(edge), x(node) and z of the lexicographically least optimum of
+    ``model``, the y-form or the projected form of the strengthened LP."""
     model.lexicographic = True
     return extract_relaxation_point(inst, simplex_solve(model))
 
 
 def _assert_canonical(inst):
-    assert _lexicographic_point(inst, True) == _lexicographic_point(inst, False)
+    assert _lexicographic_point(inst, build_relaxation(inst, "strengthened")) == (
+        _lexicographic_point(inst, y_form(inst)))
 
 
 @settings(max_examples=60, deadline=None, database=None)
@@ -299,7 +337,7 @@ def test_extract_point_shapes():
     assert sorted(xe) == sorted(inst.graph.edge_ids())
     assert sorted(xv) == list(range(inst.graph.n))
     assert sorted(z) == sorted(inst.graph.edge_ids())
-    for e, p in inst.penalty.items():
+    for e, p in rat_weights(inst)[2].items():
         if p == INF:
             assert z[e] == 0  # infinite penalties cannot be paid fractionally
         assert 0 <= xe[e]
@@ -332,11 +370,12 @@ def test_optimal_xi_completes():
     got = complete_eds_dual(inst, {1: Rat(2), 2: Rat(2)})
     assert got is not None
     nu, mu = got
+    node_weight, edge_weight, _ = rat_weights(inst)
     # capacity rows: per-edge nu mass within edge weights, per-node mu within node weights
     for e in (1, 2):
-        assert sum(nu.get((e, f), ZERO) for f in (1, 2)) <= inst.edge_weight[e]
+        assert sum(nu.get((e, f), ZERO) for f in (1, 2)) <= edge_weight[e]
     for v in (0, 1, 2):
-        assert sum(mu.get((v, e), ZERO) for e in (1, 2)) <= inst.node_weight[v]
+        assert sum(mu.get((v, e), ZERO) for e in (1, 2)) <= node_weight[v]
 
 
 def test_overcharged_xi_fails():
@@ -351,6 +390,34 @@ def test_completion_supports_infinite_penalties():
     assert got is not None
 
 
+@settings(max_examples=80, deadline=None, database=None)
+@given(small_eds(max_nodes=7, tree=True))
+def test_completion_on_fractional_weights_is_a_rational_dual(inst):
+    """complete_eds_dual solves in units; the nu and mu it returns meet
+    every capacity and support row of the rational weights, and an xi
+    above a rational penalty is refused."""
+    g = inst.graph
+    node_weight, edge_weight, penalty = rat_weights(inst)
+    xi = solve_eds_tree(inst)[1].xi
+    got = complete_eds_dual(inst, xi)
+    if got is not None:  # None on the trees of F1
+        nu, mu = got
+        for ep in g.edge_ids():
+            assert sum((x for (f, _), x in nu.items() if f == ep), ZERO) <= edge_weight[ep]
+        for v in range(g.n):
+            assert sum((x for (u, _), x in mu.items() if u == v), ZERO) <= node_weight[v]
+        nbhd = edge_neighborhoods(g)
+        for e in g.edge_ids():
+            for ep in nbhd[e]:
+                u, v = g.ends(ep)
+                support = nu.get((ep, e), ZERO) + mu.get((u, e), ZERO) + mu.get((v, e), ZERO)
+                assert support >= xi[e]
+    for e, p in penalty.items():
+        if not is_inf(p):
+            with pytest.raises(ValueError):
+                complete_eds_dual(inst, {**xi, e: p + Rat(1, 1000)})
+
+
 # -- pinned vertices ----------------------------------------------------------
 
 
@@ -360,8 +427,9 @@ def _assignment_digest(res):
 
 
 # (relaxation_value, sha256 of the full simplex assignment, one
-# "var value" line per variable in model order).  The y-form vertex that
-# the pivot rules reach: a change to the simplex that moves it shows here.
+# "var value" line per variable in model order).  The natural vertex and
+# the y-form (`y_form`) strengthened vertex that the pivot rules reach: a
+# change to the simplex that moves either shows here.
 PINNED_VERTICES = {
     ("random-tree-eds", (("n", 7), ("seed", 2)), "natural"): (
         Rat(73, 3),
@@ -386,7 +454,8 @@ PINNED_VERTICES = {
 def test_relaxation_vertices_are_pinned(key):
     kind, params, relaxation = key
     inst = gen_instance(kind, **dict(params))
-    res = simplex_solve(build_relaxation(inst, relaxation))
+    model = y_form(inst) if relaxation == "strengthened" else build_relaxation(inst, relaxation)
+    res = simplex_solve(model)
     assert all(isinstance(x, Rat) for x in res.assignment.values())
     assert (relaxation_value(inst, relaxation), _assignment_digest(res)) == (
         PINNED_VERTICES[key]
