@@ -334,8 +334,8 @@ class Demand:
 
 class _DemandPath(NamedTuple):
     lca: int
-    edges: Tuple[int, ...]
-    legs: Tuple[FrozenSet[int], FrozenSet[int]]
+    edges: Tuple[int, ...]  # from s towards t
+    up: int  # the number of edges on the s side of the lca
 
 
 def _check_demands(tree: RootedTree, demands: List[Demand]) -> None:
@@ -375,17 +375,13 @@ class MulticutInstance(_WeightedGraph):
         return {}
 
     def lca(self, i: int) -> int:
-        return self._path(i).lca
+        return self.path(i).lca
 
     def path_edges(self, i: int) -> Tuple[int, ...]:
         """Edge ids along the demand path, ordered from s towards t."""
-        return self._path(i).edges
+        return self.path(i).edges
 
-    def legs(self, i: int) -> Tuple[FrozenSet[int], FrozenSet[int]]:
-        """The path edges below the lca on the s side and on the t side."""
-        return self._path(i).legs
-
-    def _path(self, i: int) -> _DemandPath:
+    def path(self, i: int) -> _DemandPath:
         """Demand i's path, walked once, on first use, up to the lca."""
         path = self._paths.get(i)
         if path is None:
@@ -400,13 +396,26 @@ class MulticutInstance(_WeightedGraph):
                 else:
                     down.append(t)
                     t = parent[t]
-            down.reverse()
-            path = self._paths[i] = _DemandPath(
-                s,
-                tuple(up + down),
-                (frozenset(up), frozenset(down)),
-            )
+            path = self._paths[i] = _DemandPath(s, (*up, *reversed(down)), len(up))
         return path
+
+    def place(self, i: int, v: int) -> int:
+        """Node v's place on demand i's path, counted in nodes from s (s at
+        0, the lca at ``up``, t at the path's length), or -1 when v is no
+        node of the path, as every int outside the tree is.  An edge's id
+        is its lower node, so the path node d levels below the lca is the
+        s side's edge ``edges[up - d]`` or the t side's ``edges[up + d - 1]``."""
+        if not 0 <= v < self.tree.n:
+            return -1
+        lca, edges, up = self.path(i)
+        d = self.tree.depth[v] - self.tree.depth[lca]
+        if d <= 0:
+            return up if v == lca else -1
+        if d <= up and edges[up - d] == v:
+            return up - d
+        if up + d <= len(edges) and edges[up + d - 1] == v:
+            return up + d
+        return -1
 
 
 @dataclass

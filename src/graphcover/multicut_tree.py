@@ -63,9 +63,9 @@ row (a mu write at v changes at most the two rows of v's path edges),
 the keys written since the last classification and the last check, and
 the nodes whose non-relaxable limit a write can move back.  Each
 demand's path is walked once per instance, by :class:`MulticutInstance`,
-whose lca, edges and legs answer every path question; a node's place on
-a path, and with it its at most two path edges and their rows, comes
-from the node's depth and the leg it is on.  A count per edge of the
+into one record: its lca, its edges and their count on s's side.  One
+rule of the instance reads a node's place from it and the node's depth,
+and with it the node's at most two path edges.  A count per edge of the
 demands through it whose row there is loose serves the witness choice,
 and the deletion phase indexes the demands through each edge of F.  The
 classification is updated in place and read before the next dual write:
@@ -312,11 +312,6 @@ class IncreaseState:
         self.order: List[int] = sorted(range(k), key=lambda i: (-tree.depth[inst.lca(i)], i))
         self.position: Dict[int, int] = {d: p for p, d in enumerate(self.order)}
         self.path_edges: List[Tuple[int, ...]] = [inst.path_edges(i) for i in range(k)]
-        # where a node lies on a demand's path, read from depths (see _node_at)
-        self._depth = tree.depth
-        self._s_leg = [inst.legs(i)[0] for i in range(k)]
-        self._s_depth = [tree.depth[d.s] for d in inst.demands]
-        self._t_shift = [s - 2 * tree.depth[inst.lca(i)] for i, s in enumerate(self._s_depth)]
 
         self.xi: Dict[int, Exact] = {}
         self.nu: Dict[Tuple[int, int], Exact] = {}
@@ -426,23 +421,16 @@ class IncreaseState:
         upper = self.instance.tree.parent[e]
         return e if v == upper else upper
 
-    def _node_at(self, j: int, v: int) -> int:
-        """Where node v lies on j's path, counted in nodes from s; v must
-        be on the path.  The s leg climbs from s, one level per node, and
-        the rest descends from the lca, so depths place every node."""
-        if v in self._s_leg[j]:
-            return self._s_depth[j] - self._depth[v]
-        return self._t_shift[j] + self._depth[v]
-
     def _row(self, j: int, e: int) -> int:
         """Where edge e lies on j's path, counted in edges from s: at its
-        lower end's place on the s leg, one before it on the t leg."""
-        return self._node_at(j, e) - (e not in self._s_leg[j])
+        lower end's place on the s side of the lca, one before it past it."""
+        at = self.instance.place(j, e)
+        return at - (at > self.instance.path(j).up)
 
     def _rows_at(self, j: int, v: int) -> range:
         """Where j's path edges at v lie on the path: just before and just
         after v's place.  v must be on j's path."""
-        at = self._node_at(j, v)
+        at = self.instance.place(j, v)
         return range(max(at - 1, 0), min(at + 1, len(self.path_edges[j])))
 
     def edges_at(self, j: int, v: int) -> List[int]:
@@ -829,7 +817,7 @@ def _fact5_additions(state: IncreaseState, wit: int, d: int) -> None:
     while queue:
         g, owner, v = queue.pop(0)
         for j in state.decrease_targets(owner, v):
-            if any(g in leg for leg in inst.legs(j)):
+            if g != inst.lca(j) and inst.place(j, g) >= 0:  # g is on j's path
                 continue
             cands = state.pinning_edges(j, v)
             assert cands, "immovable mass must be pinned by a bottleneck edge"
@@ -925,8 +913,9 @@ def deletion_phase(state: IncreaseState) -> FrozenSet[int]:
     for j in range(k):
         assert not kept.isdisjoint(state.path_edges[j]), f"demand {j} left uncovered"
     for d in state.processed:
-        for leg in state.instance.legs(d):
-            assert len(kept & leg) <= 1, f"leg of demand {d} cut twice"
+        _, path, up = state.instance.path(d)
+        for leg in (path[:up], path[up:]):
+            assert len(kept.intersection(leg)) <= 1, f"leg of demand {d} cut twice"
     return frozenset(kept)
 
 
@@ -946,10 +935,10 @@ def verify_multicut(
     uncovered = [i for i in range(k) if chosen.isdisjoint(inst.path_edges(i))]
     report.add("demands-separated", not uncovered, f"uncovered: {uncovered}")
 
-    # the path's edges are its legs, and its nodes the legs' lower ends
-    # (an edge's id) and the lca, whose own parent edge is off the path
+    # the path's nodes are those it places, and its edges, each named by
+    # its lower node, those nodes but the lca, whose parent edge is off it
     def on_path(x: int, i: int, node: bool) -> bool:
-        return 0 <= i < k and (any(x in leg for leg in inst.legs(i)) or node and x == inst.lca(i))
+        return 0 <= i < k and inst.place(i, x) >= 0 and (node or x != inst.lca(i))
 
     # the values over one common denominator, so every row below is
     # checked in ints

@@ -73,9 +73,8 @@ def two_leaf_star(pi1, pi2, wr=Rat(3), w1=Rat(1), w2=Rat(5)):
 def path_nodes(inst, i):
     """Nodes along demand i's path, from s to t: each path edge is named by
     its lower end, so they are the s-side edges, the lca, then the rest."""
-    edges = inst.path_edges(i)
-    up = len(inst.legs(i)[0])
-    return edges[:up] + (inst.lca(i),) + edges[up:]
+    lca, edges, up = inst.path(i)
+    return edges[:up] + (lca,) + edges[up:]
 
 
 def star_multicut(w1, w2, penalty):

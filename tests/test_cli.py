@@ -215,6 +215,21 @@ def test_verify_rejects_a_nu_line_at_the_lca_parent_edge(mtree, tmp_path, capsys
         assert "FAIL dual-feasible" in out
 
 
+def test_verify_rejects_dual_lines_that_name_no_node(mtree, tmp_path, capsys):
+    """A nu or mu key outside the compiled tree's ids is off every path: the
+    check fails, and no lookup reads it as an index."""
+    cert = tmp_path / "m.cert"
+    assert cli.run(["solve", str(mtree), "--certificate", str(cert)]) == 0
+    n = multicut_tree.reduce_prize_collecting(parse_instance(mtree.read_text()))[0].tree.n
+    text = cert.read_text()
+    capsys.readouterr()
+    for line in ("nu -1 0 0", f"mu {n} 0 1", "nu 1000000000 0 1/2"):
+        cert.write_text(f"{text}{line}\n")
+        code, out, err = run_cli(capsys, "verify", str(mtree), str(cert))
+        assert (code, err) == (1, "")
+        assert "FAIL dual-feasible" in out
+
+
 def test_verify_rejects_unparseable_certificate(star4, tmp_path, capsys):
     cert = tmp_path / "broken.cert"
     cert.write_text("certificate eds-tree\nobjective oops\n")

@@ -1,5 +1,8 @@
 """Graphs, instance types, the text format, generators, and covering reductions."""
 
+import sys
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -24,8 +27,8 @@ from graphcover import (
     serialize_certificate,
     serialize_instance,
 )
-from graphcover.instances import GEN_KINDS, edge_neighborhoods, problem_kind
-from graphcover.rationals import ZERO, is_inf
+from graphcover.instances import GEN_KINDS, Demand, edge_neighborhoods, problem_kind
+from graphcover.rationals import ONE, ZERO, is_inf
 
 from _support import edited_texts, path_nodes, rat_weights, small_eds, small_multicuts
 
@@ -117,23 +120,45 @@ def _ancestors(tree, v):
 @settings(max_examples=150, deadline=None, database=None)
 @given(small_multicuts(max_nodes=12))
 def test_demand_paths_match_ancestor_chains(inst):
+    n = inst.tree.n
     for i, d in enumerate(inst.demands):
         from_s, from_t = _ancestors(inst.tree, d.s), _ancestors(inst.tree, d.t)
         lca = next(v for v in from_s if v in from_t)
         up = from_s[: from_s.index(lca)]
         down = from_t[: from_t.index(lca)]
+        nodes = up + [lca] + down[::-1]  # from s to t
         assert inst.lca(i) == lca
         assert list(inst.path_edges(i)) == up + down[::-1]
-        assert list(path_nodes(inst, i)) == up + [lca] + down[::-1]  # from s to t
-        assert inst.legs(i) == (frozenset(up), frozenset(down))
-        # the path edges are the disjoint union of the legs, and as an edge's
-        # id is its lower end, the path nodes are the legs' ids and the lca
-        s_leg, t_leg = inst.legs(i)
-        assert s_leg.isdisjoint(t_leg)
-        assert s_leg | t_leg == set(inst.path_edges(i))
-        assert len(inst.path_edges(i)) == len(s_leg) + len(t_leg)
-        assert lca not in s_leg | t_leg
-        assert set(path_nodes(inst, i)) == s_leg | t_leg | {lca}
+        assert inst.path(i) == (lca, tuple(up + down[::-1]), len(up))
+        assert list(path_nodes(inst, i)) == nodes
+        # the rule places every path node at its index from s, and every
+        # other node, and every int that names no node, at -1
+        for v in range(n):
+            assert inst.place(i, v) == (nodes.index(v) if v in nodes else -1)
+        for v in (-1, -n, -n - 1, n, 10**9):
+            assert inst.place(i, v) == -1
+
+
+def test_path_walks_keep_little_beside_their_edge_tuples():
+    """On a 2,000-node path rooted at its middle, walking 50 demands from
+    near one end to near the other allocates under 3x the edge tuples' own
+    size: each walk keeps one record, and no per-demand set."""
+    n = 2000
+    tree = RootedTree.from_edges(n, [(v, v + 1) for v in range(n - 1)], root=n // 2)
+    inst = MulticutInstance(
+        tree,
+        {v: ZERO for v in range(n)},
+        {e: ONE for e in tree.edge_ids()},
+        [Demand(i, n - 1 - i, INF) for i in range(50)],
+    )
+    tracemalloc.start()
+    try:
+        paths = [inst.path_edges(i) for i in range(len(inst.demands))]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(inst.path(i).up == n // 2 - i for i in range(len(paths)))
+    assert peak < 3 * sum(map(sys.getsizeof, paths))
 
 
 # -- instance validation ----------------------------------------------------

@@ -910,6 +910,9 @@ def _violation(inst, dual, den):
         pytest.param("nu", (1, 0), id="nu-at-the-lca-parent-edge"),
         pytest.param("mu", (4, 0), id="mu-off-the-path"),
         pytest.param("mu", (0, 0), id="mu-above-the-lca"),
+        pytest.param("nu", (-1, 0), id="nu-at-minus-one"),
+        pytest.param("mu", (5, 0), id="mu-at-n"),
+        pytest.param("nu", (10**9, 0), id="nu-at-a-large-int"),
     ],
 )
 def test_verifier_rejects_dual_entries_off_the_path(table, key, value):
@@ -920,8 +923,9 @@ def test_verifier_rejects_dual_entries_off_the_path(table, key, value):
     dual = state.dual
     assert verify_multicut(inst, kept, dual).passed
     getattr(dual, table)[key] = value
-    # every row of the dual system still holds: only the domain is broken
-    assert _violation(inst, dual, 1) is None
+    if 0 <= key[0] < inst.tree.n:  # the rows index capacities by id
+        # every row of the dual system still holds: only the domain is broken
+        assert _violation(inst, dual, 1) is None
     report = verify_multicut(inst, kept, dual)
     assert "dual-feasible" in report.failures()
 
@@ -960,5 +964,8 @@ def test_no_ratio_above_two_on_small_trees(inst):
     assert sol.total <= 2 * dual.total
     assert dual.total <= brute_force_multicut(inst).total
     for d in state.processed:
-        for leg in inst0.legs(d):
-            assert len(kept & leg) <= 1
+        # at most one kept edge on each side of the lca, placed by the rule
+        up = inst0.path(d).up
+        places = [inst0.place(d, e) for e in kept]
+        assert sum(0 <= at < up for at in places) <= 1
+        assert sum(at > up for at in places) <= 1
