@@ -3,9 +3,12 @@
 A certificate is a line-based text file in the same style as instance files:
 ``#`` starts a comment and rationals print as ``p/q`` (integers without the
 ``/1``).  The first directive names the certificate kind, which must match
-the instance it is checked against.  ``objective`` and the kind's scalar
-directives (:data:`SCALAR_DIRECTIVES`) each appear exactly once; a repeated
-one is a parse error, never a silent overwrite.
+the instance it is checked against.  One table,
+:data:`CERTIFICATE_DIRECTIVES`, says which kinds take each directive, how
+its fields are read and which of its lines may not repeat, and the column
+reader of instance files (`instances.read_columns`) reads certificates
+through it.  ``objective`` and the kind's bounds each appear exactly once;
+a repeated one is a parse error, never a silent overwrite.
 
 * ``eds-tree``: the chosen edges and one dual value per edge.  Verification
   recomputes the objective, requires the dual total to equal it, and
@@ -38,7 +41,7 @@ from .instances import (
     ParseError,
     eds_solution,
     problem_kind,
-    read_directives,
+    read_columns,
     read_int,
 )
 from .lp import OPTIMAL, dual_model, simplex_solve
@@ -54,10 +57,54 @@ from .relaxations import build_relaxation
 from .reporting import CheckReport
 
 CERTIFICATE_KINDS = ("eds-tree", "multicut-tree", "eds-general")
+_TREES, _CUT, _GENERAL = CERTIFICATE_KINDS[:2], CERTIFICATE_KINDS[1:2], CERTIFICATE_KINDS[2:]
 
-#: The single-valued directives after ``objective``, in print order, each
-#: with the one certificate kind it belongs to.  Each may appear once.
-SCALAR_DIRECTIVES = {"ratio": "multicut-tree", "lower": "eds-general", "factor": "eds-general"}
+
+def _value_or_inf(tok: str) -> ExtRat:
+    """A value token or ``inf``."""
+    return parse_rat(tok, allow_inf=True)
+
+
+#: Every certificate directive, in the shape of `instances.DIRECTIVES`: for
+#: the kinds that take it, the readers of its fields, the message for a
+#: wrong number of them and its rule, if any.  A value is read by
+#: `parse_rat`, so a negative one parses and verification rejects it; only
+#: ``objective`` takes ``inf``.  The directives whose rule keys no field
+#: hold one value, once: the objective, then each kind's bounds.
+CERTIFICATE_DIRECTIVES = {
+    "objective": {CERTIFICATE_KINDS: (
+        (_value_or_inf,), "'objective' takes one value, once",
+        (0, "'objective' takes one value, once"))},
+    "ratio": {_CUT: (
+        (parse_rat,), "'ratio' takes one value and is multicut-only",
+        (0, "duplicate 'ratio' line"))},
+    "lower": {_GENERAL: (
+        (parse_rat,), "'lower' takes one value and is eds-general-only",
+        (0, "duplicate 'lower' line"))},
+    "factor": {_GENERAL: (
+        (parse_rat,), "'factor' takes one value and is eds-general-only",
+        (0, "duplicate 'factor' line"))},
+    "edge": {CERTIFICATE_KINDS: (
+        (read_int,), "'edge' takes one id", (1, "duplicate edge entry for {}"))},
+    "xi": {_TREES: (
+        (read_int, parse_rat), "'xi' takes an id and a value", (1, "duplicate xi entry for {}"))},
+    "nu": {_CUT: (
+        (read_int, read_int, parse_rat), "'nu' takes edge, demand and value (multicut-only)",
+        (2, "duplicate nu entry for {}"))},
+    "mu": {_CUT: (
+        (read_int, read_int, parse_rat), "'mu' takes node, demand and value (multicut-only)",
+        (2, "duplicate mu entry for {}"))},
+    "witness": {_CUT: (
+        (read_int, read_int), "'witness' takes demand and edge (multicut-only)",
+        (1, "duplicate witness for demand {}"))},
+    "processed": {_CUT: ((read_int,), "'processed' takes one demand (multicut-only)", None)},
+}
+
+
+def _scalars(kind: str):
+    """The directives that a certificate of ``kind`` holds once, in print order."""
+    return [head for head, groups in CERTIFICATE_DIRECTIVES.items()
+            for group, (_, _, rule) in groups.items() if kind in group and rule and not rule[0]]
 
 
 @dataclass
@@ -118,10 +165,8 @@ def serialize_certificate(cert: Certificate) -> str:
     """Canonical text form; identical certificates serialize identically."""
     if cert.kind not in CERTIFICATE_KINDS:
         raise InstanceError(f"unknown certificate kind {cert.kind!r}")
-    lines = [f"certificate {cert.kind}", f"objective {fmt_rat(cert.objective)}"]
-    for name, kind in SCALAR_DIRECTIVES.items():
-        if kind == cert.kind:
-            lines.append(f"{name} {fmt_rat(getattr(cert, name))}")
+    lines = [f"certificate {cert.kind}"]
+    lines += [f"{head} {fmt_rat(getattr(cert, head))}" for head in _scalars(cert.kind)]
     for e in sorted(cert.edges):
         lines.append(f"edge {e}")
     for key in sorted(cert.xi):
@@ -139,78 +184,26 @@ def serialize_certificate(cert: Certificate) -> str:
 
 def parse_certificate(text: str) -> Certificate:
     """Parse a certificate file.  Errors report 1-based line numbers."""
-    edges, processed = set(), []
-    xi: Dict[int, Rat] = {}
-    pairs: Dict[str, Dict[Tuple[int, int], Rat]] = {"nu": {}, "mu": {}}
-    witness: Dict[int, int] = {}
-    values: Dict[str, ExtRat] = {}  # objective and the scalar directives
-
-    def start(kind):
-        def line(toks):
-            head, args = toks[0], toks[1:]
-            if head == "objective":
-                if len(args) != 1 or head in values:
-                    raise ValueError("'objective' takes one value, once")
-                values[head] = parse_rat(args[0], allow_inf=True)
-            elif head in SCALAR_DIRECTIVES:
-                owner = SCALAR_DIRECTIVES[head]
-                if len(args) != 1 or kind != owner:
-                    only = owner.removesuffix("-tree")
-                    raise ValueError(f"'{head}' takes one value and is {only}-only")
-                if head in values:
-                    raise ValueError(f"duplicate '{head}' line")
-                values[head] = parse_rat(args[0])
-            elif head == "edge":
-                if len(args) != 1:
-                    raise ValueError("'edge' takes one id")
-                e = read_int(args[0])
-                if e in edges:
-                    raise ValueError(f"duplicate edge entry for {e}")
-                edges.add(e)
-            elif head == "xi":
-                if len(args) != 2:
-                    raise ValueError("'xi' takes an id and a value")
-                if kind not in ("eds-tree", "multicut-tree"):
-                    raise ValueError(
-                        "'xi' belongs to eds-tree and multicut-tree certificates only")
-                key = read_int(args[0])
-                if key in xi:
-                    raise ValueError(f"duplicate xi entry for {key}")
-                xi[key] = parse_rat(args[1])
-            elif head in pairs:
-                if len(args) != 3 or kind != "multicut-tree":
-                    where = "edge" if head == "nu" else "node"
-                    raise ValueError(f"'{head}' takes {where}, demand and value (multicut-only)")
-                key = (read_int(args[0]), read_int(args[1]))
-                if key in pairs[head]:
-                    raise ValueError(f"duplicate {head} entry for {key}")
-                pairs[head][key] = parse_rat(args[2])
-            elif head == "witness":
-                if len(args) != 2 or kind != "multicut-tree":
-                    raise ValueError("'witness' takes demand and edge (multicut-only)")
-                i = read_int(args[0])
-                if i in witness:
-                    raise ValueError(f"duplicate witness for demand {i}")
-                witness[i] = read_int(args[1])
-            else:  # processed
-                if len(args) != 1 or kind != "multicut-tree":
-                    raise ValueError("'processed' takes one demand (multicut-only)")
-                processed.append(read_int(args[0]))
-
-        return dict.fromkeys(("objective", *SCALAR_DIRECTIVES, "edge", "xi", *pairs, "witness",
-                              "processed"), line)
-
-    kind = read_directives(text, "certificate", CERTIFICATE_KINDS, "certificate", start)
-    if "objective" not in values:
+    kind, columns = read_columns(
+        text, "certificate", CERTIFICATE_KINDS, "certificate", CERTIFICATE_DIRECTIVES)
+    if not columns["objective"][0]:
         raise ParseError(f"line {len(text.splitlines())}: missing 'objective' line")
+
+    def rows(head):
+        """The field values of head's lines, a tuple a line; none if the kind
+        does not take head."""
+        return zip(*columns.get(head, ()))
+
+    nu, mu = ({(x, i): val for x, i, val in rows(head)} for head in ("nu", "mu"))
     return Certificate(
         kind=kind,
-        edges=tuple(sorted(edges)),
-        xi=xi,
-        **pairs,
-        witness=witness,
-        processed=tuple(processed),
-        **values,
+        edges=tuple(sorted(columns["edge"][0])),
+        xi=dict(rows("xi")),
+        nu=nu,
+        mu=mu,
+        witness=dict(rows("witness")),
+        processed=tuple(i for i, in rows("processed")),
+        **{head: columns[head][0][0] for head in _scalars(kind) if columns[head][0]},
     )
 
 

@@ -9,6 +9,7 @@ byte-identical output.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import sys
 from pathlib import Path
@@ -196,51 +197,50 @@ def _batch_cells(inst, opt, shown: str, cert_path: Optional[Path]) -> List[str]:
     return [fmt_rat(natural), fmt_rat(strengthened), fmt_rat(objective), shown, ovr, verdict]
 
 
+def _batch_row(path: Path, cert_dir: Optional[Path]) -> List[str]:
+    """The report cells after the name of one file, the verdict last."""
+    try:
+        inst = _load_instance(str(path))
+    except (ParseError, InstanceError, _CliError) as exc:
+        sys.stderr.write(f"error: {path.name}: {exc}\n")
+        return ["-", "-", "-", "-", "-", "invalid"]
+    kind = _KINDS[problem_kind(inst)]
+    try:
+        opt, _ = kind.oracle(inst)
+    except OracleCapError:
+        opt = None
+    shown = "-" if opt is None else fmt_rat(opt)
+    if kind.solve is None:
+        return ["-", "-", "-", shown, "-", "-"]
+    cert_path = cert_dir / (path.name + ".cert") if cert_dir else None
+    try:
+        return _batch_cells(inst, opt, shown, cert_path)
+    except AssertionError as exc:
+        sys.stderr.write(f"internal check failed on {path.name}: {exc}\n")
+        return ["-", "-", "-", shown, "-", "error"]
+
+
 def _do_batch(args) -> int:
-    """One report row per file.  A file that cannot be read or parsed gets
-    the verdict ``invalid``, and a row whose solve trips an internal check
-    the verdict ``error``; the batch goes on either way, and exits with the
-    highest code its rows call for (see ``_VERDICT_EXIT``)."""
+    """One report row per file, written as it completes.  A file that
+    cannot be read or parsed gets the verdict ``invalid``, and a row whose
+    solve trips an internal check the verdict ``error``; the batch goes on
+    either way, and exits with the highest code its rows call for (see
+    ``_VERDICT_EXIT``)."""
     directory = Path(args.directory)
     if not directory.is_dir():
         raise _CliError(f"{args.directory} is not a directory")
     cert_dir = Path(args.certificates) if args.certificates else None
     if cert_dir:
         cert_dir.mkdir(parents=True, exist_ok=True)
-    rows = [
-        "instance\tnatural-lp\tstrengthened-lp\tobjective\toptimum\tratio\tverdict"
-    ]
+    paths = sorted(p for p in directory.iterdir() if p.is_file())  # before the report exists
     verdicts = set()
-    for path in sorted(p for p in directory.iterdir() if p.is_file()):
-        try:
-            inst = _load_instance(str(path))
-        except (ParseError, InstanceError, _CliError) as exc:
-            sys.stderr.write(f"error: {path.name}: {exc}\n")
-            verdicts.add("invalid")
-            rows.append("\t".join([path.name, "-", "-", "-", "-", "-", "invalid"]))
-            continue
-        kind = _KINDS[problem_kind(inst)]
-        try:
-            opt, _ = kind.oracle(inst)
-        except OracleCapError:
-            opt = None
-        shown = "-" if opt is None else fmt_rat(opt)
-        if kind.solve is not None:
-            cert_path = cert_dir / (path.name + ".cert") if cert_dir else None
-            try:
-                cells = _batch_cells(inst, opt, shown, cert_path)
-            except AssertionError as exc:
-                sys.stderr.write(f"internal check failed on {path.name}: {exc}\n")
-                cells = ["-", "-", "-", shown, "-", "error"]
+    with open(args.report, "w") if args.report else contextlib.nullcontext(sys.stdout) as out:
+        out.write("instance\tnatural-lp\tstrengthened-lp\tobjective\toptimum\tratio\tverdict\n")
+        for path in paths:
+            cells = _batch_row(path, cert_dir)
             verdicts.add(cells[-1])
-        else:
-            cells = ["-", "-", "-", shown, "-", "-"]
-        rows.append("\t".join([path.name, *cells]))
-    report = "\n".join(rows) + "\n"
-    if args.report:
-        Path(args.report).write_text(report)
-    else:
-        sys.stdout.write(report)
+            out.write("\t".join([path.name, *cells]) + "\n")
+            out.flush()
     return max((_VERDICT_EXIT.get(v, EXIT_OK) for v in verdicts), default=EXIT_OK)
 
 

@@ -6,9 +6,10 @@ expected.  Node and edge weights are nonnegative rationals; penalties are
 nonnegative rationals or infinite.  A number token is read as a `Number`:
 an integer token straight to an int, a ``p/q`` token to ``(p, q)`` in
 lowest terms (`parse_number`), ``inf`` to INF.  `DIRECTIVES` is the one
-table of which kinds take each directive and what its fields are, and
-`read_directives` reads the line format that instance and certificate
-files share.
+table of which kinds take each directive, what its fields are and which
+of its lines may not repeat.  `read_columns` reads a file into columns
+through such a table: an instance file through `DIRECTIVES`, a
+certificate file through the certificates' table of the same shape.
 
 Weight storage: an `EdsInstance` and a `MulticutInstance` keep their
 weights once, as integer units over their least common denominator
@@ -540,52 +541,6 @@ def read_int(tok: str) -> int:
         raise ValueError(f"expected an integer, got {tok!r}") from None
 
 
-def read_directives(text: str, header: str, kinds, what: str, start) -> str:
-    """Read a line-based file of directives and return its kind.
-
-    ``#`` starts a comment and blank lines are skipped.  The first
-    directive must be ``<header> <kind>`` with a kind from ``kinds``;
-    ``start(kind)`` then gives the handler of each directive the kind's
-    files may hold, and each later line goes to its directive's handler as
-    ``handler(toks)``, a tuple of its tokens with the directive first.  The
-    handler under the key None, if any, is called after each block of
-    lines: about 8 KB of text, cut after a newline, so that the blocks
-    hold the file's lines.  A handler rejects its line by raising
-    ValueError, which becomes a ParseError at the line's 1-based number;
-    the block handler's, at the block's last line.
-    """
-    handlers, kind, lineno, begin = {}, None, 0, 0
-    while begin < len(text):
-        end = text.find("\n", begin + (1 << 13)) + 1 or len(text)
-        try:
-            for lineno, raw in enumerate(text[begin:end].splitlines(), lineno + 1):
-                toks = tuple(raw.split("#", 1)[0].split() if "#" in raw else raw.split())
-                if not toks:
-                    continue
-                head = toks[0]
-                if head in handlers:
-                    handlers[head](toks)
-                elif kind is None:
-                    if head != header:
-                        raise ValueError(f"the first directive must be '{header} <kind>'")
-                    if len(toks) != 2 or toks[1] not in kinds:
-                        raise ValueError(f"unknown {header} kind {' '.join(toks[1:])!r}")
-                    kind = toks[1]
-                    handlers = start(kind)
-                elif head == header:
-                    raise ValueError(f"duplicate '{header}' line")
-                else:
-                    raise ValueError(f"unknown directive {head!r}")
-            if None in handlers:
-                handlers[None]()
-        except ValueError as exc:
-            raise ParseError(f"line {lineno}: {exc}") from None
-        begin = end
-    if kind is None:
-        raise ParseError(f"line 1: empty {what} file")
-    return kind
-
-
 def _number(tok: str) -> Number:
     """A nonnegative number token: an int, or ``(p, q)`` for a ``p/q`` token."""
     try:
@@ -626,112 +581,139 @@ _GRAPHS, _EDS, _CUT, _FL = _KINDS[:3], _KINDS[:2], _KINDS[2:3], _KINDS[4:]
 
 #: Every directive of instance files, in the order `serialize_instance`
 #: writes them: for each group of kinds that takes it, the readers of its
-#: fields and the message for a wrong number of them.  `_members` reads
-#: every token left on the line.
+#: fields, the message for a wrong number of them and its rule, if any.
+#: `_members` reads every token left on the line.  A rule ``(k, message)``
+#: forbids two lines whose first k fields agree, checked after the field
+#: count; a message alone lets the directive appear once, checked before it.
 DIRECTIVES = {
-    "nodes": {(*_GRAPHS, "set-cover"): ((_count,), "'nodes' takes one argument")},
-    "root": {("eds-tree", "multicut-tree"): ((read_int,), "'root' takes one argument")},
-    "node": {_GRAPHS: ((read_int, _number), "'node' takes id and weight")},
+    "nodes": {(*_GRAPHS, "set-cover"): (
+        (_count,), "'nodes' takes one argument", "duplicate 'nodes' line")},
+    "root": {("eds-tree", "multicut-tree"): (
+        (read_int,), "'root' takes one argument", "duplicate 'root' line")},
+    "node": {_GRAPHS: (
+        (read_int, _number), "'node' takes id and weight", (1, "duplicate weight for node {}"))},
     "edge": {
         _EDS: ((read_int, read_int, _number, _number_or_inf),
-               "'edge' takes u, v, weight and penalty here"),
-        _CUT: ((read_int, read_int, _number), "'edge' takes u, v and weight here"),
+               "'edge' takes u, v, weight and penalty here", None),
+        _CUT: ((read_int, read_int, _number), "'edge' takes u, v and weight here", None),
     },
-    "demand": {_CUT: ((read_int, read_int, _number_or_inf), "'demand' takes s, t and penalty")},
-    "set": {("set-cover",): ((_number, _members), "'set' takes a cost and member list")},
-    "facility": {_FL: ((read_int, _number), "'facility' takes id and opening cost")},
-    "client": {_FL: ((read_int,), "'client' takes an id")},
-    "conn": {_FL: ((read_int, read_int, _number), "'conn' takes client, facility and cost")},
-}
-
-#: For each kind, the readers and field-count message of each directive it takes.
-_TAKES = {
-    kind: {head: spec for head, taken in DIRECTIVES.items()
-           for kinds, spec in taken.items() if kind in kinds}
-    for kind in _KINDS
-}
-#: Directives that may appear once, checked before their field count.
-_ONCE = {"nodes": "duplicate 'nodes' line", "root": "duplicate 'root' line"}
-#: Directives whose first one or two fields, integers, may not repeat an
-#: earlier line's.
-_KEYS = {
-    "node": (1, "duplicate weight for node {}"),
-    "facility": (1, "duplicate facility {}"),
-    "conn": (2, "duplicate connection ({0[0]},{0[1]})"),
+    "demand": {_CUT: (
+        (read_int, read_int, _number_or_inf), "'demand' takes s, t and penalty", None)},
+    "set": {("set-cover",): ((_number, _members), "'set' takes a cost and member list", None)},
+    "facility": {_FL: (
+        (read_int, _number), "'facility' takes id and opening cost", (1, "duplicate facility {}"))},
+    "client": {_FL: ((read_int,), "'client' takes an id", None)},
+    "conn": {_FL: ((read_int, read_int, _number), "'conn' takes client, facility and cost",
+                   (2, "duplicate connection ({0[0]},{0[1]})"))},
 }
 
 
 def parse_instance(text: str) -> AnyInstance:
     """Parse an instance file.  Errors report 1-based line numbers.
 
-    A file is read into columns of field values (`_read_columns`), from
-    which the instance is built.  A file with a fault is read again with
-    each line checked, so that the error names the first faulty line.  A
-    fault of one node, root, edge, demand, set or connection is reported
-    at its line, and what only the whole file shows at the last line."""
-    try:
-        kind, columns = _read_columns(text, checked=False)
-    except ValueError:
-        kind, columns = _read_columns(text, checked=True)
+    A file is read into columns of field values (`read_columns`), from
+    which the instance is built.  A fault of one node, root, edge, demand,
+    set or connection is reported at its line, and what only the whole
+    file shows at the last line."""
+    kind, columns = read_columns(text, "problem", _KINDS, "instance", DIRECTIVES)
     try:
         return _build(kind, columns)
     except InstanceError as exc:
         raise ParseError(f"line {_line_of(text, exc.at)}: {exc}") from exc
 
 
-def _read_columns(text: str, checked: bool):
-    """An instance file's kind and, for each directive the kind takes, one
-    column of values per field, read through `DIRECTIVES`.
+def read_columns(text: str, header: str, kinds, what: str, table):
+    """A line-based file's kind and, for each directive the kind takes, one
+    column of values per field.  Instance and certificate files are read
+    here, each through its own table in the shape of `DIRECTIVES`.
 
-    A directive's lines are kept as rows of tokens, which are read a field
-    at a time: an integer field by the builtin int, any other by reading
-    each distinct token once, with a key checked before the later fields.
-    Without ``checked``, the rows are read once per block of lines, and a
-    fault may name a later line of its block.  With it, each line is
-    checked and read before the next, its integers by `read_int` for its
-    message, so the ParseError names the first faulty line."""
-    columns, keys = {}, {head: set() for head in _KEYS}
+    ``#`` starts a comment and blank lines are skipped.  The first
+    directive must be ``<header> <kind>`` with a kind from ``kinds``.  A
+    directive's lines are kept as rows of tokens, which are read a field at
+    a time once per block of lines (about 8 KB of text, cut after a
+    newline): an integer field by the builtin int, any other by reading
+    each distinct token once, with a rule's key checked before the later
+    fields.  A reader rejects a token by raising ValueError.  A fault found
+    so may name a later line of its block, so a file with a fault is read
+    again with each line checked and read before the next, its integers by
+    `read_int` for its message: the ParseError names the first faulty line
+    by its 1-based number."""
+    try:
+        return _read_columns(text, header, kinds, what, table, checked=False)
+    except ValueError:
+        return _read_columns(text, header, kinds, what, table, checked=True)
 
-    def start(kind):
-        taken = {head: [] for head in _TAKES[kind]}
-        columns.update((head, [[] for _ in spec[0]]) for head, spec in _TAKES[kind].items())
 
-        def read():
-            for head, rows in taken.items():
-                if not rows:
+def _read_columns(text: str, header: str, kinds, what: str, table, checked: bool):
+    """`read_columns`, reading each line before the next when ``checked``."""
+    kind, specs, taken, columns, keys = None, {}, {}, {}, {}
+
+    def read():
+        for head, rows in taken.items():
+            if not rows:
+                continue
+            (readers, arity, rule), m, cols = specs[head], len(rows), columns[head]
+            n = len(readers)
+            if readers[-1] is _members:  # the last field takes every token left
+                rows[:] = [[*row[:n], tuple(row[n:])] for row in rows]
+            if type(rule) is str and len(cols[0]) + m > 1:  # the directive may appear once
+                raise ValueError(rule)
+            if set(map(len, rows)) != {n + 1}:
+                raise ValueError(arity)
+            k, repeat = rule if type(rule) is tuple else (-1, "")
+            fields = [*zip(*rows)][1:]
+            for i in range(n + 1):
+                if i == k:  # the key is read, and no other line may hold it
+                    keyed = [col[-m:] for col in cols[:k]]
+                    new = keyed[0] if k == 1 else [*zip(*keyed)] or [()] * m
+                    known = len(keys[head])
+                    keys[head].update(new)
+                    if len(keys[head]) != known + m:
+                        raise ValueError(repeat.format(new[-1]))
+                if i < n:
+                    read = readers[i]
+                    cols[i] += map(int if read is read_int and not checked else
+                                   {tok: read(tok) for tok in set(fields[i])}.__getitem__,
+                                   fields[i])
+            rows.clear()
+
+    lineno, begin = 0, 0
+    while begin < len(text):
+        end = text.find("\n", begin + (1 << 13)) + 1 or len(text)
+        try:
+            for lineno, raw in enumerate(text[begin:end].splitlines(), lineno + 1):
+                toks = tuple(raw.split("#", 1)[0].split() if "#" in raw else raw.split())
+                if not toks:
                     continue
-                (readers, arity), (k, repeat) = _TAKES[kind][head], _KEYS.get(head, (0, ""))
-                n, m, cols = len(readers), len(rows), columns[head]
-                if readers[-1] is _members:  # the last field takes every token left
-                    rows[:] = [[*row[:n], tuple(row[n:])] for row in rows]
-                if set(map(len, rows)) != {n + 1} or head in _ONCE and len(cols[0]) + m > 1:
-                    raise ValueError(arity)
-                for i, (col, read, toks) in enumerate(zip(cols, readers, [*zip(*rows)][1:])):
-                    col += map(int if read is read_int and not checked else
-                               {tok: read(tok) for tok in set(toks)}.__getitem__, toks)
-                    if i + 1 == k:
-                        new = col[-m:] if k == 1 else list(zip(cols[0][-m:], col[-m:]))
-                        known = len(keys[head])
-                        keys[head].update(new)
-                        if len(keys[head]) != known + m:
-                            raise ValueError(repeat.format(new[-1]))
-                rows.clear()
-
-        def line(toks):
-            head = toks[0]
-            if head not in taken:
-                verb = "is not used by" if head == "nodes" else "is not valid for"
-                raise ValueError(f"'{head}' {verb} {kind}")
-            if head in _ONCE and columns[head][0]:
-                raise ValueError(_ONCE[head])
-            taken[head].append(toks)
+                head = toks[0]
+                if head in taken:
+                    taken[head].append(toks)
+                    if checked:
+                        read()
+                elif kind is None:
+                    if head != header:
+                        raise ValueError(f"the first directive must be '{header} <kind>'")
+                    if len(toks) != 2 or toks[1] not in kinds:
+                        raise ValueError(f"unknown {header} kind {' '.join(toks[1:])!r}")
+                    kind = toks[1]
+                    specs = {name: spec for name, groups in table.items()
+                             for group, spec in groups.items() if kind in group}
+                    taken, keys = {name: [] for name in specs}, {name: set() for name in specs}
+                    columns = {name: [[] for _ in spec[0]] for name, spec in specs.items()}
+                elif head == header:
+                    raise ValueError(f"duplicate '{header}' line")
+                elif head in table:
+                    verb = "is not used by" if head == "nodes" else "is not valid for"
+                    raise ValueError(f"'{head}' {verb} {kind}")
+                else:
+                    raise ValueError(f"unknown directive {head!r}")
             read()
-
-        if checked:
-            return dict.fromkeys(DIRECTIVES, line)
-        return {None: read, **{head: rows.append for head, rows in taken.items()}}
-
-    return read_directives(text, "problem", _KINDS, "instance", start), columns
+        except ValueError as exc:
+            raise ParseError(f"line {lineno}: {exc}") from None
+        begin = end
+    if kind is None:
+        raise ParseError(f"line 1: empty {what} file")
+    return kind, columns
 
 
 def _line_of(text: str, at) -> int:

@@ -144,7 +144,8 @@ def dual_violation(
     (see `_over_common_denominator`), and the loads are the per edge sums
     of nu and the per node sums of mu (see `_load`).  Rows in order:
     nonnegativity, the edge capacities (sum of nu at e <= w(e)), the node
-    capacities (likewise for mu), and the support rows
+    capacities (likewise for mu), each failed by a key that names no edge
+    or node whatever its value, and the support rows
     xi(d) <= nu(e, d) + mu(upper, d) + mu(lower, d) on d's path.  A demand
     with xi(d) zero or absent has only rows 0 <= a sum of values already
     checked nonnegative, so its rows are skipped."""
@@ -153,14 +154,17 @@ def dual_violation(
             if val < 0:
                 return f"negative dual value {name}[{key}]"
     # a load l/den exceeds units/scale when l * scale > units * den
-    scale = inst.scale
-    for e, tot in nu_load.items():
-        if tot * scale > inst.edge_units[e] * den:
-            return f"edge capacity violated at {e}"
-    for v, tot in mu_load.items():
-        if tot * scale > inst.node_units[v] * den:
-            return f"node capacity violated at {v}"
-    parent = inst.tree.parent
+    scale, tree = inst.scale, inst.tree
+    for what, load, units in (
+        ("edge", nu_load, inst.edge_units),
+        ("node", mu_load, inst.node_units),
+    ):
+        for x, tot in load.items():
+            if not 0 <= x < tree.n or what == "edge" and x == tree.root:
+                return f"dual value at {x}, which is no {what}"
+            if tot * scale > units[x] * den:
+                return f"{what} capacity violated at {x}"
+    parent = tree.parent
     for d in range(len(inst.demands)):
         x = xi.get(d)
         if not x:
@@ -331,11 +335,12 @@ class IncreaseState:
         )
         # kept by the setters: node -> demands with mu > 0 there, in
         # processing order; the running capacity sums by id; and per
-        # demand, the left side nu + mu + mu of each support row, in path order
+        # demand, from its first nu or mu write on, the left side
+        # nu + mu + mu of each support row, in path order (`support_row`)
         self.holders: Dict[int, List[int]] = {}
         self.nu_sum: List[Exact] = [0] * tree.n
         self.mu_sum: List[Exact] = [0] * tree.n
-        self.support: List[List[Exact]] = [[0] * len(path) for path in self.path_edges]
+        self.support: Dict[int, List[Exact]] = {}
         # the classification of the zero dual: every support row is tight
         # and every capacity of weight zero saturated.  snapshot() re-derives
         # it for dirty items only; a write to xi[j], nu[(e, j)] or mu[(v, j)]
@@ -411,9 +416,13 @@ class IncreaseState:
 
     # -- small helpers -----------------------------------------------------
 
+    def support_row(self, j: int) -> List[Exact]:
+        """j's support sums in path order, all zero before j's first write."""
+        return self.support.get(j) or [0] * len(self.path_edges[j])
+
     def _add_support(self, j: int, rows, change: Exact) -> None:
         """Add change to j's support sums at the given path positions."""
-        row = self.support[j]
+        row = self.support[j] = self.support_row(j)
         for i in rows:
             row[i] = _exact(row[i] + change)
 
@@ -502,7 +511,7 @@ class IncreaseState:
         end = len(self.order)
         for j in self._dirty_demands:
             xi, was, mask = self.xi.get(j, 0), self.tight_rows[j], 0
-            for i, (e, lhs) in enumerate(zip(self.path_edges[j], self.support[j])):
+            for i, (e, lhs) in enumerate(zip(self.path_edges[j], self.support_row(j))):
                 tight = lhs == xi
                 mask |= tight << i
                 if tight == (was >> i & 1):
@@ -596,7 +605,7 @@ class IncreaseState:
             assert self.mu_sum[v] <= self.node_cap[v], f"node capacity violated at {v}"
             rows.update((f, j) for f in self.edges_at(j, v))
         for e, j in rows:
-            assert self.xi.get(j, 0) <= self.support[j][self._row(j, e)], (
+            assert self.xi.get(j, 0) <= self.support_row(j)[self._row(j, e)], (
                 f"support row violated ({e},{j})"
             )
         self._unchecked_xi.clear()
@@ -609,15 +618,13 @@ class IncreaseState:
         nu_load, mu_load = _load(self.nu), _load(self.mu)
         assert all(tot == nu_load.get(e, 0) for e, tot in enumerate(self.nu_sum))
         assert all(tot == mu_load.get(v, 0) for v, tot in enumerate(self.mu_sum))
-        # a demand with no dual entry has only zero sums
+        # a demand with no row and no nu or mu entry has only zero sums
         parent, nu, mu = self.instance.tree.parent, self.nu, self.mu
-        written = set(self.xi).union((j for _, j in nu), (j for _, j in mu))
-        for j, path in enumerate(self.path_edges):
-            assert self.support[j] == (
-                [nu.get((e, j), 0) + mu.get((parent[e], j), 0) + mu.get((e, j), 0) for e in path]
-                if j in written
-                else [0] * len(path)
-            ), f"running support sums of demand {j}"
+        for j in set(self.support).union((j for _, j in nu), (j for _, j in mu)):
+            assert self.support_row(j) == [
+                nu.get((e, j), 0) + mu.get((parent[e], j), 0) + mu.get((e, j), 0)
+                for e in self.path_edges[j]
+            ], f"running support sums of demand {j}"
         holders: Dict[int, List[int]] = {}
         for (v, j), val in sorted(self.mu.items(), key=lambda item: self.position[item[0][1]]):
             if val > 0:
@@ -644,7 +651,7 @@ def _minimize_nu(state: IncreaseState) -> None:
     drop the edge out of the bottleneck rows."""
     for d in sorted(state.unminimized):
         # a write of nu(e, d) changes d's support sum at e alone
-        for e, lhs in zip(state.path_edges[d], state.support[d]):
+        for e, lhs in zip(state.path_edges[d], state.support_row(d)):
             key = (e, d)
             if e in state.F or key not in state.nu:
                 continue
@@ -762,7 +769,7 @@ def _step_lp(
         else:
             at.update(state._rows_at(j, x))
     for j in sorted(rows):
-        path, support = state.path_edges[j], state.support[j]
+        path, support = state.path_edges[j], state.support_row(j)
         for i in sorted(rows[j]):
             e, lhs = path[i], support[i]
             coeffs = {"eps": -1} if j == d else {}

@@ -15,6 +15,7 @@ from graphcover import (
     solve_eds_tree,
     verify_certificate,
 )
+from graphcover.certificates import CERTIFICATE_DIRECTIVES
 from graphcover.multicut_tree import kept_solution, multicut_ratio, run_multicut_pipeline
 
 from _support import edited_texts
@@ -187,6 +188,62 @@ def test_parse_rejects_wrong_kind_directive():
     text = "certificate eds-tree\nobjective 1\nratio 1\n"
     with pytest.raises(ParseError):
         parse_certificate(text)
+
+
+_MAKERS = {"eds-tree": _tree_cert, "multicut-tree": _multicut_cert, "eds-general": _general_cert}
+
+#: A line of each directive that not every kind takes, and those kinds.
+_FOREIGN = [
+    ("ratio 1", ("eds-tree", "eds-general")),
+    ("lower 1", ("eds-tree", "multicut-tree")),
+    ("factor 1", ("eds-tree", "multicut-tree")),
+    ("xi 0 1", ("eds-general",)),
+    ("nu 1 0 1", ("eds-tree", "eds-general")),
+    ("mu 1 0 1", ("eds-tree", "eds-general")),
+    ("witness 0 1", ("eds-tree", "eds-general")),
+    ("processed 0", ("eds-tree", "eds-general")),
+]
+
+
+def test_every_directive_but_objective_and_edge_is_foreign_to_some_kind():
+    heads = {line.split()[0] for line, _ in _FOREIGN}
+    assert heads | {"objective", "edge"} == set(CERTIFICATE_DIRECTIVES)
+
+
+@pytest.mark.parametrize("extra", ["", " 2"])
+@pytest.mark.parametrize(
+    "line, kind", [(line, kind) for line, kinds in _FOREIGN for kind in kinds]
+)
+def test_parse_rejects_a_directive_its_kind_does_not_take(line, kind, extra):
+    """Whatever its field count, the line is named with the instance files'
+    message."""
+    lines = serialize_certificate(_MAKERS[kind]()[1]).splitlines()
+    lines.insert(2, line + extra)
+    with pytest.raises(ParseError) as err:
+        parse_certificate("\n".join(lines) + "\n")
+    assert str(err.value) == f"line 3: '{line.split()[0]}' is not valid for {kind}"
+
+
+@pytest.mark.parametrize(
+    "fault, message",
+    [
+        (lambda toks: [*toks[:2], "x"], "malformed rational 'x'"),
+        (lambda toks: [*toks, "1"], "'xi' takes an id and a value"),
+        (lambda toks: [toks[0], "1", toks[2]], "duplicate xi entry for 1"),
+    ],
+)
+def test_a_fault_past_the_first_block_is_named_at_its_line(fault, message):
+    """A certificate over 8 KB is read a block at a time; the error still
+    names the faulty line, not a later line of its block."""
+    inst = gen_instance("random-tree-eds", n=2000, seed=1)
+    sol, dual = solve_eds_tree(inst)
+    lines = serialize_certificate(eds_tree_certificate(inst, sol, dual.xi)).splitlines()
+    at = len(lines) * 3 // 4
+    assert lines[at].startswith("xi ") and len("\n".join(lines[:at])) > 1 << 14
+    lines[at] = " ".join(fault(lines[at].split()))
+    with pytest.raises(ParseError) as err:
+        parse_certificate("\n".join(lines) + "\n")
+    assert str(err.value) == f"line {at + 1}: {message}"
 
 
 def test_parse_rejects_unknown_directive():

@@ -250,7 +250,7 @@ def test_verify_rejects_xi_in_an_eds_general_certificate(tmp_path, capsys):
     code, out, err = run_cli(capsys, "verify", str(inst), str(cert))
     assert code == 2 and out == ""
     lineno = len(text.splitlines()) + 1
-    assert err == f"error: line {lineno}: 'xi' belongs to eds-tree and multicut-tree certificates only\n"
+    assert err == f"error: line {lineno}: 'xi' is not valid for eds-general\n"
 
 
 # -- oracle ------------------------------------------------------------------
@@ -350,6 +350,32 @@ def test_batch_report(tmp_path, capsys):
             assert cells[1:4] == ["-", "-", "-"]
     made = sorted(p.name for p in certs.iterdir())
     assert made == ["a_star.eds.cert", "b_tree.eds.cert", "c_cut.tree.cert", "d_gen.eds.cert"]
+
+
+def test_batch_writes_each_row_as_it_completes(tmp_path, capsys, monkeypatch):
+    """A batch cut short keeps the rows it finished, a byte prefix of the
+    whole report."""
+    suite = tmp_path / "suite"
+    suite.mkdir()
+    _build_suite(suite)
+    whole, cut = tmp_path / "whole.tsv", tmp_path / "cut.tsv"
+    assert cli.run(["batch", str(suite), "--report", str(whole)]) == 0
+    calls = []
+    relaxation_values = cli.relaxation_values
+
+    def third_fails(inst):
+        calls.append(inst)
+        if len(calls) == 3:
+            raise MemoryError
+        return relaxation_values(inst)
+
+    monkeypatch.setattr(cli, "relaxation_values", third_fails)
+    with pytest.raises(MemoryError):
+        cli.run(["batch", str(suite), "--report", str(cut)])
+    capsys.readouterr()
+    rows = cut.read_bytes()
+    assert rows.count(b"\n") == 3  # the header and the first two instances
+    assert whole.read_bytes().startswith(rows)
 
 
 def test_batch_reports_dash_above_the_oracle_cap(tmp_path, capsys):

@@ -923,11 +923,32 @@ def test_verifier_rejects_dual_entries_off_the_path(table, key, value):
     dual = state.dual
     assert verify_multicut(inst, kept, dual).passed
     getattr(dual, table)[key] = value
-    if 0 <= key[0] < inst.tree.n:  # the rows index capacities by id
+    if 0 <= key[0] < inst.tree.n:
         # every row of the dual system still holds: only the domain is broken
         assert _violation(inst, dual, 1) is None
+    else:
+        what = "edge" if table == "nu" else "node"
+        assert _violation(inst, dual, 1) == f"dual value at {key[0]}, which is no {what}"
     report = verify_multicut(inst, kept, dual)
     assert "dual-feasible" in report.failures()
+
+
+def test_only_processed_demands_hold_a_support_row():
+    """A demand's support sums are made on its first nu or mu write, so a
+    demand that is never processed holds none."""
+    inst = gen_instance("random-tree-multicut", n=30, k=12, seed=5, inf_prob=1)
+    state = run_increase_phase(IncreaseState(reduce_prize_collecting(inst)[0]))
+    assert len(state.processed) < len(inst.demands)
+    assert set(state.xi) <= set(state.support) <= set(state.processed)
+
+
+@pytest.mark.parametrize("value", [ZERO, ONE])
+def test_a_nu_key_at_the_root_names_no_edge(value):
+    inst = _lca_below_root()
+    dual = run_increase_phase(IncreaseState(inst)).dual
+    root = inst.tree.root
+    dual.nu[(root, 0)] = value
+    assert _violation(inst, dual, 1) == f"dual value at {root}, which is no edge"
 
 
 # -- randomized battery ------------------------------------------------------

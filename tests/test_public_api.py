@@ -51,7 +51,7 @@ def test_directive_list_matches_the_readme_file_formats_section():
     table = [
         (head, kinds, tuple(_FIELD_NAMES[read] for read in readers), len(readers))
         for head, taken in instances.DIRECTIVES.items()
-        for kinds, (readers, _) in taken.items()
+        for kinds, (readers, *_) in taken.items()
     ]
     assert _readme_directive_rows() == table
 
