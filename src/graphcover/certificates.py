@@ -19,9 +19,10 @@ a repeated one is a parse error, never a silent overwrite.
   coverage, exact dual feasibility, the factor-2 bound, saturation, and
   the ratio.
 * ``eds-general``: the chosen edges, objective, relaxation ``lower`` bound,
-  and target ``factor``.  Verification recomputes the objective, re-solves
-  the relaxation through its LP dual (the same optimal value, with no
-  phase I), and checks the bound chain ``lower <= objective``.
+  target ``factor``, and the strengthened LP's optimum x (``primal``) and
+  dual optimum y (``dual``) in units.  Verification recomputes the
+  objective and the LP's value, from x and y in integers or, with no pair,
+  by re-solving, and checks ``lower <= objective <= factor * lower``.
 
 :func:`verify_certificate` checks the kind, then hands over to the kind's
 verifier; every verifier recomputes the objective the same way.
@@ -30,6 +31,8 @@ verifier; every verifier recomputes the objective the same way.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import lcm
+from operator import attrgetter
 from typing import Dict, Optional, Tuple
 
 from .eds_general import harmonic
@@ -44,7 +47,7 @@ from .instances import (
     read_columns,
     read_int,
 )
-from .lp import OPTIMAL, dual_model, simplex_solve
+from .lp import OPTIMAL, LpModel, LpResult, dual_model, simplex_solve
 from .multicut_tree import (
     MulticutDual,
     big_m_edges,
@@ -98,6 +101,12 @@ CERTIFICATE_DIRECTIVES = {
         (read_int, read_int), "'witness' takes demand and edge (multicut-only)",
         (1, "duplicate witness for demand {}"))},
     "processed": {_CUT: ((read_int,), "'processed' takes one demand (multicut-only)", None)},
+    "primal": {_GENERAL: (
+        (str, parse_rat), "'primal' takes a variable and a value (eds-general-only)",
+        (1, "duplicate primal entry for {}"))},
+    "dual": {_GENERAL: (
+        (str, parse_rat), "'dual' takes a row and a value (eds-general-only)",
+        (1, "duplicate dual entry for {}"))},
 }
 
 
@@ -122,6 +131,8 @@ class Certificate:
     ratio: Optional[Rat] = None
     lower: Optional[Rat] = None
     factor: Optional[Rat] = None
+    primal: Dict[str, Rat] = field(default_factory=dict)
+    dual: Dict[str, Rat] = field(default_factory=dict)
 
 
 def eds_tree_certificate(inst: EdsInstance, sol, xi: Dict[int, Rat]) -> Certificate:
@@ -151,13 +162,16 @@ def multicut_certificate(
     )
 
 
-def eds_general_certificate(inst: EdsInstance, sol, lower: Rat, factor: Rat) -> Certificate:
+def eds_general_certificate(inst: EdsInstance, sol, lower: Rat, factor: Rat,
+                            pair: LpResult) -> Certificate:
     return Certificate(
         kind="eds-general",
         edges=tuple(sorted(sol.edges)),
         objective=sol.total,
         lower=lower,
         factor=factor,
+        primal={v: q for v, q in pair.assignment.items() if q},  # zeros left out
+        dual={r: q for r, q in pair.duals.items() if q},
     )
 
 
@@ -179,6 +193,8 @@ def serialize_certificate(cert: Certificate) -> str:
         lines.append(f"witness {i} {cert.witness[i]}")
     for i in cert.processed:
         lines.append(f"processed {i}")
+    for head in ("primal", "dual"):
+        lines += [f"{head} {name} {fmt_rat(q)}" for name, q in getattr(cert, head).items()]
     return "\n".join(lines) + "\n"
 
 
@@ -203,6 +219,8 @@ def parse_certificate(text: str) -> Certificate:
         mu=mu,
         witness=dict(rows("witness")),
         processed=tuple(i for i, in rows("processed")),
+        primal=dict(rows("primal")),
+        dual=dict(rows("dual")),
         **{head: columns[head][0][0] for head in _scalars(kind) if columns[head][0]},
     )
 
@@ -288,11 +306,11 @@ def _verify_eds_general(inst: EdsInstance, cert: Certificate, report: CheckRepor
         return report
     sol = eds_solution(inst, cert.edges)
     _objective_recomputed(report, sol, cert)
-    res = simplex_solve(dual_model(build_relaxation(inst, "strengthened")))
-    value = res.value / inst.scale if res.status == OPTIMAL else res.status  # priced in units
+    value = _lp_value(build_relaxation(inst, "strengthened"), cert, report)
+    value = value and value / inst.scale  # priced in units
     report.add(
         "lower-bound-recomputed",
-        res.status == OPTIMAL and cert.lower == value,
+        value is not None and cert.lower == value,
         f"stated {cert.lower}, relaxation {value}",
     )
     report.add(
@@ -300,12 +318,54 @@ def _verify_eds_general(inst: EdsInstance, cert: Certificate, report: CheckRepor
         cert.factor == Rat(4) * harmonic(inst.graph.n),
         f"stated {cert.factor}",
     )
+    stated = cert.lower is not None and not is_inf(cert.objective)
     report.add(
         "weak-duality",
-        cert.lower is not None and not is_inf(cert.objective) and cert.lower <= cert.objective,
+        stated and cert.lower <= cert.objective,
         "lower bound must not exceed the objective",
     )
+    report.add(
+        "within-factor",
+        stated and cert.factor is not None and cert.objective <= cert.factor * cert.lower,
+        "objective must not exceed factor times the lower bound",
+    )
     return report
+
+
+def _lp_value(model: LpModel, cert: Certificate, report: CheckReport) -> Optional[Rat]:
+    """The optimum of ``model``, a ``min`` LP with integer data, that the
+    certificate's x and y prove in integers over their least common
+    denominator d, or None: x >= 0 meets its rows, y >= 0 those of its dual,
+    and c.x = b.y (Dhiflaoui et al., *SODA* 2003).  With no pair, as before
+    certificates had one, the dual is solved."""
+    dual = dual_model(model)
+    if not (cert.primal or cert.dual):
+        res = simplex_solve(dual)
+        return res.value if res.status == OPTIMAL else None
+    sides = ((model, cert.primal, "primal-feasible"), (dual, cert.dual, "dual-feasible"))
+    stray, d, values, ok = [], 1, [], True
+    for lp, side, _ in sides:
+        stray += sorted(set(side).difference(lp.variables))
+        d = lcm(d, *map(attrgetter("denominator"), side.values()))
+    if not report.add("pair-names", not stray, f"not in the relaxation: {stray[:3]}"):
+        return None
+    for lp, side, check in sides:
+        point, unmet, value = {}, [], 0
+        for k, q in side.items():
+            point[k] = x = int(q * d)
+            value += lp.objective.get(k, 0) * x
+            if x < 0:
+                unmet.append(k)
+        for con in lp.constraints:
+            lhs = -con.rhs * d
+            for v, c in con.coeffs.items():
+                lhs += c * point.get(v, 0)
+            if lhs < 0 if con.relation == ">=" else lhs > 0:
+                unmet.append(con.name)
+        values.append(Rat(value, d))
+        ok = report.add(check, not unmet, " ".join(unmet[:3])) and ok
+    cx, by = values
+    return by if report.add("pair-values-equal", cx == by, f"c.x {cx}, b.y {by}") and ok else None
 
 
 _VERIFIERS = {

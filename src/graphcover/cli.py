@@ -90,8 +90,8 @@ def _solve_multicut_tree(inst):
 
 
 def _solve_eds_general(inst):
-    sol, lower, factor = solve_eds_general(inst)
-    cert = eds_general_certificate(inst, sol, lower, factor)
+    sol, lower, factor, pair = solve_eds_general(inst)
+    cert = eds_general_certificate(inst, sol, lower, factor, pair)
     return sol, cert, [f"lower {fmt_rat(lower)}", f"factor {fmt_rat(factor)}"]
 
 

@@ -1,10 +1,11 @@
 """Approximate edge domination on general graphs via facility location.
 
 The solver rounds the lexicographically least optimum (x(e) by edge, then
-x(v) by node, then z) of the exactly-solved strengthened relaxation, so the
-point depends neither on the form of that LP nor on the pivots.
-Nodes carrying at least a quarter of fractional edge mass are heavy, and
-giving each heavy node an incident chosen edge is an edge-cover problem.
+x(v) by node, then z) of the exactly-solved strengthened relaxation, which
+one solve of its dual gives with the dual optimum beside it, so the point
+depends neither on the form of that LP nor on the pivots.  Nodes carrying
+at least a quarter of fractional edge mass are heavy, and giving each
+heavy node an incident chosen edge is an edge-cover problem.
 That edge cover is built straight as facility location: the heavy nodes are
 the clients, each light neighbour of a heavy node is a facility opened at
 its node weight and reached along its edges, and each edge joining two
@@ -19,7 +20,7 @@ stages together:
 * the paid penalty is at most twice the fractional penalty mass.
 
 ``solve_eds_general`` reports the solution, the relaxation value it was
-rounded from, and the factor 4*H(|V|) those inequalities target.
+rounded from and the LP pair that proves it, and the factor 4*H(|V|).
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .instances import (
     edge_neighborhoods,
     eds_solution,
 )
-from .lp import OPTIMAL, simplex_solve
+from .lp import OPTIMAL, LpResult, simplex_solve
 from .relaxations import build_relaxation, extract_relaxation_point, relaxation_value
 from .rationals import Rat, ZERO, is_inf
 
@@ -159,11 +160,12 @@ def greedy_facility_location(
     return tuple(sorted(opened)), assignment, total
 
 
-def solve_eds_general(inst: EdsInstance) -> Tuple[Solution, Rat, Rat]:
+def solve_eds_general(inst: EdsInstance) -> Tuple[Solution, Rat, Rat, LpResult]:
     """Cover-or-pay edge domination on an arbitrary graph.
 
     Returns the solution, the exact relaxation value it was rounded from
-    (a lower bound on the optimum), and the targeted factor 4*H(|V|).
+    (a lower bound on the optimum), the targeted factor 4*H(|V|), and the
+    LP's solve, priced in units, whose primal-dual pair proves that bound.
     """
     g = inst.graph
     model = build_relaxation(inst, "strengthened")
@@ -205,4 +207,4 @@ def solve_eds_general(inst: EdsInstance) -> Tuple[Solution, Rat, Rat]:
             penalty_mass += inst.penalty_units[e] * z[e]
     paid = solution.penalty * inst.scale
     assert paid <= 2 * penalty_mass, "paid penalty exceeds twice fractional"
-    return solution, lower, ratio
+    return solution, lower, ratio, res

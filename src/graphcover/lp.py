@@ -16,12 +16,9 @@ gives the ratio test and the elimination the entering column's rows: a
 set per column of the rows holding it, which the rows a pivot clears join
 at the pivot row's columns, in one bulk update per column (a row whose
 cell cancels stays in the set, and is skipped, until the column next
-enters; upkeep cell by cell made the eds-general primal at 20/40, which
-fills in heavily, 20-35% slower).  Pricing reads a heap of the negative
-reduced costs.  Both choose what a full scan chooses, so the pivot path
-is unchanged.  ``verify`` of ``gen random-tree-eds --n 1000 --seed 1``, a
-dual-completion LP of 3,713 rows and 3,086 pivots, went from 2.6 s to
-0.24 s (one core of a shared Xeon VM, Python 3.11, ``Fraction`` backend).
+enters, which costs less than upkeep cell by cell on rows that fill in).
+Pricing reads a heap of the negative reduced costs.  Both choose what a
+full scan chooses, so the pivot path is unchanged (README gives timings).
 
 Every comparison is exact (ratios are compared by cross-multiplying
 integers) and the pivot rules are fixed: most negative reduced cost, lowest
@@ -39,14 +36,14 @@ same rules pivot on under the tie-break.  Where the tie-break has one
 minimiser on that face, the vertex is that one, whatever the pivot path.
 
 A model may also ask for the lexicographically least optimum in variable
-order, after any tie-break: ``LpModel.lexicographic``.  From the optimal
-tableau it takes one stage per variable.  A nonbasic variable is zero on
-the face, its least value, and is barred from entering; a basic one is
-minimised with a cost row read from its own row, and every column with a
-positive reduced cost is then barred.  Barred columns are zero on what is
-left of the face, so no row is rewritten, and the stages end once every
-nonbasic column is barred.  That point depends on neither the pivot path
-nor, where the leading variables span the same optimal face, the LP form.
+order: ``LpModel.lexicographic``.  It is solved once, through its dual
+from the slack basis, with ties in the ratio test broken by the rows'
+slack-column cells in row order (Dantzig, Orden, Wolfe, *Pacific J. Math.*
+5(2), 1955): the dual of the primal with its costs perturbed by e, e^2,
+... in variable order.  So no basis repeats, and the optimal cost row read
+at the slack columns is that point, whatever the pivot path; the dual
+optimum comes back beside it (``LpResult.duals``).  That dual starts
+feasible only with no tie-break, no stage and no cost of the wrong sign.
 
 A model may also declare a first stage, ``LpModel.stage``: a count of
 leading variables.  Phase II then first lets only those variables and the
@@ -64,14 +61,14 @@ negative, or zero under ``>=``, so artificial columns serve only ``>=``
 rows with a positive rhs.
 
 :func:`dual_model` builds a model's exact LP dual, solved by the same
-simplex.  Callers that need only an optimal value (the relaxation values
-and the eds-general lower-bound check) solve the dual of their covering
-LP, which starts feasible and needs no phase I, staged where the natural
-relaxation's rows lead the strengthened one's; callers that read the
-primal point solve the primal, and the eds-general rounding asks for the
-lexicographically least optimum.  The relaxations are priced in integer
-units, which scales a whole objective, or a dual's whole right-hand side,
-by a positive constant and so changes no pivot choice.
+simplex.  Callers that need only an optimal value (the relaxation values)
+solve the dual of their covering LP, which starts feasible and needs no
+phase I, staged where the natural relaxation's rows lead the strengthened
+one's; the eds-general rounding asks for the lexicographic optimum.  The
+relaxations are priced in integer units, which scales a whole objective,
+or a dual's whole right-hand side, by a positive constant and so changes
+no pivot choice.  A model with no objective or tie-break is answered at
+the end of phase I: driving the artificials out is degenerate.
 
 Infinite data never enters a model: callers eliminate infinities before
 building (for example by fixing a variable to zero or omitting a bound).
@@ -109,6 +106,7 @@ class LpResult:
     value: Optional[object] = None  # Rat
     assignment: Optional[Dict[str, object]] = None
     stage_value: Optional[object] = None  # Rat, the first stage's optimum
+    duals: Optional[Dict[str, object]] = None  # a lexicographic model's dual optimum, by row
 
     def __getitem__(self, var):
         return self.assignment[var]
@@ -121,7 +119,7 @@ class LpModel:
     optima, and a first stage: when ``stage`` is set, the objective is
     first optimised over the leading ``stage`` variables alone.  When
     ``lexicographic`` is set, the optimum returned is the lexicographically
-    least one in variable order among the tie-break's minimisers."""
+    least one in variable order, for a model with no tie-break or stage."""
 
     name: str
     sense: str = "min"
@@ -214,14 +212,21 @@ def _checked(value, what: str):
 
 
 def simplex_solve(model: LpModel) -> LpResult:
-    """Solve the model exactly.  Returns status, optimal value and a full
-    variable assignment (deterministic for a fixed model), and for a staged
-    model the first stage's optimal value; the status is unbounded when the
-    first stage, the objective, or the tie-break over its optima is."""
+    """Solve the model exactly.  Returns status, optimal value, a full
+    variable assignment (deterministic for a fixed model), a staged model's
+    first-stage value and a lexicographic model's dual optimum; the status
+    is unbounded when the first stage, the objective, or its tie-break is."""
     if model.sense not in ("min", "max"):
         raise LpFormatError(f"bad sense {model.sense!r}")
     if model.stage is not None and not 0 <= model.stage <= len(model.variables):
         raise LpFormatError(f"stage {model.stage} is not a count of leading variables")
+    primal = None
+    if model.lexicographic:  # solve the dual, whose rows are <= with rhs >= 0: no phase I
+        sign = 1 if model.sense == "min" else -1
+        wrong_sign = any(sign * c < 0 for c in model.objective.values())
+        if model.tiebreak or model.stage is not None or wrong_sign:
+            raise LpFormatError("lexicographic models take no tie-break, stage or wrong-sign cost")
+        primal, model = model, dual_model(model)
 
     # Column layout: variable j is column j, the slack or surplus column of
     # row i is ncols + i, and the artificial columns follow.
@@ -266,11 +271,15 @@ def simplex_solve(model: LpModel) -> LpResult:
         # The phase-I optimum is the sum of these rhs, all nonnegative.
         if any(row.b for row, col in zip(tab, basis) if col >= art_start):
             return LpResult(INFEASIBLE)
-        _drive_out_artificials(tab, basis, cols, art_start)
-        # the artificial columns never enter again
-        for row in tab:
-            row.a = {j: x for j, x in row.a.items() if j < art_start}
-        del cols[art_start:]
+        if model.objective or model.tiebreak:  # else phase I has answered
+            # pivot out each artificial on its row's least real column (the slacks give full rank)
+            for i, row in enumerate(tab):
+                if basis[i] >= art_start:
+                    _pivot(tab, basis, _Row({}), i, min(j for j in row.a if j < art_start), cols)
+            # the artificial columns never enter again
+            for row in tab:
+                row.a = {j: x for j, x in row.a.items() if j < art_start}
+            del cols[art_start:]
 
     def priced(objective: Dict[str, object], sign: int, dropped=()) -> _Row:
         """``sign * objective`` as a cost row in the current basis, less ``dropped``."""
@@ -290,27 +299,26 @@ def simplex_solve(model: LpModel) -> LpResult:
         if _pivot_until_optimal(tab, basis, cost, cols, range(model.stage, ncols)) == UNBOUNDED:
             return LpResult(UNBOUNDED)
         stage_value = Rat(-sign * cost.b, cost.d)
-    status = _pivot_until_optimal(tab, basis, cost, cols)
-    face = cost
-    dropped = set()
+    status = _pivot_until_optimal(tab, basis, cost, cols, lex=None if primal is None else ncols)
     if status == OPTIMAL and model.tiebreak:
         # a column with a positive reduced cost is zero in every optimum
         dropped = {j for j, x in cost.a.items() if x > 0}
         for row in tab:
             row.a = {j: x for j, x in row.a.items() if j not in dropped}
-        face = priced(model.tiebreak, 1, dropped)
-        status = _pivot_until_optimal(tab, basis, face, cols)
-    if status == UNBOUNDED:
-        return LpResult(UNBOUNDED, stage_value=stage_value)
-    if model.lexicographic:
-        barred = dropped | {j for j, x in face.a.items() if x > 0}
-        _lexicographic_least(tab, basis, cols, barred, ncols)
+        status = _pivot_until_optimal(tab, basis, priced(model.tiebreak, 1, dropped), cols)
+    if status == UNBOUNDED:  # the dual of a lexicographic model is feasible
+        return LpResult(UNBOUNDED if primal is None else INFEASIBLE, stage_value=stage_value)
 
     vals = {col: Rat(row.b, row.d) for row, col in zip(tab, basis) if col < ncols}
     assignment = {var: vals.get(j, ZERO) for var, j in col_of.items()}
-    # `cost` was last pivoted at the phase-II optimum, and the tie-break and
-    # lexicographic pivots stay on the optimal face, so it still reads the optimum
-    return LpResult(OPTIMAL, Rat(-sign * cost.b, cost.d), assignment, stage_value)
+    # `cost` was last pivoted at the phase-II optimum, and the tie-break
+    # pivots stay on the optimal face, so it still reads the optimum
+    value = Rat(-sign * cost.b, cost.d)
+    if primal is None:
+        return LpResult(OPTIMAL, value, assignment, stage_value)
+    # the reduced cost at the slack of the dual's row j is the primal's x_j
+    x = {var: Rat(cost.a.get(ncols + j, 0), cost.d) for j, var in enumerate(primal.variables)}
+    return LpResult(OPTIMAL, value, x, duals=assignment)
 
 
 class _Row:
@@ -378,7 +386,7 @@ def _eliminate(row: _Row, prow: _Row, c: int) -> None:
 
 
 def _pivot_until_optimal(
-    tab: List[_Row], basis: List[int], cost: _Row, cols: List[set], barred=range(0)
+    tab: List[_Row], basis: List[int], cost: _Row, cols: List[set], barred=range(0), lex=None
 ) -> str:
     """Minimise the cost row over every column it holds but the ``barred``
     ones, which never enter.
@@ -389,6 +397,9 @@ def _pivot_until_optimal(
     cost numerators share one positive denominator, so they compare as
     integers; the ratio test compares ``b_i / a_i`` by cross-multiplying,
     the row denominator cancelling, over the rows of ``cols[enter]`` only.
+    Equal ratios go to the least basis index or, given ``lex``, the first
+    of only slack columns, to the lexicographically least row over ``a_i``
+    from there on, which cannot cycle and so needs no Bland fallback.
     The most negative cost tops a heap of ``(numerator, column)``: a pivot
     changes the cost row at the pivot row's columns only, so it pushes
     those, and entries the row no longer holds are dropped as they surface;
@@ -418,7 +429,10 @@ def _pivot_until_optimal(
                 if leave >= 0:
                     lhs = row.b * best_a
                     rhs = best_b * a
-                    if lhs > rhs or (lhs == rhs and basis[i] > basis[leave]):
+                    if lhs > rhs or lhs == rhs and (
+                        basis[i] > basis[leave] if lex is None
+                        else not _lex_less(row, a, tab[leave], best_a, lex)
+                    ):
                         continue
                 leave = i
                 best_b = row.b
@@ -437,43 +451,17 @@ def _pivot_until_optimal(
                         heappush(heap, (x, j))
             if best_b == 0:
                 stalled += 1
-                bland = stalled > 40
+                bland = stalled > 40 and lex is None
             else:
                 stalled = 0
 
 
-def _lexicographic_least(
-    tab: List[_Row], basis: List[int], cols: List[set], barred: set, ncols: int
-) -> None:
-    """Pivot to the lexicographically least point, over the first ``ncols``
-    columns in order, of the face on which every ``barred`` column is zero.
-
-    One stage per column.  A nonbasic column is zero at the current vertex,
-    the least it can be, so it is barred with no pivot.  A basic column j
-    reads ``x_j = (b - sum of a_k x_k) / d`` from its row, so its cost row
-    is that row negated less its basic cell; pivoting that to optimum
-    minimises x_j over the face, and a column with a positive reduced cost
-    there is zero wherever x_j is least, so it is barred.  Barred columns
-    never enter, so no row is rewritten, and the stages end once every
-    nonbasic column is barred: the face is then the vertex alone.
-    """
-    free = len(cols) - len(tab) - len(barred)  # the nonbasic columns not barred
-    for j in range(ncols):
-        if not free:
-            return
-        if j in barred:
-            continue
-        if j not in basis:
-            barred.add(j)
-            free -= 1
-            continue
-        row = tab[basis.index(j)]
-        cost = _Row({k: -x for k, x in row.a.items() if k != j and k not in barred}, -row.b, row.d)
-        _pivot_until_optimal(tab, basis, cost, cols, barred)
-        for k, x in cost.a.items():
-            if x > 0 and k not in barred:
-                barred.add(k)
-                free -= 1
+def _lex_less(row: _Row, a: int, other: _Row, b: int, start: int) -> bool:
+    """Whether ``row / a`` precedes ``other / b`` (a, b > 0) in the columns
+    from ``start`` on; each row's denominator cancels in its quotient."""
+    cells = sorted({j for j in (*row.a, *other.a) if j >= start})
+    diffs = (row.a.get(j, 0) * b - other.a.get(j, 0) * a for j in cells)
+    return next((d for d in diffs if d), 0) < 0
 
 
 def _pivot(tab: List[_Row], basis: List[int], cost: _Row, r: int, c: int, cols: List[set]) -> None:
@@ -499,17 +487,3 @@ def _pivot(tab: List[_Row], basis: List[int], cost: _Row, r: int, c: int, cols: 
     if c in cost.a:
         _eliminate(cost, prow, c)
     basis[r] = c
-
-
-def _drive_out_artificials(
-    tab: List[_Row], basis: List[int], cols: List[set], art_start: int
-) -> None:
-    """Pivot each artificial-basic row on its least nonzero real column.
-
-    Every row has one: each row's slack or surplus column gives the real
-    columns full row rank, so no row is redundant.
-    """
-    no_cost = _Row({})
-    for i, row in enumerate(tab):
-        if basis[i] >= art_start:
-            _pivot(tab, basis, no_cost, i, min(j for j in row.a if j < art_start), cols)

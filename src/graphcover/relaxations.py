@@ -10,11 +10,11 @@ its optimum is ``scale`` times the relaxation's value and each reader
 divides by ``scale`` once; a positive scaling changes no pivot choice.
 
 :func:`relaxation_value` takes the optimal value from the model's LP dual,
-which needs no phase I.  The eds-general rounding, which reads the
-fractional point, solves the primal itself for its lexicographically least
-optimum.  :func:`relaxation_values` gives the natural and the strengthened
-value from one staged solve of the strengthened dual: the natural model's
-variables and rows lead the strengthened model's.
+which needs no phase I, as does the eds-general rounding's lexicographically
+least optimum, with the dual optimum beside it.  :func:`relaxation_values`
+gives the natural and the strengthened value from one staged solve of the
+strengthened dual: the natural model's variables and rows lead the
+strengthened model's.
 
 Demand families: an edge-dominating instance has one demand per edge e,
 consisting of the edges sharing an end node with e; a multicut instance has
@@ -257,11 +257,12 @@ def complete_eds_dual(
 ) -> Optional[Tuple[Dict[Tuple[int, int], Rat], Dict[Tuple[int, int], Rat]]]:
     """Find nu, mu turning xi into a full feasible dual, or None if impossible.
 
-    Solved as an exact LP feasibility problem (zero objective) over the
-    dual of the strengthened relaxation with xi fixed: per edge e', the
-    capacity sum of nu(e', e) over e in N[e'] <= w(e'); per node v, the
-    capacity sum of mu(v, e) over e in N'[v] <= w(v); and per e and each
-    e' = uv in N[e], the support mu(u, e) + mu(v, e) + nu(e', e) >= xi(e).
+    Solved as an exact LP feasibility problem (zero objective, answered at
+    the end of phase I) over the dual of the strengthened relaxation with
+    xi fixed: per edge e', the capacity sum of nu(e', e) over e in N[e']
+    <= w(e'); per node v, the capacity sum of mu(v, e) over e in N'[v] <=
+    w(v); and per e and each e' = uv in N[e], the support mu(u, e) +
+    mu(v, e) + nu(e', e) >= xi(e).
     N[e'] is the closed edge neighborhood of e', and N'[v] joins the
     neighborhoods of the edges at v.
     The LP is priced in the instance's units: capacities are the weight
@@ -326,12 +327,14 @@ def complete_eds_dual(
             inst.node_units[v],
         )
     for e in active:
+        support = xi[e] * scale  # an int where it is one: a row of ints is not rescaled
+        support = int(support) if support.denominator == 1 else support
         for ep in nbhd[e]:
             u, v = g.ends(ep)
             coeffs = {f"nu_{ep}_{e}": 1}
             coeffs[f"mu_{u}_{e}"] = coeffs.get(f"mu_{u}_{e}", 0) + 1
             coeffs[f"mu_{v}_{e}"] = coeffs.get(f"mu_{v}_{e}", 0) + 1
-            model.add_constraint(f"support_{e}_{ep}", coeffs, ">=", xi[e] * scale)
+            model.add_constraint(f"support_{e}_{ep}", coeffs, ">=", support)
 
     res = simplex_solve(model)
     if res.status == INFEASIBLE:

@@ -138,7 +138,7 @@ def small_eds(draw, max_nodes, tree, weights=_weights):
 _DIRECTIVE_NAMES = [
     "problem", "nodes", "root", "node", "edge", "demand", "set", "facility", "client", "conn",
     "certificate", "objective", "ratio", "lower", "factor", "xi", "nu", "mu", "witness",
-    "processed", "bogus",
+    "processed", "primal", "dual", "bogus",
 ]
 #: Tokens an edit may write into a file: numbers, malformed numbers, kind
 #: and directive names, a comment mark, and the empty token, which deletes.

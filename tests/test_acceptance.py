@@ -104,7 +104,7 @@ def general_battery():
             pmax=10,
             inf_prob=inf_prob,
         )
-        sol, lower, factor = solve_eds_general(inst)
+        sol, lower, factor, _ = solve_eds_general(inst)
         opt = brute_force_eds(inst)
         records.append((seed, inst, sol, lower, factor, opt))
     return records

@@ -1,5 +1,8 @@
 """Certificate round-trip, verification, and tamper detection for all kinds."""
 
+from dataclasses import replace
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 
@@ -8,14 +11,18 @@ from graphcover import (
     eds_general_certificate,
     eds_tree_certificate,
     gen_instance,
+    build_relaxation,
     multicut_certificate,
     parse_certificate,
+    parse_instance,
     serialize_certificate,
     solve_eds_general,
     solve_eds_tree,
     verify_certificate,
 )
+from graphcover import certificates
 from graphcover.certificates import CERTIFICATE_DIRECTIVES
+from graphcover.instances import eds_solution
 from graphcover.multicut_tree import kept_solution, multicut_ratio, run_multicut_pipeline
 
 from _support import edited_texts
@@ -40,8 +47,7 @@ def _multicut_cert(seed=4):
 
 def _general_cert(seed=2):
     inst = gen_instance("random-eds-general", n=5, m=6, seed=seed)
-    sol, lower, factor = solve_eds_general(inst)
-    return inst, eds_general_certificate(inst, sol, lower, factor)
+    return inst, eds_general_certificate(inst, *solve_eds_general(inst))
 
 
 # -- round-trips ------------------------------------------------------------
@@ -107,6 +113,127 @@ def test_tampered_general_lower_rejected():
     cert.lower = cert.lower + 1
     report = verify_certificate(inst, cert)
     assert not report.passed
+
+
+# -- the eds-general primal-dual pair -----------------------------------------
+
+
+def _still_proves(inst, text):
+    """The judge of an accepted edit: the pair still proves the stated
+    lower bound, by plain Fraction sums over the relaxation's rows, for
+    x >= 0, y >= 0, every row and dual row, and c.x = b.y = lower * scale."""
+    cert = parse_certificate(text)
+    model = build_relaxation(inst, "strengthened")
+    x = {v: Fraction(cert.primal.get(v, 0)) for v in model.variables}
+    y = {c.name: Fraction(cert.dual.get(c.name, 0)) for c in model.constraints}
+    if set(cert.primal) - set(x) or set(cert.dual) - set(y):
+        return False
+    if any(q < 0 for q in (*x.values(), *y.values())):
+        return False
+    for c in model.constraints:  # every relaxation row is a >= row
+        if sum(k * x[v] for v, k in c.coeffs.items()) < c.rhs:
+            return False
+    load = dict.fromkeys(model.variables, Fraction(0))
+    for c in model.constraints:
+        for v, k in c.coeffs.items():
+            load[v] += k * y[c.name]
+    if any(load[v] > model.objective.get(v, 0) for v in model.variables):
+        return False
+    cx = sum(model.objective.get(v, 0) * x[v] for v in model.variables)
+    by = sum(c.rhs * y[c.name] for c in model.constraints)
+    return cx == by == cert.lower * inst.scale
+
+
+def _pair_edits(text):
+    """(line, edited text) for each pair line: the line dropped, its value
+    raised by 1 and by 1/7, doubled, halved and negated, and its name
+    replaced by one the relaxation lacks."""
+    lines = text.splitlines()
+    for i, line in enumerate(lines):
+        head, *rest = line.split()
+        if head not in ("primal", "dual"):
+            continue
+        name, q = rest[0], Fraction(rest[1])
+        values = [q + 1, q + Fraction(1, 7), 2 * q, q / 2, -q]
+        news = [None] + [f"{head} {name} {v}" for v in values] + [f"{head} {name}_9 {q}"]
+        for new in news:
+            edited = lines[:i] + ([new] if new else []) + lines[i + 1:]
+            yield line, "\n".join(edited) + "\n"
+
+
+@pytest.mark.parametrize("seed", [2, 3])
+def test_every_pair_edit_is_rejected_unless_it_still_proves_the_bound(seed):
+    """A pair line dropped, re-valued or renamed fails ``verify`` unless
+    the judge finds the pair still a proof of the stated bound, as when a
+    zero-cost variable rises within its rows' slack.  An edit of a priced
+    entry changes c.x or b.y, so it is always rejected."""
+    inst, cert = _general_cert(seed)
+    text = serialize_certificate(cert)
+    model = build_relaxation(inst, "strengthened")
+    rhs = {c.name: c.rhs for c in model.constraints}
+    rejected = accepted = 0
+    for line, edited in _pair_edits(text):
+        report = verify_certificate(inst, parse_certificate(edited))
+        head, name, _ = line.split()
+        priced = (model.objective if head == "primal" else rhs).get(name, 0) != 0
+        if report.passed:
+            assert not priced and _still_proves(inst, edited), (line, edited)
+            accepted += 1
+        else:
+            assert set(report.failures()) <= {
+                "pair-names", "primal-feasible", "dual-feasible", "pair-values-equal",
+                "lower-bound-recomputed"}, report.format()
+            rejected += 1
+    assert rejected > 4 * accepted
+
+
+def test_a_pair_line_naming_what_the_relaxation_lacks_is_rejected():
+    inst, cert = _general_cert()
+    for head, name in (("primal", "x_e99"), ("primal", "cover_0"), ("dual", "x_e0")):
+        text = serialize_certificate(cert) + f"{head} {name} 0\n"
+        report = verify_certificate(inst, parse_certificate(text))
+        assert report.failures() == ["pair-names", "lower-bound-recomputed"], report.format()
+
+
+def test_verify_checks_the_pair_without_a_simplex(monkeypatch):
+    """With the pair, no LP is solved; without it, as in a certificate
+    written before the pair lines, the bound is re-solved and passes."""
+    inst, cert = _general_cert()
+    assert cert.primal and cert.dual
+
+    def no_simplex(model):
+        raise AssertionError("verify solved an LP")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(certificates, "simplex_solve", no_simplex)
+        report = verify_certificate(inst, cert)
+    assert report.passed, report.format()
+    bare = replace(cert, primal={}, dual={})
+    text = serialize_certificate(bare)
+    assert "primal" not in text and "dual" not in text
+    report = verify_certificate(inst, parse_certificate(text))
+    assert report.passed and "pair-names" not in [name for name, _, _ in report.checks]
+
+
+_PATH3 = "problem eds-general\nnodes 3\nnode 0 0\nnode 1 0\nnode 2 0\n" \
+    "edge 0 1 100 1\nedge 1 2 100 1\n"
+
+
+@pytest.mark.parametrize("pair", [True, False])
+def test_an_objective_beyond_the_factor_is_rejected(pair):
+    """Both edges of the 3-node path cost 200, against a lower bound of 2
+    and a factor of 22/3: the edges and objective agree, and only
+    ``within-factor`` fails, with the pair or through the re-solve."""
+    inst = parse_instance(_PATH3)
+    cert = eds_general_certificate(inst, *solve_eds_general(inst))
+    assert (cert.objective, cert.lower) == (2, 2)
+    cert.edges = (0, 1)
+    cert.objective = eds_solution(inst, cert.edges).total
+    assert cert.objective == 200
+    if not pair:
+        cert = replace(cert, primal={}, dual={})
+    report = verify_certificate(inst, cert)
+    assert report.failures() == ["within-factor"], report.format()
 
 
 def test_kind_mismatch_rejected():
@@ -198,6 +325,8 @@ _FOREIGN = [
     ("lower 1", ("eds-tree", "multicut-tree")),
     ("factor 1", ("eds-tree", "multicut-tree")),
     ("xi 0 1", ("eds-general",)),
+    ("primal x_e0 1", ("eds-tree", "multicut-tree")),
+    ("dual cover_0 1", ("eds-tree", "multicut-tree")),
     ("nu 1 0 1", ("eds-tree", "eds-general")),
     ("mu 1 0 1", ("eds-tree", "eds-general")),
     ("witness 0 1", ("eds-tree", "eds-general")),

@@ -253,6 +253,25 @@ def test_verify_rejects_xi_in_an_eds_general_certificate(tmp_path, capsys):
     assert err == f"error: line {lineno}: 'xi' is not valid for eds-general\n"
 
 
+def test_verify_rejects_an_eds_general_objective_beyond_its_factor(tmp_path, capsys):
+    """A 3-node path: `solve` pays both penalties (objective 2, lower 2,
+    factor 22/3).  A hand-written certificate choosing both edges states
+    their true cost, 200, which is far beyond 22/3 times its lower bound."""
+    inst = tmp_path / "p3.eds"
+    inst.write_text("problem eds-general\nnodes 3\nnode 0 0\nnode 1 0\nnode 2 0\n"
+                    "edge 0 1 100 1\nedge 1 2 100 1\n")
+    code, out, _ = run_cli(capsys, "solve", str(inst))
+    assert code == 0 and "objective 2" in out.splitlines() and "factor 22/3" in out
+    cert = tmp_path / "p3.cert"
+    cert.write_text("certificate eds-general\nobjective 200\nlower 2\nfactor 22/3\n"
+                    "edge 0\nedge 1\n")
+    code, out, err = run_cli(capsys, "verify", str(inst), str(cert))
+    assert (code, err) == (1, "")
+    assert [line for line in out.splitlines() if line.startswith("FAIL")] == [
+        "FAIL within-factor: objective must not exceed factor times the lower bound"]
+    assert out.splitlines()[-1] == "verdict: FAIL"
+
+
 # -- oracle ------------------------------------------------------------------
 
 

@@ -224,7 +224,7 @@ def test_greedy_matches_classic_set_cover():
 
 def test_zero_penalties_solve_to_empty():
     inst = gen_instance("random-eds-general", n=5, m=6, seed=4, pmax=0, inf_prob=0.0)
-    sol, lower, factor = solve_eds_general(inst)
+    sol, lower, factor, _ = solve_eds_general(inst)
     assert sol.edges == ()
     assert sol.total == 0
     assert lower == 0
@@ -232,14 +232,14 @@ def test_zero_penalties_solve_to_empty():
 
 def test_factor_formula():
     inst = gen_instance("random-eds-general", n=5, m=6, seed=1)
-    sol, lower, factor = solve_eds_general(inst)
+    sol, lower, factor, _ = solve_eds_general(inst)
     assert factor == 4 * harmonic(5)
 
 
 def test_tree_instances_within_factor():
     for seed in range(10):
         inst = gen_instance("random-tree-eds", n=6, seed=seed)
-        sol, lower, factor = solve_eds_general(inst)
+        sol, lower, factor, _ = solve_eds_general(inst)
         opt = brute_force_eds(inst).total
         assert lower <= opt
         assert sol.total <= factor * opt
@@ -256,7 +256,7 @@ def test_set_cover_reduction_within_log_bound():
     )
     red = reduce_to_eds(sc)
     sc_opt = brute_force_cover(sc)
-    sol, lower, factor = solve_eds_general(red.instance)
+    sol, lower, factor, _ = solve_eds_general(red.instance)
     assert sol.total <= 4 * harmonic(3) * sc_opt
     assert not (set(sol.edges) & red.big_m_edges)
 
@@ -266,7 +266,7 @@ def test_random_battery_within_factor():
         n = 4 + seed % 4
         m = min(5 + seed % 3, n * (n - 1) // 2)
         inst = gen_instance("random-eds-general", n=n, m=m, seed=seed, inf_prob=0.3)
-        sol, lower, factor = solve_eds_general(inst)
+        sol, lower, factor, _ = solve_eds_general(inst)
         opt = brute_force_eds(inst).total
         assert lower <= opt
         assert sol.total <= factor * opt

@@ -299,18 +299,30 @@ def _wide_faces(draw):
     return model
 
 
+def _lexicographic_accepts(model):
+    """No tie-break, no stage, and no cost of the wrong sign for the sense."""
+    sign = 1 if model.sense == "min" else -1
+    return (not model.tiebreak and model.stage is None
+            and all(sign * c >= 0 for c in model.objective.values()))
+
+
+def _without_tiebreak(model):
+    model.tiebreak = {}
+    return model
+
+
 @settings(max_examples=200, deadline=None, database=None)
 @given(
-    st.one_of(_small_models(), _wide_faces()),
-    st.sampled_from(["objective", "tiebreak", "neither"]),
+    st.one_of(_small_models().map(_without_tiebreak).filter(_lexicographic_accepts),
+              _wide_faces()),
+    st.sampled_from(["objective", "neither"]),
 )
 def test_lexicographic_solve_is_the_least_optimal_vertex(model, keep):
     """With ``lexicographic`` set, the optimum returned is the
-    lexicographically least one, after the tie-break when there is one,
-    and the status and value are the plain solve's.  Without an objective
-    the whole feasible region is the optimal face, so every stage counts."""
-    if keep != "tiebreak":
-        model.tiebreak = {}
+    lexicographically least one, the status and value are the plain
+    solve's, and the dual optimum returned with it is feasible for the
+    dual at the same value.  Without an objective the whole feasible
+    region is the optimal face, so every variable's place counts."""
     if keep == "neither":
         model.objective = {}
     plain = simplex_solve(model)
@@ -320,6 +332,32 @@ def test_lexicographic_solve_is_the_least_optimal_vertex(model, keep):
     if res.status == OPTIMAL:
         _check_assignment(model, res)
         assert res.assignment == _lexicographic_enumeration(model)
+        dual = dual_model(model)
+        assert list(res.duals) == dual.variables
+        _check_assignment(dual, lp.LpResult(OPTIMAL, res.value, res.duals))
+
+
+def _refused(change):
+    m = LpModel("refused", lexicographic=True)
+    m.add_var("x", obj=Rat(1), tiebreak=Rat(1) if change == "tiebreak" else 0)
+    m.add_var("y", obj=Rat(-1) if change == "negative-cost" else Rat(2))
+    m.add_constraint("c", {"x": Rat(1), "y": Rat(1)}, "<=", Rat(1))
+    if change == "stage":
+        m.stage = 1
+    if change == "max":
+        m.sense = "max"
+    return m
+
+
+@pytest.mark.parametrize("change", ["tiebreak", "stage", "negative-cost", "max"])
+def test_lexicographic_refuses_a_model_whose_dual_starts_infeasible(change):
+    """A tie-break, a stage, or a cost of the wrong sign for the sense (a
+    negative one to minimise, a positive one to maximise) is refused."""
+    with pytest.raises(LpFormatError, match="lexicographic"):
+        simplex_solve(_refused(change))
+    m = _refused(change)
+    m.lexicographic = False
+    assert simplex_solve(m).status == OPTIMAL
 
 
 @settings(max_examples=150, deadline=None, database=None)
@@ -399,15 +437,23 @@ def test_beale_cycling_example_reaches_blands_rule(monkeypatch):
 # -- pivot choices against full scans -----------------------------------------
 
 
-def _scan_choice(tab, basis, cost, bland):
+def _scan_choice(tab, basis, cost, bland, lex=None):
     """The entering column and leaving row by a scan of the whole cost row
     and every row in order: the most negative cost (the least negative
     column under Bland's rule), then the least ratio, ties to the least
-    basis index; -1 for none."""
+    basis index, or, given ``lex``, the least row over its pivot cell in
+    the order of its rhs and then its cells from column ``lex`` on, as
+    Fractions; -1 for none."""
     negative = [(x, j) for j, x in cost.a.items() if x < 0]
     if not negative:
         return -1, -1
     enter = min(j for _, j in negative) if bland else min(negative)[1]
+    if lex is not None:
+        later = sorted({j for row in tab for j in row.a if j >= lex})
+        keys = [([Fraction(row.b, row.a[enter])]
+                 + [Fraction(row.a.get(j, 0), row.a[enter]) for j in later], i)
+                for i, row in enumerate(tab) if row.a.get(enter, 0) > 0]
+        return enter, min(keys)[1] if keys else -1
     leave = -1
     best_b = best_a = 0
     for i, row in enumerate(tab):
@@ -437,11 +483,13 @@ def _solve_with_checked_pivots(model):
     pivots under one cost row, against :func:`_scan_choice` (Bland's rule
     after more than 40 degenerate pivots in a row).  Before and after each
     pivot every row holding a column must be in that column's set, and
-    after it the entering column's set must be the pivot row alone.
-    Returns the result and the number of pivots under Bland's rule."""
+    after it the entering column's set must be the pivot row alone.  A
+    lexicographic model's ratio test is checked with its ``lex`` column
+    and never falls back to Bland's rule.  Returns the result and the
+    number of pivots under Bland's rule."""
     art_start = len(model.variables) + len(model.constraints)
     pivot, until_optimal = lp._pivot, lp._pivot_until_optimal
-    run = {"cost": None, "stalled": 0, "bland": 0}
+    run = {"cost": None, "stalled": 0, "bland": 0, "lex": None}
 
     def checked(tab, basis, cost, r, c, cols):
         _assert_index(tab, cols)
@@ -451,8 +499,8 @@ def _solve_with_checked_pivots(model):
         else:
             if cost is not run["cost"]:
                 run.update(cost=cost, stalled=0)
-            bland = run["stalled"] > 40
-            assert (c, r) == _scan_choice(tab, basis, cost, bland)
+            bland = run["stalled"] > 40 and run["lex"] is None
+            assert (c, r) == _scan_choice(tab, basis, cost, bland, run["lex"])
             run["bland"] += bland
             if not bland:
                 run["stalled"] = run["stalled"] + 1 if tab[r].b == 0 else 0
@@ -460,10 +508,11 @@ def _solve_with_checked_pivots(model):
         _assert_index(tab, cols)
         assert cols[c] == {r}
 
-    def finished(tab, basis, cost, cols):
-        status = until_optimal(tab, basis, cost, cols)
-        bland = run["cost"] is cost and run["stalled"] > 40
-        enter, leave = _scan_choice(tab, basis, cost, bland)
+    def finished(tab, basis, cost, cols, lex=None):
+        run["lex"] = lex
+        status = until_optimal(tab, basis, cost, cols, lex=lex)
+        bland = run["cost"] is cost and run["stalled"] > 40 and lex is None
+        enter, leave = _scan_choice(tab, basis, cost, bland, lex)
         assert status == (OPTIMAL if enter < 0 else UNBOUNDED) and leave < 0
         return status
 
@@ -514,6 +563,21 @@ def test_pivot_choices_match_full_scans(model):
     of every row would, each run of pivots stops where such a scan would,
     and the column index covers the rows' supports."""
     _solve_with_checked_pivots(model)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(_degenerate_models())
+def test_lexicographic_pivot_choices_match_full_scans(model):
+    """The same, for the dual solve of a lexicographic model: the model's
+    costs are negated, so that its dual starts feasible, and its tie-break
+    dropped.  Its zero costs make the dual's ratio test tie often."""
+    model.objective = {v: -c for v, c in model.objective.items()}
+    model.tiebreak = {}
+    model.lexicographic = True
+    res, bland = _solve_with_checked_pivots(model)
+    assert bland == 0
+    if res.status == OPTIMAL:
+        _check_assignment(model, res)
 
 
 def test_pivot_choices_match_full_scans_under_blands_rule():

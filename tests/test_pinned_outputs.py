@@ -26,27 +26,27 @@ def _gen(tmp_path, name, args):
 GOLDEN_SOLVE = {
     "random-eds-general --n 6 --m 6 --seed 0": (
         "92eb31b4d72f322c3e9a2aac6bc1d17f0ed1bee9f946ef16e7ae33268985283e",
-        "2f79c3e41b473a4f9ce96b267635122a31155f056cf219bd6d02a2224e231130",
+        "3c8e5f7580ab35c6466e9105518ee7a211616ea83582e8de94edcd4c4a863bf8",
     ),
     "random-eds-general --n 6 --m 6 --seed 1": (
         "b44b1232dee8d73eaf056e2a5ad7562b804894c699832c64cca9a3bdff2025b1",
-        "59de335ade6ce88416bdb2cd0702224d8b3385f15c126129cf1d7590c7700f33",
+        "340f2446bb8431745f0105e7ea6d876b07c7485b7bbab7738d2739d7def4047e",
     ),
     "random-eds-general --n 6 --m 6 --seed 2": (
         "bb3f63d6d6cd958d7a0efaf60ae3d316cf124e3f589eddc552b3a09ccdb115e4",
-        "f8c2058cd8423619d44821090c54c590c1c2813081223dff2c0c8bdaaeb5432e",
+        "ea7550c51b4895ec1805dab3cd105eb4260a482332d6a4bcf8602cd89771a873",
     ),
     "random-eds-general --n 8 --m 10 --seed 0": (
         "32bd2c2d25f026d3c487cb2dc3bbf63155ff9dc78329367b1a6fbdc9d64f6241",
-        "2fd5b475b3aee4794358c5395b9b1bb3f54eae4d03f6fd8d89eedaacb1ce740c",
+        "580a317590d6c70f869214b61ad7a29c190772413ae7e61e53eeba3ff8a7e096",
     ),
     "random-eds-general --n 8 --m 10 --seed 1": (
         "72a03f6e6a149c584a7ca734429121c67de44b0251cf1aebdc2669173496f2ee",
-        "149347985d6ba4d862cae0179f43a2b3899781336003b8bb75dfa90495a0aeab",
+        "1409402f97f379de68a417655247b987355589128bd7927e8aff38e061b1f1ef",
     ),
     "random-eds-general --n 8 --m 10 --seed 2": (
         "19e3ebbe7b9e0f1c2486d60a497bc2f69d156f717487bc3e6b6b56daed0b7463",
-        "a4ce7ae861a855e6f1f3ddc593bc58cb2b191e1aa387c8cd4835f5168d7aadea",
+        "ad762a85aef5f45fb2feb5bedd28231df3f84cdc9a53ad9f0bbe28a82202071c",
     ),
     "random-tree-multicut --n 40 --k 10 --seed 0": (
         "95b4eb755e361f30197731b60c1a6c637702244996ecb2eb524c52907ce03dd5",

@@ -25,6 +25,7 @@ from graphcover import (
     simplex_solve,
     solve_eds_general,
     solve_eds_tree,
+    verify_eds_optimality,
 )
 from graphcover import relaxations
 from graphcover.eds_general import heavy_facility_location
@@ -179,7 +180,7 @@ def test_relaxations_scale_with_the_weights(inst, q):
         assert relaxation_value(scaled, kind) == q * relaxation_value(inst, kind)
     assert relaxation_values(scaled) == tuple(q * x for x in relaxation_values(inst))
     if isinstance(inst, EdsInstance):
-        (sol, lower, factor), (sol_q, lower_q, factor_q) = map(solve_eds_general, (inst, scaled))
+        (sol, lower, factor, _), (sol_q, lower_q, factor_q, _) = map(solve_eds_general, (inst, scaled))
         assert (sol_q.edges, lower_q, factor_q) == (sol.edges, q * lower, factor)
 
 
@@ -416,6 +417,36 @@ def test_completion_on_fractional_weights_is_a_rational_dual(inst):
         if not is_inf(p):
             with pytest.raises(ValueError):
                 complete_eds_dual(inst, {**xi, e: p + Rat(1, 1000)})
+
+
+def test_dual_completion_ends_at_phase_one(monkeypatch):
+    """On the eds-tree trees of the certify workload's screen (eds60 seeds
+    0-99 and the f1 tree), the nu and mu read at the end of phase I equal
+    a full solve's, which drives the artificials out and runs phase II (a
+    cost on a variable in no row forces it, and stays zero at the
+    optimum).  The f1 tree and eds60 seeds 23 and 57 still fail
+    dual-completion-feasible."""
+    solve = relaxations.simplex_solve
+
+    def both(model):
+        first = solve(model)
+        model.add_var("unused", obj=1)
+        full = solve(model)
+        if full.assignment is not None:
+            assert full.assignment.pop("unused") == 0
+        assert (first.status, first.assignment) == (full.status, full.assignment)
+        return first
+
+    monkeypatch.setattr(relaxations, "simplex_solve", both)
+    failing = []
+    for n, seed in [(60, s) for s in range(100)] + [(40, 4)]:
+        inst = gen_instance("random-tree-eds", n=n, seed=seed)
+        sol, dual = solve_eds_tree(inst)
+        report = verify_eds_optimality(inst, sol, dual.xi)
+        if not report.passed:
+            assert report.failures() == ["dual-completion-feasible"]
+            failing.append((n, seed))
+    assert failing == [(60, 23), (60, 57), (40, 4)]
 
 
 # -- pinned vertices ----------------------------------------------------------
