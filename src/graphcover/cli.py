@@ -1,8 +1,8 @@
 """Command-line front end: solve, verify, gap experiments, generation, batch.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
-3 internal assertion failure.  All numbers print as exact rationals
-(``p/q``, integers without the ``/1``), so identical inputs give
+Exit codes: 0 success, 1 verification failure, 2 usage or parse error or
+out of memory, 3 internal assertion failure.  All numbers print as exact
+rationals (``p/q``, integers without the ``/1``), so identical inputs give
 byte-identical output.
 """
 
@@ -55,6 +55,10 @@ EXIT_INTERNAL = 3
 #: The exit code each batch verdict calls for; ``batch`` exits with the
 #: highest one among its rows.
 _VERDICT_EXIT = {"fail": EXIT_VERIFY, "invalid": EXIT_USAGE, "error": EXIT_INTERNAL}
+
+
+#: The report cells of a file that cannot be read, parsed or held in memory.
+_INVALID_ROW = ["-", "-", "-", "-", "-", "invalid"]
 
 
 class _CliError(Exception):
@@ -203,7 +207,7 @@ def _batch_row(path: Path, cert_dir: Optional[Path]) -> List[str]:
         inst = _load_instance(str(path))
     except (ParseError, InstanceError, _CliError) as exc:
         sys.stderr.write(f"error: {path.name}: {exc}\n")
-        return ["-", "-", "-", "-", "-", "invalid"]
+        return _INVALID_ROW
     kind = _KINDS[problem_kind(inst)]
     try:
         opt, _ = kind.oracle(inst)
@@ -222,10 +226,10 @@ def _batch_row(path: Path, cert_dir: Optional[Path]) -> List[str]:
 
 def _do_batch(args) -> int:
     """One report row per file, written as it completes.  A file that
-    cannot be read or parsed gets the verdict ``invalid``, and a row whose
-    solve trips an internal check the verdict ``error``; the batch goes on
-    either way, and exits with the highest code its rows call for (see
-    ``_VERDICT_EXIT``)."""
+    cannot be read, parsed or held in memory gets the verdict ``invalid``,
+    and a row whose solve trips an internal check the verdict ``error``;
+    the batch goes on either way, and exits with the highest code its rows
+    call for (see ``_VERDICT_EXIT``)."""
     directory = Path(args.directory)
     if not directory.is_dir():
         raise _CliError(f"{args.directory} is not a directory")
@@ -237,7 +241,11 @@ def _do_batch(args) -> int:
     with open(args.report, "w") if args.report else contextlib.nullcontext(sys.stdout) as out:
         out.write("instance\tnatural-lp\tstrengthened-lp\tobjective\toptimum\tratio\tverdict\n")
         for path in paths:
-            cells = _batch_row(path, cert_dir)
+            try:
+                cells = _batch_row(path, cert_dir)
+            except MemoryError:
+                sys.stderr.write(f"error: {path.name}: out of memory\n")
+                cells = _INVALID_ROW
             verdicts.add(cells[-1])
             out.write("\t".join([path.name, *cells]) + "\n")
             out.flush()
@@ -326,6 +334,9 @@ def run(argv: List[str]) -> int:
         return _do_batch(args)
     except (ParseError, InstanceError, OracleCapError, _CliError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return EXIT_USAGE
+    except MemoryError:
+        sys.stderr.write("error: out of memory\n")
         return EXIT_USAGE
     except AssertionError as exc:
         sys.stderr.write(f"internal check failed: {exc}\n")

@@ -505,14 +505,16 @@ class _Lift:
 def _lift_a(ctx: CaseContext, lift: _Lift) -> None:
     F, touch = lift.F, lift.touch
     u, v0, e0 = ctx.center, ctx.parent, ctx.parent_edge
-    # the star around u is e0 plus the arms
+    # The star around u is e0 plus the arms, and F holds at most one of its
+    # edges.  The base case and each lift add only edges live at their level.
+    # - delete: the arms are dead in the reduced tree, so F holds none.
+    # - keep: the arms stay as zero-penalty leaves, so no later case A is
+    #   centred at u, and only the later case-B step centred at v0 removes
+    #   them.  Its lift adds at most one of them, u's `keep` edge, and only
+    #   while v0 is untouched, that is while e0 is not in F.  The lifts that
+    #   run between that one and this one belong to steps centred at other
+    #   nodes, none of which has an edge at u.
     count = (e0 in F) + sum(1 for a in ctx.arms if a in F)
-    for a in reversed(ctx.arms):
-        if count <= 1:
-            break
-        if a in F:
-            lift.remove(a)
-            count -= 1
     assert count <= 1
 
     if ctx.via_parent and touch[v0]:

@@ -5,7 +5,8 @@ positive-infinity sentinel `INF`.  Finite values are `gmpy2.mpq` when gmpy2 is
 available and `fractions.Fraction` otherwise; both normalise to lowest terms
 and print as ``p/q`` (integers print without the ``/1``).
 
-There is no negative infinity, and ``INF * 0`` is rejected.
+INF compares above every rational and absorbs addition; any other
+arithmetic on it (subtraction, multiplication, negation) is an error.
 """
 
 from __future__ import annotations
@@ -34,9 +35,6 @@ class _Infinity:
     def __eq__(self, other):
         return isinstance(other, _Infinity)
 
-    def __ne__(self, other):
-        return not isinstance(other, _Infinity)
-
     def __hash__(self):
         return hash(float("inf"))
 
@@ -58,35 +56,6 @@ class _Infinity:
         return NotImplemented
 
     __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, _Infinity):
-            raise ArithmeticError("inf - inf is undefined")
-        if _is_rational(other):
-            return self
-        return NotImplemented
-
-    def __rsub__(self, other):
-        raise ArithmeticError("negative infinity is not representable")
-
-    def __mul__(self, other):
-        if isinstance(other, _Infinity):
-            return self
-        if _is_rational(other):
-            if other == 0:
-                raise ArithmeticError("inf * 0 is undefined")
-            if other < 0:
-                raise ArithmeticError("negative infinity is not representable")
-            return self
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        raise ArithmeticError("negative infinity is not representable")
-
-    def __bool__(self):
-        return True
 
 
 INF = _Infinity()

@@ -39,16 +39,15 @@ RELAXATION_KINDS = ("natural", "strengthened", "edge-cover")
 
 
 def _demand_families(inst) -> List[Tuple[object, List[int], object]]:
-    """(demand key, member edges, penalty units) triples in canonical order."""
+    """(demand key, member edges, penalty units) triples in canonical order,
+    for an EDS or multicut instance (`build_relaxation` checks which)."""
     if isinstance(inst, EdsInstance):
         nbhd = edge_neighborhoods(inst.graph)
         return [(e, list(nbhd[e]), inst.penalty_units[e]) for e in sorted(inst.graph.edge_ids())]
-    if isinstance(inst, MulticutInstance):
-        return [
-            (i, sorted(inst.path_edges(i)), inst.penalty_units[i])
-            for i in range(len(inst.demands))
-        ]
-    raise InstanceError(f"no demand family for {type(inst).__name__}")
+    return [
+        (i, sorted(inst.path_edges(i)), inst.penalty_units[i])
+        for i in range(len(inst.demands))
+    ]
 
 
 def build_relaxation(inst, kind: str) -> LpModel:

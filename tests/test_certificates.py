@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 
 from graphcover import (
+    InstanceError,
     ParseError,
     eds_general_certificate,
     eds_tree_certificate,
@@ -248,6 +249,29 @@ def test_foreign_edge_rejected():
     cert.edges = cert.edges + (999,)
     report = verify_certificate(inst, cert)
     assert not report.passed
+
+
+@pytest.mark.parametrize("make", [_tree_cert, _general_cert])
+def test_an_unknown_edge_stops_at_edges_exist(make):
+    inst, cert = make()
+    cert.edges = cert.edges + (1000000,)
+    report = verify_certificate(inst, cert)
+    assert report.checks[1:] == [("edges-exist", False, "unknown edges: [1000000]")]
+
+
+def test_a_multicut_missing_an_xi_line_stops_at_dual_shape():
+    inst, cert = _multicut_cert()
+    lines = serialize_certificate(cert).splitlines(keepends=True)
+    lines.remove(next(line for line in lines if line.startswith("xi ")))
+    report = verify_certificate(inst, parse_certificate("".join(lines)))
+    assert report.failures() == ["dual-shape"]
+    assert report.checks[-1][0] == "dual-shape"
+
+
+def test_serialize_refuses_an_unknown_kind():
+    _, cert = _tree_cert()
+    with pytest.raises(InstanceError, match="unknown certificate kind 'eds-forest'"):
+        serialize_certificate(replace(cert, kind="eds-forest"))
 
 
 # -- parser errors -----------------------------------------------------------

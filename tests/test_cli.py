@@ -230,6 +230,25 @@ def test_verify_rejects_dual_lines_that_name_no_node(mtree, tmp_path, capsys):
         assert "FAIL dual-feasible" in out
 
 
+def test_a_cut_of_zero_weight_has_ratio_one_and_verifies(tmp_path, capsys):
+    """A demand path with a zero-weight edge between zero-weight ends is
+    cut for free: the dual total is 0, and the stated ratio must be 1."""
+    path = tmp_path / "free.tree"
+    path.write_text("problem multicut-tree\nnodes 3\nedge 0 1 0\nedge 1 2 4\ndemand 0 1 5\n")
+    cert = tmp_path / "free.cert"
+    code, out, _ = run_cli(capsys, "solve", str(path), "--certificate", str(cert))
+    assert (code, out.splitlines()[-2:]) == (0, ["dual-total 0", "ratio 1"])
+    code, out, _ = run_cli(capsys, "verify", str(path), str(cert))
+    assert code == 0
+    assert out.splitlines()[-2:] == ["PASS ratio-recomputed: stated 1, dual total 0",
+                                     "verdict: PASS"]
+    cert.write_text(cert.read_text().replace("ratio 1\n", "ratio 2\n"))
+    code, out, _ = run_cli(capsys, "verify", str(path), str(cert))
+    assert code == 1
+    assert out.splitlines()[-2:] == ["FAIL ratio-recomputed: stated 2, dual total 0",
+                                     "verdict: FAIL"]
+
+
 def test_verify_rejects_unparseable_certificate(star4, tmp_path, capsys):
     cert = tmp_path / "broken.cert"
     cert.write_text("certificate eds-tree\nobjective oops\n")
@@ -315,6 +334,13 @@ def test_gap_zero_lp_zero_opt(tmp_path, capsys):
     assert out.strip() == "LP=0, OPT=0, gap=1"
 
 
+def test_gap_refuses_cover_instances(tmp_path, capsys):
+    path = tmp_path / "sc.cov"
+    cli.run(["gen", "random-set-cover", "--seed", "1", "-o", str(path)])
+    code, out, err = run_cli(capsys, "gap", str(path), "--relaxation", "natural")
+    assert (code, out, err) == (2, "", "error: gap needs an EDS or multicut instance\n")
+
+
 def test_gap_over_the_oracle_cap_solves_no_relaxation(tmp_path, capsys, monkeypatch):
     path = tmp_path / "big.eds"
     args = ["gen", "random-eds-general", "--n", "14", "--m", "25", "--seed", "0"]
@@ -385,11 +411,11 @@ def test_batch_writes_each_row_as_it_completes(tmp_path, capsys, monkeypatch):
     def third_fails(inst):
         calls.append(inst)
         if len(calls) == 3:
-            raise MemoryError
+            raise KeyboardInterrupt
         return relaxation_values(inst)
 
     monkeypatch.setattr(cli, "relaxation_values", third_fails)
-    with pytest.raises(MemoryError):
+    with pytest.raises(KeyboardInterrupt):
         cli.run(["batch", str(suite), "--report", str(cut)])
     capsys.readouterr()
     rows = cut.read_bytes()
@@ -533,6 +559,32 @@ def test_internal_assertion_maps_to_exit_three(star4, capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert err == "internal check failed: forced for the test\n"
+
+
+def _out_of_memory(*args):
+    raise MemoryError
+
+
+def test_out_of_memory_is_one_error_line(star4, capsys, monkeypatch):
+    monkeypatch.setattr(eds_tree, "solve_eds_tree_trace", _out_of_memory)
+    assert run_cli(capsys, "solve", str(star4)) == (2, "", "error: out of memory\n")
+
+
+def test_batch_gives_a_file_out_of_memory_an_invalid_row(tmp_path, capsys, monkeypatch):
+    suite = tmp_path / "suite"
+    suite.mkdir()
+    cases = [
+        ("a_cut.tree", ["random-tree-multicut", "--n", "6", "--k", "2", "--seed", "3"]),
+        ("b_tree.eds", ["random-tree-eds", "--n", "5", "--seed", "1"]),
+    ]
+    for name, args in cases:
+        assert cli.run(["gen"] + args + ["-o", str(suite / name)]) == 0
+    monkeypatch.setattr(multicut_tree, "deletion_phase", _out_of_memory)
+    code, out, err = run_cli(capsys, "batch", str(suite))
+    assert (code, err) == (2, "error: a_cut.tree: out of memory\n")
+    bad, good = (row.split("\t") for row in out.splitlines()[1:])
+    assert bad == ["a_cut.tree", "-", "-", "-", "-", "-", "invalid"]
+    assert good[0] == "b_tree.eds" and good[-1] == "pass"
 
 
 def test_module_entry_point(tmp_path):

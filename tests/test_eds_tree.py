@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from graphcover import (
     INF,
     EdsInstance,
+    InstanceError,
     Rat,
     RootedTree,
     brute_force_eds,
@@ -103,6 +104,11 @@ def test_base_infinite_penalty_forces_coverage():
     F, xi = _base(two_leaf_star(INF, ZERO))
     assert F == frozenset({1})  # cheapest star edge
     assert xi == {1: Rat(4), 2: ZERO}  # alpha_1 = w(e1) + w(r), filled front to back
+
+
+def test_solver_refuses_a_general_graph():
+    with pytest.raises(InstanceError, match="the exact solver needs a rooted-tree instance"):
+        solve_eds_tree(gen_instance("random-eds-general", n=3, m=2))
 
 
 # -- deeper reductions ------------------------------------------------------
@@ -575,7 +581,7 @@ def test_scaling_every_weight_scales_the_dual(inst, k):
         inst.graph,
         {v: w * k for v, w in node_weight.items()},
         {e: w * k for e, w in edge_weight.items()},
-        {e: p * k for e, p in penalty.items()},
+        {e: p if is_inf(p) else p * k for e, p in penalty.items()},
     )
     sol_k, dual_k = solve_eds_tree(scaled)
     assert sol_k.edges == sol.edges

@@ -203,6 +203,37 @@ def test_weight_maps_must_cover_exactly():
         EdsInstance(tree, {0: ZERO, 1: ZERO}, {1: ZERO}, {})
 
 
+_EDGE = RootedTree([0, 0], 0)
+
+
+@pytest.mark.parametrize("make,message", [
+    (lambda: Graph(0, []), "graph needs at least one node"),
+    (lambda: RootedTree([0, 5], 0), "parent of 1 out of range"),
+    (lambda: EdsInstance(_EDGE, {0: ZERO, 1: ZERO}, {}, {1: ZERO}),
+     "edge weights must cover exactly the edge set"),
+    (lambda: MulticutInstance(_EDGE, {0: ZERO, 1: ZERO}, {1: ZERO}, [Demand(0, 1, Rat(-1))]),
+     "demand 0 penalty must be nonnegative"),
+    (lambda: SetCoverInstance(1, [(Rat(-1), frozenset({0}))]),
+     "set 0 cost must be finite and nonnegative"),
+    (lambda: SetCoverInstance(1, [(INF, frozenset({0}))]),
+     "set 0 cost must be finite and nonnegative"),
+    (lambda: FacilityLocationInstance(1, 2, [ZERO], {}), "one opening cost per facility required"),
+    (lambda: FacilityLocationInstance(1, 1, [Rat(-1)], {}),
+     "opening costs must be finite and nonnegative"),
+    (lambda: FacilityLocationInstance(1, 1, [ZERO], {(0, 0): INF}),
+     "connection cost (0,0) must be finite and nonnegative"),
+    (lambda: problem_kind(_EDGE), "unknown instance type <class 'graphcover.instances.RootedTree'>"),
+    (lambda: gen_instance("random-tree-eds", n=0), "need at least one node"),
+    (lambda: gen_instance("random-tree-multicut", n=1, k=1), "demands need at least two nodes"),
+    (lambda: gen_instance("random-eds-general", n=3, m=4), "at most 3 edges on 3 nodes"),
+], ids=["graph-nodes", "parent", "edge-weights", "demand-penalty", "set-cost", "set-cost-inf",
+        "openings", "opening-cost", "conn-cost", "kind", "gen-nodes", "gen-demands", "gen-edges"])
+def test_constructor_guards_have_their_messages(make, message):
+    with pytest.raises(InstanceError) as err:
+        make()
+    assert str(err.value) == message
+
+
 # -- text format ------------------------------------------------------------
 
 
@@ -217,6 +248,11 @@ def test_parse_two_node_tree():
     inst = parse_instance("problem eds-tree\nnodes 2\nnode 0 1/2\nedge 0 1 2/3 inf\n")
     assert (inst.scale, inst.node_units, inst.edge_units, inst.penalty_units) == (
         6, [3, 0], [0, 4], [0, INF])
+
+
+def test_an_integer_fraction_parses_as_its_integer():
+    text = "problem eds-tree\nnodes 2\nnode 0 {}\nedge 0 1 1 {}\n"
+    assert parse_instance(text.format("6/1", "6/1")) == parse_instance(text.format("6", "6"))
 
 
 def test_parse_negative_weight_reports_line():

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from graphcover import (
     INF,
     Demand,
+    InstanceError,
     MulticutInstance,
     Rat,
     RootedTree,
@@ -39,6 +40,23 @@ from graphcover.multicut_tree import (
 from graphcover.rationals import ONE, ZERO, fmt_rat, is_inf
 
 from _support import path_nodes, rat_weights, small_multicuts, star_multicut
+
+
+@pytest.mark.parametrize("make,message", [
+    (lambda: reduce_prize_collecting(gen_instance("star-gap-eds", n=2)),
+     "prize-collecting reduction needs a multicut instance"),
+    (lambda: IncreaseState(gen_instance("star-gap-eds", n=2)),
+     "increase phase needs a multicut instance"),
+    (lambda: run_multicut_pipeline(gen_instance("star-gap-eds", n=2)),
+     "the multicut solver needs a multicut tree instance"),
+    (lambda: IncreaseState(star_multicut(1, 2, Rat(3))),
+     "increase phase needs all demand penalties infinite; "
+     "apply the prize-collecting reduction first"),
+], ids=["reduce", "increase", "pipeline", "finite-penalty"])
+def test_entry_guards_have_their_messages(make, message):
+    with pytest.raises(InstanceError) as err:
+        make()
+    assert str(err.value) == message
 
 
 # -- penalty compilation ----------------------------------------------------

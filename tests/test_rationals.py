@@ -9,6 +9,7 @@ from graphcover.rationals import (
     ext_min,
     fmt_rat,
     is_inf,
+    parse_number,
     parse_rat,
 )
 
@@ -24,6 +25,33 @@ def test_infinity_dominates_every_rational():
     assert Rat(-5) < INF
     assert not (INF < INF)
     assert INF == INF
+
+
+def test_infinity_orders_and_is_truthy():
+    assert INF >= Rat(10**9) and INF >= INF and INF <= INF
+    assert not (INF <= Rat(10**9)) and not (INF > INF)
+    assert Rat(3) <= INF and not (Rat(3) >= INF)
+    assert INF != 3 and 3 != INF and INF != Rat(1, 2)
+    assert not (INF != INF)
+    assert bool(INF)
+
+
+@pytest.mark.parametrize("op", [
+    lambda: INF - 1,
+    lambda: 1 - INF,
+    lambda: INF - INF,
+    lambda: INF * 2,
+    lambda: 2 * INF,
+    lambda: INF * 0,
+    lambda: -INF,
+    lambda: Rat(1, 2) - INF,
+    lambda: INF + 1.5,
+], ids=["inf-1", "1-inf", "inf-inf", "inf*2", "2*inf", "inf*0", "neg", "rat-inf", "inf+float"])
+def test_infinity_takes_no_other_arithmetic(op):
+    """An infinite penalty is a hard constraint: INF only compares and
+    adds, so a stray difference or product fails at once."""
+    with pytest.raises(TypeError):
+        op()
 
 
 def test_infinity_absorbs_addition():
@@ -52,6 +80,12 @@ def test_parse_rat_fraction_and_integer():
     assert parse_rat("3/4") == Rat(3, 4)
     assert parse_rat("7") == 7
     assert parse_rat("0") == 0
+
+
+def test_parse_number_reduces_an_integer_fraction():
+    assert parse_number("6/1") == parse_number("6") == (6, 1)
+    assert parse_number("-6/1") == (-6, 1)
+    assert parse_number("6/3") == (2, 1)
 
 
 def test_parse_rat_inf_token_gated():

@@ -384,6 +384,17 @@ def test_overcharged_xi_fails():
     assert complete_eds_dual(tree_inst, {1: Rat(1), 2: ZERO}) is None
 
 
+@pytest.mark.parametrize("xi,message", [
+    ({1: ZERO}, "xi must assign a value to every edge"),
+    ({1: ZERO, 2: ZERO, 3: ZERO}, "xi must assign a value to every edge"),
+    ({1: Rat(-1, 2), 2: ZERO}, "xi(1) is negative"),
+])
+def test_completion_refuses_a_malformed_xi(xi, message):
+    with pytest.raises(ValueError) as err:
+        complete_eds_dual(two_leaf_star(Rat(2), Rat(2)), xi)
+    assert str(err.value) == message
+
+
 def test_completion_supports_infinite_penalties():
     inst = two_leaf_star(INF, ZERO)
     # edge 1 alone dominates both edges: alpha_1 = w(e1)+w(r)+w(v1) = 4
