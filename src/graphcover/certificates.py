@@ -337,11 +337,12 @@ def _lp_value(model: LpModel, cert: Certificate, report: CheckReport) -> Optiona
     certificate's x and y prove in integers over their least common
     denominator d, or None: x >= 0 meets its rows, y >= 0 those of its dual,
     and c.x = b.y (Dhiflaoui et al., *SODA* 2003).  With no pair, as before
-    certificates had one, the dual is solved."""
-    dual = dual_model(model)
+    certificates had one, the model is solved."""
     if not (cert.primal or cert.dual):
-        res = simplex_solve(dual)
+        model.lexicographic = True
+        res = simplex_solve(model)
         return res.value if res.status == OPTIMAL else None
+    dual = dual_model(model)
     sides = ((model, cert.primal, "primal-feasible"), (dual, cert.dual, "dual-feasible"))
     stray, d, values, ok = [], 1, [], True
     for lp, side, _ in sides:

@@ -17,8 +17,9 @@ set per column of the rows holding it, which the rows a pivot clears join
 at the pivot row's columns, in one bulk update per column (a row whose
 cell cancels stays in the set, and is skipped, until the column next
 enters, which costs less than upkeep cell by cell on rows that fill in).
-Pricing reads a heap of the negative reduced costs.  Both choose what a
-full scan chooses, so the pivot path is unchanged (README gives timings).
+Pricing reads a heap of the negative reduced costs, and Bland's rule a
+heap of their columns.  All three choose what a full scan chooses, so the
+pivot path is unchanged (README gives timings).
 
 Every comparison is exact (ratios are compared by cross-multiplying
 integers) and the pivot rules are fixed: most negative reduced cost, lowest
@@ -43,16 +44,16 @@ slack-column cells in row order (Dantzig, Orden, Wolfe, *Pacific J. Math.*
 ... in variable order.  So no basis repeats, and the optimal cost row read
 at the slack columns is that point, whatever the pivot path; the dual
 optimum comes back beside it (``LpResult.duals``).  That dual starts
-feasible only with no tie-break, no stage and no cost of the wrong sign.
+feasible only with no tie-break and no cost of the wrong sign.
 
-A model may also declare a first stage, ``LpModel.stage``: a count of
-leading variables.  Phase II then first lets only those variables and the
-slacks enter, and the optimum there, the model's optimum with every later
-variable fixed at zero, is reported as ``LpResult.stage_value``; the same
-tableau then prices every column and pivots on to the full optimum.  A
-staged model must start feasible from its slack basis, where every later
-variable is nonbasic at zero; phase I could make one basic, so a model
-that would need phase I is refused.
+A lexicographic model may also declare a first stage, ``LpModel.stage``:
+a count of leading rows.  Those rows are the dual's leading variables, so
+phase II first lets only them and the slacks enter, under the same ratio
+test, and the optimum there, the model's optimum subject to its leading
+rows alone, is reported as ``LpResult.stage_value``; the same tableau then
+prices every column and pivots on to the full optimum, the point the
+unstaged solve returns.  An infeasible first stage leaves the whole model
+infeasible, and the solve reports that with no stage value.
 
 Models hold nonnegative variables and ``<=`` or ``>=`` rows only, so each
 variable is one tableau column and each row has one slack (``<=``) or
@@ -60,11 +61,12 @@ surplus (``>=``) column after them; a row is first negated if its rhs is
 negative, or zero under ``>=``, so artificial columns serve only ``>=``
 rows with a positive rhs.
 
-:func:`dual_model` builds a model's exact LP dual, solved by the same
-simplex.  Callers that need only an optimal value (the relaxation values)
-solve the dual of their covering LP, which starts feasible and needs no
-phase I, staged where the natural relaxation's rows lead the strengthened
-one's; the eds-general rounding asks for the lexicographic optimum.  The
+:func:`dual_model` builds a model's exact LP dual, the one a lexicographic
+model is solved through.  Every covering-LP value comes from a
+lexicographic solve: the relaxation values, staged where the natural
+relaxation's rows lead the strengthened one's, and the eds-general
+rounding's point.  The multicut step LPs, which carry a tie-break, and the
+dual completion, which needs phase I, are solved as they are.  The
 relaxations are priced in integer units, which scales a whole objective,
 or a dual's whole right-hand side, by a positive constant and so changes
 no pivot choice.  A model with no objective or tie-break is answered at
@@ -115,11 +117,11 @@ class LpResult:
 @dataclass
 class LpModel:
     """A named LP: ordered nonnegative variables, ``<=`` and ``>=`` rows,
-    one objective, a tie-break objective minimised over the objective's
-    optima, and a first stage: when ``stage`` is set, the objective is
-    first optimised over the leading ``stage`` variables alone.  When
-    ``lexicographic`` is set, the optimum returned is the lexicographically
-    least one in variable order, for a model with no tie-break or stage."""
+    one objective and a tie-break objective minimised over the objective's
+    optima.  When ``lexicographic`` is set, the optimum returned is the
+    lexicographically least one in variable order, for a model with no
+    tie-break; such a model may set ``stage``, a count of leading rows,
+    and its objective is then first optimised subject to those rows alone."""
 
     name: str
     sense: str = "min"
@@ -213,19 +215,20 @@ def _checked(value, what: str):
 
 def simplex_solve(model: LpModel) -> LpResult:
     """Solve the model exactly.  Returns status, optimal value, a full
-    variable assignment (deterministic for a fixed model), a staged model's
-    first-stage value and a lexicographic model's dual optimum; the status
-    is unbounded when the first stage, the objective, or its tie-break is."""
+    variable assignment (deterministic for a fixed model) and, for a
+    lexicographic model, its dual optimum and a staged one's first-stage
+    value; the status is unbounded when the objective or its tie-break is,
+    and infeasible when a staged model's first stage is."""
     if model.sense not in ("min", "max"):
         raise LpFormatError(f"bad sense {model.sense!r}")
-    if model.stage is not None and not 0 <= model.stage <= len(model.variables):
-        raise LpFormatError(f"stage {model.stage} is not a count of leading variables")
+    stage = model.stage
+    if stage is not None and not (model.lexicographic and 0 <= stage <= len(model.constraints)):
+        raise LpFormatError(f"stage {stage} is not a count of a lexicographic model's leading rows")
     primal = None
     if model.lexicographic:  # solve the dual, whose rows are <= with rhs >= 0: no phase I
         sign = 1 if model.sense == "min" else -1
-        wrong_sign = any(sign * c < 0 for c in model.objective.values())
-        if model.tiebreak or model.stage is not None or wrong_sign:
-            raise LpFormatError("lexicographic models take no tie-break, stage or wrong-sign cost")
+        if model.tiebreak or any(sign * c < 0 for c in model.objective.values()):
+            raise LpFormatError("lexicographic models take no tie-break or wrong-sign cost")
         primal, model = model, dual_model(model)
 
     # Column layout: variable j is column j, the slack or surplus column of
@@ -259,8 +262,6 @@ def simplex_solve(model: LpModel) -> LpResult:
 
     # ---- phase I ----
     if a > art_start:
-        if model.stage is not None:
-            raise LpFormatError("a staged model must start feasible from its slack basis")
         cost = _Row({j: 1 for j in range(art_start, a)})
         for row, col in zip(tab, basis):
             if col >= art_start:
@@ -294,12 +295,13 @@ def simplex_solve(model: LpModel) -> LpResult:
     # ---- the first stage, phase II, then the tie-break over the optimal face ----
     sign = 1 if model.sense == "min" else -1
     cost = priced(model.objective, sign)
+    lex = None if primal is None else ncols
     stage_value = None
-    if model.stage is not None:
-        if _pivot_until_optimal(tab, basis, cost, cols, range(model.stage, ncols)) == UNBOUNDED:
-            return LpResult(UNBOUNDED)
+    if stage is not None:  # the dual's leading variables are the primal's leading rows
+        if _pivot_until_optimal(tab, basis, cost, cols, range(stage, ncols), lex) == UNBOUNDED:
+            return LpResult(INFEASIBLE)
         stage_value = Rat(-sign * cost.b, cost.d)
-    status = _pivot_until_optimal(tab, basis, cost, cols, lex=None if primal is None else ncols)
+    status = _pivot_until_optimal(tab, basis, cost, cols, lex=lex)
     if status == OPTIMAL and model.tiebreak:
         # a column with a positive reduced cost is zero in every optimum
         dropped = {j for j, x in cost.a.items() if x > 0}
@@ -315,10 +317,10 @@ def simplex_solve(model: LpModel) -> LpResult:
     # pivots stay on the optimal face, so it still reads the optimum
     value = Rat(-sign * cost.b, cost.d)
     if primal is None:
-        return LpResult(OPTIMAL, value, assignment, stage_value)
+        return LpResult(OPTIMAL, value, assignment)
     # the reduced cost at the slack of the dual's row j is the primal's x_j
     x = {var: Rat(cost.a.get(ncols + j, 0), cost.d) for j, var in enumerate(primal.variables)}
-    return LpResult(OPTIMAL, value, x, duals=assignment)
+    return LpResult(OPTIMAL, value, x, stage_value, assignment)
 
 
 class _Row:
@@ -400,24 +402,27 @@ def _pivot_until_optimal(
     Equal ratios go to the least basis index or, given ``lex``, the first
     of only slack columns, to the lexicographically least row over ``a_i``
     from there on, which cannot cycle and so needs no Bland fallback.
-    The most negative cost tops a heap of ``(numerator, column)``: a pivot
-    changes the cost row at the pivot row's columns only, so it pushes
-    those, and entries the row no longer holds are dropped as they surface;
-    a pivot that rescales the cost row replaces its dict and the heap.
+    The entering column tops a heap of ``(key, column)`` over the negative
+    costs, keyed by the numerator or, under Bland's rule, by the column.  A
+    pivot changes the cost row at the pivot row's columns only, and scales
+    every other cell by a positive factor, so it pushes those columns, and
+    entries no longer negative, or no longer at their numerator, are
+    dropped as they surface; a pivot that rescales the cost row replaces
+    the numerators' heap, but not the columns'.
     """
     stalled = 0
-    bland = False
     heap = None
+    bland = False
     while True:
-        if bland:
-            enter = min((j for j, x in cost.a.items() if x < 0 and j not in barred), default=-1)
-        else:
-            if heap is None:
-                heap = [(x, j) for j, x in cost.a.items() if x < 0 and j not in barred]
-                heapify(heap)
-            while heap and cost.a.get(heap[0][1]) != heap[0][0]:
-                heappop(heap)
-            enter = heap[0][1] if heap else -1
+        if heap is None:
+            heap = [(j if bland else x, j) for j, x in cost.a.items() if x < 0 and j not in barred]
+            heapify(heap)
+        while heap:
+            x = cost.a.get(heap[0][1], 0)
+            if x < 0 and (bland or x == heap[0][0]):
+                break
+            heappop(heap)
+        enter = heap[0][1] if heap else -1
         if enter < 0:
             return OPTIMAL
         leave = -1
@@ -441,19 +446,16 @@ def _pivot_until_optimal(
             return UNBOUNDED
         before = cost.a
         _pivot(tab, basis, cost, leave, enter, cols)
-        if not bland:
-            if cost.a is not before:
-                heap = None
-            else:
-                for j in tab[leave].a:
-                    x = before.get(j, 0)
-                    if x < 0 and j not in barred:
-                        heappush(heap, (x, j))
-            if best_b == 0:
-                stalled += 1
-                bland = stalled > 40 and lex is None
-            else:
-                stalled = 0
+        if cost.a is not before and not bland:
+            heap = None
+        else:
+            for j in tab[leave].a:
+                x = cost.a.get(j, 0)
+                if x < 0 and j not in barred:
+                    heappush(heap, (j if bland else x, j))
+        stalled = 0 if best_b else stalled + 1
+        if stalled > 40 and lex is None and not bland:
+            bland, heap = True, None
 
 
 def _lex_less(row: _Row, a: int, other: _Row, b: int, start: int) -> bool:

@@ -6,11 +6,12 @@ problem: choose edges F, pay w(F) + w(V(F)), and pay the penalty of each
 demand that no edge of F serves.  One depth-first search, `_cheapest`,
 solves it on integer units; `brute_force_eds`, `brute_force_multicut` and
 `brute_force_cover` only say what the edges, nodes and demands are.
-Facility location keeps its own loop: a client pays its cheapest connection
-to an open facility, an amount set by the whole open set, not a penalty
-that one chosen edge cancels.  Every solver refuses instances above a size
-cap, breaks objective ties by the lexicographically smallest chosen index
-tuple, and uses exact arithmetic throughout.
+Facility location keeps its own loop, on integer units too: a client pays
+its cheapest connection to an open facility, an amount set by the whole
+open set, not a penalty that one chosen edge cancels.  Every solver
+refuses instances above a size cap, breaks objective ties by the
+lexicographically smallest chosen index tuple, and uses exact arithmetic
+throughout.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .instances import (
     eds_solution,
     multicut_solution,
 )
-from .rationals import ExtRat, INF, Rat, ZERO, ext_min, is_inf
+from .rationals import ExtRat, INF, Rat, is_inf
 
 #: Largest edge/set count the exhaustive solvers accept.
 CAP = 20
@@ -180,15 +181,17 @@ def brute_force_facility_location(inst: FacilityLocationInstance) -> ExtRat:
     """Exhaustive minimum of opening plus connection costs; INF if some
     client cannot reach any facility."""
     _check_cap(inst.n_facilities, "facilities")
-    best: ExtRat = INF
+    pairs = sorted(inst.conn)
+    scale, opening, conn = _to_units(
+        [_pair(cost) for cost in inst.opening], [_pair(inst.conn[p]) for p in pairs]
+    )
+    reach = [[] for _ in range(inst.n_clients)]  # reach[v]: (facility, units) pairs
+    for (v, f), d in zip(pairs, conn):
+        reach[v].append((f, d))
+    best = INF
     for pick in range(1 << inst.n_facilities):
-        open_f = list(_bits(pick))
-        cost: ExtRat = sum((inst.opening[f] for f in open_f), ZERO)
-        for v in range(inst.n_clients):
-            d = ext_min(*(inst.conn.get((v, f), INF) for f in open_f)) if open_f else INF
-            cost = cost + d
-            if is_inf(cost):
-                break
-        if cost < best:
-            best = cost
-    return best
+        cost = sum(opening[f] for f in _bits(pick))
+        for options in reach:
+            cost += min((d for f, d in options if pick >> f & 1), default=INF)
+        best = min(best, cost)
+    return best if is_inf(best) else Rat(best, scale)

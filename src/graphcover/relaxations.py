@@ -9,12 +9,11 @@ A model of an eds or multicut instance is priced in its integer units, so
 its optimum is ``scale`` times the relaxation's value and each reader
 divides by ``scale`` once; a positive scaling changes no pivot choice.
 
-:func:`relaxation_value` takes the optimal value from the model's LP dual,
-which needs no phase I, as does the eds-general rounding's lexicographically
-least optimum, with the dual optimum beside it.  :func:`relaxation_values`
-gives the natural and the strengthened value from one staged solve of the
-strengthened dual: the natural model's variables and rows lead the
-strengthened model's.
+Every value is the optimum of a model solved with ``lexicographic`` set,
+which goes through its LP dual and needs no phase I, as does the
+eds-general rounding's lexicographically least optimum.  :func:`relaxation_values` gives the natural and the strengthened
+value from one solve of the strengthened model staged at its leading rows,
+which are the natural model's.
 
 Demand families: an edge-dominating instance has one demand per edge e,
 consisting of the edges sharing an end node with e; a multicut instance has
@@ -32,7 +31,7 @@ from .instances import (
     MulticutInstance,
     edge_neighborhoods,
 )
-from .lp import INFEASIBLE, LpModel, LpResult, OPTIMAL, dual_model, simplex_solve
+from .lp import INFEASIBLE, LpModel, LpResult, OPTIMAL, simplex_solve
 from .rationals import Rat, ZERO, is_inf
 
 RELAXATION_KINDS = ("natural", "strengthened", "edge-cover")
@@ -197,16 +196,15 @@ def _build_edge_cover_lp(inst: FacilityLocationInstance) -> LpModel:
 
 
 def relaxation_value(inst, kind: str) -> Rat:
-    """Optimal value of the built relaxation (must be feasible and bounded).
+    """Optimal value of the built relaxation (must be feasible).
 
-    Solved through the dual, whose optimum equals the relaxation's: every
-    relaxation is a covering LP with nonnegative costs, so its dual starts
-    feasible from the all-slack basis and needs no phase I.  Being feasible,
-    the dual is optimal or unbounded, and unbounded means an infeasible
-    relaxation.  An edge-cover model is priced as its costs are, any other
-    in units.
+    Every relaxation is a covering LP with nonnegative costs, so its
+    lexicographic solve starts feasible and needs no phase I.  An
+    edge-cover model is priced as its costs are, any other in units.
     """
-    res = simplex_solve(dual_model(build_relaxation(inst, kind)))
+    model = build_relaxation(inst, kind)
+    model.lexicographic = True
+    res = simplex_solve(model)
     if res.status != OPTIMAL:
         raise InstanceError(f"{kind} relaxation unexpectedly infeasible")
     return res.value if kind == "edge-cover" else res.value / inst.scale
@@ -218,18 +216,16 @@ def relaxation_values(inst) -> Tuple[Rat, Rat]:
 
     The natural model's variables and rows are the leading ones of the
     strengthened model, and a strengthened-only variable appears in
-    strengthened-only rows alone.  In the dual the natural rows are thus
-    the leading variables, and with every later one at zero the rows of
-    the strengthened-only primal variables read 0 <= 0: the dual restricted
-    to its leading variables is the natural dual.  So the strengthened
-    dual, staged at those variables, reaches the natural optimum first and
-    pivots on from that basis to the strengthened one.
+    strengthened-only rows alone, so the strengthened model restricted to
+    its leading rows has the natural optimum.  Staged at those rows, it
+    reaches the natural optimum first and pivots on to the strengthened one.
     """
-    dual = dual_model(build_relaxation(inst, "strengthened"))
+    model = build_relaxation(inst, "strengthened")
     edges = len(inst.graph.edge_ids())
     # the natural rows: a cover row per demand, and a node row per edge end
-    dual.stage = (len(inst.demands) if isinstance(inst, MulticutInstance) else edges) + 2 * edges
-    res = simplex_solve(dual)
+    model.stage = (len(inst.demands) if isinstance(inst, MulticutInstance) else edges) + 2 * edges
+    model.lexicographic = True
+    res = simplex_solve(model)
     if res.status != OPTIMAL:
         kind = "natural" if res.stage_value is None else "strengthened"
         raise InstanceError(f"{kind} relaxation unexpectedly infeasible")

@@ -342,17 +342,15 @@ def _refused(change):
     m.add_var("x", obj=Rat(1), tiebreak=Rat(1) if change == "tiebreak" else 0)
     m.add_var("y", obj=Rat(-1) if change == "negative-cost" else Rat(2))
     m.add_constraint("c", {"x": Rat(1), "y": Rat(1)}, "<=", Rat(1))
-    if change == "stage":
-        m.stage = 1
     if change == "max":
         m.sense = "max"
     return m
 
 
-@pytest.mark.parametrize("change", ["tiebreak", "stage", "negative-cost", "max"])
+@pytest.mark.parametrize("change", ["tiebreak", "negative-cost", "max"])
 def test_lexicographic_refuses_a_model_whose_dual_starts_infeasible(change):
-    """A tie-break, a stage, or a cost of the wrong sign for the sense (a
-    negative one to minimise, a positive one to maximise) is refused."""
+    """A tie-break or a cost of the wrong sign for the sense (a negative
+    one to minimise, a positive one to maximise) is refused."""
     with pytest.raises(LpFormatError, match="lexicographic"):
         simplex_solve(_refused(change))
     m = _refused(change)
@@ -586,80 +584,95 @@ def test_pivot_choices_match_full_scans_under_blands_rule():
     assert bland > 0
 
 
+def test_a_long_run_of_blands_rule_matches_full_scans():
+    """Beale's example starts Bland's rule, which then walks a chain of
+    degenerate rows y(i) <= y(i+1) beside it, up to y(n-1) <= 1, to raise
+    y(0): each pivot turns the next column's cost negative, and every
+    pivot enters where a full scan would."""
+    m = _beale()
+    n = 120
+    for i in range(n):
+        m.add_var(f"y{i}", obj=Rat(-1, 1000) if i == 0 else 0)
+    for i in range(n - 1):
+        m.add_constraint(f"chain{i}", {f"y{i}": 1, f"y{i + 1}": -1}, "<=", 0)
+    m.add_constraint("top", {f"y{n - 1}": 1}, "<=", 1)
+    res, bland = _solve_with_checked_pivots(m)
+    assert (res.status, res.value) == (OPTIMAL, Rat(-5, 4) - Rat(1, 1000))
+    assert bland > 100
+
+
 # -- the first stage -----------------------------------------------------------
 
 
-def _starts_feasible(model):
-    """Every row holds at zero with its slack basic: no phase I."""
-    return all(c.rhs >= 0 if c.relation == "<=" else c.rhs <= 0 for c in model.constraints)
-
-
 def _leading(model, stage):
-    """The model with every variable after the first ``stage`` removed."""
-    keep = model.variables[:stage]
+    """The model with every row after the first ``stage`` removed."""
     restricted = LpModel("leading", sense=model.sense)
-    for v in keep:
+    for v in model.variables:
         restricted.add_var(v, obj=model.objective.get(v, 0))
-    for c in model.constraints:
-        restricted.add_constraint(c.name, {v: c.coeffs[v] for v in keep if v in c.coeffs},
-                                  c.relation, c.rhs)
+    for c in model.constraints[:stage]:
+        restricted.add_constraint(c.name, c.coeffs, c.relation, c.rhs)
     return restricted
 
 
 @settings(max_examples=150, deadline=None, database=None)
-@given(_small_models().filter(_starts_feasible), st.data())
-def test_stage_value_is_the_optimum_over_the_leading_variables(model, data):
-    """A staged solve reports the optimum of the model less its later
-    variables, then reaches the unstaged solve's status and value."""
+@given(
+    st.one_of(_small_models().map(_without_tiebreak).filter(_lexicographic_accepts),
+              _wide_faces()),
+    st.data(),
+)
+def test_stage_value_is_the_optimum_over_the_leading_rows(model, data):
+    """A staged lexicographic solve reports the optimum of the model
+    restricted to its leading rows, or, where that restriction is
+    infeasible, an infeasible model and no stage value; otherwise it
+    reaches the unstaged solve's status, value and point."""
+    model.lexicographic = True
     plain = simplex_solve(model)
-    model.stage = data.draw(st.integers(0, len(model.variables)))
+    model.stage = data.draw(st.integers(0, len(model.constraints)))
     res = simplex_solve(model)
     status, value = _vertex_enumeration(_leading(model, model.stage))
-    assert status != INFEASIBLE
-    if status == UNBOUNDED:
-        assert (res.status, res.stage_value) == (UNBOUNDED, None)
+    assert status != UNBOUNDED
+    if status == INFEASIBLE:
+        assert (res.status, res.stage_value) == (INFEASIBLE, None)
         return
     assert res.stage_value == value and isinstance(res.stage_value, Rat)
-    assert (res.status, res.value) == (plain.status, plain.value)
-    if res.status == OPTIMAL:
-        _check_assignment(model, res)
+    assert (res.status, res.value, res.assignment) == (plain.status, plain.value, plain.assignment)
 
 
-def test_staged_model_needing_phase_one_is_refused():
-    m = LpModel("needs-phase-one", stage=1)
+def test_stage_needs_a_lexicographic_model():
+    m = LpModel("plain", stage=1)
     m.add_var("x", obj=Rat(1))
-    m.add_var("y", obj=Rat(1))
-    m.add_constraint("lb", {"x": Rat(1), "y": Rat(1)}, ">=", Rat(1))
-    with pytest.raises(LpFormatError, match="slack basis"):
+    m.add_constraint("lb", {"x": Rat(1)}, ">=", Rat(1))
+    with pytest.raises(LpFormatError, match="lexicographic"):
         simplex_solve(m)
-    m.stage = None
-    assert simplex_solve(m).value == 1
+    m.lexicographic = True
+    assert simplex_solve(m).stage_value == 1
 
 
-@pytest.mark.parametrize("stage", [-1, 3])
-def test_stage_must_count_leading_variables(stage):
-    m = LpModel("bad-stage", stage=stage)
+@pytest.mark.parametrize("stage", [-1, 2])
+def test_stage_must_count_leading_rows(stage):
+    m = LpModel("bad-stage", stage=stage, lexicographic=True)
     m.add_var("x")
-    m.add_var("y")
-    with pytest.raises(LpFormatError, match="leading variables"):
+    m.add_constraint("lb", {"x": Rat(1)}, ">=", ZERO)
+    with pytest.raises(LpFormatError, match="leading rows"):
         simplex_solve(m)
 
 
-def test_unbounded_first_stage_reports_unbounded():
-    """max x - y with y <= x: unbounded over x alone, and over both."""
-    m = LpModel("unbounded-stage", sense="max", stage=1)
+def _staged_at_one(first, second):
+    """min x, staged at its first of two rows."""
+    m = LpModel("staged", stage=1, lexicographic=True)
     m.add_var("x", obj=Rat(1))
-    m.add_var("y", obj=Rat(-1))
-    m.add_constraint("r", {"x": Rat(-1), "y": Rat(1)}, "<=", ZERO)
-    res = simplex_solve(m)
-    assert (res.status, res.stage_value) == (UNBOUNDED, None)
+    m.add_constraint("first", {"x": Rat(1)}, *first)
+    m.add_constraint("second", {"x": Rat(1)}, *second)
+    return m
 
 
-def test_bounded_first_stage_keeps_its_value_when_the_rest_is_unbounded():
-    """max x + y with x <= 2: the first stage stops at 2, then y runs away."""
-    m = LpModel("unbounded-rest", sense="max", stage=1)
-    m.add_var("x", obj=Rat(1))
-    m.add_var("y", obj=Rat(1))
-    m.add_constraint("cap", {"x": Rat(1)}, "<=", Rat(2))
-    res = simplex_solve(m)
-    assert (res.status, res.stage_value) == (UNBOUNDED, 2)
+def test_infeasible_first_stage_reports_an_infeasible_model():
+    """x <= -1 alone is infeasible, and so is the model."""
+    res = simplex_solve(_staged_at_one(("<=", Rat(-1)), (">=", ZERO)))
+    assert (res.status, res.stage_value) == (INFEASIBLE, None)
+
+
+def test_feasible_first_stage_keeps_its_value_when_the_rest_is_infeasible():
+    """x >= 1: the first stage stops at 1, then x <= 0 cannot hold."""
+    res = simplex_solve(_staged_at_one((">=", Rat(1)), ("<=", ZERO)))
+    assert (res.status, res.stage_value) == (INFEASIBLE, 1)

@@ -239,6 +239,36 @@ def test_facility_location_unreachable_client():
     assert is_inf(brute_force_facility_location(fl))
 
 
+_costs = st.builds(Rat, st.integers(0, 9), st.sampled_from([1, 2, 3, 7]))
+
+
+@st.composite
+def _facility_locations(draw):
+    nf, nc = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    pairs = draw(st.sets(st.tuples(st.integers(0, nc - 1), st.integers(0, nf - 1)))
+                 if nf and nc else st.just(set()))
+    return FacilityLocationInstance(
+        nc, nf, [draw(_costs) for _ in range(nf)], {p: draw(_costs) for p in sorted(pairs)})
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(_facility_locations())
+def test_facility_location_is_the_least_open_set_in_rationals(fl):
+    """The optimum, priced in integer units, is the least over every open
+    set of its opening costs plus each client's cheapest connection, summed
+    in Rat, and INF when every open set leaves a client unreachable."""
+    best = INF
+    for pick in range(1 << fl.n_facilities):
+        opened = list(_bits(pick))
+        cost = sum((fl.opening[f] for f in opened), ZERO)
+        for v in range(fl.n_clients):
+            costs = [fl.conn[(v, f)] for f in opened if (v, f) in fl.conn]
+            cost = cost + min(costs) if costs else INF
+        best = cost if not is_inf(cost) and (is_inf(best) or cost < best) else best
+    result = brute_force_facility_location(fl)
+    assert is_inf(result) if is_inf(best) else result == best and isinstance(result, Rat)
+
+
 # -- structural invariances -------------------------------------------------
 
 
