@@ -47,7 +47,7 @@ from .instances import (
     read_columns,
     read_int,
 )
-from .lp import OPTIMAL, LpModel, LpResult, dual_model, simplex_solve
+from .lp import LpModel, LpResult, dual_model, simplex_solve
 from .multicut_tree import (
     MulticutDual,
     big_m_edges,
@@ -56,7 +56,7 @@ from .multicut_tree import (
     verify_multicut,
 )
 from .rationals import ExtRat, ONE, Rat, ZERO, fmt_rat, is_inf, parse_rat
-from .relaxations import build_relaxation
+from .relaxations import as_lexicographic, build_relaxation
 from .reporting import CheckReport
 
 CERTIFICATE_KINDS = ("eds-tree", "multicut-tree", "eds-general")
@@ -306,7 +306,11 @@ def _verify_eds_general(inst: EdsInstance, cert: Certificate, report: CheckRepor
         return report
     sol = eds_solution(inst, cert.edges)
     _objective_recomputed(report, sol, cert)
-    value = _lp_value(build_relaxation(inst, "strengthened"), cert, report)
+    model = build_relaxation(inst, "strengthened")
+    if cert.primal or cert.dual:
+        value = _pair_value(model, cert, report)
+    else:  # solved, as before certificates had a pair
+        value = simplex_solve(as_lexicographic(model)).value
     value = value and value / inst.scale  # priced in units
     report.add(
         "lower-bound-recomputed",
@@ -332,16 +336,11 @@ def _verify_eds_general(inst: EdsInstance, cert: Certificate, report: CheckRepor
     return report
 
 
-def _lp_value(model: LpModel, cert: Certificate, report: CheckReport) -> Optional[Rat]:
+def _pair_value(model: LpModel, cert: Certificate, report: CheckReport) -> Optional[Rat]:
     """The optimum of ``model``, a ``min`` LP with integer data, that the
     certificate's x and y prove in integers over their least common
     denominator d, or None: x >= 0 meets its rows, y >= 0 those of its dual,
-    and c.x = b.y (Dhiflaoui et al., *SODA* 2003).  With no pair, as before
-    certificates had one, the model is solved."""
-    if not (cert.primal or cert.dual):
-        model.lexicographic = True
-        res = simplex_solve(model)
-        return res.value if res.status == OPTIMAL else None
+    and c.x = b.y (Dhiflaoui et al., *SODA* 2003)."""
     dual = dual_model(model)
     sides = ((model, cert.primal, "primal-feasible"), (dual, cert.dual, "dual-feasible"))
     stray, d, values, ok = [], 1, [], True

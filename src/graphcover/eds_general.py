@@ -37,7 +37,12 @@ from .instances import (
     eds_solution,
 )
 from .lp import OPTIMAL, LpResult, simplex_solve
-from .relaxations import build_relaxation, extract_relaxation_point, relaxation_value
+from .relaxations import (
+    as_lexicographic,
+    build_relaxation,
+    extract_relaxation_point,
+    relaxation_value,
+)
 from .rationals import Rat, ZERO, is_inf
 
 QUARTER = Rat(1, 4)
@@ -168,9 +173,7 @@ def solve_eds_general(inst: EdsInstance) -> Tuple[Solution, Rat, Rat, LpResult]:
     LP's solve, priced in units, whose primal-dual pair proves that bound.
     """
     g = inst.graph
-    model = build_relaxation(inst, "strengthened")
-    model.lexicographic = True
-    res = simplex_solve(model)
+    res = simplex_solve(as_lexicographic(build_relaxation(inst, "strengthened")))
     if res.status != OPTIMAL:
         raise InstanceError(f"relaxation unexpectedly {res.status}")
     xe, xv, z = extract_relaxation_point(inst, res)

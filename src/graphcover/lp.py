@@ -410,9 +410,7 @@ def _pivot_until_optimal(
     dropped as they surface; a pivot that rescales the cost row replaces
     the numerators' heap, but not the columns'.
     """
-    stalled = 0
-    heap = None
-    bland = False
+    stalled, heap, bland = 0, None, False
     while True:
         if heap is None:
             heap = [(j if bland else x, j) for j, x in cost.a.items() if x < 0 and j not in barred]

@@ -6,12 +6,11 @@ problem: choose edges F, pay w(F) + w(V(F)), and pay the penalty of each
 demand that no edge of F serves.  One depth-first search, `_cheapest`,
 solves it on integer units; `brute_force_eds`, `brute_force_multicut` and
 `brute_force_cover` only say what the edges, nodes and demands are.
-Facility location keeps its own loop, on integer units too: a client pays
-its cheapest connection to an open facility, an amount set by the whole
-open set, not a penalty that one chosen edge cancels.  Every solver
-refuses instances above a size cap, breaks objective ties by the
-lexicographically smallest chosen index tuple, and uses exact arithmetic
-throughout.
+Facility location keeps its own loop, on units too: a client pays its
+cheapest connection to an open facility, an amount set by the whole open
+set, not a penalty that one chosen edge cancels.  Every solver refuses
+instances above a size cap, breaks objective ties by the lexicographically
+smallest chosen index tuple, and uses exact arithmetic throughout.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from .instances import (
     eds_solution,
     multicut_solution,
 )
-from .rationals import ExtRat, INF, Rat, is_inf
+from .rationals import ExtRat, INF, Rat, ext_min, is_inf
 
 #: Largest edge/set count the exhaustive solvers accept.
 CAP = 20
@@ -181,17 +180,15 @@ def brute_force_facility_location(inst: FacilityLocationInstance) -> ExtRat:
     """Exhaustive minimum of opening plus connection costs; INF if some
     client cannot reach any facility."""
     _check_cap(inst.n_facilities, "facilities")
-    pairs = sorted(inst.conn)
-    scale, opening, conn = _to_units(
-        [_pair(cost) for cost in inst.opening], [_pair(inst.conn[p]) for p in pairs]
-    )
+    pairs = sorted(inst.conn.items())
+    scale, opening, conn = _to_units([_pair(c) for c in inst.opening], [_pair(c) for _, c in pairs])
     reach = [[] for _ in range(inst.n_clients)]  # reach[v]: (facility, units) pairs
-    for (v, f), d in zip(pairs, conn):
+    for ((v, f), _), d in zip(pairs, conn):
         reach[v].append((f, d))
     best = INF
     for pick in range(1 << inst.n_facilities):
         cost = sum(opening[f] for f in _bits(pick))
         for options in reach:
-            cost += min((d for f, d in options if pick >> f & 1), default=INF)
+            cost += ext_min(*(d for f, d in options if pick >> f & 1))
         best = min(best, cost)
     return best if is_inf(best) else Rat(best, scale)

@@ -71,6 +71,14 @@ def is_inf(value) -> bool:
     return isinstance(value, _Infinity)
 
 
+def ext_min(*values: ExtRat) -> ExtRat:
+    best: ExtRat = INF
+    for v in values:
+        if not is_inf(v) and (is_inf(best) or v < best):
+            best = v
+    return best
+
+
 def parse_number(token: str, allow_inf: bool = False):
     """Parse ``p``, ``p/q`` or (optionally) ``inf`` into ``(p, q)`` in
     lowest terms with q positive, or INF; an integer token gives q = 1.

@@ -9,11 +9,11 @@ A model of an eds or multicut instance is priced in its integer units, so
 its optimum is ``scale`` times the relaxation's value and each reader
 divides by ``scale`` once; a positive scaling changes no pivot choice.
 
-Every value is the optimum of a model solved with ``lexicographic`` set,
-which goes through its LP dual and needs no phase I, as does the
-eds-general rounding's lexicographically least optimum.  :func:`relaxation_values` gives the natural and the strengthened
-value from one solve of the strengthened model staged at its leading rows,
-which are the natural model's.
+Every value, and the eds-general rounding's lexicographically least
+optimum, is a solve of a model set by :func:`as_lexicographic`, which goes
+through the LP dual and needs no phase I.  :func:`relaxation_values` gives
+both values from one solve of the strengthened model staged at its leading
+rows, which are the natural model's.
 
 Demand families: an edge-dominating instance has one demand per edge e,
 consisting of the edges sharing an end node with e; a multicut instance has
@@ -195,16 +195,18 @@ def _build_edge_cover_lp(inst: FacilityLocationInstance) -> LpModel:
     return model
 
 
-def relaxation_value(inst, kind: str) -> Rat:
-    """Optimal value of the built relaxation (must be feasible).
+def as_lexicographic(model: LpModel, stage: Optional[int] = None) -> LpModel:
+    """``model``, a built relaxation, set to be solved for its value through
+    its dual, which starts feasible, under the lexicographic ratio test,
+    staged at its first ``stage`` rows if given."""
+    model.lexicographic, model.stage = True, stage
+    return model
 
-    Every relaxation is a covering LP with nonnegative costs, so its
-    lexicographic solve starts feasible and needs no phase I.  An
-    edge-cover model is priced as its costs are, any other in units.
-    """
-    model = build_relaxation(inst, kind)
-    model.lexicographic = True
-    res = simplex_solve(model)
+
+def relaxation_value(inst, kind: str) -> Rat:
+    """Optimal value of the built relaxation (must be feasible).  An
+    edge-cover model is priced as its costs are, any other in units."""
+    res = simplex_solve(as_lexicographic(build_relaxation(inst, kind)))
     if res.status != OPTIMAL:
         raise InstanceError(f"{kind} relaxation unexpectedly infeasible")
     return res.value if kind == "edge-cover" else res.value / inst.scale
@@ -220,12 +222,10 @@ def relaxation_values(inst) -> Tuple[Rat, Rat]:
     its leading rows has the natural optimum.  Staged at those rows, it
     reaches the natural optimum first and pivots on to the strengthened one.
     """
-    model = build_relaxation(inst, "strengthened")
-    edges = len(inst.graph.edge_ids())
     # the natural rows: a cover row per demand, and a node row per edge end
-    model.stage = (len(inst.demands) if isinstance(inst, MulticutInstance) else edges) + 2 * edges
-    model.lexicographic = True
-    res = simplex_solve(model)
+    edges = len(inst.graph.edge_ids())
+    stage = (len(inst.demands) if isinstance(inst, MulticutInstance) else edges) + 2 * edges
+    res = simplex_solve(as_lexicographic(build_relaxation(inst, "strengthened"), stage))
     if res.status != OPTIMAL:
         kind = "natural" if res.stage_value is None else "strengthened"
         raise InstanceError(f"{kind} relaxation unexpectedly infeasible")

@@ -300,10 +300,9 @@ def _wide_faces(draw):
 
 
 def _lexicographic_accepts(model):
-    """No tie-break, no stage, and no cost of the wrong sign for the sense."""
+    """No tie-break, and no cost of the wrong sign for the sense."""
     sign = 1 if model.sense == "min" else -1
-    return (not model.tiebreak and model.stage is None
-            and all(sign * c >= 0 for c in model.objective.values()))
+    return not model.tiebreak and all(sign * c >= 0 for c in model.objective.values())
 
 
 def _without_tiebreak(model):

@@ -6,6 +6,7 @@ from graphcover import INF, Rat
 from graphcover.rationals import (
     ONE,
     ZERO,
+    ext_min,
     fmt_rat,
     is_inf,
     parse_number,
@@ -67,6 +68,12 @@ def test_is_inf():
     assert is_inf(INF)
     assert not is_inf(Rat(7))
     assert not is_inf(ZERO)
+
+
+def test_ext_min():
+    assert ext_min(Rat(3), INF) == 3
+    assert is_inf(ext_min(INF, INF))
+    assert ext_min(Rat(3), Rat(1), Rat(2)) == 1
 
 
 def test_parse_rat_fraction_and_integer():
