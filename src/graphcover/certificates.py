@@ -14,7 +14,7 @@ a repeated one is a parse error, never a silent overwrite.
   recomputes the objective, requires the dual total to equal it, and
   completes the per-edge values into a full feasible dual.
 * ``multicut-tree``: the kept cut of the penalty-compiled tree, the stated
-  ``ratio``, the full sparse dual, witness map, and processing order.
+  ``ratio`` and the dual's nonzero values; an absent value is zero.
   Verification rebuilds the compiled tree deterministically and re-checks
   coverage, exact dual feasibility, the factor-2 bound, saturation, and
   the ratio.
@@ -97,10 +97,6 @@ CERTIFICATE_DIRECTIVES = {
     "mu": {_CUT: (
         (read_int, read_int, parse_rat), "'mu' takes node, demand and value (multicut-only)",
         (2, "duplicate mu entry for {}"))},
-    "witness": {_CUT: (
-        (read_int, read_int), "'witness' takes demand and edge (multicut-only)",
-        (1, "duplicate witness for demand {}"))},
-    "processed": {_CUT: ((read_int,), "'processed' takes one demand (multicut-only)", None)},
     "primal": {_GENERAL: (
         (str, parse_rat), "'primal' takes a variable and a value (eds-general-only)",
         (1, "duplicate primal entry for {}"))},
@@ -126,8 +122,6 @@ class Certificate:
     xi: Dict[int, Rat] = field(default_factory=dict)
     nu: Dict[Tuple[int, int], Rat] = field(default_factory=dict)
     mu: Dict[Tuple[int, int], Rat] = field(default_factory=dict)
-    witness: Dict[int, int] = field(default_factory=dict)
-    processed: Tuple[int, ...] = ()
     ratio: Optional[Rat] = None
     lower: Optional[Rat] = None
     factor: Optional[Rat] = None
@@ -145,20 +139,16 @@ def eds_tree_certificate(inst: EdsInstance, sol, xi: Dict[int, Rat]) -> Certific
     )
 
 
-def multicut_certificate(
-    inst: MulticutInstance, sol, ratio: Rat, kept, dual: MulticutDual,
-    witness: Dict[int, int], processed,
-) -> Certificate:
+def multicut_certificate(inst: MulticutInstance, sol, ratio: Rat, kept,
+                         dual: MulticutDual) -> Certificate:
     return Certificate(
         kind="multicut-tree",
         edges=tuple(sorted(kept)),
         objective=sol.total,
         ratio=ratio,
-        xi={i: dual.xi.get(i, ZERO) for i in range(len(inst.demands))},
+        xi=dict(dual.xi),
         nu=dict(dual.nu),
         mu=dict(dual.mu),
-        witness=dict(witness),
-        processed=tuple(processed),
     )
 
 
@@ -189,10 +179,6 @@ def serialize_certificate(cert: Certificate) -> str:
         lines.append(f"nu {e} {i} {fmt_rat(cert.nu[(e, i)])}")
     for v, i in sorted(cert.mu):
         lines.append(f"mu {v} {i} {fmt_rat(cert.mu[(v, i)])}")
-    for i in sorted(cert.witness):
-        lines.append(f"witness {i} {cert.witness[i]}")
-    for i in cert.processed:
-        lines.append(f"processed {i}")
     for head in ("primal", "dual"):
         lines += [f"{head} {name} {fmt_rat(q)}" for name, q in getattr(cert, head).items()]
     return "\n".join(lines) + "\n"
@@ -217,8 +203,6 @@ def parse_certificate(text: str) -> Certificate:
         xi=dict(rows("xi")),
         nu=nu,
         mu=mu,
-        witness=dict(rows("witness")),
-        processed=tuple(i for i, in rows("processed")),
         primal=dict(rows("primal")),
         dual=dict(rows("dual")),
         **{head: columns[head][0][0] for head in _scalars(kind) if columns[head][0]},
@@ -270,21 +254,6 @@ def _verify_multicut_tree(inst: MulticutInstance, cert: Certificate, report: Che
         not (kept & big_m_edges(inst0, mapping)),
         "the compiled tree's guard edges must never be cut",
     )
-    k = len(inst0.demands)
-    shape_ok = (
-        sorted(cert.xi) == list(range(k))
-        and all(0 <= i < k for _, i in cert.nu)
-        and all(0 <= i < k for _, i in cert.mu)
-        and set(cert.processed) <= set(range(k))
-        and len(set(cert.processed)) == len(cert.processed)
-        and set(cert.witness) == set(cert.processed)
-    )
-    if not report.add("dual-shape", shape_ok, "xi per demand; witness per processed"):
-        return report
-    wit_ok = all(
-        cert.witness[i] in inst0.path_edges(i) for i in cert.witness
-    )
-    report.add("witness-on-path", wit_ok)
     dual = MulticutDual(xi=dict(cert.xi), nu=dict(cert.nu), mu=dict(cert.mu))
     sub = verify_multicut(inst0, kept, dual)
     report.checks.extend(sub.checks)

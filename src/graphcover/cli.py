@@ -84,12 +84,10 @@ def _solve_eds_tree(inst):
 
 
 def _solve_multicut_tree(inst):
-    inst0, _, state, kept, dual = run_multicut_pipeline(inst)
+    inst0, _, _, kept, dual = run_multicut_pipeline(inst)
     sol = kept_solution(inst, inst0, kept)
     ratio = multicut_ratio(sol.total, dual.total)
-    cert = multicut_certificate(
-        inst, sol, ratio, kept, dual, state.witness, state.processed
-    )
+    cert = multicut_certificate(inst, sol, ratio, kept, dual)
     return sol, cert, [f"dual-total {fmt_rat(dual.total)}", f"ratio {fmt_rat(ratio)}"]
 
 

@@ -174,8 +174,8 @@ def solve_eds_general(inst: EdsInstance) -> Tuple[Solution, Rat, Rat, LpResult]:
     """
     g = inst.graph
     res = simplex_solve(as_lexicographic(build_relaxation(inst, "strengthened")))
-    if res.status != OPTIMAL:
-        raise InstanceError(f"relaxation unexpectedly {res.status}")
+    # feasible (x = 1, z = 0, y = 1 on one member edge per demand) and bounded (costs >= 0)
+    assert res.status == OPTIMAL
     xe, xv, z = extract_relaxation_point(inst, res)
     lower = res.value / inst.scale
     ratio = FOUR * harmonic(g.n)

@@ -985,9 +985,8 @@ def run_multicut_pipeline(
     """The full solver state behind :func:`solve_multicut_tree`.
 
     Returns the penalty-compiled instance, its penalty-edge map, the final
-    increase-phase state (witnesses, processing order), the kept cut on the
-    compiled instance, and the dual that cut was verified against — for
-    callers that also emit certificates.
+    increase-phase state, the kept cut on the compiled instance, and the
+    dual that cut was verified against, which a certificate states.
     """
     if not isinstance(inst, MulticutInstance):
         raise InstanceError("the multicut solver needs a multicut tree instance")

@@ -226,9 +226,8 @@ def relaxation_values(inst) -> Tuple[Rat, Rat]:
     edges = len(inst.graph.edge_ids())
     stage = (len(inst.demands) if isinstance(inst, MulticutInstance) else edges) + 2 * edges
     res = simplex_solve(as_lexicographic(build_relaxation(inst, "strengthened"), stage))
-    if res.status != OPTIMAL:
-        kind = "natural" if res.stage_value is None else "strengthened"
-        raise InstanceError(f"{kind} relaxation unexpectedly infeasible")
+    # feasible (x = 1, z = 0, y = 1 on one member edge per demand) and bounded (costs >= 0)
+    assert res.status == OPTIMAL
     return res.stage_value / inst.scale, res.value / inst.scale
 
 

@@ -17,11 +17,12 @@ from graphcover import (
     parse_certificate,
     parse_instance,
     serialize_certificate,
+    serialize_instance,
     solve_eds_general,
     solve_eds_tree,
     verify_certificate,
 )
-from graphcover import certificates
+from graphcover import certificates, cli
 from graphcover.certificates import CERTIFICATE_DIRECTIVES
 from graphcover.instances import eds_solution
 from graphcover.multicut_tree import kept_solution, multicut_ratio, run_multicut_pipeline
@@ -37,13 +38,10 @@ def _tree_cert(seed=3):
 
 def _multicut_cert(seed=4):
     inst = gen_instance("random-tree-multicut", n=7, k=3, seed=seed)
-    inst0, _, state, kept, dual = run_multicut_pipeline(inst)
+    inst0, _, _, kept, dual = run_multicut_pipeline(inst)
     sol = kept_solution(inst, inst0, kept)
     ratio = multicut_ratio(sol.total, dual.total)
-    cert = multicut_certificate(
-        inst, sol, ratio, kept, dual, state.witness, state.processed
-    )
-    return inst, cert
+    return inst, multicut_certificate(inst, sol, ratio, kept, dual)
 
 
 def _general_cert(seed=2):
@@ -66,11 +64,6 @@ def test_serialize_parse_round_trip(make):
 def test_tree_certificate_lists_every_edge_xi():
     inst, cert = _tree_cert()
     assert sorted(cert.xi) == sorted(inst.graph.edge_ids())
-
-
-def test_multicut_certificate_lists_every_demand_xi():
-    inst, cert = _multicut_cert()
-    assert sorted(cert.xi) == list(range(len(inst.demands)))
 
 
 # -- verification accepts solver output --------------------------------------
@@ -259,13 +252,22 @@ def test_an_unknown_edge_stops_at_edges_exist(make):
     assert report.checks[1:] == [("edges-exist", False, "unknown edges: [1000000]")]
 
 
-def test_a_multicut_missing_an_xi_line_stops_at_dual_shape():
-    inst, cert = _multicut_cert()
+@pytest.mark.parametrize("seed", range(4))
+def test_every_multicut_xi_line_dropped_is_rejected(seed):
+    """The multicut dual is written sparsely, an absent line meaning zero,
+    so a dropped ``xi`` line lowers the dual total below the one the stated
+    ratio was computed from."""
+    inst, cert = _multicut_cert(seed)
+    assert 0 not in (*cert.xi.values(), *cert.nu.values(), *cert.mu.values())
     lines = serialize_certificate(cert).splitlines(keepends=True)
-    lines.remove(next(line for line in lines if line.startswith("xi ")))
-    report = verify_certificate(inst, parse_certificate("".join(lines)))
-    assert report.failures() == ["dual-shape"]
-    assert report.checks[-1][0] == "dual-shape"
+    dropped = 0
+    for at, line in enumerate(lines):
+        if line.startswith("xi "):
+            text = "".join(lines[:at] + lines[at + 1:])
+            report = verify_certificate(inst, parse_certificate(text))
+            assert "ratio-recomputed" in report.failures(), (line, report.format())
+            dropped += 1
+    assert dropped == len(cert.xi) > 0
 
 
 def test_serialize_refuses_an_unknown_kind():
@@ -353,8 +355,6 @@ _FOREIGN = [
     ("dual cover_0 1", ("eds-tree", "multicut-tree")),
     ("nu 1 0 1", ("eds-tree", "eds-general")),
     ("mu 1 0 1", ("eds-tree", "eds-general")),
-    ("witness 0 1", ("eds-tree", "eds-general")),
-    ("processed 0", ("eds-tree", "eds-general")),
 ]
 
 
@@ -375,6 +375,26 @@ def test_parse_rejects_a_directive_its_kind_does_not_take(line, kind, extra):
     with pytest.raises(ParseError) as err:
         parse_certificate("\n".join(lines) + "\n")
     assert str(err.value) == f"line 3: '{line.split()[0]}' is not valid for {kind}"
+
+
+@pytest.mark.parametrize("kind", sorted(_MAKERS))
+@pytest.mark.parametrize("line", ["witness 0 1", "processed 0"])
+def test_a_retired_multicut_line_is_an_unknown_directive(line, kind, tmp_path, capsys):
+    """``witness`` and ``processed`` are no longer part of any format:
+    either fails to parse at its line, and ``verify`` exits 2."""
+    inst, cert = _MAKERS[kind]()
+    lines = serialize_certificate(cert).splitlines()
+    lines.insert(2, line)
+    text = "\n".join(lines) + "\n"
+    message = f"line 3: unknown directive {line.split()[0]!r}"
+    with pytest.raises(ParseError) as err:
+        parse_certificate(text)
+    assert str(err.value) == message
+    (tmp_path / "inst").write_text(serialize_instance(inst))
+    (tmp_path / "cert").write_text(text)
+    capsys.readouterr()
+    assert cli.run(["verify", str(tmp_path / "inst"), str(tmp_path / "cert")]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 @pytest.mark.parametrize(

@@ -7,7 +7,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from graphcover import LpFormatError, LpModel, Rat, simplex_solve
+from graphcover import INF, LpFormatError, LpModel, Rat, simplex_solve
 from graphcover import lp
 from graphcover.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, dual_model
 from graphcover.rationals import ZERO
@@ -117,10 +117,13 @@ def test_unknown_variable_rejected():
 
 
 def test_float_coefficients_rejected():
+    """A coefficient is exact and finite."""
     m = LpModel("flt")
     m.add_var("x")
     with pytest.raises(LpFormatError):
         m.add_constraint("c", {"x": 0.5}, ">=", ZERO)
+    with pytest.raises(LpFormatError, match="infinite objective coefficient of y"):
+        m.add_var("y", obj=INF)
 
 
 @pytest.mark.parametrize("relation", [">", "=="])
@@ -400,6 +403,10 @@ def test_dual_model_rejects_duplicate_row_names():
     m.add_constraint("c", {"x": Rat(1)}, "<=", Rat(1))
     with pytest.raises(LpFormatError):
         dual_model(m)
+    m.sense = "foo"  # refused by the dual and the solver alike
+    for refuses in (dual_model, simplex_solve):
+        with pytest.raises(LpFormatError, match="bad sense 'foo'"):
+            refuses(m)
 
 
 def _beale():

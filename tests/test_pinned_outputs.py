@@ -50,31 +50,31 @@ GOLDEN_SOLVE = {
     ),
     "random-tree-multicut --n 40 --k 10 --seed 0": (
         "95b4eb755e361f30197731b60c1a6c637702244996ecb2eb524c52907ce03dd5",
-        "b420d5ab23b812759ba26f0093998e897c2f6e791c24f1c49fa14718eb319720",
+        "eaec2579902ab9f49dd640892dfdfb9b904b836e059767ed74fbd1d9f337b132",
     ),
     "random-tree-multicut --n 40 --k 10 --seed 1": (
         "6bcd8201377fc430987a87ef3d4bec6cf053a1cb0ccc582b1066b5d98564aa72",
-        "dd7809a2afe6adb916470c6dc0571d1b02eb2790a8f4a490bf9ce9e20407de0e",
+        "b526368c5606376fd327c09977a96582dad52a81a0c24d6e7fa6b80c76024922",
     ),
     "random-tree-multicut --n 40 --k 10 --seed 2": (
         "2ad7ac06c2555a91a1ababf621a871e3da5b1a39739566ba47554a42deb45a02",
-        "3ea64a7313069f24577cf4ba5b6343f984ec6d35de6370475ab0d39c1f4329a9",
+        "a0d944a38c7033ced5e2b2b2a755a276867b1897e9bf273a46a47688f180ca81",
     ),
     "random-tree-multicut --n 40 --k 10 --seed 3": (
         "ef3a30eab4530d3688240e067c82e2c1eba74925fd77dcc6d230b4cf16309353",
-        "eb6381d5359abe1718f5b4eed0a334d5852fb71209f231521999fe6c5a976153",
+        "251b032eb2c8b0d23508de5963bd3ac1886780592a1c5a7e0422605502be4617",
     ),
     "random-tree-multicut --n 100 --k 25 --seed 0": (
         "1434e2e0710f7f337eb6a44ee728c584472f3bca1fd715ec94bad06aef2ed650",
-        "00fc11d0b770278d18b77b69d6117282d2a25da50dcee178fb8287f8937ae702",
+        "3869a11d29994e6e3db1dc063ae9fbf73be666340d6d64f7c60d297854c06384",
     ),
     "random-tree-multicut --n 100 --k 25 --seed 1": (
         "44befb1f25767e69f0520496f4534e35ccf4408c5f5dcb3ef1c84c711bb1861a",
-        "a2f9d6befcc94e717b1c45e695f041b01d43e7fe900fcc4093bf56562787c21a",
+        "ca7262c0aca3e022571f96776d44ab4d73c81c7c394bb1d570694896fb572d46",
     ),
     "random-tree-multicut --n 100 --k 25 --seed 2": (
         "e78bdb8d3d0ae6a34a66bbd59f4543042e23ab3a9a8aca71833ebace3fd09d18",
-        "155c3d4ac48307f31362164dee95b8943155bcc6e2b6dcac394e15486ae3b2d6",
+        "dce97196376ab51f2dfde42f62b0abe05472b0db37dfdf006e4e8159463bb941",
     ),
 }
 

@@ -9,6 +9,7 @@ from graphcover import (
     INF,
     Demand,
     EdsInstance,
+    FacilityLocationInstance,
     Graph,
     InstanceError,
     MulticutInstance,
@@ -78,6 +79,10 @@ def test_mismatched_kind_rejected():
         build_relaxation(gen_instance("star-gap-eds", n=3), "edge-cover")
     with pytest.raises(InstanceError):
         build_relaxation(gen_instance("star-gap-eds", n=3), "no-such-kind")
+    # client 1 reaches no facility, so the edge-cover LP is infeasible
+    stranded = FacilityLocationInstance(2, 1, [Rat(1)], {(0, 0): Rat(1)})
+    with pytest.raises(InstanceError, match="edge-cover relaxation unexpectedly infeasible"):
+        relaxation_value(stranded, "edge-cover")
 
 
 # -- values from the dual ------------------------------------------------------
