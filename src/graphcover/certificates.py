@@ -139,8 +139,7 @@ def eds_tree_certificate(inst: EdsInstance, sol, xi: Dict[int, Rat]) -> Certific
     )
 
 
-def multicut_certificate(inst: MulticutInstance, sol, ratio: Rat, kept,
-                         dual: MulticutDual) -> Certificate:
+def multicut_certificate(sol, ratio: Rat, kept, dual: MulticutDual) -> Certificate:
     return Certificate(
         kind="multicut-tree",
         edges=tuple(sorted(kept)),
@@ -152,8 +151,7 @@ def multicut_certificate(inst: MulticutInstance, sol, ratio: Rat, kept,
     )
 
 
-def eds_general_certificate(inst: EdsInstance, sol, lower: Rat, factor: Rat,
-                            pair: LpResult) -> Certificate:
+def eds_general_certificate(sol, lower: Rat, factor: Rat, pair: LpResult) -> Certificate:
     return Certificate(
         kind="eds-general",
         edges=tuple(sorted(sol.edges)),

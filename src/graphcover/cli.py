@@ -87,13 +87,13 @@ def _solve_multicut_tree(inst):
     inst0, _, _, kept, dual = run_multicut_pipeline(inst)
     sol = kept_solution(inst, inst0, kept)
     ratio = multicut_ratio(sol.total, dual.total)
-    cert = multicut_certificate(inst, sol, ratio, kept, dual)
+    cert = multicut_certificate(sol, ratio, kept, dual)
     return sol, cert, [f"dual-total {fmt_rat(dual.total)}", f"ratio {fmt_rat(ratio)}"]
 
 
 def _solve_eds_general(inst):
     sol, lower, factor, pair = solve_eds_general(inst)
-    cert = eds_general_certificate(inst, sol, lower, factor, pair)
+    cert = eds_general_certificate(sol, lower, factor, pair)
     return sol, cert, [f"lower {fmt_rat(lower)}", f"factor {fmt_rat(factor)}"]
 
 

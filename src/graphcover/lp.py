@@ -8,8 +8,8 @@ A model's coefficients are ints or ``Rat`` values: a row of ints is taken
 as it is, and any other row is scaled to integers once, when the tableau
 is built.  A pivot touches only the rows with a nonzero in the entering
 column, and only at the pivot row's nonzero columns, and takes one gcd per
-updated row instead of one per cell.  Values go back to ``Rat`` only at
-the end.
+updated row, stopped at 1, instead of one per cell.  Values go back to
+``Rat`` only at the end.
 
 So a pivot costs the cells it changes, not the tableau.  A column index
 gives the ratio test and the elimination the entering column's rows: a
@@ -66,7 +66,10 @@ model is solved through.  Every covering-LP value comes from a
 lexicographic solve: the relaxation values, staged where the natural
 relaxation's rows lead the strengthened one's, and the eds-general
 rounding's point.  The multicut step LPs, which carry a tie-break, and the
-dual completion, which needs phase I, are solved as they are.  The
+dual completion, which needs phase I, are solved as they are; each is
+built in one pass, straight into its rows, and read back in variable
+order, and the completion leaves out the rows that a capacity pays alone
+(``relaxations.complete_eds_dual``), so it pivots less.  The
 relaxations are priced in integer units, which scales a whole objective,
 or a dual's whole right-hand side, by a positive constant and so changes
 no pivot choice.  A model with no objective or tie-break is answered at
@@ -106,7 +109,7 @@ class LinearConstraint:
 class LpResult:
     status: str
     value: Optional[object] = None  # Rat
-    assignment: Optional[Dict[str, object]] = None
+    assignment: Optional[Dict[str, object]] = None  # by variable, in the model's order
     stage_value: Optional[object] = None  # Rat, the first stage's optimum
     duals: Optional[Dict[str, object]] = None  # a lexicographic model's dual optimum, by row
 
@@ -356,8 +359,13 @@ def _negate(row: _Row) -> None:
 
 
 def _reduce(row: _Row) -> None:
-    """Divide the row by the gcd of all its integers."""
-    g = gcd(row.d, row.b, *row.a.values())
+    """Divide the row by the gcd of its integers, taken cell by cell and
+    stopped at 1, so a long row that cannot be reduced costs a few cells."""
+    g = gcd(row.d, row.b)
+    for x in row.a.values():
+        if g == 1:
+            return
+        g = gcd(g, x)
     if g != 1:
         row.a = {j: x // g for j, x in row.a.items()}
         row.b //= g

@@ -78,8 +78,9 @@ as a pointer per node into its holders from one classification to the
 next: the nodes whose holders or bottleneck rows changed, and the
 neighbours whose pins rested on them, start again from the first holder
 a change can unpin, and a worklist moves the pointers forward from that
-frontier only.  Each step LP and its update are read from one table of
-the moved dual entries' changes, and each step checks exactly, with zero
+frontier only.  Each step LP is built in one pass over its moves, each
+a variable and the dual entries it moves, and its update is read from
+the solution in variable order; each step checks exactly, with zero
 tolerance, the nonnegativity, capacity and support rows its writes
 touched; the end of the phase checks the running sums and holders
 against the dual tables, and the :func:`verify_multicut` of
@@ -91,7 +92,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import groupby
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple, Union
 
 from .instances import (
@@ -103,7 +103,7 @@ from .instances import (
     _priced,
     selected_nodes,
 )
-from .lp import OPTIMAL, LpModel, simplex_solve
+from .lp import OPTIMAL, LinearConstraint, LpModel, simplex_solve
 from .rationals import INF, ONE, ExtRat, Rat, ZERO, is_inf
 from .reporting import CheckReport
 
@@ -738,77 +738,75 @@ def _step_lp(
 ) -> Exact:
     """Largest feasible simultaneous step, and by a unit tie-break cost on
     each move the least total perturbation achieving it, in one solve;
-    applies the update and returns the step.  Rows and update read ``delta``:
-    each moved entry ("nu", e, j) or ("mu", v, j) -> its change, in integer
-    coefficients of the variables."""
-    inst = state.instance
+    applies the update and returns the step.  The model is built in one
+    pass over ``entries``: each moves a dual entry ("nu", e, j) or ("mu",
+    v, j) by +1 or -1 times a variable, given by its place in variable
+    order: eps for the entries of H, U and R (eps also raises xi(d)), and
+    one variable per move otherwise.  The update is read from the solution
+    in that order."""
     dec, inc_nu, inc_mu = (sorted(m) for m in moves)
-
-    model = LpModel(f"step_demand{d}", sense="max")
-    model.add_var("eps", obj=1)
-    delta: Dict[Tuple[str, int, int], Dict[str, int]] = {}
-    for key in [("nu", e, d) for e in H] + [("mu", v, d) for v in U + R]:
-        delta[key] = {"eps": 1}
+    names = ["eps"]
+    entries = [("nu", e, d, 1, 0) for e in H] + [("mu", v, d, 1, 0) for v in U + R]
     for kind, prefix, sign, keys in (
         ("nu", "dn_e", 1, inc_nu),
         ("mu", "dp_v", 1, inc_mu),
         ("mu", "dm_v", -1, dec),
     ):
         for x, j in keys:
-            name = model.add_var(f"{prefix}{x}_d{j}", tiebreak=1)
-            delta.setdefault((kind, x, j), {})[name] = sign
+            entries.append((kind, x, j, sign, len(names)))
+            names.append(f"{prefix}{x}_d{j}")
 
     # support rows of the moved entries, and every row of d, which eps
     # moves (the others' rows are all zero):
     # slack + change(nu + mu_upper + mu_lower - xi) >= 0
-    rows: Dict[int, Set[int]] = {d: set(range(len(state.path_edges[d])))}
-    for kind, x, j in delta:
-        at = rows.setdefault(j, set())
-        if kind == "nu":
-            at.add(state._row(j, x))
-        else:
-            at.update(state._rows_at(j, x))
+    rows: Dict[int, Dict[int, Dict[str, int]]] = {
+        d: {i: {"eps": -1} for i in range(len(state.path_edges[d]))}
+    }
+    caps: Dict[str, Dict[int, Dict[str, int]]] = {"nu": {}, "mu": {}}
+    for kind, x, j, sign, var in entries:
+        at = rows.setdefault(j, {})
+        for i in [state._row(j, x)] if kind == "nu" else state._rows_at(j, x):
+            cell = at.setdefault(i, {})
+            cell[names[var]] = cell.get(names[var], 0) + sign
+        caps[kind].setdefault(x, {})[names[var]] = sign
+    model = LpModel(
+        f"step_demand{d}", sense="max", variables=names, objective={"eps": 1},
+        tiebreak=dict.fromkeys(names[1:], 1),
+    )
     for j in sorted(rows):
-        path, support = state.path_edges[j], state.support_row(j)
+        path, support, xi = state.path_edges[j], state.support_row(j), state.xi.get(j, 0)
         for i in sorted(rows[j]):
-            e, lhs = path[i], support[i]
-            coeffs = {"eps": -1} if j == d else {}
-            for key in (("nu", e, j), ("mu", inst.tree.parent[e], j), ("mu", e, j)):
-                for name, c in delta.get(key, {}).items():
-                    coeffs[name] = coeffs.get(name, 0) + c
-            coeffs = {name: c for name, c in coeffs.items() if c}
+            coeffs = {name: c for name, c in rows[j][i].items() if c}
             if coeffs:
-                slack = lhs - state.xi.get(j, 0)
-                model.add_constraint(f"support_e{e}_d{j}", coeffs, ">=", -slack)
+                model.constraints.append(
+                    LinearConstraint(f"support_e{path[i]}_d{j}", coeffs, ">=", xi - support[i])
+                )
     # capacity rows of the moved entries; each variable moves one entry
-    for kind, prefix, weight, load in (
+    for kind, prefix, cap, load in (
         ("nu", "edgecap_e", state.edge_cap, state.nu_sum),
         ("mu", "nodecap_v", state.node_cap, state.mu_sum),
     ):
-        keys = sorted(key for key in delta if key[0] == kind)
-        for x, group in groupby(keys, key=lambda key: key[1]):
-            coeffs = {name: c for key in group for name, c in delta[key].items()}
-            model.add_constraint(f"{prefix}{x}", coeffs, "<=", weight[x] - load[x])
+        for x, coeffs in sorted(caps[kind].items()):
+            row = LinearConstraint(f"{prefix}{x}", coeffs, "<=", cap[x] - load[x])
+            model.constraints.append(row)
     for v, j in dec:
-        model.add_constraint(
-            f"decbound_v{v}_d{j}", {f"dm_v{v}_d{j}": 1}, "<=", state.mu[(v, j)]
+        model.constraints.append(
+            LinearConstraint(f"decbound_v{v}_d{j}", {f"dm_v{v}_d{j}": 1}, "<=", state.mu[(v, j)])
         )
 
     step = simplex_solve(model)
     assert step.status == OPTIMAL, f"step sizing failed: {step.status}"
+    values = list(step.assignment.values())  # in variable order
     eps = _exact(step.value)
-
     state.set_xi(d, state.xi.get(d, 0) + eps)
-    for (kind, x, j), coeffs in delta.items():
-        table, write = (state.nu, state.set_nu) if kind == "nu" else (state.mu, state.set_mu)
-        old = new = table.get((x, j), 0)
-        for name, c in coeffs.items():  # c is 1 or -1, so no product is needed
-            move = step[name]
-            if move:
-                move = _exact(move)
-                new = new + move if c > 0 else new - move
-        if new != old:
-            write((x, j), new)
+    change: Dict[Tuple[str, int, int], Exact] = {}
+    for kind, x, j, sign, var in entries:  # each entry written once, in entry order
+        move = _exact(values[var]) if values[var] else 0
+        change[kind, x, j] = change.get((kind, x, j), 0) + (move if sign > 0 else -move)
+    for (kind, x, j), delta in change.items():
+        if delta:
+            table, write = (state.nu, state.set_nu) if kind == "nu" else (state.mu, state.set_mu)
+            write((x, j), table.get((x, j), 0) + delta)
     state.check_step()
     return eps
 

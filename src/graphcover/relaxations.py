@@ -22,6 +22,7 @@ one demand per terminal pair, consisting of its tree path.
 
 from __future__ import annotations
 
+from itertools import groupby
 from typing import Dict, List, Optional, Tuple
 
 from .instances import (
@@ -31,7 +32,7 @@ from .instances import (
     MulticutInstance,
     edge_neighborhoods,
 )
-from .lp import INFEASIBLE, LpModel, LpResult, OPTIMAL, simplex_solve
+from .lp import INFEASIBLE, LinearConstraint, LpModel, LpResult, OPTIMAL, simplex_solve
 from .rationals import Rat, ZERO, is_inf
 
 RELAXATION_KINDS = ("natural", "strengthened", "edge-cover")
@@ -259,13 +260,25 @@ def complete_eds_dual(
     mu(v, e) + nu(e', e) >= xi(e).
     N[e'] is the closed edge neighborhood of e', and N'[v] joins the
     neighborhoods of the edges at v.
-    The LP is priced in the instance's units: capacities are the weight
-    units and supports xi(e) times ``scale``, and nu, mu are divided by
-    ``scale`` on the way out.
     Pairs involving an edge with xi(e) = 0 are dropped: their support rows
     hold trivially and zero values only relax the capacities, so the
-    reduced problem is feasible exactly when the full one is.  Returned maps
-    contain only the retained pairs; absent pairs are zero.
+    reduced problem is feasible exactly when the full one is.  The rows
+    are built in one pass over the edges with xi(e) > 0, in the instance's
+    units: capacities are the weight units and supports xi(e) times
+    ``scale``, and nu, mu are divided by ``scale`` on the way out.
+
+    Presolve: each capacity is the pool of its own edge's nu or node's mu,
+    and a support row holds one variable of each of its three pools, e'
+    and its ends.  A pool whose capacity covers xi(e) once for every e its
+    variables serve pays all its rows in full, with each of its variables
+    at xi(e); every row that some such pool pays is left out of the LP,
+    with those pools' capacity rows and variables, and the values are
+    written back after the solve.  This is exact: a paid pool's variables
+    are in no kept row and in no other capacity row, so the written-back
+    values and any solution of the kept rows meet every row; and the kept
+    rows and capacities are a subset of the full ones.  The LP is solved
+    whenever some xi(e) > 0, even when no row is kept.  Returned maps hold
+    the nonzero values; absent pairs are zero.
 
     Raises ValueError when xi is negative or exceeds a penalty.
     """
@@ -273,75 +286,69 @@ def complete_eds_dual(
     edge_ids = sorted(g.edge_ids())
     if sorted(xi) != edge_ids:
         raise ValueError("xi must assign a value to every edge")
+    units = {}  # e -> xi(e) * scale where xi(e) > 0: an int where it is one
     for e in edge_ids:
-        if xi[e] < 0:
+        x = xi[e]
+        if x < 0:
             raise ValueError(f"xi({e}) is negative")
-        if xi[e] * scale > inst.penalty_units[e]:
-            raise ValueError(f"xi({e}) exceeds the penalty of edge {e}")
-    nbhd = edge_neighborhoods(g)
-    active = [e for e in edge_ids if xi[e] > 0]
-    if not active:
+        if x:
+            x = x if scale == 1 else x * scale
+            if x > inst.penalty_units[e]:
+                raise ValueError(f"xi({e}) exceeds the penalty of edge {e}")
+            units[e] = int(x) if x.denominator == 1 else x  # a row of ints is not rescaled
+    if not units:
         return {}, {}
-    active_set = set(active)
 
-    model = LpModel(name="dual-completion")
-    nu_pairs = []  # (e', e) with e in N[e'] and xi(e) > 0
-    for ep in edge_ids:
-        for e in nbhd[ep]:
-            if e in active_set:
-                model.add_var(f"nu_{ep}_{e}")
-                nu_pairs.append((ep, e))
-    mu_pairs = []  # (v, e) with e in N'[v] and xi(e) > 0
-    for v in range(g.n):
-        seen = set()
-        for f in g.incident(v):
-            seen.update(nbhd[f])
-        for e in sorted(seen & active_set):
-            model.add_var(f"mu_{v}_{e}")
-            mu_pairs.append((v, e))
-
-    by_ep: Dict[int, List[int]] = {}
-    for ep, e in nu_pairs:
-        by_ep.setdefault(ep, []).append(e)
-    for ep in sorted(by_ep):
-        model.add_constraint(
-            f"edge_cap_{ep}",
-            {f"nu_{ep}_{e}": 1 for e in by_ep[ep]},
-            "<=",
-            inst.edge_units[ep],
-        )
-    by_v: Dict[int, List[int]] = {}
-    for v, e in mu_pairs:
-        by_v.setdefault(v, []).append(e)
-    for v in sorted(by_v):
-        model.add_constraint(
-            f"node_cap_{v}",
-            {f"mu_{v}_{e}": 1 for e in by_v[v]},
-            "<=",
-            inst.node_units[v],
-        )
-    for e in active:
-        support = xi[e] * scale  # an int where it is one: a row of ints is not rescaled
-        support = int(support) if support.denominator == 1 else support
-        for ep in nbhd[e]:
+    rows = []  # (e, e', u, v) for e' = uv in N[e], in row order
+    edge_load: Dict[int, object] = {}  # pool -> its rows' xi, in units
+    node_load: Dict[int, object] = {}
+    for e, s in units.items():
+        a, b = g.ends(e)
+        touched = set()
+        for ep in sorted({*g.incident(a), *g.incident(b)}):
             u, v = g.ends(ep)
-            coeffs = {f"nu_{ep}_{e}": 1}
-            coeffs[f"mu_{u}_{e}"] = coeffs.get(f"mu_{u}_{e}", 0) + 1
-            coeffs[f"mu_{v}_{e}"] = coeffs.get(f"mu_{v}_{e}", 0) + 1
-            model.add_constraint(f"support_{e}_{ep}", coeffs, ">=", support)
+            rows.append((e, ep, u, v))
+            edge_load[ep] = edge_load.get(ep, 0) + s
+            touched.update((u, v))
+        for v in touched:
+            node_load[v] = node_load.get(v, 0) + s
+    paid_edges = {ep for ep, load in edge_load.items() if load <= inst.edge_units[ep]}
+    paid_nodes = {v for v, load in node_load.items() if load <= inst.node_units[v]}
+    kept = [
+        (e, ep, u, v) for e, ep, u, v in rows
+        if ep not in paid_edges and u not in paid_nodes and v not in paid_nodes
+    ]
+
+    nu_names = {key: f"nu_{key[0]}_{key[1]}" for key in sorted((ep, e) for e, ep, _, _ in kept)}
+    mu_names = {
+        key: f"mu_{key[0]}_{key[1]}"
+        for key in sorted({(w, e) for e, _, u, v in kept for w in (u, v)})
+    }
+    model = LpModel(name="dual-completion", variables=[*nu_names.values(), *mu_names.values()])
+    for prefix, names, cap in (
+        ("edge_cap", nu_names, inst.edge_units),
+        ("node_cap", mu_names, inst.node_units),
+    ):
+        for x, group in groupby(names.items(), key=lambda item: item[0][0]):
+            coeffs = {name: 1 for _, name in group}
+            model.constraints.append(LinearConstraint(f"{prefix}_{x}", coeffs, "<=", cap[x]))
+    for e, ep, u, v in kept:
+        coeffs = {nu_names[(ep, e)]: 1, mu_names[(u, e)]: 1, mu_names[(v, e)]: 1}
+        model.constraints.append(LinearConstraint(f"support_{e}_{ep}", coeffs, ">=", units[e]))
 
     res = simplex_solve(model)
     if res.status == INFEASIBLE:
         return None
     assert res.status == OPTIMAL
-    nu = {}
-    for ep, e in nu_pairs:
-        val = res.assignment.get(f"nu_{ep}_{e}", ZERO)
-        if val:
-            nu[(ep, e)] = val / scale
-    mu = {}
-    for v, e in mu_pairs:
-        val = res.assignment.get(f"mu_{v}_{e}", ZERO)
-        if val:
-            mu[(v, e)] = val / scale
+    values = list(res.assignment.values())  # in variable order: nu, then mu
+    nu, mu = (
+        {key: val if scale == 1 else val / scale for key, val in zip(names, vals) if val}
+        for names, vals in ((nu_names, values), (mu_names, values[len(nu_names):]))
+    )
+    for e, ep, u, v in rows:
+        if ep in paid_edges:
+            nu[(ep, e)] = xi[e]
+        for w in (u, v):
+            if w in paid_nodes:
+                mu[(w, e)] = xi[e]
     return nu, mu

@@ -41,12 +41,12 @@ def _multicut_cert(seed=4):
     inst0, _, _, kept, dual = run_multicut_pipeline(inst)
     sol = kept_solution(inst, inst0, kept)
     ratio = multicut_ratio(sol.total, dual.total)
-    return inst, multicut_certificate(inst, sol, ratio, kept, dual)
+    return inst, multicut_certificate(sol, ratio, kept, dual)
 
 
 def _general_cert(seed=2):
     inst = gen_instance("random-eds-general", n=5, m=6, seed=seed)
-    return inst, eds_general_certificate(inst, *solve_eds_general(inst))
+    return inst, eds_general_certificate(*solve_eds_general(inst))
 
 
 # -- round-trips ------------------------------------------------------------
@@ -219,7 +219,7 @@ def test_an_objective_beyond_the_factor_is_rejected(pair):
     and a factor of 22/3: the edges and objective agree, and only
     ``within-factor`` fails, with the pair or through the re-solve."""
     inst = parse_instance(_PATH3)
-    cert = eds_general_certificate(inst, *solve_eds_general(inst))
+    cert = eds_general_certificate(*solve_eds_general(inst))
     assert (cert.objective, cert.lower) == (2, 2)
     cert.edges = (0, 1)
     cert.objective = eds_solution(inst, cert.edges).total

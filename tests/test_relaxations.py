@@ -31,7 +31,7 @@ from graphcover import (
 from graphcover import relaxations
 from graphcover.eds_general import heavy_facility_location
 from graphcover.instances import edge_neighborhoods
-from graphcover.lp import dual_model
+from graphcover.lp import OPTIMAL, LpModel, dual_model
 from graphcover.rationals import ZERO, is_inf
 from graphcover.relaxations import extract_relaxation_point
 
@@ -433,6 +433,72 @@ def test_completion_on_fractional_weights_is_a_rational_dual(inst):
         if not is_inf(p):
             with pytest.raises(ValueError):
                 complete_eds_dual(inst, {**xi, e: p + Rat(1, 1000)})
+
+
+def _full_completion_feasible(inst, xi):
+    """Whether the completion LP that ``complete_eds_dual``'s docstring
+    states has a solution, built here in full over the rational weights:
+    nu(e', e) for e in N[e'], mu(v, e) for e in N'[v], every capacity row
+    and a support row per e and e' in N[e], with no pair dropped and no
+    row presolved."""
+    g = inst.graph
+    node_weight, edge_weight, _ = rat_weights(inst)
+    nbhd = edge_neighborhoods(g)
+    around = {v: sorted({e for f in g.incident(v) for e in nbhd[f]}) for v in range(g.n)}
+    model = LpModel("full-completion")
+    for ep in g.edge_ids():
+        for e in nbhd[ep]:
+            model.add_var(f"nu_{ep}_{e}")
+    for v in range(g.n):
+        for e in around[v]:
+            model.add_var(f"mu_{v}_{e}")
+    for ep in g.edge_ids():
+        coeffs = {f"nu_{ep}_{e}": 1 for e in nbhd[ep]}
+        model.add_constraint(f"cap_e{ep}", coeffs, "<=", edge_weight[ep])
+    for v in range(g.n):
+        if around[v]:
+            coeffs = {f"mu_{v}_{e}": 1 for e in around[v]}
+            model.add_constraint(f"cap_v{v}", coeffs, "<=", node_weight[v])
+    for e in g.edge_ids():
+        for ep in nbhd[e]:
+            u, v = g.ends(ep)
+            coeffs = {f"nu_{ep}_{e}": 1, f"mu_{u}_{e}": 1, f"mu_{v}_{e}": 1}
+            model.add_constraint(f"support_{e}_{ep}", coeffs, ">=", xi[e])
+    return simplex_solve(model).status == OPTIMAL
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.data())
+def test_presolved_completion_decides_as_the_full_lp(data):
+    """On small trees, with each xi(e) drawn in [0, penalty] (up to the
+    total weight where the penalty is infinite), so that both verdicts
+    occur: complete_eds_dual, which drops rows its own pools pay, returns
+    None exactly when the full LP is infeasible, and otherwise nu and mu
+    that meet every row of the full LP."""
+    inst = data.draw(small_eds(max_nodes=8, tree=True))
+    g = inst.graph
+    node_weight, edge_weight, penalty = rat_weights(inst)
+    total = sum(node_weight.values(), ZERO) + sum(edge_weight.values(), ZERO)
+    xi = {
+        e: (total if is_inf(penalty[e]) else penalty[e]) * Rat(data.draw(st.integers(0, 4)), 4)
+        for e in g.edge_ids()
+    }
+    got = complete_eds_dual(inst, xi)
+    assert (got is not None) == _full_completion_feasible(inst, xi)
+    if got is None:
+        return
+    nu, mu = got
+    nbhd = edge_neighborhoods(g)
+    assert all(e in nbhd[ep] and x > 0 for (ep, e), x in nu.items())
+    assert all(any(e in nbhd[f] for f in g.incident(v)) and x > 0 for (v, e), x in mu.items())
+    for ep in g.edge_ids():
+        assert sum((x for (f, _), x in nu.items() if f == ep), ZERO) <= edge_weight[ep]
+    for v in range(g.n):
+        assert sum((x for (u, _), x in mu.items() if u == v), ZERO) <= node_weight[v]
+    for e in g.edge_ids():
+        for ep in nbhd[e]:
+            u, v = g.ends(ep)
+            assert nu.get((ep, e), ZERO) + mu.get((u, e), ZERO) + mu.get((v, e), ZERO) >= xi[e]
 
 
 def test_dual_completion_ends_at_phase_one(monkeypatch):
