@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import lcm
+from math import isqrt, lcm
 from random import Random
 from typing import Dict, FrozenSet, List, NamedTuple, Tuple, Union
 
@@ -886,10 +886,19 @@ def gen_instance(kind: str, seed: int = 0, **params) -> AnyInstance:
     if kind == "random-eds-general":
         n, m, wmax, pmax = param("n", 6), param("m", 8), param("wmax", 10), param("pmax", 10)
         inf_prob = param("inf_prob", 0.25)
-        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-        if m > len(pairs):
-            raise InstanceError(f"at most {len(pairs)} edges on {n} nodes")
-        edges = sorted(rng.sample(pairs, m))
+        count = n * (n - 1) // 2
+        if m > count:
+            raise InstanceError(f"at most {count} edges on {n} nodes")
+        # m indices into the node pairs in lexicographic order, drawn as
+        # from a list of them, which is never built: pair x has r pairs
+        # after it, and its first end u leaves q = n - 1 - u later ends,
+        # q the greatest with q (q - 1) / 2 <= r
+        edges = []
+        for x in rng.sample(range(count), m):
+            r = count - 1 - x
+            q = (1 + isqrt(8 * r + 1)) // 2
+            edges.append((n - 1 - q, n - 1 - r + q * (q - 1) // 2))
+        edges.sort()
         graph = Graph(n, edges)
         node_w = [rng.randint(0, wmax) for _ in range(n)]
         edge_w = [rng.randint(0, wmax) for _ in range(m)]

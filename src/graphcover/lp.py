@@ -270,8 +270,7 @@ def simplex_solve(model: LpModel) -> LpResult:
             if col >= art_start:
                 _eliminate(cost, row, col)
         status = _pivot_until_optimal(tab, basis, cost, cols)
-        if status == UNBOUNDED:  # cannot happen for a bounded-below phase-I objective
-            raise AssertionError("phase I unbounded")
+        assert status != UNBOUNDED, "phase I unbounded"  # its objective is bounded below by 0
         # The phase-I optimum is the sum of these rhs, all nonnegative.
         if any(row.b for row, col in zip(tab, basis) if col >= art_start):
             return LpResult(INFEASIBLE)

@@ -60,7 +60,7 @@ Every dual write goes through the setters of :class:`IncreaseState`,
 which keep the demands holding mass at each node in processing order,
 the running capacity sums, the left side nu + mu + mu of every support
 row (a mu write at v changes at most the two rows of v's path edges),
-the keys written since the last classification and the last check, and
+the demands, edges and nodes written since the last classification, and
 the nodes whose non-relaxable limit a write can move back.  Each
 demand's path is walked once per instance, by :class:`MulticutInstance`,
 into one record: its lca, its edges and their count on s's side.  One
@@ -80,10 +80,12 @@ neighbours whose pins rested on them, start again from the first holder
 a change can unpin, and a worklist moves the pointers forward from that
 frontier only.  Each step LP is built in one pass over its moves, each
 a variable and the dual entries it moves, and its update is read from
-the solution in variable order; each step checks exactly, with zero
-tolerance, the nonnegativity, capacity and support rows its writes
-touched; the end of the phase checks the running sums and holders
-against the dual tables, and the :func:`verify_multicut` of
+the solution in variable order.  The checks are exact, with zero
+tolerance: a setter refuses a negative value as it stores it; the
+classification after every step checks each capacity and support row
+the writes since the last one can have moved, before anything reads
+them; the end of the phase checks the running sums and holders against
+the dual tables; and the :func:`verify_multicut` of
 :func:`run_multicut_pipeline` checks the whole dual once, from scratch.
 """
 
@@ -290,15 +292,16 @@ class IncreaseState:
     processing order.
 
     Every dual write goes through :meth:`set_xi`, :meth:`set_nu` and
-    :meth:`set_mu`, which keep the holders of each node, the running
-    capacity and support sums, the written keys that :meth:`snapshot`
-    re-derives and :meth:`check_step` checks, the nodes whose non-relaxable
-    limit can move, and the written demands whose nu :func:`_minimize_nu`
-    lowers.  From :meth:`snapshot` to the next dual write, ``tight_rows``
-    holds the tight support rows, ``sat_edge``/``sat_node`` the saturated
-    capacities, ``sat_around`` the edges saturated with both ends, whose
-    tight rows are the fully pinned bottleneck rows (:meth:`is_bottleneck`),
-    and ``nonrelax`` the (node, demand) pairs whose mass is immovable.
+    :meth:`set_mu`, which refuse a negative nu or mu and keep the holders
+    of each node, the running capacity and support sums, the written
+    demands, edges and nodes that :meth:`snapshot` checks and re-derives,
+    the nodes whose non-relaxable limit can move, and the written demands
+    whose nu :func:`_minimize_nu` lowers.  From :meth:`snapshot` to the
+    next dual write, ``tight_rows`` holds the tight support rows,
+    ``sat_edge``/``sat_node`` the saturated capacities, ``sat_around`` the
+    edges saturated with both ends, whose tight rows are the fully pinned
+    bottleneck rows (:meth:`is_bottleneck`), and ``nonrelax`` the (node,
+    demand) pairs whose mass is immovable.
     ``settle_visits`` counts the nodes that settling the non-relaxable
     pairs has visited, a measure of its work that no output reads."""
 
@@ -361,10 +364,6 @@ class IncreaseState:
         # their pin since the last settle (len(order): none, look again)
         self._unsettled: Dict[int, int] = {}
         self.settle_visits = 0
-        # keys written since the last check_step()
-        self._unchecked_xi: Set[int] = set()
-        self._unchecked_nu: Set[Tuple[int, int]] = set()
-        self._unchecked_mu: Set[Tuple[int, int]] = set()
         # demands written since the last _minimize_nu()
         self.unminimized: Set[int] = set()
 
@@ -373,7 +372,6 @@ class IncreaseState:
     def set_xi(self, d: int, val: Exact) -> None:
         self.xi[d] = _exact(val)
         self._dirty_demands.add(d)
-        self._unchecked_xi.add(d)
         self.unminimized.add(d)
 
     def set_nu(self, key: Tuple[int, int], val: Exact) -> None:
@@ -386,7 +384,6 @@ class IncreaseState:
         _store(self.nu, key, val)
         self._dirty_demands.add(j)
         self._dirty_edges.add(e)
-        self._unchecked_nu.add(key)
         self.unminimized.add(j)
 
     def set_mu(self, key: Tuple[int, int], val: Exact) -> None:
@@ -411,7 +408,6 @@ class IncreaseState:
             del self.holders[v]
         self._dirty_demands.add(j)
         self._dirty_nodes.add(v)
-        self._unchecked_mu.add(key)
         self.unminimized.add(j)
 
     # -- small helpers -----------------------------------------------------
@@ -492,16 +488,20 @@ class IncreaseState:
     # -- classification ----------------------------------------------------
 
     def snapshot(self) -> IncreaseState:
-        """Classify the current dual in place, re-deriving only what the
-        writes since the last classification can have changed, and return
-        the state, whose classification sets hold until the next write."""
+        """Check and classify the current dual in place, re-deriving only
+        what the writes since the last classification can have changed, and
+        return the state, whose classification sets hold until the next
+        write.  Every capacity and support row those writes can move is
+        checked exactly here, with zero tolerance."""
         tree = self.instance.tree
         # edges whose own and both end capacities' saturation may have changed
         recheck: Set[int] = set()
         for e in self._dirty_edges:
+            assert self.nu_sum[e] <= self.edge_cap[e], f"edge capacity violated at {e}"
             if _toggle(self.sat_edge, e, self.nu_sum[e] == self.edge_cap[e]):
                 recheck.add(e)
         for v in self._dirty_nodes:
+            assert self.mu_sum[v] <= self.node_cap[v], f"node capacity violated at {v}"
             if _toggle(self.sat_node, v, self.mu_sum[v] == self.node_cap[v]):
                 recheck.update(tree.incident(v))
         # a bottleneck row that turns on may pin its demand at both ends of
@@ -512,6 +512,7 @@ class IncreaseState:
         for j in self._dirty_demands:
             xi, was, mask = self.xi.get(j, 0), self.tight_rows[j], 0
             for i, (e, lhs) in enumerate(zip(self.path_edges[j], self.support_row(j))):
+                assert xi <= lhs, f"support row violated ({e},{j})"
                 tight = lhs == xi
                 mask |= tight << i
                 if tight == (was >> i & 1):
@@ -591,27 +592,6 @@ class IncreaseState:
 
     # -- feasibility checks ------------------------------------------------
 
-    def check_step(self) -> None:
-        """Exact check of every nonnegativity, capacity and support row
-        whose inputs were written since the last check."""
-        rows = {(e, j) for j in self._unchecked_xi for e in self.path_edges[j]}
-        for key in self._unchecked_nu:
-            e = key[0]
-            assert self.nu.get(key, 0) >= 0
-            assert self.nu_sum[e] <= self.edge_cap[e], f"edge capacity violated at {e}"
-            rows.add(key)
-        for v, j in self._unchecked_mu:
-            assert self.mu.get((v, j), 0) >= 0
-            assert self.mu_sum[v] <= self.node_cap[v], f"node capacity violated at {v}"
-            rows.update((f, j) for f in self.edges_at(j, v))
-        for e, j in rows:
-            assert self.xi.get(j, 0) <= self.support_row(j)[self._row(j, e)], (
-                f"support row violated ({e},{j})"
-            )
-        self._unchecked_xi.clear()
-        self._unchecked_nu.clear()
-        self._unchecked_mu.clear()
-
     def assert_feasible(self) -> None:
         """Check the running sums and the holders, in processing order,
         against sums and holders recomputed from the dual tables."""
@@ -633,6 +613,7 @@ class IncreaseState:
 
 
 def _store(table: Dict, key, val: Exact) -> None:
+    assert val >= 0, f"negative dual value {key}"
     if val:
         table[key] = val
     else:
@@ -807,7 +788,6 @@ def _step_lp(
         if delta:
             table, write = (state.nu, state.set_nu) if kind == "nu" else (state.mu, state.set_mu)
             write((x, j), table.get((x, j), 0) + delta)
-    state.check_step()
     return eps
 
 

@@ -2,6 +2,7 @@
 
 import sys
 import tracemalloc
+from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -159,6 +160,27 @@ def test_path_walks_keep_little_beside_their_edge_tuples():
         tracemalloc.stop()
     assert all(inst.path(i).up == n // 2 - i for i in range(len(paths)))
     assert peak < 3 * sum(map(sys.getsizeof, paths))
+
+
+@pytest.mark.parametrize("n,m,seed", [(2, 1, 0), (6, 6, 1), (20, 40, 2), (40, 700, 3), (40, 780, 4)])
+def test_eds_general_edges_are_a_sample_of_the_sorted_pairs(n, m, seed):
+    """The generator's edges are ``m`` of the node pairs, in lexicographic
+    order, drawn by ``random.sample`` from the generator's seeded stream."""
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    inst = gen_instance("random-eds-general", n=n, m=m, seed=seed)
+    assert inst.graph.edges == sorted(Random(seed).sample(pairs, m))
+
+
+def test_eds_general_generator_does_not_list_the_node_pairs():
+    """Three edges on 3,000 nodes, whose 4.5 million node pairs took over
+    400 MB to list, are drawn in under 20 MB."""
+    tracemalloc.start()
+    try:
+        inst = gen_instance("random-eds-general", n=3000, m=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(inst.graph.edges) == 3 and peak < 20 * 2**20
 
 
 # -- instance validation ----------------------------------------------------

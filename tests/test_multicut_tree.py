@@ -482,13 +482,22 @@ def test_pipeline_checks_the_dual_from_scratch_once(monkeypatch):
         assert callers == ["verify_multicut"]
 
 
-def _run_with_overfull_edge(mp, at_step):
-    """Run the multicut pipeline, pushing one nu write of step ``at_step``
-    past its edge's capacity.  Returns the step the AssertionError escaped
-    from (None when no step was running) and its message."""
+@pytest.mark.parametrize("setter,fault,where,message", [
+    ("set_nu", lambda self, key, val: val + rat_weights(self.instance)[1][key[0]] + 1,
+     "snapshot", "edge capacity violated at"),
+    ("set_mu", lambda self, key, val: val + rat_weights(self.instance)[0][key[0]] + 1,
+     "snapshot", "node capacity violated at"),
+    ("set_xi", lambda self, d, val: val + 1, "snapshot", "support row violated ("),
+    ("set_nu", lambda self, key, val: -1, "_store", "negative dual value"),
+], ids=["edge", "node", "support", "negative"])
+def test_corrupted_write_caught_at_its_own_step(monkeypatch, setter, fault, where, message):
+    """The first write of ``setter`` in step 3 of a run, corrupted by
+    ``fault``, fails before step 4 starts, with the message of the check
+    that covers it: a negative value as it is stored, and a capacity or
+    support row in the classification right after the step returns."""
     inst = gen_instance("random-tree-multicut", n=20, k=6, seed=1)
     calls = {"started": 0, "returned": 0, "corrupted": False}
-    real_step, real_set_nu = multicut_tree._step_lp, IncreaseState.set_nu
+    real_step, real_set = multicut_tree._step_lp, getattr(IncreaseState, setter)
 
     def step(*args):
         calls["started"] += 1
@@ -496,29 +505,19 @@ def _run_with_overfull_edge(mp, at_step):
         calls["returned"] += 1
         return eps
 
-    def set_nu(self, key, val):
-        if calls["started"] == at_step > calls["returned"] and not calls["corrupted"]:
-            val += rat_weights(self.instance)[1][key[0]] + 1
+    def corrupted(self, key, val):
+        if calls["started"] == 3 > calls["returned"] and not calls["corrupted"]:
+            val = fault(self, key, val)
             calls["corrupted"] = True
-        real_set_nu(self, key, val)
+        real_set(self, key, val)
 
-    mp.setattr(multicut_tree, "_step_lp", step)
-    mp.setattr(IncreaseState, "set_nu", set_nu)
+    monkeypatch.setattr(multicut_tree, "_step_lp", step)
+    monkeypatch.setattr(IncreaseState, setter, corrupted)
     with pytest.raises(AssertionError) as caught:
         run_multicut_pipeline(inst)
-    assert calls["corrupted"]
-    running = calls["started"] if calls["started"] > calls["returned"] else None
-    return running, str(caught.value)
-
-
-def test_corrupted_write_caught_at_its_own_step(monkeypatch):
-    step, message = _run_with_overfull_edge(monkeypatch, at_step=3)
-    assert step == 3 and message.startswith("edge capacity violated at")
-    # without the per-step check only the pipeline's from-scratch check of
-    # its output sees the fault
-    monkeypatch.setattr(IncreaseState, "check_step", lambda self: None)
-    step, message = _run_with_overfull_edge(monkeypatch, at_step=3)
-    assert step is None and "dual-feasible" in message
+    assert calls["corrupted"] and str(caught.value).startswith(message)
+    assert caught.traceback[-1].name == where and calls["started"] == 3
+    assert calls["returned"] == (3 if where == "snapshot" else 2)
 
 
 def _two_solve_step(model):
