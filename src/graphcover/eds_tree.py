@@ -54,10 +54,12 @@ arithmetic, at the cost of the step.  While reducing, `_LiveTree.set`
 checks every weight and penalty it writes for nonnegativity, each
 reduction checks that the nodes it takes for leaves (case A's arms, case
 B's grandchildren) have no live child, and the driver checks that the
-measure strictly decreases after each step.  Each lift checks that xi
-covers exactly the live edges (by count, as xi only gains keys of live
-edges), that 0 <= xi <= penalty on every edge whose value or penalty
-moved (`undo` returns the edges whose penalty it restored), and that the
+measure strictly decreases after each step.  While lifting, the write
+that moves an edge's xi or penalty checks 0 <= xi <= penalty there:
+`_Lift.set_xi` for the value it writes, and `undo` for each penalty it
+restores.  Nothing else writes either, so the bound holds on every edge
+at every level.  Each lift then checks that xi covers exactly the live
+edges (by count, as xi only gains keys of live edges) and that the
 objective equals the dual total; both sides are running sums, kept up to
 date by per-node counts of chosen edges so that a change of F costs O(1).
 The base level and the top level are also checked from scratch, including
@@ -448,24 +450,24 @@ class _Lift:
         self._touch(self.t.parent[e], -1)
 
     def set_xi(self, e: int, value: int) -> None:
+        assert 0 <= value <= self.t.pen[e], "0 <= xi <= penalty where either moved"
         self.total += value - self.xi.get(e, 0)
         self.xi[e] = value
 
-    def undo(self, mark: int) -> List[int]:
+    def undo(self, mark: int) -> None:
         """Restore the weights and live nodes overwritten since log position
-        `mark`, and return the edges whose penalty moved."""
+        `mark`."""
         t = self.t
         entries = t.log[mark:]
         del t.log[mark:]
         wn, we, pen = t.arrays
-        moved = []
         for code, v, old in reversed(entries):
             if code == _KILL:
                 t.alive[v] = True
                 t.edges += 1
                 self._edge(v, pen[v])
             elif code == _PEN:
-                moved.append(v)
+                assert self.xi.get(v, 0) <= old, "0 <= xi <= penalty where either moved"
                 self._edge(v, old - pen[v])
                 pen[v] = old
             elif code == _WN:
@@ -476,17 +478,11 @@ class _Lift:
                 if v in self.F:
                     self.edge_w += old - we[v]
                 we[v] = old
-        return moved
 
-    def check_level(self, *groups) -> None:
-        """Per-level invariants, given groups of the edges whose xi or
-        penalty moved."""
-        t, xi = self.t, self.xi
-        assert len(xi) == t.edges, "dual values cover exactly the live edges"
-        pen = t.pen
-        for edges in groups:
-            for e in edges:
-                assert 0 <= xi[e] <= pen[e], "0 <= xi <= penalty where either moved"
+    def check_level(self) -> None:
+        """The per-level invariants that no single write checks."""
+        t = self.t
+        assert len(self.xi) == t.edges, "dual values cover exactly the live edges"
         obj = self.objective()
         assert obj == self.total < t.big, f"objective {obj} != dual total {self.total}"
 
@@ -614,9 +610,9 @@ def solve_eds_tree_trace(
     lift = _Lift(t, *_base_star(t))
     lift.check_full()
     for ctx, mark in zip(reversed(ctxs), reversed(marks)):
-        moved = lift.undo(mark)
+        lift.undo(mark)
         (_lift_a if ctx.tag == "A" else _lift_b)(ctx, lift)
-        lift.check_level(ctx.arms, ctx.grand_edges, moved)
+        lift.check_level()
     lift.check_full()
 
     sol = eds_solution(inst, sorted(lift.F))

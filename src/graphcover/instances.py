@@ -248,10 +248,10 @@ def _to_units(*columns):
 
 
 def _pair(value) -> Number:
-    """An ExtRat as a `Number`; ``int()`` turns gmpy2's mpz parts into ints."""
+    """An ExtRat as a `Number`."""
     if is_inf(value):
         return INF
-    p, q = int(value.numerator), int(value.denominator)
+    p, q = value.numerator, value.denominator
     return p if q == 1 else (p, q)
 
 

@@ -344,10 +344,10 @@ def _integer_row(cells: Dict[int, object], rhs=0) -> _Row:
     A row of ints keeps ``cells``, a fresh dict of the caller's, as it is."""
     if type(rhs) is int and all(type(x) is int for x in cells.values()):
         return _Row(cells, rhs)
-    d = lcm(int(rhs.denominator), *(int(x.denominator) for x in cells.values()))
+    d = lcm(rhs.denominator, *(x.denominator for x in cells.values()))
     return _Row(
-        {j: int(x.numerator) * (d // int(x.denominator)) for j, x in cells.items()},
-        int(rhs.numerator) * (d // int(rhs.denominator)),
+        {j: x.numerator * (d // x.denominator) for j, x in cells.items()},
+        rhs.numerator * (d // rhs.denominator),
         d,
     )
 

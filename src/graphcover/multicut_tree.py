@@ -65,9 +65,11 @@ the nodes whose non-relaxable limit a write can move back.  Each
 demand's path is walked once per instance, by :class:`MulticutInstance`,
 into one record: its lca, its edges and their count on s's side.  One
 rule of the instance reads a node's place from it and the node's depth,
-and with it the node's at most two path edges.  A count per edge of the
-demands through it whose row there is loose serves the witness choice,
-and the deletion phase indexes the demands through each edge of F.  The
+and with it the rows of the node's at most two path edges.  The pass
+that picks a dual entry to move finds its rows once, and the step LP and
+the setter take them from there.  A count per edge of the demands
+through it whose row there is loose serves the witness choice, and the
+deletion phase indexes the demands through each edge of F.  The
 classification is updated in place and read before the next dual write:
 tightness, one bit per support row, is re-derived only for the rows of
 written demands, and saturation only at written edges and nodes; the
@@ -78,15 +80,16 @@ as a pointer per node into its holders from one classification to the
 next: the nodes whose holders or bottleneck rows changed, and the
 neighbours whose pins rested on them, start again from the first holder
 a change can unpin, and a worklist moves the pointers forward from that
-frontier only.  Each step LP is built in one pass over its moves, each
-a variable and the dual entries it moves, and its update is read from
-the solution in variable order.  The checks are exact, with zero
-tolerance: a setter refuses a negative value as it stores it; the
-classification after every step checks each capacity and support row
-the writes since the last one can have moved, before anything reads
-them; the end of the phase checks the running sums and holders against
-the dual tables; and the :func:`verify_multicut` of
-:func:`run_multicut_pipeline` checks the whole dual once, from scratch.
+frontier only.  Each step LP is built in one pass over its moves, each a
+variable and the dual entries it moves with their rows, and its update
+is read from the solution in variable order and written with the same
+rows.  The checks are exact, with zero tolerance: a setter refuses a
+negative value as it stores it; the classification after every step
+checks each capacity and support row the writes since the last one can
+have moved, before anything reads them; the end of the phase checks the
+running sums and holders against the dual tables; and the
+:func:`verify_multicut` of :func:`run_multicut_pipeline` checks the
+whole dual once, from scratch.
 """
 
 from __future__ import annotations
@@ -94,7 +97,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple, Union
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
 
 from .instances import (
     Demand,
@@ -111,6 +114,11 @@ from .reporting import CheckReport
 
 #: A value of the increase phase: an int when integral, else a Rat.
 Exact = Union[int, Rat]
+#: A dual entry's support rows: their places on its demand's path, in edges
+#: from s; a step's moves carry them by edge or node, or by (that, demand).
+Rows = Sequence[int]
+Moves = List[Tuple[int, Rows]]
+Keyed = Dict[Tuple[int, int], Rows]
 
 
 def _exact(x) -> Exact:
@@ -292,12 +300,14 @@ class IncreaseState:
     processing order.
 
     Every dual write goes through :meth:`set_xi`, :meth:`set_nu` and
-    :meth:`set_mu`, which refuse a negative nu or mu and keep the holders
-    of each node, the running capacity and support sums, the written
-    demands, edges and nodes that :meth:`snapshot` checks and re-derives,
-    the nodes whose non-relaxable limit can move, and the written demands
-    whose nu :func:`_minimize_nu` lowers.  From :meth:`snapshot` to the
-    next dual write, ``tight_rows`` holds the tight support rows,
+    :meth:`set_mu`.  The last two take the written entry's support rows
+    from their caller, which found them, and refuse a negative value.  The
+    setters keep the holders of each node, the running capacity and
+    support sums, the written demands, edges and nodes that
+    :meth:`snapshot` checks and re-derives, the nodes whose non-relaxable
+    limit can move, and the written demands whose nu :func:`_minimize_nu`
+    lowers.  From :meth:`snapshot` to the next dual write, ``tight_rows``
+    holds the tight support rows, one bit per path place,
     ``sat_edge``/``sat_node`` the saturated capacities, ``sat_around`` the
     edges saturated with both ends, whose tight rows are the fully pinned
     bottleneck rows (:meth:`is_bottleneck`), and ``nonrelax`` the (node,
@@ -374,25 +384,25 @@ class IncreaseState:
         self._dirty_demands.add(d)
         self.unminimized.add(d)
 
-    def set_nu(self, key: Tuple[int, int], val: Exact) -> None:
-        """Write nu[key]; a zero value removes the entry."""
+    def set_nu(self, key: Tuple[int, int], val: Exact, rows: Rows) -> None:
+        """Write nu[key], which enters j's support ``rows``; zero removes it."""
         e, j = key
         val = _exact(val)
         change = val - self.nu.get(key, 0)
         self.nu_sum[e] = _exact(self.nu_sum[e] + change)
-        self._add_support(j, [self._row(j, e)], change)
+        self._add_support(j, rows, change)
         _store(self.nu, key, val)
         self._dirty_demands.add(j)
         self._dirty_edges.add(e)
         self.unminimized.add(j)
 
-    def set_mu(self, key: Tuple[int, int], val: Exact) -> None:
-        """Write mu[key]; a zero value removes the entry."""
+    def set_mu(self, key: Tuple[int, int], val: Exact, rows: Rows) -> None:
+        """Write mu[key], which enters j's support ``rows``; zero removes it."""
         v, j = key
         val = _exact(val)
         change = val - self.mu.get(key, 0)
         self.mu_sum[v] = _exact(self.mu_sum[v] + change)
-        self._add_support(j, self._rows_at(j, v), change)
+        self._add_support(j, rows, change)
         _store(self.mu, key, val)
         here = self.holders.setdefault(v, [])
         i = bisect_left(here, self.position[j], key=self.position.__getitem__)
@@ -404,8 +414,8 @@ class IncreaseState:
                 here.insert(i, j)
             # a holder inserted ahead of v's pointer may be unpinned
             self._unsettle(len(self.order) if held else self.position[j], v)
-        if not here:
-            del self.holders[v]
+        # a decrease frees capacity only for an increase at v, written first
+        assert here, f"node {v} lost its last holder"
         self._dirty_demands.add(j)
         self._dirty_nodes.add(v)
         self.unminimized.add(j)
@@ -426,31 +436,21 @@ class IncreaseState:
         upper = self.instance.tree.parent[e]
         return e if v == upper else upper
 
-    def _row(self, j: int, e: int) -> int:
-        """Where edge e lies on j's path, counted in edges from s: at its
-        lower end's place on the s side of the lca, one before it past it."""
-        at = self.instance.place(j, e)
-        return at - (at > self.instance.path(j).up)
-
-    def _rows_at(self, j: int, v: int) -> range:
+    def rows_at(self, j: int, v: int) -> range:
         """Where j's path edges at v lie on the path: just before and just
         after v's place.  v must be on j's path."""
         at = self.instance.place(j, v)
         return range(max(at - 1, 0), min(at + 1, len(self.path_edges[j])))
 
-    def edges_at(self, j: int, v: int) -> List[int]:
-        """j's path edges at v, ascending; v must be on j's path."""
+    def edges_at(self, j: int, v: int) -> List[Tuple[int, int]]:
+        """j's path edges at v, ascending, with their rows; v must be on j's path."""
         path = self.path_edges[j]
-        return sorted(path[i] for i in self._rows_at(j, v))
+        return sorted((path[i], i) for i in self.rows_at(j, v))
 
-    def is_tight(self, e: int, j: int) -> bool:
-        """Whether j's support row at e is tight; e must be on j's path."""
-        return bool(self.tight_rows[j] >> self._row(j, e) & 1)
-
-    def is_bottleneck(self, e: int, j: int) -> bool:
-        """Whether j's support row at e is tight with e and both its ends
-        saturated; e must be on j's path."""
-        return e in self.sat_around and self.is_tight(e, j)
+    def is_bottleneck(self, j: int, row: int) -> bool:
+        """Whether j's support row at path place ``row`` is tight with its
+        edge and both the edge's ends saturated."""
+        return self.path_edges[j][row] in self.sat_around and bool(self.tight_rows[j] >> row & 1)
 
     def decrease_targets(self, d: int, v: int) -> List[int]:
         """Demands processed before d holding positive dual mass at v, in
@@ -463,8 +463,8 @@ class IncreaseState:
         they pin j's dual mass at v."""
         return [
             f
-            for f in self.edges_at(j, v)
-            if self.is_bottleneck(f, j) and (self.far_end(f, v), j) in self.nonrelax
+            for f, row in self.edges_at(j, v)
+            if self.is_bottleneck(j, row) and (self.far_end(f, v), j) in self.nonrelax
         ]
 
     def uncovered(self) -> Optional[int]:
@@ -632,7 +632,7 @@ def _minimize_nu(state: IncreaseState) -> None:
     drop the edge out of the bottleneck rows."""
     for d in sorted(state.unminimized):
         # a write of nu(e, d) changes d's support sum at e alone
-        for e, lhs in zip(state.path_edges[d], state.support_row(d)):
+        for i, (e, lhs) in enumerate(zip(state.path_edges[d], state.support_row(d))):
             key = (e, d)
             if e in state.F or key not in state.nu:
                 continue
@@ -641,46 +641,46 @@ def _minimize_nu(state: IncreaseState) -> None:
                 needed = 0
             assert needed <= state.nu[key]
             if needed != state.nu[key]:
-                state.set_nu(key, needed)
+                state.set_nu(key, needed, (i,))
     state.unminimized.clear()
 
 
-def _select_cover(state: IncreaseState, d: int) -> Tuple[List[int], List[int], List[int]]:
-    """Greedy minimal cover of the tight path edges: H gets unsaturated
-    edges, U unsaturated nodes, R relaxable ends of bottleneck edges."""
-    H: List[int] = []
-    U: List[int] = []
-    R: List[int] = []
+def _select_cover(state: IncreaseState, d: int) -> Tuple[Moves, Moves, Moves]:
+    """Greedy minimal cover of the tight path edges, each with its rows: H
+    gets unsaturated edges, U unsaturated nodes, R relaxable ends of
+    bottleneck edges."""
+    H: Moves = []
+    U: Moves = []
+    R: Moves = []
     chosen_nodes: Set[int] = set()
     for i, e in enumerate(state.path_edges[d]):
         if not state.tight_rows[d] >> i & 1:
             continue
         upper = state.instance.tree.parent[e]
-        if e in H or upper in chosen_nodes or e in chosen_nodes:
+        if upper in chosen_nodes or e in chosen_nodes:
             continue
         if e in state.sat_around:
             ends = [v for v in sorted((upper, e)) if (v, d) not in state.nonrelax]
             assert ends, "bottleneck with no relaxable end must terminate the loop"
-            R.append(ends[0])
+            R.append((ends[0], state.rows_at(d, ends[0])))
             chosen_nodes.add(ends[0])
         elif e not in state.sat_edge:
-            H.append(e)
+            H.append((e, (i,)))
         else:
             ends = [v for v in sorted((upper, e)) if v not in state.sat_node]
             assert ends, "saturated tight edge with saturated ends is a bottleneck"
-            U.append(ends[0])
+            U.append((ends[0], state.rows_at(d, ends[0])))
             chosen_nodes.add(ends[0])
     return H, U, R
 
 
-def _sanction_moves(
-    state: IncreaseState, d: int, R: List[int]
-) -> Tuple[Set[Tuple[int, int]], Set[Tuple[int, int]], Set[Tuple[int, int]]]:
+def _sanction_moves(state: IncreaseState, d: int, R: Moves) -> Tuple[Keyed, Keyed, Keyed]:
     """Moves the relaxation rules allow: decreases of mu at relaxable
-    nodes and the compensating increases along earlier demand paths."""
-    dec: Set[Tuple[int, int]] = set()
-    inc_nu: Set[Tuple[int, int]] = set()
-    inc_mu: Set[Tuple[int, int]] = set()
+    nodes and the compensating increases along earlier demand paths, each
+    key with its rows."""
+    dec: Keyed = {}
+    inc_nu: Keyed = {}
+    inc_mu: Keyed = {}
     visited: Set[Tuple[int, int]] = set()
 
     def expand(v: int, m: int) -> None:
@@ -690,21 +690,22 @@ def _sanction_moves(
         for j in state.decrease_targets(m, v):
             if state.pinning_edges(j, v) or (v, j) in dec:
                 continue
-            dec.add((v, j))
-            for f in state.edges_at(j, v):
-                if not state.is_tight(f, j):
+            at = state.edges_at(j, v)
+            dec[v, j] = [row for _, row in at]
+            for f, row in at:
+                if not state.tight_rows[j] >> row & 1:
                     continue
                 u = state.far_end(f, v)
                 if f in state.sat_around:
-                    inc_mu.add((u, j))
+                    inc_mu[u, j] = state.rows_at(j, u)
                     expand(u, j)
                 else:
                     if f not in state.sat_edge:
-                        inc_nu.add((f, j))
+                        inc_nu[f, j] = (row,)
                     if u not in state.sat_node:
-                        inc_mu.add((u, j))
+                        inc_mu[u, j] = state.rows_at(j, u)
 
-    for v in R:
+    for v, _ in R:
         expand(v, d)
     return dec, inc_nu, inc_mu
 
@@ -712,29 +713,30 @@ def _sanction_moves(
 def _step_lp(
     state: IncreaseState,
     d: int,
-    H: List[int],
-    U: List[int],
-    R: List[int],
-    moves: Tuple[Set[Tuple[int, int]], Set[Tuple[int, int]], Set[Tuple[int, int]]],
+    H: Moves,
+    U: Moves,
+    R: Moves,
+    moves: Tuple[Keyed, Keyed, Keyed],
 ) -> Exact:
     """Largest feasible simultaneous step, and by a unit tie-break cost on
     each move the least total perturbation achieving it, in one solve;
     applies the update and returns the step.  The model is built in one
     pass over ``entries``: each moves a dual entry ("nu", e, j) or ("mu",
-    v, j) by +1 or -1 times a variable, given by its place in variable
-    order: eps for the entries of H, U and R (eps also raises xi(d)), and
-    one variable per move otherwise.  The update is read from the solution
-    in that order."""
-    dec, inc_nu, inc_mu = (sorted(m) for m in moves)
+    v, j), in the rows its caller found, by +1 or -1 times a variable,
+    given by its place in variable order: eps for the entries of H, U and
+    R (eps also raises xi(d)), and one variable per move otherwise.  The
+    update is read from the solution in that order."""
+    dec, inc_nu, inc_mu = (sorted(m.items()) for m in moves)
     names = ["eps"]
-    entries = [("nu", e, d, 1, 0) for e in H] + [("mu", v, d, 1, 0) for v in U + R]
+    entries = [("nu", e, d, 1, 0, at) for e, at in H]
+    entries += [("mu", v, d, 1, 0, at) for v, at in U + R]
     for kind, prefix, sign, keys in (
         ("nu", "dn_e", 1, inc_nu),
         ("mu", "dp_v", 1, inc_mu),
         ("mu", "dm_v", -1, dec),
     ):
-        for x, j in keys:
-            entries.append((kind, x, j, sign, len(names)))
+        for (x, j), at in keys:
+            entries.append((kind, x, j, sign, len(names), at))
             names.append(f"{prefix}{x}_d{j}")
 
     # support rows of the moved entries, and every row of d, which eps
@@ -744,10 +746,10 @@ def _step_lp(
         d: {i: {"eps": -1} for i in range(len(state.path_edges[d]))}
     }
     caps: Dict[str, Dict[int, Dict[str, int]]] = {"nu": {}, "mu": {}}
-    for kind, x, j, sign, var in entries:
-        at = rows.setdefault(j, {})
-        for i in [state._row(j, x)] if kind == "nu" else state._rows_at(j, x):
-            cell = at.setdefault(i, {})
+    for kind, x, j, sign, var, at in entries:
+        cells = rows.setdefault(j, {})
+        for i in at:
+            cell = cells.setdefault(i, {})
             cell[names[var]] = cell.get(names[var], 0) + sign
         caps[kind].setdefault(x, {})[names[var]] = sign
     model = LpModel(
@@ -770,7 +772,7 @@ def _step_lp(
         for x, coeffs in sorted(caps[kind].items()):
             row = LinearConstraint(f"{prefix}{x}", coeffs, "<=", cap[x] - load[x])
             model.constraints.append(row)
-    for v, j in dec:
+    for (v, j), _ in dec:
         model.constraints.append(
             LinearConstraint(f"decbound_v{v}_d{j}", {f"dm_v{v}_d{j}": 1}, "<=", state.mu[(v, j)])
         )
@@ -780,14 +782,14 @@ def _step_lp(
     values = list(step.assignment.values())  # in variable order
     eps = _exact(step.value)
     state.set_xi(d, state.xi.get(d, 0) + eps)
-    change: Dict[Tuple[str, int, int], Exact] = {}
-    for kind, x, j, sign, var in entries:  # each entry written once, in entry order
+    change: Dict[Tuple[str, int, int], list] = {}
+    for kind, x, j, sign, var, at in entries:  # each entry written once, in entry order
         move = _exact(values[var]) if values[var] else 0
-        change[kind, x, j] = change.get((kind, x, j), 0) + (move if sign > 0 else -move)
-    for (kind, x, j), delta in change.items():
+        change.setdefault((kind, x, j), [0, at])[0] += move if sign > 0 else -move
+    for (kind, x, j), (delta, at) in change.items():
         if delta:
             table, write = (state.nu, state.set_nu) if kind == "nu" else (state.mu, state.set_mu)
-            write((x, j), table.get((x, j), 0) + delta)
+            write((x, j), table.get((x, j), 0) + delta, at)
     return eps
 
 
@@ -826,8 +828,8 @@ def increase_iteration(state: IncreaseState, i: int) -> IncreaseState:
         state.snapshot()
         terminal = [
             e
-            for e in state.path_edges[i]
-            if state.is_bottleneck(e, i)
+            for row, e in enumerate(state.path_edges[i])
+            if state.is_bottleneck(i, row)
             and (inst.tree.parent[e], i) in state.nonrelax
             and (e, i) in state.nonrelax
         ]

@@ -1,9 +1,9 @@
 """Exact extended-rational arithmetic.
 
 All numeric data in this package is either an exact rational (`Rat`) or the
-positive-infinity sentinel `INF`.  Finite values are `gmpy2.mpq` when gmpy2 is
-available and `fractions.Fraction` otherwise; both normalise to lowest terms
-and print as ``p/q`` (integers print without the ``/1``).
+positive-infinity sentinel `INF`.  Finite values are `fractions.Fraction`,
+which normalises to lowest terms and prints as ``p/q`` (integers print
+without the ``/1``).
 
 INF compares above every rational and absorbs addition; any other
 arithmetic on it (subtraction, multiplication, negation) is an error.
@@ -11,13 +11,9 @@ arithmetic on it (subtraction, multiplication, negation) is an error.
 
 from __future__ import annotations
 
+from fractions import Fraction as Rat
 from math import gcd
 from typing import Union
-
-try:
-    from gmpy2 import mpq as Rat
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    from fractions import Fraction as Rat
 
 
 def _is_rational(value) -> bool:

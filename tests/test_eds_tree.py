@@ -29,14 +29,6 @@ from graphcover.eds_tree import solve_eds_tree_trace
 from graphcover.rationals import ZERO, is_inf
 
 from _support import rat_weights, two_leaf_star
-from test_pinned_outputs import (
-    GOLDEN_BATCH,
-    GOLDEN_SOLVE,
-    GOLDEN_VERIFY,
-    batch_digest,
-    solve_digests,
-    verify_digest,
-)
 
 
 def _path(weights_nodes, weights_edges, penalties):
@@ -222,6 +214,51 @@ def test_reduction_checks_fire_at_the_write(monkeypatch):
     monkeypatch.setattr(eds_tree, "_reduce_a", resurrecting(eds_tree._reduce_a))
     with pytest.raises(AssertionError, match="are leaves"):
         solve_eds_tree(inst)
+
+
+def _keep_caps_one_too_high(monkeypatch):
+    """Each case-A keep step records its arm caps, the penalties it zeroes
+    and that its lift writes as xi, one above those penalties."""
+    real = eds_tree._reduce_a
+
+    def reduce_a(t, leaf_edge):
+        ctx = real(t, leaf_edge)
+        if ctx.branch != "keep":
+            return ctx
+        return ctx._replace(caps=tuple(cap + 1 for cap in ctx.caps))
+
+    monkeypatch.setattr(eds_tree, "_reduce_a", reduce_a)
+
+
+def _first_zeroed_penalty_logged_negative(monkeypatch):
+    """The first penalty a reduction zeroes is logged as -1, below any xi,
+    so the undo of its step restores -1."""
+    real, done = eds_tree._LiveTree.zero_penalty, []
+
+    def zero_penalty(t, v):
+        real(t, v)
+        if not done:
+            done.append(v)
+            t.log[-1] = (t.log[-1][0], v, -1)
+
+    monkeypatch.setattr(eds_tree._LiveTree, "zero_penalty", zero_penalty)
+
+
+@pytest.mark.parametrize("fault, frames", [
+    (_keep_caps_one_too_high, ["_lift_a", "set_xi"]),
+    (_first_zeroed_penalty_logged_negative, ["solve_eds_tree_trace", "undo"]),
+], ids=["set_xi", "undo"])
+def test_xi_and_penalty_bounds_caught_at_the_write(monkeypatch, fault, frames):
+    """0 <= xi <= penalty is checked by the write that moves either side:
+    an xi above its edge's penalty fails in the `set_xi` of the lift that
+    writes it, and a penalty restored below its edge's xi fails in `undo`
+    at that restore."""
+    inst = gen_instance("random-tree-eds", n=40, seed=1)
+    fault(monkeypatch)
+    with pytest.raises(AssertionError) as caught:
+        solve_eds_tree(inst)
+    assert str(caught.value) == "0 <= xi <= penalty where either moved"
+    assert [entry.name for entry in caught.traceback[-2:]] == frames
 
 
 def test_trace_records_hold_nothing_the_collector_tracks():
@@ -446,21 +483,6 @@ def _golden_digests(name, tmp_path, capsys):
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_solve_outputs_are_pinned(name, tmp_path, capsys):
     assert _golden_digests(name, tmp_path, capsys) == GOLDEN[name]
-
-
-def test_gmpy2_backend_keeps_the_pinned_outputs(tmp_path, capsys):
-    """Where gmpy2 imports, `Rat` is its `mpq`, and the outputs pinned on
-    the `Fraction` backend hold on it unchanged: the eds-tree digests, and
-    the solve, verify and batch digests of `test_pinned_outputs`."""
-    gmpy2 = pytest.importorskip("gmpy2")
-    assert Rat is gmpy2.mpq
-    for name in sorted(GOLDEN):
-        assert _golden_digests(name, tmp_path, capsys) == GOLDEN[name], name
-    for spec in sorted(GOLDEN_SOLVE):
-        assert solve_digests(spec, tmp_path, capsys) == GOLDEN_SOLVE[spec], spec
-    for spec in sorted(GOLDEN_VERIFY):
-        assert verify_digest(spec, tmp_path, capsys) == GOLDEN_VERIFY[spec], spec
-    assert batch_digest(tmp_path, capsys) == GOLDEN_BATCH
 
 
 # -- fractional weights ------------------------------------------------------

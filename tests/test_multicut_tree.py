@@ -18,8 +18,12 @@ from graphcover import (
     RootedTree,
     brute_force_multicut,
     gen_instance,
+    multicut_certificate,
     multicut_solution,
+    parse_certificate,
+    serialize_certificate,
     solve_multicut_tree,
+    verify_certificate,
 )
 from graphcover import lp, multicut_tree
 from graphcover.lp import LpModel
@@ -32,6 +36,7 @@ from graphcover.multicut_tree import (
     dual_violation,
     increase_iteration,
     kept_solution,
+    multicut_ratio,
     reduce_prize_collecting,
     run_increase_phase,
     run_multicut_pipeline,
@@ -283,15 +288,27 @@ def _reference_classification(state):
 
 
 def _rows(state, test):
-    """The path rows (e, d) of every demand that pass ``test(e, d)``."""
+    """The path rows (e, d) of every demand that pass ``test(d, row)``,
+    where row is e's place on d's path, counted in edges from s."""
     inst = state.instance
-    return {(e, d) for d in range(len(inst.demands)) for e in inst.path_edges(d) if test(e, d)}
+    return {
+        (e, d)
+        for d in range(len(inst.demands))
+        for row, e in enumerate(inst.path_edges(d))
+        if test(d, row)
+    }
+
+
+def _is_tight(state, d, row):
+    """Whether d's support row at path place ``row`` is tight, by its bit."""
+    return bool(state.tight_rows[d] >> row & 1)
 
 
 def _classification(state, snap):
     inst = state.instance
     pairs = [(v, d) for d in range(len(inst.demands)) for v in path_nodes(inst, d)]
-    tight, bottleneck = _rows(snap, snap.is_tight), _rows(snap, snap.is_bottleneck)
+    tight = _rows(snap, functools.partial(_is_tight, snap))
+    bottleneck = _rows(snap, snap.is_bottleneck)
     nonrelax = {pair for pair in pairs if pair in snap.nonrelax}
     return tight, snap.sat_edge, snap.sat_node, bottleneck, nonrelax, snap.nonrelax.limit
 
@@ -406,8 +423,8 @@ def _reference_witness(state, i):
     parent, depth = inst.tree.parent, inst.tree.depth
     terminal = [
         e
-        for e in state.path_edges[i]
-        if state.is_bottleneck(e, i)
+        for row, e in enumerate(state.path_edges[i])
+        if state.is_bottleneck(i, row)
         and (parent[e], i) in state.nonrelax
         and (e, i) in state.nonrelax
     ]
@@ -415,7 +432,7 @@ def _reference_witness(state, i):
         e
         for e in terminal
         if all(
-            state.is_tight(e, j)
+            _is_tight(state, j, state.path_edges[j].index(e))
             for j in range(len(inst.demands))
             if e in state.path_edges[j]
         )
@@ -466,6 +483,20 @@ def test_witness_rule_matches_full_scan(spec):
     _check_cursor_and_index(gen_instance("random-tree-multicut", n=n, k=k, seed=seed))
 
 
+def test_dense_run_with_revisited_sanction_walk_verifies():
+    """On this dense instance the walk of the sanctioned moves reaches a
+    (node, demand) pair it has already expanded, twice over the run, and
+    returns there; the certificate of the solve verifies."""
+    inst = gen_instance(
+        "random-tree-multicut", n=40, k=120, seed=14, wmax=10, inf_prob=0, pmax=3
+    )
+    inst0, _, _, kept, dual = run_multicut_pipeline(inst)
+    sol = kept_solution(inst, inst0, kept)
+    cert = multicut_certificate(sol, multicut_ratio(sol.total, dual.total), kept, dual)
+    report = verify_certificate(inst, parse_certificate(serialize_certificate(cert)))
+    assert report.passed, report.format()
+
+
 def test_pipeline_checks_the_dual_from_scratch_once(monkeypatch):
     """Each solve checks the whole dual once, in ``verify_multicut``."""
     callers = []
@@ -505,11 +536,11 @@ def test_corrupted_write_caught_at_its_own_step(monkeypatch, setter, fault, wher
         calls["returned"] += 1
         return eps
 
-    def corrupted(self, key, val):
+    def corrupted(self, key, val, *rows):
         if calls["started"] == 3 > calls["returned"] and not calls["corrupted"]:
             val = fault(self, key, val)
             calls["corrupted"] = True
-        real_set(self, key, val)
+        real_set(self, key, val, *rows)
 
     monkeypatch.setattr(multicut_tree, "_step_lp", step)
     monkeypatch.setattr(IncreaseState, setter, corrupted)
