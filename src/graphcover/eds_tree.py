@@ -37,11 +37,18 @@ and the nodes it deletes; lifting undoes the log step by step and edits
 F and xi in place.  The nodes sorted by depth, with counts per depth of
 the live nodes and of the live nodes with positive penalty, under a
 maximum-depth pointer that only falls, pick each case and evaluate the
-termination measure without scanning the tree.
+termination measure without scanning the tree.  What is left is the
+interpreter's work per step, so a step makes a few calls, not a few per
+node: one `_LiveTree.charge` writes all of its weights and one `kill`
+deletes all of its nodes (only `zero_penalty` is called per node), the
+reductions take their least candidates in running scans, one
+`_Lift.write_xi` writes each batch of a lift's xi values, and `undo`
+restores a step's entries with the running sums updated inline.
 
 What a solve keeps is flat: lists of ints indexed by node, log entries
-(array code, index, old value) and per-step records of ints, strings and
-tuples of ints.  CPython's cyclic collector stops tracking a tuple of such
+(array code, index, old value), one per weight, penalty or node a
+reduction overwrites, and per-step records of ints, strings and tuples of
+ints.  CPython's cyclic collector stops tracking a tuple of such
 values at its first collection, so later collections never walk them;
 an entry holding the list it wrote, or a record holding lists and a dict,
 stayed tracked, and at 10**6 nodes the collector's repeated walks over
@@ -50,18 +57,21 @@ names the trace's readers use, so it is the one object per step that
 stays tracked.
 
 Checks: every level's invariants are asserted at every level, in exact
-arithmetic, at the cost of the step.  While reducing, `_LiveTree.set`
-checks every weight and penalty it writes for nonnegativity, each
-reduction checks that the nodes it takes for leaves (case A's arms, case
-B's grandchildren) have no live child, and the driver checks that the
-measure strictly decreases after each step.  While lifting, the write
-that moves an edge's xi or penalty checks 0 <= xi <= penalty there:
-`_Lift.set_xi` for the value it writes, and `undo` for each penalty it
-restores.  Nothing else writes either, so the bound holds on every edge
-at every level.  Each lift then checks that xi covers exactly the live
-edges (by count, as xi only gains keys of live edges) and that the
-objective equals the dual total; both sides are running sums, kept up to
-date by per-node counts of chosen edges so that a change of F costs O(1).
+arithmetic, at the cost of the step.  While reducing, `_LiveTree.charge`
+checks each node and edge weight it writes for nonnegativity before it
+stores it, the ones clamped at zero too, so a lost clamp fails at its
+write (`zero_penalty` writes only zeros); each reduction checks that the
+nodes it takes for leaves (case A's arms, case B's grandchildren) have no
+live child, and the driver checks that the measure strictly decreases
+after each step.  While lifting, the write that moves an edge's xi or
+penalty checks 0 <= xi <= penalty there: `_Lift.write_xi` for each value
+it writes (every xi write goes through it, `set_xi`'s too), and `undo`
+for each penalty it restores.  Nothing else writes either, so the bound
+holds on every edge at every level.  After each lift the driver checks
+that xi covers exactly the live edges (by count, as xi only gains keys
+of live edges) and that the objective equals the dual total; both sides
+are running sums, kept up to date by per-node counts of chosen edges so
+that a change of F costs O(1).
 The base level and the top level are also checked from scratch, including
 that the running sums have not drifted, and the final solution is
 re-evaluated against the dual total.
@@ -71,7 +81,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, repeat
 from typing import Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 
 from .instances import EdsInstance, InstanceError, Solution, eds_solution
@@ -136,7 +146,7 @@ class _LiveTree:
     Nodes keep their original ids; the edge to a node's parent is
     identified by the child id.  Deletions only ever remove whole
     subtrees, so parent/child/depth relations of surviving nodes are
-    those of the original tree.  Reductions write through `set`,
+    those of the original tree.  Reductions write through `charge`,
     `zero_penalty` and `kill`, which append what they overwrite to `log`
     as (array code, index, old value), so lifting can restore each level
     by undoing the log back to the step's mark.
@@ -168,7 +178,6 @@ class _LiveTree:
         pen = inst.penalty_units
         self.big = 1 + sum(self.wn) + sum(self.we) + sum(p for p in pen if p is not INF)
         self.pen = [self.big if p is INF else p for p in pen]
-        self.arrays = (self.wn, self.we, self.pen)
         self.edges = n - 1
         self.log: List[Tuple[int, int, int]] = []
         self.order = sorted(range(n), key=depth.__getitem__)
@@ -183,61 +192,66 @@ class _LiveTree:
         self.first_hot = self.first_live.copy()
         self.deep = sum(live[2:])
 
-    def live_children(self, v: int) -> Tuple[int, ...]:
-        return tuple(filter(self.alive.__getitem__, self.children[v]))
-
-    def check_leaves(self, nodes, what: str) -> None:
-        alive, children = self.alive, self.children
-        for v in nodes:
-            for c in children[v]:
-                assert not alive[c], what
-
-    def set(self, code: int, v: int, value: int) -> None:
-        assert value >= 0, "reduced weights stay nonnegative"
-        arr = self.arrays[code]
-        self.log.append((code, v, arr[v]))
-        arr[v] = value
+    def charge(self, pairs, center: int, bound: int) -> None:
+        """Charge a step's `bound` to its center and to the (edge, node)
+        pairs that survive around it: each edge absorbs what the center's
+        weight leaves of the charge, and each node what the center and its
+        edge leave.  Each weight is checked before it is stored."""
+        wn, we, log = self.wn, self.we, self.log
+        wc = wn[center]
+        shift_edge = bound - wc if bound > wc else 0
+        for e, x in pairs:
+            old_wn, old_we = wn[x], we[e]
+            over = bound - wc - old_we
+            node_w = old_wn - (over if over > 0 else 0)
+            assert node_w >= 0, "reduced weights stay nonnegative"
+            edge_w = old_we - shift_edge if old_we > shift_edge else 0
+            assert edge_w >= 0, "reduced weights stay nonnegative"
+            log.append((_WN, x, old_wn))
+            log.append((_WE, e, old_we))
+            wn[x] = node_w
+            we[e] = edge_w
+        center_w = wc - bound if wc > bound else 0
+        assert center_w >= 0, "reduced weights stay nonnegative"
+        log.append((_WN, center, wc))
+        wn[center] = center_w
 
     def zero_penalty(self, v: int) -> None:
-        if self.pen[v] > 0:
+        pen = self.pen
+        if pen[v] > 0:
             self.hot[self.depth[v]] -= 1
-        self.set(_PEN, v, 0)
+        self.log.append((_PEN, v, pen[v]))
+        pen[v] = 0
 
-    def kill(self, v: int) -> None:
-        d = self.depth[v]
-        self.alive[v] = False
-        self.live[d] -= 1
-        if self.pen[v] > 0:
-            self.hot[d] -= 1
-        if d > 1:
-            self.deep -= 1
-        self.edges -= 1
-        self.log.append((_KILL, v, 0))
+    def kill(self, nodes) -> None:
+        """Delete the nodes, each a leaf of the live tree or a child of one
+        deleted with it."""
+        alive, depth, pen, live, hot, log = (
+            self.alive, self.depth, self.pen, self.live, self.hot, self.log
+        )
+        deep = 0
+        for v in nodes:
+            d = depth[v]
+            alive[v] = False
+            live[d] -= 1
+            if pen[v] > 0:
+                hot[d] -= 1
+            if d > 1:
+                deep += 1
+            log.append((_KILL, v, 0))
+        self.deep -= deep
+        self.edges -= len(nodes)
 
-    def max_depth(self) -> int:
-        while not self.live[self.maxd]:
-            self.maxd -= 1
-        return self.maxd
-
-    def measure(self) -> Tuple[int, int]:
-        """(#nodes deeper than one, #deepest leaf edges with positive penalty);
-        strictly lexicographically decreasing across reductions."""
-        return (self.deep, self.hot[self.max_depth()])
-
-    def deepest_hot(self) -> Optional[int]:
-        """Deepest leaf edge with positive penalty (lowest id), or None."""
-        d = self.max_depth()
-        if not self.hot[d]:
-            return None
+    def deepest_hot(self, d: int) -> int:
+        """Lowest-id live node of depth d with positive penalty; one exists."""
         order, alive, pen, i = self.order, self.alive, self.pen, self.first_hot[d]
         while not (alive[order[i]] and pen[order[i]] > 0):
             i += 1
         self.first_hot[d] = i
         return order[i]
 
-    def deepest_leaf(self) -> int:
-        """Lowest-id live node of maximum depth."""
-        d = self.max_depth()
+    def deepest_leaf(self, d: int) -> int:
+        """Lowest-id live node of depth d; one exists."""
         order, alive, i = self.order, self.alive, self.first_live[d]
         while not alive[order[i]]:
             i += 1
@@ -264,100 +278,102 @@ class _LiveTree:
 
 
 def _reduce_a(t: _LiveTree, leaf_edge: int) -> CaseContext:
-    parent, wn, we, pen = t.parent, t.wn, t.we, t.pen
+    parent, children, alive, wn, we, pen = t.parent, t.children, t.alive, t.wn, t.we, t.pen
     u = parent[leaf_edge]
     assert u != t.root, "the deepest leaf has depth above one"
     v0 = parent[u]
     e0 = u
-    arms = t.live_children(u)
+    arms = tuple([v for v in children[u] if alive[v]])
     assert leaf_edge in arms
-    t.check_leaves(arms, "arms of the deepest star are leaves")
+    for v in arms:
+        for c in children[v]:
+            assert not alive[c], "arms of the deepest star are leaves"
     wu = wn[u]
-    cand = [(we[e0] + wu + wn[v0], 0)]
-    cand += [(we[v] + wu + wn[v], i) for i, v in enumerate(arms, 1)]
-    bound1, i_star = min(cand)
-    caps = tuple(map(pen.__getitem__, arms))
+    # the least candidate charge, the first on ties: e0's, then the arms'
+    bound1, pick = we[e0] + wu + wn[v0], e0
+    for v in arms:
+        cand = we[v] + wu + wn[v]
+        if cand < bound1:
+            bound1, pick = cand, v
+    caps = tuple([pen[v] for v in arms])
     bound2 = sum(caps)
-    bound = min(bound1, bound2)
+    bound = bound1 if bound1 < bound2 else bound2
     branch = "keep" if bound1 > bound2 else "delete"
-    ctx = CaseContext(
-        "A", branch, u, v0, e0, arms, caps, bound,
-        pick=arms[i_star - 1] if i_star else e0,
-        via_parent=bound > wu + we[e0],
-    )
+    ctx = CaseContext("A", branch, u, v0, e0, arms, caps, bound, pick, bound > wu + we[e0])
 
-    shift_edge = max(0, bound - wu)
     if branch == "keep":
         for v in arms:
-            t.set(_WN, v, wn[v] - max(0, bound - wu - we[v]))
-            t.set(_WE, v, max(0, we[v] - shift_edge))
             t.zero_penalty(v)
+        t.charge([*zip(arms, arms), (e0, v0)], u, bound)
     else:
-        for v in arms:
-            t.kill(v)
+        t.kill(arms)
         t.zero_penalty(e0)
-    t.set(_WN, v0, wn[v0] - max(0, bound - wu - we[e0]))
-    t.set(_WE, e0, max(0, we[e0] - shift_edge))
-    t.set(_WN, u, max(0, wu - bound))
+        t.charge([(e0, v0)], u, bound)
     return ctx
 
 
-def _reduce_b(t: _LiveTree) -> CaseContext:
-    parent, wn, we, pen = t.parent, t.wn, t.we, t.pen
-    s = parent[parent[t.deepest_leaf()]]
+def _reduce_b(t: _LiveTree, leaf: int) -> CaseContext:
+    parent, children, alive, wn, we, pen = t.parent, t.children, t.alive, t.wn, t.we, t.pen
+    s = parent[parent[leaf]]
     u0 = parent[s] if s != t.root else None
     e0 = s if u0 is not None else None
-    arms = t.live_children(s)
+    arms = tuple([ui for ui in children[s] if alive[ui]])
     assert arms
     ws = wn[s]
-    cand = [(we[e0] + wn[u0] + ws, 0)] if e0 is not None else []
-    cand += [(we[ui] + wn[ui] + ws, i) for i, ui in enumerate(arms, 1)]
-    bound1, i_star = min(cand)
+    # the least candidate charge, the first on ties: e0's, then the arms'
+    if e0 is not None:
+        bound1, pick = we[e0] + wn[u0] + ws, e0
+    else:
+        bound1, pick = we[arms[0]] + wn[arms[0]] + ws, arms[0]
+    for ui in arms:
+        cand = we[ui] + wn[ui] + ws
+        if cand < bound1:
+            bound1, pick = cand, ui
     caps: List[int] = []
     keep: List[int] = []
     grand_edges: List[int] = []
     for ui in arms:
-        hs = t.live_children(ui)
+        hs = [h for h in children[ui] if alive[h]] if children[ui] else ()
         if hs:
             grand_edges += hs
-            hv, hid = min([(we[h] + wn[h], h) for h in hs])
+            # the cheapest H_i edge, the lowest id on ties (children ascend)
+            hv, hid = we[hs[0]] + wn[hs[0]], hs[0]
+            for h in hs:
+                cand = we[h] + wn[h]
+                if cand < hv:
+                    hv, hid = cand, h
             inner = wn[ui] + hv
-            caps.append(min(inner, pen[ui]))
             if inner <= pen[ui]:
+                caps.append(inner)
                 keep.append(hid)
+            else:
+                caps.append(pen[ui])
         else:
             caps.append(pen[ui])
-    t.check_leaves(grand_edges, "grandchildren of s are leaves")
+    for h in grand_edges:
+        for c in children[h]:
+            assert not alive[c], "grandchildren of s are leaves"
     bound2 = sum(caps)
-    bound = min(bound1, bound2)
+    bound = bound1 if bound1 < bound2 else bound2
     branch = "trim" if bound1 >= bound2 else "drop"
     ctx = CaseContext(
-        "B", branch, s, u0, e0, arms, tuple(caps), bound,
-        pick=arms[i_star - 1] if i_star else e0,
-        via_parent=e0 is not None and bound > ws + we[e0],
-        grand_edges=tuple(grand_edges),
-        keep=tuple(keep),
+        "B", branch, s, u0, e0, arms, tuple(caps), bound, pick,
+        e0 is not None and bound > ws + we[e0], tuple(grand_edges), tuple(keep),
     )
 
-    if branch == "trim":
-        for ui in arms:
-            t.zero_penalty(ui)
-        removed, kept = grand_edges, arms
-    else:
-        if e0 is not None:
-            t.zero_penalty(e0)
-        removed, kept = [*arms, *grand_edges], ()
-    for v in removed:
-        t.kill(v)
     # surviving (edge, node) pairs absorb the charge: e0 with its upper end
     # u0, each kept arm with itself
     survivors = [(e0, u0)] if e0 is not None else []
-    survivors += [(ui, ui) for ui in kept]
-    shift_edge = max(0, bound - ws)
-    for edge, node in survivors:
-        t.set(_WN, node, wn[node] - max(0, bound - ws - we[edge]))
-        t.set(_WE, edge, max(0, we[edge] - shift_edge))
-    t.set(_WN, s, max(0, ws - bound))
+    if branch == "trim":
+        for ui in arms:
+            t.zero_penalty(ui)
+        t.kill(grand_edges)
+        survivors += zip(arms, arms)
+    else:
+        if e0 is not None:
+            t.zero_penalty(e0)
+        t.kill([*arms, *grand_edges])
+    t.charge(survivors, s, bound)
     return ctx
 
 
@@ -370,9 +386,9 @@ def _greedy_fill(caps, target: int) -> List[int]:
     out = []
     remaining = target
     for cap in caps:
-        take = min(cap, remaining)
+        take = cap if cap < remaining else remaining
         out.append(take)
-        remaining = remaining - take
+        remaining -= take
     assert remaining == 0, "caps cannot absorb the required dual total"
     return out
 
@@ -399,7 +415,7 @@ class _Lift:
         self.edge_w = self.node_w = self.pen = self.total = 0
         for v in range(n):
             if t.alive[v] and v != t.root:
-                self._edge(v, t.pen[v])
+                self._open(t.parent[v], t.pen[v])
         for e in F:
             self.add(e)
         for e, value in xi.items():
@@ -413,11 +429,6 @@ class _Lift:
         self.open_pen[p] += change
         if not self.touch[p]:
             self.pen += change
-
-    def _edge(self, e: int, change: int) -> None:
-        """Add `change` to live edge e's penalty in the open sums."""
-        if not self.touch[e]:
-            self._open(self.t.parent[e], change)
 
     def _touch(self, v: int, step: int) -> None:
         before = self.touch[v]
@@ -450,41 +461,58 @@ class _Lift:
         self._touch(self.t.parent[e], -1)
 
     def set_xi(self, e: int, value: int) -> None:
-        assert 0 <= value <= self.t.pen[e], "0 <= xi <= penalty where either moved"
-        self.total += value - self.xi.get(e, 0)
-        self.xi[e] = value
+        self.write_xi((e,), (value,))
+
+    def write_xi(self, edges, values) -> None:
+        """Set xi on each edge to its value, checking 0 <= xi <= penalty at
+        each write."""
+        xi, pen = self.xi, self.t.pen
+        change = 0
+        for e, value in zip(edges, values):
+            assert 0 <= value <= pen[e], "0 <= xi <= penalty where either moved"
+            change += value - xi.get(e, 0)
+            xi[e] = value
+        self.total += change
 
     def undo(self, mark: int) -> None:
         """Restore the weights and live nodes overwritten since log position
-        `mark`."""
+        `mark`.  A restored penalty, or a revived edge's, counts towards
+        the open sums while the edge's lower end is untouched."""
         t = self.t
         entries = t.log[mark:]
         del t.log[mark:]
-        wn, we, pen = t.arrays
+        wn, we, pen, alive, parent = t.wn, t.we, t.pen, t.alive, t.parent
+        touch, open_pen, F, xi = self.touch, self.open_pen, self.F, self.xi
+        node_w = edge_w = reopened = revived = 0
         for code, v, old in reversed(entries):
-            if code == _KILL:
-                t.alive[v] = True
-                t.edges += 1
-                self._edge(v, pen[v])
-            elif code == _PEN:
-                assert self.xi.get(v, 0) <= old, "0 <= xi <= penalty where either moved"
-                self._edge(v, old - pen[v])
-                pen[v] = old
-            elif code == _WN:
-                if self.touch[v]:
-                    self.node_w += old - wn[v]
+            if code == _WN:
+                if touch[v]:
+                    node_w += old - wn[v]
                 wn[v] = old
-            else:
-                if v in self.F:
-                    self.edge_w += old - we[v]
+            elif code == _WE:
+                if v in F:
+                    edge_w += old - we[v]
                 we[v] = old
-
-    def check_level(self) -> None:
-        """The per-level invariants that no single write checks."""
-        t = self.t
-        assert len(self.xi) == t.edges, "dual values cover exactly the live edges"
-        obj = self.objective()
-        assert obj == self.total < t.big, f"objective {obj} != dual total {self.total}"
+            elif code == _PEN:
+                assert xi.get(v, 0) <= old, "0 <= xi <= penalty where either moved"
+                if not touch[v]:
+                    p = parent[v]
+                    open_pen[p] += old - pen[v]
+                    if not touch[p]:
+                        reopened += old - pen[v]
+                pen[v] = old
+            else:
+                alive[v] = True
+                revived += 1
+                if not touch[v]:
+                    p = parent[v]
+                    open_pen[p] += pen[v]
+                    if not touch[p]:
+                        reopened += pen[v]
+        self.node_w += node_w
+        self.edge_w += edge_w
+        self.pen += reopened
+        t.edges += revived
 
     def check_full(self) -> None:
         """The per-level invariants recomputed from scratch."""
@@ -510,7 +538,7 @@ def _lift_a(ctx: CaseContext, lift: _Lift) -> None:
     #   while v0 is untouched, that is while e0 is not in F.  The lifts that
     #   run between that one and this one belong to steps centred at other
     #   nodes, none of which has an edge at u.
-    count = (e0 in F) + sum(1 for a in ctx.arms if a in F)
+    count = (e0 in F) + len(F.intersection(ctx.arms))
     assert count <= 1
 
     if ctx.via_parent and touch[v0]:
@@ -525,24 +553,23 @@ def _lift_a(ctx: CaseContext, lift: _Lift) -> None:
     else:
         lift.add(ctx.pick)
 
-    xi = lift.xi
+    xi, big = lift.xi, lift.t.big
     if ctx.branch == "keep":
         for a, cap in zip(ctx.arms, ctx.caps):
-            assert xi.get(a, 0) == 0 and cap < lift.t.big
-            lift.set_xi(a, cap)
+            assert xi.get(a, 0) == 0 and cap < big
+        lift.write_xi(ctx.arms, ctx.caps)
     else:
         assert xi.get(e0, 0) == 0
-        for a, val in zip(ctx.arms, _greedy_fill(ctx.caps, ctx.bound)):
-            assert a not in xi
-            lift.set_xi(a, val)
+        assert xi.keys().isdisjoint(ctx.arms)
+        lift.write_xi(ctx.arms, _greedy_fill(ctx.caps, ctx.bound))
 
 
 def _lift_b(ctx: CaseContext, lift: _Lift) -> None:
     F, touch = lift.F, lift.touch
     s, u0, e0 = ctx.center, ctx.parent, ctx.parent_edge
-    if e0 is not None:
-        # edges of F at u0 or s; e0 joins them and is counted at both ends
-        for a in list(reversed(ctx.arms)) + [e0]:
+    # edges of F at u0 or s; e0 joins them and is counted at both ends
+    if e0 is not None and touch[u0] + touch[s] - (e0 in F) > 1:
+        for a in (*reversed(ctx.arms), e0):
             if touch[u0] + touch[s] - (e0 in F) <= 1:
                 break
             if a in F:
@@ -564,11 +591,9 @@ def _lift_b(ctx: CaseContext, lift: _Lift) -> None:
             assert xi.get(a, 0) == 0
     elif e0 is not None:
         assert xi.get(e0, 0) == 0
-    for a, val in zip(ctx.arms, _greedy_fill(ctx.caps, ctx.bound)):
-        lift.set_xi(a, val)
-    for h in ctx.grand_edges:
-        assert h not in xi
-        lift.set_xi(h, 0)
+    lift.write_xi(ctx.arms, _greedy_fill(ctx.caps, ctx.bound))
+    assert xi.keys().isdisjoint(ctx.grand_edges)
+    lift.write_xi(ctx.grand_edges, repeat(0))
 
 
 # ---------------------------------------------------------------------------
@@ -576,8 +601,8 @@ def _lift_b(ctx: CaseContext, lift: _Lift) -> None:
 
 
 def _base_star(t: _LiveTree) -> Tuple[FrozenSet[int], Dict[int, int]]:
-    assert t.max_depth() <= 1
-    edges = t.live_children(t.root)
+    assert not any(t.live[2:])
+    edges = [v for v in t.children[t.root] if t.alive[v]]
     if not edges:
         return frozenset(), {}
     wr = t.wn[t.root]
@@ -598,21 +623,33 @@ def solve_eds_tree_trace(
     t = _LiveTree(inst)
     ctxs: List[CaseContext] = []
     marks: List[int] = []  # where each step's entries start in t.log
-    measure = t.measure()
-    while t.max_depth() > 1:
+    live, hot = t.live, t.hot
+    d = t.maxd  # the deepest depth with a live node, which only falls
+    # the termination measure: (#nodes deeper than one, #deepest leaf edges
+    # with positive penalty), strictly lexicographically decreasing
+    measure = (t.deep, hot[d])
+    while d > 1:
         marks.append(len(t.log))
-        hot = t.deepest_hot()
-        ctxs.append(_reduce_a(t, hot) if hot is not None else _reduce_b(t))
-        new_measure = t.measure()
+        if hot[d]:
+            ctxs.append(_reduce_a(t, t.deepest_hot(d)))
+        else:
+            ctxs.append(_reduce_b(t, t.deepest_leaf(d)))
+        while not live[d]:
+            d -= 1
+        new_measure = (t.deep, hot[d])
         assert new_measure < measure, "reduction measure must strictly decrease"
         measure = new_measure
 
     lift = _Lift(t, *_base_star(t))
     lift.check_full()
+    xi = lift.xi
     for ctx, mark in zip(reversed(ctxs), reversed(marks)):
         lift.undo(mark)
         (_lift_a if ctx.tag == "A" else _lift_b)(ctx, lift)
-        lift.check_level()
+        # the per-level invariants that no single write checks
+        assert len(xi) == t.edges, "dual values cover exactly the live edges"
+        obj = lift.objective()
+        assert obj == lift.total < t.big, f"objective {obj} != dual total {lift.total}"
     lift.check_full()
 
     sol = eds_solution(inst, sorted(lift.F))

@@ -439,7 +439,10 @@ class IncreaseState:
     def rows_at(self, j: int, v: int) -> range:
         """Where j's path edges at v lie on the path: just before and just
         after v's place.  v must be on j's path."""
-        at = self.instance.place(j, v)
+        return self.rows_around(j, self.instance.place(j, v))
+
+    def rows_around(self, j: int, at: int) -> range:
+        """The rows of j's path edges at the path node at place ``at``."""
         return range(max(at - 1, 0), min(at + 1, len(self.path_edges[j])))
 
     def edges_at(self, j: int, v: int) -> List[Tuple[int, int]]:
@@ -653,23 +656,27 @@ def _select_cover(state: IncreaseState, d: int) -> Tuple[Moves, Moves, Moves]:
     U: Moves = []
     R: Moves = []
     chosen_nodes: Set[int] = set()
+    up = state.instance.path(d).up
     for i, e in enumerate(state.path_edges[d]):
         if not state.tight_rows[d] >> i & 1:
             continue
         upper = state.instance.tree.parent[e]
         if upper in chosen_nodes or e in chosen_nodes:
             continue
+        # the edge's ends sit at places i and i + 1, the upper end further
+        # from s on the s side and the lower end on the t side
+        far = upper if i < up else e
         if e in state.sat_around:
             ends = [v for v in sorted((upper, e)) if (v, d) not in state.nonrelax]
             assert ends, "bottleneck with no relaxable end must terminate the loop"
-            R.append((ends[0], state.rows_at(d, ends[0])))
+            R.append((ends[0], state.rows_around(d, i + (ends[0] == far))))
             chosen_nodes.add(ends[0])
         elif e not in state.sat_edge:
             H.append((e, (i,)))
         else:
             ends = [v for v in sorted((upper, e)) if v not in state.sat_node]
             assert ends, "saturated tight edge with saturated ends is a bottleneck"
-            U.append((ends[0], state.rows_at(d, ends[0])))
+            U.append((ends[0], state.rows_around(d, i + (ends[0] == far))))
             chosen_nodes.add(ends[0])
     return H, U, R
 

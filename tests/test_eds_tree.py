@@ -1,7 +1,10 @@
 """Exact tree solver: frozen small cases, case dispatch, and dual reporting."""
 
+import ast
 import gc
 import hashlib
+import inspect
+import textwrap
 import tracemalloc
 from random import Random
 
@@ -188,14 +191,54 @@ def test_corrupted_dual_caught_at_its_own_level(monkeypatch):
     assert len(calls) == bad_call
 
 
+def _unclamped(fn):
+    """`fn` compiled again with each clamp at zero, `x if ... else 0`,
+    replaced by its unclamped value `x`."""
+
+    class Unclamp(ast.NodeTransformer):
+        def visit_IfExp(self, node):
+            self.generic_visit(node)
+            if isinstance(node.orelse, ast.Constant) and node.orelse.value == 0:
+                return node.body
+            return node
+
+    tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
+    ast.increment_lineno(tree, fn.__code__.co_firstlineno - 1)
+    code = compile(Unclamp().visit(tree), fn.__code__.co_filename, "exec")
+    namespace = {}
+    exec(code, vars(eds_tree), namespace)
+    return namespace[fn.__name__]
+
+
 def test_reduction_checks_fire_at_the_write(monkeypatch):
     """The nonnegativity of written weights and the leaf structure of the
     arms are checked inside the reduction that would break them."""
-    inst = gen_instance("random-tree-eds", n=40, seed=0)
-    # a reduction that no longer clamps the weights it writes at zero
-    monkeypatch.setattr(eds_tree, "max", min, raising=False)
-    with pytest.raises(AssertionError, match="reduced weights stay nonnegative"):
-        solve_eds_tree(inst)
+    seed0, seed1 = (gen_instance("random-tree-eds", n=40, seed=seed) for seed in (0, 1))
+    real, unclamped = eds_tree._LiveTree.charge, _unclamped(eds_tree._LiveTree.charge)
+    trees, lowest = [], []  # each charge's tree, and its least weight after the charge
+
+    def watched(charge):
+        def wrapped(t, *args):
+            trees.append(t)
+            charge(t, *args)
+            lowest.append(min(*t.wn, *t.we))
+
+        return wrapped
+
+    def overcharge(t, pairs, center, bound):
+        real(t, pairs, center, bound + 1)
+
+    # a reduction that no longer clamps the weights it writes at zero (the
+    # first weight below zero is an edge's on seed 0 and a center's on seed
+    # 1), and one that charges a unit more than its least candidate, which
+    # leaves that candidate's node below zero
+    for fault, inst in ((unclamped, seed0), (unclamped, seed1), (overcharge, seed0)):
+        monkeypatch.setattr(eds_tree._LiveTree, "charge", watched(fault))
+        with pytest.raises(AssertionError, match="reduced weights stay nonnegative") as caught:
+            solve_eds_tree(inst)
+        # raised by the write itself: no negative weight was ever stored
+        assert caught.traceback[-1].name == "charge"
+        assert min(*trees[-1].wn, *trees[-1].we) >= 0 and min(lowest, default=0) >= 0
     monkeypatch.undo()
 
     def resurrecting(reduce):
@@ -210,10 +253,16 @@ def test_reduction_checks_fire_at_the_write(monkeypatch):
 
         return wrapped
 
-    done = []
+    # the revived arms later stand below an arm of a case-A star on seed 0,
+    # and below a grandchild of a case-B center on the 12-node tree of seed 17
     monkeypatch.setattr(eds_tree, "_reduce_a", resurrecting(eds_tree._reduce_a))
-    with pytest.raises(AssertionError, match="are leaves"):
-        solve_eds_tree(inst)
+    for inst, what in (
+        (seed0, "arms of the deepest star are leaves"),
+        (gen_instance("random-tree-eds", n=12, seed=17), "grandchildren of s are leaves"),
+    ):
+        done = []
+        with pytest.raises(AssertionError, match=what):
+            solve_eds_tree(inst)
 
 
 def _keep_caps_one_too_high(monkeypatch):
@@ -245,12 +294,12 @@ def _first_zeroed_penalty_logged_negative(monkeypatch):
 
 
 @pytest.mark.parametrize("fault, frames", [
-    (_keep_caps_one_too_high, ["_lift_a", "set_xi"]),
+    (_keep_caps_one_too_high, ["_lift_a", "write_xi"]),
     (_first_zeroed_penalty_logged_negative, ["solve_eds_tree_trace", "undo"]),
 ], ids=["set_xi", "undo"])
 def test_xi_and_penalty_bounds_caught_at_the_write(monkeypatch, fault, frames):
     """0 <= xi <= penalty is checked by the write that moves either side:
-    an xi above its edge's penalty fails in the `set_xi` of the lift that
+    an xi above its edge's penalty fails in the `write_xi` of the lift that
     writes it, and a penalty restored below its edge's xi fails in `undo`
     at that restore."""
     inst = gen_instance("random-tree-eds", n=40, seed=1)
@@ -271,6 +320,49 @@ def test_trace_records_hold_nothing_the_collector_tracks():
     assert len(ctxs) > 500
     assert all(isinstance(ctx, tuple) for ctx in ctxs)
     assert not any(gc.is_tracked(field) for ctx in ctxs for field in ctx)
+
+
+def test_undo_log_entries_are_untracked_at_the_base(monkeypatch):
+    """The undo log is flat: after a collection no entry of it is tracked,
+    so later collections never walk it (module docstring).  Checked where
+    the log is longest, when the reductions are done."""
+    real, seen = eds_tree._base_star, []
+
+    def base_star(t):
+        gc.collect()
+        assert len(t.log) > 1000
+        assert not any(gc.is_tracked(entry) for entry in t.log)
+        seen.append(len(t.log))
+        return real(t)
+
+    monkeypatch.setattr(eds_tree, "_base_star", base_star)
+    solve_eds_tree(parse_instance(_deep_tree_text(2000)))
+    assert len(seen) == 1
+
+
+def _trace_corpus():
+    yield parse_instance(_deep_tree_text(2000))
+    for inf_prob in (0.25, 1.0):
+        for n in (250, 500, 1000):
+            for seed in range(3):
+                yield gen_instance("random-tree-eds", n=n, seed=seed, inf_prob=inf_prob)
+    yield _fractional(250, 0)
+    yield _fractional(60, 2)
+
+
+# sha256 over the corpus of each solve's steps, edges and dual units
+TRACE_DIGEST = "0cbe6f1d457e6c54b8cb34adcad46db89b5570173a45fbb607896a7021a2c444"
+
+
+def test_reduction_trace_is_pinned():
+    """Every step the solver takes, in order, with the context it records,
+    and the edges and dual units it returns, on trees where every case and
+    branch occurs many times."""
+    digest = hashlib.sha256()
+    for inst in _trace_corpus():
+        sol, dual, ctxs = solve_eds_tree_trace(inst)
+        digest.update(repr((ctxs, sol.edges, sorted(dual.units.items()))).encode())
+    assert digest.hexdigest() == TRACE_DIGEST
 
 
 def test_memory_is_linear_on_a_deep_tree():
