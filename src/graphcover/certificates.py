@@ -15,9 +15,9 @@ a repeated one is a parse error, never a silent overwrite.
   completes the per-edge values into a full feasible dual.
 * ``multicut-tree``: the kept cut of the penalty-compiled tree, the stated
   ``ratio`` and the dual's nonzero values; an absent value is zero.
-  Verification rebuilds the compiled tree deterministically and re-checks
-  coverage, exact dual feasibility, the factor-2 bound, saturation, and
-  the ratio.
+  Verification rebuilds the compiled tree and its guard edges
+  deterministically, and re-checks that no guard edge is cut, coverage,
+  exact dual feasibility, the factor-2 bound, saturation, and the ratio.
 * ``eds-general``: the chosen edges, objective, relaxation ``lower`` bound,
   target ``factor``, and the strengthened LP's optimum x (``primal``) and
   dual optimum y (``dual``) in units.  Verification recomputes the
@@ -50,7 +50,6 @@ from .instances import (
 from .lp import LpModel, LpResult, dual_model, simplex_solve
 from .multicut_tree import (
     MulticutDual,
-    big_m_edges,
     kept_solution,
     reduce_prize_collecting,
     verify_multicut,
@@ -243,13 +242,13 @@ def _verify_eds_tree(inst: EdsInstance, cert: Certificate, report: CheckReport):
 
 
 def _verify_multicut_tree(inst: MulticutInstance, cert: Certificate, report: CheckReport):
-    inst0, mapping = reduce_prize_collecting(inst)
+    inst0, guards = reduce_prize_collecting(inst)
     if not _edges_in_range(report, inst0.tree.edge_ids(), cert.edges):
         return report
     kept = set(cert.edges)
     report.add(
         "no-pendant-guard-edge",
-        not (kept & big_m_edges(inst0, mapping)),
+        not (kept & guards),
         "the compiled tree's guard edges must never be cut",
     )
     dual = MulticutDual(xi=dict(cert.xi), nu=dict(cert.nu), mu=dict(cert.mu))

@@ -3,14 +3,17 @@
 Pipeline: finite demand penalties are compiled away by attaching a
 two-edge pendant per demand (cutting its cheap edge equals paying the
 penalty), leaving an instance where every demand must be separated.  The
-increase phase grows one dual value per demand path, raising edge/node
-capacities until a fully saturated ("bottleneck") path edge with
-immovable dual mass at both ends appears; that edge, and a pinned edge of
-every earlier demand whose immovable mass it touches, joins F.  The
-deletion phase is the reverse delete of Garg, Vazirani and Yannakakis
-(Algorithmica 18, 1997): F is walked from the last edge added to the
-first, and an edge is dropped when every demand through it stays cut
-without it.
+compile names its guard edges, the big-M edges of the pendants, which
+the output may not hold.  The increase phase grows one dual value per
+demand path, raising edge/node capacities until a fully saturated
+("bottleneck") path edge with immovable dual mass at both ends appears;
+that edge, the demand's witness, and a pinned edge of every earlier
+demand whose immovable mass it touches, join F.  The witnesses, one per
+processed demand in processing order, are the one record of the demands
+processed.  The deletion phase is the reverse delete of Garg, Vazirani
+and Yannakakis (Algorithmica 18, 1997): F is walked from the last edge
+added to the first, and an edge is dropped when every demand through it
+stays cut without it.
 
 The charging argument.  Every kept edge and every node it touches is
 saturated (the ``kept-capacities-saturated`` check), so the cost of the
@@ -18,15 +21,16 @@ cut is the sum over demands d of the charge of d: nu(e, d) over the kept
 edges e on d's path, plus mu(v, d) over the touched nodes v on d's path.
 A demand that was never processed holds no dual values and is charged
 nothing.  The output holds at most one kept edge on each leg of every
-processed demand (its path on one side of the lca), so at most two kept
-edges lie on d's path.  Each of them, with its two ends, is charged at
-most the left side of d's support row there, which is xi(d) when that
-row is tight, so those terms charge at most 2 * xi(d).  Not proved here:
-that every kept edge's row is tight for each demand through it (a
-witness edge can be loose for a third demand), and the case of a node v
-on d's path with mu(v, d) > 0 that only a kept edge off d's path
-touches.  Both cases occur, and the bound can fail for a single demand:
-on ``gen random-tree-multicut --n 60 --k 15 --seed 6`` demand 1 is
+processed demand (its path on one side of the lca), which the deletion
+phase asserts, so at most two kept edges lie on d's path.  Each of them,
+with its two ends, is charged at most the left side of d's support row
+there, which is xi(d) when that row is tight, so those terms charge at
+most 2 * xi(d).  Not proved here: that every kept edge's row is tight
+for each demand through it (a witness edge can be loose for a third
+demand), and the case of a node v on d's path with mu(v, d) > 0 that
+only a kept edge off d's path touches.  Both cases occur, and the bound
+can fail for a single demand: on
+``gen random-tree-multicut --n 60 --k 15 --seed 6`` demand 1 is
 charged 18 against xi = 8, while the total stays within twice the dual.
 The bound objective <= 2 * (sum of dual values) is therefore certified
 per output, by the exact ``within-twice-dual`` check of
@@ -87,9 +91,10 @@ rows.  The checks are exact, with zero tolerance: a setter refuses a
 negative value as it stores it; the classification after every step
 checks each capacity and support row the writes since the last one can
 have moved, before anything reads them; the end of the phase checks the
-running sums and holders against the dual tables; and the
-:func:`verify_multicut` of :func:`run_multicut_pipeline` checks the
-whole dual once, from scratch.
+running sums and holders against the dual tables; the deletion phase
+checks the legs of the output; and the :func:`verify_multicut` of
+:func:`run_multicut_pipeline` checks the output's coverage and the whole
+dual once, from scratch.
 """
 
 from __future__ import annotations
@@ -210,22 +215,22 @@ def _load(table: Dict[Tuple[int, int], int]) -> Dict[int, int]:
 
 def reduce_prize_collecting(
     inst: MulticutInstance,
-) -> Tuple[MulticutInstance, Dict[int, int]]:
+) -> Tuple[MulticutInstance, FrozenSet[int]]:
     """Compile finite demand penalties into pendant edges.
 
     Per finite-penalty demand i, new nodes s', s'' hang off s_i; the edge
     s-s' carries a big-M weight (never worth cutting), the edge s'-s''
     carries the penalty, and the demand becomes (s'', t_i) with infinite
-    penalty.  Returns the new instance and a map from each such demand
-    index to its penalty-encoding edge id.  Instances whose penalties are
-    all infinite pass through unchanged with an empty map.
+    penalty.  Returns the new instance and its guard edges, the big-M
+    edges s-s', each named by its lower node s'.  Instances whose penalties
+    are all infinite pass through unchanged with no guard edge.
     """
     if not isinstance(inst, MulticutInstance):
         raise InstanceError("prize-collecting reduction needs a multicut instance")
     pen = inst.penalty_units
     finite = [i for i, p in enumerate(pen) if not is_inf(p)]
     if not finite:
-        return inst, {}
+        return inst, frozenset()
     # big-M is 1 + the sum of every finite weight and penalty: in units, its
     # denominator divides the scale, which the compiled instance keeps
     big_m = inst.scale + sum(inst.edge_units) + sum(inst.node_units) + sum(pen[i] for i in finite)
@@ -236,26 +241,18 @@ def reduce_prize_collecting(
     edge_units = list(inst.edge_units)
     penalty_units = list(pen)
     demands = list(inst.demands)
-    mapping: Dict[int, int] = {}
     for count, i in enumerate(finite):
         d = demands[i]
         prime = n + 2 * count
-        second = n + 2 * count + 1
         parent += (d.s, prime)
         edge_units += (big_m, pen[i])
         penalty_units[i] = INF
-        demands[i] = Demand(second, d.t, INF)
-        mapping[i] = second
+        demands[i] = Demand(prime + 1, d.t, INF)
     out = MulticutInstance._from_units(
         RootedTree(parent, inst.tree.root), inst.scale, node_units, edge_units, penalty_units,
         demands=demands,
     )
-    return out, mapping
-
-
-def big_m_edges(inst0: MulticutInstance, mapping: Dict[int, int]) -> FrozenSet[int]:
-    """The never-cut pendant edges introduced by the reduction."""
-    return frozenset(inst0.tree.parent[pen_edge] for pen_edge in mapping.values())
+    return out, frozenset(range(n, n + 2 * len(finite), 2))
 
 
 # ---------------------------------------------------------------------------
@@ -296,8 +293,7 @@ def _toggle(items: Set, item, member: bool) -> bool:
 class IncreaseState:
     """Mutable state of the increase phase on an all-infinite-penalty
     instance: the growing edge set F in order of addition, sparse duals,
-    the witness edge per processed demand, and the processed list in
-    processing order.
+    and the witness edge per processed demand, in processing order.
 
     Every dual write goes through :meth:`set_xi`, :meth:`set_nu` and
     :meth:`set_mu`.  The last two take the written entry's support rows
@@ -336,7 +332,6 @@ class IncreaseState:
         # the edges of F in order of addition, for the reverse delete
         self.F: Dict[int, None] = {}
         self.witness: Dict[int, int] = {}
-        self.processed: List[int] = []
         self._cursor = 0  # where uncovered() resumes in order
 
         # the capacities, by edge or node id, from the units; the root's
@@ -859,7 +854,6 @@ def increase_iteration(state: IncreaseState, i: int) -> IncreaseState:
     wit = min(witnesses or terminal, key=lambda e: (-inst.tree.depth[e], e))
     state.F[wit] = None
     state.witness[i] = wit
-    state.processed.append(i)
     _fact5_additions(state, wit, i)
     return state
 
@@ -873,7 +867,6 @@ def run_increase_phase(state: IncreaseState) -> IncreaseState:
             break
         increase_iteration(state, d)
     state.assert_feasible()
-    assert all(d in state.witness for d in state.processed)
     return state
 
 
@@ -885,12 +878,13 @@ def deletion_phase(state: IncreaseState) -> FrozenSet[int]:
     """Reverse delete: walk F from the last edge added to the first and drop
     an edge when every demand through it still has another kept edge on
     its path.  ``count[j]`` is the number of kept edges on j's path, so the
-    walk is linear in the paths.  Asserts the structural output
-    conditions."""
-    k = len(state.instance.demands)
+    walk is linear in the paths.  Asserts that no leg of a processed demand
+    (its path on one side of the lca) holds two kept edges; that every
+    demand keeps an edge on its path is the ``demands-separated`` check of
+    the :func:`verify_multicut` that :func:`run_multicut_pipeline` runs."""
     # an edge of F -> the demands whose path holds it, by index
     through: Dict[int, List[int]] = {e: [] for e in state.F}
-    count = [0] * k
+    count = [0] * len(state.instance.demands)
     for j, path in enumerate(state.path_edges):
         for e in path:
             if e in through:
@@ -903,10 +897,7 @@ def deletion_phase(state: IncreaseState) -> FrozenSet[int]:
             for j in through[e]:
                 count[j] -= 1
 
-    assert kept.issubset(state.F)
-    for j in range(k):
-        assert not kept.isdisjoint(state.path_edges[j]), f"demand {j} left uncovered"
-    for d in state.processed:
+    for d in state.witness:
         _, path, up = state.instance.path(d)
         for leg in (path[:up], path[up:]):
             assert len(kept.intersection(leg)) <= 1, f"leg of demand {d} cut twice"
@@ -968,16 +959,18 @@ def verify_multicut(
 
 def run_multicut_pipeline(
     inst: MulticutInstance,
-) -> Tuple[MulticutInstance, Dict[int, int], IncreaseState, Set[int], MulticutDual]:
+) -> Tuple[MulticutInstance, FrozenSet[int], IncreaseState, Set[int], MulticutDual]:
     """The full solver state behind :func:`solve_multicut_tree`.
 
-    Returns the penalty-compiled instance, its penalty-edge map, the final
+    Returns the penalty-compiled instance, its guard edges, the final
     increase-phase state, the kept cut on the compiled instance, and the
     dual that cut was verified against, which a certificate states.
+    Asserts that :func:`verify_multicut` passed and that no guard edge is
+    kept.
     """
     if not isinstance(inst, MulticutInstance):
         raise InstanceError("the multicut solver needs a multicut tree instance")
-    inst0, mapping = reduce_prize_collecting(inst)
+    inst0, guards = reduce_prize_collecting(inst)
     state = IncreaseState(inst0)
     run_increase_phase(state)
     kept = deletion_phase(state)
@@ -987,9 +980,8 @@ def run_multicut_pipeline(
     assert report.passed, "output certificate failed: " + "; ".join(
         report.failures()
     )
-    forbidden = big_m_edges(inst0, mapping)
-    assert not (kept & forbidden), "a never-cut pendant edge was selected"
-    return inst0, mapping, state, kept, dual
+    assert not (kept & guards), "a never-cut pendant edge was selected"
+    return inst0, guards, state, kept, dual
 
 
 def solve_multicut_tree(

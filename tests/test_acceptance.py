@@ -76,7 +76,7 @@ def multicut_battery():
         )
         # the pipeline itself asserts dual feasibility after every step and
         # verifies the kept cut before returning
-        inst0, mapping, state, kept, dual = run_multicut_pipeline(inst)
+        inst0, _, state, kept, dual = run_multicut_pipeline(inst)
         sol = multicut_solution(inst, frozenset(e for e in kept if e < inst.tree.n))
         opt = brute_force_multicut(inst)
         records.append((seed, inst, inst0, state, kept, dual, sol, opt))
@@ -178,7 +178,7 @@ def test_03_multicut_factor_two(multicut_battery):
         # coverage and the per-leg bound, re-derived here from the raw output
         for i in range(len(inst0.demands)):
             assert kept & set(inst0.path_edges(i)), f"seed {seed}: demand {i} uncovered"
-        for i in state.processed:
+        for i in state.witness:
             d = inst0.demands[i]
             for endpoint in (d.s, d.t):
                 leg = set(_leg_edges(inst0, i, endpoint))

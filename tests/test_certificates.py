@@ -25,7 +25,12 @@ from graphcover import (
 from graphcover import certificates, cli
 from graphcover.certificates import CERTIFICATE_DIRECTIVES
 from graphcover.instances import eds_solution
-from graphcover.multicut_tree import kept_solution, multicut_ratio, run_multicut_pipeline
+from graphcover.multicut_tree import (
+    kept_solution,
+    multicut_ratio,
+    reduce_prize_collecting,
+    run_multicut_pipeline,
+)
 
 from _support import edited_texts
 
@@ -93,6 +98,16 @@ def test_tampered_multicut_cut_rejected():
     cert.edges = ()
     report = verify_certificate(inst, cert)
     assert not report.passed
+
+
+def test_a_cut_guard_edge_is_rejected():
+    inst, cert = _multicut_cert()
+    edges = cert.edges
+    guards = reduce_prize_collecting(inst)[1]
+    assert guards
+    for g in guards:
+        cert.edges = (*edges, g)
+        assert "no-pendant-guard-edge" in verify_certificate(inst, cert).failures()
 
 
 def test_tampered_multicut_ratio_rejected():

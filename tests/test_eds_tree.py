@@ -4,6 +4,7 @@ import ast
 import gc
 import hashlib
 import inspect
+import re
 import textwrap
 import tracemalloc
 from random import Random
@@ -167,28 +168,34 @@ def test_dual_matches_objective_on_random_trees():
 
 
 def test_corrupted_dual_caught_at_its_own_level(monkeypatch):
+    """One unit added to an arm's xi after a lift, within the arm's
+    penalty so that the write itself passes, fails the driver's
+    objective-equals-dual-total check of that level."""
     inst = gen_instance("random-tree-eds", n=40, seed=0)
     levels = len(solve_eds_tree_trace(inst)[2])
     assert levels >= 6
-    bad_call = levels // 2
-    calls = []
+    calls, corrupted = [], []
 
     def corrupting(lift_fn):
         def lift(ctx, state):
             lift_fn(ctx, state)
             calls.append(ctx)
-            if len(calls) == bad_call:
-                e = ctx.arms[0]
-                state.set_xi(e, state.xi[e] + 1)
+            room = [e for e in ctx.arms if state.xi[e] < state.t.pen[e]]
+            if len(calls) >= levels // 2 and room and not corrupted:
+                corrupted.append(len(calls))
+                state.set_xi(room[0], state.xi[room[0]] + 1)
 
         return lift
 
     monkeypatch.setattr(eds_tree, "_lift_a", corrupting(eds_tree._lift_a))
     monkeypatch.setattr(eds_tree, "_lift_b", corrupting(eds_tree._lift_b))
-    with pytest.raises(AssertionError):
+    with pytest.raises(AssertionError) as caught:
         solve_eds_tree(inst)
+    obj, total = re.fullmatch(r"objective (\d+) != dual total (\d+)", str(caught.value)).groups()
+    assert int(total) == int(obj) + 1
+    assert caught.traceback[-1].name == "solve_eds_tree_trace"
     # the check of the corrupted level fired: no later level was lifted
-    assert len(calls) == bad_call
+    assert corrupted == [len(calls)] and len(calls) < levels
 
 
 def _unclamped(fn):

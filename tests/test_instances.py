@@ -56,6 +56,14 @@ def test_rooted_tree_edge_is_child_id():
         tree.ends(0)
 
 
+def test_reprs_name_the_kind_and_size():
+    tree = RootedTree([0, 0, 1], 0)
+    inst = MulticutInstance(tree, {0: ZERO, 1: ZERO, 2: ZERO}, {1: ONE, 2: Rat(1, 2)}, [])
+    assert repr(Graph(3, [(0, 1), (1, 2)])) == "Graph(n=3, m=2)"
+    assert repr(tree) == "RootedTree(n=3, root=0)"
+    assert repr(inst) == "MulticutInstance(RootedTree(n=3, root=0), scale=2)"
+
+
 def test_rooted_tree_ancestry_and_lca():
     #       0
     #      / \

@@ -31,7 +31,6 @@ from graphcover.multicut_tree import (
     IncreaseState,
     _load,
     _over_common_denominator,
-    big_m_edges,
     deletion_phase,
     dual_violation,
     increase_iteration,
@@ -69,9 +68,9 @@ def test_entry_guards_have_their_messages(make, message):
 
 def test_reduction_is_noop_without_finite_penalties():
     inst = star_multicut(1, 2, INF)
-    inst0, mapping = reduce_prize_collecting(inst)
+    inst0, guards = reduce_prize_collecting(inst)
     assert inst0 == inst
-    assert mapping == {}
+    assert guards == frozenset()
 
 
 def _finite_values(inst):
@@ -100,20 +99,19 @@ def test_reduction_adds_detour_gadget():
 
 
 def _check_detour_gadget(inst):
-    inst0, mapping = reduce_prize_collecting(inst)
+    inst0, guards = reduce_prize_collecting(inst)
     finite = [i for i, d in enumerate(inst.demands) if not is_inf(d.penalty)]
     assert inst0.tree.n == inst.tree.n + 2 * len(finite)
     assert len(inst0.tree.edge_ids()) == len(inst.tree.edge_ids()) + 2 * len(finite)
     assert all(is_inf(d.penalty) for d in inst0.demands)
-    assert sorted(mapping) == finite
-    guards = big_m_edges(inst0, mapping)
+    assert [i for i, d in enumerate(inst0.demands) if d.s >= inst.tree.n] == finite
     assert len(guards) == len(finite)
     big_m = 1 + sum(_finite_values(inst))
-    for i, pay_edge in mapping.items():
+    for i in finite:
         # the rerouted demand starts at the new far node and keeps its target
         d0 = inst0.demands[i]
         assert d0.t == inst.demands[i].t
-        assert d0.s == pay_edge >= inst.tree.n
+        pay_edge = d0.s
         # one gadget edge carries the old penalty, the guard edge is never worth cutting
         assert rat_weights(inst0)[1][pay_edge] == inst.demands[i].penalty
         guard = inst0.tree.parent[pay_edge]
@@ -192,6 +190,32 @@ def test_deletion_keeps_single_witness():
     state = run_increase_phase(IncreaseState(inst0))
     kept = deletion_phase(state)
     assert kept == frozenset({state.witness[0]})
+
+
+def test_deletion_refuses_two_kept_edges_on_one_leg():
+    """On the path 0-1-2-3, edges 3 and 2 both lie on the one leg of
+    demand (3, 0), and each is the only edge of F on another demand's
+    path, so the reverse delete keeps both and its leg check fires."""
+    inst = MulticutInstance(
+        RootedTree([0, 0, 1, 2], 0),
+        {v: ZERO for v in range(4)},
+        {e: ONE for e in range(1, 4)},
+        [Demand(3, 0, INF), Demand(3, 2, INF), Demand(2, 1, INF)],
+    )
+    state = IncreaseState(inst)
+    state.F = {3: None, 2: None}
+    state.witness = {0: 3}
+    with pytest.raises(AssertionError) as caught:
+        deletion_phase(state)
+    assert str(caught.value) == "leg of demand 0 cut twice"
+    assert caught.traceback[-1].name == "deletion_phase"
+
+
+def test_ratio_above_two_is_refused():
+    with pytest.raises(AssertionError) as caught:
+        multicut_ratio(Rat(5), Rat(2))
+    assert str(caught.value) == "objective 5 exceeds twice the dual total 2"
+    assert caught.traceback[-1].name == "multicut_ratio"
 
 
 # -- incremental increase-phase state ----------------------------------------
@@ -462,7 +486,7 @@ def _check_cursor_and_index(inst):
         mp.setattr(multicut_tree, "increase_iteration", checked)
         run_increase_phase(state)
     assert _reference_uncovered(state) is None
-    assert seen == state.processed
+    assert seen == list(state.witness)
 
 
 @settings(max_examples=150, deadline=None, database=None)
@@ -986,8 +1010,8 @@ def test_only_processed_demands_hold_a_support_row():
     demand that is never processed holds none."""
     inst = gen_instance("random-tree-multicut", n=30, k=12, seed=5, inf_prob=1)
     state = run_increase_phase(IncreaseState(reduce_prize_collecting(inst)[0]))
-    assert len(state.processed) < len(inst.demands)
-    assert set(state.xi) <= set(state.support) <= set(state.processed)
+    assert len(state.witness) < len(inst.demands)
+    assert set(state.xi) <= set(state.support) <= set(state.witness)
 
 
 @pytest.mark.parametrize("value", [ZERO, ONE])
@@ -1032,7 +1056,7 @@ def test_no_ratio_above_two_on_small_trees(inst):
     assert sol == multicut_solution(inst, [e for e in kept if e < inst.tree.n])
     assert sol.total <= 2 * dual.total
     assert dual.total <= brute_force_multicut(inst).total
-    for d in state.processed:
+    for d in state.witness:
         # at most one kept edge on each side of the lca, placed by the rule
         up = inst0.path(d).up
         places = [inst0.place(d, e) for e in kept]
