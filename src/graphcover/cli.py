@@ -1,9 +1,10 @@
 """Command-line front end: solve, verify, gap experiments, generation, batch.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or parse error or
-out of memory, 3 internal assertion failure.  All numbers print as exact
-rationals (``p/q``, integers without the ``/1``), so identical inputs give
-byte-identical output.
+Exit codes: 0 success, 1 verification failure, 2 usage or parse error, out
+of memory or a number over Python's int/str digit limit, 3 internal
+assertion failure.  All numbers print as exact rationals (``p/q``,
+integers without the ``/1``), so identical inputs give byte-identical
+output.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from .oracle import (
     brute_force_facility_location,
     brute_force_multicut,
 )
-from .rationals import ZERO, fmt_rat, is_inf
+from .rationals import ZERO, DigitLimitError, fmt_rat, is_inf
 from .relaxations import relaxation_value, relaxation_values
 
 EXIT_OK = 0
@@ -241,8 +242,8 @@ def _do_batch(args) -> int:
         for path in paths:
             try:
                 cells = _batch_row(path, cert_dir)
-            except MemoryError:
-                sys.stderr.write(f"error: {path.name}: out of memory\n")
+            except (MemoryError, DigitLimitError) as exc:
+                sys.stderr.write(f"error: {path.name}: {exc if exc.args else 'out of memory'}\n")
                 cells = _INVALID_ROW
             verdicts.add(cells[-1])
             out.write("\t".join([path.name, *cells]) + "\n")
@@ -330,7 +331,7 @@ def run(argv: List[str]) -> int:
         if args.command == "gen":
             return _do_gen(args)
         return _do_batch(args)
-    except (ParseError, InstanceError, OracleCapError, _CliError, OSError) as exc:
+    except (ParseError, InstanceError, OracleCapError, DigitLimitError, _CliError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
     except MemoryError:

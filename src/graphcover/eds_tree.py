@@ -57,24 +57,28 @@ names the trace's readers use, so it is the one object per step that
 stays tracked.
 
 Checks: every level's invariants are asserted at every level, in exact
-arithmetic, at the cost of the step.  While reducing, `_LiveTree.charge`
-checks each node and edge weight it writes for nonnegativity before it
-stores it, the ones clamped at zero too, so a lost clamp fails at its
-write (`zero_penalty` writes only zeros); each reduction checks that the
-nodes it takes for leaves (case A's arms, case B's grandchildren) have no
-live child, and the driver checks that the measure strictly decreases
-after each step.  While lifting, the write that moves an edge's xi or
-penalty checks 0 <= xi <= penalty there: `_Lift.write_xi` for each value
-it writes (every xi write goes through it, `set_xi`'s too), and `undo`
-for each penalty it restores.  Nothing else writes either, so the bound
-holds on every edge at every level.  After each lift the driver checks
-that xi covers exactly the live edges (by count, as xi only gains keys
-of live edges) and that the objective equals the dual total; both sides
-are running sums, kept up to date by per-node counts of chosen edges so
-that a change of F costs O(1).
-The base level and the top level are also checked from scratch, including
-that the running sums have not drifted, and the final solution is
-re-evaluated against the dual total.
+arithmetic, at the cost of the step, each by one statement.  While
+reducing, `_LiveTree.charge` checks each node and edge weight it writes
+for nonnegativity before it stores it, the ones clamped at zero too, so a
+lost clamp fails at its write (`zero_penalty` writes only zeros); each
+reduction checks that the nodes it takes for leaves (case A's arms, case
+B's grandchildren) have no live child, and the driver checks that the
+measure strictly decreases after each step.  While lifting, the write
+that moves an edge's xi or penalty checks 0 <= xi <= penalty there:
+`_Lift.write_xi` for each value it writes (every xi write goes through
+it, `set_xi`'s too), and `undo` for each penalty it restores.  Nothing
+else writes either, so the bound holds on every edge at every level.
+Each lift checks what it assumes: case A's star holds at most one edge of
+F, and the edges a step deleted carry no dual before its lift.  At the
+base level and after each lift the driver checks that xi covers
+exactly the live edges (by count, as xi only gains keys of live edges)
+and that the objective equals the dual total below `big`; both sides are
+running sums, kept up to date by per-node counts of chosen edges so that
+a change of F costs O(1).  `_Lift.check_full` checks at the base and top
+levels what no running check sees: xi's keys are the live edges, `edges`
+counts them, and each running sum (edge weight, node weight, uncovered
+penalty, dual total) equals its value from scratch.  The solution is
+built from those checked sums, so the answer is priced once.
 """
 
 from __future__ import annotations
@@ -258,18 +262,21 @@ class _LiveTree:
         self.first_live[d] = i
         return order[i]
 
-    def objective(self, edges) -> int:
-        """Objective of an edge set at this level, computed from scratch."""
+    def price(self, edges) -> Tuple[int, int, int]:
+        """The edge weight, node weight and uncovered penalty of an edge set
+        at this level, computed from scratch."""
         touched = {v for e in edges for v in (e, self.parent[e])}
-        cost = sum(self.we[e] for e in edges)
-        cost += sum(self.wn[v] for v in touched)
-        return cost + sum(
-            self.pen[e]
-            for e in range(len(self.alive))
-            if self.alive[e]
-            and e != self.root
-            and e not in touched
-            and self.parent[e] not in touched
+        return (
+            sum(self.we[e] for e in edges),
+            sum(self.wn[v] for v in touched),
+            sum(
+                self.pen[e]
+                for e in range(len(self.alive))
+                if self.alive[e]
+                and e != self.root
+                and e not in touched
+                and self.parent[e] not in touched
+            ),
         )
 
 
@@ -284,7 +291,6 @@ def _reduce_a(t: _LiveTree, leaf_edge: int) -> CaseContext:
     v0 = parent[u]
     e0 = u
     arms = tuple([v for v in children[u] if alive[v]])
-    assert leaf_edge in arms
     for v in arms:
         for c in children[v]:
             assert not alive[c], "arms of the deepest star are leaves"
@@ -318,7 +324,6 @@ def _reduce_b(t: _LiveTree, leaf: int) -> CaseContext:
     u0 = parent[s] if s != t.root else None
     e0 = s if u0 is not None else None
     arms = tuple([ui for ui in children[s] if alive[ui]])
-    assert arms
     ws = wn[s]
     # the least candidate charge, the first on ties: e0's, then the arms'
     if e0 is not None:
@@ -515,15 +520,14 @@ class _Lift:
         t.edges += revived
 
     def check_full(self) -> None:
-        """The per-level invariants recomputed from scratch."""
+        """What no running check sees, recomputed from scratch: xi is keyed
+        by exactly the live edges, which `t.edges` counts, and each running
+        sum equals its from-scratch value."""
         t, xi = self.t, self.xi
         live = [v for v in range(len(t.alive)) if t.alive[v] and v != t.root]
-        assert set(xi) == set(live) and len(live) == t.edges
-        assert all(v >= 0 and v <= t.pen[e] for e, v in xi.items())
-        obj = t.objective(self.F)
-        total = sum(xi.values())
-        assert obj == total < t.big, f"objective {obj} != dual total {total}"
-        assert obj == self.objective() and total == self.total, "running sums drifted"
+        assert set(xi) == set(live) and len(live) == t.edges, "xi is keyed by the live edges"
+        running = (self.edge_w, self.node_w, self.pen, self.total)
+        assert running == (*t.price(self.F), sum(xi.values())), "running sums drifted"
 
 
 def _lift_a(ctx: CaseContext, lift: _Lift) -> None:
@@ -539,7 +543,7 @@ def _lift_a(ctx: CaseContext, lift: _Lift) -> None:
     #   run between that one and this one belong to steps centred at other
     #   nodes, none of which has an edge at u.
     count = (e0 in F) + len(F.intersection(ctx.arms))
-    assert count <= 1
+    assert count <= 1, "F holds at most one edge of the star"
 
     if ctx.via_parent and touch[v0]:
         lift.add(e0)
@@ -553,14 +557,10 @@ def _lift_a(ctx: CaseContext, lift: _Lift) -> None:
     else:
         lift.add(ctx.pick)
 
-    xi, big = lift.xi, lift.t.big
     if ctx.branch == "keep":
-        for a, cap in zip(ctx.arms, ctx.caps):
-            assert xi.get(a, 0) == 0 and cap < big
         lift.write_xi(ctx.arms, ctx.caps)
     else:
-        assert xi.get(e0, 0) == 0
-        assert xi.keys().isdisjoint(ctx.arms)
+        assert lift.xi.keys().isdisjoint(ctx.arms), "the step's deleted edges carry no dual yet"
         lift.write_xi(ctx.arms, _greedy_fill(ctx.caps, ctx.bound))
 
 
@@ -585,14 +585,8 @@ def _lift_b(ctx: CaseContext, lift: _Lift) -> None:
     else:
         lift.add(ctx.pick)
 
-    xi = lift.xi
-    if ctx.branch == "trim":
-        for a in ctx.arms:
-            assert xi.get(a, 0) == 0
-    elif e0 is not None:
-        assert xi.get(e0, 0) == 0
     lift.write_xi(ctx.arms, _greedy_fill(ctx.caps, ctx.bound))
-    assert xi.keys().isdisjoint(ctx.grand_edges)
+    assert lift.xi.keys().isdisjoint(ctx.grand_edges), "the step's deleted edges carry no dual yet"
     lift.write_xi(ctx.grand_edges, repeat(0))
 
 
@@ -601,7 +595,6 @@ def _lift_b(ctx: CaseContext, lift: _Lift) -> None:
 
 
 def _base_star(t: _LiveTree) -> Tuple[FrozenSet[int], Dict[int, int]]:
-    assert not any(t.live[2:])
     edges = [v for v in t.children[t.root] if t.alive[v]]
     if not edges:
         return frozenset(), {}
@@ -643,20 +636,24 @@ def solve_eds_tree_trace(
     lift = _Lift(t, *_base_star(t))
     lift.check_full()
     xi = lift.xi
-    for ctx, mark in zip(reversed(ctxs), reversed(marks)):
-        lift.undo(mark)
-        (_lift_a if ctx.tag == "A" else _lift_b)(ctx, lift)
-        # the per-level invariants that no single write checks
+    while True:
+        # the per-level invariants that no single write checks, at the base
+        # and after each lift
         assert len(xi) == t.edges, "dual values cover exactly the live edges"
         obj = lift.objective()
         assert obj == lift.total < t.big, f"objective {obj} != dual total {lift.total}"
+        if not marks:
+            break
+        lift.undo(marks.pop())
+        ctx = ctxs[len(marks)]
+        (_lift_a if ctx.tag == "A" else _lift_b)(ctx, lift)
     lift.check_full()
 
-    sol = eds_solution(inst, sorted(lift.F))
-    # check_full has just matched lift.total against sum(xi)
-    dual = EdsDual(lift.xi, lift.total, inst.scale)
-    assert sol.total == dual.total
-    return sol, dual, ctxs
+    # check_full has just matched each running sum against its from-scratch
+    # value, and the objective is below big, so it pays no INF penalty
+    sums = (lift.edge_w, lift.node_w, lift.pen)
+    sol = Solution(tuple(sorted(lift.F)), *(Rat(x, inst.scale) for x in sums))
+    return sol, EdsDual(xi, lift.total, inst.scale), ctxs
 
 
 def solve_eds_tree(inst: EdsInstance) -> Tuple[Solution, EdsDual]:

@@ -34,7 +34,7 @@ from math import isqrt, lcm
 from random import Random
 from typing import Dict, FrozenSet, List, NamedTuple, Tuple, Union
 
-from .rationals import INF, ExtRat, Rat, ZERO, fmt_rat, is_inf, parse_number
+from .rationals import INF, ExtRat, Rat, ZERO, digit_limit, fmt_rat, is_inf, parse_number
 
 
 #: Largest node count an instance file may declare.
@@ -538,6 +538,7 @@ def read_int(tok: str) -> int:
     try:
         return int(tok)
     except ValueError:
+        digit_limit(tok)
         raise ValueError(f"expected an integer, got {tok!r}") from None
 
 

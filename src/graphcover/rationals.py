@@ -11,6 +11,7 @@ arithmetic on it (subtraction, multiplication, negation) is an error.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction as Rat
 from math import gcd
 from typing import Union
@@ -75,11 +76,28 @@ def ext_min(*values: ExtRat) -> ExtRat:
     return best
 
 
+class DigitLimitError(ValueError):
+    """A number too long for Python's int and str conversions, which stop
+    at ``sys.get_int_max_str_digits()`` digits (4300 by default).  The
+    limit stays: it guards parsing against time quadratic in a token's
+    length."""
+
+
+def digit_limit(token: str) -> None:
+    """Raise DigitLimitError if a part of the number ``token`` (``p``, or
+    ``p`` or ``q`` of ``p/q``) has more digits than int() reads."""
+    limit = sys.get_int_max_str_digits()
+    digits = max(len(part.lstrip("+-")) for part in token.split("/"))
+    if limit and digits > limit:
+        raise DigitLimitError(f"a number of {digits} digits is over the {limit}-digit limit")
+
+
 def parse_number(token: str, allow_inf: bool = False):
     """Parse ``p``, ``p/q`` or (optionally) ``inf`` into ``(p, q)`` in
     lowest terms with q positive, or INF; an integer token gives q = 1.
 
-    Raises ValueError on malformed input; q must be positive.
+    Raises ValueError on malformed input (DigitLimitError for a part over
+    the digit limit); q must be positive.
     """
     if token == "inf":
         if allow_inf:
@@ -91,6 +109,7 @@ def parse_number(token: str, allow_inf: bool = False):
         num, _, den = token.partition("/")
         n, d = int(num), int(den)
     except ValueError:
+        digit_limit(token)
         raise ValueError(f"malformed rational {token!r}") from None
     if d == 1:
         return n, 1
@@ -107,7 +126,12 @@ def parse_rat(token: str, allow_inf: bool = False) -> ExtRat:
 
 
 def fmt_rat(value: ExtRat) -> str:
-    """Render as ``p/q`` (integers without the ``/1``), or ``inf``."""
+    """Render as ``p/q`` (integers without the ``/1``), or ``inf``; a
+    value over the digit limit raises DigitLimitError."""
     if is_inf(value):
         return "inf"
-    return str(value)
+    try:
+        return str(value)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise DigitLimitError(f"a result is over the {limit}-digit limit") from None

@@ -587,6 +587,61 @@ def test_batch_gives_a_file_out_of_memory_an_invalid_row(tmp_path, capsys, monke
     assert good[0] == "b_tree.eds" and good[-1] == "pass"
 
 
+def _oversized_eds(path):
+    """An eds-tree whose two node weights have coprime 3000-digit
+    denominators: every objective over their lcm has more digits than
+    Python prints (`sys.get_int_max_str_digits()`), though each token is
+    under that limit."""
+    d, w = "7" * 3000, "9" * 3000
+    path.write_text(
+        f"problem eds-tree\nnodes 3\nroot 0\nnode 0 1/{d}\nnode 1 1/{d}3\nnode 2 0\n"
+        f"edge 0 1 {w} inf\nedge 1 2 {w} inf\n"
+    )
+    return path
+
+
+PRINT_LIMIT = f"a result is over the {sys.get_int_max_str_digits()}-digit limit"
+
+
+@pytest.mark.parametrize("argv", [["solve"], ["oracle"], ["gap", "--relaxation", "natural"]])
+def test_oversized_result_is_one_error_line(tmp_path, capsys, argv):
+    path = _oversized_eds(tmp_path / "big.eds")
+    command, *options = argv
+    assert run_cli(capsys, command, str(path), *options) == (2, "", f"error: {PRINT_LIMIT}\n")
+
+
+def test_batch_gives_an_oversized_result_an_invalid_row_and_goes_on(tmp_path, capsys):
+    suite = tmp_path / "suite"
+    suite.mkdir()
+    _oversized_eds(suite / "a_big.eds")
+    gen = ["gen", "random-tree-eds", "--n", "5", "--seed", "1", "-o", str(suite / "b.eds")]
+    assert cli.run(gen) == 0
+    certs = tmp_path / "certs"
+    code, out, err = run_cli(capsys, "batch", str(suite), "--certificates", str(certs))
+    assert (code, err) == (2, f"error: a_big.eds: {PRINT_LIMIT}\n")
+    header, bad, good = (row.split("\t") for row in out.splitlines())
+    assert bad == ["a_big.eds", "-", "-", "-", "-", "-", "invalid"]
+    assert good[0] == "b.eds" and good[-1] == "pass" and "-" not in good
+    assert sorted(p.name for p in certs.iterdir()) == ["b.eds.cert"]
+
+
+@pytest.mark.parametrize("at, line", [
+    (5, "node 2 {n}"), (5, "node 2 1/{n}"), (7, "edge 1 2 0 {n}"), (5, "node {n} 1"),
+])
+def test_token_over_the_digit_limit_names_the_limit(tmp_path, capsys, at, line):
+    """A weight, a denominator, a penalty and a node id, each one digit
+    over the limit."""
+    limit = sys.get_int_max_str_digits()
+    lines = ["problem eds-tree", "nodes 3", "root 0", "node 0 1", "node 1 1", "node 2 1",
+             "edge 0 1 1 1", "edge 1 2 1 1"]
+    lines[at] = line.format(n="3" * (limit + 1))
+    path = tmp_path / "long.eds"
+    path.write_text("\n".join(lines) + "\n")
+    code, out, err = run_cli(capsys, "solve", str(path))
+    message = f"a number of {limit + 1} digits is over the {limit}-digit limit"
+    assert (code, out, err) == (2, "", f"error: line {at + 1}: {message}\n")
+
+
 def test_module_entry_point(tmp_path):
     out = subprocess.run(
         [sys.executable, "-m", "graphcover.cli", "gen", "star-gap-eds", "--n", "2"],

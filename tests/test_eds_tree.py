@@ -20,6 +20,7 @@ from graphcover import (
     Rat,
     RootedTree,
     brute_force_eds,
+    eds_solution,
     eds_tree_certificate,
     gen_instance,
     parse_instance,
@@ -317,6 +318,173 @@ def test_xi_and_penalty_bounds_caught_at_the_write(monkeypatch, fault, frames):
     assert [entry.name for entry in caught.traceback[-2:]] == frames
 
 
+def _depth_one_leaf_for_case_a(monkeypatch):
+    """The first case-A step is handed a live edge at the root instead of
+    its deepest leaf edge."""
+    real = eds_tree._reduce_a
+
+    def reduce_a(t, leaf_edge):
+        return real(t, next(v for v in t.children[t.root] if t.alive[v]))
+
+    monkeypatch.setattr(eds_tree, "_reduce_a", reduce_a)
+
+
+def _first_reduction_removes_nothing(monkeypatch):
+    """The first reduction still charges its weights but deletes no node
+    and zeroes no penalty, so the termination measure stays where it was.
+    Later reductions run as written, so a solve without the check ends."""
+    steps = []
+    for name in ("_reduce_a", "_reduce_b"):
+        def reduce(t, leaf, real=getattr(eds_tree, name)):
+            ctx = real(t, leaf)
+            steps.append(ctx)
+            return ctx
+
+        monkeypatch.setattr(eds_tree, name, reduce)
+    for name in ("kill", "zero_penalty"):
+        def skip_first(t, arg, real=getattr(eds_tree._LiveTree, name)):
+            if steps:
+                real(t, arg)
+
+        monkeypatch.setattr(eds_tree._LiveTree, name, skip_first)
+
+
+def _case_b_bound_above_its_caps(monkeypatch):
+    """Each case-B step records a charge one above the sum of its arm caps,
+    more dual than the caps can take."""
+    real = eds_tree._reduce_b
+
+    def reduce_b(t, leaf):
+        ctx = real(t, leaf)
+        return ctx._replace(bound=sum(ctx.caps) + 1)
+
+    monkeypatch.setattr(eds_tree, "_reduce_b", reduce_b)
+
+
+def _two_star_edges_chosen(monkeypatch):
+    """Before the first case-A lift, F gains the star's parent edge and its
+    first arm."""
+    real = eds_tree._lift_a
+
+    def lift_a(ctx, lift):
+        if ctx.parent_edge not in lift.F:
+            lift.add(ctx.parent_edge)
+            lift.add(ctx.arms[0])
+        real(ctx, lift)
+
+    monkeypatch.setattr(eds_tree, "_lift_a", lift_a)
+
+
+def _dual_on_deleted_edges_before_their_lift(tag):
+    """Just before the first lift of a case-`tag` step that deletes edges
+    (case A's arms, case B's grandchildren), one of them is given xi 0."""
+
+    def fault(monkeypatch):
+        name = f"_lift_{tag.lower()}"
+        real, done = getattr(eds_tree, name), []
+
+        def lift(ctx, state):
+            deleted = ctx.arms if ctx.branch == "delete" else ctx.grand_edges
+            if deleted and not done:
+                done.append(ctx)
+                state.set_xi(deleted[0], 0)
+            real(ctx, state)
+
+        monkeypatch.setattr(eds_tree, name, lift)
+
+    return fault
+
+
+def _undo_miscounts_live_edges(monkeypatch):
+    """The first undo restores every entry but counts one live edge less."""
+    real, done = eds_tree._Lift.undo, []
+
+    def undo(lift, mark):
+        real(lift, mark)
+        if not done:
+            done.append(mark)
+            lift.t.edges -= 1
+
+    monkeypatch.setattr(eds_tree._Lift, "undo", undo)
+
+
+def _dead_edge_keyed_and_counted_at_the_base(monkeypatch):
+    """The base dual gains a zero on a dead edge, and the live-edge count
+    counts it, so the count and the dual total still agree."""
+    real = eds_tree._base_star
+
+    def base_star(t):
+        F, xi = real(t)
+        t.edges += 1
+        return F, {**xi, t.alive.index(False): 0}
+
+    monkeypatch.setattr(eds_tree, "_base_star", base_star)
+
+
+@pytest.mark.parametrize("fault, message, frames", [
+    (_depth_one_leaf_for_case_a, "the deepest leaf has depth above one",
+     ["reduce_a", "_reduce_a"]),
+    (_first_reduction_removes_nothing, "reduction measure must strictly decrease",
+     ["solve_eds_tree", "solve_eds_tree_trace"]),
+    (_case_b_bound_above_its_caps, "caps cannot absorb the required dual total",
+     ["_lift_b", "_greedy_fill"]),
+    (_two_star_edges_chosen, "F holds at most one edge of the star", ["lift_a", "_lift_a"]),
+    (_dual_on_deleted_edges_before_their_lift("A"), "the step's deleted edges carry no dual yet",
+     ["lift", "_lift_a"]),
+    (_dual_on_deleted_edges_before_their_lift("B"), "the step's deleted edges carry no dual yet",
+     ["lift", "_lift_b"]),
+    (_undo_miscounts_live_edges, "dual values cover exactly the live edges",
+     ["solve_eds_tree", "solve_eds_tree_trace"]),
+    (_dead_edge_keyed_and_counted_at_the_base, "xi is keyed by the live edges",
+     ["solve_eds_tree_trace", "check_full"]),
+], ids=[
+    "leaf-depth", "measure", "greedy-fill", "star-edges", "deleted-arms", "deleted-grandchildren",
+    "live-count", "xi-keys",
+])
+def test_solver_checks_fire_at_their_step(monkeypatch, fault, message, frames):
+    """Each of these checks fires, with its message, in the step that a
+    fault breaking exactly its invariant reaches first."""
+    inst = gen_instance("random-tree-eds", n=40, seed=0)
+    fault(monkeypatch)
+    with pytest.raises(AssertionError) as caught:
+        solve_eds_tree(inst)
+    assert str(caught.value) == message
+    assert [entry.name for entry in caught.traceback[-2:]] == frames
+
+
+def test_running_sums_checked_part_by_part_at_the_top(monkeypatch):
+    """A unit moved from the running node weight to the running uncovered
+    penalty leaves the objective equal to the dual total, so every level's
+    check passes; the top level's from-scratch pricing, part by part,
+    catches it."""
+    inst = gen_instance("random-tree-eds", n=40, seed=0)
+    levels = len(solve_eds_tree_trace(inst)[2])
+    lifts, full_checks = [], []
+
+    def moving(lift_fn):
+        def lift(ctx, state):
+            lift_fn(ctx, state)
+            lifts.append(ctx)
+            if len(lifts) == levels:  # the top level: one unit changes parts
+                state.node_w -= 1
+                state.pen += 1
+
+        return lift
+
+    def check_full(lift, real=eds_tree._Lift.check_full):
+        full_checks.append(lift)
+        real(lift)
+
+    monkeypatch.setattr(eds_tree, "_lift_a", moving(eds_tree._lift_a))
+    monkeypatch.setattr(eds_tree, "_lift_b", moving(eds_tree._lift_b))
+    monkeypatch.setattr(eds_tree._Lift, "check_full", check_full)
+    with pytest.raises(AssertionError) as caught:
+        solve_eds_tree(inst)
+    assert str(caught.value) == "running sums drifted"
+    assert caught.traceback[-1].name == "check_full"
+    assert len(full_checks) == 2  # the base passed; the top level failed
+
+
 def test_trace_records_hold_nothing_the_collector_tracks():
     """Each record is one named tuple of ints, strings and tuples of ints.
     CPython's collector untracks exact tuples only, so the record itself
@@ -443,6 +611,9 @@ def test_solver_matches_brute_force(inst):
     sol, dual = solve_eds_tree(inst)
     assert sol.total == dual.total == brute_force_eds(inst).total
     assert dual.total == sum(dual.xi.values(), ZERO)
+    # built from the solver's checked running sums, the answer is priced
+    # as pricing its edges from the instance prices it, field by field
+    assert sol == eds_solution(inst, sol.edges)
 
 
 @settings(max_examples=100, deadline=None, database=None)
@@ -697,6 +868,7 @@ def fractional_trees(draw):
 def test_scaling_every_weight_scales_the_dual(inst, k):
     sol, dual = solve_eds_tree(inst)
     assert sol.total == dual.total == brute_force_eds(inst).total
+    assert sol == eds_solution(inst, sol.edges)
     node_weight, edge_weight, penalty = rat_weights(inst)
     scaled = EdsInstance(
         inst.graph,

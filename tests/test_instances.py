@@ -576,8 +576,9 @@ REJECTED_NUMBERS = [
     ("3/", "malformed rational '3/'"),
     ("-1", "negative value '-1' not allowed here"),
     ("-2/4", "negative value '-2/4' not allowed here"),
-    (_HUGE, f"malformed rational '{_HUGE}'"),
-    (f"1/{_HUGE}", f"malformed rational '1/{_HUGE}'"),
+    # past Python's int/str digit limit: the message names the limit
+    (_HUGE, f"a number of 5000 digits is over the {sys.get_int_max_str_digits()}-digit limit"),
+    (f"1/{_HUGE}", f"a number of 5000 digits is over the {sys.get_int_max_str_digits()}-digit limit"),
 ]
 
 

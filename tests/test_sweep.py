@@ -53,3 +53,44 @@ def test_sweep_records_each_command_and_compare_names_the_differences(tmp_path, 
     assert sweep.main(["--compare", *map(str, paths)]) == 1
     assert capsys.readouterr().out.endswith("2 of 3 commands differ\n")
     assert sweep.main(["--compare", str(paths[0]), str(paths[0])]) == 0
+
+
+def test_sevenths_divides_every_weight_and_finite_penalty_by_seven(tmp_path):
+    from graphcover import cli, parse_instance, solve_eds_tree
+
+    inst, inst7 = tmp_path / "inst", tmp_path / "inst7"
+    for kind, args in (("random-tree-eds", ["--inf_prob", "0.5"]), ("random-eds-general", [])):
+        assert cli.run(["gen", kind, "--n", "8", "--seed", "3", *args, "-o", str(inst)]) == 0
+        assert sweep._OWN[sweep.SEVENTHS](str(inst), str(inst7)) == 0
+        a, b = (parse_instance(p.read_text()) for p in (inst, inst7))
+        # the same units over a scale seven times larger: each value over 7
+        assert (b.node_units, b.edge_units, b.penalty_units, b.scale) == (
+            a.node_units, a.edge_units, a.penalty_units, 7 * a.scale
+        )
+        assert "inf" in inst7.read_text() or kind != "random-tree-eds"
+        if kind == "random-tree-eds":
+            # the solve takes the same edges and the same dual units
+            (sol, dual), (sol7, dual7) = solve_eds_tree(a), solve_eds_tree(b)
+            assert sol7.edges == sol.edges and sol7.total * 7 == sol.total
+            assert dual7.units == dual.units
+
+
+def test_sweep_runs_its_own_sevenths_command():
+    corpus = [(
+        "eds",
+        (
+            "gen random-tree-eds --n 8 --seed {seed} -o inst",
+            f"{sweep.SEVENTHS} inst inst7",
+            "solve inst7 --certificate cert7",
+            "verify inst7 cert7",
+        ),
+        1,
+        1,
+    )]
+    records = sweep.sweep(str(SRC), sweep.cases(corpus))
+    assert [r["exit"] for r in records.values()] == [0, 0, 0, 0]
+    assert [list(r["files"]) for r in records.values()] == [["inst"], ["inst7"], ["cert7"], []]
+    # the benchmark's tree sizes are in the corpus, with and without INF penalties
+    rows = {name: lines for name, lines, _, _ in sweep.CORPUS}
+    for name in ("eds250", "eds250-inf1", "eds1000", "eds1000-inf1"):
+        assert f"{sweep.SEVENTHS} inst inst7" in rows[name]

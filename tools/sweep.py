@@ -31,15 +31,19 @@ import shutil
 import sys
 import tempfile
 import traceback
+from fractions import Fraction
 from pathlib import Path
 from typing import Dict, List, Sequence, Tuple
 
-#: A command of the sweep's own, not of ``graphcover``: ``add-guard-edge
-#: INST CERT OUT`` writes CERT with one more cut edge, the first guard edge
-#: of INST's penalty-compiled tree (the node id right after the original
+#: The sweep's own commands, not ``graphcover``'s.  ``add-guard-edge INST
+#: CERT OUT`` writes CERT with one more cut edge, the first guard edge of
+#: INST's penalty-compiled tree (the node id right after the original
 #: tree's, present when some demand's penalty is finite).  A certificate
 #: holding it must fail ``verify``'s ``no-pendant-guard-edge``.
-GUARD = "add-guard-edge"
+#: ``sevenths INST OUT`` writes the eds instance INST with every node
+#: weight, edge weight and finite penalty w as w/7, so its solve runs at a
+#: scale other than 1.
+GUARD, SEVENTHS = "add-guard-edge", "sevenths"
 
 _CUT = (
     "solve inst --certificate cert",
@@ -48,12 +52,15 @@ _CUT = (
     "verify inst guarded",
 )
 _SOLVE = ("solve inst --certificate cert", "verify inst cert")
+_SEVENTHS = (f"{SEVENTHS} inst inst7", "solve inst7 --certificate cert7", "verify inst7 cert7")
 
 #: The corpus: per row, a case name, the commands of one case, with
 #: ``{seed}`` standing for the case's seed, and the number of seeds of the
 #: quick and of the full sweep.  Multicut runs with the default
 #: ``--inf_prob`` and with 0 and 1; the eds kinds are spot checks, and each
-#: batch directory holds multicut files.
+#: batch directory holds multicut files.  The eds trees of 250 and 1,000
+#: nodes, the sizes of the ``tree-solve`` benchmark, are also solved in
+#: sevenths.
 CORPUS: List[Tuple[str, Sequence[str], int, int]] = [
     (
         f"cut{n}{tag}",
@@ -66,6 +73,16 @@ CORPUS: List[Tuple[str, Sequence[str], int, int]] = [
 ] + [
     ("eds40", ("gen random-tree-eds --n 40 --seed {seed} -o inst", *_SOLVE), 2, 20),
     ("eds40-inf1", ("gen random-tree-eds --n 40 --seed {seed} --inf_prob 1 -o inst", *_SOLVE), 2, 20),
+] + [
+    (
+        f"eds{n}{tag}",
+        (f"gen random-tree-eds --n {n} --seed {{seed}}{opt} -o inst", *_SOLVE, *_SEVENTHS),
+        1,
+        full,
+    )
+    for n, full in ((250, 10), (1000, 4))
+    for tag, opt in (("", ""), ("-inf1", " --inf_prob 1"))
+] + [
     ("general6", ("gen random-eds-general --n 6 --m 6 --seed {seed} -o inst", *_SOLVE), 2, 10),
     (
         "batch",
@@ -109,6 +126,24 @@ def _add_guard_edge(inst: str, cert: str, out: str) -> int:
     return 0
 
 
+def _sevenths(inst: str, out: str) -> int:
+    def seventh(token: str) -> str:
+        return token if token == "inf" else str(Fraction(token) / 7)
+
+    lines = []
+    for line in Path(inst).read_text().split("\n"):
+        head, *fields = line.split(" ")
+        weights = {"node": 1, "edge": 2}.get(head, 0)  # trailing weight fields
+        if weights:
+            fields[-weights:] = map(seventh, fields[-weights:])
+        lines.append(" ".join([head, *fields]))
+    Path(out).write_text("\n".join(lines))
+    return 0
+
+
+_OWN = {GUARD: _add_guard_edge, SEVENTHS: _sevenths}
+
+
 def _run(cli, argv: List[str], cwd: Path, out: Path, err: Path) -> int:
     """Run one command in a forked process; its exit code."""
     sys.stdout.flush()
@@ -122,7 +157,8 @@ def _run(cli, argv: List[str], cwd: Path, out: Path, err: Path) -> int:
                 os.dup2(os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC), fd)
             # fresh streams on the new descriptors, whatever sys.stdout was
             sys.stdout, sys.stderr = (open(fd, "w", closefd=False) for fd in (1, 2))
-            code = _add_guard_edge(*argv[1:]) if argv[0] == GUARD else cli.run(argv)
+            own = _OWN.get(argv[0])
+            code = own(*argv[1:]) if own else cli.run(argv)
         except BaseException:
             traceback.print_exc()
         finally:
