@@ -844,6 +844,9 @@ def gen_instance(kind: str, seed: int = 0, **params) -> AnyInstance:
     for name in GEN_INT_PARAMS:
         if param(name, 0) < 0:
             raise InstanceError(f"{name} must be nonnegative, got {params[name]}")
+    for name in GEN_FLOAT_PARAMS:
+        if not 0 <= param(name, 0.0) <= 1:  # NaN included
+            raise InstanceError(f"{name} must be in [0, 1], got {params[name]}")
     rng = Random(seed)
     if kind == "star-gap-eds":
         n = param("n", 4)

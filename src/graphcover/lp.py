@@ -269,9 +269,9 @@ def simplex_solve(model: LpModel) -> LpResult:
         for row, col in zip(tab, basis):
             if col >= art_start:
                 _eliminate(cost, row, col)
-        status = _pivot_until_optimal(tab, basis, cost, cols)
-        assert status != UNBOUNDED, "phase I unbounded"  # its objective is bounded below by 0
-        # The phase-I optimum is the sum of these rhs, all nonnegative.
+        # a sum of artificials is bounded below by 0, so phase I ends
+        # optimal, at the sum of these rhs, all nonnegative
+        _pivot_until_optimal(tab, basis, cost, cols)
         if any(row.b for row, col in zip(tab, basis) if col >= art_start):
             return LpResult(INFEASIBLE)
         if model.objective or model.tiebreak:  # else phase I has answered

@@ -87,14 +87,15 @@ a change can unpin, and a worklist moves the pointers forward from that
 frontier only.  Each step LP is built in one pass over its moves, each a
 variable and the dual entries it moves with their rows, and its update
 is read from the solution in variable order and written with the same
-rows.  The checks are exact, with zero tolerance: a setter refuses a
-negative value as it stores it; the classification after every step
-checks each capacity and support row the writes since the last one can
-have moved, before anything reads them; the end of the phase checks the
-running sums and holders against the dual tables; the deletion phase
-checks the legs of the output; and the :func:`verify_multicut` of
-:func:`run_multicut_pipeline` checks the output's coverage and the whole
-dual once, from scratch.
+rows.  Each check is exact, and a test fires it: a setter refuses a
+negative value, and a mu write leaves its node a holder; the
+classification after each step checks the rows its writes can have
+moved; a step LP ends optimal, and each step makes progress within a
+budget; the cover finds a free end and the chase a pin where the
+classification says; the phase's end checks the running sums and
+holders against the dual tables; the deletion phase checks the legs of
+the output; and :func:`run_multicut_pipeline` checks the whole output by
+:func:`verify_multicut`, and that it keeps no guard edge.
 """
 
 from __future__ import annotations
@@ -592,22 +593,25 @@ class IncreaseState:
 
     def assert_feasible(self) -> None:
         """Check the running sums and the holders, in processing order,
-        against sums and holders recomputed from the dual tables."""
+        against sums and holders recomputed from the dual tables; the one
+        message names each that drifted."""
         nu_load, mu_load = _load(self.nu), _load(self.mu)
-        assert all(tot == nu_load.get(e, 0) for e, tot in enumerate(self.nu_sum))
-        assert all(tot == mu_load.get(v, 0) for v, tot in enumerate(self.mu_sum))
-        # a demand with no row and no nu or mu entry has only zero sums
         parent, nu, mu = self.instance.tree.parent, self.nu, self.mu
-        for j in set(self.support).union((j for _, j in nu), (j for _, j in mu)):
-            assert self.support_row(j) == [
+        holders: Dict[int, List[int]] = {}  # every stored mu is positive
+        for v, j in sorted(mu, key=lambda key: self.position[key[1]]):
+            holders.setdefault(v, []).append(j)
+        # a demand with no row and no nu or mu entry has only zero sums
+        written = set(self.support).union((j for _, j in nu), (j for _, j in mu))
+        drifted = [name for name, same in (
+            ("edge sums", all(tot == nu_load.get(e, 0) for e, tot in enumerate(self.nu_sum))),
+            ("node sums", all(tot == mu_load.get(v, 0) for v, tot in enumerate(self.mu_sum))),
+            ("support sums", all(self.support_row(j) == [
                 nu.get((e, j), 0) + mu.get((parent[e], j), 0) + mu.get((e, j), 0)
                 for e in self.path_edges[j]
-            ], f"running support sums of demand {j}"
-        holders: Dict[int, List[int]] = {}
-        for (v, j), val in sorted(self.mu.items(), key=lambda item: self.position[item[0][1]]):
-            if val > 0:
-                holders.setdefault(v, []).append(j)
-        assert holders == self.holders
+            ] for j in written)),
+            ("holders", holders == self.holders),
+        ) if not same]
+        assert not drifted, f"running {', '.join(drifted)} drifted from the dual tables"
 
 
 def _store(table: Dict, key, val: Exact) -> None:
@@ -634,10 +638,8 @@ def _minimize_nu(state: IncreaseState) -> None:
             key = (e, d)
             if e in state.F or key not in state.nu:
                 continue
-            needed = state.xi.get(d, 0) - lhs + state.nu[key]
-            if needed < 0:
-                needed = 0
-            assert needed <= state.nu[key]
+            # at most nu: the last snapshot checked xi <= lhs
+            needed = max(state.xi.get(d, 0) - lhs + state.nu[key], 0)
             if needed != state.nu[key]:
                 state.set_nu(key, needed, (i,))
     state.unminimized.clear()
@@ -661,9 +663,8 @@ def _select_cover(state: IncreaseState, d: int) -> Tuple[Moves, Moves, Moves]:
         # the edge's ends sit at places i and i + 1, the upper end further
         # from s on the s side and the lower end on the t side
         far = upper if i < up else e
-        if e in state.sat_around:
+        if e in state.sat_around:  # the caller's terminal test left an end relaxable
             ends = [v for v in sorted((upper, e)) if (v, d) not in state.nonrelax]
-            assert ends, "bottleneck with no relaxable end must terminate the loop"
             R.append((ends[0], state.rows_around(d, i + (ends[0] == far))))
             chosen_nodes.add(ends[0])
         elif e not in state.sat_edge:
@@ -820,7 +821,6 @@ def increase_iteration(state: IncreaseState, i: int) -> IncreaseState:
     """Process demand i: raise its dual value as far as the capacities
     allow, then add the witness edge (and any chased additions) to F."""
     inst = state.instance
-    assert state.F.keys().isdisjoint(state.path_edges[i]), "demand already covered"
     _minimize_nu(state)
     # generous stall guard: a legitimate run saturates at least one new
     # capacity per step, and there are |E| + |V| = 2n - 1 of them per demand round

@@ -228,7 +228,7 @@ def relaxation_values(inst) -> Tuple[Rat, Rat]:
     stage = (len(inst.demands) if isinstance(inst, MulticutInstance) else edges) + 2 * edges
     res = simplex_solve(as_lexicographic(build_relaxation(inst, "strengthened"), stage))
     # feasible (x = 1, z = 0, y = 1 on one member edge per demand) and bounded (costs >= 0)
-    assert res.status == OPTIMAL
+    assert res.status == OPTIMAL, f"relaxation solve failed: {res.status}"
     return res.stage_value / inst.scale, res.value / inst.scale
 
 
@@ -339,7 +339,7 @@ def complete_eds_dual(
     res = simplex_solve(model)
     if res.status == INFEASIBLE:
         return None
-    assert res.status == OPTIMAL
+    assert res.status == OPTIMAL, f"dual completion failed: {res.status}"
     values = list(res.assignment.values())  # in variable order: nu, then mu
     nu, mu = (
         {key: val if scale == 1 else val / scale for key, val in zip(names, vals) if val}

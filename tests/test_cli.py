@@ -70,6 +70,21 @@ def test_gen_rejects_out_of_range_params(params, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("params, message", [
+    ("random-tree-eds --n 4 --inf_prob 2", "inf_prob must be in [0, 1], got 2.0"),
+    ("random-tree-eds --n 4 --inf_prob -1", "inf_prob must be in [0, 1], got -1.0"),
+    ("random-tree-eds --n 4 --inf_prob nan", "inf_prob must be in [0, 1], got nan"),
+    ("random-tree-eds --n 4 --inf_prob inf", "inf_prob must be in [0, 1], got inf"),
+    ("random-facility-location --clients 2 --facilities 2 --skip_prob 2",
+     "skip_prob must be in [0, 1], got 2.0"),
+], ids=["above", "below", "nan", "inf", "skip"])
+def test_gen_rejects_a_probability_outside_the_unit_interval(params, message, tmp_path, capsys):
+    out = tmp_path / "inst"
+    code, stdout, err = run_cli(capsys, "gen", *params.split(), "-o", str(out))
+    assert (code, stdout, err) == (2, "", f"error: {message}\n")
+    assert not out.exists()
+
+
 # -- solve -------------------------------------------------------------------
 
 

@@ -18,6 +18,7 @@ from graphcover import (
     simplex_solve,
     solve_eds_general,
 )
+from graphcover import eds_general, lp
 from graphcover.eds_general import greedy_facility_location, harmonic, heavy_facility_location
 from graphcover.instances import SetCoverInstance
 from graphcover.relaxations import extract_relaxation_point
@@ -270,3 +271,44 @@ def test_random_battery_within_factor():
         opt = brute_force_eds(inst).total
         assert lower <= opt
         assert sol.total <= factor * opt
+
+
+def _relaxation_not_solved(monkeypatch):
+    """The strengthened relaxation's solve returns without an optimum."""
+    monkeypatch.setattr(eds_general, "simplex_solve", lambda model: lp.LpResult(lp.INFEASIBLE))
+
+
+def _heavy_threshold(value):
+    """Nodes are heavy from incident fractional mass ``value`` on, not 1/4:
+    at 0 every node is a client, and at 3/4 a node with mass 1/4 is not."""
+    return lambda monkeypatch: monkeypatch.setattr(eds_general, "QUARTER", value)
+
+
+def _greedy_opens_dearer(monkeypatch):
+    """The greedy runs on the facility-location instance with each opening
+    cost o raised to 2o + 1, while the relaxation prices the real one."""
+    real = eds_general.greedy_facility_location
+
+    def greedy(fl):
+        opening = [2 * o + 1 for o in fl.opening]
+        return real(FacilityLocationInstance(fl.n_clients, fl.n_facilities, opening, fl.conn))
+
+    monkeypatch.setattr(eds_general, "greedy_facility_location", greedy)
+
+
+@pytest.mark.parametrize("fault, n, seed, message", [
+    (_relaxation_not_solved, 5, 0, "relaxation solve failed: infeasible"),
+    (_heavy_threshold(ZERO), 6, 21, "edge-cover relaxation exceeds 4x fractional mass"),
+    (_greedy_opens_dearer, 5, 0, "greedy cover exceeds harmonic times its relaxation"),
+    (_heavy_threshold(Rat(3, 4)), 5, 17, "edge 1 with violation <= 1/2 left undominated"),
+], ids=["status", "four", "harmonic", "dominated"])
+def test_rounding_checks_fire_on_the_fault_they_guard(monkeypatch, fault, n, seed, message):
+    """The relaxation's status check, and each link of the chain of
+    inequalities, fire with their message on a fault that breaks exactly
+    that check's invariant."""
+    inst = gen_instance("random-eds-general", n=n, m=6, seed=seed)
+    fault(monkeypatch)
+    with pytest.raises(AssertionError) as caught:
+        solve_eds_general(inst)
+    assert str(caught.value) == message
+    assert caught.traceback[-1].name == "solve_eds_general"

@@ -2,6 +2,7 @@
 
 import functools
 import hashlib
+import itertools
 import math
 import sys
 
@@ -573,6 +574,185 @@ def test_corrupted_write_caught_at_its_own_step(monkeypatch, setter, fault, wher
     assert calls["corrupted"] and str(caught.value).startswith(message)
     assert caught.traceback[-1].name == where and calls["started"] == 3
     assert calls["returned"] == (3 if where == "snapshot" else 2)
+
+
+def _step_writes_in_reverse(monkeypatch):
+    """Each step writes its nu and mu entries last to first, so a decrease
+    of mu at a node lands before the increase there that it pays for."""
+    real = multicut_tree._step_lp
+
+    def step(state, *args):
+        writes = []
+        state.set_nu = lambda *write: writes.append((IncreaseState.set_nu, write))
+        state.set_mu = lambda *write: writes.append((IncreaseState.set_mu, write))
+        eps = real(state, *args)
+        del state.set_nu, state.set_mu
+        for setter, write in reversed(writes):
+            setter(state, *write)
+        return eps
+
+    monkeypatch.setattr(multicut_tree, "_step_lp", step)
+
+
+def _bottleneck_left_out_of_sat_around(monkeypatch):
+    """The first classification that finds a bottleneck row of the demand
+    in hand leaves that edge out of the edges saturated with both ends."""
+    real, done = IncreaseState.snapshot, []
+
+    def snapshot(state):
+        real(state)
+        d = state.uncovered()
+        for row, e in enumerate(state.path_edges[d]):
+            if not done and state.is_bottleneck(d, row):
+                done.append(e)
+                state.sat_around.discard(e)
+        return state
+
+    monkeypatch.setattr(IncreaseState, "snapshot", snapshot)
+
+
+def _earlier_holders_read_loose(monkeypatch):
+    """Before the first chase of immovable mass, every row of each earlier
+    holder at the witness's ends reads loose."""
+    real, done = multicut_tree._fact5_additions, []
+
+    def fact5(state, wit, d):
+        ends = (state.instance.tree.parent[wit], wit)
+        held = [j for v in ends for j in state.decrease_targets(d, v)]
+        if held and not done:
+            done.append(wit)
+            for j in held:
+                state.tight_rows[j] = 0
+        real(state, wit, d)
+
+    monkeypatch.setattr(multicut_tree, "_fact5_additions", fact5)
+
+
+def _step_lp_not_solved(monkeypatch):
+    """The step LP's solve returns without an optimum."""
+    monkeypatch.setattr(multicut_tree, "simplex_solve", lambda model: lp.LpResult(lp.INFEASIBLE))
+
+
+def _steps_without_moves(eps, count):
+    """The first ``count(state)`` step sizings of the run write nothing and
+    return a step of ``eps``; the later ones run as written."""
+
+    def fault(monkeypatch):
+        real, calls = multicut_tree._step_lp, itertools.count(1)
+
+        def step(state, *args):
+            return real(state, *args) if next(calls) > count(state) else eps
+
+        monkeypatch.setattr(multicut_tree, "_step_lp", step)
+
+    return fault
+
+
+def _step_cap(state):
+    inst = state.instance
+    return (2 * inst.tree.n - 1) * (len(inst.demands) + 1)
+
+
+def _running_part_moved(part):
+    """Once every demand is covered, one running record moves: an edge's or
+    a node's capacity sum by a unit, a demand's first support sum by a
+    unit, or a node's first holder drops out."""
+
+    def fault(monkeypatch):
+        real = IncreaseState.uncovered
+
+        def uncovered(state):
+            d = real(state)
+            if d is None:
+                e, j = next(iter(state.nu))
+                v = next(iter(state.holders))
+                if part == "edge":
+                    state.nu_sum[e] += 1
+                elif part == "node":
+                    state.mu_sum[v] += 1
+                elif part == "support":
+                    state.support[j][0] += 1
+                else:
+                    del state.holders[v][0]
+            return d
+
+        monkeypatch.setattr(IncreaseState, "uncovered", uncovered)
+
+    return fault
+
+
+def _deletion_drops_a_kept_edge(monkeypatch):
+    """The deletion phase drops its least kept edge as well."""
+    real = multicut_tree.deletion_phase
+
+    def deletion(state):
+        kept = real(state)
+        return kept - {min(kept)}
+
+    monkeypatch.setattr(multicut_tree, "deletion_phase", deletion)
+
+
+def _guards_compiled_free(monkeypatch):
+    """The compile prices its guard edges at 0, not at big-M."""
+    real = multicut_tree.reduce_prize_collecting
+
+    def reduce(inst):
+        inst0, guards = real(inst)
+        units = [0 if e in guards else u for e, u in enumerate(inst0.edge_units)]
+        return MulticutInstance._from_units(
+            inst0.tree, inst0.scale, inst0.node_units, units, inst0.penalty_units,
+            demands=inst0.demands,
+        ), guards
+
+    monkeypatch.setattr(multicut_tree, "reduce_prize_collecting", reduce)
+
+
+_RUN = "test_solver_checks_fire_at_their_step"
+
+
+@pytest.mark.parametrize("fault, spec, message, frames", [
+    (_step_writes_in_reverse, (12, 6, 9), "node 0 lost its last holder", ["step", "set_mu"]),
+    (_bottleneck_left_out_of_sat_around, (9, 4, 0),
+     "saturated tight edge with saturated ends is a bottleneck",
+     ["increase_iteration", "_select_cover"]),
+    (_earlier_holders_read_loose, (9, 4, 4), "immovable mass must be pinned by a bottleneck edge",
+     ["fact5", "_fact5_additions"]),
+    (_step_lp_not_solved, (9, 4, 0), "step sizing failed: infeasible",
+     ["increase_iteration", "_step_lp"]),
+    (_steps_without_moves(0, lambda state: 1), (9, 4, 0),
+     "no progress without a terminal bottleneck", ["run_increase_phase", "increase_iteration"]),
+    (_steps_without_moves(1, lambda state: _step_cap(state) + 1), (9, 4, 0),
+     "step budget exhausted for demand 0: 166 steps", ["run_increase_phase", "increase_iteration"]),
+    *(
+        (_running_part_moved(part), (9, 4, 0),
+         f"running {name} drifted from the dual tables", ["run_increase_phase", "assert_feasible"])
+        for part, name in (
+            ("edge", "edge sums"), ("node", "node sums"), ("support", "support sums"),
+            ("holders", "holders"),
+        )
+    ),
+    (_deletion_drops_a_kept_edge, (9, 4, 0), "output certificate failed: demands-separated",
+     [_RUN, "run_multicut_pipeline"]),
+    (_guards_compiled_free, (9, 4, 0), "a never-cut pendant edge was selected",
+     [_RUN, "run_multicut_pipeline"]),
+], ids=[
+    "holder", "sat-around", "pinned", "step-status", "progress", "step-cap", "edge-sums",
+    "node-sums", "support-sums", "holders", "certificate", "guard",
+])
+def test_solver_checks_fire_at_their_step(monkeypatch, fault, spec, message, frames):
+    """Each of these checks fires, with its message, in the step that a
+    fault breaking exactly its invariant reaches first: the write order at
+    a node, the saturation classification, the pins of earlier holders,
+    the step LP's status and its progress, the step budget, each running
+    record checked against the dual tables at the end of the increase
+    phase, and the pipeline's own certificate check and guard-edge check."""
+    n, k, seed = spec
+    inst = gen_instance("random-tree-multicut", n=n, k=k, seed=seed)
+    fault(monkeypatch)
+    with pytest.raises(AssertionError) as caught:
+        run_multicut_pipeline(inst)
+    assert str(caught.value) == message
+    assert [entry.name for entry in caught.traceback[-2:]] == frames
 
 
 def _two_solve_step(model):

@@ -31,7 +31,7 @@ from graphcover import (
 from graphcover import relaxations
 from graphcover.eds_general import heavy_facility_location
 from graphcover.instances import edge_neighborhoods
-from graphcover.lp import OPTIMAL, LpModel, dual_model
+from graphcover.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LpModel, LpResult, dual_model
 from graphcover.rationals import ZERO, is_inf
 from graphcover.relaxations import extract_relaxation_point
 
@@ -398,6 +398,22 @@ def test_completion_refuses_a_malformed_xi(xi, message):
     with pytest.raises(ValueError) as err:
         complete_eds_dual(two_leaf_star(Rat(2), Rat(2)), xi)
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("call, status, message, frame", [
+    (lambda: relaxation_values(gen_instance("random-eds-general", n=5, m=6)),
+     INFEASIBLE, "relaxation solve failed: infeasible", "relaxation_values"),
+    (lambda: complete_eds_dual(two_leaf_star(Rat(2), Rat(2)), {1: Rat(2), 2: Rat(2)}),
+     UNBOUNDED, "dual completion failed: unbounded", "complete_eds_dual"),
+], ids=["values", "completion"])
+def test_solve_status_checked_where_the_solve_returns(monkeypatch, call, status, message, frame):
+    """A solve that returns without an optimum, where its caller needs
+    one, fails the caller's status check, whose message names the status."""
+    monkeypatch.setattr(relaxations, "simplex_solve", lambda model: LpResult(status))
+    with pytest.raises(AssertionError) as caught:
+        call()
+    assert str(caught.value) == message
+    assert caught.traceback[-1].name == frame
 
 
 def test_completion_supports_infinite_penalties():

@@ -94,3 +94,29 @@ def test_sweep_runs_its_own_sevenths_command():
     rows = {name: lines for name, lines, _, _ in sweep.CORPUS}
     for name in ("eds250", "eds250-inf1", "eds1000", "eds1000-inf1"):
         assert f"{sweep.SEVENTHS} inst inst7" in rows[name]
+
+
+def test_corpus_runs_every_subcommand_on_every_generator_kind():
+    from graphcover.instances import GEN_KINDS
+
+    rows = {name: lines for name, lines, _, _ in sweep.CORPUS}
+    for name, kind in (
+        ("eds", "random-tree-eds"), ("cut", "random-tree-multicut"), ("general", "random-eds-general"),
+    ):
+        gen, *bounds = rows[f"bounds-{name}"]
+        assert gen.startswith(f"gen {kind} ") and bounds == [
+            "oracle inst", "gap inst --relaxation natural", "gap inst --relaxation strengthened",
+        ]
+    gen, *solve = rows["general10"]
+    assert gen.startswith("gen random-eds-general --n 10 --m 20 ")
+    assert solve == ["solve inst --certificate cert", "verify inst cert"]
+    for name in (
+        "star-gap2", "star-gap7", "subdivided-star2", "subdivided-star5", "set-cover",
+        "facility-location",
+    ):
+        assert rows[f"kinds-{name}"][1:] == ("oracle in/inst", "batch in")
+    lines = [line.split() for commands in rows.values() for line in commands]
+    assert {argv[1] for argv in lines if argv[0] == "gen"} == set(GEN_KINDS)
+    assert {argv[0] for argv in lines} == {
+        "gen", "solve", "verify", "oracle", "gap", "batch", sweep.GUARD, sweep.SEVENTHS,
+    }

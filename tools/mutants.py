@@ -3,21 +3,25 @@
 Run from the repository root; it needs only the standard library and
 pytest:
 
-    python tools/mutants.py MODULE [PYTEST ARGS] [--out RESULTS.json]
+    python tools/mutants.py MODULE [MODULE ...] [PYTEST ARGS] [--out RESULTS.json]
 
-``MODULE`` is a Python file under the root, such as
-``src/graphcover/eds_tree.py``.  For each ``assert`` statement in it,
-found by its syntax tree, the screen copies the root to a scratch
-directory, replaces that one statement with ``pass`` (keeping every other
-line where it was), and runs ``python -m pytest -x -q PYTEST ARGS`` there
-with ``src`` on ``PYTHONPATH``.  An assert is *killed* when the run fails,
-naming the first failing test, and *survives* when it passes.  A mutant
-can loop or grow without end where its check stood, so each run is held
-to an address space of 2 GiB and a wall time of 15 minutes (the whole
-tier-1 suite needs under a tenth of either); a run stopped by either
-counts as killed.  The JSON
-lists each assert with its line, source, result and first failing test,
-in source order; the screen exits 1 when one survives.
+Each ``MODULE`` is a Python file under the root, such as
+``src/graphcover/eds_tree.py``; the leading arguments ending in ``.py``
+are the modules, and the rest go to pytest.  The screen copies the root
+to a scratch directory once.  For each ``assert`` statement of each
+module, found by its syntax tree, it replaces that one statement with
+``pass`` (keeping every other line where it was), and runs ``python -m
+pytest -x -q PYTEST ARGS`` there with ``src`` on ``PYTHONPATH``.  An
+assert is *killed* when the run fails, naming the first failing test,
+and *survives* when it passes.  A run whose first failure is the import
+lint, :data:`LINT`, runs again without it: an assert whose deletion fails
+only the lint, by leaving an import unused, survives with the lint named
+as its first failure.  A mutant can loop or grow without end where its
+check stood, so each run is held to an address space of 2 GiB and a wall
+time of 15 minutes (the whole tier-1 suite needs under a tenth of
+either); a run stopped by either counts as killed.  The JSON lists, keyed
+by module, each assert with its line, source, result and first failing
+test, in source order; the screen exits 1 when one survives.
 """
 
 from __future__ import annotations
@@ -33,11 +37,14 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 _SKIP = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis", ".perfbench")
 _MEMORY = 2 * 2**30  # bytes of address space a run may hold
 _TIMEOUT = 900  # seconds a run may take
+#: The import lint.  It fails when a deleted assert leaves a name imported
+#: for it unused, which tests no invariant of the assert.
+LINT = "tests/test_public_api.py::test_no_unused_imports_in_the_package"
 
 
 def asserts(source: str) -> List[ast.Assert]:
@@ -67,47 +74,66 @@ def _held() -> None:
     resource.setrlimit(resource.RLIMIT_AS, (_MEMORY, _MEMORY))
 
 
-def screen(root: Path, module: str, pytest_args: List[str]) -> List[dict]:
-    """One record per assert of ``root / module``."""
-    source = (root / module).read_text()
-    records = []
+def _pytest(copy: Path, env: dict, args: List[str]):
+    """The exit code and output of one held pytest run in ``copy``."""
+    argv = [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider", *args]
+    try:
+        run = subprocess.run(argv, cwd=copy, env=env, capture_output=True, text=True,
+                             timeout=_TIMEOUT, preexec_fn=_held)
+    except subprocess.TimeoutExpired:
+        return "timeout", ""
+    return run.returncode, run.stdout
+
+
+def screen(root: Path, modules: List[str], pytest_args: List[str]) -> Dict[str, List[dict]]:
+    """Per module of ``root``, one record per assert."""
+    results = {}
     with tempfile.TemporaryDirectory() as tmp:
         copy = Path(tmp, "root")
         shutil.copytree(root, copy, ignore=_SKIP)
         env = {**os.environ, "PYTHONPATH": str(copy / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
-        for node in asserts(source):
-            (copy / module).write_text(without(source, node))
-            argv = [sys.executable, "-m", "pytest", "-x", "-q", "-rfE", "-p", "no:cacheprovider",
-                    *pytest_args]
-            try:
-                run = subprocess.run(argv, cwd=copy, env=env, capture_output=True, text=True,
-                                     timeout=_TIMEOUT, preexec_fn=_held)
-                code, output = run.returncode, run.stdout
-            except subprocess.TimeoutExpired:
-                code, output = "timeout", ""
-            records.append({
-                "line": node.lineno,
-                "assert": ast.get_source_segment(source, node),
-                "result": "survived" if code == 0 else "killed",
-                "first_failure": None if code == 0 else _first_failure(output) or f"exit {code}",
-            })
-    return records
+        for module in modules:
+            source = (root / module).read_text()
+            records = results[module] = []
+            for node in asserts(source):
+                (copy / module).write_text(without(source, node))
+                code, output = _pytest(copy, env, ["-x", *pytest_args])
+                failure = None if code == 0 else _first_failure(output) or f"exit {code}"
+                if failure == LINT:  # the lint kills nothing: look past it
+                    code, output = _pytest(copy, env, ["-x", "--deselect", LINT, *pytest_args])
+                    if code != 0:
+                        failure = _first_failure(output) or f"exit {code}"
+                records.append({
+                    "line": node.lineno,
+                    "assert": ast.get_source_segment(source, node),
+                    "result": "survived" if code == 0 else "killed",
+                    "first_failure": failure,
+                })
+            (copy / module).write_text(source)
+    return results
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("module", help="the Python file whose asserts are screened")
     parser.add_argument("--out", default="mutants.json", help="write the results here")
     parser.add_argument("--root", default=".", help="the tree to copy (default: here)")
-    args, pytest_args = parser.parse_known_args(argv)
-    records = screen(Path(args.root).resolve(), args.module, pytest_args)
-    doc = {"module": args.module, "pytest_args": pytest_args, "asserts": records}
+    args, rest = parser.parse_known_args(argv)
+    count = next((i for i, arg in enumerate(rest) if not arg.endswith(".py")), len(rest))
+    modules, pytest_args = rest[:count], rest[count:]
+    if not modules:
+        parser.error("name at least one MODULE, a .py file")
+    results = screen(Path(args.root).resolve(), modules, pytest_args)
+    doc = {"pytest_args": pytest_args, "modules": results}
     Path(args.out).write_text(json.dumps(doc, indent=1) + "\n")
-    survived = [r for r in records if r["result"] == "survived"]
-    print(f"{len(records) - len(survived)} of {len(records)} asserts killed")
-    for r in survived:
-        print(f"survived: line {r['line']}: {r['assert']}")
-    return 1 if survived else 0
+    survivors = 0
+    for module, records in results.items():
+        survived = [r for r in records if r["result"] == "survived"]
+        survivors += len(survived)
+        print(f"{module}: {len(records) - len(survived)} of {len(records)} asserts killed")
+        for r in survived:
+            lint = f" (fails only {LINT})" if r["first_failure"] else ""
+            print(f"survived: line {r['line']}: {r['assert']}{lint}")
+    return 1 if survivors else 0
 
 
 if __name__ == "__main__":

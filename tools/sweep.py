@@ -53,6 +53,7 @@ _CUT = (
 )
 _SOLVE = ("solve inst --certificate cert", "verify inst cert")
 _SEVENTHS = (f"{SEVENTHS} inst inst7", "solve inst7 --certificate cert7", "verify inst7 cert7")
+_BOUNDS = ("oracle inst", "gap inst --relaxation natural", "gap inst --relaxation strengthened")
 
 #: The corpus: per row, a case name, the commands of one case, with
 #: ``{seed}`` standing for the case's seed, and the number of seeds of the
@@ -60,7 +61,9 @@ _SEVENTHS = (f"{SEVENTHS} inst inst7", "solve inst7 --certificate cert7", "verif
 #: ``--inf_prob`` and with 0 and 1; the eds kinds are spot checks, and each
 #: batch directory holds multicut files.  The eds trees of 250 and 1,000
 #: nodes, the sizes of the ``tree-solve`` benchmark, are also solved in
-#: sevenths.
+#: sevenths.  The ``bounds`` rows run ``oracle`` and both ``gap``
+#: relaxations on each kind with a solver, and the ``kinds`` rows run
+#: ``oracle`` and ``batch`` on each generator kind the rows above lack.
 CORPUS: List[Tuple[str, Sequence[str], int, int]] = [
     (
         f"cut{n}{tag}",
@@ -96,6 +99,25 @@ CORPUS: List[Tuple[str, Sequence[str], int, int]] = [
         2,
         10,
     ),
+] + [
+    (f"bounds-{name}", (f"gen {gen} --seed {{seed}} -o inst", *_BOUNDS), 2, 20)
+    for name, gen in (
+        ("eds", "random-tree-eds --n 8"),
+        ("cut", "random-tree-multicut --n 8 --k 4"),
+        ("general", "random-eds-general --n 6 --m 8"),
+    )
+] + [
+    ("general10", ("gen random-eds-general --n 10 --m 20 --seed {seed} -o inst", *_SOLVE), 1, 10),
+] + [
+    (f"kinds-{name}", (f"gen {gen} -o in/inst", "oracle in/inst", "batch in"), quick, full)
+    for name, gen, quick, full in (
+        ("star-gap2", "star-gap-eds --n 2", 1, 1),
+        ("star-gap7", "star-gap-eds --n 7", 1, 1),
+        ("subdivided-star2", "subdivided-star-multicut --n 2", 1, 1),
+        ("subdivided-star5", "subdivided-star-multicut --n 5", 1, 1),
+        ("set-cover", "random-set-cover --seed {seed}", 2, 10),
+        ("facility-location", "random-facility-location --seed {seed}", 2, 10),
+    )
 ]
 
 
