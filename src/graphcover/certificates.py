@@ -51,10 +51,11 @@ from .lp import LpModel, LpResult, dual_model, simplex_solve
 from .multicut_tree import (
     MulticutDual,
     kept_solution,
+    multicut_ratio,
     reduce_prize_collecting,
     verify_multicut,
 )
-from .rationals import ExtRat, ONE, Rat, ZERO, fmt_rat, is_inf, parse_rat
+from .rationals import ExtRat, Rat, ZERO, fmt_rat, is_inf, parse_rat
 from .relaxations import as_lexicographic, build_relaxation
 from .reporting import CheckReport
 
@@ -258,12 +259,11 @@ def _verify_multicut_tree(inst: MulticutInstance, cert: Certificate, report: Che
     sol = kept_solution(inst, inst0, kept)
     _objective_recomputed(report, sol, cert)
     total = dual.total
-    stated = cert.ratio
-    if total > 0:
-        ratio_ok = stated is not None and not is_inf(sol.total) and stated == sol.total / total
-    else:
-        ratio_ok = stated == ONE and sol.total == ZERO
-    report.add("ratio-recomputed", ratio_ok, f"stated {stated}, dual total {total}")
+    report.add(
+        "ratio-recomputed",
+        cert.ratio == multicut_ratio(sol.total, total),
+        f"stated {cert.ratio}, dual total {total}",
+    )
     return report
 
 

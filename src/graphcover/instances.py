@@ -184,16 +184,6 @@ class RootedTree:
         own = () if v == self.root else (v,)
         return tuple(sorted(own + self.children[v]))
 
-    def lca(self, a: int, b: int) -> int:
-        while self.depth[a] > self.depth[b]:
-            a = self.parent[a]
-        while self.depth[b] > self.depth[a]:
-            b = self.parent[b]
-        while a != b:
-            a = self.parent[a]
-            b = self.parent[b]
-        return a
-
     def __eq__(self, other):
         return (
             isinstance(other, RootedTree)
@@ -847,6 +837,12 @@ def gen_instance(kind: str, seed: int = 0, **params) -> AnyInstance:
     for name in GEN_FLOAT_PARAMS:
         if not 0 <= param(name, 0.0) <= 1:  # NaN included
             raise InstanceError(f"{name} must be in [0, 1], got {params[name]}")
+    # the node count (set cover's element count) the parser will read back,
+    # refused over its limit before anything is built; each default is small
+    n = param("n", 0)
+    nodes = {"star-gap-eds": n + 1, "subdivided-star-multicut": 2 * n + 1}.get(kind, n)
+    if nodes > MAX_NODES and kind != "random-facility-location":
+        raise InstanceError(f"node count {nodes} exceeds the limit of {MAX_NODES}")
     rng = Random(seed)
     if kind == "star-gap-eds":
         n = param("n", 4)
@@ -924,9 +920,15 @@ def gen_instance(kind: str, seed: int = 0, **params) -> AnyInstance:
     if kind == "random-facility-location":
         nc, nf = param("clients", 3), param("facilities", 3)
         omax, dmax, skip_prob = param("omax", 10), param("dmax", 10), param("skip_prob", 0.0)
+        if nc and not nf:
+            raise InstanceError("random-facility-location needs a facility for its clients")
         opening = [Rat(rng.randint(0, omax)) for _ in range(nf)]
         conn = {(v, f): Rat(rng.randint(0, dmax))  # drawn after the skip test
                 for v in range(nc) for f in range(nf) if rng.random() >= skip_prob}
+        reached = {v for v, _ in conn}
+        for v in [v for v in range(nc) if v not in reached]:  # keep every client connectable
+            f = rng.randrange(nf)
+            conn[v, f] = Rat(rng.randint(0, dmax))
         return FacilityLocationInstance(nc, nf, opening, conn)
     raise InstanceError(f"unknown generator kind {kind!r}")
 

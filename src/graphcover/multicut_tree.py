@@ -52,11 +52,10 @@ make a written value an ``int`` when it is integral, and no value of the
 phase is ever divided but a capacity's units, whose ``int`` division is
 exact, so none can yield a float.  :attr:`IncreaseState.dual` turns every
 value back into a ``Rat`` for the ratio, certificates and reports.
-:func:`verify_multicut`, the one check of the whole dual, brings those
-values to their least common denominator once and then checks every
-nonnegativity, capacity, support and saturation row in ints: a load l
-over that denominator is compared with a capacity's units u over the
-scale as l * scale against u * denominator.
+:func:`verify_multicut`, the one check of the whole dual, checks each
+fact once, in ints over the values' least common denominator, and names
+the first that fails: a load l over it meets a capacity's units u over
+the scale as l * scale against u * denominator.
 
 The increase phase keeps its state incrementally, so a step costs the
 dual entries it writes and the nodes whose classification can move.
@@ -95,7 +94,8 @@ budget; the cover finds a free end and the chase a pin where the
 classification says; the phase's end checks the running sums and
 holders against the dual tables; the deletion phase checks the legs of
 the output; and :func:`run_multicut_pipeline` checks the whole output by
-:func:`verify_multicut`, and that it keeps no guard edge.
+:func:`verify_multicut`, and that it keeps no guard edge: so every unpaid
+demand's pay edge is kept, and :func:`multicut_ratio` reads at most 2.
 """
 
 from __future__ import annotations
@@ -144,62 +144,6 @@ class MulticutDual:
     @property
     def total(self) -> Rat:
         return sum(self.xi.values(), ZERO)
-
-
-def dual_violation(
-    inst: MulticutInstance,
-    den: int,
-    xi: Dict[int, int],
-    nu: Dict[Tuple[int, int], int],
-    mu: Dict[Tuple[int, int], int],
-    nu_load: Dict[int, int],
-    mu_load: Dict[int, int],
-) -> Optional[str]:
-    """The first violated row of the dual system, or None; absent entries
-    are zero.  Every value is an int over the common denominator ``den``
-    (see `_over_common_denominator`), and the loads are the per edge sums
-    of nu and the per node sums of mu (see `_load`).  Rows in order:
-    nonnegativity, the edge capacities (sum of nu at e <= w(e)), the node
-    capacities (likewise for mu), each failed by a key that names no edge
-    or node whatever its value, and the support rows
-    xi(d) <= nu(e, d) + mu(upper, d) + mu(lower, d) on d's path.  A demand
-    with xi(d) zero or absent has only rows 0 <= a sum of values already
-    checked nonnegative, so its rows are skipped."""
-    for name, table in (("xi", xi), ("nu", nu), ("mu", mu)):
-        for key, val in table.items():
-            if val < 0:
-                return f"negative dual value {name}[{key}]"
-    # a load l/den exceeds units/scale when l * scale > units * den
-    scale, tree = inst.scale, inst.tree
-    for what, load, units in (
-        ("edge", nu_load, inst.edge_units),
-        ("node", mu_load, inst.node_units),
-    ):
-        for x, tot in load.items():
-            if not 0 <= x < tree.n or what == "edge" and x == tree.root:
-                return f"dual value at {x}, which is no {what}"
-            if tot * scale > units[x] * den:
-                return f"{what} capacity violated at {x}"
-    parent = tree.parent
-    for d in range(len(inst.demands)):
-        x = xi.get(d)
-        if not x:
-            continue
-        for e in inst.path_edges(d):
-            if x > nu.get((e, d), 0) + mu.get((parent[e], d), 0) + mu.get((e, d), 0):
-                return f"support row violated ({e},{d})"
-    return None
-
-
-def _over_common_denominator(dual: MulticutDual) -> Tuple[int, Dict, Dict, Dict]:
-    """The least common denominator of the dual's values, and its xi, nu
-    and mu tables with each value as the int numerator over it."""
-    tables = (dual.xi, dual.nu, dual.mu)
-    den = math.lcm(*{val.denominator for table in tables for val in table.values()})
-    return den, *(
-        {key: val.numerator * (den // val.denominator) for key, val in table.items()}
-        for table in tables
-    )
 
 
 def _load(table: Dict[Tuple[int, int], int]) -> Dict[int, int]:
@@ -908,11 +852,18 @@ def deletion_phase(state: IncreaseState) -> FrozenSet[int]:
 # verification and the public solver
 
 
-def verify_multicut(
-    inst: MulticutInstance, edges, dual: MulticutDual
-) -> CheckReport:
+def verify_multicut(inst: MulticutInstance, edges, dual: MulticutDual) -> CheckReport:
     """Certificate check: coverage, exact dual feasibility, the factor-2
-    bound, and full saturation of every kept edge and touched node."""
+    bound, and full saturation of every kept edge and touched node.
+
+    The dual, an absent entry zero, is checked in one pass, and
+    ``dual-feasible`` names the first fact that fails, in this order: per
+    entry, that its key lies on its demand's path and that its value is
+    nonnegative; per edge and node, its capacity row (the sum of nu, or
+    of mu, there is at most its weight); and per demand d with xi(d) > 0,
+    its support rows xi(d) <= nu(e, d) + mu(upper, d) + mu(lower, d) on
+    d's path.  A demand with xi(d) = 0 has only rows 0 <= a sum of values
+    already checked nonnegative, so its rows are skipped."""
     report = CheckReport()
     k = len(inst.demands)
     chosen = set(edges)
@@ -920,36 +871,54 @@ def verify_multicut(
     uncovered = [i for i in range(k) if chosen.isdisjoint(inst.path_edges(i))]
     report.add("demands-separated", not uncovered, f"uncovered: {uncovered}")
 
-    # the path's nodes are those it places, and its edges, each named by
-    # its lower node, those nodes but the lca, whose parent edge is off it
-    def on_path(x: int, i: int, node: bool) -> bool:
-        return 0 <= i < k and inst.place(i, x) >= 0 and (node or x != inst.lca(i))
+    # every value as its int numerator over the values' least common
+    # denominator, so each row is checked in ints: a load l over den
+    # exceeds a capacity's units u over the scale when l * scale > u * den
+    den = math.lcm(*{v.denominator for t in (dual.xi, dual.nu, dual.mu) for v in t.values()})
+    xi, nu, mu, nu_load, mu_load = {}, {}, {}, {}, {}  # loads by edge and by node
+    fault: Optional[str] = None
+    for name, table, ints, load in (
+        ("xi", dual.xi, xi, None), ("nu", dual.nu, nu, nu_load), ("mu", dual.mu, mu, mu_load)
+    ):
+        for key, val in table.items():
+            x, i = (None, key) if load is None else key
+            # a path's nodes are those it places, and its edges, each named
+            # by its lower node, those nodes but the lca
+            if not 0 <= i < k or load is not None and (
+                inst.place(i, x) < 0 or load is nu_load and x == inst.lca(i)
+            ):
+                fault = fault or f"dual value {name}[{key}] lies off its demand's path"
+            elif val < 0:
+                fault = fault or f"negative dual value {name}[{key}]"
+            ints[key] = num = val.numerator * (den // val.denominator)
+            if load is not None:
+                load[x] = load.get(x, 0) + num
+    # with every key on its path, every id below is an edge or node
+    in_domain = fault is None
+    scale, parent = inst.scale, inst.tree.parent
+    fault = fault or next((
+        f"{what} capacity violated at {x}"
+        for what, load, units in (
+            ("edge", nu_load, inst.edge_units), ("node", mu_load, inst.node_units)
+        )
+        for x, tot in load.items()
+        if tot * scale > units[x] * den
+    ), None)
+    fault = fault or next((
+        f"support row violated ({e},{d})"
+        for d in sorted(xi) if xi[d]
+        for e in inst.path_edges(d)
+        if xi[d] > nu.get((e, d), 0) + mu.get((parent[e], d), 0) + mu.get((e, d), 0)
+    ), None)
+    report.add("dual-feasible", not fault, fault or "")
 
-    # the values over one common denominator, so every row below is
-    # checked in ints
-    den, xi, nu, mu = _over_common_denominator(dual)
-    ok_domain = (
-        all(0 <= i < k and val >= 0 for i, val in xi.items())
-        and all(on_path(e, i, False) and val >= 0 for (e, i), val in nu.items())
-        and all(on_path(v, i, True) and val >= 0 for (v, i), val in mu.items())
-    )
-    # with the domain checked, every dual key names a demand in range(k),
-    # so the loads are the totals over all demands
-    nu_load, mu_load = _load(nu), _load(mu)
-    report.add(
-        "dual-feasible",
-        ok_domain and dual_violation(inst, den, xi, nu, mu, nu_load, mu_load) is None,
-    )
-
-    scale, nodes = inst.scale, selected_nodes(inst.tree, chosen)
+    nodes = selected_nodes(inst.tree, chosen)
     units = sum(inst.edge_units[e] for e in chosen) + sum(inst.node_units[v] for v in nodes)
     cost, total = Rat(units, scale), Rat(sum(xi.values()), den)
-    report.add(
-        "within-twice-dual", cost <= 2 * total, f"cost {cost}, dual total {total}"
-    )
+    report.add("within-twice-dual", cost <= 2 * total, f"cost {cost}, dual total {total}")
 
     saturated = (
-        ok_domain
+        in_domain
         and all(nu_load.get(e, 0) * scale == inst.edge_units[e] * den for e in chosen)
         and all(mu_load.get(v, 0) * scale == inst.node_units[v] * den for v in nodes)
     )
@@ -1006,10 +975,11 @@ def kept_solution(inst: MulticutInstance, inst0: MulticutInstance, kept) -> Solu
     return _priced(inst, edges, selected_nodes(inst.tree, edges), unpaid)
 
 
-def multicut_ratio(objective: ExtRat, dual_total: Rat) -> Rat:
-    """The stated ratio objective / dual total, asserted to be at most 2.
-    A zero dual total bounds the objective to zero, and the ratio is 1."""
-    assert not is_inf(objective) and objective <= 2 * dual_total, (
-        f"objective {objective} exceeds twice the dual total {dual_total}"
-    )
-    return objective / dual_total if dual_total > 0 else ONE
+def multicut_ratio(objective: ExtRat, dual_total: Rat) -> ExtRat:
+    """The ratio objective / dual total, the one rule by which a certificate
+    states it and ``verify`` recomputes it.  Unless the dual total is
+    positive and the objective finite, it is 1 for a zero objective and
+    INF for any other."""
+    if dual_total > 0 and not is_inf(objective):
+        return objective / dual_total
+    return ONE if objective == 0 else INF

@@ -159,8 +159,7 @@ def test_02_duals_complete_and_tampering_fails(tree_battery):
 
 def _leg_edges(inst0, i, endpoint):
     tree = inst0.tree
-    d = inst0.demands[i]
-    a = tree.lca(d.s, d.t)
+    a = inst0.lca(i)
     out = []
     x = endpoint
     while x != a:

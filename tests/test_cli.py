@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from graphcover import LpModel, cli, eds_tree, multicut_tree, parse_instance
+from graphcover import LpModel, cli, eds_tree, instances, multicut_tree, parse_instance
 from graphcover.reporting import CheckReport
 
 
@@ -83,6 +83,68 @@ def test_gen_rejects_a_probability_outside_the_unit_interval(params, message, tm
     code, stdout, err = run_cli(capsys, "gen", *params.split(), "-o", str(out))
     assert (code, stdout, err) == (2, "", f"error: {message}\n")
     assert not out.exists()
+
+
+#: Per ``gen`` kind that takes ``--n``, the node count (set cover's
+#: element count) of ``--n n``.
+_SIZED = [
+    ("star-gap-eds", lambda n: n + 1),
+    ("subdivided-star-multicut", lambda n: 2 * n + 1),
+    ("random-tree-eds", lambda n: n),
+    ("random-tree-multicut", lambda n: n),
+    ("random-eds-general", lambda n: n),
+    ("random-set-cover", lambda n: n),
+]
+
+
+@pytest.mark.parametrize("kind, nodes", _SIZED, ids=[kind for kind, _ in _SIZED])
+def test_gen_refuses_a_node_count_its_parser_refuses(kind, nodes, tmp_path, capsys):
+    """Just over the parser's limit, ``gen`` stops before it builds anything."""
+    limit = instances.MAX_NODES
+    n = next(n for n in (limit // 2, limit, limit + 1) if nodes(n) > limit)
+    out = tmp_path / "inst"
+    code, stdout, err = run_cli(capsys, "gen", kind, "--n", str(n), "-o", str(out))
+    message = f"error: node count {nodes(n)} exceeds the limit of {limit}\n"
+    assert (code, stdout, err) == (2, "", message)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind, nodes", _SIZED, ids=[kind for kind, _ in _SIZED])
+def test_gen_writes_up_to_the_node_limit(kind, nodes, tmp_path, capsys, monkeypatch):
+    """With the limit lowered to 11, ``gen`` writes a file of 11 nodes or
+    fewer, which parses back, and refuses the next n."""
+    monkeypatch.setattr(instances, "MAX_NODES", 11)
+    n = max(n for n in range(12) if nodes(n) <= 11)
+    out = tmp_path / "inst"
+    assert run_cli(capsys, "gen", kind, "--n", str(n), "-o", str(out))[0] == 0
+    assert f"\nnodes {nodes(n)}\n" in out.read_text()
+    parse_instance(out.read_text())
+    code, _, err = run_cli(capsys, "gen", kind, "--n", str(n + 1), "-o", str(out))
+    assert (code, err) == (2, f"error: node count {nodes(n + 1)} exceeds the limit of 11\n")
+
+
+@pytest.mark.parametrize("params", [
+    "--clients 3 --facilities 2 --skip_prob 0.7 --seed 1",
+    "--clients 2 --facilities 2 --skip_prob 1",
+])
+def test_gen_connects_every_facility_location_client(params, tmp_path, capsys):
+    """A client the skip test leaves with no facility gets one drawn last."""
+    out = tmp_path / "inst"
+    assert cli.run(["gen", "random-facility-location", *params.split(), "-o", str(out)]) == 0
+    inst = parse_instance(out.read_text())
+    assert {v for v, _ in inst.conn} == set(range(inst.n_clients)) != set()
+    code, stdout, _ = run_cli(capsys, "oracle", str(out))
+    assert code == 0 and "optimum inf" not in stdout
+
+
+def test_gen_refuses_clients_without_a_facility(tmp_path, capsys):
+    out = tmp_path / "inst"
+    argv = ["gen", "random-facility-location", "--clients", "2", "--facilities", "0"]
+    code, stdout, err = run_cli(capsys, *argv, "-o", str(out))
+    assert (code, stdout) == (2, "")
+    assert err == "error: random-facility-location needs a facility for its clients\n"
+    assert not out.exists()
+    assert run_cli(capsys, *argv[:3], "0", *argv[4:], "-o", str(out))[0] == 0
 
 
 # -- solve -------------------------------------------------------------------

@@ -71,8 +71,12 @@ def test_rooted_tree_ancestry_and_lca():
     #    / \
     #   3   4
     tree = RootedTree([0, 0, 0, 1, 1], 0)
-    assert tree.lca(3, 4) == 1
-    assert tree.lca(3, 2) == 0
+    assert tree.depth == (0, 1, 1, 2, 2)
+    # a demand's lca is read from its path's record
+    demands = [Demand(3, 4, INF), Demand(3, 2, INF), Demand(2, 0, INF)]
+    weights = dict.fromkeys(range(5), ONE)
+    inst = MulticutInstance(tree, weights, {e: ONE for e in range(1, 5)}, demands)
+    assert [inst.lca(i) for i in range(3)] == [1, 0, 0]
 
 
 def test_rooted_tree_rejects_cycles_and_disconnection():

@@ -30,10 +30,7 @@ from graphcover import lp, multicut_tree
 from graphcover.lp import LpModel
 from graphcover.multicut_tree import (
     IncreaseState,
-    _load,
-    _over_common_denominator,
     deletion_phase,
-    dual_violation,
     increase_iteration,
     kept_solution,
     multicut_ratio,
@@ -212,11 +209,14 @@ def test_deletion_refuses_two_kept_edges_on_one_leg():
     assert caught.traceback[-1].name == "deletion_phase"
 
 
-def test_ratio_above_two_is_refused():
-    with pytest.raises(AssertionError) as caught:
-        multicut_ratio(Rat(5), Rat(2))
-    assert str(caught.value) == "objective 5 exceeds twice the dual total 2"
-    assert caught.traceback[-1].name == "multicut_ratio"
+def test_the_ratio_has_one_rule():
+    """A finite objective over a positive dual total; else 1 for a zero
+    objective and INF for any other, which no stated ratio equals."""
+    assert multicut_ratio(Rat(3), Rat(2)) == Rat(3, 2)
+    assert multicut_ratio(ZERO, Rat(2)) == ZERO
+    assert multicut_ratio(ZERO, ZERO) == multicut_ratio(ZERO, -ONE) == ONE
+    for objective, total in ((ONE, ZERO), (ONE, -ONE), (INF, Rat(2)), (INF, ZERO)):
+        assert multicut_ratio(objective, total) is INF
 
 
 # -- incremental increase-phase state ----------------------------------------
@@ -525,17 +525,17 @@ def test_dense_run_with_revisited_sanction_walk_verifies():
 def test_pipeline_checks_the_dual_from_scratch_once(monkeypatch):
     """Each solve checks the whole dual once, in ``verify_multicut``."""
     callers = []
-    real = multicut_tree.dual_violation
+    real = multicut_tree.verify_multicut
 
     def counted(*args):
         callers.append(sys._getframe(1).f_code.co_name)
         return real(*args)
 
-    monkeypatch.setattr(multicut_tree, "dual_violation", counted)
+    monkeypatch.setattr(multicut_tree, "verify_multicut", counted)
     for n, k, seed in [(9, 4, 0), (20, 8, 1), (40, 10, 2)]:
         callers.clear()
         run_multicut_pipeline(gen_instance("random-tree-multicut", n=n, k=k, seed=seed))
-        assert callers == ["verify_multicut"]
+        assert callers == ["run_multicut_pipeline"]
 
 
 @pytest.mark.parametrize("setter,fault,where,message", [
@@ -1142,17 +1142,17 @@ def test_verifier_rejects_capacity_violation(make, changes, den, message):
     for table, key, change in changes:
         values = getattr(dual, table)
         values[key] = values.get(key, ZERO) + change
-    assert _violation(inst0, dual, den) == message
-    report = verify_multicut(inst0, kept, dual)
-    assert ("dual-feasible" in report.failures()) == (message is not None)
+    tables = (dual.xi, dual.nu, dual.mu)
+    assert math.lcm(*(val.denominator for table in tables for val in table.values())) == den
+    assert _violation(verify_multicut(inst0, kept, dual)) == message
 
 
-def _violation(inst, dual, den):
-    """``dual_violation`` on the dual over its common denominator, which
-    must be ``den``."""
-    common, xi, nu, mu = _over_common_denominator(dual)
-    assert common == den
-    return dual_violation(inst, den, xi, nu, mu, _load(nu), _load(mu))
+def _violation(report):
+    """The detail of the report's ``dual-feasible`` line, the first fact of
+    the dual system that fails, or None when it passes."""
+    (ok, detail), = [(ok, detail) for name, ok, detail in report.checks if name == "dual-feasible"]
+    assert ok == (not detail)
+    return None if ok else detail
 
 
 @pytest.mark.parametrize("value", [ZERO, ONE])
@@ -1165,6 +1165,8 @@ def _violation(inst, dual, den):
         pytest.param("nu", (-1, 0), id="nu-at-minus-one"),
         pytest.param("mu", (5, 0), id="mu-at-n"),
         pytest.param("nu", (10**9, 0), id="nu-at-a-large-int"),
+        pytest.param("mu", (2, 1), id="mu-of-no-demand"),
+        pytest.param("xi", 1, id="xi-of-no-demand"),
     ],
 )
 def test_verifier_rejects_dual_entries_off_the_path(table, key, value):
@@ -1175,14 +1177,11 @@ def test_verifier_rejects_dual_entries_off_the_path(table, key, value):
     dual = state.dual
     assert verify_multicut(inst, kept, dual).passed
     getattr(dual, table)[key] = value
-    if 0 <= key[0] < inst.tree.n:
-        # every row of the dual system still holds: only the domain is broken
-        assert _violation(inst, dual, 1) is None
-    else:
-        what = "edge" if table == "nu" else "node"
-        assert _violation(inst, dual, 1) == f"dual value at {key[0]}, which is no {what}"
     report = verify_multicut(inst, kept, dual)
-    assert "dual-feasible" in report.failures()
+    # no lookup reads the key as an index, and no kept capacity counts as
+    # saturated, whatever the value
+    assert _violation(report) == f"dual value {table}[{key}] lies off its demand's path"
+    assert "kept-capacities-saturated" in report.failures()
 
 
 def test_only_processed_demands_hold_a_support_row():
@@ -1200,7 +1199,8 @@ def test_a_nu_key_at_the_root_names_no_edge(value):
     dual = run_increase_phase(IncreaseState(inst)).dual
     root = inst.tree.root
     dual.nu[(root, 0)] = value
-    assert _violation(inst, dual, 1) == f"dual value at {root}, which is no edge"
+    report = verify_multicut(inst, frozenset(), dual)
+    assert _violation(report) == f"dual value nu[({root}, 0)] lies off its demand's path"
 
 
 # -- randomized battery ------------------------------------------------------

@@ -4,6 +4,8 @@ import json
 import sys
 from pathlib import Path
 
+import pytest
+
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 
 import sweep  # noqa: E402
@@ -119,4 +121,33 @@ def test_corpus_runs_every_subcommand_on_every_generator_kind():
     assert {argv[1] for argv in lines if argv[0] == "gen"} == set(GEN_KINDS)
     assert {argv[0] for argv in lines} == {
         "gen", "solve", "verify", "oracle", "gap", "batch", sweep.GUARD, sweep.SEVENTHS,
+        sweep.TAMPER,
     }
+
+
+@pytest.mark.parametrize("fault, detail", [
+    ("nu-over", "edge capacity violated at 1"),
+    ("mu-over", "node capacity violated at 0"),
+    ("negative", "negative dual value xi[0]"),
+    ("off-path", "dual value nu[(0, 0)] lies off its demand's path"),
+    ("support-short", "support row violated (10,0)"),
+])
+def test_each_tampered_dual_fails_verify_with_its_detail(
+    fault, detail, tmp_path, monkeypatch, capsys
+):
+    """Each fault of ``tamper-dual``, on the first seed of its corpus row,
+    is named by ``verify``'s ``dual-feasible`` line."""
+    from graphcover import cli
+
+    gen, solve, tamper, verify = dict((name, lines) for name, lines, _, _ in sweep.CORPUS)[
+        f"dual-{fault}"
+    ]
+    assert tamper == f"{sweep.TAMPER} inst cert {fault} bad" and verify == "verify inst bad"
+    monkeypatch.chdir(tmp_path)
+    for line in (gen, solve):
+        assert cli.run(line.format(seed=0).split()) == 0
+    assert sweep._OWN[sweep.TAMPER](*tamper.split()[1:]) == 0
+    capsys.readouterr()
+    assert cli.run(verify.split()) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert f"FAIL dual-feasible: {detail}" in out and out[-1] == "verdict: FAIL"

@@ -42,8 +42,16 @@ from typing import Dict, List, Sequence, Tuple
 #: holding it must fail ``verify``'s ``no-pendant-guard-edge``.
 #: ``sevenths INST OUT`` writes the eds instance INST with every node
 #: weight, edge weight and finite penalty w as w/7, so its solve runs at a
-#: scale other than 1.
-GUARD, SEVENTHS = "add-guard-edge", "sevenths"
+#: scale other than 1.  ``tamper-dual INST CERT FAULT OUT`` writes the
+#: multicut certificate CERT with one fault in its dual, which ``verify``'s
+#: ``dual-feasible`` line must name: FAULT ``nu-over`` or ``mu-over``
+#: raises the first nu or mu value by 10**9, over its edge's or node's
+#: capacity; ``negative`` makes the first xi value -1; ``off-path`` adds a
+#: nu value of demand 0 at the root of INST's tree, which is no edge of
+#: any path; and ``support-short`` raises the first xi value by 10**9, so
+#: its demand's support rows fall short of it.
+GUARD, SEVENTHS, TAMPER = "add-guard-edge", "sevenths", "tamper-dual"
+DUAL_FAULTS = ("nu-over", "mu-over", "negative", "off-path", "support-short")
 
 _CUT = (
     "solve inst --certificate cert",
@@ -64,6 +72,8 @@ _BOUNDS = ("oracle inst", "gap inst --relaxation natural", "gap inst --relaxatio
 #: sevenths.  The ``bounds`` rows run ``oracle`` and both ``gap``
 #: relaxations on each kind with a solver, and the ``kinds`` rows run
 #: ``oracle`` and ``batch`` on each generator kind the rows above lack.
+#: The ``dual`` rows verify a multicut certificate with each of
+#: :data:`DUAL_FAULTS`.
 CORPUS: List[Tuple[str, Sequence[str], int, int]] = [
     (
         f"cut{n}{tag}",
@@ -118,6 +128,19 @@ CORPUS: List[Tuple[str, Sequence[str], int, int]] = [
         ("set-cover", "random-set-cover --seed {seed}", 2, 10),
         ("facility-location", "random-facility-location --seed {seed}", 2, 10),
     )
+] + [
+    (
+        f"dual-{fault}",
+        (
+            "gen random-tree-multicut --n 9 --k 4 --seed {seed} -o inst",
+            "solve inst --certificate cert",
+            f"{TAMPER} inst cert {fault} bad",
+            "verify inst bad",
+        ),
+        1,
+        10,
+    )
+    for fault in DUAL_FAULTS
 ]
 
 
@@ -148,6 +171,26 @@ def _add_guard_edge(inst: str, cert: str, out: str) -> int:
     return 0
 
 
+def _tamper_dual(inst: str, cert: str, fault: str, out: str) -> int:
+    lines = Path(cert).read_text().splitlines()
+    if fault == "off-path":
+        tree = Path(inst).read_text().split("\n")
+        root = next((line.split()[1] for line in tree if line.startswith("root ")), "0")
+        lines.append(f"nu {root} 0 1")
+    else:
+        head, change = {
+            "nu-over": ("nu ", lambda q: q + 10**9),
+            "mu-over": ("mu ", lambda q: q + 10**9),
+            "negative": ("xi ", lambda q: -1),
+            "support-short": ("xi ", lambda q: q + 10**9),
+        }[fault]
+        at = next(i for i, line in enumerate(lines) if line.startswith(head))
+        *key, value = lines[at].split()
+        lines[at] = " ".join([*key, str(change(Fraction(value)))])
+    Path(out).write_text("\n".join(lines) + "\n")
+    return 0
+
+
 def _sevenths(inst: str, out: str) -> int:
     def seventh(token: str) -> str:
         return token if token == "inf" else str(Fraction(token) / 7)
@@ -163,7 +206,7 @@ def _sevenths(inst: str, out: str) -> int:
     return 0
 
 
-_OWN = {GUARD: _add_guard_edge, SEVENTHS: _sevenths}
+_OWN = {GUARD: _add_guard_edge, SEVENTHS: _sevenths, TAMPER: _tamper_dual}
 
 
 def _run(cli, argv: List[str], cwd: Path, out: Path, err: Path) -> int:
