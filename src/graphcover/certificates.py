@@ -43,6 +43,7 @@ from .instances import (
     MulticutInstance,
     ParseError,
     eds_solution,
+    multicut_solution,
     problem_kind,
     read_columns,
     read_int,
@@ -50,7 +51,6 @@ from .instances import (
 from .lp import LpModel, LpResult, dual_model, simplex_solve
 from .multicut_tree import (
     MulticutDual,
-    kept_solution,
     multicut_ratio,
     reduce_prize_collecting,
     verify_multicut,
@@ -256,7 +256,7 @@ def _verify_multicut_tree(inst: MulticutInstance, cert: Certificate, report: Che
     sub = verify_multicut(inst0, kept, dual)
     report.checks.extend(sub.checks)
 
-    sol = kept_solution(inst, inst0, kept)
+    sol = multicut_solution(inst, [e for e in kept if e < inst.tree.n])
     _objective_recomputed(report, sol, cert)
     total = dual.total
     report.add(

@@ -33,11 +33,12 @@ from .instances import (
     InstanceError,
     ParseError,
     gen_instance,
+    multicut_solution,
     parse_instance,
     serialize_instance,
     problem_kind,
 )
-from .multicut_tree import kept_solution, multicut_ratio, run_multicut_pipeline
+from .multicut_tree import multicut_ratio, run_multicut_pipeline
 from .oracle import (
     OracleCapError,
     brute_force_cover,
@@ -85,8 +86,8 @@ def _solve_eds_tree(inst):
 
 
 def _solve_multicut_tree(inst):
-    inst0, _, _, kept, dual = run_multicut_pipeline(inst)
-    sol = kept_solution(inst, inst0, kept)
+    _, _, _, kept, dual = run_multicut_pipeline(inst)
+    sol = multicut_solution(inst, [e for e in kept if e < inst.tree.n])
     ratio = multicut_ratio(sol.total, dual.total)
     cert = multicut_certificate(sol, ratio, kept, dual)
     return sol, cert, [f"dual-total {fmt_rat(dual.total)}", f"ratio {fmt_rat(ratio)}"]

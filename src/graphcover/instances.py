@@ -737,7 +737,13 @@ def _build(kind: str, columns: Dict[str, List[list]]) -> AnyInstance:
             raise InstanceError("facility ids must be 0..k-1, each once")
         opening = _rats(_placed(len(ids), ids, opening))
         conn = dict(zip(zip(conn_v, conn_f), _rats(conn_cost)))
-        return FacilityLocationInstance(len(clients), len(ids), opening, conn)
+        inst = FacilityLocationInstance(len(clients), len(ids), opening, conn)
+        lost = set(clients).difference(conn_v)
+        if lost:
+            v = min(lost)
+            at = ("client", clients.index(v))
+            raise InstanceError(f"client {v} cannot reach any facility", at)
+        return inst
     (counts,) = columns["nodes"]
     if not counts:
         raise InstanceError("missing 'nodes' line")

@@ -45,13 +45,13 @@ gadget's units, big-M among them, to the unit lists and keeps the scale;
 and each capacity of :class:`IncreaseState` is its units over the scale,
 an ``int`` when the scale divides them and a ``Rat`` otherwise.  The
 increase phase holds each integral value as a Python ``int`` and every
-other value as a ``Rat``: the dual values, the running capacity and
-support sums, the capacities they are compared with and each step and
-move read back from a step LP.  The setters of :class:`IncreaseState`
-make a written value an ``int`` when it is integral, and no value of the
-phase is ever divided but a capacity's units, whose ``int`` division is
-exact, so none can yield a float.  :attr:`IncreaseState.dual` turns every
-value back into a ``Rat`` for the ratio, certificates and reports.
+other value as a ``Rat``: the dual values, the running capacity sums,
+the capacities they are compared with and each step and move read back
+from a step LP.  The setters of :class:`IncreaseState` make a written
+value an ``int`` when it is integral, and no value of the phase is ever
+divided but a capacity's units, whose ``int`` division is exact, so none
+can yield a float.  :attr:`IncreaseState.dual` turns every value back
+into a ``Rat`` for the ratio, certificates and reports.
 :func:`verify_multicut`, the one check of the whole dual, checks each
 fact once, in ints over the values' least common denominator, and names
 the first that fails: a load l over it meets a capacity's units u over
@@ -61,18 +61,19 @@ The increase phase keeps its state incrementally, so a step costs the
 dual entries it writes and the nodes whose classification can move.
 Every dual write goes through the setters of :class:`IncreaseState`,
 which keep the demands holding mass at each node in processing order,
-the running capacity sums, the left side nu + mu + mu of every support
-row (a mu write at v changes at most the two rows of v's path edges),
-the demands, edges and nodes written since the last classification, and
-the nodes whose non-relaxable limit a write can move back.  Each
-demand's path is walked once per instance, by :class:`MulticutInstance`,
-into one record: its lca, its edges and their count on s's side.  One
-rule of the instance reads a node's place from it and the node's depth,
-and with it the rows of the node's at most two path edges.  The pass
-that picks a dual entry to move finds its rows once, and the step LP and
-the setter take them from there.  A count per edge of the demands
-through it whose row there is loose serves the witness choice, and the
-deletion phase indexes the demands through each edge of F.  The
+the running capacity sums, the demands, edges and nodes written since
+the last classification, and the nodes whose non-relaxable limit a write
+can move back.  The left side nu + mu + mu of a support row is read from
+the dual tables where it is needed: along the paths that the
+classification and the lowering of nu walk, and at the rows a step LP
+states.  Each demand's path is walked once per instance, by
+:class:`MulticutInstance`, into one record: its lca, its edges and their
+count on s's side.  One rule of the instance reads a node's place from
+it and the node's depth, and with it the rows of the node's at most two
+path edges.  The pass that picks a dual entry to move finds its rows
+once, and the step LP takes them from there.  A count per edge of the
+demands through it whose row there is loose serves the witness choice,
+and the deletion phase indexes the demands through each edge of F.  The
 classification is updated in place and read before the next dual write:
 tightness, one bit per support row, is re-derived only for the rows of
 written demands, and saturation only at written edges and nodes; the
@@ -85,17 +86,17 @@ neighbours whose pins rested on them, start again from the first holder
 a change can unpin, and a worklist moves the pointers forward from that
 frontier only.  Each step LP is built in one pass over its moves, each a
 variable and the dual entries it moves with their rows, and its update
-is read from the solution in variable order and written with the same
-rows.  Each check is exact, and a test fires it: a setter refuses a
-negative value, and a mu write leaves its node a holder; the
-classification after each step checks the rows its writes can have
-moved; a step LP ends optimal, and each step makes progress within a
-budget; the cover finds a free end and the chase a pin where the
-classification says; the phase's end checks the running sums and
-holders against the dual tables; the deletion phase checks the legs of
-the output; and :func:`run_multicut_pipeline` checks the whole output by
-:func:`verify_multicut`, and that it keeps no guard edge: so every unpaid
-demand's pay edge is kept, and :func:`multicut_ratio` reads at most 2.
+is read from the solution in variable order.  Each check is exact, and a
+test fires it: a setter refuses a negative value, and a mu write leaves
+its node a holder; the classification after each step checks the rows
+its writes can have moved; a step LP ends optimal, and each step makes
+progress within a budget; the cover finds a free end and the chase a pin
+where the classification says; the phase's end checks the running
+capacity sums and holders against the dual tables; the deletion phase
+checks the legs of the output; and :func:`run_multicut_pipeline` checks
+the whole output by :func:`verify_multicut`, and that it keeps no guard
+edge: so every unpaid demand's pay edge is kept, and
+:func:`multicut_ratio` reads at most 2.
 """
 
 from __future__ import annotations
@@ -111,7 +112,7 @@ from .instances import (
     MulticutInstance,
     RootedTree,
     Solution,
-    _priced,
+    multicut_solution,
     selected_nodes,
 )
 from .lp import OPTIMAL, LinearConstraint, LpModel, simplex_solve
@@ -241,18 +242,17 @@ class IncreaseState:
     and the witness edge per processed demand, in processing order.
 
     Every dual write goes through :meth:`set_xi`, :meth:`set_nu` and
-    :meth:`set_mu`.  The last two take the written entry's support rows
-    from their caller, which found them, and refuse a negative value.  The
-    setters keep the holders of each node, the running capacity and
-    support sums, the written demands, edges and nodes that
-    :meth:`snapshot` checks and re-derives, the nodes whose non-relaxable
-    limit can move, and the written demands whose nu :func:`_minimize_nu`
-    lowers.  From :meth:`snapshot` to the next dual write, ``tight_rows``
-    holds the tight support rows, one bit per path place,
-    ``sat_edge``/``sat_node`` the saturated capacities, ``sat_around`` the
-    edges saturated with both ends, whose tight rows are the fully pinned
-    bottleneck rows (:meth:`is_bottleneck`), and ``nonrelax`` the (node,
-    demand) pairs whose mass is immovable.
+    :meth:`set_mu`; the last two refuse a negative value.  The setters
+    keep the holders of each node, the running capacity sums, the written
+    demands, edges and nodes that :meth:`snapshot` checks and re-derives,
+    the nodes whose non-relaxable limit can move, and the written demands
+    whose nu :func:`_minimize_nu` lowers.  :meth:`support` reads a support
+    row's left side from the dual tables.  From :meth:`snapshot` to the
+    next dual write, ``tight_rows`` holds the tight support rows, one bit
+    per path place, ``sat_edge``/``sat_node`` the saturated capacities,
+    ``sat_around`` the edges saturated with both ends, whose tight rows
+    are the fully pinned bottleneck rows (:meth:`is_bottleneck`), and
+    ``nonrelax`` the (node, demand) pairs whose mass is immovable.
     ``settle_visits`` counts the nodes that settling the non-relaxable
     pairs has visited, a measure of its work that no output reads."""
 
@@ -287,13 +287,10 @@ class IncreaseState:
             for units in (inst.edge_units, inst.node_units)
         )
         # kept by the setters: node -> demands with mu > 0 there, in
-        # processing order; the running capacity sums by id; and per
-        # demand, from its first nu or mu write on, the left side
-        # nu + mu + mu of each support row, in path order (`support_row`)
+        # processing order; and the running capacity sums by id
         self.holders: Dict[int, List[int]] = {}
         self.nu_sum: List[Exact] = [0] * tree.n
         self.mu_sum: List[Exact] = [0] * tree.n
-        self.support: Dict[int, List[Exact]] = {}
         # the classification of the zero dual: every support row is tight
         # and every capacity of weight zero saturated.  snapshot() re-derives
         # it for dirty items only; a write to xi[j], nu[(e, j)] or mu[(v, j)]
@@ -324,25 +321,21 @@ class IncreaseState:
         self._dirty_demands.add(d)
         self.unminimized.add(d)
 
-    def set_nu(self, key: Tuple[int, int], val: Exact, rows: Rows) -> None:
-        """Write nu[key], which enters j's support ``rows``; zero removes it."""
+    def set_nu(self, key: Tuple[int, int], val: Exact) -> None:
+        """Write nu[key]; zero removes it."""
         e, j = key
         val = _exact(val)
-        change = val - self.nu.get(key, 0)
-        self.nu_sum[e] = _exact(self.nu_sum[e] + change)
-        self._add_support(j, rows, change)
+        self.nu_sum[e] = _exact(self.nu_sum[e] + val - self.nu.get(key, 0))
         _store(self.nu, key, val)
         self._dirty_demands.add(j)
         self._dirty_edges.add(e)
         self.unminimized.add(j)
 
-    def set_mu(self, key: Tuple[int, int], val: Exact, rows: Rows) -> None:
-        """Write mu[key], which enters j's support ``rows``; zero removes it."""
+    def set_mu(self, key: Tuple[int, int], val: Exact) -> None:
+        """Write mu[key]; zero removes it."""
         v, j = key
         val = _exact(val)
-        change = val - self.mu.get(key, 0)
-        self.mu_sum[v] = _exact(self.mu_sum[v] + change)
-        self._add_support(j, rows, change)
+        self.mu_sum[v] = _exact(self.mu_sum[v] + val - self.mu.get(key, 0))
         _store(self.mu, key, val)
         here = self.holders.setdefault(v, [])
         i = bisect_left(here, self.position[j], key=self.position.__getitem__)
@@ -362,15 +355,11 @@ class IncreaseState:
 
     # -- small helpers -----------------------------------------------------
 
-    def support_row(self, j: int) -> List[Exact]:
-        """j's support sums in path order, all zero before j's first write."""
-        return self.support.get(j) or [0] * len(self.path_edges[j])
-
-    def _add_support(self, j: int, rows, change: Exact) -> None:
-        """Add change to j's support sums at the given path positions."""
-        row = self.support[j] = self.support_row(j)
-        for i in rows:
-            row[i] = _exact(row[i] + change)
+    def support(self, j: int, e: int) -> Exact:
+        """The left side nu(e, j) + mu(upper, j) + mu(lower, j) of j's
+        support row at its path edge e, read from the dual tables."""
+        nu, mu = self.nu, self.mu
+        return nu.get((e, j), 0) + mu.get((self.instance.tree.parent[e], j), 0) + mu.get((e, j), 0)
 
     def far_end(self, e: int, v: int) -> int:
         upper = self.instance.tree.parent[e]
@@ -454,7 +443,8 @@ class IncreaseState:
         end = len(self.order)
         for j in self._dirty_demands:
             xi, was, mask = self.xi.get(j, 0), self.tight_rows[j], 0
-            for i, (e, lhs) in enumerate(zip(self.path_edges[j], self.support_row(j))):
+            for i, e in enumerate(self.path_edges[j]):
+                lhs = self.support(j, e)
                 assert xi <= lhs, f"support row violated ({e},{j})"
                 tight = lhs == xi
                 mask |= tight << i
@@ -536,23 +526,16 @@ class IncreaseState:
     # -- feasibility checks ------------------------------------------------
 
     def assert_feasible(self) -> None:
-        """Check the running sums and the holders, in processing order,
-        against sums and holders recomputed from the dual tables; the one
-        message names each that drifted."""
+        """Check the running capacity sums and the holders, in processing
+        order, against sums and holders recomputed from the dual tables;
+        the one message names each that drifted."""
         nu_load, mu_load = _load(self.nu), _load(self.mu)
-        parent, nu, mu = self.instance.tree.parent, self.nu, self.mu
         holders: Dict[int, List[int]] = {}  # every stored mu is positive
-        for v, j in sorted(mu, key=lambda key: self.position[key[1]]):
+        for v, j in sorted(self.mu, key=lambda key: self.position[key[1]]):
             holders.setdefault(v, []).append(j)
-        # a demand with no row and no nu or mu entry has only zero sums
-        written = set(self.support).union((j for _, j in nu), (j for _, j in mu))
         drifted = [name for name, same in (
             ("edge sums", all(tot == nu_load.get(e, 0) for e, tot in enumerate(self.nu_sum))),
             ("node sums", all(tot == mu_load.get(v, 0) for v, tot in enumerate(self.mu_sum))),
-            ("support sums", all(self.support_row(j) == [
-                nu.get((e, j), 0) + mu.get((parent[e], j), 0) + mu.get((e, j), 0)
-                for e in self.path_edges[j]
-            ] for j in written)),
             ("holders", holders == self.holders),
         ) if not same]
         assert not drifted, f"running {', '.join(drifted)} drifted from the dual tables"
@@ -577,15 +560,15 @@ def _minimize_nu(state: IncreaseState) -> None:
     so capacity freed there could not be reused; lowering it would only
     drop the edge out of the bottleneck rows."""
     for d in sorted(state.unminimized):
-        # a write of nu(e, d) changes d's support sum at e alone
-        for i, (e, lhs) in enumerate(zip(state.path_edges[d], state.support_row(d))):
+        # a write of nu(e, d) changes d's support row at e alone
+        for e in state.path_edges[d]:
             key = (e, d)
             if e in state.F or key not in state.nu:
                 continue
-            # at most nu: the last snapshot checked xi <= lhs
-            needed = max(state.xi.get(d, 0) - lhs + state.nu[key], 0)
+            # at most nu: the last snapshot checked xi <= the row's left side
+            needed = max(state.xi.get(d, 0) - state.support(d, e) + state.nu[key], 0)
             if needed != state.nu[key]:
-                state.set_nu(key, needed, (i,))
+                state.set_nu(key, needed)
     state.unminimized.clear()
 
 
@@ -704,12 +687,13 @@ def _step_lp(
         tiebreak=dict.fromkeys(names[1:], 1),
     )
     for j in sorted(rows):
-        path, support, xi = state.path_edges[j], state.support_row(j), state.xi.get(j, 0)
+        path, xi = state.path_edges[j], state.xi.get(j, 0)
         for i in sorted(rows[j]):
             coeffs = {name: c for name, c in rows[j][i].items() if c}
             if coeffs:
+                e = path[i]
                 model.constraints.append(
-                    LinearConstraint(f"support_e{path[i]}_d{j}", coeffs, ">=", xi - support[i])
+                    LinearConstraint(f"support_e{e}_d{j}", coeffs, ">=", xi - state.support(j, e))
                 )
     # capacity rows of the moved entries; each variable moves one entry
     for kind, prefix, cap, load in (
@@ -729,14 +713,14 @@ def _step_lp(
     values = list(step.assignment.values())  # in variable order
     eps = _exact(step.value)
     state.set_xi(d, state.xi.get(d, 0) + eps)
-    change: Dict[Tuple[str, int, int], list] = {}
-    for kind, x, j, sign, var, at in entries:  # each entry written once, in entry order
+    change: Dict[Tuple[str, int, int], Exact] = {}
+    for kind, x, j, sign, var, _ in entries:  # each entry written once, in entry order
         move = _exact(values[var]) if values[var] else 0
-        change.setdefault((kind, x, j), [0, at])[0] += move if sign > 0 else -move
-    for (kind, x, j), (delta, at) in change.items():
+        change[kind, x, j] = change.get((kind, x, j), 0) + (move if sign > 0 else -move)
+    for (kind, x, j), delta in change.items():
         if delta:
             table, write = (state.nu, state.set_nu) if kind == "nu" else (state.mu, state.set_mu)
-            write((x, j), table.get((x, j), 0) + delta, at)
+            write((x, j), table.get((x, j), 0) + delta)
     return eps
 
 
@@ -804,7 +788,7 @@ def increase_iteration(state: IncreaseState, i: int) -> IncreaseState:
 
 def run_increase_phase(state: IncreaseState) -> IncreaseState:
     """Iterate until every demand path is covered by an edge of F, then
-    check the running sums and holders against the dual."""
+    check the running capacity sums and holders against the dual."""
     while True:
         d = state.uncovered()
         if d is None:
@@ -863,7 +847,10 @@ def verify_multicut(inst: MulticutInstance, edges, dual: MulticutDual) -> CheckR
     of mu, there is at most its weight); and per demand d with xi(d) > 0,
     its support rows xi(d) <= nu(e, d) + mu(upper, d) + mu(lower, d) on
     d's path.  A demand with xi(d) = 0 has only rows 0 <= a sum of values
-    already checked nonnegative, so its rows are skipped."""
+    already checked nonnegative, so its rows are skipped.
+    ``kept-capacities-saturated`` names the first kept edge, else touched
+    node, whose load is not its weight; when an entry lies off its path or
+    is negative it is skipped, fails and names that entry."""
     report = CheckReport()
     k = len(inst.demands)
     chosen = set(edges)
@@ -917,12 +904,20 @@ def verify_multicut(inst: MulticutInstance, edges, dual: MulticutDual) -> CheckR
     cost, total = Rat(units, scale), Rat(sum(xi.values()), den)
     report.add("within-twice-dual", cost <= 2 * total, f"cost {cost}, dual total {total}")
 
-    saturated = (
-        in_domain
-        and all(nu_load.get(e, 0) * scale == inst.edge_units[e] * den for e in chosen)
-        and all(mu_load.get(v, 0) * scale == inst.node_units[v] * den for v in nodes)
+    # the first kept edge, else touched node, whose load is not its weight
+    unsaturated = in_domain and next((
+        f"{what} {x} carries {Rat(load.get(x, 0), den)} of its weight {Rat(units[x], scale)}"
+        for what, xs, load, units in (
+            ("kept edge", sorted(chosen), nu_load, inst.edge_units),
+            ("touched node", nodes, mu_load, inst.node_units),
+        )
+        for x in xs
+        if load.get(x, 0) * scale != units[x] * den
+    ), None)
+    report.add(
+        "kept-capacities-saturated", in_domain and not unsaturated,
+        unsaturated or ("" if in_domain else f"skipped: {fault}"),
     )
-    report.add("kept-capacities-saturated", saturated)
     return report
 
 
@@ -958,21 +953,9 @@ def solve_multicut_tree(
 ) -> Tuple[Solution, MulticutDual, Rat]:
     """Separate or pay for every demand pair; the returned dual total is a
     lower bound on the optimum and the objective is at most twice it."""
-    inst0, _, _, kept, dual = run_multicut_pipeline(inst)
-    sol = kept_solution(inst, inst0, kept)
+    _, _, _, kept, dual = run_multicut_pipeline(inst)
+    sol = multicut_solution(inst, [e for e in kept if e < inst.tree.n])
     return sol, dual, multicut_ratio(sol.total, dual.total)
-
-
-def kept_solution(inst: MulticutInstance, inst0: MulticutInstance, kept) -> Solution:
-    """The solution on the original tree ``inst``: the kept cut of the
-    compiled tree ``inst0`` without its penalty edges, whose ids start at
-    ``inst.tree.n``.  A demand's compiled path is its original path, with
-    the two gadget edges off the cut when its penalty is finite, so the
-    compiled instance's walks tell which demands pay."""
-    edges = tuple(sorted(e for e in kept if e < inst.tree.n))
-    chosen = set(edges)
-    unpaid = (i for i in range(len(inst.demands)) if chosen.isdisjoint(inst0.path_edges(i)))
-    return _priced(inst, edges, selected_nodes(inst.tree, edges), unpaid)
 
 
 def multicut_ratio(objective: ExtRat, dual_total: Rat) -> ExtRat:

@@ -24,13 +24,13 @@ from graphcover import (
 )
 from graphcover import certificates, cli
 from graphcover.certificates import CERTIFICATE_DIRECTIVES
-from graphcover.instances import eds_solution
+from graphcover.instances import eds_solution, multicut_solution
 from graphcover.multicut_tree import (
-    kept_solution,
     multicut_ratio,
     reduce_prize_collecting,
     run_multicut_pipeline,
 )
+from graphcover.rationals import ZERO, is_inf
 
 from _support import edited_texts
 
@@ -43,8 +43,8 @@ def _tree_cert(seed=3):
 
 def _multicut_cert(seed=4):
     inst = gen_instance("random-tree-multicut", n=7, k=3, seed=seed)
-    inst0, _, _, kept, dual = run_multicut_pipeline(inst)
-    sol = kept_solution(inst, inst0, kept)
+    _, _, _, kept, dual = run_multicut_pipeline(inst)
+    sol = multicut_solution(inst, [e for e in kept if e < inst.tree.n])
     ratio = multicut_ratio(sol.total, dual.total)
     return inst, multicut_certificate(sol, ratio, kept, dual)
 
@@ -245,6 +245,22 @@ def test_an_objective_beyond_the_factor_is_rejected(pair):
     assert report.failures() == ["within-factor"], report.format()
 
 
+@pytest.mark.parametrize("pair", [True, False])
+def test_an_infinite_objective_fails_weak_duality(pair):
+    """With no edge chosen, the 3-node path leaves its infinite-penalty edge
+    undominated: the certificate states ``objective inf``, which the edges
+    recompute, and only ``weak-duality`` and ``within-factor`` fail."""
+    inst = parse_instance(_PATH3.replace("edge 0 1 100 1", "edge 0 1 100 inf"))
+    cert = eds_general_certificate(*solve_eds_general(inst))
+    cert.edges = ()
+    cert.objective = eds_solution(inst, cert.edges).total
+    assert is_inf(cert.objective)
+    if not pair:
+        cert = replace(cert, primal={}, dual={})
+    report = verify_certificate(inst, parse_certificate(serialize_certificate(cert)))
+    assert report.failures() == ["weak-duality", "within-factor"], report.format()
+
+
 def test_kind_mismatch_rejected():
     inst, _ = _tree_cert()
     _, other = _general_cert()
@@ -298,6 +314,47 @@ def test_parse_needs_header():
     with pytest.raises(ParseError) as err:
         parse_certificate("objective 3\n")
     assert "line 1" in str(err.value)
+
+
+def _over_a_penalty(inst, cert):
+    """xi of edge 1 one over its penalty of 3, and xi of edge 2 one lower,
+    so the dual total still equals the objective."""
+    assert (cert.xi[1], inst.penalty_units[1], inst.scale) == (3, 3, 1)
+    cert.xi[1] += 1
+    cert.xi[2] -= 1
+    return cert
+
+
+def _raised(field):
+    def edit(inst, cert):
+        setattr(cert, field, getattr(cert, field) + 1)
+        return cert
+    return edit
+
+
+def _without_xi(inst, cert):
+    cert.xi = dict.fromkeys(cert.xi, ZERO)
+    return cert
+
+
+@pytest.mark.parametrize("make, edit, failures", [
+    (_tree_cert, lambda inst, cert: _general_cert()[1], ["kind-matches"]),
+    (_tree_cert, _raised("objective"), ["objective-recomputed"]),
+    (_multicut_cert, _raised("objective"), ["objective-recomputed"]),
+    (_general_cert, _raised("objective"), ["objective-recomputed"]),
+    (_general_cert, _raised("factor"), ["factor-is-4H"]),
+    (_tree_cert, _without_xi, ["dual-total-equals-objective"]),
+    (_tree_cert, _over_a_penalty, ["dual-values-within-penalties", "dual-completion-feasible"]),
+    (_multicut_cert, _without_xi, ["within-twice-dual", "ratio-recomputed"]),
+], ids=[
+    "kind", "tree-objective", "multicut-objective", "general-objective", "factor",
+    "tree-dual-total", "tree-over-penalty", "multicut-dual-total",
+])
+def test_each_tamper_fails_exactly_its_checks(make, edit, failures):
+    """A certificate edited in one way fails exactly the checks that read
+    what the edit broke."""
+    inst, cert = make()
+    assert verify_certificate(inst, edit(inst, cert)).failures() == failures
 
 
 def test_parse_rejects_duplicates():

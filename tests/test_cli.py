@@ -590,6 +590,30 @@ def test_batch_reports_invalid_rows_and_goes_on(tmp_path, capsys):
     assert sorted(p.name for p in certs.iterdir()) == ["a_tree.eds.cert", "c_tree.eds.cert"]
 
 
+_UNREACHED_CLIENT = "problem facility-location\nfacility 0 2\nclient 0\nclient 1\nconn 0 0 1\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve"], ["oracle"], ["verify", "unread.cert"], ["gap", "--relaxation", "natural"],
+    ["gap", "--relaxation", "strengthened"],
+], ids=["solve", "oracle", "verify", "gap-natural", "gap-strengthened"])
+def test_a_client_with_no_connection_is_refused(tmp_path, capsys, argv):
+    path = tmp_path / "lost.fl"
+    path.write_text(_UNREACHED_CLIENT)
+    code, out, err = run_cli(capsys, argv[0], str(path), *argv[1:])
+    assert (code, out, err) == (2, "", "error: line 4: client 1 cannot reach any facility\n")
+
+
+def test_batch_gives_a_client_with_no_connection_an_invalid_row(tmp_path, capsys):
+    suite = tmp_path / "suite"
+    suite.mkdir()
+    (suite / "lost.fl").write_text(_UNREACHED_CLIENT)
+    code, out, err = run_cli(capsys, "batch", str(suite))
+    assert code == 2
+    assert out.splitlines()[1].split("\t") == ["lost.fl", "-", "-", "-", "-", "-", "invalid"]
+    assert err == "error: lost.fl: line 4: client 1 cannot reach any facility\n"
+
+
 def test_batch_exits_with_the_highest_code_its_rows_call_for(tmp_path, capsys, monkeypatch):
     suite = tmp_path / "suite"
     suite.mkdir()

@@ -468,6 +468,11 @@ STRUCTURAL_ERRORS = [
     (_FL + "facility 0 1\nclient 0\nconn 0 1 1\n", "line 4: connection (0,1) out of range"),
     (_FL + "facility 0 1\nclient 0\nconn 1 0 1\n# end\n", "line 4: connection (1,0) out of range"),
     (_FL + "facility 0 1\nclient 0\nconn 0 3 2\nclient 1\n", "line 4: connection (0,3) out of range"),
+    # a client with no connection is named at its own line, the least first
+    (_FL + "facility 0 2\nclient 0\nclient 1\nconn 0 0 1\n",
+     "line 4: client 1 cannot reach any facility"),
+    (_FL + "facility 0 2\nclient 2\nclient 1\nclient 0\nconn 0 0 1\n",
+     "line 4: client 1 cannot reach any facility"),
     # two faults on one line or in one file: the first check in order wins
     (_TREE + "node 0 1\nnode 0 x\n", "line 4: duplicate weight for node 0"),
     (_TREE + "node 0 1\nnode 0 inf\n", "line 4: duplicate weight for node 0"),
@@ -555,7 +560,7 @@ NUMBER_SLOTS = {
     "multicut demand": ("problem multicut-tree\nnodes 2\nedge 0 1 1\ndemand 0 1 {}\n",
                         4, True, lambda i: i.demands[0].penalty),
     "set cost": ("problem set-cover\nnodes 1\nset {} 0\n", 3, False, lambda i: i.sets[0][0]),
-    "facility opening": ("problem facility-location\nfacility 0 {}\nclient 0\n",
+    "facility opening": ("problem facility-location\nfacility 0 {}\nclient 0\nconn 0 0 1\n",
                          2, False, lambda i: i.opening[0]),
     "conn cost": ("problem facility-location\nfacility 0 1\nclient 0\nconn 0 0 {}\n",
                   4, False, lambda i: i.conn[(0, 0)]),

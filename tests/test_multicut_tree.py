@@ -32,7 +32,6 @@ from graphcover.multicut_tree import (
     IncreaseState,
     deletion_phase,
     increase_iteration,
-    kept_solution,
     multicut_ratio,
     reduce_prize_collecting,
     run_increase_phase,
@@ -515,8 +514,8 @@ def test_dense_run_with_revisited_sanction_walk_verifies():
     inst = gen_instance(
         "random-tree-multicut", n=40, k=120, seed=14, wmax=10, inf_prob=0, pmax=3
     )
-    inst0, _, _, kept, dual = run_multicut_pipeline(inst)
-    sol = kept_solution(inst, inst0, kept)
+    _, _, _, kept, dual = run_multicut_pipeline(inst)
+    sol = multicut_solution(inst, [e for e in kept if e < inst.tree.n])
     cert = multicut_certificate(sol, multicut_ratio(sol.total, dual.total), kept, dual)
     report = verify_certificate(inst, parse_certificate(serialize_certificate(cert)))
     assert report.passed, report.format()
@@ -655,8 +654,7 @@ def _step_cap(state):
 
 def _running_part_moved(part):
     """Once every demand is covered, one running record moves: an edge's or
-    a node's capacity sum by a unit, a demand's first support sum by a
-    unit, or a node's first holder drops out."""
+    a node's capacity sum by a unit, or a node's first holder drops out."""
 
     def fault(monkeypatch):
         real = IncreaseState.uncovered
@@ -664,14 +662,12 @@ def _running_part_moved(part):
         def uncovered(state):
             d = real(state)
             if d is None:
-                e, j = next(iter(state.nu))
+                e, _ = next(iter(state.nu))
                 v = next(iter(state.holders))
                 if part == "edge":
                     state.nu_sum[e] += 1
                 elif part == "node":
                     state.mu_sum[v] += 1
-                elif part == "support":
-                    state.support[j][0] += 1
                 else:
                     del state.holders[v][0]
             return d
@@ -727,8 +723,7 @@ _RUN = "test_solver_checks_fire_at_their_step"
         (_running_part_moved(part), (9, 4, 0),
          f"running {name} drifted from the dual tables", ["run_increase_phase", "assert_feasible"])
         for part, name in (
-            ("edge", "edge sums"), ("node", "node sums"), ("support", "support sums"),
-            ("holders", "holders"),
+            ("edge", "edge sums"), ("node", "node sums"), ("holders", "holders"),
         )
     ),
     (_deletion_drops_a_kept_edge, (9, 4, 0), "output certificate failed: demands-separated",
@@ -737,7 +732,7 @@ _RUN = "test_solver_checks_fire_at_their_step"
      [_RUN, "run_multicut_pipeline"]),
 ], ids=[
     "holder", "sat-around", "pinned", "step-status", "progress", "step-cap", "edge-sums",
-    "node-sums", "support-sums", "holders", "certificate", "guard",
+    "node-sums", "holders", "certificate", "guard",
 ])
 def test_solver_checks_fire_at_their_step(monkeypatch, fault, spec, message, frames):
     """Each of these checks fires, with its message, in the step that a
@@ -1181,16 +1176,26 @@ def test_verifier_rejects_dual_entries_off_the_path(table, key, value):
     # no lookup reads the key as an index, and no kept capacity counts as
     # saturated, whatever the value
     assert _violation(report) == f"dual value {table}[{key}] lies off its demand's path"
-    assert "kept-capacities-saturated" in report.failures()
+    assert ("kept-capacities-saturated", False,
+            f"skipped: dual value {table}[{key}] lies off its demand's path") in report.checks
 
 
-def test_only_processed_demands_hold_a_support_row():
-    """A demand's support sums are made on its first nu or mu write, so a
-    demand that is never processed holds none."""
-    inst = gen_instance("random-tree-multicut", n=30, k=12, seed=5, inf_prob=1)
-    state = run_increase_phase(IncreaseState(reduce_prize_collecting(inst)[0]))
-    assert len(state.witness) < len(inst.demands)
-    assert set(state.xi) <= set(state.support) <= set(state.witness)
+def test_unsaturated_kept_edge_is_named():
+    """A solved certificate with one nu on a kept edge lowered fails
+    ``kept-capacities-saturated``, which names that edge and its load."""
+    inst = gen_instance("random-tree-multicut", n=20, k=6, seed=1)
+    _, _, _, kept, dual = run_multicut_pipeline(inst)
+    sol = multicut_solution(inst, [e for e in kept if e < inst.tree.n])
+    cert = parse_certificate(serialize_certificate(
+        multicut_certificate(sol, multicut_ratio(sol.total, dual.total), kept, dual)
+    ))
+    assert verify_certificate(inst, cert).passed
+    key, val = max((key, val) for key, val in cert.nu.items() if key[0] in kept)
+    cert.nu[key] = val / 2
+    weight = Rat(reduce_prize_collecting(inst)[0].edge_units[key[0]], inst.scale)
+    line = f"FAIL kept-capacities-saturated: kept edge {key[0]} carries {weight - val / 2}" \
+        f" of its weight {weight}"
+    assert line in verify_certificate(inst, cert).format().splitlines()
 
 
 @pytest.mark.parametrize("value", [ZERO, ONE])
@@ -1231,9 +1236,7 @@ def test_no_ratio_above_two_on_small_trees(inst):
     inst0, _, state, kept, dual = run_multicut_pipeline(inst)
     report = verify_multicut(inst0, kept, dual)
     assert report.passed, report.format()
-    sol = kept_solution(inst, inst0, kept)
-    # priced from the compiled walks as from the original instance's own
-    assert sol == multicut_solution(inst, [e for e in kept if e < inst.tree.n])
+    sol = multicut_solution(inst, [e for e in kept if e < inst.tree.n])
     assert sol.total <= 2 * dual.total
     assert dual.total <= brute_force_multicut(inst).total
     for d in state.witness:

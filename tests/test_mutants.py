@@ -1,6 +1,6 @@
-"""The assert screen, on a toy tree of two modules: an assert a test
-fires, one that no test fires, and one whose deletion fails only the
-toy's import lint."""
+"""The mutation screen, on a toy tree: an assert a test fires, one that
+no test fires, and one whose deletion fails only the toy's import lint;
+and a check that a test fails and one that no test fails."""
 
 import json
 import sys
@@ -56,6 +56,34 @@ def test_no_unused_imports_in_the_package():
 '''
 
 
+# a toy verifier of two checks, and a test that only the first fails
+VERIFY = '''def verify(x, report):
+    report.add("positive", x > 0, "x must be positive")
+    report.add(
+        "even", x % 2
+        == 0,
+    )
+    return report
+'''
+
+VERIFY_TEST = '''import verify
+
+
+class Report(list):
+    def add(self, name, ok, detail=""):
+        self.append((name, ok))
+
+
+def test_verify():
+    assert verify.verify(4, Report()) == [("positive", True), ("even", True)]
+    assert verify.verify(-2, Report())[0] == ("positive", False)
+'''
+
+# the toy's tests need neither Hypothesis nor pytest-benchmark, whose
+# plugins slow each run
+_PYTEST_ARGS = ["-p", "no:hypothesispytest", "-p", "no:benchmark", "tests"]
+
+
 def test_without_replaces_one_assert_and_keeps_every_line_number():
     first, second = mutants.asserts(TOY)
     assert (first.lineno, second.lineno) == (6, 9)
@@ -74,9 +102,7 @@ def test_screen_names_the_killed_and_the_surviving_assert(tmp_path, capsys):
     (root / "tests" / "test_toy.py").write_text(TOY_TEST)
     (root / "tests" / "test_public_api.py").write_text(TOY_LINT)
     out = tmp_path / "screen.json"
-    # the toy's tests need neither Hypothesis nor pytest-benchmark, whose
-    # plugins slow each run
-    pytest_args = ["-p", "no:hypothesispytest", "-p", "no:benchmark", "tests"]
+    pytest_args = _PYTEST_ARGS
     argv = ["src/toy.py", "src/other.py", *pytest_args, "--root", str(root), "--out", str(out)]
     assert mutants.main(argv) == 1  # two asserts survive
     doc = json.loads(out.read_text())
@@ -117,3 +143,36 @@ def test_screen_names_the_killed_and_the_surviving_assert(tmp_path, capsys):
     # the screen works on a copy
     assert (root / "src" / "toy.py").read_text() == TOY
     assert (root / "src" / "other.py").read_text() == OTHER
+
+
+def test_forced_passes_one_check_and_keeps_every_line_number():
+    first, second = mutants.checks(VERIFY)
+    assert (first.lineno, second.lineno) == (2, 3)
+    lines = mutants.forced(VERIFY, second).split("\n")
+    assert lines[2:6] == ["    report.add(", '        "even", True,', "", "    )"]
+    assert lines[:3] + lines[5:] == VERIFY.split("\n")[:3] + VERIFY.split("\n")[5:]
+    assert mutants.forced(VERIFY, first).split("\n")[1] == \
+        '    report.add("positive", True, "x must be positive")'
+
+
+def test_screen_names_the_killed_and_the_surviving_check(tmp_path, capsys):
+    root = tmp_path / "toy"
+    (root / "src").mkdir(parents=True)
+    (root / "tests").mkdir()
+    (root / "src" / "verify.py").write_text(VERIFY)
+    (root / "tests" / "test_verify.py").write_text(VERIFY_TEST)
+    out = tmp_path / "screen.json"
+    argv = ["src/verify.py", *_PYTEST_ARGS, "--root", str(root), "--out", str(out),
+            "--only", "check"]
+    assert mutants.main(argv) == 1  # "even" survives
+    assert json.loads(out.read_text())["modules"] == {"src/verify.py": [
+        {"line": 2, "check": "positive", "result": "killed",
+         "first_failure": "tests/test_verify.py::test_verify"},
+        {"line": 3, "check": "even", "result": "survived", "first_failure": None},
+    ]}
+    assert capsys.readouterr().out.split("\n") == [
+        "src/verify.py: 1 of 2 checks forced to pass killed",
+        "survived: line 3: check 'even' forced to pass",
+        "",
+    ]
+    assert (root / "src" / "verify.py").read_text() == VERIFY

@@ -121,26 +121,36 @@ def test_corpus_runs_every_subcommand_on_every_generator_kind():
     assert {argv[1] for argv in lines if argv[0] == "gen"} == set(GEN_KINDS)
     assert {argv[0] for argv in lines} == {
         "gen", "solve", "verify", "oracle", "gap", "batch", sweep.GUARD, sweep.SEVENTHS,
-        sweep.TAMPER,
+        sweep.TAMPER, sweep.LOST,
     }
 
 
-@pytest.mark.parametrize("fault, detail", [
-    ("nu-over", "edge capacity violated at 1"),
-    ("mu-over", "node capacity violated at 0"),
-    ("negative", "negative dual value xi[0]"),
-    ("off-path", "dual value nu[(0, 0)] lies off its demand's path"),
-    ("support-short", "support row violated (10,0)"),
-])
-def test_each_tampered_dual_fails_verify_with_its_detail(
-    fault, detail, tmp_path, monkeypatch, capsys
+_TAMPERED_LINES = {
+    "nu-over": "FAIL dual-feasible: edge capacity violated at 1",
+    "mu-over": "FAIL dual-feasible: node capacity violated at 0",
+    "negative": "FAIL dual-feasible: negative dual value xi[0]",
+    "off-path": "FAIL dual-feasible: dual value nu[(0, 0)] lies off its demand's path",
+    "support-short": "FAIL dual-feasible: support row violated (10,0)",
+    "xi-over": "FAIL dual-values-within-penalties",
+    "xi-dropped": "FAIL dual-values-within-penalties",
+    "primal-raised": "FAIL primal-feasible: node_v3_e4 node_v5_e4",
+    "dual-raised": "FAIL dual-feasible: x_e0 x_e1 x_e2",
+}
+
+
+@pytest.mark.parametrize("name, fault", [
+    (name, fault) for name, _, faults in sweep.TAMPERED for fault in faults
+], ids=lambda x: x)
+def test_each_tampered_certificate_fails_verify_with_its_line(
+    name, fault, tmp_path, monkeypatch, capsys
 ):
-    """Each fault of ``tamper-dual``, on the first seed of its corpus row,
-    is named by ``verify``'s ``dual-feasible`` line."""
+    """Each fault of ``tamper``, on the first seed of its corpus row, fails
+    ``verify`` with the line of the check it breaks, which for a multicut
+    dual is the ``dual-feasible`` line naming the fault."""
     from graphcover import cli
 
-    gen, solve, tamper, verify = dict((name, lines) for name, lines, _, _ in sweep.CORPUS)[
-        f"dual-{fault}"
+    gen, solve, tamper, verify = dict((row, lines) for row, lines, _, _ in sweep.CORPUS)[
+        f"{name}-{fault}"
     ]
     assert tamper == f"{sweep.TAMPER} inst cert {fault} bad" and verify == "verify inst bad"
     monkeypatch.chdir(tmp_path)
@@ -150,4 +160,10 @@ def test_each_tampered_dual_fails_verify_with_its_detail(
     capsys.readouterr()
     assert cli.run(verify.split()) == 1
     out = capsys.readouterr().out.splitlines()
-    assert f"FAIL dual-feasible: {detail}" in out and out[-1] == "verdict: FAIL"
+    assert _TAMPERED_LINES[fault] in out and out[-1] == "verdict: FAIL"
+
+
+def test_the_lost_client_is_refused_by_oracle_and_batch():
+    corpus = [row for row in sweep.CORPUS if row[0] == "kinds-lost-client"]
+    records = sweep.sweep(str(SRC), sweep.cases(corpus))
+    assert [r["exit"] for r in records.values()] == [0, 2, 2]

@@ -42,16 +42,30 @@ from typing import Dict, List, Sequence, Tuple
 #: holding it must fail ``verify``'s ``no-pendant-guard-edge``.
 #: ``sevenths INST OUT`` writes the eds instance INST with every node
 #: weight, edge weight and finite penalty w as w/7, so its solve runs at a
-#: scale other than 1.  ``tamper-dual INST CERT FAULT OUT`` writes the
-#: multicut certificate CERT with one fault in its dual, which ``verify``'s
-#: ``dual-feasible`` line must name: FAULT ``nu-over`` or ``mu-over``
-#: raises the first nu or mu value by 10**9, over its edge's or node's
-#: capacity; ``negative`` makes the first xi value -1; ``off-path`` adds a
-#: nu value of demand 0 at the root of INST's tree, which is no edge of
-#: any path; and ``support-short`` raises the first xi value by 10**9, so
-#: its demand's support rows fall short of it.
-GUARD, SEVENTHS, TAMPER = "add-guard-edge", "sevenths", "tamper-dual"
+#: scale other than 1.  ``tamper INST CERT FAULT OUT`` writes the
+#: certificate CERT with one fault.  On a multicut certificate it breaks
+#: the dual, and ``verify``'s ``dual-feasible`` line must name the fault:
+#: FAULT ``nu-over`` or ``mu-over`` raises the first nu or mu value by
+#: 10**9, over its edge's or node's capacity; ``negative`` makes the first
+#: xi value -1; ``off-path`` adds a nu value of demand 0 at the root of
+#: INST's tree, which is no edge of any path; and ``support-short`` raises
+#: the first xi value by 10**9, so its demand's support rows fall short of
+#: it.  On an eds-tree certificate, ``xi-over`` raises the first xi value
+#: whose edge has a finite penalty to that penalty plus 1, and
+#: ``xi-dropped`` drops the first xi line; on an eds-general certificate,
+#: ``primal-raised`` and ``dual-raised`` raise the first primal or dual
+#: value by 1.  ``lost-client OUT`` writes a facility-location instance
+#: whose client 1 has no connection, which every subcommand must refuse.
+GUARD, SEVENTHS, TAMPER, LOST = "add-guard-edge", "sevenths", "tamper", "lost-client"
 DUAL_FAULTS = ("nu-over", "mu-over", "negative", "off-path", "support-short")
+#: Per certificate kind that ``tamper`` breaks: the name of its rows, the
+#: instances it is made for, and its faults.
+TAMPERED = (
+    ("dual", "random-tree-multicut --n 9 --k 4", DUAL_FAULTS),
+    ("eds-tree", "random-tree-eds --n 8", ("xi-over", "xi-dropped")),
+    ("eds-general", "random-eds-general --n 6 --m 6", ("primal-raised", "dual-raised")),
+)
+LOST_CLIENT = "problem facility-location\nfacility 0 2\nclient 0\nclient 1\nconn 0 0 1\n"
 
 _CUT = (
     "solve inst --certificate cert",
@@ -71,9 +85,9 @@ _BOUNDS = ("oracle inst", "gap inst --relaxation natural", "gap inst --relaxatio
 #: nodes, the sizes of the ``tree-solve`` benchmark, are also solved in
 #: sevenths.  The ``bounds`` rows run ``oracle`` and both ``gap``
 #: relaxations on each kind with a solver, and the ``kinds`` rows run
-#: ``oracle`` and ``batch`` on each generator kind the rows above lack.
-#: The ``dual`` rows verify a multicut certificate with each of
-#: :data:`DUAL_FAULTS`.
+#: ``oracle`` and ``batch`` on each generator kind the rows above lack,
+#: and on the instance of ``lost-client``.  The rows of :data:`TAMPERED`
+#: verify a certificate with each fault of its kind.
 CORPUS: List[Tuple[str, Sequence[str], int, int]] = [
     (
         f"cut{n}{tag}",
@@ -129,10 +143,12 @@ CORPUS: List[Tuple[str, Sequence[str], int, int]] = [
         ("facility-location", "random-facility-location --seed {seed}", 2, 10),
     )
 ] + [
+    ("kinds-lost-client", (f"{LOST} in/inst", "oracle in/inst", "batch in"), 1, 1),
+] + [
     (
-        f"dual-{fault}",
+        f"{name}-{fault}",
         (
-            "gen random-tree-multicut --n 9 --k 4 --seed {seed} -o inst",
+            f"gen {gen} --seed {{seed}} -o inst",
             "solve inst --certificate cert",
             f"{TAMPER} inst cert {fault} bad",
             "verify inst bad",
@@ -140,7 +156,8 @@ CORPUS: List[Tuple[str, Sequence[str], int, int]] = [
         1,
         10,
     )
-    for fault in DUAL_FAULTS
+    for name, gen, faults in TAMPERED
+    for fault in faults
 ]
 
 
@@ -171,23 +188,42 @@ def _add_guard_edge(inst: str, cert: str, out: str) -> int:
     return 0
 
 
-def _tamper_dual(inst: str, cert: str, fault: str, out: str) -> int:
+def _tamper(inst: str, cert: str, fault: str, out: str) -> int:
     lines = Path(cert).read_text().splitlines()
+    tree = Path(inst).read_text().split("\n")
+    root = next((line.split()[1] for line in tree if line.startswith("root ")), "0")
     if fault == "off-path":
-        tree = Path(inst).read_text().split("\n")
-        root = next((line.split()[1] for line in tree if line.startswith("root ")), "0")
         lines.append(f"nu {root} 0 1")
+    elif fault == "xi-dropped":
+        del lines[next(i for i, line in enumerate(lines) if line.startswith("xi "))]
+    elif fault == "xi-over":
+        # an eds tree's edges are written in id order, and each edge's id
+        # is its lower end: every node but the root, ascending
+        n = next(int(line.split()[1]) for line in tree if line.startswith("nodes "))
+        ids = (str(v) for v in range(n) if str(v) != root)
+        penalty = dict(zip(ids, (line.split()[-1] for line in tree if line.startswith("edge "))))
+        at = next(i for i, line in enumerate(lines)
+                  if line.startswith("xi ") and penalty[line.split()[1]] != "inf")
+        key = lines[at].split()[1]
+        lines[at] = f"xi {key} {Fraction(penalty[key]) + 1}"
     else:
         head, change = {
             "nu-over": ("nu ", lambda q: q + 10**9),
             "mu-over": ("mu ", lambda q: q + 10**9),
             "negative": ("xi ", lambda q: -1),
             "support-short": ("xi ", lambda q: q + 10**9),
+            "primal-raised": ("primal ", lambda q: q + 1),
+            "dual-raised": ("dual ", lambda q: q + 1),
         }[fault]
         at = next(i for i, line in enumerate(lines) if line.startswith(head))
         *key, value = lines[at].split()
         lines[at] = " ".join([*key, str(change(Fraction(value)))])
     Path(out).write_text("\n".join(lines) + "\n")
+    return 0
+
+
+def _lost_client(out: str) -> int:
+    Path(out).write_text(LOST_CLIENT)
     return 0
 
 
@@ -206,7 +242,7 @@ def _sevenths(inst: str, out: str) -> int:
     return 0
 
 
-_OWN = {GUARD: _add_guard_edge, SEVENTHS: _sevenths, TAMPER: _tamper_dual}
+_OWN = {GUARD: _add_guard_edge, SEVENTHS: _sevenths, TAMPER: _tamper, LOST: _lost_client}
 
 
 def _run(cli, argv: List[str], cwd: Path, out: Path, err: Path) -> int:
