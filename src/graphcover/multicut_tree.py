@@ -246,7 +246,7 @@ class IncreaseState:
     keep the holders of each node, the running capacity sums, the written
     demands, edges and nodes that :meth:`snapshot` checks and re-derives,
     the nodes whose non-relaxable limit can move, and the written demands
-    whose nu :func:`_minimize_nu` lowers.  :meth:`support` reads a support
+    whose nu :func:`_minimize_nu` lowers.  :meth:`support_lhs` reads a support
     row's left side from the dual tables.  From :meth:`snapshot` to the
     next dual write, ``tight_rows`` holds the tight support rows, one bit
     per path place, ``sat_edge``/``sat_node`` the saturated capacities,
@@ -355,7 +355,7 @@ class IncreaseState:
 
     # -- small helpers -----------------------------------------------------
 
-    def support(self, j: int, e: int) -> Exact:
+    def support_lhs(self, j: int, e: int) -> Exact:
         """The left side nu(e, j) + mu(upper, j) + mu(lower, j) of j's
         support row at its path edge e, read from the dual tables."""
         nu, mu = self.nu, self.mu
@@ -444,7 +444,7 @@ class IncreaseState:
         for j in self._dirty_demands:
             xi, was, mask = self.xi.get(j, 0), self.tight_rows[j], 0
             for i, e in enumerate(self.path_edges[j]):
-                lhs = self.support(j, e)
+                lhs = self.support_lhs(j, e)
                 assert xi <= lhs, f"support row violated ({e},{j})"
                 tight = lhs == xi
                 mask |= tight << i
@@ -566,7 +566,7 @@ def _minimize_nu(state: IncreaseState) -> None:
             if e in state.F or key not in state.nu:
                 continue
             # at most nu: the last snapshot checked xi <= the row's left side
-            needed = max(state.xi.get(d, 0) - state.support(d, e) + state.nu[key], 0)
+            needed = max(state.xi.get(d, 0) - state.support_lhs(d, e) + state.nu[key], 0)
             if needed != state.nu[key]:
                 state.set_nu(key, needed)
     state.unminimized.clear()
@@ -692,9 +692,9 @@ def _step_lp(
             coeffs = {name: c for name, c in rows[j][i].items() if c}
             if coeffs:
                 e = path[i]
-                model.constraints.append(
-                    LinearConstraint(f"support_e{e}_d{j}", coeffs, ">=", xi - state.support(j, e))
-                )
+                model.constraints.append(LinearConstraint(
+                    f"support_e{e}_d{j}", coeffs, ">=", xi - state.support_lhs(j, e)
+                ))
     # capacity rows of the moved entries; each variable moves one entry
     for kind, prefix, cap, load in (
         ("nu", "edgecap_e", state.edge_cap, state.nu_sum),
@@ -906,13 +906,13 @@ def verify_multicut(inst: MulticutInstance, edges, dual: MulticutDual) -> CheckR
 
     # the first kept edge, else touched node, whose load is not its weight
     unsaturated = in_domain and next((
-        f"{what} {x} carries {Rat(load.get(x, 0), den)} of its weight {Rat(units[x], scale)}"
-        for what, xs, load, units in (
+        f"{what} {x} carries {Rat(load.get(x, 0), den)} of its weight {Rat(weights[x], scale)}"
+        for what, xs, load, weights in (
             ("kept edge", sorted(chosen), nu_load, inst.edge_units),
             ("touched node", nodes, mu_load, inst.node_units),
         )
         for x in xs
-        if load.get(x, 0) * scale != units[x] * den
+        if load.get(x, 0) * scale != weights[x] * den
     ), None)
     report.add(
         "kept-capacities-saturated", in_domain and not unsaturated,

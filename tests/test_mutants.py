@@ -162,8 +162,7 @@ def test_screen_names_the_killed_and_the_surviving_check(tmp_path, capsys):
     (root / "src" / "verify.py").write_text(VERIFY)
     (root / "tests" / "test_verify.py").write_text(VERIFY_TEST)
     out = tmp_path / "screen.json"
-    argv = ["src/verify.py", *_PYTEST_ARGS, "--root", str(root), "--out", str(out),
-            "--only", "check"]
+    argv = ["src/verify.py", *_PYTEST_ARGS, "--root", str(root), "--out", str(out)]
     assert mutants.main(argv) == 1  # "even" survives
     assert json.loads(out.read_text())["modules"] == {"src/verify.py": [
         {"line": 2, "check": "positive", "result": "killed",

@@ -4,7 +4,6 @@ Run from the repository root; it needs only the standard library and
 pytest:
 
     python tools/mutants.py MODULE [MODULE ...] [PYTEST ARGS] [--out RESULTS.json]
-        [--only assert|check]
 
 Each ``MODULE`` is a Python file under the root, such as
 ``src/graphcover/eds_tree.py``; the leading arguments ending in ``.py``
@@ -14,8 +13,8 @@ by the module's syntax tree and each changing one place while keeping
 every other line where it was: an ``assert`` statement replaced with
 ``pass``, and a check ``report.add(NAME, CONDITION, ...)`` with its
 condition replaced with ``True``, so that the check passes whatever it
-is given.  ``--only`` keeps one kind.  For each mutant it runs ``python
--m pytest -x -q PYTEST ARGS`` there with ``src`` on ``PYTHONPATH``.  A
+is given.  For each mutant it runs ``python -m pytest -x -q PYTEST
+ARGS`` there with ``src`` on ``PYTHONPATH``.  A
 mutant is *killed* when the run fails, naming the first failing test,
 and *survives* when it passes.  A run whose first failure is the import
 lint, :data:`LINT`, runs again without it: a mutant that fails only the
@@ -93,20 +92,17 @@ def forced(source: str, call: ast.Call) -> str:
     return _replaced(source, call.args[1], "True")
 
 
-def mutants(source: str, only: Optional[str] = None) -> List[Tuple[int, str, str, str]]:
+def mutants(source: str) -> List[Tuple[int, str, str, str]]:
     """Each mutant of ``source`` as its line, its kind, what it names (the
     assert's source or the check's name) and the mutated source, in
-    source order; ``only`` keeps one kind."""
-    found = []
-    if only != "check":
-        found += [(node.lineno, "assert", ast.get_source_segment(source, node),
-                   without(source, node)) for node in asserts(source)]
-    if only != "assert":
-        for call in checks(source):
-            name = call.args[0]
-            named = name.value if isinstance(name, ast.Constant) else ast.get_source_segment(
-                source, name)
-            found.append((call.lineno, "check", named, forced(source, call)))
+    source order."""
+    found = [(node.lineno, "assert", ast.get_source_segment(source, node),
+              without(source, node)) for node in asserts(source)]
+    for call in checks(source):
+        name = call.args[0]
+        named = name.value if isinstance(name, ast.Constant) else ast.get_source_segment(
+            source, name)
+        found.append((call.lineno, "check", named, forced(source, call)))
     return sorted(found, key=lambda mutant: mutant[:2])
 
 
@@ -130,9 +126,7 @@ def _pytest(copy: Path, env: dict, args: List[str]):
     return run.returncode, run.stdout
 
 
-def screen(
-    root: Path, modules: List[str], pytest_args: List[str], only: Optional[str] = None
-) -> Dict[str, List[dict]]:
+def screen(root: Path, modules: List[str], pytest_args: List[str]) -> Dict[str, List[dict]]:
     """Per module of ``root``, one record per mutant."""
     results = {}
     with tempfile.TemporaryDirectory() as tmp:
@@ -142,7 +136,7 @@ def screen(
         for module in modules:
             source = (root / module).read_text()
             records = results[module] = []
-            for line, kind, named, mutated in mutants(source, only):
+            for line, kind, named, mutated in mutants(source):
                 (copy / module).write_text(mutated)
                 code, output = _pytest(copy, env, ["-x", *pytest_args])
                 failure = None if code == 0 else _first_failure(output) or f"exit {code}"
@@ -171,20 +165,19 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--out", default="mutants.json", help="write the results here")
     parser.add_argument("--root", default=".", help="the tree to copy (default: here)")
-    parser.add_argument("--only", choices=("assert", "check"), help="screen one kind of mutant")
     args, rest = parser.parse_known_args(argv)
     count = next((i for i, arg in enumerate(rest) if not arg.endswith(".py")), len(rest))
     modules, pytest_args = rest[:count], rest[count:]
     if not modules:
         parser.error("name at least one MODULE, a .py file")
-    results = screen(Path(args.root).resolve(), modules, pytest_args, args.only)
+    results = screen(Path(args.root).resolve(), modules, pytest_args)
     doc = {"pytest_args": pytest_args, "modules": results}
     Path(args.out).write_text(json.dumps(doc, indent=1) + "\n")
     survivors = 0
     for module, records in results.items():
         # a line per kind of mutant the module has; a module with none
         # still gets one
-        kinds = [k for k in _SHOWN if any(k in r for r in records)] or [args.only or "assert"]
+        kinds = [k for k in _SHOWN if any(k in r for r in records)] or ["assert"]
         for kind in kinds:
             label, shown = _SHOWN[kind]
             mine = [r for r in records if kind in r]
